@@ -81,11 +81,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _emit_phase1(lp: model.LinearProgram) -> int:
     work = lp
     if len(linalg.independent_rows(work.rows())) < work.n:
-        work = (
-            model.extend_to_full_rank_Delta(work)
-            if work.is_integral()
-            else model.extend_to_full_rank_delta(work)
-        )
+        work = model.extend_to_full_rank(work)
     p1 = phase1.build_phase1(work)
     sys.stdout.write(model.serialize_lp(p1.lp_prime))
     print("# initial basic feasible solution")

@@ -23,7 +23,6 @@ from .rational import (
     norm_sq,
     primitive_int_row,
     ratsqrt_ceil,
-    unit_scale,
     unit_scale_pq,
 )
 
@@ -91,7 +90,7 @@ def identify_basis_element(basis_rows, c) -> int:
     n = len(rows)
     cols = [[rows[k][i] for k in range(n)] for i in range(n)]  # columns a'_k
     try:
-        mu = linalg._solve(cols, as_fractions(c))
+        mu = linalg.solve_square(cols, as_fractions(c))
     except linalg.LinAlgError:
         raise DriverError("singular basis in facet identification") from None
     best = max(range(n), key=lambda k: (mu[k], -k))
@@ -99,106 +98,11 @@ def identify_basis_element(basis_rows, c) -> int:
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    basis_cols: tuple[tuple[Fraction, ...], ...]  # d-1 exact-orthogonal columns
-    anchor: tuple[Fraction, ...]
-    fixed_row: int
-    fixed_rhs: Fraction
-    dim_before: int
-    parent_rows: tuple[int, ...]  # reduced row index -> parent row index
-
-
-@dataclass
-class ReductionStack:
-    steps: list[ReductionStep] = field(default_factory=list)
-
-    def push(self, step: ReductionStep) -> None:
-        if self.steps and step.dim_before != self.steps[-1].dim_before - 1:
-            raise DriverError("reduction dimensions must strictly decrease by 1")
-        self.steps.append(step)
-
-
-def reduce_dimension(
-    lp: LinearProgram, row_i: int, stack: ReductionStack | None = None
-) -> tuple[LinearProgram, ReductionStep]:
-    """Fix row_i at equality and re-express the LP one dimension lower."""
-    n = lp.n
-    if n <= 1:
-        raise DriverError("dimension already 1: nothing to reduce into")
-    a = lp.row(row_i)
-    if abs(float(norm_sq(a)) - 1.0) > 3e-10:
-        raise DriverError("fixed row must be unit norm")
-    # scalar row factors are irrelevant to the facet geometry; primitive
-    # integer forms keep the exact data from compounding scale denominators
-    # across reduction levels
-    a_prim, fa = primitive_int_row(a)
-    a_prim = as_fractions(a_prim)
-    U = linalg.facet_basis(a_prim)  # exactly orthogonal to a and each other
-    anchor = [fa * lp.b[row_i] / norm_sq(a_prim) * x for x in a_prim]
-    new_rows: list[list[Fraction]] = []
-    new_b: list[Fraction] = []
-    scales: list[Fraction] = []
-    parents: list[int] = []
-    for j in range(lp.m):
-        if j == row_i:
-            continue
-        row_prim, fj = primitive_int_row(lp.row(j))
-        row = as_fractions(row_prim)
-        red = [dot(row, u) for u in U]
-        rhs = fj * lp.b[j] - dot(row, anchor)
-        if all(x == 0 for x in red):
-            if rhs < 0:
-                raise DriverError("facet infeasible against a parallel row")
-            continue
-        t = unit_scale(red)
-        new_rows.append([t * x for x in red])
-        new_b.append(t * rhs)
-        scales.append(1 / t)
-        parents.append(j)
-    c_prim, _ = primitive_int_row(list(lp.c0))
-    c_red = [dot(as_fractions(c_prim), u) for u in U]
-    if any(x != 0 for x in c_red):
-        tc = unit_scale(c_red)
-        c_red = [tc * x for x in c_red]
-        c_scale = 1 / tc
-    else:
-        c_scale = Fraction(1)
-    reduced = LinearProgram(
-        A=tuple(tuple(r) for r in new_rows),
-        b=tuple(new_b),
-        c0=tuple(c_red),
-        row_scales=tuple(scales),
-        c0_scale=c_scale,
-        normalized=True,
-        full_rank=True,
-        bounded=lp.bounded,
-    )
-    step = ReductionStep(
-        basis_cols=tuple(tuple(u) for u in U),
-        anchor=tuple(anchor),
-        fixed_row=row_i,
-        fixed_rhs=lp.b[row_i],
-        dim_before=n,
-        parent_rows=tuple(parents),
-    )
-    if stack is not None:
-        stack.push(step)
-    return reduced, step
-
-
-def to_reduced_coords(step: ReductionStep, x) -> list[Fraction]:
-    """Coordinates of a facet point in the reduced parametrization (exact)."""
-    x = as_fractions(x)
-    diff = [xi - ai for xi, ai in zip(x, step.anchor)]
-    return [dot(list(u), diff) / norm_sq(list(u)) for u in step.basis_cols]
-
-
-@dataclass(frozen=True)
 class FacetRestriction:
     """The LP restricted to the intersection of fixed facets, re-parametrized
     over a near-orthonormal exact basis of the fixed rows' complement.
 
-    Built from the top-level rows each round (the chained one-step reduction
+    Built from the top-level rows each round (chaining one-step reductions
     would square exact entry sizes per level), so numbers stay single-level
     small no matter how deep the facet chain is.
     """
@@ -237,7 +141,7 @@ def facet_restriction(lp_top: LinearProgram, fixed_rows: list[int]) -> FacetRest
         G = [[dot(u, v) for v in fixed_prim] for u in fixed_prim]
         rhs = [prim[i][1] * lp_top.b[i] for i in fixed_rows]
         try:
-            z = linalg._solve(G, rhs)
+            z = linalg.solve_square(G, rhs)
         except linalg.LinAlgError:
             raise DriverError("fixed facet rows are dependent") from None
         anchor = [
@@ -316,24 +220,6 @@ def restriction_lift(r: FacetRestriction, y) -> list[Fraction]:
     return x
 
 
-def lift_point(step: ReductionStep, y) -> list[Fraction]:
-    y = as_fractions(y)
-    x = list(step.anchor)
-    for coef, u in zip(y, step.basis_cols):
-        x = [xi + coef * ui for xi, ui in zip(x, u)]
-    return x
-
-
-def lift_solution(stack: ReductionStack, x_reduced) -> list[Fraction]:
-    """Reinsert fixed coordinates through the stack, innermost first."""
-    x = as_fractions(x_reduced)
-    for step in reversed(stack.steps):
-        if len(x) != step.dim_before - 1:
-            raise DriverError("dimension mismatch while lifting")
-        x = lift_point(step, x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # optimality certificate
 # ---------------------------------------------------------------------------
@@ -342,7 +228,7 @@ def lift_solution(stack: ReductionStack, x_reduced) -> list[Fraction]:
 def _cone_coefficients(rows, c) -> list[Fraction] | None:
     cols = [[rows[k][i] for k in range(len(rows))] for i in range(len(rows[0]))]
     try:
-        mu = linalg._solve(cols, as_fractions(c))
+        mu = linalg.solve_square(cols, as_fractions(c))
     except linalg.LinAlgError:
         return None
     return mu
@@ -500,10 +386,9 @@ def _walk_bits_and_cap(
 ) -> tuple[randomness.RngConfig, int | None]:
     rng = cfg.rng
     if rng.mode == randomness.MODE_DYADIC:
-        if rng.bits_per_draw is None:
-            dh = randomness.delta_hat(lp_n, phi)
-            rng = replace(rng, bits_per_draw=randomness.bit_budget(lp_m, lp_n, phi, dh))
         dh = randomness.delta_hat(lp_n, phi)
+        if rng.bits_per_draw is None:
+            rng = replace(rng, bits_per_draw=randomness.bit_budget(lp_m, lp_n, phi, dh))
         cap = pivot_cap(lp_m, lp_n, phi, dh, cfg.cap_constant)
         return rng, cap
     return rng, None
@@ -646,11 +531,7 @@ def _solve_pure_feasibility(lp_raw, cfg, stream, out) -> SolveOutcome:
     """Zero objective: every feasible point is optimal with value 0."""
     work = lp_raw
     if len(linalg.independent_rows(work.rows())) < work.n:
-        work = (
-            model.extend_to_full_rank_Delta(work)
-            if work.is_integral()
-            else model.extend_to_full_rank_delta(work)
-        )
+        work = model.extend_to_full_rank(work)
     work = replace(work, full_rank=True, c0=tuple([Fraction(0)] * work.n))
     # borrow the Phase 1 machinery with a placeholder objective
     probe = replace(work, c0=tuple([Fraction(1)] + [Fraction(0)] * (work.n - 1)))
@@ -667,12 +548,7 @@ def _solve_pure_feasibility(lp_raw, cfg, stream, out) -> SolveOutcome:
 
 def _solve_escape(work, escape, cfg, stream, out) -> SolveOutcome:
     """c0 leaves the row span: infeasible, or unbounded along the escape."""
-    ext = (
-        model.extend_to_full_rank_Delta(work)
-        if work.is_integral()
-        else model.extend_to_full_rank_delta(work)
-    )
-    probe = replace(ext, c0=tuple(escape))
+    probe = replace(model.extend_to_full_rank(work), c0=tuple(escape))
     bfs = _phase1_start(probe, cfg, stream, out)
     if isinstance(bfs, SolveOutcome):
         return bfs

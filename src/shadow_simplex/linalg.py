@@ -1,20 +1,20 @@
-"""Exact and floating-point linear algebra primitives.
+"""Exact linear algebra primitives over `fractions.Fraction` and ints.
 
-Exact routines run over `fractions.Fraction` with deterministic
-first-nonzero pivoting (row order), so identical inputs always take
-identical elimination paths.  Float routines use numpy with partial
-pivoting and twice-applied Gram-Schmidt for orthonormal completions.
+Elimination pivots on the first nonzero entry in row order, so identical
+inputs always take identical elimination paths.  Two private kernels do it:
+a Gauss-Jordan pass for square systems (`solve_square`, `invert`,
+`inverse_columns`) and an echelon pass over a row sequence
+(`independent_rows`, `nullspace_vector`).  `det_fraction` is the plain
+Fraction determinant that tests hold the Bareiss `det_int` against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-import numpy as np
-
-from .rational import dot, norm_sq
+from .rational import dot, norm_sq, primitive_int_row, unit_scale
 
 Mat = list[list[Fraction]]
 Vec = list[Fraction]
@@ -24,65 +24,10 @@ class LinAlgError(ValueError):
     """Raised for singular systems and malformed inputs."""
 
 
-@dataclass
-class SquareSystem:
-    """A square linear system M x = rhs over exact rationals."""
-
-    M: Mat
-    rhs: Vec
-
-    def __post_init__(self) -> None:
-        n = len(self.M)
-        if n == 0 or any(len(r) != n for r in self.M) or len(self.rhs) != n:
-            raise LinAlgError("system dimensions do not agree")
-
-
-@dataclass
-class Rotation:
-    """Orthogonal matrix Q (float) with Q @ axis_row == e1."""
-
-    Q: np.ndarray
-    axis_row: np.ndarray
-
-
-def solve_square(sys: SquareSystem) -> Vec:
-    """Exact solution of a square rational system; raises LinAlgError if singular."""
-    return _solve(sys.M, sys.rhs)
-
-
-def _solve(M: Mat, rhs: Vec) -> Vec:
+def _gauss_jordan(M: Mat, rhs_cols: Mat) -> Mat:
+    """Reduce [M | R] to [I | M^-1 R] and return the right block's rows."""
     n = len(M)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise LinAlgError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def solve_square_float(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Float companion of solve_square (numpy partial pivoting)."""
-    M = np.asarray(M, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    try:
-        x = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinAlgError(str(exc)) from None
-    return x
-
-
-def invert(M: Mat) -> Mat:
-    """Exact inverse; raises LinAlgError if singular."""
-    n = len(M)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    a = [list(row) + list(r) for row, r in zip(M, rhs_cols, strict=True)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -98,11 +43,24 @@ def invert(M: Mat) -> Mat:
     return [row[n:] for row in a]
 
 
+def solve_square(M: Mat, rhs: Vec) -> Vec:
+    """Exact solution of the square system M x = rhs; raises LinAlgError if singular."""
+    return [row[0] for row in _gauss_jordan(M, [[v] for v in rhs])]
+
+
+def _identity(n: int) -> Mat:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def invert(M: Mat) -> Mat:
+    """Exact inverse; raises LinAlgError if singular."""
+    return _gauss_jordan(M, _identity(len(M)))
+
+
 def inverse_columns(M: Mat) -> list[Vec]:
     """Columns m_1..m_n of M^{-1}; the basis of the 1/max||m_k|| distance formula."""
-    inv = invert(M)
-    n = len(inv)
-    return [[inv[r][c] for r in range(n)] for c in range(n)]
+    inv = _gauss_jordan(M, _identity(len(M)))
+    return [list(col) for col in zip(*inv)]
 
 
 def det_fraction(M: Mat) -> Fraction:
@@ -149,12 +107,14 @@ def det_int(M: Sequence[Sequence[int]]) -> int:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    # through the module attribute, so a wrapped independent_rows sees these calls
     return len(independent_rows(rows))
 
 
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Greedy (ascending index) maximal independent subset, exact elimination."""
-    basis: list[Vec] = []  # reduced echelon directions
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int], list[Vec]]:
+    """Greedy (ascending index) elimination: (chosen row indices, pivot
+    columns, normalized echelon rows)."""
+    basis: list[Vec] = []
     pivots: list[int] = []
     chosen: list[int] = []
     for idx, row in enumerate(rows):
@@ -170,25 +130,17 @@ def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
         basis.append([x * inv for x in v])
         pivots.append(lead)
         chosen.append(idx)
-    return chosen
+    return chosen, pivots, basis
+
+
+def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Greedy (ascending index) maximal independent subset, exact elimination."""
+    return _echelon(rows)[0]
 
 
 def nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int) -> Vec | None:
     """One exact nonzero vector orthogonal to all rows, or None if full rank."""
-    basis: list[Vec] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = list(row)
-        for p, b in zip(pivots, basis):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / v[lead]
-        basis.append([x * inv for x in v])
-        pivots.append(lead)
+    _, pivots, basis = _echelon(rows)
     free = next((j for j in range(n) if j not in pivots), None)
     if free is None:
         return None
@@ -227,15 +179,11 @@ def complement_basis_int(rows: Sequence[Sequence[Fraction]], n: int) -> list[lis
 
 
 def _prim_int(v: Sequence) -> list[int]:
-    from .rational import primitive_int_row
-
     ints, _ = primitive_int_row([x if isinstance(x, Fraction) else Fraction(x) for x in v])
     return ints
 
 
 def _strip_gcd(v: list[int]) -> list[int]:
-    from math import gcd
-
     g = 0
     for x in v:
         g = gcd(g, x)
@@ -282,68 +230,6 @@ def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:
 
 
 def _near_unit(v: Sequence) -> Vec:
-    from .rational import unit_scale
-
     w = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
     t = unit_scale(w)
     return [t * x for x in w]
-
-
-def facet_basis(a: Sequence[Fraction]) -> list[Vec]:
-    """Near-unit rational basis of the hyperplane a^T x = 0 (exactly ⟂ a)."""
-    return exact_complement_basis([list(a)], len(a))
-
-
-def complete_orthonormal(v: np.ndarray) -> Rotation:
-    """Rotation with first row v (float): Q v = e1, ||Q^T Q - I||_max <= 1e-10.
-
-    Gram-Schmidt is run twice for numerical robustness.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    if n == 0 or not np.isfinite(v).all():
-        raise LinAlgError("bad input vector")
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-14:
-        raise LinAlgError("zero vector")
-    if abs(nrm - 1.0) > 1e-10:
-        raise LinAlgError("input vector is not unit norm")
-    rows = [v / nrm]
-    for j in range(n):
-        if len(rows) == n:
-            break
-        w = np.zeros(n)
-        w[j] = 1.0
-        for _ in range(2):
-            for r in rows:
-                w = w - (w @ r) * r
-        if np.linalg.norm(w) > 1e-8:
-            rows.append(w / np.linalg.norm(w))
-    if len(rows) < n:
-        raise LinAlgError("failed to complete basis")
-    Q = np.vstack(rows)
-    return Rotation(Q=Q, axis_row=v)
-
-
-def orthonormal_complement_basis(rows: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    """Float orthonormal basis of the complement of span(rows), count n - rank."""
-    out: list[np.ndarray] = []
-    mat = [np.asarray(r, dtype=float) for r in rows]
-    basis: list[np.ndarray] = []
-    for r in mat:
-        w = r.copy()
-        for _ in range(2):
-            for b in basis:
-                w = w - (w @ b) * b
-        if np.linalg.norm(w) > 1e-10:
-            basis.append(w / np.linalg.norm(w))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        w = e
-        for _ in range(2):
-            for b in basis + out:
-                w = w - (w @ b) * b
-        if np.linalg.norm(w) > 1e-10:
-            out.append(w / np.linalg.norm(w))
-    return out

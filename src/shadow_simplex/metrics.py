@@ -84,7 +84,7 @@ def sin_sq_angle_to_span(span_rows, z) -> Fraction:
     # projection via the Gram system
     G = [[dot(u, v) for v in basis] for u in basis]
     rhs = [dot(u, z) for u in basis]
-    alpha = linalg.solve_square(linalg.SquareSystem(M=G, rhs=rhs))
+    alpha = linalg.solve_square(G, rhs)
     proj_sq = sum((a * r for a, r in zip(alpha, rhs)), Fraction(0))
     return 1 - proj_sq / nz
 

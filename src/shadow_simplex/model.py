@@ -8,8 +8,6 @@ exceed unit norm); the divided-out norms are kept in ``row_scales`` /
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -78,21 +76,6 @@ class LinearProgram:
         """Row i in pre-normalization units (norm multiplied back in)."""
         s = self.row_scales[i]
         return [s * x for x in self.A[i]]
-
-    def float_A(self):
-        import numpy as np
-
-        return np.array([[float(x) for x in row] for row in self.A], dtype=float)
-
-    def float_b(self):
-        import numpy as np
-
-        return np.array([float(x) for x in self.b], dtype=float)
-
-    def float_c0(self):
-        import numpy as np
-
-        return np.array([float(x) for x in self.c0], dtype=float)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.A for x in row)
@@ -215,17 +198,6 @@ def serialize_lp(lp: LinearProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def matrix_to_csv(rows) -> str:
-    """RFC-4180 CSV with header col0..col{k-1}; fractions in canonical form."""
-    rows = [list(r) for r in rows]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow([f"col{j}" for j in range(len(rows[0]))])
-    for r in rows:
-        w.writerow([format_fraction(x) if isinstance(x, Fraction) else x for x in r])
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -318,6 +290,13 @@ def extend_to_full_rank_Delta(lp: LinearProgram) -> LinearProgram:
         synthetic_rows=lp.synthetic_rows | frozenset(added),
         full_rank=True,
     )
+
+
+def extend_to_full_rank(lp: LinearProgram) -> LinearProgram:
+    """The Delta-preserving extension for integral A, else the delta-preserving one."""
+    if lp.is_integral():
+        return extend_to_full_rank_Delta(lp)
+    return extend_to_full_rank_delta(lp)
 
 
 def _objective_escape(lp: LinearProgram):

@@ -53,7 +53,7 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     seen: dict[tuple, BasicSolution] = {}
     for S in combinations(range(m), n):
         try:
-            x = linalg._solve([rows[i] for i in S], [lp.b[i] for i in S])
+            x = linalg.solve_square([rows[i] for i in S], [lp.b[i] for i in S])
         except linalg.LinAlgError:
             continue
         if all(dot(rows[i], x) <= lp.b[i] for i in range(m)):
@@ -116,7 +116,7 @@ def reference_simplex(lp: LinearProgram, start: BasicSolution) -> OracleOutcome:
         if pivots > guard:
             raise OracleError("reference simplex pivot guard exceeded")
         Bt = [[rows[i][t] for i in basis] for t in range(n)]  # columns are basis rows
-        mu = linalg._solve(Bt, list(lp.c0))
+        mu = linalg.solve_square(Bt, list(lp.c0))
         neg = [k for k in range(n) if mu[k] < 0]
         if not neg:
             val = dot(list(lp.c0), x)
@@ -125,7 +125,7 @@ def reference_simplex(lp: LinearProgram, start: BasicSolution) -> OracleOutcome:
         k = min(neg, key=lambda q: basis[q])
         rhs = [Fraction(0)] * n
         rhs[k] = Fraction(-1)
-        d = linalg._solve([rows[i] for i in basis], rhs)
+        d = linalg.solve_square([rows[i] for i in basis], rhs)
         blocking = []
         for i in range(m):
             if i in basis:

@@ -60,7 +60,7 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     A_perm = [rows[i] for i in perm]
     b_perm = [lp.b[i] for i in perm]
 
-    x_bar = linalg._solve([A_perm[i] for i in range(n)], [b_perm[i] for i in range(n)])
+    x_bar = linalg.solve_square([A_perm[i] for i in range(n)], [b_perm[i] for i in range(n)])
     y = [max(dot(A_perm[i], x_bar) - b_perm[i], Fraction(0)) for i in range(m)]
 
     B = phase1_matrix(A_perm)

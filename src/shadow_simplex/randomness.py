@@ -68,17 +68,13 @@ class DrawStream:
         self.draws = 0
 
     def unit(self, bits: int) -> Fraction:
+        """Uniform j/2^bits on [0, 1), exact."""
         if not 1 <= bits <= UNDERLYING_BITS:
             raise RandomnessError(f"bits must be in 1..{UNDERLYING_BITS}")
         x = self._rng.getrandbits(UNDERLYING_BITS)
         self.bits_consumed += bits
         self.draws += 1
         return Fraction(x >> (UNDERLYING_BITS - bits), 1 << bits)
-
-
-def dyadic_unit_draw(stream: DrawStream, k: int) -> Fraction:
-    """Uniform j/2^k on [0, 1), exact."""
-    return stream.unit(k)
 
 
 def bit_budget(m: int, n: int, phi, delta) -> int:

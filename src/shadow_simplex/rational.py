@@ -103,9 +103,5 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(token: str) -> Fraction:
-    return Fraction(token)
-
-
 def as_fractions(vec: Iterable) -> list[Fraction]:
     return [x if isinstance(x, Fraction) else Fraction(x) for x in vec]

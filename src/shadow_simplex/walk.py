@@ -344,11 +344,6 @@ class Tableau:
         self._price_cache = None
 
 
-def shadow_pivot(tab: Tableau) -> PathStep | None:
-    """Advance one minimum-slope improving edge; None when already optimal."""
-    return tab.pivot()
-
-
 def shadow_walk(
     lp: LinearProgram,
     x0: BasicSolution,

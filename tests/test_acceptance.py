@@ -148,6 +148,7 @@ def test_criterion_3_phase1_structure():
 def test_criterion_4_delta_machinery():
     rng = random.Random(27182)
     import numpy as np
+    from float_orthonormal import complete_orthonormal
 
     nprng = np.random.default_rng(5)
     matrices = inverse_vs_angle_bad = bound_bad = rotation_bad = 0
@@ -171,7 +172,7 @@ def test_criterion_4_delta_machinery():
             # rotation invariance of the tuple delta, rationalized float Q
             v = nprng.normal(size=n)
             v /= np.linalg.norm(v)
-            Q = linalg.complete_orthonormal(v).Q
+            Q = complete_orthonormal(v)
             rot = [
                 [F(float(sum(float(rows[i][k]) * Q[k][j] for k in range(n))))
                  for j in range(n)]

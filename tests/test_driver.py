@@ -8,18 +8,14 @@ from shadow_simplex import driver, harness, linalg, metrics, model, oracle, rand
 from shadow_simplex.driver import (
     DriverError,
     PhiSchedule,
-    ReductionStack,
     SolveConfig,
     facet_restriction,
     identify_basis_element,
     is_optimal,
-    lift_solution,
-    reduce_dimension,
     repeated_shadow_vertex,
     restriction_coords,
     restriction_lift,
     solve,
-    to_reduced_coords,
 )
 from shadow_simplex.model import BasicSolution
 from shadow_simplex.rational import dot, unit_scale
@@ -62,19 +58,17 @@ class TestIdentify:
 class TestReduceAndLift:
     def test_square_reduce_to_interval(self):
         lp = model.normalize(square())
-        stack = ReductionStack()
-        red, step = reduce_dimension(lp, 0, stack)  # fix x <= 1
-        assert red.n == 1
-        vs = oracle.enumerate_vertices(red)
-        pts = sorted(abs(v.point[0]) for v in vs.vertices)
-        assert len(pts) == 2  # an interval: endpoints map to (1,0) and (1,1)
-        lifted = [lift_solution(stack, v.point) for v in vs.vertices]
+        r = facet_restriction(lp, [0])  # fix x <= 1
+        assert r.lp.n == 1
+        vs = oracle.enumerate_vertices(r.lp)
+        assert len(vs.vertices) == 2  # an interval: endpoints map to (1,0) and (1,1)
+        lifted = [restriction_lift(r, v.point) for v in vs.vertices]
         assert sorted(tuple(x) for x in lifted) == [(1, 0), (1, 1)]
 
     def test_reduce_dim1_is_error(self):
         lp = model.normalize(model.make_lp([[1]], [1], [1]))
         with pytest.raises(DriverError):
-            reduce_dimension(lp, 0)
+            facet_restriction(lp, [0])
 
     def test_round_trip_reduce_then_lift(self):
         rng = random.Random(8)
@@ -87,14 +81,13 @@ class TestReduceAndLift:
             if len(A) < n or linalg.rank(A) < n:
                 continue
             lp = model.normalize(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
-            stack = ReductionStack()
-            red, step = reduce_dimension(lp, 0, stack)
+            r = facet_restriction(lp, [0])
             y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
-            x = lift_solution(stack, y)
+            x = restriction_lift(r, y)
             # lifted point is tight on the fixed row
             assert dot(lp.row(0), x) == lp.b[0]
             # and maps back to the same reduced coordinates
-            assert to_reduced_coords(step, x) == y
+            assert restriction_coords(r, x) == y
             done += 1
 
     def test_delta_preserved_on_4d_instance(self):
@@ -107,28 +100,15 @@ class TestReduceAndLift:
                 continue
             lp = model.normalize(model.make_lp(A, [1] * len(A), [1, 0, 0, 0]))
             before = metrics.delta_matrix(lp.rows()).delta
-            red, _ = reduce_dimension(lp, 0)
+            red = facet_restriction(lp, [0]).lp
             if linalg.rank(red.rows()) < red.n:
                 continue
             after = metrics.delta_matrix(red.rows()).delta
-            # reduction cannot worsen delta (projection preserves the
+            # restriction cannot worsen delta (projection preserves the
             # property); equality need not hold row-for-row, but the value
             # must not drop
             assert after >= before - 1e-9
             done += 1
-
-    def test_flat_restriction_matches_chained_reduction(self):
-        lp = model.normalize(square())
-        stack = ReductionStack()
-        red, step = reduce_dimension(lp, 0, stack)
-        r = facet_restriction(lp, [0])
-        # same feasible interval, possibly mirrored coordinates
-        a = sorted(v.point[0] for v in oracle.enumerate_vertices(red).vertices)
-        b = sorted(v.point[0] for v in oracle.enumerate_vertices(r.lp).vertices)
-        assert len(a) == len(b) == 2
-        lift_a = sorted(tuple(lift_solution(ReductionStack([step]), (y,))) for y in a)
-        lift_b = sorted(tuple(restriction_lift(r, (y,))) for y in b)
-        assert lift_a == lift_b
 
     def test_restriction_coords_inverse(self):
         lp = model.normalize(square())

@@ -102,23 +102,46 @@ class TestRunner:
             ExperimentConfig(generator="file", sizes=((1, 1),), trials=1, seed=0)
 
 
+def package_env():
+    """Environment for a subprocess that must import the package under test.
+
+    The subprocess may run from another directory, where a relative
+    PYTHONPATH entry such as "src" no longer resolves. Put the directory
+    holding the package this suite imported first, so it runs the same code.
+    """
+    package_root = os.path.dirname(os.path.dirname(shadow_simplex.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = package_root if not inherited else package_root + os.pathsep + inherited
+    return env
+
+
+class TestImport:
+    def test_import_loads_no_numpy(self, tmp_path):
+        # the solver is exact end to end; numpy is a test-only dependency
+        code = (
+            "import sys, shadow_simplex, shadow_simplex.cli; "
+            "print('numpy' in sys.modules)"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=package_env(),
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+
 class TestCli:
     def run_cli(self, *args, cwd):
-        # The subprocess runs from cwd, where a relative PYTHONPATH entry such
-        # as "src" no longer resolves. Put the directory holding the package
-        # this suite imported first, so the CLI runs the same code.
-        package_root = os.path.dirname(os.path.dirname(shadow_simplex.__file__))
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            package_root if not inherited else package_root + os.pathsep + inherited
-        )
         return subprocess.run(
             [sys.executable, "-m", "shadow_simplex.cli", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
-            env=env,
+            env=package_env(),
         )
 
     @pytest.fixture()

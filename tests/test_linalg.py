@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from float_orthonormal import complete_orthonormal
 
 from shadow_simplex import linalg
-from shadow_simplex.linalg import LinAlgError, SquareSystem
+from shadow_simplex.linalg import LinAlgError
 from shadow_simplex.rational import (
     dot,
     norm_sq,
@@ -60,17 +61,16 @@ class TestRationalHelpers:
 
 class TestSolveSquare:
     def test_identity(self):
-        sol = linalg.solve_square(SquareSystem(M=mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                                               rhs=[F(1), F(2), F(3)]))
+        sol = linalg.solve_square(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [F(1), F(2), F(3)])
         assert sol == [1, 2, 3]
 
     def test_singular(self):
         with pytest.raises(LinAlgError):
-            linalg.solve_square(SquareSystem(M=mat([[1, 1], [1, 1]]), rhs=[F(1), F(2)]))
+            linalg.solve_square(mat([[1, 1], [1, 1]]), [F(1), F(2)])
 
     def test_hand_checked(self):
         # [[2,1],[1,3]] x = (5,10): elimination by hand gives (1, 3)
-        sol = linalg.solve_square(SquareSystem(M=mat([[2, 1], [1, 3]]), rhs=[F(5), F(10)]))
+        sol = linalg.solve_square(mat([[2, 1], [1, 3]]), [F(5), F(10)])
         assert sol == [1, 3]
 
     def test_exact_zero_residual(self):
@@ -80,20 +80,11 @@ class TestSolveSquare:
             M = mat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
             rhs = [F(rng.randint(-5, 5)) for _ in range(n)]
             try:
-                x = linalg.solve_square(SquareSystem(M=M, rhs=rhs))
+                x = linalg.solve_square(M, rhs)
             except LinAlgError:
                 continue
             for i in range(n):
                 assert dot(M[i], x) == rhs[i]
-
-    def test_float_mode_residual(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            n = rng.integers(1, 8)
-            M = rng.normal(size=(n, n))
-            rhs = rng.normal(size=n)
-            x = linalg.solve_square_float(M, rhs)
-            assert np.linalg.norm(M @ x - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1)
 
 
 class TestInverseColumns:
@@ -131,16 +122,16 @@ class TestDeterminants:
 
 class TestCompleteOrthonormal:
     def test_e1_gives_identity(self):
-        rot = linalg.complete_orthonormal(np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(rot.Q, np.eye(3))
+        Q = complete_orthonormal(np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(Q, np.eye(3))
 
     def test_e2_maps_to_e1(self):
-        rot = linalg.complete_orthonormal(np.array([0.0, 1.0]))
-        assert np.allclose(rot.Q @ np.array([0.0, 1.0]), np.array([1.0, 0.0]), atol=1e-12)
+        Q = complete_orthonormal(np.array([0.0, 1.0]))
+        assert np.allclose(Q @ np.array([0.0, 1.0]), np.array([1.0, 0.0]), atol=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(LinAlgError):
-            linalg.complete_orthonormal(np.zeros(3))
+        with pytest.raises(ValueError):
+            complete_orthonormal(np.zeros(3))
 
     def test_random_unit_vectors(self):
         rng = np.random.default_rng(7)
@@ -148,31 +139,28 @@ class TestCompleteOrthonormal:
             n = int(rng.integers(1, 21))
             v = rng.normal(size=n)
             v /= np.linalg.norm(v)
-            rot = linalg.complete_orthonormal(v)
-            assert np.abs(rot.Q.T @ rot.Q - np.eye(n)).max() <= 1e-10
+            Q = complete_orthonormal(v)
+            assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-10
             e1 = np.zeros(n)
             e1[0] = 1.0
-            assert np.abs(rot.Q @ v - e1).max() <= 1e-10
+            assert np.abs(Q @ v - e1).max() <= 1e-10
 
 
 class TestComplements:
     def test_single_row_in_r3(self):
-        out = linalg.orthonormal_complement_basis([np.array([1.0, 0, 0])], 3)
+        out = linalg.exact_complement_basis(mat([[1, 0, 0]]), 3)
         assert len(out) == 2
         for v in out:
-            assert abs(v[0]) < 1e-12
+            assert v[0] == 0
 
     def test_full_span_empty(self):
-        out = linalg.orthonormal_complement_basis(
-            [np.array([1.0, 0]), np.array([0, 1.0])], 2
-        )
-        assert out == []
+        assert linalg.exact_complement_basis(mat([[1, 0], [0, 1]]), 2) == []
 
     def test_oblique_row(self):
-        out = linalg.orthonormal_complement_basis([np.array([1.0, 1.0, 0.0])], 3)
+        out = linalg.exact_complement_basis(mat([[1, 1, 0]]), 3)
         assert len(out) == 2
         for v in out:
-            assert abs(v @ np.array([1.0, 1.0, 0.0])) < 1e-10
+            assert dot(v, mat([[1, 1, 0]])[0]) == 0
 
     def test_exact_complement(self):
         rng = random.Random(11)

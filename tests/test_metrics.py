@@ -5,6 +5,7 @@ from math import isclose, sqrt
 
 import numpy as np
 import pytest
+from float_orthonormal import complete_orthonormal
 
 from shadow_simplex import linalg, metrics
 from shadow_simplex.metrics import (
@@ -122,7 +123,7 @@ class TestDeltaMatrix:
                 continue
             v = rng.normal(size=n)
             v /= np.linalg.norm(v)
-            Q = linalg.complete_orthonormal(v).Q
+            Q = complete_orthonormal(v)
             rotated = [
                 [F(float(sum(float(rows[i][k]) * Q[k][j] for k in range(n)))) for j in range(n)]
                 for i in range(n)

@@ -10,7 +10,6 @@ from shadow_simplex.randomness import (
     bit_budget,
     cone_objective,
     draw_lambda,
-    dyadic_unit_draw,
     perturb_objective,
 )
 from shadow_simplex.rational import dot, norm_sq, unit_scale
@@ -20,13 +19,13 @@ F = Fraction
 
 class TestDyadicDraws:
     def test_one_bit_support(self):
-        vals = {dyadic_unit_draw(DrawStream(s), 1) for s in range(64)}
+        vals = {DrawStream(s).unit(1) for s in range(64)}
         assert vals <= {F(0), F(1, 2)}
         assert vals == {F(0), F(1, 2)}
 
     def test_seeded_determinism(self):
-        a = [dyadic_unit_draw(DrawStream(42), 8) for _ in range(1)]
-        b = [dyadic_unit_draw(DrawStream(42), 8) for _ in range(1)]
+        a = [DrawStream(42).unit(8) for _ in range(1)]
+        b = [DrawStream(42).unit(8) for _ in range(1)]
         assert a == b
         s1, s2 = DrawStream(9), DrawStream(9)
         assert [s1.unit(16) for _ in range(20)] == [s2.unit(16) for _ in range(20)]

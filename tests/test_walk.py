@@ -11,7 +11,6 @@ from shadow_simplex.walk import (
     Tableau,
     UnboundedEdgeError,
     WalkError,
-    shadow_pivot,
     shadow_walk,
     tight_rows_at,
     validate_shadow_path,
@@ -59,7 +58,7 @@ class TestShadowPivot:
         c = [F(9, 10), F(1, 10)]
         w = [F(1, 2), F(1, 2)]  # -(-e1*l) - .. with l = 1/2 each
         tab = Tableau(lp, origin_start(), c, w)
-        step = shadow_pivot(tab)
+        step = tab.pivot()
         assert step is not None
         assert tab.vertex() == [1, 0]
         assert step.entering_row == 0 and step.leaving_row == 1
@@ -69,7 +68,7 @@ class TestShadowPivot:
         tab = Tableau(
             lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)), [F(1, 2), F(1, 2)], [F(-1), F(-1)]
         )
-        assert shadow_pivot(tab) is None
+        assert tab.pivot() is None
 
     def test_equal_slope_tie_takes_lowest_entering_row(self):
         # symmetric square, c and w chosen to tie the two improving edges:
@@ -78,14 +77,14 @@ class TestShadowPivot:
         c = [F(1, 2), F(1, 2)]
         w = [F(1, 3), F(1, 3)]
         tab = Tableau(lp, origin_start(), c, w)
-        step = shadow_pivot(tab)
+        step = tab.pivot()
         assert step.entering_row == 0  # rows 0 and 2 tie; lowest index wins
 
     def test_unbounded_edge_raises(self):
         lp = model.normalize(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1]))
         tab = Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)), [F(1), F(0)], [F(-1), F(-1)])
         with pytest.raises(UnboundedEdgeError):
-            shadow_pivot(tab)
+            tab.pivot()
 
 
 class TestShadowWalk:
@@ -193,7 +192,7 @@ class TestTableauInternals:
             # objective views stay consistent with the exact vertex
             assert tab.c_value() == dot(c, tab.vertex())
             assert tab.w_value() == dot(w, tab.vertex())
-            if shadow_pivot(tab) is None:
+            if tab.pivot() is None:
                 break
 
     def test_pivot_cost_linear_in_mn(self):
@@ -223,7 +222,7 @@ class TestTableauInternals:
             tab = Tableau(lp, start, c, w)
             tab.ops = 0
             before = 0
-            while shadow_pivot(tab) is not None:
+            while tab.pivot() is not None:
                 per_pivot = tab.ops - before
                 before = tab.ops
                 assert per_pivot <= C * lp.m * lp.n
