@@ -54,6 +54,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         print(f"phase1 gap: {format_fraction(out.infeasible_gap)}")
     print(f"pivots: {out.pivots} (phase1 {out.phase1_pivots})")
+    print(f"phase1 artificials: {out.phase1_artificials}")
     print(f"doublings: {out.doublings}")
     print(f"bits: {out.bits_consumed}")
     return 0

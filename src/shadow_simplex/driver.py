@@ -368,6 +368,7 @@ class SolveOutcome:
     infeasible_gap: Fraction | None = None
     pivots: int = 0
     phase1_pivots: int = 0
+    phase1_artificials: int = 0  # |V|: the y_i Phase 1 walked; 0 if it did not run
     bits_consumed: int = 0
     doublings: int = 0
     phi_accepted: Fraction | None = None
@@ -421,12 +422,7 @@ def solve(
             escape = model._objective_escape(work_fr)
             if escape is not None:
                 return _solve_escape(work_fr, escape, cfg, stream, out)
-            res = (
-                model.raise_rank_Delta(work_fr)
-                if work_fr.is_integral()
-                else model.raise_rank_delta(work_fr)
-            )
-            work_fr = res.lp
+            work_fr = model.extend_to_full_rank(work_fr)
         else:
             work_fr = replace(work_fr, full_rank=True)
 
@@ -495,7 +491,14 @@ def _check_ray(lp: LinearProgram, ray) -> None:
 
 
 def _phase1_start(work, cfg, stream, out):
-    p1 = phase1.build_phase1(work)
+    """A vertex of work, or the infeasible outcome; Phase 1 walks the face of
+    LP' its start lies on and is skipped when the start is already a vertex.
+    The phi base stays on work's (n, m), the dimensions the paper's Phase-1
+    schedule is stated in; bits and pivot cap follow the walked face."""
+    p1 = phase1.build_phase1_face(work)
+    if isinstance(p1, BasicSolution):
+        return p1
+    out.phase1_artificials = p1.lp_prime.n - p1.orig_n
     sub_cfg = SolveConfig(
         rng=cfg.rng,
         schedule=SCHEDULE_PHASE1,

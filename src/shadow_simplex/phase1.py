@@ -5,6 +5,16 @@ Encoded as a maximization of -sum(y) over the block matrix
 basic feasible start, so the main solver can run on it directly; optimal
 value 0 yields a vertex of the original program, anything below certifies
 infeasibility.
+
+`build_phase1` builds this LP' in full, as the paper states it.  The solver
+walks only the face of LP' that its start point lies on (`build_phase1_face`):
+the start x_bar solves the n lead rows, and every row that x_bar satisfies
+keeps y_i = 0.  Fixing those y_i deletes their columns and their rows
+-y_i <= 0, which leaves n + |V| columns and m + |V| rows, V being the rows
+x_bar violates.  The optimum on the face is still 0 exactly when the LP is
+feasible, and faces keep the delta-distance value, so the Phase-1 bound
+carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
+skipped.
 """
 
 from __future__ import annotations
@@ -26,13 +36,16 @@ class Phase1Problem:
     lp_prime: LinearProgram
     initial: BasicSolution
     row_permutation: tuple[int, ...]  # lp_prime row i of the A-block = lp row perm[i]
-    orig_m: int
     orig_n: int
 
 
 @dataclass(frozen=True)
 class InfeasibleCertificate:
-    gap: Fraction  # the positive optimal value of sum(y)
+    """gap is the optimum of sum(y) over the artificials the LP' walked: all
+    m in the full LP', only y_V on the face.  It is positive exactly when the
+    LP is infeasible; on the face it may exceed the full LP' optimum."""
+
+    gap: Fraction
 
 
 def phase1_matrix(A_rows) -> list[list[Fraction]]:
@@ -48,8 +61,9 @@ def phase1_matrix(A_rows) -> list[list[Fraction]]:
     return out
 
 
-def build_phase1(lp: LinearProgram) -> Phase1Problem:
-    """Construct LP' and its basic feasible start from a full-rank LP."""
+def _lead_start(lp: LinearProgram):
+    """(perm, rows, rhs, x_bar, residuals): rows and rhs in perm order, the n
+    lead rows first; x_bar solves the lead rows; residual_i = a_i x_bar - b_i."""
     m, n = lp.m, lp.n
     rows = lp.rows()
     idx = linalg.independent_rows(rows)
@@ -59,9 +73,16 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     perm = lead + [i for i in range(m) if i not in lead]
     A_perm = [rows[i] for i in perm]
     b_perm = [lp.b[i] for i in perm]
+    x_bar = linalg.solve_square(A_perm[:n], b_perm[:n])
+    resid = [dot(A_perm[i], x_bar) - b_perm[i] for i in range(m)]
+    return perm, A_perm, b_perm, x_bar, resid
 
-    x_bar = linalg.solve_square([A_perm[i] for i in range(n)], [b_perm[i] for i in range(n)])
-    y = [max(dot(A_perm[i], x_bar) - b_perm[i], Fraction(0)) for i in range(m)]
+
+def build_phase1(lp: LinearProgram) -> Phase1Problem:
+    """Construct LP' and its basic feasible start from a full-rank LP."""
+    m, n = lp.m, lp.n
+    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp)
+    y = [max(r, Fraction(0)) for r in resid]
 
     B = phase1_matrix(A_perm)
     rhs = b_perm + [Fraction(0)] * m
@@ -76,7 +97,38 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
         lp_prime=lp_prime,
         initial=initial,
         row_permutation=tuple(perm),
-        orig_m=m,
+        orig_n=n,
+    )
+
+
+def build_phase1_face(lp: LinearProgram) -> Phase1Problem | BasicSolution:
+    """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
+    (x_bar, y_V); or the vertex x_bar itself when it violates no row.
+
+    Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
+    order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
+    the rows a_i x - y_i = b_i of V.  The caller's solve validates the start.
+    """
+    m, n = lp.m, lp.n
+    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp)
+    V = [i for i in range(m) if resid[i] > 0]
+    if not V:
+        return BasicSolution(point=tuple(x_bar), basis=tuple(perm[:n]))
+    zero, minus = Fraction(0), Fraction(-1)
+    B = [a + [minus if v == i else zero for v in V] for i, a in enumerate(A_perm)]
+    B += [[zero] * n + [minus if v == u else zero for v in V] for u in V]
+    k = len(V)
+    lp_face = model.make_lp(
+        B, b_perm + [zero] * k, [zero] * n + [minus] * k, full_rank=True
+    )
+    initial = BasicSolution(
+        point=tuple(x_bar) + tuple(resid[i] for i in V),
+        basis=tuple(range(n)) + tuple(V),
+    )
+    return Phase1Problem(
+        lp_prime=lp_face,
+        initial=initial,
+        row_permutation=tuple(perm),
         orig_n=n,
     )
 
@@ -88,14 +140,15 @@ def slack_sum(problem: Phase1Problem, point) -> Fraction:
 def extract_bfs(
     solution: BasicSolution, lp: LinearProgram, problem: Phase1Problem
 ) -> BasicSolution | InfeasibleCertificate:
-    """Turn a certified LP' optimum into a vertex of the original LP.
+    """Turn a certified LP' optimum (full or face) into a vertex of the
+    original LP.
 
     The x-part of a zero-slack optimum is feasible; crawling fixes one
     independent tight row at a time until a genuine basis emerges (the LP'
     optimum may be degenerate or sit on the bounding box of LP').
     """
     point = as_fractions(solution.point)
-    if len(point) != problem.orig_n + problem.orig_m:
+    if len(point) != problem.lp_prime.n:
         raise Phase1Error("solution has the wrong dimension")
     gap = slack_sum(problem, point)
     if gap > 0:

@@ -234,6 +234,15 @@ class TestSolve:
         out = solve(model.make_lp([[1, 1]], [2], [1, 1]), cfg())
         assert out.status == "optimal" and out.value == 2
 
+    def test_rank_completion_checks_escape_once(self, monkeypatch):
+        calls = []
+        escape = model._objective_escape
+        monkeypatch.setattr(model, "_objective_escape", lambda lp: calls.append(lp) or escape(lp))
+        lp = model.make_lp([[1, 0], [-1, 0]], [1, 0], [1, 0])
+        out = solve(lp, cfg())
+        assert out.status == "optimal" and out.value == 1
+        assert len(calls) == 1
+
     def test_given_bfs_skips_phase1(self):
         lp = square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))

@@ -155,6 +155,14 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "status: optimal" in r.stdout and "value: 2" in r.stdout
 
+    def test_solve_prints_phase1_artificials(self, tmp_path):
+        p = tmp_path / "infeasible.lp"
+        p.write_text("maximize 1\nst\n1 <= 0\n-1 <= -1\n-1 <= -2\n")
+        r = self.run_cli("solve", str(p), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "status: infeasible" in r.stdout
+        assert "phase1 artificials: 2\n" in r.stdout
+
     def test_solve_trace_writes_csvs(self, square_file, tmp_path):
         trace = tmp_path / "trace"
         r = self.run_cli("solve", square_file, "--trace", str(trace), cwd=tmp_path)

@@ -1,0 +1,128 @@
+"""Phase 1 on the face of LP' that the start point lies on."""
+
+import random
+from fractions import Fraction
+
+from shadow_simplex import driver, linalg, metrics, model, oracle, randomness
+from shadow_simplex.model import BasicSolution
+from shadow_simplex.phase1 import (
+    InfeasibleCertificate,
+    Phase1Problem,
+    build_phase1,
+    build_phase1_face,
+    extract_bfs,
+    phase1_matrix,
+)
+from shadow_simplex.rational import unit_scale
+
+F = Fraction
+
+
+def cfg(seed=0):
+    return driver.SolveConfig(rng=randomness.RngConfig(seed=seed))
+
+
+def square():
+    # lead rows 0 and 2 meet at (1, 1), which satisfies every row
+    return model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
+
+
+def two_violated():
+    # x <= 0 leads; x_bar = 0 violates x >= 1 and x >= 2
+    return model.make_lp([[1], [-1], [-1]], [0, -1, -2], [1])
+
+
+def face_optimum(p1: Phase1Problem) -> BasicSolution:
+    ref = oracle.brute_force_optimum(model.bound_polytope(p1.lp_prime))
+    assert ref.status == "optimal"
+    return model.move_to_vertex(p1.lp_prime, list(ref.point))
+
+
+class TestFaceDelta:
+    def test_face_keeps_delta_on_criterion_3_instances(self):
+        # the instances of acceptance criterion 3, each with a seeded random b
+        rng = random.Random(31415)
+        b_rng = random.Random(2718)
+        done = with_face = 0
+        while done < 100:
+            n = rng.randint(1, 3)
+            m = rng.randint(n, 5)
+            A_int = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            A_int = [r for r in A_int if any(r)]
+            if len(A_int) < m:
+                continue
+            A = [[F(x) for x in r] for r in A_int]
+            if linalg.rank(A) < n:
+                continue
+            done += 1
+            normed = [[unit_scale(r) * x for x in r] for r in A]
+            b = [F(b_rng.randint(-3, 3)) for _ in range(m)]
+            lp = model.make_lp(normed, b, [1] * n, full_rank=True)
+            got = build_phase1_face(lp)
+            full = phase1_matrix(normed)
+            if isinstance(got, BasicSolution):
+                face = normed  # every y_i fixed at 0
+            else:
+                face = got.lp_prime.rows()
+                with_face += 1
+                # the face is LP' with the columns and lower rows of y_i,
+                # i outside V, deleted
+                perm = got.row_permutation
+                V = got.initial.basis[n:]
+                cols = list(range(n)) + [n + i for i in V]
+                B = phase1_matrix([normed[i] for i in perm])
+                sub = [B[i] for i in range(m)] + [B[m + i] for i in V]
+                assert face == [[r[j] for j in cols] for r in sub]
+            assert metrics.delta_matrix(face).delta >= metrics.delta_matrix(full).delta - 1e-12
+        assert with_face >= 30
+
+
+class TestSkipPath:
+    def test_feasible_lead_vertex_skips_phase1(self):
+        lp = square()
+        got = build_phase1_face(lp)
+        assert isinstance(got, BasicSolution)
+        assert got.point == (1, 1)
+        model.validate_basic_solution(lp, got)
+        out = driver.solve(lp, cfg())
+        assert out.status == "optimal" and out.value == 2
+        assert out.phase1_pivots == 0 and out.phase1_artificials == 0
+
+    def test_zero_objective_returns_the_lead_vertex(self):
+        lp = model.make_lp(square().A, square().b, [0, 0])
+        out = driver.solve(lp, cfg())
+        assert out.status == "optimal" and out.phase1_pivots == 0
+        model.validate_basic_solution(lp, out.vertex)
+
+
+class TestInfeasibilityGap:
+    def test_two_violated_rows_give_positive_gap(self):
+        lp = two_violated()
+        p1 = build_phase1_face(lp)
+        assert p1.lp_prime.n == 1 + 2 and p1.lp_prime.m == 3 + 2
+        model.validate_basic_solution(p1.lp_prime, p1.initial)
+        out = driver.solve(lp, cfg())
+        assert out.status == "infeasible" == oracle.classify(lp).status
+        assert out.phase1_artificials == 2
+        # sum(y_V) is least at x = 0; the full LP' reaches 2 at x = 1 or 2
+        assert out.infeasible_gap == 3
+        full = oracle.brute_force_optimum(model.bound_polytope(build_phase1(lp).lp_prime))
+        assert full.value == -2
+
+
+class TestExtraction:
+    def test_feasible_face_optimum_yields_vertex(self):
+        # x <= 0 and y <= 0 lead; x_bar = (0, 0) violates x + y <= -1
+        lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1], full_rank=True)
+        p1 = build_phase1_face(lp)
+        assert p1.lp_prime.n == 3
+        got = extract_bfs(face_optimum(p1), lp, p1)
+        assert not isinstance(got, InfeasibleCertificate)
+        model.validate_basic_solution(lp, got)
+
+    def test_infeasible_face_optimum_yields_gap(self):
+        lp = two_violated()
+        p1 = build_phase1_face(lp)
+        got = extract_bfs(face_optimum(p1), lp, p1)
+        assert isinstance(got, InfeasibleCertificate)
+        assert got.gap == 3
