@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rng_flags(p)
     p.add_argument("--cap-constant", type=int, default=16)
     p.add_argument("--max-doublings", type=int, default=64)
-    p.add_argument("--trace", default=None, help="directory for per-walk path CSVs")
+    p.add_argument("--trace", default=None,
+                   help="directory for per-walk path CSVs (row indices are rows "
+                   "of the boxed LP walked)")
     p.add_argument("--phase1-only", action="store_true",
                    help="emit the feasibility subproblem and its start, then exit")
     p.set_defaults(fn=_cmd_solve)

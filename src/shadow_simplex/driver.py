@@ -1,10 +1,14 @@
-"""Repeated shadow vertex driver: perturb, walk, fix a facet, reduce, repeat;
+"""Repeated shadow vertex driver: perturb, walk, fix a facet, repeat;
 wrapped in the doubling phi schedule with exact optimality certificates.
 
-Dimension reduction works in exact coordinates: the facet of the identified
-row is re-parametrized over an exactly-orthogonal rational basis of the
-row's complement, so reduced problems (and their lifts) stay rational and
-the delta-distance value is preserved to rounding of the unit scaling.
+A facet chain keeps one `walk.Tableau` on the boxed LP.  The rows fixed so
+far stay in its basis, held out of pricing, so each walk stays on the face
+where they are tight.  Each round draws its objectives in coordinates of
+that face, over an exactly orthogonal integer basis of the fixed rows'
+complement, and lifts them to the boxed LP exactly: the walk is the one on
+the restricted LP, whose delta-distance value is preserved to rounding of
+the unit scaling, without building it.  Row indices in walk paths and in
+`SolveOutcome.pivot_sequence` are rows of the boxed LP walked.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 from . import linalg, model, phase1, randomness, walk
 from .model import BasicSolution, LinearProgram, UnboundedCertificate
@@ -20,7 +25,6 @@ from .rational import (
     as_fractions,
     common_denominator,
     dot,
-    norm_sq,
     primitive_int_row,
     ratsqrt_ceil,
     unit_scale_pq,
@@ -99,125 +103,81 @@ def identify_basis_element(basis_rows, c) -> int:
 
 @dataclass(frozen=True)
 class FacetRestriction:
-    """The LP restricted to the intersection of fixed facets, re-parametrized
-    over a near-orthonormal exact basis of the fixed rows' complement.
+    """The face where the fixed rows are tight, over an exactly orthogonal
+    integer basis `cols` of the fixed rows' complement, each column scaled by
+    the near-unit `col_scale`: its points are x = x_f + sum_k y_k v_k with
+    v_k = col_scale_k cols_k and x_f any point of the face.
+
+    A row a has face coordinates (a . v_k)_k, since a . x = a . x_f +
+    sum_k y_k (a . v_k).  c0 is the objective's face coordinates scaled to
+    near-unit norm, or None when the objective is constant on the face.
+    """
+
+    cols: tuple[tuple[int, ...], ...]
+    col_scale: tuple[Fraction, ...]
+    c0: tuple[Fraction, ...] | None
+
+    def lift(self, y) -> list[Fraction]:
+        """The vector in span(cols) whose face coordinates are exactly y."""
+        coef = [
+            yk / (sk * sum(a * a for a in v))
+            for yk, sk, v in zip(as_fractions(y), self.col_scale, self.cols)
+        ]
+        nums, den = common_denominator(coef)
+        return [
+            Fraction(sum(map(mul, nums, col)), den) for col in zip(*self.cols)
+        ]
+
+
+def _face_direction(ints: list[int], cols, col_scale) -> list[Fraction] | None:
+    """Near-unit face coordinates of an integer row, via one integer norm
+    computation; None when the row is constant on the face."""
+    dots = [sum(map(mul, ints, v)) for v in cols]
+    if not any(dots):
+        return None
+    # dots_k * col_scale_k in lowest terms, in integers
+    red = []
+    for dk, sk in zip(dots, col_scale):
+        g = gcd(dk, sk.denominator)
+        red.append((dk // g * sk.numerator, sk.denominator // g))
+    num = 0
+    den = 1
+    for p, q in red:
+        num = num * q * q + p * p * den
+        den = den * q * q
+    t = unit_scale_pq(num, den)
+    return [Fraction(t.numerator * p, t.denominator * q) for p, q in red]
+
+
+def facet_restriction(lp_top: LinearProgram, fixed_rows: list[int]) -> FacetRestriction:
+    """The face basis of the fixed rows, with the objective's face image.
 
     Built from the top-level rows each round (chaining one-step reductions
     would square exact entry sizes per level), so numbers stay single-level
     small no matter how deep the facet chain is.
     """
-
-    lp: LinearProgram
-    basis_cols: tuple[tuple[Fraction, ...], ...]
-    anchor: tuple[Fraction, ...]
-    row_map: tuple[int, ...]  # reduced row index -> top-level row index
-
-
-def _reduced_direction(dots: list[int], col_scale: list[Fraction]):
-    """Near-unit scaled row [dots_j * col_scale_j], built via one integer
-    norm computation; returns (entries, 1/t) or None for a zero row."""
-    if not any(dots):
-        return None
-    red = [dj * sj for dj, sj in zip(dots, col_scale)]
-    num = 0
-    den = 1
-    for x in red:
-        num = num * x.denominator * x.denominator + x.numerator * x.numerator * den
-        den = den * x.denominator * x.denominator
-    t = unit_scale_pq(num, den)
-    return [t * x for x in red], 1 / t
-
-
-def facet_restriction(lp_top: LinearProgram, fixed_rows: list[int]) -> FacetRestriction:
     n = lp_top.n
     d = n - len(fixed_rows)
     if d < 1:
         raise DriverError("nothing left to restrict")
-    prim: list[tuple[list[int], Fraction]] = [
-        primitive_int_row(lp_top.row(i)) for i in range(lp_top.m)
-    ]
-    fixed_prim = [as_fractions(prim[i][0]) for i in fixed_rows]
-    if fixed_rows:
-        G = [[dot(u, v) for v in fixed_prim] for u in fixed_prim]
-        rhs = [prim[i][1] * lp_top.b[i] for i in fixed_rows]
-        try:
-            z = linalg.solve_square(G, rhs)
-        except linalg.LinAlgError:
-            raise DriverError("fixed facet rows are dependent") from None
-        anchor = [
-            sum((zi * u[t] for zi, u in zip(z, fixed_prim)), Fraction(0)) for t in range(n)
-        ]
-    else:
-        anchor = [Fraction(0)] * n
+    fixed_prim = [primitive_int_row(lp_top.row(i))[0] for i in fixed_rows]
     V_int = linalg.complement_basis_int(fixed_prim, n)
     if len(V_int) != d:
         raise DriverError("fixed facet rows are dependent")
     # near-unit column scale, kept separate so row projections stay integer
     col_scale = [unit_scale_pq(sum(a * a for a in v), 1) for v in V_int]
-    anch_num, anch_den = common_denominator(anchor)
-
-    new_rows: list[list[Fraction]] = []
-    new_b: list[Fraction] = []
-    scales: list[Fraction] = []
-    row_map: list[int] = []
-    fixed_set = set(fixed_rows)
-    for j in range(lp_top.m):
-        if j in fixed_set:
-            continue
-        ints, fj = prim[j]
-        dots = [sum(a * v[t] for t, a in enumerate(ints)) for v in V_int]
-        rhs_j = fj * lp_top.b[j] - Fraction(
-            sum(a * av for a, av in zip(ints, anch_num)), anch_den
-        )
-        got = _reduced_direction(dots, col_scale)
-        if got is None:
-            if rhs_j < 0:
-                raise DriverError("facet chain infeasible against a parallel row")
-            continue
-        entries, inv_t = got
-        new_rows.append(entries)
-        new_b.append(rhs_j / inv_t)
-        scales.append(inv_t)
-        row_map.append(j)
-    c_prim, _ = primitive_int_row(list(lp_top.c0))
-    c_dots = [sum(a * v[t] for t, a in enumerate(c_prim)) for v in V_int]
-    got = _reduced_direction(c_dots, col_scale)
-    if got is None:
-        c_red = [Fraction(0)] * d
-        c_scale = Fraction(1)
-    else:
-        c_red, c_scale = got
-    lp_red = LinearProgram(
-        A=tuple(tuple(r) for r in new_rows),
-        b=tuple(new_b),
-        c0=tuple(c_red),
-        row_scales=tuple(scales),
-        c0_scale=c_scale,
-        normalized=True,
-        full_rank=True,
-        bounded=lp_top.bounded,
-    )
+    c0 = _face_direction(primitive_int_row(list(lp_top.c0))[0], V_int, col_scale)
     return FacetRestriction(
-        lp=lp_red,
-        basis_cols=tuple(
-            tuple(s * Fraction(x) for x in v) for s, v in zip(col_scale, V_int)
-        ),
-        anchor=tuple(anchor),
-        row_map=tuple(row_map),
+        cols=tuple(tuple(v) for v in V_int),
+        col_scale=tuple(col_scale),
+        c0=None if c0 is None else tuple(c0),
     )
 
 
-def restriction_coords(r: FacetRestriction, x_top) -> list[Fraction]:
-    x = as_fractions(x_top)
-    diff = [xi - ai for xi, ai in zip(x, r.anchor)]
-    return [dot(list(v), diff) / norm_sq(list(v)) for v in r.basis_cols]
-
-
-def restriction_lift(r: FacetRestriction, y) -> list[Fraction]:
-    x = list(r.anchor)
-    for coef, v in zip(as_fractions(y), r.basis_cols):
-        x = [xi + coef * vi for xi, vi in zip(x, v)]
-    return x
+def restriction_coords(r: FacetRestriction, rows: list[list[int]]) -> list[list[Fraction] | None]:
+    """Near-unit face coordinates of integer rows (None for a row constant on
+    the face), as `_face_direction` gives them."""
+    return [_face_direction(ints, r.cols, r.col_scale) for ints in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -291,48 +251,50 @@ def repeated_shadow_vertex(
     cap: int | None = None,
     collect_paths: bool = False,
 ) -> Candidate:
-    """Up to n rounds of perturb -> walk -> identify -> reduce, then lift."""
+    """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau.
+
+    Each round draws its objectives in the coordinates of the current face,
+    lifts them to lp and walks the tableau with the fixed rows held in the
+    basis, from where the previous round stopped.  The chain's last basis is
+    the candidate's basis.
+    """
     cfg = cfg.with_phi(phi)
+    basis0 = model.tight_basis_at(lp, x0.point)
+    if len(basis0) < lp.n:
+        raise DriverError("start point is not a vertex")
+    tab = walk.Tableau(lp, BasicSolution(point=x0.point, basis=tuple(basis0[: lp.n])))
     fixed: list[int] = []
-    x_top = as_fractions(x0.point)
     pivots = 0
     rounds = 0
     traces: list[RoundTrace] = []
     pairs: list[tuple[int, int]] = []
     while len(fixed) < lp.n:
         r = facet_restriction(lp, fixed)
-        cur = r.lp
-        if all(x == 0 for x in cur.c0):
+        if r.c0 is None:
             break  # objective constant on the current facet chain
-        y0 = restriction_coords(r, x_top)
-        basis0 = model.tight_basis_at(cur, y0)
-        if len(basis0) < cur.n:
-            raise DriverError("restricted start point is not a vertex")
-        bs = BasicSolution(point=tuple(y0), basis=tuple(basis0[: cur.n]))
-        pert = randomness.perturb_objective(list(cur.c0), cfg, stream)
-        u = walk.tight_rows_at(cur, bs)
-        lam = randomness.draw_lambda(cur.n, cfg, stream)
+        free = sorted(set(tab.basis) - set(fixed))
+        pert = randomness.perturb_objective(r.c0, cfg, stream)
+        u = restriction_coords(r, [tab.R[i] for i in free])
+        lam = randomness.draw_lambda(len(free), cfg, stream)
         w = randomness.cone_objective(u, lam)
-        res = walk.shadow_walk(cur, bs, list(pert.c), w, pivot_cap=cap)
+        res = walk.shadow_walk(
+            lp, tab, r.lift(pert.c), r.lift(w), pivot_cap=cap, held=fixed
+        )
         pivots += res.pivots
         rounds += 1
         pairs.extend((st.entering_row, st.leaving_row) for st in res.path.steps)
         if collect_paths:
-            traces.append(RoundTrace(phi=phi, dim=cur.n, path=res.path))
+            traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
             return Candidate(
                 solution=None, capped=True, pivots=pivots, rounds=rounds,
                 traces=traces, pairs=pairs,
             )
-        bs = res.solution
-        k = identify_basis_element([cur.row(i) for i in bs.basis], list(pert.c))
-        fixed.append(r.row_map[bs.basis[k]])
-        x_top = restriction_lift(r, bs.point)
-    basis_full = model.tight_basis_at(lp, x_top)
-    if len(basis_full) < lp.n:
-        raise DriverError("lifted point is not a vertex")
+        free = sorted(set(tab.basis) - set(fixed))
+        k = identify_basis_element(restriction_coords(r, [tab.R[i] for i in free]), pert.c)
+        fixed.append(free[k])
     return Candidate(
-        solution=BasicSolution(point=tuple(x_top), basis=tuple(basis_full[: lp.n])),
+        solution=tab.solution(),
         capped=False,
         pivots=pivots,
         rounds=rounds,
@@ -373,6 +335,7 @@ class SolveOutcome:
     doublings: int = 0
     phi_accepted: Fraction | None = None
     traces: list[RoundTrace] = field(default_factory=list)
+    # (entering, leaving) rows of every pivot, indexed in the boxed LP walked
     pivot_sequence: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -415,23 +378,23 @@ def solve(
     if all(x == 0 for x in c_raw):
         return _solve_pure_feasibility(lp_raw, cfg, stream, out)
 
-    # rank completion
-    work_fr = lp_raw
-    if not work_fr.full_rank:
-        if len(linalg.independent_rows(work_fr.rows())) < work_fr.n:
-            escape = model._objective_escape(work_fr)
+    # rank completion, whose independent rows are Phase 1's lead rows; an LP
+    # flagged full rank skips it unless Phase 1 needs them
+    work_fr, lead = lp_raw, None
+    if not lp_raw.full_rank or initial_bfs is None:
+        idx = linalg.independent_rows(lp_raw.rows())
+        if len(idx) < lp_raw.n:
+            escape = model._objective_escape(lp_raw)
             if escape is not None:
-                return _solve_escape(work_fr, escape, cfg, stream, out)
-            work_fr = model.extend_to_full_rank(work_fr)
-        else:
-            work_fr = replace(work_fr, full_rank=True)
+                return _solve_escape(lp_raw, idx, escape, cfg, stream, out)
+        work_fr, lead = _complete_rank(lp_raw, idx)
 
     work = model.normalize(work_fr)
 
     # start vertex (Phase 1 runs on the pre-normalization data: same
     # polyhedron, much smaller exact numbers)
     if initial_bfs is None:
-        bfs = _phase1_start(work_fr, cfg, stream, out)
+        bfs = _phase1_start(work_fr, lead, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
@@ -490,12 +453,21 @@ def _check_ray(lp: LinearProgram, ray) -> None:
             raise DriverError("certificate failure: ray leaves the recession cone")
 
 
-def _phase1_start(work, cfg, stream, out):
+def _complete_rank(lp: LinearProgram, idx: list[int]) -> tuple[LinearProgram, list[int]]:
+    """(lp made full rank, its n lead rows); idx = independent_rows(lp.rows())
+    gives the lead rows directly when lp already has full rank."""
+    if len(idx) >= lp.n:
+        return replace(lp, full_rank=True), idx[: lp.n]
+    ext = model.extend_to_full_rank(lp)
+    return ext, linalg.independent_rows(ext.rows())[: lp.n]
+
+
+def _phase1_start(work, lead, cfg, stream, out):
     """A vertex of work, or the infeasible outcome; Phase 1 walks the face of
     LP' its start lies on and is skipped when the start is already a vertex.
     The phi base stays on work's (n, m), the dimensions the paper's Phase-1
     schedule is stated in; bits and pivot cap follow the walked face."""
-    p1 = phase1.build_phase1_face(work)
+    p1 = phase1.build_phase1_face(work, lead)
     if isinstance(p1, BasicSolution):
         return p1
     out.phase1_artificials = p1.lp_prime.n - p1.orig_n
@@ -532,13 +504,10 @@ def _phase1_start(work, cfg, stream, out):
 
 def _solve_pure_feasibility(lp_raw, cfg, stream, out) -> SolveOutcome:
     """Zero objective: every feasible point is optimal with value 0."""
-    work = lp_raw
-    if len(linalg.independent_rows(work.rows())) < work.n:
-        work = model.extend_to_full_rank(work)
-    work = replace(work, full_rank=True, c0=tuple([Fraction(0)] * work.n))
+    work, lead = _complete_rank(lp_raw, linalg.independent_rows(lp_raw.rows()))
     # borrow the Phase 1 machinery with a placeholder objective
     probe = replace(work, c0=tuple([Fraction(1)] + [Fraction(0)] * (work.n - 1)))
-    bfs = _phase1_start(probe, cfg, stream, out)
+    bfs = _phase1_start(probe, lead, cfg, stream, out)
     if isinstance(bfs, SolveOutcome):
         return bfs
     out.status = "optimal"
@@ -549,10 +518,10 @@ def _solve_pure_feasibility(lp_raw, cfg, stream, out) -> SolveOutcome:
     return out
 
 
-def _solve_escape(work, escape, cfg, stream, out) -> SolveOutcome:
+def _solve_escape(work, idx, escape, cfg, stream, out) -> SolveOutcome:
     """c0 leaves the row span: infeasible, or unbounded along the escape."""
-    probe = replace(model.extend_to_full_rank(work), c0=tuple(escape))
-    bfs = _phase1_start(probe, cfg, stream, out)
+    ext, lead = _complete_rank(work, idx)
+    bfs = _phase1_start(replace(ext, c0=tuple(escape)), lead, cfg, stream, out)
     if isinstance(bfs, SolveOutcome):
         return bfs
     _check_ray(work, escape)

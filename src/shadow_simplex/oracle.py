@@ -152,11 +152,7 @@ def classify(lp: LinearProgram) -> OracleOutcome:
     rows = lp.rows()
     if len(linalg.independent_rows(rows)) < lp.n:
         escape = model._objective_escape(lp)
-        lifted = (
-            model.extend_to_full_rank_Delta(lp)
-            if lp.is_integral()
-            else model.extend_to_full_rank_delta(lp)
-        )
+        lifted = model.extend_to_full_rank(lp)
         if escape is not None:
             vs = enumerate_vertices(lifted)
             return OracleOutcome(status="unbounded" if len(vs) else "infeasible")

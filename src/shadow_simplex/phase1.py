@@ -61,16 +61,13 @@ def phase1_matrix(A_rows) -> list[list[Fraction]]:
     return out
 
 
-def _lead_start(lp: LinearProgram):
-    """(perm, rows, rhs, x_bar, residuals): rows and rhs in perm order, the n
-    lead rows first; x_bar solves the lead rows; residual_i = a_i x_bar - b_i."""
+def _lead_start(lp: LinearProgram, lead: list[int]):
+    """(perm, rows, rhs, x_bar, residuals) for the n independent lead rows:
+    rows and rhs in perm order, the lead rows first; x_bar solves the lead
+    rows; residual_i = a_i x_bar - b_i."""
     m, n = lp.m, lp.n
     rows = lp.rows()
-    idx = linalg.independent_rows(rows)
-    if len(idx) < n:
-        raise Phase1Error("constraint matrix is rank deficient")
-    lead = idx[:n]
-    perm = lead + [i for i in range(m) if i not in lead]
+    perm = list(lead) + [i for i in range(m) if i not in lead]
     A_perm = [rows[i] for i in perm]
     b_perm = [lp.b[i] for i in perm]
     x_bar = linalg.solve_square(A_perm[:n], b_perm[:n])
@@ -81,7 +78,10 @@ def _lead_start(lp: LinearProgram):
 def build_phase1(lp: LinearProgram) -> Phase1Problem:
     """Construct LP' and its basic feasible start from a full-rank LP."""
     m, n = lp.m, lp.n
-    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp)
+    idx = linalg.independent_rows(lp.rows())
+    if len(idx) < n:
+        raise Phase1Error("constraint matrix is rank deficient")
+    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, idx[:n])
     y = [max(r, Fraction(0)) for r in resid]
 
     B = phase1_matrix(A_perm)
@@ -101,16 +101,19 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     )
 
 
-def build_phase1_face(lp: LinearProgram) -> Phase1Problem | BasicSolution:
+def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | BasicSolution:
     """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
     (x_bar, y_V); or the vertex x_bar itself when it violates no row.
+
+    lead holds the first n rows of `linalg.independent_rows(lp.rows())`,
+    which the caller has already computed to check the rank.
 
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
     the rows a_i x - y_i = b_i of V.  The caller's solve validates the start.
     """
     m, n = lp.m, lp.n
-    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp)
+    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, lead)
     V = [i for i in range(m) if resid[i] > 0]
     if not V:
         return BasicSolution(point=tuple(x_bar), basis=tuple(perm[:n]))

@@ -12,6 +12,12 @@ The tableau keeps every decision exact and cheap:
   exponents assigned non-basis-rows-first, which makes any starting basis
   lexicographically feasible and every leaving choice unique.
 
+A Tableau outlives one walk: `aim` gives it the next walk's objectives and
+the rows it holds in the basis.  Held rows never leave (they are left out of
+pricing and of the perturbation), so the walk stays on the face where they
+are tight; the facet chain of the driver walks all its rounds on one
+Tableau this way, with one basis inverse.
+
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
 applies.
@@ -97,13 +103,13 @@ class Tableau:
     Single-owner mutable state; concurrent walks must each build their own.
     """
 
-    def __init__(self, lp: LinearProgram, start: BasicSolution, c, w) -> None:
+    def __init__(self, lp: LinearProgram, start: BasicSolution, c=None, w=None) -> None:
+        """Build the integer basis inverse at start; the objectives may be
+        given here or by `aim` before the first pivot."""
         self.lp = lp
         m, n = lp.m, lp.n
         self.m, self.n = m, n
-        self.pivot_count = 0
         self.ops = 0
-        self._price_cache: tuple[int, list[int], list[int], list[int]] | None = None
         self.R: list[list[int]] = []
         beta_frac: list[Fraction] = []
         for i in range(m):
@@ -111,10 +117,6 @@ class Tableau:
             self.R.append(ints)
             beta_frac.append(factor * lp.b[i])
         self.beta, self.s = common_denominator(beta_frac)
-        self.c = as_fractions(c)
-        self.w = as_fractions(w)
-        self.c_num, self.c_den = common_denominator(self.c)
-        self.w_num, self.w_den = common_denominator(self.w)
 
         self.basis = sorted(start.basis)
         if len(self.basis) != n or len(set(self.basis)) != n:
@@ -140,11 +142,26 @@ class Tableau:
         for i in range(m):
             if self._slack_num(i, x_num) < 0:
                 raise WalkError("start point infeasible")
+        if c is not None:
+            self.aim(c, w)
 
-        # lexicographic exponents: non-basis rows first, then basis rows
+    def aim(self, c, w, held=()) -> None:
+        """Set the objectives of the next walk and the basis rows it holds;
+        the pivot count starts again at 0."""
+        self.held = frozenset(held)
         in_basis = set(self.basis)
-        order = [i for i in range(m) if i not in in_basis] + list(self.basis)
-        self.exp_of = [0] * m
+        if not self.held <= in_basis:
+            raise WalkError("held rows must be in the basis")
+        self.c = as_fractions(c)
+        self.w = as_fractions(w)
+        self.c_num, self.c_den = common_denominator(self.c)
+        self.w_num, self.w_den = common_denominator(self.w)
+        self.pivot_count = 0
+        self._price_cache: tuple[int, list[int], list[int], list[int]] | None = None
+        # lexicographic exponents: non-basis rows first, then the free basis
+        # rows; held rows keep exponent 0, i.e. no perturbation
+        order = [i for i in range(self.m) if i not in in_basis] + sorted(in_basis - self.held)
+        self.exp_of = [0] * self.m
         for e, i in enumerate(order, start=1):
             self.exp_of[i] = e
 
@@ -192,18 +209,21 @@ class Tableau:
         self._price_cache = (self.pivot_count, x_num, t_c, t_w)
         return x_num, t_c, t_w
 
+    def _improving(self, t_c: list[int]) -> list[int]:
+        # c^T d_k = -t_c[k] / (D c_den): improving edges have t_c[k] < 0;
+        # the edge that frees a held row leaves the face
+        return [k for k in range(self.n) if t_c[k] < 0 and self.basis[k] not in self.held]
+
     def at_optimum(self) -> bool:
         _, t_c, _ = self._price()
-        # c^T d_k = -t_c[k] / (D c_den): improving edges have t_c[k] < 0
-        return all(v >= 0 for v in t_c)
+        return not self._improving(t_c)
 
     # -- the pivot --------------------------------------------------------
 
     def pivot(self) -> PathStep | None:
         """One step along the minimum-slope improving edge; None at the optimum."""
         x_num, t_c, t_w = self._price()
-        n, m = self.n, self.m
-        improving = [k for k in range(n) if t_c[k] < 0]
+        improving = self._improving(t_c)
         if not improving:
             return None
         # minimum slope y_w/y_c = (t_w[k] c_den) / (t_c[k] w_den)
@@ -305,7 +325,7 @@ class Tableau:
 
     def _lex_less(self, i: int, rd_i: int, l: int, rd_l: int, h_cache) -> bool:
         """Break an exact ratio tie by the symbolic perturbation coefficients."""
-        exps = sorted({self.exp_of[i], self.exp_of[l], *(self.exp_of[j] for j in self.basis)})
+        exps = sorted({self.exp_of[i], self.exp_of[l], *(self.exp_of[j] for j in self.basis)} - {0})
         for e in exps:
             ci = self._coeff_at(i, e, h_cache)
             cl = self._coeff_at(l, e, h_cache)
@@ -346,30 +366,35 @@ class Tableau:
 
 def shadow_walk(
     lp: LinearProgram,
-    x0: BasicSolution,
+    x0: BasicSolution | Tableau,
     c,
     w,
     pivot_cap: int | None = None,
+    held=(),
 ) -> WalkResult:
-    """Walk from x0 to the c-maximal vertex, or stop at the pivot cap."""
-    tab = Tableau(lp, x0, c, w)
+    """Walk to the c-maximal vertex of the face where the held rows stay
+    tight, or stop at the pivot cap.
+
+    x0 is the start vertex, or a Tableau on lp standing on it; a Tableau is
+    walked in place and ends on the walk's last vertex.
+    """
+    tab = x0 if isinstance(x0, Tableau) else Tableau(lp, x0)
+    tab.aim(c, w, held)
+    start_basis = tuple(sorted(tab.basis))
     steps: list[PathStep] = []
     start_value = tab.c_value()
+    finished = True
     while not tab.at_optimum():
         if pivot_cap is not None and tab.pivot_count >= pivot_cap:
-            return WalkResult(
-                finished=False,
-                solution=tab.solution(),
-                path=ShadowPath(tuple(sorted(x0.basis)), start_value, tuple(steps)),
-                pivots=tab.pivot_count,
-            )
+            finished = False
+            break
         step = tab.pivot()
         assert step is not None
         steps.append(step)
     return WalkResult(
-        finished=True,
+        finished=finished,
         solution=tab.solution(),
-        path=ShadowPath(tuple(sorted(x0.basis)), start_value, tuple(steps)),
+        path=ShadowPath(start_basis, start_value, tuple(steps)),
         pivots=tab.pivot_count,
     )
 

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, log2
 
 import pytest
 
-from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness
+from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
 from shadow_simplex.driver import (
     DriverError,
     PhiSchedule,
@@ -14,11 +15,10 @@ from shadow_simplex.driver import (
     is_optimal,
     repeated_shadow_vertex,
     restriction_coords,
-    restriction_lift,
     solve,
 )
 from shadow_simplex.model import BasicSolution
-from shadow_simplex.rational import dot, unit_scale
+from shadow_simplex.rational import as_fractions, dot, primitive_int_row, unit_scale
 
 F = Fraction
 
@@ -55,15 +55,32 @@ class TestIdentify:
             identify_basis_element([[F(1), F(0)], [F(1), F(0)]], [F(1), F(0)])
 
 
+def face_coords(r, vec):
+    """Exact face coordinates (vec . col_scale_k cols_k)_k, unscaled."""
+    return [dot(list(vec), [s * a for a in v]) for v, s in zip(r.cols, r.col_scale)]
+
+
+def prim(row):
+    return primitive_int_row(list(row))[0]
+
+
 class TestReduceAndLift:
     def test_square_reduce_to_interval(self):
         lp = model.normalize(square())
         r = facet_restriction(lp, [0])  # fix x <= 1
-        assert r.lp.n == 1
-        vs = oracle.enumerate_vertices(r.lp)
-        assert len(vs.vertices) == 2  # an interval: endpoints map to (1,0) and (1,1)
-        lifted = [restriction_lift(r, v.point) for v in vs.vertices]
-        assert sorted(tuple(x) for x in lifted) == [(1, 0), (1, 1)]
+        assert len(r.cols) == 1
+        # an interval: x <= 1 and -x <= 0 are constant on the face, the
+        # other two rows bound it from both sides
+        faces = restriction_coords(r, [prim(lp.row(i)) for i in range(lp.m)])
+        assert faces == [None, None, [1], [-1]]
+        # walking with the fixed row held goes from (1, 0) to (1, 1)
+        boxed = model.bound_polytope(lp)
+        res = walk.shadow_walk(
+            boxed, BasicSolution(point=(F(1), F(0)), basis=(0, 3)),
+            r.lift(r.c0), r.lift([F(-1)]), held=[0],
+        )
+        assert res.finished and res.solution.point == (1, 1)
+        assert 0 in res.solution.basis
 
     def test_reduce_dim1_is_error(self):
         lp = model.normalize(model.make_lp([[1]], [1], [1]))
@@ -81,13 +98,20 @@ class TestReduceAndLift:
             if len(A) < n or linalg.rank(A) < n:
                 continue
             lp = model.normalize(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
-            r = facet_restriction(lp, [0])
-            y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
-            x = restriction_lift(r, y)
-            # lifted point is tight on the fixed row
-            assert dot(lp.row(0), x) == lp.b[0]
-            # and maps back to the same reduced coordinates
-            assert restriction_coords(r, x) == y
+            fixed = [0, 1] if n > 2 and linalg.rank(A[:2]) == 2 else [0]
+            r = facet_restriction(lp, fixed)
+            # the face basis is exactly orthogonal to the fixed rows and
+            # pairwise
+            for v in r.cols:
+                assert all(dot(lp.row(i), as_fractions(v)) == 0 for i in fixed)
+            for a, b in combinations(r.cols, 2):
+                assert sum(x * y for x, y in zip(a, b)) == 0
+            y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r.cols]
+            x = r.lift(y)
+            # the lifted direction lies in the face ...
+            assert all(dot(lp.row(i), x) == 0 for i in fixed)
+            # ... and maps back to the same face coordinates
+            assert face_coords(r, x) == y
             done += 1
 
     def test_delta_preserved_on_4d_instance(self):
@@ -100,10 +124,11 @@ class TestReduceAndLift:
                 continue
             lp = model.normalize(model.make_lp(A, [1] * len(A), [1, 0, 0, 0]))
             before = metrics.delta_matrix(lp.rows()).delta
-            red = facet_restriction(lp, [0]).lp
-            if linalg.rank(red.rows()) < red.n:
+            r = facet_restriction(lp, [0])
+            red = [u for u in restriction_coords(r, [prim(row) for row in lp.rows()[1:]]) if u]
+            if linalg.rank(red) < len(r.cols):
                 continue
-            after = metrics.delta_matrix(red.rows()).delta
+            after = metrics.delta_matrix(red).delta
             # restriction cannot worsen delta (projection preserves the
             # property); equality need not hold row-for-row, but the value
             # must not drop
@@ -112,10 +137,12 @@ class TestReduceAndLift:
 
     def test_restriction_coords_inverse(self):
         lp = model.normalize(square())
-        r = facet_restriction(lp, [2])
-        x = [F(1, 3), F(1)]
-        y = restriction_coords(r, x)
-        assert restriction_lift(r, y) == x
+        r = facet_restriction(lp, [2])  # fix y <= 1
+        assert r.lift([F(1, 3)]) == [F(1, 3), 0]
+        assert face_coords(r, [F(1, 3), F(5)]) == [F(1, 3)]
+        # face coordinates are near-unit, and None for a row parallel to the
+        # fixed one
+        assert restriction_coords(r, [[1, 0], [0, -1], [-3, 0]]) == [[1], None, [-1]]
 
 
 class TestIsOptimal:
@@ -191,6 +218,46 @@ class TestRepeated:
             lp, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
         )
         assert cand.capped and cand.solution is None
+
+    def test_one_basis_inverse_per_chain(self, monkeypatch):
+        calls = []
+        invert = linalg.invert
+        monkeypatch.setattr(linalg, "invert", lambda M: calls.append(M) or invert(M))
+        cube = model.make_lp(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [1, 1, 1, 0, 0, 0],
+            [3, 2, 1],
+        )
+        lp = model.bound_polytope(model.normalize(cube))
+        start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
+        cand = repeated_shadow_vertex(
+            lp, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+        )
+        assert cand.rounds == 3
+        assert cand.solution.point == (1, 1, 1)
+        assert len(calls) == 1
+
+    def test_chain_basis_certifies_degenerate_optimum(self, monkeypatch):
+        # instance interval-matrix-6x3-g1356726337 of the tu-cold benchmark
+        # pool at seed 7, with its solver seed: the optimum has 4 tight rows
+        # in R^3, and the greedy tight basis there does not carry c0
+        lp = harness.generate_tu_instance("interval-matrix", 6, 3, 1356726337)
+        checks = []
+        is_opt = driver.is_optimal
+        monkeypatch.setattr(driver, "is_optimal", lambda b, x: checks.append((b, x)) or is_opt(b, x))
+
+        def no_scan(*args):
+            raise AssertionError("degenerate subset scan entered")
+
+        # the chain's basis passes the fast path, so the subset scan never runs
+        monkeypatch.setattr(driver, "combinations", no_scan)
+        out = solve(lp, cfg(seed=1591348382))
+        ref = oracle.classify(lp)
+        assert out.status == ref.status == "optimal" and out.value == ref.value
+        boxed, x = checks[-1]
+        assert len(boxed.tight_rows(x.point)) > boxed.n
+        greedy = model.tight_basis_at(boxed, x.point)[: boxed.n]
+        assert min(driver._cone_coefficients([boxed.row(i) for i in greedy], list(boxed.c0))) < 0
 
 
 class TestSchedule:

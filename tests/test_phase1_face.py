@@ -32,6 +32,11 @@ def two_violated():
     return model.make_lp([[1], [-1], [-1]], [0, -1, -2], [1])
 
 
+def build_face(lp):
+    # the lead rows are the first n independent rows, as the driver finds them
+    return build_phase1_face(lp, linalg.independent_rows(lp.rows())[: lp.n])
+
+
 def face_optimum(p1: Phase1Problem) -> BasicSolution:
     ref = oracle.brute_force_optimum(model.bound_polytope(p1.lp_prime))
     assert ref.status == "optimal"
@@ -58,7 +63,7 @@ class TestFaceDelta:
             normed = [[unit_scale(r) * x for x in r] for r in A]
             b = [F(b_rng.randint(-3, 3)) for _ in range(m)]
             lp = model.make_lp(normed, b, [1] * n, full_rank=True)
-            got = build_phase1_face(lp)
+            got = build_face(lp)
             full = phase1_matrix(normed)
             if isinstance(got, BasicSolution):
                 face = normed  # every y_i fixed at 0
@@ -80,7 +85,7 @@ class TestFaceDelta:
 class TestSkipPath:
     def test_feasible_lead_vertex_skips_phase1(self):
         lp = square()
-        got = build_phase1_face(lp)
+        got = build_face(lp)
         assert isinstance(got, BasicSolution)
         assert got.point == (1, 1)
         model.validate_basic_solution(lp, got)
@@ -98,7 +103,7 @@ class TestSkipPath:
 class TestInfeasibilityGap:
     def test_two_violated_rows_give_positive_gap(self):
         lp = two_violated()
-        p1 = build_phase1_face(lp)
+        p1 = build_face(lp)
         assert p1.lp_prime.n == 1 + 2 and p1.lp_prime.m == 3 + 2
         model.validate_basic_solution(p1.lp_prime, p1.initial)
         out = driver.solve(lp, cfg())
@@ -114,7 +119,7 @@ class TestExtraction:
     def test_feasible_face_optimum_yields_vertex(self):
         # x <= 0 and y <= 0 lead; x_bar = (0, 0) violates x + y <= -1
         lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1], full_rank=True)
-        p1 = build_phase1_face(lp)
+        p1 = build_face(lp)
         assert p1.lp_prime.n == 3
         got = extract_bfs(face_optimum(p1), lp, p1)
         assert not isinstance(got, InfeasibleCertificate)
@@ -122,7 +127,7 @@ class TestExtraction:
 
     def test_infeasible_face_optimum_yields_gap(self):
         lp = two_violated()
-        p1 = build_phase1_face(lp)
+        p1 = build_face(lp)
         got = extract_bfs(face_optimum(p1), lp, p1)
         assert isinstance(got, InfeasibleCertificate)
         assert got.gap == 3
