@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from operator import mul
 
 from . import linalg, model, phase1, randomness, walk
@@ -30,7 +29,6 @@ from .rational import (
     unit_scale_pq,
 )
 
-CONE_SUBSET_GUARD = 10**6
 PHI_BITS = 60
 
 
@@ -185,39 +183,19 @@ def restriction_coords(r: FacetRestriction, rows: list[list[int]]) -> list[list[
 # ---------------------------------------------------------------------------
 
 
-def _cone_coefficients(rows, c) -> list[Fraction] | None:
-    cols = [[rows[k][i] for k in range(len(rows))] for i in range(len(rows[0]))]
-    try:
-        mu = linalg.solve_square(cols, as_fractions(c))
-    except linalg.LinAlgError:
-        return None
-    return mu
+def is_optimal(lp: LinearProgram, x: BasicSolution, tab: walk.Tableau) -> bool:
+    """Exact test that c0 lies in the normal cone of the vertex x.
 
-
-def is_optimal(lp: LinearProgram, x: BasicSolution) -> bool:
-    """Exact test that c0 lies in the normal cone of the vertex.
-
-    Fast path solves the basis system; degenerate vertices fall back to a
-    subset scan over all tight rows (Caratheodory: membership is witnessed
-    by some n-subset).
+    tab is a Tableau on lp standing on x, the facet chain's own; it is
+    walked in place on c0 by `walk.first_gain`.  x is optimal exactly when
+    that walk ends without leaving x, and tab's basis then carries c0.  At a
+    degenerate vertex the walk makes degenerate pivots until it reaches such
+    a basis or a step of positive length; no subset of the tight rows is
+    scanned.  These pivots are not counted in `SolveOutcome.pivots`.
     """
-    model.validate_basic_solution(lp, x)
-    rows = [lp.row(i) for i in x.basis]
-    mu = _cone_coefficients(rows, list(lp.c0))
-    if mu is None:
-        raise DriverError("singular basis in optimality test")
-    if all(v >= 0 for v in mu):
-        return True
-    tight = lp.tight_rows(x.point)
-    if len(tight) <= lp.n:
-        return False
-    if comb(len(tight), lp.n) > CONE_SUBSET_GUARD:
-        raise DriverError("degenerate cone subset guard exceeded")
-    for S in combinations(tight, lp.n):
-        mu = _cone_coefficients([lp.row(i) for i in S], list(lp.c0))
-        if mu is not None and all(v >= 0 for v in mu):
-            return True
-    return False
+    if tab.vertex() != list(x.point):
+        raise DriverError("tableau does not stand on the vertex")
+    return walk.first_gain(tab, lp.c0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +213,7 @@ class RoundTrace:
 @dataclass
 class Candidate:
     solution: BasicSolution | None
+    tableau: walk.Tableau  # the chain's tableau; stands on solution unless capped
     capped: bool
     pivots: int
     rounds: int
@@ -287,14 +266,15 @@ def repeated_shadow_vertex(
             traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
             return Candidate(
-                solution=None, capped=True, pivots=pivots, rounds=rounds,
-                traces=traces, pairs=pairs,
+                solution=None, tableau=tab, capped=True, pivots=pivots,
+                rounds=rounds, traces=traces, pairs=pairs,
             )
         free = sorted(set(tab.basis) - set(fixed))
         k = identify_basis_element(restriction_coords(r, [tab.R[i] for i in free]), pert.c)
         fixed.append(free[k])
     return Candidate(
         solution=tab.solution(),
+        tableau=tab,
         capped=False,
         pivots=pivots,
         rounds=rounds,
@@ -325,7 +305,7 @@ class SolveOutcome:
     status: str  # "optimal" | "unbounded" | "infeasible"
     point: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
-    vertex: BasicSolution | None = None
+    vertex: BasicSolution | None = None  # its basis carries c0 in the boxed LP
     ray: tuple[Fraction, ...] | None = None
     infeasible_gap: Fraction | None = None
     pivots: int = 0
@@ -416,14 +396,16 @@ def solve(
         out.doublings = i
         if cand.capped:
             continue
-        if not is_optimal(boxed, cand.solution):
+        if not is_optimal(boxed, cand.solution, cand.tableau):
             continue
+        # the basis the certificate walk ended on carries c0
+        vertex = cand.tableau.solution()
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
         verdict = (
             model.BOUNDED
             if known_bounded_objective
-            else model.assert_unbounded_if_box_tight(cand.solution, boxed)
+            else model.assert_unbounded_if_box_tight(vertex, boxed)
         )
         if isinstance(verdict, UnboundedCertificate):
             _check_ray(lp_raw, verdict.ray)
@@ -431,13 +413,13 @@ def solve(
             out.point = verdict.point
             out.ray = verdict.ray
             return out
-        point = cand.solution.point
+        point = vertex.point
         if not lp_raw.feasible(point):
             raise DriverError("certificate failure: accepted point infeasible")
         out.status = "optimal"
         out.point = point
         out.value = dot(c_raw, as_fractions(point))
-        out.vertex = cand.solution
+        out.vertex = vertex
         return out
     raise DoublingLimitError(
         f"no acceptance within {cfg.max_doublings} doublings (bug: i* is finite)"

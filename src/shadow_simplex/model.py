@@ -1,4 +1,9 @@
-"""LP data model, text format, normalization and boundedness preprocessing.
+"""LP data model, text format, normalization, rank raising and the bounding
+box.
+
+The box closes the polyhedron so that the shadow walk always finds a vertex
+optimum; `assert_unbounded_if_box_tight` then decides whether the original
+LP is bounded by walking its recession LP, from d = 0, on the objective.
 
 All constraint data is exact rational.  Normalization divides out row norms
 through rational near-unit scale factors (floor-rounded, so scaled rows never
@@ -407,74 +412,33 @@ def bound_polytope(lp: LinearProgram) -> LinearProgram:
     )
 
 
-def strip_box(lp: LinearProgram) -> LinearProgram:
-    """Drop box rows (used for recession-cone tests against the real polyhedron)."""
-    keep = [i for i in range(lp.m) if i not in lp.box_rows]
-    return replace(
-        lp,
-        A=tuple(lp.A[i] for i in keep),
-        b=tuple(lp.b[i] for i in keep),
-        row_scales=tuple(lp.row_scales[i] for i in keep),
-        box_rows=frozenset(),
-        synthetic_rows=frozenset(
-            keep.index(i) for i in lp.synthetic_rows if i in keep
-        ),
-        bounded=False,
-    )
-
-
-def improving_ray(lp: LinearProgram, objective=None) -> list[Fraction] | None:
-    """Exact recession-cone direction with positive objective, or None.
-
-    Scans extreme-ray candidates: directions orthogonal to n-1 independent
-    rows.  Complete for pointed cones (rank(A) = n).
-    """
-    from itertools import combinations
-    from math import comb
-
-    obj = as_fractions(objective if objective is not None else lp.c0)
-    rows = lp.rows()
-    m, n = lp.m, lp.n
-    if n == 1:
-        for d in ([Fraction(1)], [Fraction(-1)]):
-            if all(dot(rows[i], d) <= 0 for i in range(m)) and dot(obj, d) > 0:
-                return d
-        return None
-    if comb(m, n - 1) > 10**6:
-        raise LPModelError("ray scan combinatorial guard exceeded")
-    for S in combinations(range(m), n - 1):
-        sub = [rows[i] for i in S]
-        if linalg.rank(sub) < n - 1:
-            continue
-        d = linalg.nullspace_vector(sub, n)
-        if d is None:
-            continue
-        for cand in (d, [-x for x in d]):
-            if all(dot(rows[i], cand) <= 0 for i in range(m)) and dot(obj, cand) > 0:
-                return cand
-    return None
-
-
 def assert_unbounded_if_box_tight(
     vertex: BasicSolution, lp: LinearProgram
 ) -> UnboundedCertificate | str:
     """Decide Bounded vs Unbounded at an optimal vertex of the boxed LP.
 
-    If no box row is tight the LP was bounded all along.  Otherwise an exact
-    ray test on the un-boxed rows decides: a recession direction improving
-    c0 certifies unboundedness; if none exists the box-tight optimum already
-    attains the (finite) supremum.
+    If no box row is tight the LP was bounded all along.  Otherwise the
+    recession LP decides: max c0 d subject to a_i d <= 0 on the un-boxed rows
+    and a_i d <= 1 on the box rows, which is bounded because the box rows
+    bound +-a d for n independent rows a.  d = 0 is a vertex of it, and
+    `walk.first_gain` walks it from there on c0: the first vertex it reaches
+    with c0 d > 0 is an improving ray of the un-boxed rows.  A walk that
+    never leaves 0 certifies that no such ray exists, so the box-tight
+    optimum already attains the (finite) supremum.
     """
+    from .walk import Tableau, first_gain  # walk imports this module
+
     if not lp.bounded:
         raise LPModelError("lp is not boxed")
     x = as_fractions(vertex.point)
     if not lp.feasible(x):
         raise LPModelError("vertex infeasible for lp")
-    tight_box = [i for i in lp.box_rows if dot(lp.row(i), x) == lp.b[i]]
-    if not tight_box:
+    if not any(dot(lp.row(i), x) == lp.b[i] for i in lp.box_rows):
         return BOUNDED
-    inner = strip_box(lp)
-    ray = improving_ray(inner)
+    rec = replace(lp, b=tuple(Fraction(int(i in lp.box_rows)) for i in range(lp.m)))
+    zero = (Fraction(0),) * lp.n
+    basis = tight_basis_at(rec, zero)[: lp.n]
+    ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), lp.c0)
     if ray is None:
         return BOUNDED
     return UnboundedCertificate(point=tuple(x), ray=tuple(ray))

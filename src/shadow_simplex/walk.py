@@ -16,7 +16,9 @@ A Tableau outlives one walk: `aim` gives it the next walk's objectives and
 the rows it holds in the basis.  Held rows never leave (they are left out of
 pricing and of the perturbation), so the walk stays on the face where they
 are tight; the facet chain of the driver walks all its rounds on one
-Tableau this way, with one basis inverse.
+Tableau this way, with one basis inverse.  `first_gain` walks a Tableau on
+a plain objective only until the point moves: the optimality and
+boundedness certificates are decided that way.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -362,6 +364,23 @@ class Tableau:
         self.D = newD
         self.basis[pos] = enter
         self._price_cache = None
+
+
+def first_gain(tab: Tableau, c) -> list[Fraction] | None:
+    """Walk tab on c until a step leaves its point: the vertex that step
+    reaches, which has a higher c value, or None when the walk ends on the
+    point, whose basis then carries c in its normal cone.
+
+    The walk holds no rows and uses w = 0, so every improving edge ties on
+    slope and the pivot's tie rule picks the step.  Under the lexicographic
+    perturbation every step raises the perturbed c value, so no basis
+    repeats and the walk is finite.
+    """
+    tab.aim(c, [0] * tab.n)
+    while (step := tab.pivot()) is not None:
+        if step.step_length > 0:
+            return tab.vertex()
+    return None
 
 
 def shadow_walk(

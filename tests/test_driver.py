@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, log2
@@ -29,6 +30,14 @@ def square(c0=(1, 1)):
 
 def cfg(seed=0, **kw):
     return SolveConfig(rng=randomness.RngConfig(seed=seed), **kw)
+
+
+def pair_cone_rows(n):
+    """-e_i for each i, then -(e_i + e_j) for i < j in lexicographic order."""
+    e = [[int(k == i) for k in range(n)] for i in range(n)]
+    rows = [[-v for v in e[i]] for i in range(n)]
+    rows += [[-(u + v) for u, v in zip(e[i], e[j])] for i in range(n) for j in range(i + 1, n)]
+    return rows
 
 
 class TestIdentify:
@@ -145,14 +154,19 @@ class TestReduceAndLift:
         assert restriction_coords(r, [[1, 0], [0, -1], [-3, 0]]) == [[1], None, [-1]]
 
 
+def certify(lp, x):
+    """is_optimal on a fresh tableau standing on x."""
+    return is_optimal(lp, x, walk.Tableau(lp, x))
+
+
 class TestIsOptimal:
     def test_square_corner_true(self):
         lp = square()
-        assert is_optimal(lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)))
+        assert certify(lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)))
 
     def test_square_corner_false(self):
         lp = square(c0=(0, 1))
-        assert not is_optimal(lp, BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
+        assert not certify(lp, BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
 
     def test_degenerate_vertex_uses_full_cone(self):
         # apex of a pyramid with 4 tight rows; the handed-in basis does not
@@ -163,7 +177,7 @@ class TestIsOptimal:
             [F(1, 10), 0, 1],
         )
         apex = BasicSolution(point=(F(0), F(0), F(1)), basis=(1, 2, 3))
-        assert is_optimal(lp, apex)
+        assert certify(lp, apex)
 
     def test_agreement_with_enumeration(self):
         rng = random.Random(14)
@@ -185,8 +199,34 @@ class TestIsOptimal:
             for v in oracle.enumerate_vertices(lp).vertices:
                 want = dot(list(lp.c0), list(v.point)) == ref.value
                 bs = BasicSolution(v.point, v.basis)
-                assert is_optimal(lp, bs) == want
+                assert certify(lp, bs) == want
             done += 1
+
+    def degenerate_origin(self, c0):
+        # {-x_i <= 0, -x_i - x_j <= 0, x_i <= 1} in R^8: 36 rows are tight at
+        # the origin, and C(36, 8) subsets exceed the old subset-scan guard
+        n = 8
+        A = pair_cone_rows(n) + [[int(k == i) for k in range(n)] for i in range(n)]
+        lp = model.make_lp(A, [0] * 36 + [1] * n, c0)
+        # -e_0 .. -e_6 and -(e_6 + e_7), the last pair row
+        origin = BasicSolution(point=(F(0),) * n, basis=tuple(range(7)) + (35,))
+        assert len(lp.tight_rows(origin.point)) == 36
+        return lp, origin
+
+    def test_degenerate_origin_certified_past_old_guard(self):
+        lp, origin = self.degenerate_origin([-1] * 7 + [-3])
+        assert certify(lp, origin)
+
+    def test_degenerate_origin_rejected_past_old_guard(self):
+        lp, origin = self.degenerate_origin([-1] * 7 + [3])
+        assert not certify(lp, origin)
+
+    def test_tableau_must_stand_on_the_vertex(self):
+        lp = square()
+        corner = BasicSolution(point=(F(1), F(1)), basis=(0, 2))
+        tab = walk.Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(1, 3)))
+        with pytest.raises(DriverError):
+            is_optimal(lp, corner, tab)
 
 
 class TestRepeated:
@@ -244,20 +284,44 @@ class TestRepeated:
         lp = harness.generate_tu_instance("interval-matrix", 6, 3, 1356726337)
         checks = []
         is_opt = driver.is_optimal
-        monkeypatch.setattr(driver, "is_optimal", lambda b, x: checks.append((b, x)) or is_opt(b, x))
 
-        def no_scan(*args):
-            raise AssertionError("degenerate subset scan entered")
+        def recording(b, x, tab):
+            checks.append((b, x, tab.basis[:]))
+            return is_opt(b, x, tab)
 
-        # the chain's basis passes the fast path, so the subset scan never runs
-        monkeypatch.setattr(driver, "combinations", no_scan)
+        monkeypatch.setattr(driver, "is_optimal", recording)
         out = solve(lp, cfg(seed=1591348382))
         ref = oracle.classify(lp)
         assert out.status == ref.status == "optimal" and out.value == ref.value
-        boxed, x = checks[-1]
+        boxed, x, chain_basis = checks[-1]
         assert len(boxed.tight_rows(x.point)) > boxed.n
+
+        def certificate_pivots(basis):
+            tab = walk.Tableau(boxed, BasicSolution(point=x.point, basis=tuple(basis)))
+            assert is_opt(boxed, x, tab)
+            return tab.pivot_count
+
+        # the chain's basis already carries c0; the greedy one needs at least
+        # one degenerate pivot before the walk ends on the same point
+        assert certificate_pivots(chain_basis) == 0
         greedy = model.tight_basis_at(boxed, x.point)[: boxed.n]
-        assert min(driver._cone_coefficients([boxed.row(i) for i in greedy], list(boxed.c0))) < 0
+        assert certificate_pivots(greedy) >= 1
+
+    def test_outcome_vertex_basis_carries_c0(self, monkeypatch):
+        # the same degenerate optimum: out.vertex carries the basis that
+        # certified c0, so c0's multipliers over it are all >= 0
+        lp = harness.generate_tu_instance("interval-matrix", 6, 3, 1356726337)
+        boxes = []
+        is_opt = driver.is_optimal
+        monkeypatch.setattr(
+            driver, "is_optimal", lambda b, x, tab: boxes.append(b) or is_opt(b, x, tab)
+        )
+        out = solve(lp, cfg(seed=1591348382))
+        boxed = boxes[-1]
+        assert out.status == "optimal" and out.vertex.point == out.point
+        rows = [boxed.row(i) for i in out.vertex.basis]
+        mu = linalg.solve_square([list(col) for col in zip(*rows)], list(boxed.c0))
+        assert min(mu) >= 0
 
 
 class TestSchedule:
@@ -288,6 +352,39 @@ class TestSolve:
         out = solve(model.make_lp([[-1]], [0], [1]), cfg())
         assert out.status == "unbounded"
         assert out.ray[0] > 0
+
+    def test_unbounded_past_old_ray_scan_guard(self):
+        # {-x_i <= 0, -x_i - x_j <= 0} in R^8, c = 1: C(36, 7) row subsets
+        # exceed the old ray scan's guard
+        lp = model.make_lp(pair_cone_rows(8), [0] * 36, [1] * 8)
+        out = solve(lp, cfg())
+        assert out.status == "unbounded"
+        driver._check_ray(lp, out.ray)
+
+    def test_random_20x8_unbounded_quickly(self):
+        # the old ray scan took minutes on this instance (C(20, 7) subsets)
+        lp = harness.generate_random_integer(20, 8, 505)
+        t0 = time.perf_counter()
+        out = solve(lp, cfg(seed=5))
+        assert time.perf_counter() - t0 < 10
+        assert out.status == "unbounded"
+        driver._check_ray(lp, out.ray)
+
+    def test_box_tight_bounded_optimum(self, monkeypatch):
+        # max x1 subject to x1 <= 1, -x2 <= 1: the optimal face is unbounded,
+        # and the perturbed objective rises along it, so the accepted boxed
+        # vertex has a box row tight; yet no improving ray exists
+        verdicts = []
+        decide = model.assert_unbounded_if_box_tight
+
+        def recording(vertex, boxed):
+            verdicts.append(boxed.box_rows & set(boxed.tight_rows(vertex.point)))
+            return decide(vertex, boxed)
+
+        monkeypatch.setattr(model, "assert_unbounded_if_box_tight", recording)
+        out = solve(model.make_lp([[1, 0], [0, -1]], [1, 1], [1, 0]), cfg())
+        assert out.status == "optimal" and out.value == 1
+        assert verdicts and verdicts[-1]
 
     def test_zero_objective(self):
         out = solve(model.make_lp([[1], [-1]], [1, 0], [0]), cfg())

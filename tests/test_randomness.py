@@ -162,10 +162,6 @@ class TestLambdaAndCone:
             w = cone_objective(rows, lam)
             assert float(norm_sq(w)) <= n * n + 1e-9
 
-    def test_dependent_rows_rejected(self):
-        with pytest.raises(RandomnessError):
-            cone_objective([[F(1), F(0)], [F(1), F(0)]], [F(1), F(1)])
-
     def test_start_vertex_minimizes_w(self):
         # origin corner of the unit square with tight rows -e1, -e2
         lp = model.normalize(

@@ -11,6 +11,7 @@ from shadow_simplex.walk import (
     Tableau,
     UnboundedEdgeError,
     WalkError,
+    first_gain,
     shadow_walk,
     tight_rows_at,
     validate_shadow_path,
@@ -80,11 +81,32 @@ class TestShadowPivot:
         step = tab.pivot()
         assert step.entering_row == 0  # rows 0 and 2 tie; lowest index wins
 
+    def test_dependent_basis_rejected(self):
+        # rows 0 and 1 (x <= 1, -x <= 0) are parallel
+        lp = square()
+        with pytest.raises(WalkError):
+            Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
+
     def test_unbounded_edge_raises(self):
         lp = model.normalize(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1]))
         tab = Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)), [F(1), F(0)], [F(-1), F(-1)])
         with pytest.raises(UnboundedEdgeError):
             tab.pivot()
+
+
+class TestFirstGain:
+    def test_returns_first_vertex_off_the_point(self):
+        tab = Tableau(square(), origin_start())
+        x = first_gain(tab, [F(1, 2), F(1, 2)])
+        assert x in ([1, 0], [0, 1])
+        assert tab.vertex() == x
+
+    def test_none_when_basis_carries_c(self):
+        # (1, 0) of the square with c = (1, -1): the basis {x <= 1, -y <= 0}
+        # carries c; starting from it the walk makes no pivot
+        tab = Tableau(square(), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
+        assert first_gain(tab, [F(1), F(-1)]) is None
+        assert tab.pivot_count == 0
 
 
 class TestShadowWalk:
