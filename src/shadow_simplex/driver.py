@@ -83,22 +83,6 @@ def pivot_cap(m: int, n: int, phi: Fraction, delta: Fraction, constant: int = 16
 # ---------------------------------------------------------------------------
 
 
-def identify_basis_element(basis_rows, c) -> int:
-    """Index of the maximal coefficient in the conic combination of c.
-
-    Solves [a'_1 ... a'_n] mu = c exactly; ties go to the smallest index.
-    """
-    rows = [as_fractions(r) for r in basis_rows]
-    n = len(rows)
-    cols = [[rows[k][i] for k in range(n)] for i in range(n)]  # columns a'_k
-    try:
-        mu = linalg.solve_square(cols, as_fractions(c))
-    except linalg.LinAlgError:
-        raise DriverError("singular basis in facet identification") from None
-    best = max(range(n), key=lambda k: (mu[k], -k))
-    return best
-
-
 @dataclass(frozen=True)
 class FacetRestriction:
     """The face where the fixed rows are tight, over an exactly orthogonal
@@ -127,9 +111,10 @@ class FacetRestriction:
         ]
 
 
-def _face_direction(ints: list[int], cols, col_scale) -> list[Fraction] | None:
-    """Near-unit face coordinates of an integer row, via one integer norm
-    computation; None when the row is constant on the face."""
+def _face_direction(ints: list[int], cols, col_scale) -> tuple[list[Fraction], Fraction] | None:
+    """(near-unit face coordinates, their factor tau) of an integer row:
+    tau (ints . v_k)_k, via one integer norm computation; None when the row
+    is constant on the face."""
     dots = [sum(map(mul, ints, v)) for v in cols]
     if not any(dots):
         return None
@@ -144,7 +129,7 @@ def _face_direction(ints: list[int], cols, col_scale) -> list[Fraction] | None:
         num = num * q * q + p * p * den
         den = den * q * q
     t = unit_scale_pq(num, den)
-    return [Fraction(t.numerator * p, t.denominator * q) for p, q in red]
+    return [Fraction(t.numerator * p, t.denominator * q) for p, q in red], t
 
 
 def facet_restriction(lp_top: LinearProgram, fixed_rows: list[int]) -> FacetRestriction:
@@ -168,14 +153,31 @@ def facet_restriction(lp_top: LinearProgram, fixed_rows: list[int]) -> FacetRest
     return FacetRestriction(
         cols=tuple(tuple(v) for v in V_int),
         col_scale=tuple(col_scale),
-        c0=None if c0 is None else tuple(c0),
+        c0=None if c0 is None else tuple(c0[0]),
     )
 
 
 def restriction_coords(r: FacetRestriction, rows: list[list[int]]) -> list[list[Fraction] | None]:
     """Near-unit face coordinates of integer rows (None for a row constant on
     the face), as `_face_direction` gives them."""
-    return [_face_direction(ints, r.cols, r.col_scale) for ints in rows]
+    faces = [_face_direction(ints, r.cols, r.col_scale) for ints in rows]
+    return [None if f is None else f[0] for f in faces]
+
+
+def identify_basis_element(tab: walk.Tableau, r: FacetRestriction, free: list[int]) -> int:
+    """Position in free of the basis row with the largest coefficient mu_j
+    when the face image of tab's objective c is written over the free rows'
+    near-unit face images u_j = tau_j face(R_j); ties go to the smallest
+    position.
+
+    tab stands where its walk on c ended, so c = sum_k nu_k R_basis[k] with
+    nu_k = t_c[k] / (D c_den) from its pricing.  The fixed rows vanish on the
+    face, hence mu_j = nu_j / tau_j: no system is solved.
+    """
+    _, t_c, _ = tab._price()
+    pos = {row: k for k, row in enumerate(tab.basis)}
+    mu = [t_c[pos[i]] / _face_direction(tab.R[i], r.cols, r.col_scale)[1] for i in free]
+    return max(range(len(free)), key=lambda k: (mu[k], -k))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +272,7 @@ def repeated_shadow_vertex(
                 rounds=rounds, traces=traces, pairs=pairs,
             )
         free = sorted(set(tab.basis) - set(fixed))
-        k = identify_basis_element(restriction_coords(r, [tab.R[i] for i in free]), pert.c)
-        fixed.append(free[k])
+        fixed.append(free[identify_basis_element(tab, r, free)])
     return Candidate(
         solution=tab.solution(),
         tableau=tab,
@@ -346,9 +347,11 @@ def solve(
     _stream: randomness.DrawStream | None = None,
     _depth: int = 0,
 ) -> SolveOutcome:
-    """Parse-to-certificate pipeline: rank raise, normalize, Phase 1 when no
-    start is given, box, then the doubling schedule around the repeated
-    shadow vertex algorithm.  Accepted outcomes carry exact certificates."""
+    """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
+    given, box, then the doubling schedule around the repeated shadow vertex
+    algorithm.  The rows are used as given, never scaled: one rank pass finds
+    the lead rows that both Phase 1 and the box use.  Accepted outcomes carry
+    exact certificates, checked against lp_raw."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -358,30 +361,23 @@ def solve(
     if all(x == 0 for x in c_raw):
         return _solve_pure_feasibility(lp_raw, cfg, stream, out)
 
-    # rank completion, whose independent rows are Phase 1's lead rows; an LP
-    # flagged full rank skips it unless Phase 1 needs them
-    work_fr, lead = lp_raw, None
-    if not lp_raw.full_rank or initial_bfs is None:
-        idx = linalg.independent_rows(lp_raw.rows())
-        if len(idx) < lp_raw.n:
-            escape = model._objective_escape(lp_raw)
-            if escape is not None:
-                return _solve_escape(lp_raw, idx, escape, cfg, stream, out)
-        work_fr, lead = _complete_rank(lp_raw, idx)
+    # rank completion, whose independent rows are the lead rows
+    idx = linalg.independent_rows(lp_raw.rows())
+    if len(idx) < lp_raw.n:
+        escape = model._objective_escape(lp_raw)
+        if escape is not None:
+            return _solve_escape(lp_raw, idx, escape, cfg, stream, out)
+    work, lead = _complete_rank(lp_raw, idx)
 
-    work = model.normalize(work_fr)
-
-    # start vertex (Phase 1 runs on the pre-normalization data: same
-    # polyhedron, much smaller exact numbers)
     if initial_bfs is None:
-        bfs = _phase1_start(work_fr, lead, cfg, stream, out)
+        bfs = _phase1_start(work, lead, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
         bfs = initial_bfs
     model.validate_basic_solution(work, bfs)
 
-    boxed = model.bound_polytope(work)
+    boxed = model.bound_polytope(work, lead)
 
     sched = _schedule_for(work, cfg)
     for i in range(cfg.max_doublings):
@@ -407,15 +403,16 @@ def solve(
             if known_bounded_objective
             else model.assert_unbounded_if_box_tight(vertex, boxed)
         )
-        if isinstance(verdict, UnboundedCertificate):
-            _check_ray(lp_raw, verdict.ray)
-            out.status = "unbounded"
-            out.point = verdict.point
-            out.ray = verdict.ray
-            return out
-        point = vertex.point
+        unbounded = isinstance(verdict, UnboundedCertificate)
+        point = verdict.point if unbounded else vertex.point
         if not lp_raw.feasible(point):
             raise DriverError("certificate failure: accepted point infeasible")
+        if unbounded:
+            _check_ray(lp_raw, verdict.ray)
+            out.status = "unbounded"
+            out.point = point
+            out.ray = verdict.ray
+            return out
         out.status = "optimal"
         out.point = point
         out.value = dot(c_raw, as_fractions(point))
@@ -439,7 +436,7 @@ def _complete_rank(lp: LinearProgram, idx: list[int]) -> tuple[LinearProgram, li
     """(lp made full rank, its n lead rows); idx = independent_rows(lp.rows())
     gives the lead rows directly when lp already has full rank."""
     if len(idx) >= lp.n:
-        return replace(lp, full_rank=True), idx[: lp.n]
+        return lp, idx[: lp.n]
     ext = model.extend_to_full_rank(lp)
     return ext, linalg.independent_rows(ext.rows())[: lp.n]
 

@@ -1,11 +1,12 @@
 """Exact linear algebra primitives over `fractions.Fraction` and ints.
 
 Elimination pivots on the first nonzero entry in row order, so identical
-inputs always take identical elimination paths.  Two private kernels do it:
-a Gauss-Jordan pass for square systems (`solve_square`, `invert`,
-`inverse_columns`) and an echelon pass over a row sequence
+inputs always take identical elimination paths.  Three private kernels do
+it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
+`inverse_columns`), a fraction-free Bareiss pass for integer matrices
+(`invert`, `det_int`) and an echelon pass over a row sequence
 (`independent_rows`, `nullspace_vector`).  `det_fraction` is the plain
-Fraction determinant that tests hold the Bareiss `det_int` against.
+Fraction determinant that tests hold the Bareiss kernel against.
 """
 
 from __future__ import annotations
@@ -48,18 +49,10 @@ def solve_square(M: Mat, rhs: Vec) -> Vec:
     return [row[0] for row in _gauss_jordan(M, [[v] for v in rhs])]
 
 
-def _identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def invert(M: Mat) -> Mat:
-    """Exact inverse; raises LinAlgError if singular."""
-    return _gauss_jordan(M, _identity(len(M)))
-
-
 def inverse_columns(M: Mat) -> list[Vec]:
     """Columns m_1..m_n of M^{-1}; the basis of the 1/max||m_k|| distance formula."""
-    inv = _gauss_jordan(M, _identity(len(M)))
+    n = len(M)
+    inv = _gauss_jordan(M, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
     return [list(col) for col in zip(*inv)]
 
 
@@ -83,27 +76,44 @@ def det_fraction(M: Mat) -> Fraction:
     return det
 
 
-def det_int(M: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant for integer matrices."""
+def _bareiss(M: Sequence[Sequence[int]], adjugate: bool) -> tuple[list[list[int]], int]:
+    """Fraction-free elimination (Bareiss 1968) of an integer matrix:
+    (adj M, det M), by a Gauss-Jordan pass on [M | I] when adjugate is set,
+    else by a forward pass on M alone, which leaves adj M unfilled.  det M
+    is 0 when M is singular.  Every division is exact."""
     n = len(M)
-    if n == 0:
-        return 1
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
+    eye = [[int(i == j) for j in range(n)] if adjugate else [] for i in range(n)]
+    a = [list(row) + e for row, e in zip(M, eye)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return [], 0
+        if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        p = a[k][k]
+        for i in range(n) if adjugate else range(k + 1, n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    # the pass ends on [d I | d M^-1] with d = sign * det M
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
+def invert(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj M, det M) of an integer matrix, with adj M = det M * M^-1, from
+    one fraction-free pass; raises LinAlgError if M is singular."""
+    adj, det = _bareiss(M, adjugate=True)
+    if det == 0:
+        raise LinAlgError("singular matrix")
+    return adj, det
+
+
+def det_int(M: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Bareiss determinant for integer matrices."""
+    return _bareiss(M, adjugate=False)[1]
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -5,10 +5,14 @@ The box closes the polyhedron so that the shadow walk always finds a vertex
 optimum; `assert_unbounded_if_box_tight` then decides whether the original
 LP is bounded by walking its recession LP, from d = 0, on the objective.
 
-All constraint data is exact rational.  Normalization divides out row norms
-through rational near-unit scale factors (floor-rounded, so scaled rows never
-exceed unit norm); the divided-out norms are kept in ``row_scales`` /
-``c0_scale`` so the original data is always recoverable exactly.
+All constraint data is exact rational, and the solver keeps every row as
+given: each pivot decision is invariant under positive row scaling, and
+`walk.Tableau` turns every row into its primitive integer row anyway.  The
+unit row norms that the paper states the delta-distance for are applied
+only where a size matters: the box rows of a lead row a_i are +-a_i with
+rhs r / t_i, t_i = `unit_scale(a_i)`, and the draws of the driver use
+near-unit face images.  `normalize` scales every row to near-unit norm;
+the solver does not call it.
 """
 
 from __future__ import annotations
@@ -40,11 +44,6 @@ class LinearProgram:
     A: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
     c0: tuple[Fraction, ...]
-    row_scales: tuple[Fraction, ...] = ()
-    c0_scale: Fraction = Fraction(1)
-    normalized: bool = False
-    full_rank: bool = False
-    bounded: bool = False
     box_rows: frozenset[int] = frozenset()
     synthetic_rows: frozenset[int] = frozenset()
 
@@ -55,8 +54,6 @@ class LinearProgram:
             raise LPModelError("dimension mismatch")
         if any(all(x == 0 for x in row) for row in self.A):
             raise LPModelError("zero row in constraint matrix")
-        if not self.row_scales:
-            object.__setattr__(self, "row_scales", tuple(Fraction(1) for _ in range(self.m)))
         if self.box_rows & self.synthetic_rows:
             raise LPModelError("box rows and synthetic rows overlap")
         for i in self.box_rows | self.synthetic_rows:
@@ -76,11 +73,6 @@ class LinearProgram:
 
     def rows(self) -> list[list[Fraction]]:
         return [list(r) for r in self.A]
-
-    def original_row(self, i: int) -> list[Fraction]:
-        """Row i in pre-normalization units (norm multiplied back in)."""
-        s = self.row_scales[i]
-        return [s * x for x in self.A[i]]
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.A for x in row)
@@ -209,33 +201,20 @@ def serialize_lp(lp: LinearProgram) -> str:
 
 
 def normalize(lp: LinearProgram) -> LinearProgram:
-    """Scale every row and c0 to (near-)unit norm, exactly and reversibly.
+    """Scale every row with its rhs, and c0, to (near-)unit norm.
 
     The feasible set is unchanged (positive row scaling); the float view of
     each scaled row has Euclidean norm within 1e-12 of 1.
     """
     if all(x == 0 for x in lp.c0):
         raise LPModelError("zero objective vector")
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    scales: list[Fraction] = []
-    for i in range(lp.m):
-        row = lp.original_row(i)
-        t = unit_scale(row)
-        A.append([t * x for x in row])
-        b.append(t * (lp.row_scales[i] * lp.b[i]))
-        scales.append(1 / t)
-    c0_orig = [lp.c0_scale * x for x in lp.c0]
-    tc = unit_scale(c0_orig)
-    c0 = [tc * x for x in c0_orig]
+    ts = [unit_scale(row) for row in lp.A]
+    tc = unit_scale(lp.c0)
     return replace(
         lp,
-        A=tuple(tuple(r) for r in A),
-        b=tuple(b),
-        c0=tuple(c0),
-        row_scales=tuple(scales),
-        c0_scale=1 / tc,
-        normalized=True,
+        A=tuple(tuple(t * x for x in row) for t, row in zip(ts, lp.A)),
+        b=tuple(t * v for t, v in zip(ts, lp.b)),
+        c0=tuple(tc * x for x in lp.c0),
     )
 
 
@@ -258,14 +237,11 @@ def extend_to_full_rank_delta(lp: LinearProgram) -> LinearProgram:
             added.append(len(A))
             A.append([sign * x for x in o])
             b.append(Fraction(0))
-    scales = list(lp.row_scales) + [Fraction(1)] * (len(A) - lp.m)
     return replace(
         lp,
         A=tuple(tuple(r) for r in A),
         b=tuple(b),
-        row_scales=tuple(scales),
         synthetic_rows=lp.synthetic_rows | frozenset(added),
-        full_rank=True,
     )
 
 
@@ -286,14 +262,11 @@ def extend_to_full_rank_Delta(lp: LinearProgram) -> LinearProgram:
             r += 1
     if not added:
         raise LPModelError("called on full-rank input")
-    scales = list(lp.row_scales) + [Fraction(1)] * len(added)
     return replace(
         lp,
         A=tuple(tuple(r_) for r_ in rows),
         b=tuple(b),
-        row_scales=tuple(scales),
         synthetic_rows=lp.synthetic_rows | frozenset(added),
-        full_rank=True,
     )
 
 
@@ -349,23 +322,20 @@ def raise_rank_Delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
 
 
 def encoding_bits(lp: LinearProgram) -> int:
-    """Total bit length of all numerators and denominators of (A, b).
-
-    Measured on the pre-normalization data (recovered through row_scales):
-    the polyhedron is the same and the radius stays small enough to keep
-    exact pivot arithmetic cheap.
-    """
+    """Total bit length of all numerators and denominators of (A, b), as
+    given: rows scaled to unit norm would carry long near-unit factors and
+    inflate the radius, and with it the exact pivot arithmetic."""
     total = 0
-    for i in range(lp.m):
-        for x in lp.original_row(i) + [lp.row_scales[i] * lp.b[i]]:
+    for row, rhs in zip(lp.A, lp.b):
+        for x in (*row, rhs):
             total += max(abs(x.numerator), 1).bit_length() + x.denominator.bit_length()
     return total
 
 
 def lcm_denominators(lp: LinearProgram) -> int:
     l = 1
-    for i in range(lp.m):
-        for x in lp.original_row(i):
+    for row in lp.A:
+        for x in row:
             l = l * x.denominator // gcd(l, x.denominator)
     return l
 
@@ -380,36 +350,27 @@ def box_radius(lp: LinearProgram) -> Fraction:
     return sqrt_n * pow2 * Fraction(lcm_denominators(lp)) ** n
 
 
-def bound_polytope(lp: LinearProgram) -> LinearProgram:
-    """Intersect with the parallelepiped -r <= a_i x <= r over n independent rows.
+def bound_polytope(lp: LinearProgram, lead: list[int]) -> LinearProgram:
+    """Intersect with the parallelepiped -r <= t_i a_i x <= r over the n lead
+    rows a_i, t_i = `unit_scale(a_i)`, written as +-a_i x <= r / t_i.
 
-    Only existing row directions are reused, so the delta-distance value is
-    unaffected; every vertex of the original polyhedron lies strictly inside.
+    lead holds the first n rows of `linalg.independent_rows(lp.rows())`,
+    which the caller has already computed.  Only existing row directions are
+    reused, so the delta-distance value is unaffected; every vertex of the
+    original polyhedron lies strictly inside.
     """
-    rows = lp.rows()
-    idx = linalg.independent_rows(rows)
-    if len(idx) < lp.n:
-        raise LPModelError("rank-deficient input")
-    idx = idx[: lp.n]
+    if len(lead) != lp.n:
+        raise LPModelError("need n independent lead rows")
     r = box_radius(lp)
-    A = rows
+    A = list(lp.A)
     b = list(lp.b)
-    scales = list(lp.row_scales)
-    added = []
-    for i in idx:
+    for i in lead:
+        rhs = r / unit_scale(lp.A[i])
         for sign in (1, -1):
-            added.append(len(A))
-            A.append([sign * x for x in rows[i]])
-            b.append(r)
-            scales.append(lp.row_scales[i])
-    return replace(
-        lp,
-        A=tuple(tuple(row) for row in A),
-        b=tuple(b),
-        row_scales=tuple(scales),
-        box_rows=lp.box_rows | frozenset(added),
-        bounded=True,
-    )
+            A.append(tuple(sign * x for x in lp.A[i]))
+            b.append(rhs)
+    added = frozenset(range(lp.m, len(A)))
+    return replace(lp, A=tuple(A), b=tuple(b), box_rows=lp.box_rows | added)
 
 
 def assert_unbounded_if_box_tight(
@@ -419,23 +380,27 @@ def assert_unbounded_if_box_tight(
 
     If no box row is tight the LP was bounded all along.  Otherwise the
     recession LP decides: max c0 d subject to a_i d <= 0 on the un-boxed rows
-    and a_i d <= 1 on the box rows, which is bounded because the box rows
-    bound +-a d for n independent rows a.  d = 0 is a vertex of it, and
-    `walk.first_gain` walks it from there on c0: the first vertex it reaches
-    with c0 d > 0 is an improving ray of the un-boxed rows.  A walk that
-    never leaves 0 certifies that no such ray exists, so the box-tight
-    optimum already attains the (finite) supremum.
+    and a_i d <= 1 / t_i on the box rows (t_i their `unit_scale`), which is
+    bounded because the box rows bound +-a d for n independent rows a.  d = 0
+    is a vertex of it, and `walk.first_gain` walks it from there on c0: the
+    first vertex it reaches with c0 d > 0 is an improving ray of the
+    un-boxed rows.  A walk that never leaves 0 certifies that no such ray
+    exists, so the box-tight optimum already attains the (finite) supremum.
+    The caller checks that the vertex is feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
-    if not lp.bounded:
+    if not lp.box_rows:
         raise LPModelError("lp is not boxed")
     x = as_fractions(vertex.point)
-    if not lp.feasible(x):
-        raise LPModelError("vertex infeasible for lp")
     if not any(dot(lp.row(i), x) == lp.b[i] for i in lp.box_rows):
         return BOUNDED
-    rec = replace(lp, b=tuple(Fraction(int(i in lp.box_rows)) for i in range(lp.m)))
+    rec = replace(
+        lp,
+        b=tuple(
+            1 / unit_scale(lp.A[i]) if i in lp.box_rows else Fraction(0) for i in range(lp.m)
+        ),
+    )
     zero = (Fraction(0),) * lp.n
     basis = tight_basis_at(rec, zero)[: lp.n]
     ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), lp.c0)

@@ -87,7 +87,7 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     B = phase1_matrix(A_perm)
     rhs = b_perm + [Fraction(0)] * m
     c_prime = [Fraction(0)] * n + [Fraction(-1)] * m
-    lp_prime = model.make_lp(B, rhs, c_prime, full_rank=True)
+    lp_prime = model.make_lp(B, rhs, c_prime)
 
     point = tuple(x_bar) + tuple(y)
     basis = list(range(n)) + [m + i if y[i] == 0 else i for i in range(m)]
@@ -121,9 +121,7 @@ def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | Bas
     B = [a + [minus if v == i else zero for v in V] for i, a in enumerate(A_perm)]
     B += [[zero] * n + [minus if v == u else zero for v in V] for u in V]
     k = len(V)
-    lp_face = model.make_lp(
-        B, b_perm + [zero] * k, [zero] * n + [minus] * k, full_rank=True
-    )
+    lp_face = model.make_lp(B, b_perm + [zero] * k, [zero] * n + [minus] * k)
     initial = BasicSolution(
         point=tuple(x_bar) + tuple(resid[i] for i in V),
         basis=tuple(range(n)) + tuple(V),

@@ -77,7 +77,7 @@ class WalkResult:
 
 
 def tight_rows_at(lp: LinearProgram, x0: BasicSolution) -> list[list[Fraction]]:
-    """The n independent normalized rows indexed by the basis of x0."""
+    """The n independent rows indexed by the basis of x0."""
     rows = [lp.row(i) for i in x0.basis]
     if len(rows) != lp.n or len(linalg.independent_rows(rows)) < lp.n:
         raise WalkError("basis rows are dependent")
@@ -124,18 +124,12 @@ class Tableau:
         if len(self.basis) != n or len(set(self.basis)) != n:
             raise WalkError("basis must hold n distinct rows")
         try:
-            inv = linalg.invert([[Fraction(x) for x in self.R[i]] for i in self.basis])
+            adj, det = linalg.invert([self.R[i] for i in self.basis])
         except linalg.LinAlgError:
             raise WalkError("basis rows are dependent") from None
-        D = linalg.det_int([self.R[i] for i in self.basis])
-        M = [[inv[t][q] * D for q in range(n)] for t in range(n)]
-        if any(e.denominator != 1 for row in M for e in row):
-            raise WalkError("inconsistent basis inverse")  # unreachable
-        self.M = [[int(e) for e in row] for row in M]
-        self.D = D
-        if self.D < 0:
-            self.D = -self.D
-            self.M = [[-e for e in row] for row in self.M]
+        # M = D inv(B) with D = |det B|: the adjugate, negated when det B < 0
+        self.D = abs(det)
+        self.M = adj if det > 0 else [[-e for e in row] for row in adj]
 
         x = self.vertex()
         if tuple(x) != tuple(as_fractions(start.point)):

@@ -1,0 +1,12 @@
+"""The boxed LP as `driver.solve` builds it: the box over the lead rows its
+rank pass finds, the first n rows of `linalg.independent_rows`."""
+
+from shadow_simplex import linalg, model
+
+
+def lead_rows(lp):
+    return linalg.independent_rows(lp.rows())[: lp.n]
+
+
+def box(lp):
+    return model.bound_polytope(lp, lead_rows(lp))

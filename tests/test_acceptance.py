@@ -11,6 +11,7 @@ from itertools import combinations
 from math import ceil, comb, log2, sqrt
 
 import pytest
+from boxing import box
 
 from shadow_simplex import (
     driver,
@@ -240,22 +241,22 @@ def test_criterion_6_facet_identification():
             if v.point != ref.point
         ):
             continue
-        boxed = model.bound_polytope(model.normalize(lp0))
+        boxed = box(lp0)
         inv2 = metrics.delta_matrix(boxed.rows()).inv_delta_sq
         phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)  # > 2 n^{3/2}/delta
-        start = model.move_to_vertex(boxed, [F(0)] * n)
+        # the first round of a facet chain: nothing fixed yet
+        r = driver.facet_restriction(boxed, [])
+        tab = walk.Tableau(boxed, model.move_to_vertex(boxed, [F(0)] * n))
         stream = randomness.DrawStream(done)
         rcfg = randomness.RngConfig(seed=done, phi=phi)
-        pert = randomness.perturb_objective(list(boxed.c0), rcfg, stream)
-        u = walk.tight_rows_at(boxed, start)
+        pert = randomness.perturb_objective(r.c0, rcfg, stream)
+        u = driver.restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
         lam = randomness.draw_lambda(n, rcfg, stream)
         w = randomness.cone_objective(u, lam)
-        res = walk.shadow_walk(boxed, start, list(pert.c), w)
+        res = walk.shadow_walk(boxed, tab, r.lift(pert.c), r.lift(w))
         assert res.finished
-        k = driver.identify_basis_element(
-            [boxed.row(i) for i in res.solution.basis], list(pert.c)
-        )
-        if res.solution.basis[k] not in opt_tight:
+        free = sorted(tab.basis)
+        if free[driver.identify_basis_element(tab, r, free)] not in opt_tight:
             wrong += 1
         done += 1
     ok = wrong == 0
@@ -289,9 +290,8 @@ def test_criterion_7_random_bit_mode(criterion1_runs):
                            [rng.randint(-3, 3) for _ in range(n)])
         if linalg.rank(lp.rows()) < n:
             continue
-        probe = lp if any(x != 0 for x in lp.c0) else model.make_lp(lp.A, lp.b, [1] * n)
         try:
-            d = metrics.delta_matrix(model.normalize(probe).rows()).delta
+            d = metrics.delta_matrix(lp.rows()).delta
         except metrics.MetricsError:
             continue
         phi0 = driver.PhiSchedule(variant="n32", n=n, m=m).phi(0)
@@ -334,7 +334,7 @@ def test_criterion_8_schedule_behavior():
         lp = model.make_lp(A, b, c)
         if oracle.classify(lp).status != "optimal":
             continue
-        boxed = model.bound_polytope(model.normalize(lp))
+        boxed = box(lp)
         delta = metrics.delta_matrix(boxed.rows()).delta
         out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=done)))
         assert out.status == "optimal"

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import ceil, log2
 
 import pytest
+from boxing import box
 
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
 from shadow_simplex.driver import (
@@ -18,8 +19,8 @@ from shadow_simplex.driver import (
     restriction_coords,
     solve,
 )
-from shadow_simplex.model import BasicSolution
-from shadow_simplex.rational import as_fractions, dot, primitive_int_row, unit_scale
+from shadow_simplex.model import BasicSolution, UnboundedCertificate
+from shadow_simplex.rational import as_fractions, dot, primitive_int_row
 
 F = Fraction
 
@@ -40,28 +41,64 @@ def pair_cone_rows(n):
     return rows
 
 
+def identify_at(lp, start, c):
+    """The row identify_basis_element fixes, in the first round of a chain,
+    on a tableau standing at start, whose basis carries c."""
+    tab = walk.Tableau(lp, start)
+    r = facet_restriction(lp, [])
+    tab.aim(r.lift(c), [0] * lp.n)
+    assert tab.at_optimum()
+    free = sorted(tab.basis)
+    return free[identify_basis_element(tab, r, free)]
+
+
 class TestIdentify:
     def test_diagonal_system(self):
-        k = identify_basis_element([[F(1), F(0)], [F(0), F(1)]], [F(9, 10), F(1, 10)])
-        assert k == 0
+        corner = BasicSolution(point=(F(1), F(1)), basis=(0, 2))
+        assert identify_at(box(square()), corner, [F(9, 10), F(1, 10)]) == 0
+        assert identify_at(box(square()), corner, [F(1, 10), F(9, 10)]) == 2
 
     def test_oblique_basis_solved_exactly(self):
-        # basis {e1, (e1+e2)/sqrt(2)} against a c near e1: mu solves the
-        # 2x2 system e1*mu1 + u*mu2 = c with u near-unit along (1,1)
-        t = unit_scale([F(1), F(1)])
-        u = [t, t]
-        c = [F(95, 100), F(5, 100)]
-        # by hand: mu2 = c2/t, mu1 = c1 - c2
-        k = identify_basis_element([[F(1), F(0)], u], c)
-        assert k == 0
+        # basis rows e1 and (2, 2), whose primitive row is (1, 1): c = (22, 10)
+        # / 100 is nu = (12, 10) / 100 over e1 and (1, 1), but over the
+        # near-unit u = (1, 1) / sqrt(2) it is mu = (0.12, 0.1 sqrt(2)), so
+        # the oblique row wins only because of its factor tau
+        lp = box(model.make_lp([[1, 0], [2, 2], [-1, 0], [0, -1]], [1, 2, 0, 0], [1, 1]))
+        corner = BasicSolution(point=(F(1), F(0)), basis=(0, 1))
+        assert identify_at(lp, corner, [F(22, 100), F(10, 100)]) == 1
+        assert identify_at(lp, corner, [F(25, 100), F(10, 100)]) == 0
 
     def test_tie_takes_smallest_index(self):
-        k = identify_basis_element([[F(1), F(0)], [F(0), F(1)]], [F(1, 2), F(1, 2)])
-        assert k == 0
+        corner = BasicSolution(point=(F(1), F(1)), basis=(0, 2))
+        assert identify_at(box(square()), corner, [F(1, 2), F(1, 2)]) == 0
 
-    def test_singular_basis(self):
-        with pytest.raises(DriverError):
-            identify_basis_element([[F(1), F(0)], [F(1), F(0)]], [F(1), F(0)])
+    def test_matches_the_face_system_solve(self):
+        # mu read off the tableau equals the exact solution of
+        # sum_j mu_j u_j = c over the free rows' near-unit face images u_j
+        rng = random.Random(4)
+        done = 0
+        while done < 20:
+            n = rng.randint(2, 4)
+            A = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(n + 1, 7))]
+            A = [row for row in A if any(row)]
+            if linalg.rank(A) < n:
+                continue
+            lp = box(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
+            tab = walk.Tableau(lp, model.move_to_vertex(lp, [F(0)] * n))
+            fixed = tab.basis[:1] if n > 2 else []
+            r = facet_restriction(lp, fixed)
+            c = [F(rng.randint(-9, 9), 10) for _ in r.cols]
+            if not any(c):
+                continue
+            walk.shadow_walk(lp, tab, r.lift(c), [0] * n, held=fixed)
+            free = sorted(set(tab.basis) - set(fixed))
+            u = restriction_coords(r, [tab.R[i] for i in free])
+            mu = linalg.solve_square([list(col) for col in zip(*u)], c)
+            assert min(mu) >= 0
+            assert identify_basis_element(tab, r, free) == max(
+                range(len(free)), key=lambda k: (mu[k], -k)
+            )
+            done += 1
 
 
 def face_coords(r, vec):
@@ -75,7 +112,7 @@ def prim(row):
 
 class TestReduceAndLift:
     def test_square_reduce_to_interval(self):
-        lp = model.normalize(square())
+        lp = square()
         r = facet_restriction(lp, [0])  # fix x <= 1
         assert len(r.cols) == 1
         # an interval: x <= 1 and -x <= 0 are constant on the face, the
@@ -83,7 +120,7 @@ class TestReduceAndLift:
         faces = restriction_coords(r, [prim(lp.row(i)) for i in range(lp.m)])
         assert faces == [None, None, [1], [-1]]
         # walking with the fixed row held goes from (1, 0) to (1, 1)
-        boxed = model.bound_polytope(lp)
+        boxed = box(lp)
         res = walk.shadow_walk(
             boxed, BasicSolution(point=(F(1), F(0)), basis=(0, 3)),
             r.lift(r.c0), r.lift([F(-1)]), held=[0],
@@ -92,7 +129,7 @@ class TestReduceAndLift:
         assert 0 in res.solution.basis
 
     def test_reduce_dim1_is_error(self):
-        lp = model.normalize(model.make_lp([[1]], [1], [1]))
+        lp = model.make_lp([[1]], [1], [1])
         with pytest.raises(DriverError):
             facet_restriction(lp, [0])
 
@@ -106,7 +143,7 @@ class TestReduceAndLift:
             A = [r for r in A if any(x != 0 for x in r)]
             if len(A) < n or linalg.rank(A) < n:
                 continue
-            lp = model.normalize(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
+            lp = model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n)
             fixed = [0, 1] if n > 2 and linalg.rank(A[:2]) == 2 else [0]
             r = facet_restriction(lp, fixed)
             # the face basis is exactly orthogonal to the fixed rows and
@@ -131,7 +168,7 @@ class TestReduceAndLift:
             A = [r for r in A if any(x != 0 for x in r)]
             if len(A) < 7 or linalg.rank(A) < 4:
                 continue
-            lp = model.normalize(model.make_lp(A, [1] * len(A), [1, 0, 0, 0]))
+            lp = model.make_lp(A, [1] * len(A), [1, 0, 0, 0])
             before = metrics.delta_matrix(lp.rows()).delta
             r = facet_restriction(lp, [0])
             red = [u for u in restriction_coords(r, [prim(row) for row in lp.rows()[1:]]) if u]
@@ -145,7 +182,7 @@ class TestReduceAndLift:
             done += 1
 
     def test_restriction_coords_inverse(self):
-        lp = model.normalize(square())
+        lp = square()
         r = facet_restriction(lp, [2])  # fix y <= 1
         assert r.lift([F(1, 3)]) == [F(1, 3), 0]
         assert face_coords(r, [F(1, 3), F(5)]) == [F(1, 3)]
@@ -231,7 +268,7 @@ class TestIsOptimal:
 
 class TestRepeated:
     def boxed_square(self, c0=(1, 1)):
-        return model.bound_polytope(model.normalize(square(c0)))
+        return box(square(c0))
 
     def test_square_reaches_argmax(self):
         lp = self.boxed_square()
@@ -243,7 +280,7 @@ class TestRepeated:
         assert cand.solution.point == (1, 1)
 
     def test_interval_single_round(self):
-        lp = model.bound_polytope(model.normalize(model.make_lp([[1], [-1]], [1, 0], [1])))
+        lp = box(model.make_lp([[1], [-1]], [1, 0], [1]))
         start = BasicSolution(point=(F(0),), basis=(1,))
         cand = repeated_shadow_vertex(
             lp, start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
@@ -268,7 +305,7 @@ class TestRepeated:
             [1, 1, 1, 0, 0, 0],
             [3, 2, 1],
         )
-        lp = model.bound_polytope(model.normalize(cube))
+        lp = box(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         cand = repeated_shadow_vertex(
             lp, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
@@ -386,6 +423,27 @@ class TestSolve:
         assert out.status == "optimal" and out.value == 1
         assert verdicts and verdicts[-1]
 
+    def test_unbounded_point_checked_against_raw_lp(self, monkeypatch):
+        # the boxed LP's verdict no longer re-checks its point; solve checks
+        # the reported point against the LP it was given, as for an optimum
+        monkeypatch.setattr(
+            model,
+            "assert_unbounded_if_box_tight",
+            lambda vertex, boxed: UnboundedCertificate(point=(F(-1),), ray=(F(1),)),
+        )
+        with pytest.raises(DriverError, match="infeasible"):
+            solve(model.make_lp([[-1]], [0], [1]), cfg())
+
+    def test_never_normalizes(self, monkeypatch):
+        def refuse(lp):
+            raise AssertionError("normalize called")
+
+        monkeypatch.setattr(model, "normalize", refuse)
+        assert solve(square(c0=(2, 3)), cfg()).status == "optimal"
+        start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
+        assert solve(square(c0=(2, 3)), cfg(), initial_bfs=start).value == 5
+        assert solve(model.make_lp([[-3, 4], [0, -2]], [0, 0], [1, 1]), cfg()).status == "unbounded"
+
     def test_zero_objective(self):
         out = solve(model.make_lp([[1], [-1]], [1, 0], [0]), cfg())
         assert out.status == "optimal" and out.value == 0
@@ -437,7 +495,7 @@ class TestSolve:
             lp = model.make_lp(A, b, c)
             if oracle.classify(lp).status != "optimal":
                 continue
-            boxed = model.bound_polytope(model.normalize(lp))
+            boxed = box(lp)
             delta = metrics.delta_matrix(boxed.rows()).delta
             out = solve(lp, cfg(seed=done))
             assert out.status == "optimal"
@@ -524,24 +582,22 @@ class TestSolve:
             ]
             if any(v == ref.value for v in others):
                 continue
-            boxed = model.bound_polytope(model.normalize(lp0))
+            boxed = box(lp0)
             inv2 = metrics.delta_matrix(boxed.rows()).inv_delta_sq
             from shadow_simplex.rational import ratsqrt_ceil
 
             phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
-            start = model.move_to_vertex(boxed, [F(0)] * n)
+            # the first round of a facet chain: nothing fixed yet
+            r = facet_restriction(boxed, [])
+            tab = walk.Tableau(boxed, model.move_to_vertex(boxed, [F(0)] * n))
             stream = randomness.DrawStream(done)
             rcfg = randomness.RngConfig(seed=done, phi=phi)
-            pert = randomness.perturb_objective(list(boxed.c0), rcfg, stream)
-            from shadow_simplex import walk as walkmod
-
-            u = walkmod.tight_rows_at(boxed, start)
+            pert = randomness.perturb_objective(r.c0, rcfg, stream)
+            u = restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
             lam = randomness.draw_lambda(n, rcfg, stream)
             w = randomness.cone_objective(u, lam)
-            res = walkmod.shadow_walk(boxed, start, list(pert.c), w)
+            res = walk.shadow_walk(boxed, tab, r.lift(pert.c), r.lift(w))
             assert res.finished
-            k = identify_basis_element(
-                [boxed.row(i) for i in res.solution.basis], list(pert.c)
-            )
-            assert res.solution.basis[k] in opt_tight
+            free = sorted(tab.basis)
+            assert free[identify_basis_element(tab, r, free)] in opt_tight
             done += 1

@@ -1,0 +1,119 @@
+"""Pinned answers: a refactor that moves a status, value, ray or pivot count
+fails here, not only in the benchmark's determinism digest.
+
+Each entry is (status, value, ray, pivots, phase1_pivots) of
+`driver.solve` in float mode, recorded before the solve path dropped
+`model.normalize`; exact values and rays are written as `str(Fraction)`.
+"""
+
+import pytest
+
+from shadow_simplex import driver, harness, randomness
+
+# (m, n, solver seed) -> the answer for generate_random_integer(m, n, 100 m + 10 n + seed)
+RANDOM_INTEGER = [
+    ((1, 1, 1), ("unbounded", None, ("-1",), 1, 0)),
+    ((2, 2, 1), ("unbounded", None, ("0", "3"), 0, 0)),
+    ((2, 2, 3), ("unbounded", None, ("4611686018427387904/3260954456333195553", "0"), 2, 0)),
+    ((3, 2, 1), ("infeasible", None, None, 1, 1)),
+    ((3, 4, 0), ("unbounded", None, ("-57/161", "19/230", "-57/805", "-95/322"), 0, 0)),
+    (
+        (4, 3, 1),
+        (
+            "unbounded",
+            None,
+            (
+                "-576460752303423488/983214762735871963",
+                "-864691128455135232/983214762735871963",
+                "288230376151711744/983214762735871963",
+            ),
+            6,
+            3,
+        ),
+    ),
+    ((4, 3, 3), ("optimal", "-10/9", None, 5, 5)),
+    (
+        (6, 3, 1),
+        (
+            "unbounded",
+            None,
+            (
+                "-73786976294838206464/170011718944491854873",
+                "129127208515966861312/170011718944491854873",
+                "110680464442257309696/170011718944491854873",
+            ),
+            5,
+            4,
+        ),
+    ),
+    (
+        (6, 5, 0),
+        (
+            "unbounded",
+            None,
+            (
+                "92233720368547758080/117198880090397741703",
+                "-9223372036854775808/117198880090397741703",
+                "-39199331156632797184/117198880090397741703",
+                "-94539563377761452032/117198880090397741703",
+                "-39199331156632797184/117198880090397741703",
+            ),
+            7,
+            0,
+        ),
+    ),
+    ((7, 4, 0), ("optimal", "41/18", None, 6, 5)),
+    ((8, 3, 3), ("optimal", "-6", None, 4, 3)),
+    (
+        (9, 5, 0),
+        (
+            "unbounded",
+            None,
+            (
+                "548790636192859160576/870145065021246687255",
+                "-212137556847659843584/290048355007082229085",
+                "-106068778423829921792/174029013004249337451",
+                "96845406386975145984/290048355007082229085",
+                "4611686018427387904/870145065021246687255",
+            ),
+            17,
+            9,
+        ),
+    ),
+    ((10, 4, 1), ("infeasible", None, None, 5, 5)),
+    ((10, 5, 1), ("optimal", "-19/5", None, 12, 12)),
+]
+
+# (kind, seed) -> the answer for generate_tu_instance(kind, 6, 3, seed), solver seed = seed
+TU_COLD = [
+    (("tu-incidence", 0), ("optimal", "89/4", None, 5, 5)),
+    (("tu-incidence", 2), ("optimal", "10/3", None, 7, 3)),
+    (("interval-matrix", 0), ("optimal", "25/4", None, 6, 4)),
+    (("interval-matrix", 1), ("optimal", "45/4", None, 5, 0)),
+    (("network-matrix", 0), ("optimal", "19/4", None, 7, 4)),
+    (("network-matrix", 2), ("optimal", "22/3", None, 4, 3)),
+]
+
+
+def _answer(lp, seed):
+    out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed)))
+    return (
+        out.status,
+        None if out.value is None else str(out.value),
+        None if out.ray is None else tuple(str(x) for x in out.ray),
+        out.pivots,
+        out.phase1_pivots,
+    )
+
+
+@pytest.mark.parametrize("cell,expected", RANDOM_INTEGER)
+def test_random_integer_answer_pinned(cell, expected):
+    m, n, seed = cell
+    lp = harness.generate_random_integer(m, n, 100 * m + 10 * n + seed)
+    assert _answer(lp, seed) == expected
+
+
+@pytest.mark.parametrize("cell,expected", TU_COLD)
+def test_tu_cold_answer_pinned(cell, expected):
+    kind, seed = cell
+    assert _answer(harness.generate_tu_instance(kind, 6, 3, seed), seed) == expected

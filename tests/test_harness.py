@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import shadow_simplex
-from shadow_simplex import harness, metrics, model, oracle
+from shadow_simplex import harness, metrics, oracle
 from shadow_simplex.harness import (
     ExperimentConfig,
     HarnessError,
@@ -46,8 +46,7 @@ class TestGenerators:
 
         for seed in range(5):
             lp = generate_tu_instance("interval-matrix", m=4, n=2, seed=seed)
-            lp_fr = model.make_lp(lp.A, lp.b, lp.c0, full_rank=True)
-            p1 = phase1.build_phase1(lp_fr)
+            p1 = phase1.build_phase1(lp)
             ref = oracle.reference_simplex(p1.lp_prime, p1.initial)
             assert ref.status == "optimal" and ref.value == 0
 

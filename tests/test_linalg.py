@@ -119,6 +119,28 @@ class TestDeterminants:
             M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             assert linalg.det_int(M) == linalg.det_fraction(mat(M))
 
+    def test_invert_gives_adjugate_and_det(self):
+        # one Bareiss pass: M adj M = det M I in integers, det as the
+        # Fraction reference computes it, and a singular M rejected
+        rng = random.Random(6)
+        singular = 0
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            det = linalg.det_fraction(mat(M))
+            if det == 0:
+                singular += 1
+                with pytest.raises(LinAlgError):
+                    linalg.invert(M)
+                continue
+            adj, d = linalg.invert(M)
+            assert d == det
+            for i in range(n):
+                for j in range(n):
+                    got = sum(M[i][k] * adj[k][j] for k in range(n))
+                    assert type(got) is int and got == (d if i == j else 0)
+        assert singular > 0
+
 
 class TestCompleteOrthonormal:
     def test_e1_gives_identity(self):

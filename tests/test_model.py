@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from boxing import box, lead_rows
 
-from shadow_simplex import linalg, metrics, model, oracle
+from shadow_simplex import linalg, metrics, model, oracle, walk
 from shadow_simplex.model import (
     BasicSolution,
     LPFormatError,
@@ -15,7 +16,7 @@ from shadow_simplex.model import (
     parse_lp,
     serialize_lp,
 )
-from shadow_simplex.rational import dot, norm_sq
+from shadow_simplex.rational import dot, norm_sq, unit_scale
 
 F = Fraction
 
@@ -34,7 +35,7 @@ class TestParse:
         assert (lp.m, lp.n) == (4, 2)
         assert lp.c0 == (1, 0)
         assert lp.A[1] == (-1, 0)
-        assert not (lp.normalized or lp.full_rank or lp.bounded)
+        assert not (lp.box_rows or lp.synthetic_rows)
 
     def test_empty_objective(self):
         with pytest.raises(LPFormatError):
@@ -78,8 +79,6 @@ class TestNormalize:
         nd = model.normalize(lp)
         assert nd.A[0] == (F(3, 5), F(4, 5))
         assert nd.b[0] == 2
-        assert nd.row_scales[0] == 5
-        assert nd.normalized
 
     def test_unit_row_unchanged(self):
         lp = model.make_lp([[1, 0]], [2], [0, 1])
@@ -91,9 +90,9 @@ class TestNormalize:
         nd = model.normalize(lp)
         s = norm_sq(list(nd.A[0]))
         assert s <= 1 and abs(float(s) - 1.0) < 1e-15
-        # scale-invariance: the stored scale recovers the original exactly
-        assert [nd.row_scales[0] * x for x in nd.A[0]] == [1, 1]
-        assert nd.row_scales[0] * nd.b[0] == 2
+        # the row and its rhs are scaled by the same positive factor
+        t = nd.A[0][0]
+        assert t > 0 and nd.A[0] == (t, t) and nd.b[0] == 2 * t
 
     def test_zero_objective_rejected(self):
         with pytest.raises(LPModelError):
@@ -222,22 +221,22 @@ class TestRankRaising:
 
 class TestBounding:
     def test_box_rows_added_and_vertices_strict(self):
-        lp = model.normalize(square_lp())
-        boxed = model.bound_polytope(lp)
-        assert boxed.bounded and len(boxed.box_rows) == 4
+        lp = square_lp()
+        boxed = box(lp)
+        assert len(boxed.box_rows) == 4
         for v in oracle.enumerate_vertices(lp).vertices:
             for i in boxed.box_rows:
                 assert dot(boxed.row(i), list(v.point)) < boxed.b[i]
 
     def test_radius_exceeds_vertex_norms(self):
-        lp = model.normalize(square_lp())
+        lp = square_lp()
         r = model.box_radius(lp)
         for v in oracle.enumerate_vertices(lp).vertices:
             assert norm_sq(list(v.point)) < r * r
 
     def test_unbounded_polytope_gets_box(self):
         lp = model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1])
-        boxed = model.bound_polytope(model.normalize(lp))
+        boxed = box(lp)
         assert boxed.m == 6 and len(boxed.box_rows) == 4
         vs = oracle.enumerate_vertices(boxed)
         assert len(vs) > 1  # box closed the polyhedron
@@ -245,18 +244,36 @@ class TestBounding:
     def test_rank_deficient_rejected(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
         with pytest.raises(LPModelError):
-            model.bound_polytope(lp)
+            model.bound_polytope(lp, lead_rows(lp))
+
+    def test_box_rows_are_the_unit_norm_half_spaces(self):
+        # +-a_i x <= r / t_i is the half-space +-t_i a_i x <= r: the tableau,
+        # which walks primitive integer rows, cannot tell them apart
+        lp = model.make_lp([[3, 4], [-1, 0], [0, -1]], [12, 0, 0], [1, 1])
+        boxed = box(lp)
+        r = model.box_radius(lp)
+        A, b = lp.rows(), list(lp.b)
+        for i in lead_rows(lp):
+            t = unit_scale(lp.row(i))
+            for sign in (1, -1):
+                A.append([sign * t * x for x in lp.row(i)])
+                b.append(r)
+        ref = model.make_lp(A, b, lp.c0)
+        start = BasicSolution(point=(F(0), F(0)), basis=(1, 2))
+        got, want = walk.Tableau(boxed, start), walk.Tableau(ref, start)
+        assert (got.R, got.beta, got.s) == (want.R, want.beta, want.s)
+        assert boxed.A[3] == (3, 4) and boxed.b[3] == 5 * r
 
 
 class TestBoxTightAssert:
     def test_interior_optimum_bounded(self):
-        lp = model.bound_polytope(model.normalize(square_lp()))
+        lp = box(square_lp())
         bs = model.move_to_vertex(lp, [F(1), F(1)])
         assert model.assert_unbounded_if_box_tight(bs, lp) == model.BOUNDED
 
     def test_genuinely_unbounded(self):
         # maximize x subject to x >= 0
-        lp = model.bound_polytope(model.normalize(model.make_lp([[-1]], [0], [1])))
+        lp = box(model.make_lp([[-1]], [0], [1]))
         vs = oracle.enumerate_vertices(lp).vertices
         top = max(vs, key=lambda v: v.point[0])
         got = model.assert_unbounded_if_box_tight(top, lp)
@@ -267,7 +284,7 @@ class TestBoxTightAssert:
         # maximize x1 with x1 <= 1, x2 <= 0: the optimal face is unbounded,
         # so a box corner ties with the true optimum; the ray test must
         # override the box-tightness signal
-        lp = model.bound_polytope(model.normalize(model.make_lp([[1, 0], [0, 1]], [1, 0], [1, 0])))
+        lp = box(model.make_lp([[1, 0], [0, 1]], [1, 0], [1, 0]))
         corner = None
         for v in oracle.enumerate_vertices(lp).vertices:
             if v.point[0] == 1 and any(i in lp.box_rows for i in lp.tight_rows(v.point)):
@@ -280,7 +297,6 @@ class TestBoxTightAssert:
 class TestVertexUtilities:
     def test_move_to_vertex_from_interior(self):
         lp = square_lp()
-        lp = model.make_lp(lp.A, lp.b, lp.c0, full_rank=True)
         bs = model.move_to_vertex(lp, [F(1, 2), F(1, 3)])
         assert len(bs.basis) == 2
         model.validate_basic_solution(lp, bs)

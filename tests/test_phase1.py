@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from boxing import box
 
 from shadow_simplex import linalg, metrics, model, oracle, phase1
 from shadow_simplex.phase1 import (
@@ -120,7 +121,6 @@ class TestStructuralBounds:
 class TestExtraction:
     def test_zero_slack_yields_vertex(self):
         lp = model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
-        lp = model.make_lp(lp.A, lp.b, lp.c0, full_rank=True)
         p1 = build_phase1(lp)
         sol = p1.initial  # already optimal: all slack zero
         got = extract_bfs(sol, lp, p1)
@@ -131,7 +131,7 @@ class TestExtraction:
         lp = model.make_lp([[1], [-1]], [0, -1], [1])
         p1 = build_phase1(lp)
         # solve LP' by brute force to certify the positive optimum
-        boxed = model.bound_polytope(p1.lp_prime)
+        boxed = box(p1.lp_prime)
         ref = oracle.brute_force_optimum(boxed)
         assert ref.status == "optimal" and ref.value == -1
         got = extract_bfs(
@@ -151,7 +151,7 @@ class TestExtraction:
                 continue
             A = random_full_rank(rng, m, n)
             b = [F(rng.randint(0, 4)) for _ in range(m)]  # origin feasible
-            lp = model.make_lp(A, b, [1] * n, full_rank=True)
+            lp = model.make_lp(A, b, [1] * n)
             p1 = build_phase1(lp)
             got = extract_bfs(p1.initial, lp, p1)
             if isinstance(got, InfeasibleCertificate):

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from boxing import box, lead_rows
+
 from shadow_simplex import driver, linalg, metrics, model, oracle, randomness
 from shadow_simplex.model import BasicSolution
 from shadow_simplex.phase1 import (
@@ -33,12 +35,11 @@ def two_violated():
 
 
 def build_face(lp):
-    # the lead rows are the first n independent rows, as the driver finds them
-    return build_phase1_face(lp, linalg.independent_rows(lp.rows())[: lp.n])
+    return build_phase1_face(lp, lead_rows(lp))
 
 
 def face_optimum(p1: Phase1Problem) -> BasicSolution:
-    ref = oracle.brute_force_optimum(model.bound_polytope(p1.lp_prime))
+    ref = oracle.brute_force_optimum(box(p1.lp_prime))
     assert ref.status == "optimal"
     return model.move_to_vertex(p1.lp_prime, list(ref.point))
 
@@ -62,7 +63,7 @@ class TestFaceDelta:
             done += 1
             normed = [[unit_scale(r) * x for x in r] for r in A]
             b = [F(b_rng.randint(-3, 3)) for _ in range(m)]
-            lp = model.make_lp(normed, b, [1] * n, full_rank=True)
+            lp = model.make_lp(normed, b, [1] * n)
             got = build_face(lp)
             full = phase1_matrix(normed)
             if isinstance(got, BasicSolution):
@@ -111,14 +112,14 @@ class TestInfeasibilityGap:
         assert out.phase1_artificials == 2
         # sum(y_V) is least at x = 0; the full LP' reaches 2 at x = 1 or 2
         assert out.infeasible_gap == 3
-        full = oracle.brute_force_optimum(model.bound_polytope(build_phase1(lp).lp_prime))
+        full = oracle.brute_force_optimum(box(build_phase1(lp).lp_prime))
         assert full.value == -2
 
 
 class TestExtraction:
     def test_feasible_face_optimum_yields_vertex(self):
         # x <= 0 and y <= 0 lead; x_bar = (0, 0) violates x + y <= -1
-        lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1], full_rank=True)
+        lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1])
         p1 = build_face(lp)
         assert p1.lp_prime.n == 3
         got = extract_bfs(face_optimum(p1), lp, p1)

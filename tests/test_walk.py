@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from boxing import box
 
 from shadow_simplex import model, oracle, randomness, walk
 from shadow_simplex.model import BasicSolution
-from shadow_simplex.rational import dot
+from shadow_simplex.rational import dot, unit_scale
 from shadow_simplex.walk import (
     ShadowPath,
     Tableau,
@@ -21,9 +22,13 @@ F = Fraction
 
 
 def square(c0=(1, 1)):
-    return model.normalize(
-        model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], list(c0))
-    )
+    return model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], list(c0))
+
+
+def unit(row):
+    """row scaled to near-unit norm, as the draws need it."""
+    t = unit_scale(list(row))
+    return [t * x for x in row]
 
 
 def origin_start():
@@ -36,12 +41,10 @@ class TestTightRows:
         assert rows == [[-1, 0], [0, -1]]
 
     def test_cube_corner(self):
-        lp = model.normalize(
-            model.make_lp(
-                [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
-                [1, 1, 1, 0, 0, 0],
-                [1, 1, 1],
-            )
+        lp = model.make_lp(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [1, 1, 1, 0, 0, 0],
+            [1, 1, 1],
         )
         rows = tight_rows_at(lp, BasicSolution(point=(F(1), F(1), F(1)), basis=(0, 1, 2)))
         assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -88,7 +91,7 @@ class TestShadowPivot:
             Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
 
     def test_unbounded_edge_raises(self):
-        lp = model.normalize(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1]))
+        lp = model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1])
         tab = Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)), [F(1), F(0)], [F(-1), F(-1)])
         with pytest.raises(UnboundedEdgeError):
             tab.pivot()
@@ -150,16 +153,16 @@ class TestShadowWalk:
 
             if linalg.rank(lp0.rows()) < n:
                 continue
-            lp = model.bound_polytope(model.normalize(lp0))
+            lp = box(lp0)
             try:
                 start = model.move_to_vertex(lp, [F(0)] * n)
             except model.LPModelError:
                 continue
-            u = tight_rows_at(lp, start)
+            u = [unit(r) for r in tight_rows_at(lp, start)]
             lam = randomness.draw_lambda(n, randomness.RngConfig(seed=done), randomness.DrawStream(done))
             w = randomness.cone_objective(u, lam)
             pert = randomness.perturb_objective(
-                list(lp.c0),
+                unit(lp.c0),
                 randomness.RngConfig(seed=done, phi=F(8 * n)),
                 randomness.DrawStream(1000 + done),
             )
@@ -180,13 +183,13 @@ class TestShadowWalk:
             [1, 1, 1, 1, 0],
             [0, 0, -1],
         )
-        lp = model.bound_polytope(model.normalize(lp0))
+        lp = box(lp0)
         apex = BasicSolution(point=(F(0), F(0), F(1)), basis=(0, 1, 2))
-        u = tight_rows_at(lp, apex)
+        u = [unit(r) for r in tight_rows_at(lp, apex)]
         lam = [F(1, 2), F(1, 3), F(1, 4)]
         w = randomness.cone_objective(u, lam)
         pert = randomness.perturb_objective(
-            list(lp.c0), randomness.RngConfig(seed=0, phi=F(40)), randomness.DrawStream(5)
+            unit(lp.c0), randomness.RngConfig(seed=0, phi=F(40)), randomness.DrawStream(5)
         )
         res = shadow_walk(lp, apex, list(pert.c), w)
         assert res.finished
@@ -197,9 +200,7 @@ class TestShadowWalk:
 class TestTableauInternals:
     def test_integer_inverse_invariant_along_walk(self):
         rng = random.Random(5)
-        lp = model.bound_polytope(model.normalize(model.make_lp(
-            [[1, 2], [-1, 1], [0, -1], [2, -1]], [4, 2, 0, 3], [1, 1]
-        )))
+        lp = box(model.make_lp([[1, 2], [-1, 1], [0, -1], [2, -1]], [4, 2, 0, 3], [1, 1]))
         start = model.move_to_vertex(lp, [F(0), F(0)])
         c = [F(3, 5), F(4, 5)]
         w = [F(-1, 2), F(-1, 3)]
@@ -234,7 +235,7 @@ class TestTableauInternals:
 
             if linalg.rank(lp0.rows()) < n:
                 continue
-            lp = model.bound_polytope(model.normalize(lp0))
+            lp = box(lp0)
             try:
                 start = model.move_to_vertex(lp, [F(0)] * n)
             except model.LPModelError:
