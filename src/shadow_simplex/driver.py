@@ -1,13 +1,15 @@
 """Repeated shadow vertex driver: perturb, walk, fix a facet, repeat;
 wrapped in the doubling phi schedule with exact optimality certificates.
 
-A facet chain keeps one `walk.Tableau` on the boxed LP.  The rows fixed so
-far stay in its basis, held out of pricing, so each walk stays on the face
-where they are tight.  Each round draws its objectives in coordinates of
-that face, over an exactly orthogonal integer basis of the fixed rows'
-complement, and lifts them to the boxed LP exactly: the walk is the one on
-the restricted LP, whose delta-distance value is preserved to rounding of
-the unit scaling, without building it.  Row indices in walk paths and in
+A facet chain keeps one `walk.Tableau` on the boxed LP, built on the start
+vertex's own basis; that build is the check of the start, and a bad one
+raises `walk.WalkError`.  The rows fixed so far stay in its basis, held out
+of pricing, so each walk stays on the face where they are tight.  Each
+round draws its objectives in coordinates of that face, over an exactly
+orthogonal integer basis of the fixed rows' complement, and lifts them to
+the boxed LP exactly: the walk is the one on the restricted LP, whose
+delta-distance value is preserved to rounding of the unit scaling, without
+building it.  Row indices in walk paths and in
 `SolveOutcome.pivot_sequence` are rows of the boxed LP walked.
 """
 
@@ -132,28 +134,28 @@ def _face_direction(ints: list[int], cols, col_scale) -> tuple[list[Fraction], F
     return [Fraction(t.numerator * p, t.denominator * q) for p, q in red], t
 
 
-def facet_restriction(lp_top: LinearProgram, fixed_rows: list[int]) -> FacetRestriction:
-    """The face basis of the fixed rows, with the objective's face image.
+def facet_restriction(fixed: list[list[int]], c0: list[int]) -> FacetRestriction:
+    """The face basis of the fixed rows, with the objective's face image,
+    from the primitive integer forms of the fixed rows and of c0.
 
     Built from the top-level rows each round (chaining one-step reductions
     would square exact entry sizes per level), so numbers stay single-level
     small no matter how deep the facet chain is.
     """
-    n = lp_top.n
-    d = n - len(fixed_rows)
+    n = len(c0)
+    d = n - len(fixed)
     if d < 1:
         raise DriverError("nothing left to restrict")
-    fixed_prim = [primitive_int_row(lp_top.row(i))[0] for i in fixed_rows]
-    V_int = linalg.complement_basis_int(fixed_prim, n)
+    V_int = linalg.complement_basis_int(fixed, n)
     if len(V_int) != d:
         raise DriverError("fixed facet rows are dependent")
     # near-unit column scale, kept separate so row projections stay integer
     col_scale = [unit_scale_pq(sum(a * a for a in v), 1) for v in V_int]
-    c0 = _face_direction(primitive_int_row(list(lp_top.c0))[0], V_int, col_scale)
+    c0_face = _face_direction(c0, V_int, col_scale)
     return FacetRestriction(
         cols=tuple(tuple(v) for v in V_int),
         col_scale=tuple(col_scale),
-        c0=None if c0 is None else tuple(c0[0]),
+        c0=None if c0_face is None else tuple(c0_face[0]),
     )
 
 
@@ -234,23 +236,22 @@ def repeated_shadow_vertex(
 ) -> Candidate:
     """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau.
 
-    Each round draws its objectives in the coordinates of the current face,
-    lifts them to lp and walks the tableau with the fixed rows held in the
-    basis, from where the previous round stopped.  The chain's last basis is
-    the candidate's basis.
+    The tableau starts on x0's own basis, and its build checks x0 (a bad
+    start raises `walk.WalkError`).  Each round draws its objectives in the
+    coordinates of the current face, lifts them to lp and walks the tableau
+    with the fixed rows held in the basis, from where the previous round
+    stopped.  The chain's last basis is the candidate's basis.
     """
     cfg = cfg.with_phi(phi)
-    basis0 = model.tight_basis_at(lp, x0.point)
-    if len(basis0) < lp.n:
-        raise DriverError("start point is not a vertex")
-    tab = walk.Tableau(lp, BasicSolution(point=x0.point, basis=tuple(basis0[: lp.n])))
+    tab = walk.Tableau(lp, x0)
+    c0 = primitive_int_row(lp.c0)[0]
     fixed: list[int] = []
     pivots = 0
     rounds = 0
     traces: list[RoundTrace] = []
     pairs: list[tuple[int, int]] = []
     while len(fixed) < lp.n:
-        r = facet_restriction(lp, fixed)
+        r = facet_restriction([tab.R[i] for i in fixed], c0)
         if r.c0 is None:
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
@@ -351,7 +352,12 @@ def solve(
     given, box, then the doubling schedule around the repeated shadow vertex
     algorithm.  The rows are used as given, never scaled: one rank pass finds
     the lead rows that both Phase 1 and the box use.  Accepted outcomes carry
-    exact certificates, checked against lp_raw."""
+    exact certificates, checked against lp_raw.
+
+    initial_bfs is checked by the first facet chain's `walk.Tableau` build
+    on the boxed LP, whose rows include every row of lp_raw: a basis that
+    does not hold n distinct rows, has dependent rows, is not tight at the
+    point, or a point that violates a row, raises `walk.WalkError`."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -375,7 +381,6 @@ def solve(
             return bfs
     else:
         bfs = initial_bfs
-    model.validate_basic_solution(work, bfs)
 
     boxed = model.bound_polytope(work, lead)
 

@@ -1,12 +1,16 @@
 """Exact linear algebra primitives over `fractions.Fraction` and ints.
 
 Elimination pivots on the first nonzero entry in row order, so identical
-inputs always take identical elimination paths.  Three private kernels do
+inputs always take identical elimination paths.  Four private kernels do
 it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
-`inverse_columns`), a fraction-free Bareiss pass for integer matrices
-(`invert`, `det_int`) and an echelon pass over a row sequence
-(`independent_rows`, `nullspace_vector`).  `det_fraction` is the plain
-Fraction determinant that tests hold the Bareiss kernel against.
+`inverse_columns`); a fraction-free Bareiss pass for integer matrices
+(`invert`, `det_int`); a fraction-free echelon pass over the primitive
+integer forms of a row sequence, which takes every rank decision
+(`independent_rows`, `rank`, `nullspace_vector`); and a fraction-free
+Gram-Schmidt pass over integer rows (`complement_basis_int`).  Only the
+objective escape (`_project_out`) still projects in Fraction arithmetic.
+`det_fraction` is the plain Fraction determinant that tests hold the
+Bareiss kernel against.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .rational import dot, norm_sq, primitive_int_row, unit_scale
+from .rational import as_fractions, dot, norm_sq, primitive_int_row, unit_scale
 
 Mat = list[list[Fraction]]
 Vec = list[Fraction]
@@ -121,23 +125,27 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(independent_rows(rows))
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int], list[Vec]]:
-    """Greedy (ascending index) elimination: (chosen row indices, pivot
-    columns, normalized echelon rows)."""
-    basis: list[Vec] = []
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int], list[list[int]]]:
+    """Greedy (ascending index) elimination on primitive integer rows:
+    (chosen row indices, pivot columns, echelon rows).  v <- b_p v - v_p b,
+    gcd stripped, per echelon row b with pivot p: each row is a nonzero
+    multiple of its Fraction-elimination form, so rank decisions agree."""
+    basis: list[list[int]] = []
     pivots: list[int] = []
     chosen: list[int] = []
     for idx, row in enumerate(rows):
-        v = list(row)
+        if len(pivots) == len(row):
+            break  # full rank: every later row reduces to zero
+        v = primitive_int_row(row)[0]
         for p, b in zip(pivots, basis):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
+            f = v[p]
+            if f:
+                bp = b[p]
+                v = _strip_gcd([bp * x - f * y for x, y in zip(v, b)])
+        lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             continue
-        inv = 1 / v[lead]
-        basis.append([x * inv for x in v])
+        basis.append(v)
         pivots.append(lead)
         chosen.append(idx)
     return chosen, pivots, basis
@@ -158,7 +166,7 @@ def nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int) -> Vec | None:
     x = [Fraction(0)] * n
     x[free] = Fraction(1)
     for p, b in sorted(zip(pivots, basis), reverse=True):
-        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0))
+        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0)) / b[p]
     return x
 
 
@@ -170,12 +178,14 @@ def exact_complement_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[V
     fraction-free over primitive integer vectors (scaling deferred to the
     very end) so the exact data stays small and fast.
     """
-    return [_near_unit(v) for v in complement_basis_int(rows, n)]
+    ints = [primitive_int_row(r)[0] for r in rows]
+    return [_near_unit(v) for v in complement_basis_int(ints, n)]
 
 
-def complement_basis_int(rows: Sequence[Sequence[Fraction]], n: int) -> list[list[int]]:
-    """Primitive integer basis of the complement, pairwise exactly orthogonal."""
-    ortho = _orthogonalize_int([_prim_int(list(r)) for r in rows])
+def complement_basis_int(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Primitive integer basis of the complement of integer rows, pairwise
+    exactly orthogonal."""
+    ortho = _orthogonalize_int(rows)
     span_size = len(ortho)
     out: list[list[int]] = []
     for j in range(n):
@@ -186,11 +196,6 @@ def complement_basis_int(rows: Sequence[Sequence[Fraction]], n: int) -> list[lis
         if any(v):
             out.append(v)
     return out
-
-
-def _prim_int(v: Sequence) -> list[int]:
-    ints, _ = primitive_int_row([x if isinstance(x, Fraction) else Fraction(x) for x in v])
-    return ints
 
 
 def _strip_gcd(v: list[int]) -> list[int]:
@@ -239,7 +244,7 @@ def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:
     return r
 
 
-def _near_unit(v: Sequence) -> Vec:
-    w = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
+def _near_unit(v: Sequence[int]) -> Vec:
+    w = as_fractions(v)
     t = unit_scale(w)
     return [t * x for x in w]

@@ -110,7 +110,8 @@ def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | Bas
 
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
-    the rows a_i x - y_i = b_i of V.  The caller's solve validates the start.
+    the rows a_i x - y_i = b_i of V.  The caller's solve checks the start
+    when its first facet chain builds a `walk.Tableau` on it.
     """
     m, n = lp.m, lp.n
     perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, lead)

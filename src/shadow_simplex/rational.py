@@ -72,12 +72,13 @@ def unit_scale_pq(p: int, q: int) -> Fraction:
 def primitive_int_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Scale a rational row by a positive factor into coprime integers.
 
-    Returns (integer row, factor) with int_row == factor * row.
+    Returns (integer row, factor) with int_row == factor * row.  Integer
+    entries are taken as they are.
     """
     lcm = 1
     for x in row:
         lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in row]
+    ints = [x.numerator * (lcm // x.denominator) for x in row]
     g = 0
     for a in ints:
         g = gcd(g, a)

@@ -24,7 +24,7 @@ from shadow_simplex import (
     randomness,
     walk,
 )
-from shadow_simplex.rational import dot, ratsqrt_ceil, unit_scale
+from shadow_simplex.rational import dot, primitive_int_row, ratsqrt_ceil, unit_scale
 
 F = Fraction
 
@@ -245,7 +245,7 @@ def test_criterion_6_facet_identification():
         inv2 = metrics.delta_matrix(boxed.rows()).inv_delta_sq
         phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)  # > 2 n^{3/2}/delta
         # the first round of a facet chain: nothing fixed yet
-        r = driver.facet_restriction(boxed, [])
+        r = driver.facet_restriction([], primitive_int_row(boxed.c0)[0])
         tab = walk.Tableau(boxed, model.move_to_vertex(boxed, [F(0)] * n))
         stream = randomness.DrawStream(done)
         rcfg = randomness.RngConfig(seed=done, phi=phi)

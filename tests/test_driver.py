@@ -41,11 +41,21 @@ def pair_cone_rows(n):
     return rows
 
 
+def prim(row):
+    return primitive_int_row(list(row))[0]
+
+
+def restrict(lp, fixed):
+    """facet_restriction on the primitive rows of lp's fixed rows and c0,
+    as the facet chain calls it."""
+    return facet_restriction([prim(lp.row(i)) for i in fixed], prim(lp.c0))
+
+
 def identify_at(lp, start, c):
     """The row identify_basis_element fixes, in the first round of a chain,
     on a tableau standing at start, whose basis carries c."""
     tab = walk.Tableau(lp, start)
-    r = facet_restriction(lp, [])
+    r = restrict(lp, [])
     tab.aim(r.lift(c), [0] * lp.n)
     assert tab.at_optimum()
     free = sorted(tab.basis)
@@ -86,7 +96,7 @@ class TestIdentify:
             lp = box(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
             tab = walk.Tableau(lp, model.move_to_vertex(lp, [F(0)] * n))
             fixed = tab.basis[:1] if n > 2 else []
-            r = facet_restriction(lp, fixed)
+            r = restrict(lp, fixed)
             c = [F(rng.randint(-9, 9), 10) for _ in r.cols]
             if not any(c):
                 continue
@@ -106,14 +116,10 @@ def face_coords(r, vec):
     return [dot(list(vec), [s * a for a in v]) for v, s in zip(r.cols, r.col_scale)]
 
 
-def prim(row):
-    return primitive_int_row(list(row))[0]
-
-
 class TestReduceAndLift:
     def test_square_reduce_to_interval(self):
         lp = square()
-        r = facet_restriction(lp, [0])  # fix x <= 1
+        r = restrict(lp, [0])  # fix x <= 1
         assert len(r.cols) == 1
         # an interval: x <= 1 and -x <= 0 are constant on the face, the
         # other two rows bound it from both sides
@@ -131,7 +137,7 @@ class TestReduceAndLift:
     def test_reduce_dim1_is_error(self):
         lp = model.make_lp([[1]], [1], [1])
         with pytest.raises(DriverError):
-            facet_restriction(lp, [0])
+            restrict(lp, [0])
 
     def test_round_trip_reduce_then_lift(self):
         rng = random.Random(8)
@@ -145,7 +151,7 @@ class TestReduceAndLift:
                 continue
             lp = model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n)
             fixed = [0, 1] if n > 2 and linalg.rank(A[:2]) == 2 else [0]
-            r = facet_restriction(lp, fixed)
+            r = restrict(lp, fixed)
             # the face basis is exactly orthogonal to the fixed rows and
             # pairwise
             for v in r.cols:
@@ -170,7 +176,7 @@ class TestReduceAndLift:
                 continue
             lp = model.make_lp(A, [1] * len(A), [1, 0, 0, 0])
             before = metrics.delta_matrix(lp.rows()).delta
-            r = facet_restriction(lp, [0])
+            r = restrict(lp, [0])
             red = [u for u in restriction_coords(r, [prim(row) for row in lp.rows()[1:]]) if u]
             if linalg.rank(red) < len(r.cols):
                 continue
@@ -183,7 +189,7 @@ class TestReduceAndLift:
 
     def test_restriction_coords_inverse(self):
         lp = square()
-        r = facet_restriction(lp, [2])  # fix y <= 1
+        r = restrict(lp, [2])  # fix y <= 1
         assert r.lift([F(1, 3)]) == [F(1, 3), 0]
         assert face_coords(r, [F(1, 3), F(5)]) == [F(1, 3)]
         # face coordinates are near-unit, and None for a row parallel to the
@@ -444,6 +450,46 @@ class TestSolve:
         assert solve(square(c0=(2, 3)), cfg(), initial_bfs=start).value == 5
         assert solve(model.make_lp([[-3, 4], [0, -2]], [0, 0], [1, 1]), cfg()).status == "unbounded"
 
+    @pytest.mark.parametrize(
+        "point,basis,message",
+        [
+            ((1, 1), (0, 2), "infeasible"),  # x + y <= 1 fails at the tight corner
+            ((1, 0), (0, 2), "reproduce"),  # y <= 1 is not tight at y = 0
+            ((1, 0), (0, 1), "dependent"),  # x <= 1 and -x <= 0
+            ((1, 0), (0,), "n distinct"),
+        ],
+    )
+    def test_bad_start_raises_on_tableau_build(self, point, basis, message):
+        lp = model.make_lp(
+            [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 1], [1, 1]
+        )
+        start = BasicSolution(point=tuple(F(v) for v in point), basis=basis)
+        with pytest.raises(walk.WalkError, match=message):
+            solve(lp, cfg(), initial_bfs=start)
+
+    def test_start_checked_only_by_the_tableau(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("start re-derived outside the tableau")
+
+        monkeypatch.setattr(model, "validate_basic_solution", refuse)
+        monkeypatch.setattr(model, "tight_basis_at", refuse)
+        start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
+        assert solve(square(c0=(2, 3)), cfg(), initial_bfs=start).value == 5
+        # cold, with a start that skips Phase 1 (whose crawl to a vertex
+        # calls tight_basis_at)
+        assert solve(square(c0=(2, 3)), cfg()).value == 5
+
+    def test_chain_starts_from_the_given_basis(self):
+        # (1, 1) is degenerate: x <= 1, y <= 1 and x + y <= 2 are tight there,
+        # and the greedy basis would be (0, 2)
+        lp = model.make_lp(
+            [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 2], [1, 2]
+        )
+        start = BasicSolution(point=(F(1), F(1)), basis=(2, 4))
+        out = solve(lp, cfg(collect_paths=True), initial_bfs=start)
+        assert out.status == "optimal" and out.value == 3
+        assert out.traces[0].path.start_basis == (2, 4)
+
     def test_zero_objective(self):
         out = solve(model.make_lp([[1], [-1]], [1, 0], [0]), cfg())
         assert out.status == "optimal" and out.value == 0
@@ -588,7 +634,7 @@ class TestSolve:
 
             phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
             # the first round of a facet chain: nothing fixed yet
-            r = facet_restriction(boxed, [])
+            r = restrict(boxed, [])
             tab = walk.Tableau(boxed, model.move_to_vertex(boxed, [F(0)] * n))
             stream = randomness.DrawStream(done)
             rcfg = randomness.RngConfig(seed=done, phi=phi)

@@ -4,11 +4,16 @@ fails here, not only in the benchmark's determinism digest.
 Each entry is (status, value, ray, pivots, phase1_pivots) of
 `driver.solve` in float mode, recorded before the solve path dropped
 `model.normalize`; exact values and rays are written as `str(Fraction)`.
+The warm entries pin (status, value, pivots) of dyadic-mode solves from a
+`model.move_to_vertex` start, the path of the tu-warm benchmark workload.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from shadow_simplex import driver, harness, randomness
+from shadow_simplex import driver, harness, model, randomness
 
 # (m, n, solver seed) -> the answer for generate_random_integer(m, n, 100 m + 10 n + seed)
 RANDOM_INTEGER = [
@@ -94,6 +99,34 @@ TU_COLD = [
     (("network-matrix", 2), ("optimal", "22/3", None, 4, 3)),
 ]
 
+# (kind, seed) -> (status, value, pivots) for generate_tu_instance(kind, 16, 8, seed)
+# from the vertex move_to_vertex reaches from the generator's interior point,
+# dyadic mode, solver seed = seed
+TU_WARM = [
+    (("tu-incidence", 0), ("optimal", "67/3", 6)),
+    (("tu-incidence", 3), ("optimal", "517/12", 4)),
+    (("interval-matrix", 1), ("optimal", "197/12", 8)),
+    (("interval-matrix", 3), ("optimal", "335/12", 10)),
+    (("network-matrix", 0), ("optimal", "142/3", 9)),
+    (("network-matrix", 3), ("optimal", "53/2", 5)),
+]
+
+ROW_MAKERS = {
+    "tu-incidence": harness._incidence_rows,
+    "interval-matrix": harness._interval_rows,
+    "network-matrix": harness._network_rows,
+}
+
+
+def _interior_point(kind, m, n, seed):
+    """The integer point generate_tu_instance builds its rhs around, by
+    replaying the generator's random stream."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        if ROW_MAKERS[kind](rng, m, n):
+            break
+    return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+
 
 def _answer(lp, seed):
     out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed)))
@@ -117,3 +150,13 @@ def test_random_integer_answer_pinned(cell, expected):
 def test_tu_cold_answer_pinned(cell, expected):
     kind, seed = cell
     assert _answer(harness.generate_tu_instance(kind, 6, 3, seed), seed) == expected
+
+
+@pytest.mark.parametrize("cell,expected", TU_WARM)
+def test_tu_warm_answer_pinned(cell, expected):
+    kind, seed = cell
+    lp = harness.generate_tu_instance(kind, 16, 8, seed)
+    start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
+    rng = randomness.RngConfig(seed=seed, mode=randomness.MODE_DYADIC)
+    out = driver.solve(lp, driver.SolveConfig(rng=rng), initial_bfs=start)
+    assert (out.status, str(out.value), out.pivots) == expected

@@ -215,3 +215,93 @@ class TestNullspace:
                 assert any(x != 0 for x in v)
                 for r in rows:
                     assert dot(r, v) == 0
+
+
+def echelon_fraction(rows):
+    """The plain Fraction elimination the integer echelon pass is held
+    against: greedy (ascending index), each echelon row normalized to a
+    unit pivot; (chosen row indices, pivot columns, echelon rows)."""
+    basis, pivots, chosen = [], [], []
+    for idx, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for p, b in zip(pivots, basis):
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x != 0), None)
+        if lead is None:
+            continue
+        basis.append([x / v[lead] for x in v])
+        pivots.append(lead)
+        chosen.append(idx)
+    return chosen, pivots, basis
+
+
+def nullspace_fraction(rows, n):
+    _, pivots, basis = echelon_fraction(rows)
+    free = next((j for j in range(n) if j not in pivots), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for p, b in sorted(zip(pivots, basis), reverse=True):
+        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0))
+    return x
+
+
+def awkward_rows(rng, n):
+    """Random rows with non-integral entries, duplicates, scaled copies and
+    combinations of earlier rows, which reduce to zero."""
+    rows = []
+    for _ in range(rng.randint(1, 2 * n + 2)):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.4:
+            k = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            rows.append([k * x for x in rng.choice(rows)])
+        elif len(rows) > 1 and kind < 0.6:
+            a, b = rng.sample(rows, 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(1, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)])
+    return rows
+
+
+class TestIntegerEchelon:
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(29)
+        dependent = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = awkward_rows(rng, n)
+            chosen = linalg.independent_rows(rows)
+            assert chosen == echelon_fraction(rows)[0]
+            assert linalg.nullspace_vector(rows, n) == nullspace_fraction(rows, n)
+            dependent += len(chosen) < len(rows)
+        assert dependent > 100
+
+    def test_zero_and_duplicate_rows_skipped(self):
+        rows = mat([[0, 0, 0], [1, 2, 3], [2, 4, 6], [F(1, 2), 1, F(3, 2)], [0, 1, 0]])
+        assert linalg.independent_rows(rows) == [1, 4]
+        assert linalg.nullspace_vector(rows, 3) == [F(-3), F(0), F(1)]
+
+    def test_integer_rows_accepted(self):
+        assert linalg.independent_rows([[2, 4], [1, 2], [0, 3]]) == [0, 2]
+
+    def test_complement_basis_int_takes_integer_rows(self):
+        # integer rows, scaled and signed at random, give the basis their
+        # Fraction forms gave when the function reduced them to primitive rows
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            rows = [r for r in awkward_rows(rng, n) if any(r)][: n + 1]
+            scales = [rng.choice([-3, -1, 1, 2]) for _ in rows]
+            ints = [[k * x for x in primitive_int_row(r)[0]] for k, r in zip(scales, rows)]
+            prims = [primitive_int_row(mat([r])[0])[0] for r in ints]
+            out = linalg.complement_basis_int(ints, n)
+            assert out == linalg.complement_basis_int(prims, n)
+            assert len(out) == n - linalg.rank(rows)
+            for v in out:
+                assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in ints)
