@@ -5,11 +5,13 @@ A facet chain keeps one `walk.Tableau` on the boxed LP, built on the start
 vertex's own basis; that build is the check of the start, and a bad one
 raises `walk.WalkError`.  The rows fixed so far stay in its basis, held out
 of pricing, so each walk stays on the face where they are tight.  Each
-round draws its objectives in coordinates of that face, over an exactly
-orthogonal integer basis of the fixed rows' complement, and lifts them to
-the boxed LP exactly: the walk is the one on the restricted LP, whose
-delta-distance value is preserved to rounding of the unit scaling, without
-building it.  Row indices in walk paths and in
+round draws its perturbed objective in coordinates of that face, over an
+exactly orthogonal integer basis of the fixed rows' complement, and lifts it
+to the boxed LP exactly; its cone objective is priced on the tableau's
+integer rows (`lifted_cone_objective`), with each free row's near-unit
+factor tau formed once per round.  The walk is the one on the restricted
+LP, whose delta-distance value is preserved to rounding of the unit
+scaling, without building it.  Row indices in walk paths and in
 `SolveOutcome.pivot_sequence` are rows of the boxed LP walked.
 """
 
@@ -113,10 +115,14 @@ class FacetRestriction:
         ]
 
 
-def _face_direction(ints: list[int], cols, col_scale) -> tuple[list[Fraction], Fraction] | None:
-    """(near-unit face coordinates, their factor tau) of an integer row:
-    tau (ints . v_k)_k, via one integer norm computation; None when the row
-    is constant on the face."""
+def _face_scale(
+    ints: list[int], cols, col_scale
+) -> tuple[list[tuple[int, int]], Fraction] | None:
+    """(face coordinates (ints . v_k)_k of an integer row as reduced pairs
+    (p_k, q_k), the near-unit factor tau of its face image tau (p_k / q_k)_k),
+    via one integer norm computation; None when the row is constant on the
+    face.  The image's squared norm tau^2 sum p_k^2 / q_k^2 is checked to be
+    within 3e-10 of 1, in integers."""
     dots = [sum(map(mul, ints, v)) for v in cols]
     if not any(dots):
         return None
@@ -131,6 +137,20 @@ def _face_direction(ints: list[int], cols, col_scale) -> tuple[list[Fraction], F
         num = num * q * q + p * p * den
         den = den * q * q
     t = unit_scale_pq(num, den)
+    sq_num = t.numerator * t.numerator * num
+    sq_den = t.denominator * t.denominator * den
+    if abs(sq_num - sq_den) * 10**10 > 3 * sq_den:
+        raise DriverError("face image is not unit norm")
+    return red, t
+
+
+def _face_direction(ints: list[int], cols, col_scale) -> tuple[list[Fraction], Fraction] | None:
+    """(near-unit face coordinates, their factor tau) of an integer row, as
+    `_face_scale` gives them; None when the row is constant on the face."""
+    face = _face_scale(ints, cols, col_scale)
+    if face is None:
+        return None
+    red, t = face
     return [Fraction(t.numerator * p, t.denominator * q) for p, q in red], t
 
 
@@ -161,12 +181,39 @@ def facet_restriction(fixed: list[list[int]], c0: list[int]) -> FacetRestriction
 
 def restriction_coords(r: FacetRestriction, rows: list[list[int]]) -> list[list[Fraction] | None]:
     """Near-unit face coordinates of integer rows (None for a row constant on
-    the face), as `_face_direction` gives them."""
+    the face), as `_face_direction` gives them.  The solve path does not
+    build them: its cone objective is priced on the integer rows."""
     faces = [_face_direction(ints, r.cols, r.col_scale) for ints in rows]
     return [None if f is None else f[0] for f in faces]
 
 
-def identify_basis_element(tab: walk.Tableau, r: FacetRestriction, free: list[int]) -> int:
+def lifted_cone_objective(
+    rows: list[list[int]], lam: list[Fraction], tau: list[Fraction]
+) -> list[Fraction]:
+    """w = -sum_k lam_k tau_k R_k over the integer rows R_k, on one common
+    denominator: the cone objective -sum_k lam_k u_k over the near-unit face
+    images u_k = tau_k face(R_k), lifted without projecting.
+
+    Lifting u_k gives tau_k P(R_k), P the projection onto the face's
+    directions, so w differs from the lifted face form by a vector in the
+    span of the fixed rows.  Every edge the walk prices keeps the held rows
+    tight, so it lies in the face and sees no difference: slopes, gains and
+    pivots are the same.  Only the prices of held positions differ, and the
+    walk never reads them.
+    """
+    if any(not 0 < l <= 1 for l in lam):
+        raise DriverError("lambda coordinates must lie in (0, 1]")
+    nums, den = common_denominator([l * t for l, t in zip(lam, tau)])
+    w = [0] * len(rows[0])
+    for a, row in zip(nums, rows):
+        for j, x in enumerate(row):
+            w[j] -= a * x
+    return [Fraction(x, den) for x in w]
+
+
+def identify_basis_element(
+    tab: walk.Tableau, r: FacetRestriction, free: list[int], tau: dict[int, Fraction]
+) -> int:
     """Position in free of the basis row with the largest coefficient mu_j
     when the face image of tab's objective c is written over the free rows'
     near-unit face images u_j = tau_j face(R_j); ties go to the smallest
@@ -174,11 +221,16 @@ def identify_basis_element(tab: walk.Tableau, r: FacetRestriction, free: list[in
 
     tab stands where its walk on c ended, so c = sum_k nu_k R_basis[k] with
     nu_k = t_c[k] / (D c_den) from its pricing.  The fixed rows vanish on the
-    face, hence mu_j = nu_j / tau_j: no system is solved.
+    face, hence mu_j = nu_j / tau_j: no system is solved.  tau holds the
+    round's factors by row; only rows that entered the basis during the walk
+    have theirs computed here.
     """
     _, t_c, _ = tab._price()
     pos = {row: k for k, row in enumerate(tab.basis)}
-    mu = [t_c[pos[i]] / _face_direction(tab.R[i], r.cols, r.col_scale)[1] for i in free]
+    mu = [
+        t_c[pos[i]] / (tau[i] if i in tau else _face_scale(tab.R[i], r.cols, r.col_scale)[1])
+        for i in free
+    ]
     return max(range(len(free)), key=lambda k: (mu[k], -k))
 
 
@@ -237,10 +289,12 @@ def repeated_shadow_vertex(
     """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau.
 
     The tableau starts on x0's own basis, and its build checks x0 (a bad
-    start raises `walk.WalkError`).  Each round draws its objectives in the
-    coordinates of the current face, lifts them to lp and walks the tableau
-    with the fixed rows held in the basis, from where the previous round
-    stopped.  The chain's last basis is the candidate's basis.
+    start raises `walk.WalkError`).  Each round draws its perturbed
+    objective in the coordinates of the current face and lifts it to lp,
+    prices its cone objective on the tableau's integer rows with each free
+    row's factor tau formed once (the facet choice reuses them), and walks
+    the tableau with the fixed rows held in the basis, from where the
+    previous round stopped.  The chain's last basis is the candidate's basis.
     """
     cfg = cfg.with_phi(phi)
     tab = walk.Tableau(lp, x0)
@@ -256,12 +310,10 @@ def repeated_shadow_vertex(
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
         pert = randomness.perturb_objective(r.c0, cfg, stream)
-        u = restriction_coords(r, [tab.R[i] for i in free])
+        tau = {i: _face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free}
         lam = randomness.draw_lambda(len(free), cfg, stream)
-        w = randomness.cone_objective(u, lam)
-        res = walk.shadow_walk(
-            lp, tab, r.lift(pert.c), r.lift(w), pivot_cap=cap, held=fixed
-        )
+        w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
+        res = walk.shadow_walk(lp, tab, r.lift(pert.c), w, pivot_cap=cap, held=fixed)
         pivots += res.pivots
         rounds += 1
         pairs.extend((st.entering_row, st.leaving_row) for st in res.path.steps)
@@ -273,7 +325,7 @@ def repeated_shadow_vertex(
                 rounds=rounds, traces=traces, pairs=pairs,
             )
         free = sorted(set(tab.basis) - set(fixed))
-        fixed.append(free[identify_basis_element(tab, r, free)])
+        fixed.append(free[identify_basis_element(tab, r, free, tau)])
     return Candidate(
         solution=tab.solution(),
         tableau=tab,

@@ -7,7 +7,8 @@ LP is bounded by walking its recession LP, from d = 0, on the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
 given: each pivot decision is invariant under positive row scaling, and
-`walk.Tableau` turns every row into its primitive integer row anyway.  The
+`walk.Tableau` turns every row into its primitive integer row anyway
+(`integer_rows`, on which the exact point checks decide too).  The
 unit row norms that the paper states the delta-distance for are applied
 only where a size matters: the box rows of a lead row a_i are +-a_i with
 rhs r / t_i, t_i = `unit_scale(a_i)`, and the draws of the driver use
@@ -20,9 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
-from .rational import as_fractions, dot, format_fraction, ratsqrt_ceil, unit_scale
+from .rational import (
+    as_fractions,
+    common_denominator,
+    dot,
+    format_fraction,
+    primitive_int_row,
+    ratsqrt_ceil,
+    unit_scale,
+)
 
 
 class LPFormatError(ValueError):
@@ -77,13 +87,25 @@ class LinearProgram:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.A for x in row)
 
-    def feasible(self, point) -> bool:
+    def _excess(self, point, rows) -> list[int]:
+        """For each i in rows, an integer with the sign of a_i . point - b_i.
+
+        Decided in integers: the point over one common denominator, each row
+        as its primitive integer row with its rhs scaled by the same factor
+        (`integer_rows`).
+        """
         x = as_fractions(point)
-        return all(dot(self.row(i), x) <= self.b[i] for i in range(self.m))
+        if len(x) != self.n:
+            raise LPModelError(f"point has {len(x)} coordinates, expected {self.n}")
+        xn, xd = common_denominator(x)
+        R, beta, s = integer_rows(self, rows)
+        return [s * sum(map(mul, r, xn)) - bt * xd for r, bt in zip(R, beta)]
+
+    def feasible(self, point) -> bool:
+        return all(e <= 0 for e in self._excess(point, range(self.m)))
 
     def tight_rows(self, point) -> list[int]:
-        x = as_fractions(point)
-        return [i for i in range(self.m) if dot(self.row(i), x) == self.b[i]]
+        return [i for i, e in enumerate(self._excess(point, range(self.m))) if e == 0]
 
 
 @dataclass(frozen=True)
@@ -122,6 +144,21 @@ class UnboundedCertificate:
 
 
 BOUNDED = "bounded"
+
+
+def integer_rows(lp: LinearProgram, rows) -> tuple[list[list[int]], list[int], int]:
+    """(R, beta, s) for the rows i in rows: R_i is the primitive integer row
+    of a_i, and beta_i / s its rhs scaled by the same positive factor, over
+    one common denominator s > 0; a_i x <= b_i exactly when s R_i x <= beta_i.
+    Computed per call: nothing is kept on lp."""
+    R = []
+    rhs = []
+    for i in rows:
+        ints, factor = primitive_int_row(lp.A[i])
+        R.append(ints)
+        rhs.append(factor * lp.b[i])
+    beta, s = common_denominator(rhs)
+    return R, beta, s
 
 
 def make_lp(A, b, c0, **flags) -> LinearProgram:
@@ -393,7 +430,7 @@ def assert_unbounded_if_box_tight(
     if not lp.box_rows:
         raise LPModelError("lp is not boxed")
     x = as_fractions(vertex.point)
-    if not any(dot(lp.row(i), x) == lp.b[i] for i in lp.box_rows):
+    if 0 not in lp._excess(x, sorted(lp.box_rows)):
         return BOUNDED
     rec = replace(
         lp,

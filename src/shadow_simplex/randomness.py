@@ -139,8 +139,11 @@ def draw_lambda(n: int, cfg: RngConfig, stream: DrawStream) -> list[Fraction]:
 def cone_objective(tight_rows, lam) -> list[Fraction]:
     """w = -sum lambda_k u_k: the start vertex minimizes w^T x over the polytope.
 
-    The rows must be independent; the driver passes the face images of the
-    free rows of a tableau's basis, which its invertible basis guarantees.
+    The rows must be independent and near-unit.  This is the face-coordinate
+    form of a round's cone objective; the driver prices the same objective
+    on the tableau's integer rows instead (`driver.lifted_cone_objective`,
+    with each row's factor tau formed once per round), and the tests compare
+    the two.
     """
     rows = [as_fractions(r) for r in tight_rows]
     lam = as_fractions(lam)

@@ -75,10 +75,7 @@ def primitive_int_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     Returns (integer row, factor) with int_row == factor * row.  Integer
     entries are taken as they are.
     """
-    lcm = 1
-    for x in row:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [x.numerator * (lcm // x.denominator) for x in row]
+    ints, den = common_denominator(row)
     g = 0
     for a in ints:
         g = gcd(g, a)
@@ -86,15 +83,17 @@ def primitive_int_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
         ints = [a // g for a in ints]
     else:
         g = 1
-    return ints, Fraction(lcm, g)
+    return ints, Fraction(den, g)
 
 
 def common_denominator(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     """Represent a rational vector as (integer numerators, shared den > 0)."""
     den = 1
     for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in vec], den
+        d = x.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def format_fraction(x: Fraction) -> str:

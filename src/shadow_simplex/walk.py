@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import BasicSolution, LinearProgram
-from .rational import as_fractions, common_denominator, primitive_int_row
+from .model import BasicSolution, LinearProgram, integer_rows
+from .rational import as_fractions, common_denominator
 
 
 class WalkError(RuntimeError):
@@ -112,13 +112,7 @@ class Tableau:
         m, n = lp.m, lp.n
         self.m, self.n = m, n
         self.ops = 0
-        self.R: list[list[int]] = []
-        beta_frac: list[Fraction] = []
-        for i in range(m):
-            ints, factor = primitive_int_row(lp.row(i))
-            self.R.append(ints)
-            beta_frac.append(factor * lp.b[i])
-        self.beta, self.s = common_denominator(beta_frac)
+        self.R, self.beta, self.s = integer_rows(lp, range(m))
 
         self.basis = sorted(start.basis)
         if len(self.basis) != n or len(set(self.basis)) != n:

@@ -256,7 +256,7 @@ def test_criterion_6_facet_identification():
         res = walk.shadow_walk(boxed, tab, r.lift(pert.c), r.lift(w))
         assert res.finished
         free = sorted(tab.basis)
-        if free[driver.identify_basis_element(tab, r, free)] not in opt_tight:
+        if free[driver.identify_basis_element(tab, r, free, {})] not in opt_tight:
             wrong += 1
         done += 1
     ok = wrong == 0

@@ -6,6 +6,7 @@ from math import ceil, log2
 
 import pytest
 from boxing import box
+from test_golden import _interior_point
 
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
 from shadow_simplex.driver import (
@@ -20,7 +21,7 @@ from shadow_simplex.driver import (
     solve,
 )
 from shadow_simplex.model import BasicSolution, UnboundedCertificate
-from shadow_simplex.rational import as_fractions, dot, primitive_int_row
+from shadow_simplex.rational import as_fractions, common_denominator, dot, primitive_int_row
 
 F = Fraction
 
@@ -59,7 +60,7 @@ def identify_at(lp, start, c):
     tab.aim(r.lift(c), [0] * lp.n)
     assert tab.at_optimum()
     free = sorted(tab.basis)
-    return free[identify_basis_element(tab, r, free)]
+    return free[identify_basis_element(tab, r, free, {})]
 
 
 class TestIdentify:
@@ -105,7 +106,7 @@ class TestIdentify:
             u = restriction_coords(r, [tab.R[i] for i in free])
             mu = linalg.solve_square([list(col) for col in zip(*u)], c)
             assert min(mu) >= 0
-            assert identify_basis_element(tab, r, free) == max(
+            assert identify_basis_element(tab, r, free, {}) == max(
                 range(len(free)), key=lambda k: (mu[k], -k)
             )
             done += 1
@@ -367,6 +368,91 @@ class TestRepeated:
         assert min(mu) >= 0
 
 
+def prices(tab, w):
+    """Exact price w . (-M[:, k]) / D of w at each basis position of tab, up
+    to the common factor -1 / D."""
+    nums, den = common_denominator(as_fractions(w))
+    return [F(sum(nums[t] * tab.M[t][k] for t in range(tab.n)), den) for k in range(tab.n)]
+
+
+class TestConeObjective:
+    def test_integer_w_prices_like_the_projected_w(self):
+        # w on the tableau's integer rows against the face-coordinate w
+        # lifted by r.lift: equal prices at every non-held basis position
+        # along the walk, and the same path
+        rng = random.Random(91)
+        done = 0
+        held_differs = 0
+        while done < 60:
+            n = rng.randint(2, 5)
+            m = rng.randint(n + 1, n + 5)
+            A = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+            A = [row for row in A if any(row)]
+            c0 = [F(rng.randint(-3, 3)) for _ in range(n)]
+            if linalg.rank(A) < n or not any(c0):
+                continue
+            lp = box(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], c0))
+            start = model.move_to_vertex(lp, [F(0)] * n)
+            tab = walk.Tableau(lp, start)
+            fixed = tab.basis[: min(done % 3, n - 1)]
+            r = facet_restriction([tab.R[i] for i in fixed], prim(lp.c0))
+            if r.c0 is None:
+                continue
+            free = sorted(set(tab.basis) - set(fixed))
+            rcfg = randomness.RngConfig(seed=done, phi=F(8 * n))
+            stream = randomness.DrawStream(done)
+            c = r.lift(randomness.perturb_objective(r.c0, rcfg, stream).c)
+            lam = randomness.draw_lambda(len(free), rcfg, stream)
+            tau = [driver._face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free]
+            w_int = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
+            u = restriction_coords(r, [tab.R[i] for i in free])
+            w_ref = r.lift(randomness.cone_objective(u, lam))
+
+            tab.aim(c, w_int, fixed)
+            while True:
+                got, ref = prices(tab, w_int), prices(tab, w_ref)
+                for k, row in enumerate(tab.basis):
+                    if row in fixed:
+                        held_differs += got[k] != ref[k]
+                    else:
+                        assert got[k] == ref[k]
+                if tab.pivot() is None:
+                    break
+
+            paths = [
+                walk.shadow_walk(lp, walk.Tableau(lp, start), c, w, held=fixed)
+                for w in (w_int, w_ref)
+            ]
+            assert paths[0].path == paths[1].path
+            assert paths[0].solution == paths[1].solution
+            done += 1
+        # the integer w is not the projected one: it prices held rows apart
+        assert held_differs > 0
+
+    def test_lambda_checked(self):
+        assert driver.lifted_cone_objective([[1, 2]], [F(1)], [F(1, 2)]) == [F(-1, 2), F(-1)]
+        for bad in (F(0), F(3, 2), F(-1, 4)):
+            with pytest.raises(DriverError, match="lambda"):
+                driver.lifted_cone_objective([[1, 2]], [bad], [F(1)])
+
+    def test_unit_norm_check_on_tau(self, monkeypatch):
+        exact = driver.unit_scale_pq
+        r = facet_restriction([[1, 1, 0]], [1, 2, 3])
+        assert driver._face_scale([1, 0, 2], r.cols, r.col_scale) is not None
+        monkeypatch.setattr(
+            driver, "unit_scale_pq", lambda p, q: exact(p, q) * F(2**20 + 1, 2**20)
+        )
+        with pytest.raises(DriverError, match="unit norm"):
+            driver._face_scale([1, 0, 2], r.cols, r.col_scale)
+        with pytest.raises(DriverError, match="unit norm"):
+            solve(square(), cfg())
+        # an error well inside the 3e-10 tolerance passes
+        monkeypatch.setattr(
+            driver, "unit_scale_pq", lambda p, q: exact(p, q) * F(2**40 + 1, 2**40)
+        )
+        assert solve(square(), cfg()).status == "optimal"
+
+
 class TestSchedule:
     def test_base_variant_doubles(self):
         s = PhiSchedule(variant="n32", n=4, m=9)
@@ -489,6 +575,23 @@ class TestSolve:
         out = solve(lp, cfg(collect_paths=True), initial_bfs=start)
         assert out.status == "optimal" and out.value == 3
         assert out.traces[0].path.start_basis == (2, 4)
+
+    def test_no_state_survives_a_solve(self):
+        # the same LinearProgram object solved twice: same outcome, and the
+        # solve leaves nothing on it
+        warm = harness.generate_tu_instance("interval-matrix", 16, 8, 3)
+        start = model.move_to_vertex(warm, _interior_point("interval-matrix", 16, 8, 3))
+        dyadic = randomness.RngConfig(seed=3, mode=randomness.MODE_DYADIC)
+        cases = [
+            (harness.generate_random_integer(9, 5, 920), cfg(seed=0, collect_paths=True), None),
+            (warm, SolveConfig(rng=dyadic, collect_paths=True), start),
+        ]
+        for lp, conf, bfs in cases:
+            before = dict(vars(lp))
+            first = solve(lp, conf, initial_bfs=bfs)
+            second = solve(lp, conf, initial_bfs=bfs)
+            assert first == second
+            assert vars(lp) == before
 
     def test_zero_objective(self):
         out = solve(model.make_lp([[1], [-1]], [1, 0], [0]), cfg())
@@ -645,5 +748,5 @@ class TestSolve:
             res = walk.shadow_walk(boxed, tab, r.lift(pert.c), r.lift(w))
             assert res.finished
             free = sorted(tab.basis)
-            assert free[identify_basis_element(tab, r, free)] in opt_tight
+            assert free[identify_basis_element(tab, r, free, {})] in opt_tight
             done += 1

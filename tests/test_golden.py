@@ -6,8 +6,12 @@ Each entry is (status, value, ray, pivots, phase1_pivots) of
 `model.normalize`; exact values and rays are written as `str(Fraction)`.
 The warm entries pin (status, value, pivots) of dyadic-mode solves from a
 `model.move_to_vertex` start, the path of the tu-warm benchmark workload.
+The sequence entries pin the sha256 of `repr(SolveOutcome.pivot_sequence)`,
+every (entering, leaving) row pair in order, for three cells of each kind:
+the benchmark's determinism digest hashes pivot counts only.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -111,6 +115,35 @@ TU_WARM = [
     (("network-matrix", 3), ("optimal", "53/2", 5)),
 ]
 
+# sha256 of repr(pivot_sequence), recorded with the cone objective still
+# formed in face coordinates and lifted
+PIVOT_SEQUENCES = [
+    (
+        ("warm", "interval-matrix", 1),
+        "2fef2f6053b86df4de95af09a2718a4ddd8e1786e13e4c856d555b42a5b6d8dd",
+    ),
+    (
+        ("warm", "interval-matrix", 3),
+        "9e806701d45793b10c65c9e3e3345dcc34cfedd3c3e564b9d70a370a0aab3548",
+    ),
+    (
+        ("warm", "network-matrix", 0),
+        "2197422778df1edc515d0b6314f930cd1373b3c18a3e7f6ecaf130532e0da051",
+    ),
+    (
+        ("random", 6, 5, 0),
+        "a9dc4d27c6704ad4218d029ab5e764c3ee175015ca17e685aa3e0f18fff25942",
+    ),
+    (
+        ("random", 9, 5, 0),
+        "aa9cf61745a56897a221867dc6543280740a5e31e4c127f048db7860245e3e1e",
+    ),
+    (
+        ("random", 10, 5, 1),
+        "6fdae6818b39ae9e90d2820fe6bdd22fcd972a7ddfc0cd3545d851b3a03c8323",
+    ),
+]
+
 ROW_MAKERS = {
     "tu-incidence": harness._incidence_rows,
     "interval-matrix": harness._interval_rows,
@@ -126,6 +159,13 @@ def _interior_point(kind, m, n, seed):
         if ROW_MAKERS[kind](rng, m, n):
             break
     return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+
+
+def _solve_warm(kind, seed):
+    lp = harness.generate_tu_instance(kind, 16, 8, seed)
+    start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
+    rng = randomness.RngConfig(seed=seed, mode=randomness.MODE_DYADIC)
+    return driver.solve(lp, driver.SolveConfig(rng=rng), initial_bfs=start)
 
 
 def _answer(lp, seed):
@@ -154,9 +194,17 @@ def test_tu_cold_answer_pinned(cell, expected):
 
 @pytest.mark.parametrize("cell,expected", TU_WARM)
 def test_tu_warm_answer_pinned(cell, expected):
-    kind, seed = cell
-    lp = harness.generate_tu_instance(kind, 16, 8, seed)
-    start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
-    rng = randomness.RngConfig(seed=seed, mode=randomness.MODE_DYADIC)
-    out = driver.solve(lp, driver.SolveConfig(rng=rng), initial_bfs=start)
+    out = _solve_warm(*cell)
     assert (out.status, str(out.value), out.pivots) == expected
+
+
+@pytest.mark.parametrize("cell,expected", PIVOT_SEQUENCES)
+def test_pivot_sequence_pinned(cell, expected):
+    if cell[0] == "warm":
+        out = _solve_warm(*cell[1:])
+    else:
+        m, n, seed = cell[1:]
+        lp = harness.generate_random_integer(m, n, 100 * m + 10 * n + seed)
+        out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed)))
+    assert out.pivot_sequence
+    assert hashlib.sha256(repr(out.pivot_sequence).encode()).hexdigest() == expected

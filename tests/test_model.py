@@ -307,3 +307,55 @@ class TestVertexUtilities:
             model.validate_basic_solution(
                 lp, BasicSolution(point=(F(0), F(0)), basis=(0, 2))
             )
+
+
+def _reference_excess(lp, point):
+    """a_i . x - b_i per row by Fraction dot products."""
+    x = [F(v) for v in point]
+    return [dot(lp.row(i), x) - lp.b[i] for i in range(lp.m)]
+
+
+class TestPointChecks:
+    def test_wrong_length_point_rejected(self):
+        lp = model.make_lp([[1, 0], [0, 1], [-1, -1]], [1, 1, 0], [1, 1])
+        assert lp.feasible([0, 0])
+        for point in ([0, 0, 99], [1], []):
+            with pytest.raises(LPModelError):
+                lp.feasible(point)
+            with pytest.raises(LPModelError):
+                lp.tight_rows(point)
+
+    def test_integer_checks_match_fraction_reference(self):
+        # rows with non-integral, negative and zero entries; rhs chosen so
+        # that some rows are tight, some slack and some violated at x0
+        rng = random.Random(2026)
+        entries = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 6), F(-7, 4)]
+        kinds = {"tight": 0, "inside": 0, "outside": 0}
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            x0 = [rng.randint(-3, 3) for _ in range(n)]
+            A, b = [], []
+            for _ in range(rng.randint(1, 8)):
+                row = [rng.choice(entries) for _ in range(n)]
+                if not any(row):
+                    row[rng.randrange(n)] = F(-1, 3)
+                A.append(row)
+                shift = rng.choice([0, 0, F(1, 7), -F(1, 7), 2, -1])
+                b.append(dot(row, [F(v) for v in x0]) + shift)
+            lp = model.make_lp(A, b, [1] * n)
+            half = [F(2 * v + rng.choice([-1, 1]), 2) for v in x0]
+            points = [
+                x0,
+                [float(v) for v in x0],
+                [F(v) for v in x0],
+                [float(v) for v in half],
+                half,
+                [F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)],
+            ]
+            for point in points:
+                ref = _reference_excess(lp, point)
+                assert lp.feasible(point) == all(e <= 0 for e in ref)
+                assert lp.tight_rows(point) == [i for i, e in enumerate(ref) if e == 0]
+                for e in ref:
+                    kinds["tight" if e == 0 else "inside" if e < 0 else "outside"] += 1
+        assert min(kinds.values()) > 100
