@@ -1,6 +1,16 @@
 """Repeated shadow vertex driver: perturb, walk, fix a facet, repeat;
 wrapped in the doubling phi schedule with exact optimality certificates.
 
+`solve` runs one path for every LP: one rank pass, rank completion, Phase 1
+when no start vertex is given, the box, then the doubling loop.  An LP of
+rank below n whose c0 leaves the row span (the objective escape) has no
+vertex: a given start is ignored, Phase 1 decides feasibility, and a
+feasible one is unbounded along the escape.  A zero objective's chain stops
+at round 0, so its start vertex is accepted at the first phi
+(`phi_accepted`).  Phase 1 is `solve` itself at depth 1, on the Phase-1 phi
+schedule and without the box-tight check, which its bounded objective does
+not need.
+
 A facet chain keeps one `walk.Tableau` on the boxed LP, built on the start
 vertex's own basis; that build is the check of the start, and a bad one
 raises `walk.WalkError`.  The rows fixed so far stay in its basis, held out
@@ -349,9 +359,6 @@ class SolveConfig:
     cap_constant: int = 16
     max_doublings: int = 64
     collect_paths: bool = False
-    # set internally for Phase 1, whose schedule is parametrized by the
-    # dimensions of the problem it serves, not the one it walks
-    schedule_obj: PhiSchedule | None = None
 
 
 @dataclass
@@ -373,12 +380,6 @@ class SolveOutcome:
     pivot_sequence: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _schedule_for(lp: LinearProgram, cfg: SolveConfig) -> PhiSchedule:
-    if cfg.schedule_obj is not None:
-        return cfg.schedule_obj
-    return PhiSchedule(variant=cfg.schedule, n=lp.n, m=lp.m)
-
-
 def _walk_bits_and_cap(
     lp_m: int, lp_n: int, phi: Fraction, cfg: SolveConfig
 ) -> tuple[randomness.RngConfig, int | None]:
@@ -396,47 +397,57 @@ def solve(
     lp_raw: LinearProgram,
     cfg: SolveConfig,
     initial_bfs: BasicSolution | None = None,
-    known_bounded_objective: bool = False,
     _stream: randomness.DrawStream | None = None,
     _depth: int = 0,
+    _schedule: PhiSchedule | None = None,
 ) -> SolveOutcome:
     """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
     given, box, then the doubling schedule around the repeated shadow vertex
     algorithm.  The rows are used as given, never scaled: one rank pass finds
-    the lead rows that both Phase 1 and the box use.  Accepted outcomes carry
-    exact certificates, checked against lp_raw.
+    the lead rows that both Phase 1 and the box use.  Every answer is checked
+    against lp_raw: the point for feasibility, a ray for improvement and
+    recession.
+
+    - Rank below n with c0 off the row span (the objective escape): the LP
+      has no vertex, so initial_bfs is ignored and Phase 1 runs; the answer
+      is infeasible, or unbounded along the escape from Phase 1's point.
+    - A zero objective: the facet chain stops at round 0 and the certificate
+      walk finds no improving edge, so the start vertex (Phase 1's, or
+      initial_bfs) is optimal with value 0, and `phi_accepted` is the first
+      phi.
 
     initial_bfs is checked by the first facet chain's `walk.Tableau` build
     on the boxed LP, whose rows include every row of lp_raw: a basis that
     does not hold n distinct rows, has dependent rows, is not tight at the
-    point, or a point that violates a row, raises `walk.WalkError`."""
+    point, or a point that violates a row, raises `walk.WalkError`.
+
+    Only Phase 1's own call sets _stream, _depth (1) and _schedule: it shares
+    the caller's draws, walks on the Phase-1 schedule, and skips the box-tight
+    check, since its objective -sum(y) is bounded above by 0."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
     out = SolveOutcome(status="pending")
 
-    c_raw = list(lp_raw.c0)
-    if all(x == 0 for x in c_raw):
-        return _solve_pure_feasibility(lp_raw, cfg, stream, out)
-
     # rank completion, whose independent rows are the lead rows
     idx = linalg.independent_rows(lp_raw.rows())
-    if len(idx) < lp_raw.n:
-        escape = model._objective_escape(lp_raw)
-        if escape is not None:
-            return _solve_escape(lp_raw, idx, escape, cfg, stream, out)
+    escape = model._objective_escape(lp_raw) if len(idx) < lp_raw.n else None
     work, lead = _complete_rank(lp_raw, idx)
 
-    if initial_bfs is None:
+    if initial_bfs is None or escape is not None:
         bfs = _phase1_start(work, lead, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
         bfs = initial_bfs
 
+    if escape is not None:
+        out.bits_consumed = stream.bits_consumed
+        return _accept(out, lp_raw, bfs.point, tuple(escape))
+
     boxed = model.bound_polytope(work, lead)
 
-    sched = _schedule_for(work, cfg)
+    sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         rng_i, cap = _walk_bits_and_cap(boxed.m, boxed.n, phi, cfg)
@@ -455,29 +466,29 @@ def solve(
         vertex = cand.tableau.solution()
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
-        verdict = (
-            model.BOUNDED
-            if known_bounded_objective
-            else model.assert_unbounded_if_box_tight(vertex, boxed)
-        )
-        unbounded = isinstance(verdict, UnboundedCertificate)
-        point = verdict.point if unbounded else vertex.point
-        if not lp_raw.feasible(point):
-            raise DriverError("certificate failure: accepted point infeasible")
-        if unbounded:
-            _check_ray(lp_raw, verdict.ray)
-            out.status = "unbounded"
-            out.point = point
-            out.ray = verdict.ray
-            return out
-        out.status = "optimal"
-        out.point = point
-        out.value = dot(c_raw, as_fractions(point))
+        verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(vertex, boxed)
+        if isinstance(verdict, UnboundedCertificate):
+            return _accept(out, lp_raw, verdict.point, verdict.ray)
         out.vertex = vertex
-        return out
+        return _accept(out, lp_raw, vertex.point)
     raise DoublingLimitError(
         f"no acceptance within {cfg.max_doublings} doublings (bug: i* is finite)"
     )
+
+
+def _accept(out: SolveOutcome, lp_raw: LinearProgram, point, ray=None) -> SolveOutcome:
+    """out answered at point, unbounded along ray when one is given, after
+    checking both against lp_raw."""
+    if not lp_raw.feasible(point):
+        raise DriverError("certificate failure: accepted point infeasible")
+    out.point = point
+    if ray is None:
+        out.status = "optimal"
+        out.value = dot(list(lp_raw.c0), as_fractions(point))
+    else:
+        _check_ray(lp_raw, ray)
+        out.status, out.ray = "unbounded", ray
+    return out
 
 
 def _check_ray(lp: LinearProgram, ray) -> None:
@@ -507,21 +518,13 @@ def _phase1_start(work, lead, cfg, stream, out):
     if isinstance(p1, BasicSolution):
         return p1
     out.phase1_artificials = p1.lp_prime.n - p1.orig_n
-    sub_cfg = SolveConfig(
-        rng=cfg.rng,
-        schedule=SCHEDULE_PHASE1,
-        cap_constant=cfg.cap_constant,
-        max_doublings=cfg.max_doublings,
-        collect_paths=cfg.collect_paths,
-        schedule_obj=PhiSchedule(variant=SCHEDULE_PHASE1, n=work.n, m=work.m),
-    )
     sub = solve(
         p1.lp_prime,
-        sub_cfg,
+        cfg,
         initial_bfs=p1.initial,
-        known_bounded_objective=True,
         _stream=stream,
         _depth=1,
+        _schedule=PhiSchedule(variant=SCHEDULE_PHASE1, n=work.n, m=work.m),
     )
     out.phase1_pivots = sub.pivots
     out.pivots += sub.pivots
@@ -536,33 +539,3 @@ def _phase1_start(work, lead, cfg, stream, out):
         out.bits_consumed = stream.bits_consumed
         return out
     return got
-
-
-def _solve_pure_feasibility(lp_raw, cfg, stream, out) -> SolveOutcome:
-    """Zero objective: every feasible point is optimal with value 0."""
-    work, lead = _complete_rank(lp_raw, linalg.independent_rows(lp_raw.rows()))
-    # borrow the Phase 1 machinery with a placeholder objective
-    probe = replace(work, c0=tuple([Fraction(1)] + [Fraction(0)] * (work.n - 1)))
-    bfs = _phase1_start(probe, lead, cfg, stream, out)
-    if isinstance(bfs, SolveOutcome):
-        return bfs
-    out.status = "optimal"
-    out.point = bfs.point
-    out.vertex = bfs
-    out.value = Fraction(0)
-    out.bits_consumed = stream.bits_consumed
-    return out
-
-
-def _solve_escape(work, idx, escape, cfg, stream, out) -> SolveOutcome:
-    """c0 leaves the row span: infeasible, or unbounded along the escape."""
-    ext, lead = _complete_rank(work, idx)
-    bfs = _phase1_start(replace(ext, c0=tuple(escape)), lead, cfg, stream, out)
-    if isinstance(bfs, SolveOutcome):
-        return bfs
-    _check_ray(work, escape)
-    out.status = "unbounded"
-    out.point = bfs.point
-    out.ray = tuple(as_fractions(escape))
-    out.bits_consumed = stream.bits_consumed
-    return out

@@ -183,10 +183,3 @@ def check_inv_delta_bound_pair(
 ) -> bool:
     """The tighter 1/delta <= n * Delta_1 * Delta_{n-1} form."""
     return inv_delta_sq <= Fraction(n * Delta1 * max(Delta_nminus1, 1)) ** 2
-
-
-def check_bounds(report: DeltaReport, n: int) -> bool:
-    """True iff 1/delta <= n Delta^2 (the report must come from integral A)."""
-    if report.Delta is None:
-        raise MetricsError("report was not computed on an integral matrix")
-    return check_inv_delta_bound(report.inv_delta_sq, n, report.Delta)

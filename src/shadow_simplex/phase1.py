@@ -35,7 +35,6 @@ class Phase1Error(ValueError):
 class Phase1Problem:
     lp_prime: LinearProgram
     initial: BasicSolution
-    row_permutation: tuple[int, ...]  # lp_prime row i of the A-block = lp row perm[i]
     orig_n: int
 
 
@@ -93,12 +92,7 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     basis = list(range(n)) + [m + i if y[i] == 0 else i for i in range(m)]
     initial = BasicSolution(point=point, basis=tuple(sorted(basis)))
     model.validate_basic_solution(lp_prime, initial)
-    return Phase1Problem(
-        lp_prime=lp_prime,
-        initial=initial,
-        row_permutation=tuple(perm),
-        orig_n=n,
-    )
+    return Phase1Problem(lp_prime=lp_prime, initial=initial, orig_n=n)
 
 
 def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | BasicSolution:
@@ -127,12 +121,7 @@ def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | Bas
         point=tuple(x_bar) + tuple(resid[i] for i in V),
         basis=tuple(range(n)) + tuple(V),
     )
-    return Phase1Problem(
-        lp_prime=lp_face,
-        initial=initial,
-        row_permutation=tuple(perm),
-        orig_n=n,
-    )
+    return Phase1Problem(lp_prime=lp_face, initial=initial, orig_n=n)
 
 
 def slack_sum(problem: Phase1Problem, point) -> Fraction:

@@ -105,9 +105,9 @@ class Tableau:
     Single-owner mutable state; concurrent walks must each build their own.
     """
 
-    def __init__(self, lp: LinearProgram, start: BasicSolution, c=None, w=None) -> None:
-        """Build the integer basis inverse at start; the objectives may be
-        given here or by `aim` before the first pivot."""
+    def __init__(self, lp: LinearProgram, start: BasicSolution) -> None:
+        """Build the integer basis inverse at start; `aim` sets the objectives
+        before the first pivot."""
         self.lp = lp
         m, n = lp.m, lp.n
         self.m, self.n = m, n
@@ -132,8 +132,6 @@ class Tableau:
         for i in range(m):
             if self._slack_num(i, x_num) < 0:
                 raise WalkError("start point infeasible")
-        if c is not None:
-            self.aim(c, w)
 
     def aim(self, c, w, held=()) -> None:
         """Set the objectives of the next walk and the basis rows it holds;

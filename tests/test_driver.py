@@ -6,7 +6,7 @@ from math import ceil, log2
 
 import pytest
 from boxing import box
-from test_golden import _interior_point
+from test_golden import _flat_in_x3, _interior_point
 
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
 from shadow_simplex.driver import (
@@ -596,6 +596,30 @@ class TestSolve:
     def test_zero_objective(self):
         out = solve(model.make_lp([[1], [-1]], [1, 0], [0]), cfg())
         assert out.status == "optimal" and out.value == 0
+        assert out.phi_accepted == PhiSchedule(driver.SCHEDULE_BASE, n=1, m=2).phi(0)
+
+    def test_zero_objective_returns_the_given_start(self):
+        # the start is the optimum: the facet chain stops at round 0 and the
+        # certificate walk finds no improving edge; Phase 1 does not run
+        start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
+        out = solve(square(c0=(0, 0)), cfg(), initial_bfs=start)
+        assert out.status == "optimal" and out.value == 0
+        assert out.point == (0, 0) and out.vertex == start
+        assert out.pivots == out.phase1_artificials == 0
+        # the start is checked by the chain's Tableau build
+        bad = BasicSolution(point=(F(1), F(0)), basis=(0, 1))
+        with pytest.raises(walk.WalkError, match="dependent"):
+            solve(square(c0=(0, 0)), cfg(), initial_bfs=bad)
+
+    def test_escape_ignores_the_given_start(self):
+        # rank 2 of 3 and c0 off the row span: the LP has no vertex, so Phase
+        # 1 decides feasibility even when a start is given
+        lp = _flat_in_x3([2, 2, 3, 0, 0, 4], [1, 1, 1])
+        start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 6))
+        out = solve(lp, cfg(seed=1), initial_bfs=start)
+        assert out.status == "unbounded" and out.ray == (0, 0, 1)
+        assert out.phase1_artificials == 2
+        assert out == solve(lp, cfg(seed=1))
 
     def test_rank_deficient_escape(self):
         out = solve(model.make_lp([[1, 0]], [1], [0, 1]), cfg())

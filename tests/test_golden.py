@@ -9,10 +9,15 @@ The warm entries pin (status, value, pivots) of dyadic-mode solves from a
 The sequence entries pin the sha256 of `repr(SolveOutcome.pivot_sequence)`,
 every (entering, leaving) row pair in order, for three cells of each kind:
 the benchmark's determinism digest hashes pivot counts only.
+The zero-objective and objective-escape entries pin (status, value, ray,
+pivots, phase1_pivots, phase1_artificials, bits_consumed) of cold solves,
+recorded while `driver.solve` still sent those LPs down paths of their own;
+the dyadic entries pin the bits that Phase 1 draws on its own schedule.
 """
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,6 +149,50 @@ PIVOT_SEQUENCES = [
     ),
 ]
 
+
+def _flat_in_x3(b, c0):
+    """Rows in x1, x2 only, so rank 2 of 3: the lead rows x1 <= 2, x2 <= 2
+    meet where x1 + x2 <= b[2] fails, so Phase 1 runs."""
+    A = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 2, 0]]
+    return model.make_lp(A, b, c0)
+
+
+def _zero_objective(lp):
+    return replace(lp, c0=(Fraction(0),) * lp.n)
+
+
+# name -> (LP, solver seed)
+ZERO_AND_ESCAPE_LPS = {
+    "zero-phase1-skipped": (
+        lambda: _zero_objective(harness.generate_tu_instance("interval-matrix", 6, 3, 1)),
+        1,
+    ),
+    "zero-phase1-run": (
+        lambda: _zero_objective(harness.generate_tu_instance("tu-incidence", 6, 3, 0)),
+        0,
+    ),
+    "zero-infeasible": (
+        lambda: _zero_objective(harness.generate_random_integer(10, 4, 1041)),
+        1,
+    ),
+    "zero-rank-deficient": (lambda: _flat_in_x3([2, 2, 3, 0, 0, 4], [0, 0, 0]), 1),
+    "escape-unbounded": (lambda: _flat_in_x3([2, 2, 3, 0, 0, 4], [1, 1, 1]), 1),
+    "escape-infeasible": (lambda: _flat_in_x3([2, 2, -1, 0, 0, 4], [1, 1, 1]), 1),
+}
+
+# (name, mode) -> (status, value, ray, pivots, phase1_pivots,
+# phase1_artificials, bits_consumed) of the cold solve
+ZERO_AND_ESCAPE = [
+    (("zero-phase1-skipped", "float"), ("optimal", "0", None, 0, 0, 0, 0)),
+    (("zero-phase1-run", "float"), ("optimal", "0", None, 5, 5, 3, 1590)),
+    (("zero-phase1-run", "dyadic"), ("optimal", "0", None, 5, 5, 3, 6900)),
+    (("zero-infeasible", "float"), ("infeasible", None, None, 5, 5, 2, 2120)),
+    (("zero-rank-deficient", "float"), ("optimal", "0", None, 3, 3, 2, 954)),
+    (("escape-unbounded", "float"), ("unbounded", None, ("0", "0", "1"), 3, 3, 2, 954)),
+    (("escape-unbounded", "dyadic"), ("unbounded", None, ("0", "0", "1"), 3, 3, 2, 3222)),
+    (("escape-infeasible", "float"), ("infeasible", None, None, 4, 4, 2, 1484)),
+]
+
 ROW_MAKERS = {
     "tu-incidence": harness._incidence_rows,
     "interval-matrix": harness._interval_rows,
@@ -168,15 +217,22 @@ def _solve_warm(kind, seed):
     return driver.solve(lp, driver.SolveConfig(rng=rng), initial_bfs=start)
 
 
-def _answer(lp, seed):
-    out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed)))
+def _full_answer(lp, seed, mode=randomness.MODE_FLOAT):
+    rng = randomness.RngConfig(seed=seed, mode=mode)
+    out = driver.solve(lp, driver.SolveConfig(rng=rng))
     return (
         out.status,
         None if out.value is None else str(out.value),
         None if out.ray is None else tuple(str(x) for x in out.ray),
         out.pivots,
         out.phase1_pivots,
+        out.phase1_artificials,
+        out.bits_consumed,
     )
+
+
+def _answer(lp, seed):
+    return _full_answer(lp, seed)[:5]
 
 
 @pytest.mark.parametrize("cell,expected", RANDOM_INTEGER)
@@ -196,6 +252,13 @@ def test_tu_cold_answer_pinned(cell, expected):
 def test_tu_warm_answer_pinned(cell, expected):
     out = _solve_warm(*cell)
     assert (out.status, str(out.value), out.pivots) == expected
+
+
+@pytest.mark.parametrize("cell,expected", ZERO_AND_ESCAPE)
+def test_zero_objective_and_escape_answer_pinned(cell, expected):
+    name, mode = cell
+    make, seed = ZERO_AND_ESCAPE_LPS[name]
+    assert _full_answer(make(), seed, mode) == expected
 
 
 @pytest.mark.parametrize("cell,expected", PIVOT_SEQUENCES)

@@ -10,7 +10,6 @@ from float_orthonormal import complete_orthonormal
 from shadow_simplex import linalg, metrics
 from shadow_simplex.metrics import (
     MetricsError,
-    check_bounds,
     delta_matrix,
     delta_of_rows,
     delta_sq_angle_definition,
@@ -167,7 +166,7 @@ class TestSubdeterminants:
 class TestBounds:
     def test_identity_bound(self):
         rep = delta_matrix(rows_of((1, 0), (0, 1)))
-        assert check_bounds(rep, 2) is True  # 1/delta = 1 <= 2
+        assert rep.bound_nDeltaSq_ok is True  # 1/delta = 1 <= 2
 
     def test_tu_bound_n4(self):
         # any TU matrix with Delta = 1 must have delta >= 1/n
@@ -175,7 +174,7 @@ class TestBounds:
              [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         rep = delta_matrix(rows_of(*A))
         assert rep.Delta == 1
-        assert check_bounds(rep, 4)
+        assert rep.bound_nDeltaSq_ok is True
         assert rep.inv_delta_sq <= 16  # 1/delta <= n = 4
 
     def test_random_integral_bounds_hold_exactly(self):
@@ -193,6 +192,6 @@ class TestBounds:
             done += 1
 
     def test_requires_integral_report(self):
+        # Delta is defined on integral matrices only, so no bound is decided
         rep = delta_matrix(rows_of((F(1, 2), 0), (0, 1)))
-        with pytest.raises(MetricsError):
-            check_bounds(rep, 2)
+        assert rep.Delta is None and rep.bound_nDeltaSq_ok is None

@@ -72,8 +72,9 @@ class TestFaceDelta:
                 face = got.lp_prime.rows()
                 with_face += 1
                 # the face is LP' with the columns and lower rows of y_i,
-                # i outside V, deleted
-                perm = got.row_permutation
+                # i outside V, deleted; its rows come lead rows first
+                lead = lead_rows(lp)
+                perm = lead + [i for i in range(m) if i not in lead]
                 V = got.initial.basis[n:]
                 cols = list(range(n)) + [n + i for i in V]
                 B = phase1_matrix([normed[i] for i in perm])

@@ -1,11 +1,21 @@
 """The span recorder of the benchmark (perfbench/tracing.py) wraps module
 attributes by name, so deleting or renaming one of them breaks
-`perfbench/run.py --trace 1`.  This reads its list; it changes nothing."""
+`perfbench/run.py --trace 1`.  This reads its list; it changes nothing.
+
+The recorder also names a `driver.solve` span `phase1.solve` when the call
+passes `_depth=1` by keyword, so the `phase1.*` per-layer metrics rest on
+Phase 1 re-entering `solve` through the module attribute, once per solve
+that runs it."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
+from test_golden import _solve_warm
+
+from shadow_simplex import driver, harness, randomness
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -22,3 +32,40 @@ def test_every_wrapped_name_resolves(monkeypatch):
         if not hasattr(importlib.import_module(f"shadow_simplex.{module}"), attr)
     ]
     assert tracing.WRAPPED and not missing
+
+
+@pytest.fixture
+def solve_depths(monkeypatch):
+    """The `_depth` keyword of every `driver.solve` call, None when absent."""
+    depths = []
+    inner = driver.solve
+
+    def recording(*args, **kwargs):
+        depths.append(kwargs.get("_depth"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve", recording)
+    return depths
+
+
+def _cold(kind, seed):
+    lp = harness.generate_tu_instance(kind, 6, 3, seed)
+    return driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed)))
+
+
+def test_cold_phase1_reenters_solve_once_at_depth_1(solve_depths):
+    out = _cold("tu-incidence", 0)
+    assert out.phase1_artificials > 0
+    assert solve_depths == [None, 1]
+
+
+def test_warm_solve_never_reenters(solve_depths):
+    out = _solve_warm("interval-matrix", 1)
+    assert out.status == "optimal"
+    assert solve_depths == [None]
+
+
+def test_cold_start_violating_no_row_never_reenters(solve_depths):
+    out = _cold("interval-matrix", 1)
+    assert out.status == "optimal" and out.phase1_artificials == 0
+    assert solve_depths == [None]

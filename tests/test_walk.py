@@ -61,7 +61,8 @@ class TestShadowPivot:
         lp = square()
         c = [F(9, 10), F(1, 10)]
         w = [F(1, 2), F(1, 2)]  # -(-e1*l) - .. with l = 1/2 each
-        tab = Tableau(lp, origin_start(), c, w)
+        tab = Tableau(lp, origin_start())
+        tab.aim(c, w)
         step = tab.pivot()
         assert step is not None
         assert tab.vertex() == [1, 0]
@@ -69,9 +70,8 @@ class TestShadowPivot:
 
     def test_at_optimum_returns_none(self):
         lp = square()
-        tab = Tableau(
-            lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)), [F(1, 2), F(1, 2)], [F(-1), F(-1)]
-        )
+        tab = Tableau(lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)))
+        tab.aim([F(1, 2), F(1, 2)], [F(-1), F(-1)])
         assert tab.pivot() is None
 
     def test_equal_slope_tie_takes_lowest_entering_row(self):
@@ -80,7 +80,8 @@ class TestShadowPivot:
         lp = square()
         c = [F(1, 2), F(1, 2)]
         w = [F(1, 3), F(1, 3)]
-        tab = Tableau(lp, origin_start(), c, w)
+        tab = Tableau(lp, origin_start())
+        tab.aim(c, w)
         step = tab.pivot()
         assert step.entering_row == 0  # rows 0 and 2 tie; lowest index wins
 
@@ -92,7 +93,8 @@ class TestShadowPivot:
 
     def test_unbounded_edge_raises(self):
         lp = model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1])
-        tab = Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)), [F(1), F(0)], [F(-1), F(-1)])
+        tab = Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
+        tab.aim([F(1), F(0)], [F(-1), F(-1)])
         with pytest.raises(UnboundedEdgeError):
             tab.pivot()
 
@@ -204,7 +206,8 @@ class TestTableauInternals:
         start = model.move_to_vertex(lp, [F(0), F(0)])
         c = [F(3, 5), F(4, 5)]
         w = [F(-1, 2), F(-1, 3)]
-        tab = Tableau(lp, start, c, w)
+        tab = Tableau(lp, start)
+        tab.aim(c, w)
         while True:
             # invariant: R_basis @ M == D * I exactly
             n = tab.n
@@ -242,7 +245,8 @@ class TestTableauInternals:
                 continue
             c = [F(rng.randint(1, 5), 7) for _ in range(n)]
             w = [F(-rng.randint(1, 5), 7) for _ in range(n)]
-            tab = Tableau(lp, start, c, w)
+            tab = Tableau(lp, start)
+            tab.aim(c, w)
             tab.ops = 0
             before = 0
             while tab.pivot() is not None:
