@@ -11,17 +11,22 @@ at round 0, so its start vertex is accepted at the first phi
 schedule and without the box-tight check, which its bounded objective does
 not need.
 
-A facet chain keeps one `walk.Tableau` on the boxed LP, built on the start
-vertex's own basis; that build is the check of the start, and a bad one
-raises `walk.WalkError`.  The rows fixed so far stay in its basis, held out
-of pricing, so each walk stays on the face where they are tight.  Each
-round draws its perturbed objective in coordinates of that face, over an
-exactly orthogonal integer basis of the fixed rows' complement, and lifts it
-to the boxed LP exactly; its cone objective is priced on the tableau's
-integer rows (`lifted_cone_objective`), with each free row's near-unit
-factor tau formed once per round.  The walk is the one on the restricted
-LP, whose delta-distance value is preserved to rounding of the unit
-scaling, without building it.  Row indices in walk paths and in
+A solve builds the integer form of its rows once (`model.integer_form`):
+Phase 1's start, the box, the chain's tableau, the box-tight test and the
+checks of the answer all read it.  A facet chain keeps one `walk.Tableau`
+on the boxed LP's form, built on the start vertex's own basis; that build
+is the check of the start, and a bad one raises `walk.WalkError`.  The rows
+fixed so far stay in its basis, held out of pricing, so each walk stays on
+the face where they are tight.  Each round runs in integers: it draws its
+perturbed objective in coordinates of that face, over an exactly orthogonal
+integer basis of the fixed rows' complement (the fixed rows orthogonalized
+once, one more per round), as numerators over one denominator, and lifts it
+to the boxed LP exactly on the integer columns; its cone objective is
+priced on the tableau's integer rows (`lifted_cone_objective`), with each
+free row's near-unit factor tau formed once per round.  Both reach
+`Tableau.aim` as (numerators, denominator) pairs.  The walk is the one on
+the restricted LP, whose delta-distance value is preserved to rounding of
+the unit scaling, without building it.  Row indices in walk paths and in
 `SolveOutcome.pivot_sequence` are rows of the boxed LP walked.
 """
 
@@ -29,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg, model, phase1, randomness, walk
-from .model import BasicSolution, LinearProgram, UnboundedCertificate
+from .model import BasicSolution, IntegerForm, LinearProgram, UnboundedCertificate
 from .rational import (
     as_fractions,
     common_denominator,
@@ -106,23 +111,29 @@ class FacetRestriction:
 
     A row a has face coordinates (a . v_k)_k, since a . x = a . x_f +
     sum_k y_k (a . v_k).  c0 is the objective's face coordinates scaled to
-    near-unit norm, or None when the objective is constant on the face.
+    near-unit norm, as (integer numerators, denominator), or None when the
+    objective is constant on the face.
     """
 
     cols: tuple[tuple[int, ...], ...]
     col_scale: tuple[Fraction, ...]
-    c0: tuple[Fraction, ...] | None
+    c0: tuple[tuple[int, ...], int] | None
 
-    def lift(self, y) -> list[Fraction]:
-        """The vector in span(cols) whose face coordinates are exactly y."""
+    def lift(self, y) -> tuple[list[int], int]:
+        """The vector in span(cols) whose face coordinates are exactly y,
+        both as (integer numerators, denominator) pairs: x = sum_k y_k cols_k
+        / (col_scale_k |cols_k|^2), over one denominator, on the integer
+        columns."""
+        yn, yd = y
+        # y_k / (col_scale_k N_k) = yn_k sd_k / (yd sn_k N_k), over yd L
+        dens = [
+            sk.numerator * sum(a * a for a in v) for sk, v in zip(self.col_scale, self.cols)
+        ]
+        L = lcm(*dens)
         coef = [
-            yk / (sk * sum(a * a for a in v))
-            for yk, sk, v in zip(as_fractions(y), self.col_scale, self.cols)
+            yk * sk.denominator * (L // dk) for yk, sk, dk in zip(yn, self.col_scale, dens)
         ]
-        nums, den = common_denominator(coef)
-        return [
-            Fraction(sum(map(mul, nums, col)), den) for col in zip(*self.cols)
-        ]
+        return [sum(map(mul, coef, col)) for col in zip(*self.cols)], yd * L
 
 
 def _face_scale(
@@ -154,55 +165,62 @@ def _face_scale(
     return red, t
 
 
-def _face_direction(ints: list[int], cols, col_scale) -> tuple[list[Fraction], Fraction] | None:
-    """(near-unit face coordinates, their factor tau) of an integer row, as
-    `_face_scale` gives them; None when the row is constant on the face."""
-    face = _face_scale(ints, cols, col_scale)
-    if face is None:
-        return None
-    red, t = face
-    return [Fraction(t.numerator * p, t.denominator * q) for p, q in red], t
-
-
-def facet_restriction(fixed: list[list[int]], c0: list[int]) -> FacetRestriction:
+def facet_restriction(
+    fixed: list[list[int]], c0: list[int], ortho: list[list[int]] | None = None
+) -> FacetRestriction:
     """The face basis of the fixed rows, with the objective's face image,
     from the primitive integer forms of the fixed rows and of c0.
 
     Built from the top-level rows each round (chaining one-step reductions
     would square exact entry sizes per level), so numbers stay single-level
-    small no matter how deep the facet chain is.
+    small no matter how deep the facet chain is.  A facet chain, whose fixed
+    rows only grow, passes the same ortho list every round:
+    `linalg.complement_basis_int` keeps the fixed rows orthogonalized there,
+    so each round projects only its new row.
     """
     n = len(c0)
     d = n - len(fixed)
     if d < 1:
         raise DriverError("nothing left to restrict")
-    V_int = linalg.complement_basis_int(fixed, n)
+    V_int = linalg.complement_basis_int(fixed, n, ortho)
     if len(V_int) != d:
         raise DriverError("fixed facet rows are dependent")
     # near-unit column scale, kept separate so row projections stay integer
     col_scale = [unit_scale_pq(sum(a * a for a in v), 1) for v in V_int]
-    c0_face = _face_direction(c0, V_int, col_scale)
+    c0_face = _face_scale(c0, V_int, col_scale)
+    if c0_face is not None:
+        # t (p_k / q_k)_k over the one denominator t_den lcm(q)
+        red, t = c0_face
+        L = lcm(*(q for _, q in red))
+        c0_face = (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
     return FacetRestriction(
-        cols=tuple(tuple(v) for v in V_int),
-        col_scale=tuple(col_scale),
-        c0=None if c0_face is None else tuple(c0_face[0]),
+        cols=tuple(tuple(v) for v in V_int), col_scale=tuple(col_scale), c0=c0_face
     )
 
 
 def restriction_coords(r: FacetRestriction, rows: list[list[int]]) -> list[list[Fraction] | None]:
-    """Near-unit face coordinates of integer rows (None for a row constant on
-    the face), as `_face_direction` gives them.  The solve path does not
-    build them: its cone objective is priced on the integer rows."""
-    faces = [_face_direction(ints, r.cols, r.col_scale) for ints in rows]
-    return [None if f is None else f[0] for f in faces]
+    """Near-unit face coordinates tau (p_k / q_k)_k of integer rows, as
+    `_face_scale` gives them (None for a row constant on the face).  The
+    solve path does not build them: its cone objective is priced on the
+    integer rows."""
+    out = []
+    for ints in rows:
+        face = _face_scale(ints, r.cols, r.col_scale)
+        if face is None:
+            out.append(None)
+            continue
+        red, t = face
+        out.append([Fraction(t.numerator * p, t.denominator * q) for p, q in red])
+    return out
 
 
 def lifted_cone_objective(
-    rows: list[list[int]], lam: list[Fraction], tau: list[Fraction]
-) -> list[Fraction]:
-    """w = -sum_k lam_k tau_k R_k over the integer rows R_k, on one common
-    denominator: the cone objective -sum_k lam_k u_k over the near-unit face
-    images u_k = tau_k face(R_k), lifted without projecting.
+    rows: list[list[int]], lam: tuple[list[int], int], tau: list[Fraction]
+) -> tuple[list[int], int]:
+    """w = -sum_k lam_k tau_k R_k over the integer rows R_k, as (integer
+    numerators, denominator), lam given as numerators over one denominator:
+    the cone objective -sum_k lam_k u_k over the near-unit face images
+    u_k = tau_k face(R_k), lifted without projecting.
 
     Lifting u_k gives tau_k P(R_k), P the projection onto the face's
     directions, so w differs from the lifted face form by a vector in the
@@ -211,14 +229,16 @@ def lifted_cone_objective(
     pivots are the same.  Only the prices of held positions differ, and the
     walk never reads them.
     """
-    if any(not 0 < l <= 1 for l in lam):
+    lnum, lden = lam
+    if any(not 0 < l <= lden for l in lnum):
         raise DriverError("lambda coordinates must lie in (0, 1]")
-    nums, den = common_denominator([l * t for l, t in zip(lam, tau)])
+    T = lcm(*(t.denominator for t in tau))
+    coef = [l * t.numerator * (T // t.denominator) for l, t in zip(lnum, tau)]
     w = [0] * len(rows[0])
-    for a, row in zip(nums, rows):
+    for a, row in zip(coef, rows):
         for j, x in enumerate(row):
             w[j] -= a * x
-    return [Fraction(x, den) for x in w]
+    return w, lden * T
 
 
 def identify_basis_element(
@@ -289,6 +309,7 @@ class Candidate:
 
 def repeated_shadow_vertex(
     lp: LinearProgram,
+    form: IntegerForm,
     x0: BasicSolution,
     phi: Fraction,
     cfg: randomness.RngConfig,
@@ -298,24 +319,26 @@ def repeated_shadow_vertex(
 ) -> Candidate:
     """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau.
 
-    The tableau starts on x0's own basis, and its build checks x0 (a bad
-    start raises `walk.WalkError`).  Each round draws its perturbed
-    objective in the coordinates of the current face and lifts it to lp,
-    prices its cone objective on the tableau's integer rows with each free
-    row's factor tau formed once (the facet choice reuses them), and walks
-    the tableau with the fixed rows held in the basis, from where the
-    previous round stopped.  The chain's last basis is the candidate's basis.
+    The tableau starts on x0's own basis, over form, lp's integer form, and
+    its build checks x0 (a bad start raises `walk.WalkError`).  Each round
+    draws its perturbed objective in the coordinates of the current face and
+    lifts it to lp, prices its cone objective on the tableau's integer rows
+    with each free row's factor tau formed once (the facet choice reuses
+    them), and walks the tableau with the fixed rows held in the basis, from
+    where the previous round stopped; every objective stays in integers.
+    The chain's last basis is the candidate's basis.
     """
     cfg = cfg.with_phi(phi)
-    tab = walk.Tableau(lp, x0)
+    tab = walk.Tableau(form, x0)
     c0 = primitive_int_row(lp.c0)[0]
     fixed: list[int] = []
+    ortho: list[list[int]] = []  # the fixed rows, orthogonalized
     pivots = 0
     rounds = 0
     traces: list[RoundTrace] = []
     pairs: list[tuple[int, int]] = []
     while len(fixed) < lp.n:
-        r = facet_restriction([tab.R[i] for i in fixed], c0)
+        r = facet_restriction([tab.R[i] for i in fixed], c0, ortho)
         if r.c0 is None:
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
@@ -323,7 +346,8 @@ def repeated_shadow_vertex(
         tau = {i: _face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free}
         lam = randomness.draw_lambda(len(free), cfg, stream)
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
-        res = walk.shadow_walk(lp, tab, r.lift(pert.c), w, pivot_cap=cap, held=fixed)
+        c = r.lift((pert.c, pert.den))
+        res = walk.shadow_walk(lp, tab, c, w, pivot_cap=cap, held=fixed)
         pivots += res.pivots
         rounds += 1
         pairs.extend((st.entering_row, st.leaving_row) for st in res.path.steps)
@@ -433,9 +457,11 @@ def solve(
     idx = linalg.independent_rows(lp_raw.rows())
     escape = model._objective_escape(lp_raw) if len(idx) < lp_raw.n else None
     work, lead = _complete_rank(lp_raw, idx)
+    # the solve's one integer form: its first lp_raw.m rows are lp_raw's
+    form = model.integer_form(work)
 
     if initial_bfs is None or escape is not None:
-        bfs = _phase1_start(work, lead, cfg, stream, out)
+        bfs = _phase1_start(work, form, lead, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
@@ -443,16 +469,17 @@ def solve(
 
     if escape is not None:
         out.bits_consumed = stream.bits_consumed
-        return _accept(out, lp_raw, bfs.point, tuple(escape))
+        return _accept(out, lp_raw, form, bfs.point, tuple(escape))
 
-    boxed = model.bound_polytope(work, lead)
+    boxed, boxed_form = model.bound_polytope(work, lead, form)
 
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         rng_i, cap = _walk_bits_and_cap(boxed.m, boxed.n, phi, cfg)
         cand = repeated_shadow_vertex(
-            boxed, bfs, phi, rng_i, stream, cap=cap, collect_paths=cfg.collect_paths
+            boxed, boxed_form, bfs, phi, rng_i, stream, cap=cap,
+            collect_paths=cfg.collect_paths,
         )
         out.pivots += cand.pivots
         out.traces.extend(cand.traces)
@@ -466,38 +493,44 @@ def solve(
         vertex = cand.tableau.solution()
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
-        verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(vertex, boxed)
+        verdict = (
+            model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(cand.tableau, boxed)
+        )
         if isinstance(verdict, UnboundedCertificate):
-            return _accept(out, lp_raw, verdict.point, verdict.ray)
+            return _accept(out, lp_raw, form, verdict.point, verdict.ray)
         out.vertex = vertex
-        return _accept(out, lp_raw, vertex.point)
+        return _accept(out, lp_raw, form, vertex.point)
     raise DoublingLimitError(
         f"no acceptance within {cfg.max_doublings} doublings (bug: i* is finite)"
     )
 
 
-def _accept(out: SolveOutcome, lp_raw: LinearProgram, point, ray=None) -> SolveOutcome:
+def _accept(
+    out: SolveOutcome, lp_raw: LinearProgram, form: IntegerForm, point, ray=None
+) -> SolveOutcome:
     """out answered at point, unbounded along ray when one is given, after
-    checking both against lp_raw."""
-    if not lp_raw.feasible(point):
+    checking both against lp_raw's rows, the first rows of the solve's
+    integer form."""
+    if any(e > 0 for e in form.excess(point)[: lp_raw.m]):
         raise DriverError("certificate failure: accepted point infeasible")
     out.point = point
     if ray is None:
         out.status = "optimal"
         out.value = dot(list(lp_raw.c0), as_fractions(point))
     else:
-        _check_ray(lp_raw, ray)
+        _check_ray(lp_raw, form, ray)
         out.status, out.ray = "unbounded", ray
     return out
 
 
-def _check_ray(lp: LinearProgram, ray) -> None:
-    r = as_fractions(ray)
-    if dot(list(lp.c0), r) <= 0:
+def _check_ray(lp: LinearProgram, form: IntegerForm, ray) -> None:
+    """c0 r > 0 and a_i r <= 0 for every row of lp, the first rows of form,
+    decided in integers: r's numerators against c0's and each R_i."""
+    rn = common_denominator(as_fractions(ray))[0]
+    if sum(map(mul, common_denominator(lp.c0)[0], rn)) <= 0:
         raise DriverError("certificate failure: ray does not improve")
-    for i in range(lp.m):
-        if dot(lp.row(i), r) > 0:
-            raise DriverError("certificate failure: ray leaves the recession cone")
+    if any(sum(map(mul, r, rn)) > 0 for r in form.R[: lp.m]):
+        raise DriverError("certificate failure: ray leaves the recession cone")
 
 
 def _complete_rank(lp: LinearProgram, idx: list[int]) -> tuple[LinearProgram, list[int]]:
@@ -509,12 +542,12 @@ def _complete_rank(lp: LinearProgram, idx: list[int]) -> tuple[LinearProgram, li
     return ext, linalg.independent_rows(ext.rows())[: lp.n]
 
 
-def _phase1_start(work, lead, cfg, stream, out):
+def _phase1_start(work, form, lead, cfg, stream, out):
     """A vertex of work, or the infeasible outcome; Phase 1 walks the face of
     LP' its start lies on and is skipped when the start is already a vertex.
     The phi base stays on work's (n, m), the dimensions the paper's Phase-1
     schedule is stated in; bits and pivot cap follow the walked face."""
-    p1 = phase1.build_phase1_face(work, lead)
+    p1 = phase1.build_phase1_face(work, lead, form)
     if isinstance(p1, BasicSolution):
         return p1
     out.phase1_artificials = p1.lp_prime.n - p1.orig_n

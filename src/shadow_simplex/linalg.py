@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .rational import as_fractions, dot, norm_sq, primitive_int_row, unit_scale
@@ -182,20 +183,35 @@ def exact_complement_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[V
     return [_near_unit(v) for v in complement_basis_int(ints, n)]
 
 
-def complement_basis_int(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+def complement_basis_int(
+    rows: Sequence[Sequence[int]], n: int, ortho: list[list[int]] | None = None
+) -> list[list[int]]:
     """Primitive integer basis of the complement of integer rows, pairwise
-    exactly orthogonal."""
-    ortho = _orthogonalize_int(rows)
+    exactly orthogonal.
+
+    ortho, when given, holds rows[:len(ortho)] orthogonalized by an earlier
+    call on independent rows; the rows after them are projected onto it and
+    appended in place.  A caller whose independent rows only grow, a facet
+    chain's fixed rows, so projects each row once."""
+    if ortho is None:
+        ortho = []
+    norms = [sum(map(mul, o, o)) for o in ortho]
+    for d in rows[len(ortho):]:
+        w = _project_int(d, ortho, norms)
+        if any(w):
+            ortho.append(w)
+            norms.append(sum(map(mul, w, w)))
+    dirs = list(ortho)
     span_size = len(ortho)
-    out: list[list[int]] = []
     for j in range(n):
-        if span_size + len(out) == n:
+        if len(dirs) == n:
             break
         e = [int(i == j) for i in range(n)]
-        v = _project_int(e, ortho + out)
+        v = _project_int(e, dirs, norms)
         if any(v):
-            out.append(v)
-    return out
+            dirs.append(v)
+            norms.append(sum(map(mul, v, v)))
+    return dirs[span_size:]
 
 
 def _strip_gcd(v: list[int]) -> list[int]:
@@ -205,24 +221,17 @@ def _strip_gcd(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def _project_int(v: Sequence[int], ortho: Sequence[list[int]]) -> list[int]:
-    """Fraction-free projection of an integer vector off orthogonal int dirs."""
+def _project_int(
+    v: Sequence[int], ortho: Sequence[list[int]], norms: Sequence[int]
+) -> list[int]:
+    """Fraction-free projection of an integer vector off orthogonal int dirs
+    with squared norms norms."""
     r = list(v)
-    for o in ortho:
-        d = sum(a * b for a, b in zip(r, o))
+    for o, N in zip(ortho, norms):
+        d = sum(map(mul, r, o))
         if d:
-            N = sum(a * a for a in o)
             r = _strip_gcd([x * N - d * y for x, y in zip(r, o)])
     return r
-
-
-def _orthogonalize_int(dirs: Sequence[list[int]]) -> list[list[int]]:
-    ortho: list[list[int]] = []
-    for d in dirs:
-        w = _project_int(d, ortho)
-        if any(w):
-            ortho.append(w)
-    return ortho
 
 
 def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:

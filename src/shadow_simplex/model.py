@@ -6,21 +6,24 @@ optimum; `assert_unbounded_if_box_tight` then decides whether the original
 LP is bounded by walking its recession LP, from d = 0, on the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
-given: each pivot decision is invariant under positive row scaling, and
-`walk.Tableau` turns every row into its primitive integer row anyway
-(`integer_rows`, on which the exact point checks decide too).  The
-unit row norms that the paper states the delta-distance for are applied
-only where a size matters: the box rows of a lead row a_i are +-a_i with
-rhs r / t_i, t_i = `unit_scale(a_i)`, and the draws of the driver use
-near-unit face images.  `normalize` scales every row to near-unit norm;
-the solver does not call it.
+given: each pivot decision is invariant under positive row scaling.  A
+solve turns the rows into their integer form once (`integer_form`): each
+row's primitive integer row R_i = f_i a_i, its factor f_i > 0, and the
+scaled rhs over one common denominator.  The boxed LP's form, the recession
+LP's form, `walk.Tableau`, the exact point checks and the crawl to a vertex
+(`move_to_vertex`) all read it; nothing is kept on the LP.  The unit row
+norms that the paper states the delta-distance for are applied only where a
+size matters: the box rows of a lead row a_i are +-a_i with rhs r / t_i,
+t_i = `unit_scale(a_i)` formed from |R_i|^2 and f_i, and the draws of the
+driver use near-unit face images.  `normalize` scales every row to
+near-unit norm; the solver does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -29,9 +32,11 @@ from .rational import (
     common_denominator,
     dot,
     format_fraction,
+    lowest_terms,
     primitive_int_row,
     ratsqrt_ceil,
     unit_scale,
+    unit_scale_pq,
 )
 
 
@@ -87,25 +92,11 @@ class LinearProgram:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.A for x in row)
 
-    def _excess(self, point, rows) -> list[int]:
-        """For each i in rows, an integer with the sign of a_i . point - b_i.
-
-        Decided in integers: the point over one common denominator, each row
-        as its primitive integer row with its rhs scaled by the same factor
-        (`integer_rows`).
-        """
-        x = as_fractions(point)
-        if len(x) != self.n:
-            raise LPModelError(f"point has {len(x)} coordinates, expected {self.n}")
-        xn, xd = common_denominator(x)
-        R, beta, s = integer_rows(self, rows)
-        return [s * sum(map(mul, r, xn)) - bt * xd for r, bt in zip(R, beta)]
-
     def feasible(self, point) -> bool:
-        return all(e <= 0 for e in self._excess(point, range(self.m)))
+        return all(e <= 0 for e in integer_form(self).excess(point))
 
     def tight_rows(self, point) -> list[int]:
-        return [i for i, e in enumerate(self._excess(point, range(self.m))) if e == 0]
+        return [i for i, e in enumerate(integer_form(self).excess(point)) if e == 0]
 
 
 @dataclass(frozen=True)
@@ -146,19 +137,68 @@ class UnboundedCertificate:
 BOUNDED = "bounded"
 
 
-def integer_rows(lp: LinearProgram, rows) -> tuple[list[list[int]], list[int], int]:
-    """(R, beta, s) for the rows i in rows: R_i is the primitive integer row
-    of a_i, and beta_i / s its rhs scaled by the same positive factor, over
-    one common denominator s > 0; a_i x <= b_i exactly when s R_i x <= beta_i.
-    Computed per call: nothing is kept on lp."""
+@dataclass(frozen=True)
+class IntegerForm:
+    """The rows of an LP in integers: R_i = f_i a_i is the primitive integer
+    row of a_i, f_i > 0 its factor, and beta_i / s = f_i b_i its rhs over one
+    common denominator s > 0, so a_i x <= b_i exactly when s R_i x <= beta_i.
+    A solve builds it once (`integer_form`) and derives the boxed and the
+    recession LP's forms from it."""
+
+    R: list[list[int]]
+    factor: list[Fraction]
+    beta: list[int]
+    s: int
+
+    @property
+    def m(self) -> int:
+        return len(self.R)
+
+    @property
+    def n(self) -> int:
+        return len(self.R[0])
+
+    def excess(self, point) -> list[int]:
+        """For each row, an integer with the sign of a_i . point - b_i: the
+        point over one common denominator against R_i and beta_i."""
+        x = as_fractions(point)
+        if len(x) != self.n:
+            raise LPModelError(f"point has {len(x)} coordinates, expected {self.n}")
+        xn, xd = common_denominator(x)
+        s = self.s
+        return [s * sum(map(mul, r, xn)) - bt * xd for r, bt in zip(self.R, self.beta)]
+
+    def unit_scale(self, i: int) -> Fraction:
+        """`unit_scale(a_i)`, from |R_i|^2 and the factor: |a_i|^2 = |R_i|^2 / f_i^2."""
+        f = self.factor[i]
+        sq = Fraction(sum(a * a for a in self.R[i]) * f.denominator**2, f.numerator**2)
+        return unit_scale_pq(sq.numerator, sq.denominator)
+
+    def with_rows(self, R, factor, rhs) -> "IntegerForm":
+        """These rows followed by the rows R (factors factor), whose scaled
+        rhs f_i b_i are the Fractions rhs; s grows to the common denominator
+        of all rows, as `integer_form` of the longer LP would give it."""
+        s = lcm(self.s, *(x.denominator for x in rhs))
+        k = s // self.s
+        beta = [bt * k for bt in self.beta] + [x.numerator * (s // x.denominator) for x in rhs]
+        return IntegerForm(self.R + list(R), self.factor + list(factor), beta, s)
+
+    def with_rhs(self, rhs) -> "IntegerForm":
+        """The same rows with the scaled rhs f_i b_i given as Fractions."""
+        beta, s = common_denominator(rhs)
+        return IntegerForm(self.R, self.factor, beta, s)
+
+
+def integer_form(lp: LinearProgram) -> IntegerForm:
+    """The integer form of lp's rows, computed per call: nothing is kept on lp."""
     R = []
-    rhs = []
-    for i in rows:
-        ints, factor = primitive_int_row(lp.A[i])
+    factor = []
+    for a in lp.A:
+        ints, f = primitive_int_row(a)
         R.append(ints)
-        rhs.append(factor * lp.b[i])
-    beta, s = common_denominator(rhs)
-    return R, beta, s
+        factor.append(f)
+    beta, s = common_denominator([f * b for f, b in zip(factor, lp.b)])
+    return IntegerForm(R, factor, beta, s)
 
 
 def make_lp(A, b, c0, **flags) -> LinearProgram:
@@ -365,16 +405,13 @@ def encoding_bits(lp: LinearProgram) -> int:
     total = 0
     for row, rhs in zip(lp.A, lp.b):
         for x in (*row, rhs):
-            total += max(abs(x.numerator), 1).bit_length() + x.denominator.bit_length()
+            p, q = x.as_integer_ratio()
+            total += (abs(p).bit_length() or 1) + q.bit_length()
     return total
 
 
 def lcm_denominators(lp: LinearProgram) -> int:
-    l = 1
-    for row in lp.A:
-        for x in row:
-            l = l * x.denominator // gcd(l, x.denominator)
-    return l
+    return lcm(*(x.denominator for row in lp.A for x in row))
 
 
 def box_radius(lp: LinearProgram) -> Fraction:
@@ -387,63 +424,71 @@ def box_radius(lp: LinearProgram) -> Fraction:
     return sqrt_n * pow2 * Fraction(lcm_denominators(lp)) ** n
 
 
-def bound_polytope(lp: LinearProgram, lead: list[int]) -> LinearProgram:
+def bound_polytope(
+    lp: LinearProgram, lead: list[int], form: IntegerForm
+) -> tuple[LinearProgram, IntegerForm]:
     """Intersect with the parallelepiped -r <= t_i a_i x <= r over the n lead
-    rows a_i, t_i = `unit_scale(a_i)`, written as +-a_i x <= r / t_i.
+    rows a_i, t_i = `unit_scale(a_i)`, written as +-a_i x <= r / t_i; returns
+    the boxed LP and its integer form, whose box rows are +-R_i.
 
     lead holds the first n rows of `linalg.independent_rows(lp.rows())`,
-    which the caller has already computed.  Only existing row directions are
-    reused, so the delta-distance value is unaffected; every vertex of the
-    original polyhedron lies strictly inside.
+    which the caller has already computed, and form is lp's integer form.
+    Only existing row directions are reused, so the delta-distance value is
+    unaffected; every vertex of the original polyhedron lies strictly inside.
     """
     if len(lead) != lp.n:
         raise LPModelError("need n independent lead rows")
     r = box_radius(lp)
     A = list(lp.A)
     b = list(lp.b)
+    R = []
+    factor = []
+    rhs = []
     for i in lead:
-        rhs = r / unit_scale(lp.A[i])
-        for sign in (1, -1):
-            A.append(tuple(sign * x for x in lp.A[i]))
-            b.append(rhs)
+        bi = r / form.unit_scale(i)
+        f = form.factor[i]
+        A += [lp.A[i], tuple(-x for x in lp.A[i])]
+        b += [bi, bi]
+        R += [form.R[i], [-x for x in form.R[i]]]
+        factor += [f, f]
+        rhs += [f * bi] * 2
     added = frozenset(range(lp.m, len(A)))
-    return replace(lp, A=tuple(A), b=tuple(b), box_rows=lp.box_rows | added)
+    boxed = replace(lp, A=tuple(A), b=tuple(b), box_rows=lp.box_rows | added)
+    return boxed, form.with_rows(R, factor, rhs)
 
 
-def assert_unbounded_if_box_tight(
-    vertex: BasicSolution, lp: LinearProgram
-) -> UnboundedCertificate | str:
-    """Decide Bounded vs Unbounded at an optimal vertex of the boxed LP.
+def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificate | str:
+    """Decide Bounded vs Unbounded at an optimal vertex of the boxed LP lp.
 
-    If no box row is tight the LP was bounded all along.  Otherwise the
-    recession LP decides: max c0 d subject to a_i d <= 0 on the un-boxed rows
-    and a_i d <= 1 / t_i on the box rows (t_i their `unit_scale`), which is
-    bounded because the box rows bound +-a d for n independent rows a.  d = 0
+    tab is a `walk.Tableau` on lp standing on that vertex.  If no box row
+    is tight there, which tab's slack numerators tell, the LP was bounded all
+    along.  Otherwise the recession LP decides: max c0 d subject to a_i d <= 0
+    on the un-boxed rows and a_i d <= 1 / t_i on the box rows (t_i their
+    `unit_scale`), which is bounded because the box rows bound +-a d for n
+    independent rows a.  Its integer form is tab's rows with a new rhs.  d = 0
     is a vertex of it, and `walk.first_gain` walks it from there on c0: the
-    first vertex it reaches with c0 d > 0 is an improving ray of the
-    un-boxed rows.  A walk that never leaves 0 certifies that no such ray
-    exists, so the box-tight optimum already attains the (finite) supremum.
-    The caller checks that the vertex is feasible for the un-boxed LP.
+    first vertex it reaches with c0 d > 0 is an improving ray of the un-boxed
+    rows.  A walk that never leaves 0 certifies that no such ray exists, so
+    the box-tight optimum already attains the (finite) supremum.  The caller
+    checks that the vertex is feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
     if not lp.box_rows:
         raise LPModelError("lp is not boxed")
-    x = as_fractions(vertex.point)
-    if 0 not in lp._excess(x, sorted(lp.box_rows)):
+    if all(tab.slack_nums(sorted(lp.box_rows))):
         return BOUNDED
-    rec = replace(
-        lp,
-        b=tuple(
-            1 / unit_scale(lp.A[i]) if i in lp.box_rows else Fraction(0) for i in range(lp.m)
-        ),
+    form = tab.form
+    zero_rhs = Fraction(0)
+    rec = form.with_rhs(
+        [form.factor[i] / form.unit_scale(i) if i in lp.box_rows else zero_rhs for i in range(lp.m)]
     )
-    zero = (Fraction(0),) * lp.n
+    zero = (zero_rhs,) * lp.n
     basis = tight_basis_at(rec, zero)[: lp.n]
     ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), lp.c0)
     if ray is None:
         return BOUNDED
-    return UnboundedCertificate(point=tuple(x), ray=tuple(ray))
+    return UnboundedCertificate(point=tuple(tab.vertex()), ray=tuple(ray))
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +496,11 @@ def assert_unbounded_if_box_tight(
 # ---------------------------------------------------------------------------
 
 
-def tight_basis_at(lp: LinearProgram, point) -> list[int]:
-    """Greedy (by row index) independent tight rows at a point."""
-    x = as_fractions(point)
-    tight = lp.tight_rows(x)
-    rel = linalg.independent_rows([lp.row(i) for i in tight])
+def tight_basis_at(form: IntegerForm, point) -> list[int]:
+    """Greedy (by row index) independent tight rows at a point, on the
+    integer form of the LP's rows."""
+    tight = [i for i, e in enumerate(form.excess(point)) if e == 0]
+    rel = linalg.independent_rows([form.R[i] for i in tight])
     return [tight[k] for k in rel]
 
 
@@ -463,30 +508,46 @@ def move_to_vertex(lp: LinearProgram, point) -> BasicSolution:
     """Crawl from a feasible point to a vertex (requires rank(A) = n).
 
     Repeatedly fixes one more independent tight row by walking a null-space
-    direction of the current tight set until a constraint blocks.
+    direction d of the current tight set until a constraint blocks.  The
+    crawl runs on lp's integer form, with the point as xn / xd: row i's slack
+    numerator beta_i xd - s R_i xn has the sign of b_i - a_i x, and d is a
+    primitive integer vector.  The step theta d, theta the least ratio of
+    slack to R_i d over the rows with R_i d > 0, does not depend on the
+    positive scale of d or of any row.
     """
+    form = integer_form(lp)
+    R, beta, s = form.R, form.beta, form.s
     x = as_fractions(point)
-    if not lp.feasible(x):
+    if len(x) != lp.n:
+        raise LPModelError(f"point has {len(x)} coordinates, expected {lp.n}")
+    xn, xd = common_denominator(x)
+    slack = [bt * xd - s * sum(map(mul, r, xn)) for r, bt in zip(R, beta)]
+    if any(v < 0 for v in slack):
         raise LPModelError("point infeasible")
     while True:
-        basis = tight_basis_at(lp, x)
+        tight = [i for i, v in enumerate(slack) if v == 0]
+        basis = [tight[k] for k in linalg.independent_rows([R[i] for i in tight])]
         if len(basis) == lp.n:
-            return BasicSolution(point=tuple(x), basis=tuple(basis))
-        d = linalg.nullspace_vector([lp.row(i) for i in basis], lp.n)
+            return BasicSolution(point=tuple(Fraction(v, xd) for v in xn), basis=tuple(basis))
+        d = linalg.nullspace_vector([R[i] for i in basis], lp.n)
         if d is None:
             raise LPModelError("tight rows already full rank")  # unreachable
-        prods = [dot(lp.row(i), d) for i in range(lp.m)]
+        d = primitive_int_row(d)[0]
+        prods = [sum(map(mul, r, d)) for r in R]
         if all(p <= 0 for p in prods):
             d = [-v for v in d]
             prods = [-p for p in prods]
         if all(p <= 0 for p in prods):
             raise LPModelError("no blocking row: rank(A) < n")
-        theta = min(
-            (lp.b[i] - dot(lp.row(i), x)) / prods[i]
-            for i in range(lp.m)
-            if prods[i] > 0
-        )
-        x = [xi + theta * di for xi, di in zip(x, d)]
+        # the blocking row k minimizes slack_i / prods_i; theta = slack_k /
+        # (s xd prods_k), and x + theta d = (s prods_k xn + slack_k d) / (s xd prods_k)
+        k = -1
+        for i, p in enumerate(prods):
+            if p > 0 and (k < 0 or slack[i] * prods[k] < slack[k] * p):
+                k = i
+        sk, pk = slack[k], s * prods[k]
+        xn, xd = lowest_terms([pk * a + sk * b for a, b in zip(xn, d)], xd * pk)
+        slack = [bt * xd - s * sum(map(mul, r, xn)) for r, bt in zip(R, beta)]
 
 
 def validate_basic_solution(lp: LinearProgram, bs: BasicSolution) -> None:

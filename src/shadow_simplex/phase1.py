@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg, model
 from .model import BasicSolution, LinearProgram
-from .rational import as_fractions, dot
+from .rational import as_fractions
 
 
 class Phase1Error(ValueError):
@@ -60,18 +60,32 @@ def phase1_matrix(A_rows) -> list[list[Fraction]]:
     return out
 
 
-def _lead_start(lp: LinearProgram, lead: list[int]):
-    """(perm, rows, rhs, x_bar, residuals) for the n independent lead rows:
+def _lead_start(lp: LinearProgram, lead: list[int], form: model.IntegerForm):
+    """(perm, rows, rhs, x_bar, violations) for the n independent lead rows:
     rows and rhs in perm order, the lead rows first; x_bar solves the lead
-    rows; residual_i = a_i x_bar - b_i."""
+    rows; violation_i = a_i x_bar - b_i where that is positive, else 0.
+
+    Decided on form, lp's integer form: x_bar = adj(R_L) beta_L / (det s)
+    from one Bareiss pass over the lead rows R_L, and the sign of
+    a_i x_bar - b_i is that of s R_i xn - beta_i xd with x_bar = xn / xd."""
     m, n = lp.m, lp.n
     rows = lp.rows()
     perm = list(lead) + [i for i in range(m) if i not in lead]
     A_perm = [rows[i] for i in perm]
     b_perm = [lp.b[i] for i in perm]
-    x_bar = linalg.solve_square(A_perm[:n], b_perm[:n])
-    resid = [dot(A_perm[i], x_bar) - b_perm[i] for i in range(m)]
-    return perm, A_perm, b_perm, x_bar, resid
+    R, beta, s = form.R, form.beta, form.s
+    adj, det = linalg.invert([R[i] for i in lead])
+    xn = [sum(a * beta[i] for a, i in zip(row, lead)) for row in adj]
+    xd = det * s
+    if xd < 0:
+        xn, xd = [-v for v in xn], -xd
+    x_bar = [Fraction(v, xd) for v in xn]
+    viol = []
+    for i in perm:
+        e = s * sum(a * v for a, v in zip(R[i], xn)) - beta[i] * xd
+        # a_i x_bar - b_i = e / (s xd f_i)
+        viol.append(Fraction(e, s * xd) / form.factor[i] if e > 0 else Fraction(0))
+    return perm, A_perm, b_perm, x_bar, viol
 
 
 def build_phase1(lp: LinearProgram) -> Phase1Problem:
@@ -80,8 +94,7 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     idx = linalg.independent_rows(lp.rows())
     if len(idx) < n:
         raise Phase1Error("constraint matrix is rank deficient")
-    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, idx[:n])
-    y = [max(r, Fraction(0)) for r in resid]
+    perm, A_perm, b_perm, x_bar, y = _lead_start(lp, idx[:n], model.integer_form(lp))
 
     B = phase1_matrix(A_perm)
     rhs = b_perm + [Fraction(0)] * m
@@ -95,12 +108,15 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     return Phase1Problem(lp_prime=lp_prime, initial=initial, orig_n=n)
 
 
-def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | BasicSolution:
+def build_phase1_face(
+    lp: LinearProgram, lead: list[int], form: model.IntegerForm
+) -> Phase1Problem | BasicSolution:
     """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
     (x_bar, y_V); or the vertex x_bar itself when it violates no row.
 
     lead holds the first n rows of `linalg.independent_rows(lp.rows())`,
-    which the caller has already computed to check the rank.
+    which the caller has already computed to check the rank, and form is
+    lp's integer form, on which x_bar and V are decided.
 
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
@@ -108,7 +124,7 @@ def build_phase1_face(lp: LinearProgram, lead: list[int]) -> Phase1Problem | Bas
     when its first facet chain builds a `walk.Tableau` on it.
     """
     m, n = lp.m, lp.n
-    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, lead)
+    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, lead, form)
     V = [i for i in range(m) if resid[i] > 0]
     if not V:
         return BasicSolution(point=tuple(x_bar), basis=tuple(perm[:n]))

@@ -6,6 +6,11 @@ the same seed see bitwise-matching prefixes (the truncation map x ->
 floor(x*2^k)/2^k applied to a common x).  "Continuous" mode is the k = 53
 case, which makes it reproducible across platforms and exactly
 representable, so all downstream arithmetic stays rational.
+
+The stream hands out the integer numerator j of each draw, and the round
+loop stays in integers: `perturb_objective` and `draw_lambda` return
+numerators over one common denominator, which the driver lifts and the
+walk's `Tableau.aim` takes as they are.
 """
 
 from __future__ import annotations
@@ -54,8 +59,12 @@ class RngConfig:
 
 @dataclass(frozen=True)
 class PerturbedObjective:
-    c: tuple[Fraction, ...]
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    """The perturbed objective c and the interval each coordinate was drawn
+    in, as numerators over the one denominator den > 0."""
+
+    c: tuple[int, ...]
+    intervals: tuple[tuple[int, int], ...]
+    den: int
 
 
 class DrawStream:
@@ -66,14 +75,14 @@ class DrawStream:
         self.bits_consumed = 0
         self.draws = 0
 
-    def unit(self, bits: int) -> Fraction:
-        """Uniform j/2^bits on [0, 1), exact."""
+    def numerator(self, bits: int) -> int:
+        """The numerator j of a uniform draw j/2^bits on [0, 1), exact."""
         if not 1 <= bits <= UNDERLYING_BITS:
             raise RandomnessError(f"bits must be in 1..{UNDERLYING_BITS}")
         x = self._rng.getrandbits(UNDERLYING_BITS)
         self.bits_consumed += bits
         self.draws += 1
-        return Fraction(x >> (UNDERLYING_BITS - bits), 1 << bits)
+        return x >> (UNDERLYING_BITS - bits)
 
 
 def bit_budget(m: int, n: int, phi, delta) -> int:
@@ -105,45 +114,53 @@ def _draw_bits(cfg: RngConfig) -> int:
 
 
 def perturb_objective(c0, cfg: RngConfig, stream: DrawStream) -> PerturbedObjective:
-    """Componentwise uniform perturbation of a unit c0 inside length-1/phi intervals.
+    """Componentwise uniform perturbation of a near-unit c0 inside length-1/phi
+    intervals, in integers.
 
-    Interval placement: [c0_i - 1/phi, c0_i] when c0_i sits above 1 - 1/phi,
-    else [c0_i, c0_i + 1/phi]; both stay inside [-1, 1].
+    c0 is an (integer numerators, denominator > 0) pair; the caller has
+    checked that it is near-unit.  Interval placement: [c0_i - 1/phi, c0_i]
+    when c0_i sits above 1 - 1/phi, else [c0_i, c0_i + 1/phi]; both stay
+    inside [-1, 1].  With 1/phi = wn / wd and k bits per draw, everything is
+    over den = c0's denominator * wd * 2^k, where the draw j_i adds
+    wn * den_c0 * j_i.
     """
-    c0 = as_fractions(c0)
-    n = len(c0)
+    a, d0 = c0
+    n = len(a)
     if cfg.phi is None:
         raise RandomnessError("cfg.phi is not set")
     phi = Fraction(cfg.phi)
     if float(phi) ** 2 < n * (1 - 1e-10):
         raise RandomnessError("phi must be at least sqrt(n)")
-    if abs(float(norm_sq(c0)) - 1.0) > 3e-10:
-        raise RandomnessError("c0 must be unit norm")
     k = _draw_bits(cfg)
-    width = 1 / phi
+    wn, wd = phi.denominator, phi.numerator
+    step = wn * d0  # 1/phi over den, per unit of j
+    width = step << k
+    top = (wd - wn) * d0  # c0_i > 1 - 1/phi exactly when a_i wd > top
     intervals = []
     c = []
-    for i in range(n):
-        lo = c0[i] - width if c0[i] > 1 - width else c0[i]
+    for ai in a:
+        lo = (ai * wd << k) - (width if ai * wd > top else 0)
         intervals.append((lo, lo + width))
-        c.append(lo + width * stream.unit(k))
-    return PerturbedObjective(c=tuple(c), intervals=tuple(intervals))
+        c.append(lo + step * stream.numerator(k))
+    return PerturbedObjective(c=tuple(c), intervals=tuple(intervals), den=d0 * wd << k)
 
 
-def draw_lambda(n: int, cfg: RngConfig, stream: DrawStream) -> list[Fraction]:
-    """n independent uniforms on (0, 1] (1 minus a [0,1) dyadic draw)."""
+def draw_lambda(n: int, cfg: RngConfig, stream: DrawStream) -> tuple[list[int], int]:
+    """n independent uniforms on (0, 1] (1 minus a [0,1) dyadic draw), as
+    numerators over their one denominator 2^k."""
     k = _draw_bits(cfg)
-    return [1 - stream.unit(k) for _ in range(n)]
+    den = 1 << k
+    return [den - stream.numerator(k) for _ in range(n)], den
 
 
 def cone_objective(tight_rows, lam) -> list[Fraction]:
     """w = -sum lambda_k u_k: the start vertex minimizes w^T x over the polytope.
 
     The rows must be independent and near-unit.  This is the face-coordinate
-    form of a round's cone objective; the driver prices the same objective
-    on the tableau's integer rows instead (`driver.lifted_cone_objective`,
-    with each row's factor tau formed once per round), and the tests compare
-    the two.
+    form of a round's cone objective, with lam as Fractions; the driver
+    prices the same objective on the tableau's integer rows instead
+    (`driver.lifted_cone_objective`, with each row's factor tau formed once
+    per round), and the tests compare the two.
     """
     rows = [as_fractions(r) for r in tight_rows]
     lam = as_fractions(lam)

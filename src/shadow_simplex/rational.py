@@ -15,6 +15,12 @@ from typing import Iterable, Sequence
 
 SQRT_BITS = 64
 
+# Fraction(k) for the integers k in [-256, 256], built once and shared, as
+# Python shares its small ints: Fractions are immutable, and the vertices of
+# totally unimodular LPs are integral, so a caller that keeps many answers
+# keeps no copy of these coordinates
+SMALL_INTEGRAL = tuple(Fraction(k) for k in range(-256, 257))
+
 
 def ratsqrt_floor(v: Fraction, bits: int = SQRT_BITS) -> Fraction:
     """Largest dyadic-denominator rational t with t <= sqrt(v)."""
@@ -94,6 +100,27 @@ def common_denominator(vec: Sequence[Fraction]) -> tuple[list[int], int]:
         if den % d:
             den = den * d // gcd(den, d)
     return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def fraction(p: int, q: int) -> Fraction:
+    """Fraction(p, q), q > 0, from `SMALL_INTEGRAL` when it is one of them."""
+    k, r = divmod(p, q)
+    if not r and -256 <= k <= 256:
+        return SMALL_INTEGRAL[k + 256]
+    return Fraction(p, q)
+
+
+def lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """The rational vector nums / den (den > 0) with the common gcd of its
+    numerators and den stripped: the pair `common_denominator` gives."""
+    g = den
+    for x in nums:
+        if g == 1:
+            break
+        g = gcd(g, x)
+    if g > 1:
+        return [x // g for x in nums], den // g
+    return list(nums), den
 
 
 def format_fraction(x: Fraction) -> str:

@@ -2,9 +2,10 @@
 
 The tableau keeps every decision exact and cheap:
 
-* constraint rows are rescaled once to primitive integers with one shared
-  rhs denominator (all pivot decisions are invariant under positive row
-  scaling, so this is a pure canonicalization);
+* it walks the LP's integer form (`model.IntegerForm`): primitive integer
+  rows with one shared rhs denominator, which the solve builds once (all
+  pivot decisions are invariant under positive row scaling, so this is a
+  pure canonicalization);
 * the basis inverse is carried as the integer pair (M, D) with
   M = D * inv(rows_of_basis) and D > 0, updated by an exact integer
   Sherman-Morrison step;
@@ -12,13 +13,14 @@ The tableau keeps every decision exact and cheap:
   exponents assigned non-basis-rows-first, which makes any starting basis
   lexicographically feasible and every leaving choice unique.
 
-A Tableau outlives one walk: `aim` gives it the next walk's objectives and
-the rows it holds in the basis.  Held rows never leave (they are left out of
-pricing and of the perturbation), so the walk stays on the face where they
-are tight; the facet chain of the driver walks all its rounds on one
-Tableau this way, with one basis inverse.  `first_gain` walks a Tableau on
-a plain objective only until the point moves: the optimality and
-boundedness certificates are decided that way.
+A Tableau outlives one walk: `aim` gives it the next walk's objectives, as
+integer numerators over a denominator, and the rows it holds in the basis.
+Held rows never leave (they are left out of pricing and of the
+perturbation), so the walk stays on the face where they are tight; the
+facet chain of the driver walks all its rounds on one Tableau this way,
+with one basis inverse.  `first_gain` walks a Tableau on a plain objective
+only until the point moves: the optimality and boundedness certificates are
+decided that way.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import BasicSolution, LinearProgram, integer_rows
-from .rational import as_fractions, common_denominator
+from .model import BasicSolution, IntegerForm, LinearProgram, integer_form
+from .rational import as_fractions, common_denominator, fraction, lowest_terms
 
 
 class WalkError(RuntimeError):
@@ -105,14 +107,16 @@ class Tableau:
     Single-owner mutable state; concurrent walks must each build their own.
     """
 
-    def __init__(self, lp: LinearProgram, start: BasicSolution) -> None:
-        """Build the integer basis inverse at start; `aim` sets the objectives
-        before the first pivot."""
-        self.lp = lp
-        m, n = lp.m, lp.n
+    def __init__(self, form: IntegerForm, start: BasicSolution) -> None:
+        """Build the integer basis inverse at start on the LP's integer form;
+        `aim` sets the objectives before the first pivot."""
+        self.form = form
+        m, n = form.m, form.n
         self.m, self.n = m, n
         self.ops = 0
-        self.R, self.beta, self.s = integer_rows(lp, range(m))
+        self.R, self.beta, self.s = form.R, form.beta, form.s
+        self.pivot_count = 0
+        self._price_cache: tuple[int, list[int], list[int], list[int]] | None = None
 
         self.basis = sorted(start.basis)
         if len(self.basis) != n or len(set(self.basis)) != n:
@@ -125,27 +129,28 @@ class Tableau:
         self.D = abs(det)
         self.M = adj if det > 0 else [[-e for e in row] for row in adj]
 
-        x = self.vertex()
-        if tuple(x) != tuple(as_fractions(start.point)):
-            raise WalkError("basis does not reproduce the start point")
+        # the vertex x_num / (D s) is the start point pn / pd
         x_num = self._x_num()
-        for i in range(m):
-            if self._slack_num(i, x_num) < 0:
-                raise WalkError("start point infeasible")
+        pn, pd = common_denominator(as_fractions(start.point))
+        den = self.D * self.s
+        if len(pn) != n or any(a * pd != p * den for a, p in zip(x_num, pn)):
+            raise WalkError("basis does not reproduce the start point")
+        if any(v < 0 for v in self._slacks(range(m), x_num)):
+            raise WalkError("start point infeasible")
 
     def aim(self, c, w, held=()) -> None:
-        """Set the objectives of the next walk and the basis rows it holds;
-        the pivot count starts again at 0."""
+        """Set the objectives of the next walk, each an (integer numerators,
+        denominator > 0) pair, and the basis rows it holds; the pivot count
+        starts again at 0.  Each pair is kept with its gcd stripped, which is
+        what `common_denominator` gives for the same values."""
         self.held = frozenset(held)
         in_basis = set(self.basis)
         if not self.held <= in_basis:
             raise WalkError("held rows must be in the basis")
-        self.c = as_fractions(c)
-        self.w = as_fractions(w)
-        self.c_num, self.c_den = common_denominator(self.c)
-        self.w_num, self.w_den = common_denominator(self.w)
+        self.c_num, self.c_den = lowest_terms(*c)
+        self.w_num, self.w_den = lowest_terms(*w)
         self.pivot_count = 0
-        self._price_cache: tuple[int, list[int], list[int], list[int]] | None = None
+        self._price_cache = None
         # lexicographic exponents: non-basis rows first, then the free basis
         # rows; held rows keep exponent 0, i.e. no perturbation
         order = [i for i in range(self.m) if i not in in_basis] + sorted(in_basis - self.held)
@@ -156,19 +161,34 @@ class Tableau:
     # -- exact views ------------------------------------------------------
 
     def _x_num(self) -> list[int]:
+        """Numerators of the vertex over D s; the pricing pass's when it is
+        current."""
+        cache = self._price_cache
+        if cache is not None and cache[0] == self.pivot_count:
+            return cache[1]
         M, beta, basis, n = self.M, self.beta, self.basis, self.n
         self.ops += n * n
         return [sum(M[t][k] * beta[basis[k]] for k in range(n)) for t in range(n)]
 
     def vertex(self) -> list[Fraction]:
+        """The vertex; equal coordinates share one (immutable) Fraction."""
         xn = self._x_num()
         den = self.D * self.s
-        return [Fraction(v, den) for v in xn]
+        coords: dict[int, Fraction] = {}
+        for v in xn:
+            if v not in coords:
+                coords[v] = fraction(v, den)
+        return [coords[v] for v in xn]
 
-    def _slack_num(self, i: int, x_num: list[int]) -> int:
-        # slack_i = (beta_i * D - R_i . x_num) / (D * s), numerator only
-        self.ops += self.n
-        return self.beta[i] * self.D - sum(a * v for a, v in zip(self.R[i], x_num))
+    def slack_nums(self, rows) -> list[int]:
+        """Slack numerators beta_i D - R_i . x_num of rows at the vertex: the
+        slack of row i is this over D s, so a zero is a tight row."""
+        return self._slacks(rows, self._x_num())
+
+    def _slacks(self, rows, x_num: list[int]) -> list[int]:
+        beta, D, R = self.beta, self.D, self.R
+        self.ops += self.n * len(rows)
+        return [beta[i] * D - sum(a * v for a, v in zip(R[i], x_num)) for i in rows]
 
     def c_value(self) -> Fraction:
         xn = self._x_num()
@@ -241,6 +261,12 @@ class Tableau:
         slope = Fraction(t_w[k] * self.c_den, t_c[k] * self.w_den)
         c_gain = Fraction(-t_c[k], self.D * self.c_den)
         w_gain = Fraction(-t_w[k], self.D * self.w_den)
+        # c^T x after the step, from this pricing pass's x_num: c^T x + theta
+        # c_gain = (c_num . x_num rd - slack t_c[k]) / (c_den D s rd)
+        cx = sum(cv * xv for cv, xv in zip(self.c_num, x_num))
+        c_value = Fraction(
+            cx * rd_enter - slack_enter * t_c[k], self.c_den * self.D * self.s * rd_enter
+        )
 
         self._update_basis(k, enter)
         self.pivot_count += 1
@@ -254,7 +280,7 @@ class Tableau:
             c_gain=c_gain,
             w_gain=w_gain,
             step_length=theta,
-            c_value=self.c_value(),
+            c_value=c_value,
             basis=tuple(sorted(self.basis)),
         )
 
@@ -362,7 +388,7 @@ def first_gain(tab: Tableau, c) -> list[Fraction] | None:
     perturbation every step raises the perturbed c value, so no basis
     repeats and the walk is finite.
     """
-    tab.aim(c, [0] * tab.n)
+    tab.aim(common_denominator(as_fractions(c)), ([0] * tab.n, 1))
     while (step := tab.pivot()) is not None:
         if step.step_length > 0:
             return tab.vertex()
@@ -378,12 +404,13 @@ def shadow_walk(
     held=(),
 ) -> WalkResult:
     """Walk to the c-maximal vertex of the face where the held rows stay
-    tight, or stop at the pivot cap.
+    tight, or stop at the pivot cap; c and w are (integer numerators,
+    denominator) pairs, as `Tableau.aim` takes them.
 
     x0 is the start vertex, or a Tableau on lp standing on it; a Tableau is
     walked in place and ends on the walk's last vertex.
     """
-    tab = x0 if isinstance(x0, Tableau) else Tableau(lp, x0)
+    tab = x0 if isinstance(x0, Tableau) else Tableau(integer_form(lp), x0)
     tab.aim(c, w, held)
     start_basis = tuple(sorted(tab.basis))
     steps: list[PathStep] = []

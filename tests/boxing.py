@@ -1,5 +1,6 @@
 """The boxed LP as `driver.solve` builds it: the box over the lead rows its
-rank pass finds, the first n rows of `linalg.independent_rows`."""
+rank pass finds, the first n rows of `linalg.independent_rows`, built on the
+LP's integer form."""
 
 from shadow_simplex import linalg, model
 
@@ -9,4 +10,4 @@ def lead_rows(lp):
 
 
 def box(lp):
-    return model.bound_polytope(lp, lead_rows(lp))
+    return model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))[0]

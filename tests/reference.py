@@ -1,0 +1,98 @@
+"""Fraction forms of the solver's integer round loop and crawl, for the tests
+to hold the integer code against: each is the formula the solver used
+before it moved to integers, with the same draws from the stream.  A test
+helper module, not a test module."""
+
+from fractions import Fraction
+from operator import mul
+
+from shadow_simplex import linalg
+from shadow_simplex.model import BasicSolution, LPModelError
+from shadow_simplex.randomness import RandomnessError
+from shadow_simplex.rational import as_fractions, common_denominator, dot, norm_sq
+
+
+def pair(vec):
+    """A rational vector as (integer numerators, common denominator)."""
+    return common_denominator(as_fractions(vec))
+
+
+def values(p):
+    """The rational vector of an (integer numerators, denominator) pair."""
+    nums, den = p
+    return [Fraction(x, den) for x in nums]
+
+
+def unit(stream, bits):
+    """One draw of the stream as the Fraction j / 2^bits."""
+    return Fraction(stream.numerator(bits), 1 << bits)
+
+
+def perturb_objective(c0, cfg, stream):
+    """(c, intervals) as Fractions, c0 a near-unit Fraction vector."""
+    c0 = as_fractions(c0)
+    n = len(c0)
+    phi = Fraction(cfg.phi)
+    if float(phi) ** 2 < n * (1 - 1e-10):
+        raise RandomnessError("phi must be at least sqrt(n)")
+    if abs(float(norm_sq(c0)) - 1.0) > 3e-10:
+        raise RandomnessError("c0 must be unit norm")
+    k = cfg.effective_bits()
+    width = 1 / phi
+    intervals = []
+    c = []
+    for i in range(n):
+        lo = c0[i] - width if c0[i] > 1 - width else c0[i]
+        intervals.append((lo, lo + width))
+        c.append(lo + width * unit(stream, k))
+    return c, intervals
+
+
+def draw_lambda(n, cfg, stream):
+    k = cfg.effective_bits()
+    return [1 - unit(stream, k) for _ in range(n)]
+
+
+def lift(r, y):
+    """The vector in span(r.cols) whose face coordinates are the Fractions y."""
+    coef = [
+        yk / (sk * sum(a * a for a in v))
+        for yk, sk, v in zip(as_fractions(y), r.col_scale, r.cols)
+    ]
+    nums, den = common_denominator(coef)
+    return [Fraction(sum(map(mul, nums, col)), den) for col in zip(*r.cols)]
+
+
+def lifted_cone_objective(rows, lam, tau):
+    """w = -sum_k lam_k tau_k R_k as Fractions, lam as Fractions."""
+    nums, den = common_denominator([l * t for l, t in zip(lam, tau)])
+    w = [0] * len(rows[0])
+    for a, row in zip(nums, rows):
+        for j, x in enumerate(row):
+            w[j] -= a * x
+    return [Fraction(x, den) for x in w]
+
+
+def move_to_vertex(lp, point):
+    """The crawl to a vertex in Fraction steps, with a Fraction null-space
+    direction and the greedy tight basis of the rows as given."""
+    x = as_fractions(point)
+    if not lp.feasible(x):
+        raise LPModelError("point infeasible")
+    while True:
+        tight = lp.tight_rows(x)
+        basis = [tight[k] for k in linalg.independent_rows([lp.row(i) for i in tight])]
+        if len(basis) == lp.n:
+            return BasicSolution(point=tuple(x), basis=tuple(basis))
+        d = linalg.nullspace_vector([lp.row(i) for i in basis], lp.n)
+        prods = [dot(lp.row(i), d) for i in range(lp.m)]
+        if all(p <= 0 for p in prods):
+            d = [-v for v in d]
+            prods = [-p for p in prods]
+        if all(p <= 0 for p in prods):
+            raise LPModelError("no blocking row: rank(A) < n")
+        theta = min(
+            (lp.b[i] - dot(lp.row(i), x)) / prods[i] for i in range(lp.m) if prods[i] > 0
+        )
+        x = [xi + theta * di for xi, di in zip(x, d)]
+

@@ -12,6 +12,7 @@ from math import ceil, comb, log2, sqrt
 
 import pytest
 from boxing import box
+from reference import pair, values
 
 from shadow_simplex import (
     driver,
@@ -246,14 +247,14 @@ def test_criterion_6_facet_identification():
         phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)  # > 2 n^{3/2}/delta
         # the first round of a facet chain: nothing fixed yet
         r = driver.facet_restriction([], primitive_int_row(boxed.c0)[0])
-        tab = walk.Tableau(boxed, model.move_to_vertex(boxed, [F(0)] * n))
+        tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
         stream = randomness.DrawStream(done)
         rcfg = randomness.RngConfig(seed=done, phi=phi)
         pert = randomness.perturb_objective(r.c0, rcfg, stream)
         u = driver.restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
         lam = randomness.draw_lambda(n, rcfg, stream)
-        w = randomness.cone_objective(u, lam)
-        res = walk.shadow_walk(boxed, tab, r.lift(pert.c), r.lift(w))
+        w = randomness.cone_objective(u, values(lam))
+        res = walk.shadow_walk(boxed, tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
         assert res.finished
         free = sorted(tab.basis)
         if free[driver.identify_basis_element(tab, r, free, {})] not in opt_tight:

@@ -6,6 +6,7 @@ from math import ceil, log2
 
 import pytest
 from boxing import box
+from reference import pair, values
 from test_golden import _flat_in_x3, _interior_point
 
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
@@ -21,7 +22,7 @@ from shadow_simplex.driver import (
     solve,
 )
 from shadow_simplex.model import BasicSolution, UnboundedCertificate
-from shadow_simplex.rational import as_fractions, common_denominator, dot, primitive_int_row
+from shadow_simplex.rational import as_fractions, dot, primitive_int_row
 
 F = Fraction
 
@@ -55,9 +56,9 @@ def restrict(lp, fixed):
 def identify_at(lp, start, c):
     """The row identify_basis_element fixes, in the first round of a chain,
     on a tableau standing at start, whose basis carries c."""
-    tab = walk.Tableau(lp, start)
+    tab = walk.Tableau(model.integer_form(lp), start)
     r = restrict(lp, [])
-    tab.aim(r.lift(c), [0] * lp.n)
+    tab.aim(r.lift(pair(c)), ([0] * lp.n, 1))
     assert tab.at_optimum()
     free = sorted(tab.basis)
     return free[identify_basis_element(tab, r, free, {})]
@@ -95,13 +96,13 @@ class TestIdentify:
             if linalg.rank(A) < n:
                 continue
             lp = box(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
-            tab = walk.Tableau(lp, model.move_to_vertex(lp, [F(0)] * n))
+            tab = walk.Tableau(model.integer_form(lp), model.move_to_vertex(lp, [F(0)] * n))
             fixed = tab.basis[:1] if n > 2 else []
             r = restrict(lp, fixed)
             c = [F(rng.randint(-9, 9), 10) for _ in r.cols]
             if not any(c):
                 continue
-            walk.shadow_walk(lp, tab, r.lift(c), [0] * n, held=fixed)
+            walk.shadow_walk(lp, tab, r.lift(pair(c)), ([0] * n, 1), held=fixed)
             free = sorted(set(tab.basis) - set(fixed))
             u = restriction_coords(r, [tab.R[i] for i in free])
             mu = linalg.solve_square([list(col) for col in zip(*u)], c)
@@ -130,7 +131,7 @@ class TestReduceAndLift:
         boxed = box(lp)
         res = walk.shadow_walk(
             boxed, BasicSolution(point=(F(1), F(0)), basis=(0, 3)),
-            r.lift(r.c0), r.lift([F(-1)]), held=[0],
+            r.lift(r.c0), r.lift(pair([F(-1)])), held=[0],
         )
         assert res.finished and res.solution.point == (1, 1)
         assert 0 in res.solution.basis
@@ -160,7 +161,7 @@ class TestReduceAndLift:
             for a, b in combinations(r.cols, 2):
                 assert sum(x * y for x, y in zip(a, b)) == 0
             y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r.cols]
-            x = r.lift(y)
+            x = values(r.lift(pair(y)))
             # the lifted direction lies in the face ...
             assert all(dot(lp.row(i), x) == 0 for i in fixed)
             # ... and maps back to the same face coordinates
@@ -191,7 +192,7 @@ class TestReduceAndLift:
     def test_restriction_coords_inverse(self):
         lp = square()
         r = restrict(lp, [2])  # fix y <= 1
-        assert r.lift([F(1, 3)]) == [F(1, 3), 0]
+        assert values(r.lift(pair([F(1, 3)]))) == [F(1, 3), 0]
         assert face_coords(r, [F(1, 3), F(5)]) == [F(1, 3)]
         # face coordinates are near-unit, and None for a row parallel to the
         # fixed one
@@ -200,7 +201,7 @@ class TestReduceAndLift:
 
 def certify(lp, x):
     """is_optimal on a fresh tableau standing on x."""
-    return is_optimal(lp, x, walk.Tableau(lp, x))
+    return is_optimal(lp, x, walk.Tableau(model.integer_form(lp), x))
 
 
 class TestIsOptimal:
@@ -268,7 +269,7 @@ class TestIsOptimal:
     def test_tableau_must_stand_on_the_vertex(self):
         lp = square()
         corner = BasicSolution(point=(F(1), F(1)), basis=(0, 2))
-        tab = walk.Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(1, 3)))
+        tab = walk.Tableau(model.integer_form(lp), BasicSolution(point=(F(0), F(0)), basis=(1, 3)))
         with pytest.raises(DriverError):
             is_optimal(lp, corner, tab)
 
@@ -281,7 +282,7 @@ class TestRepeated:
         lp = self.boxed_square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
-            lp, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
+            lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
         )
         assert not cand.capped
         assert cand.solution.point == (1, 1)
@@ -290,7 +291,7 @@ class TestRepeated:
         lp = box(model.make_lp([[1], [-1]], [1, 0], [1]))
         start = BasicSolution(point=(F(0),), basis=(1,))
         cand = repeated_shadow_vertex(
-            lp, start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
+            lp, model.integer_form(lp), start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
         )
         assert cand.solution.point == (1,)
         assert cand.rounds == 1
@@ -299,7 +300,7 @@ class TestRepeated:
         lp = self.boxed_square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
-            lp, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
+            lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
         )
         assert cand.capped and cand.solution is None
 
@@ -315,7 +316,7 @@ class TestRepeated:
         lp = box(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         cand = repeated_shadow_vertex(
-            lp, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         assert cand.rounds == 3
         assert cand.solution.point == (1, 1, 1)
@@ -341,14 +342,14 @@ class TestRepeated:
         assert len(boxed.tight_rows(x.point)) > boxed.n
 
         def certificate_pivots(basis):
-            tab = walk.Tableau(boxed, BasicSolution(point=x.point, basis=tuple(basis)))
+            tab = walk.Tableau(model.integer_form(boxed), BasicSolution(point=x.point, basis=tuple(basis)))
             assert is_opt(boxed, x, tab)
             return tab.pivot_count
 
         # the chain's basis already carries c0; the greedy one needs at least
         # one degenerate pivot before the walk ends on the same point
         assert certificate_pivots(chain_basis) == 0
-        greedy = model.tight_basis_at(boxed, x.point)[: boxed.n]
+        greedy = model.tight_basis_at(model.integer_form(boxed), x.point)[: boxed.n]
         assert certificate_pivots(greedy) >= 1
 
     def test_outcome_vertex_basis_carries_c0(self, monkeypatch):
@@ -369,9 +370,10 @@ class TestRepeated:
 
 
 def prices(tab, w):
-    """Exact price w . (-M[:, k]) / D of w at each basis position of tab, up
-    to the common factor -1 / D."""
-    nums, den = common_denominator(as_fractions(w))
+    """Exact price w . (-M[:, k]) / D of w, an (integer numerators,
+    denominator) pair, at each basis position of tab, up to the common
+    factor -1 / D."""
+    nums, den = w
     return [F(sum(nums[t] * tab.M[t][k] for t in range(tab.n)), den) for k in range(tab.n)]
 
 
@@ -393,7 +395,7 @@ class TestConeObjective:
                 continue
             lp = box(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], c0))
             start = model.move_to_vertex(lp, [F(0)] * n)
-            tab = walk.Tableau(lp, start)
+            tab = walk.Tableau(model.integer_form(lp), start)
             fixed = tab.basis[: min(done % 3, n - 1)]
             r = facet_restriction([tab.R[i] for i in fixed], prim(lp.c0))
             if r.c0 is None:
@@ -401,12 +403,13 @@ class TestConeObjective:
             free = sorted(set(tab.basis) - set(fixed))
             rcfg = randomness.RngConfig(seed=done, phi=F(8 * n))
             stream = randomness.DrawStream(done)
-            c = r.lift(randomness.perturb_objective(r.c0, rcfg, stream).c)
+            pert = randomness.perturb_objective(r.c0, rcfg, stream)
+            c = r.lift((pert.c, pert.den))
             lam = randomness.draw_lambda(len(free), rcfg, stream)
             tau = [driver._face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free]
             w_int = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
             u = restriction_coords(r, [tab.R[i] for i in free])
-            w_ref = r.lift(randomness.cone_objective(u, lam))
+            w_ref = r.lift(pair(randomness.cone_objective(u, values(lam))))
 
             tab.aim(c, w_int, fixed)
             while True:
@@ -420,7 +423,7 @@ class TestConeObjective:
                     break
 
             paths = [
-                walk.shadow_walk(lp, walk.Tableau(lp, start), c, w, held=fixed)
+                walk.shadow_walk(lp, walk.Tableau(model.integer_form(lp), start), c, w, held=fixed)
                 for w in (w_int, w_ref)
             ]
             assert paths[0].path == paths[1].path
@@ -430,10 +433,11 @@ class TestConeObjective:
         assert held_differs > 0
 
     def test_lambda_checked(self):
-        assert driver.lifted_cone_objective([[1, 2]], [F(1)], [F(1, 2)]) == [F(-1, 2), F(-1)]
+        w = driver.lifted_cone_objective([[1, 2]], ([1], 1), [F(1, 2)])
+        assert values(w) == [F(-1, 2), F(-1)]
         for bad in (F(0), F(3, 2), F(-1, 4)):
             with pytest.raises(DriverError, match="lambda"):
-                driver.lifted_cone_objective([[1, 2]], [bad], [F(1)])
+                driver.lifted_cone_objective([[1, 2]], pair([bad]), [F(1)])
 
     def test_unit_norm_check_on_tau(self, monkeypatch):
         exact = driver.unit_scale_pq
@@ -488,7 +492,7 @@ class TestSolve:
         lp = model.make_lp(pair_cone_rows(8), [0] * 36, [1] * 8)
         out = solve(lp, cfg())
         assert out.status == "unbounded"
-        driver._check_ray(lp, out.ray)
+        driver._check_ray(lp, model.integer_form(lp), out.ray)
 
     def test_random_20x8_unbounded_quickly(self):
         # the old ray scan took minutes on this instance (C(20, 7) subsets)
@@ -497,7 +501,7 @@ class TestSolve:
         out = solve(lp, cfg(seed=5))
         assert time.perf_counter() - t0 < 10
         assert out.status == "unbounded"
-        driver._check_ray(lp, out.ray)
+        driver._check_ray(lp, model.integer_form(lp), out.ray)
 
     def test_box_tight_bounded_optimum(self, monkeypatch):
         # max x1 subject to x1 <= 1, -x2 <= 1: the optimal face is unbounded,
@@ -506,9 +510,9 @@ class TestSolve:
         verdicts = []
         decide = model.assert_unbounded_if_box_tight
 
-        def recording(vertex, boxed):
-            verdicts.append(boxed.box_rows & set(boxed.tight_rows(vertex.point)))
-            return decide(vertex, boxed)
+        def recording(tab, boxed):
+            verdicts.append(boxed.box_rows & set(boxed.tight_rows(tab.vertex())))
+            return decide(tab, boxed)
 
         monkeypatch.setattr(model, "assert_unbounded_if_box_tight", recording)
         out = solve(model.make_lp([[1, 0], [0, -1]], [1, 1], [1, 0]), cfg())
@@ -521,7 +525,7 @@ class TestSolve:
         monkeypatch.setattr(
             model,
             "assert_unbounded_if_box_tight",
-            lambda vertex, boxed: UnboundedCertificate(point=(F(-1),), ray=(F(1),)),
+            lambda tab, boxed: UnboundedCertificate(point=(F(-1),), ray=(F(1),)),
         )
         with pytest.raises(DriverError, match="infeasible"):
             solve(model.make_lp([[-1]], [0], [1]), cfg())
@@ -762,14 +766,14 @@ class TestSolve:
             phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
             # the first round of a facet chain: nothing fixed yet
             r = restrict(boxed, [])
-            tab = walk.Tableau(boxed, model.move_to_vertex(boxed, [F(0)] * n))
+            tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
             stream = randomness.DrawStream(done)
             rcfg = randomness.RngConfig(seed=done, phi=phi)
             pert = randomness.perturb_objective(r.c0, rcfg, stream)
             u = restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
             lam = randomness.draw_lambda(n, rcfg, stream)
-            w = randomness.cone_objective(u, lam)
-            res = walk.shadow_walk(boxed, tab, r.lift(pert.c), r.lift(w))
+            w = randomness.cone_objective(u, values(lam))
+            res = walk.shadow_walk(boxed, tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
             assert res.finished
             free = sorted(tab.basis)
             assert free[identify_basis_element(tab, r, free, {})] in opt_tight

@@ -1,0 +1,228 @@
+"""The solve path in integers, held against the Fraction formulas it
+replaced (tests/reference.py): the round loop's draws, lift, cone objective
+and `Tableau.aim` pairs, the crawl to a vertex, and the box-tight test read
+off the certificate tableau."""
+
+import importlib.util
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+import reference
+from boxing import box
+from reference import values
+
+from shadow_simplex import driver, harness, linalg, model, randomness, rational, walk
+from shadow_simplex.model import BasicSolution, LPModelError, UnboundedCertificate
+from shadow_simplex.rational import common_denominator, primitive_int_row
+
+F = Fraction
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def random_boxed(rng, n, m):
+    """A boxed random LP with integer and rational rows, and a vertex of it."""
+    while True:
+        A = [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)] for _ in range(m)]
+        A = [row for row in A if any(row)]
+        c0 = [F(rng.randint(-3, 3), rng.choice([1, 5])) for _ in range(n)]
+        if len(A) < n or linalg.rank(A) < n or not any(c0):
+            continue
+        lp = box(model.make_lp(A, [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in A], c0))
+        return lp, model.move_to_vertex(lp, [F(0)] * n)
+
+
+@pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+def test_round_loop_matches_the_fraction_formulas(mode):
+    # on seeded random faces: the perturbation's values and intervals, the
+    # lift, the cone objective and the pairs aim keeps are exactly those of
+    # the Fraction formulas, from the same draws
+    rng = random.Random(61 if mode == randomness.MODE_FLOAT else 62)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 5)
+        lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
+        tab = walk.Tableau(model.integer_form(lp), start)
+        fixed = tab.basis[: rng.randint(0, n - 1)]
+        r = driver.facet_restriction([tab.R[i] for i in fixed], primitive_int_row(lp.c0)[0])
+        if r.c0 is None:
+            continue
+        (c0_face,) = driver.restriction_coords(r, [primitive_int_row(lp.c0)[0]])
+        assert values(r.c0) == c0_face
+        free = sorted(set(tab.basis) - set(fixed))
+        phi = driver.PhiSchedule(driver.SCHEDULE_BASE, n=lp.n, m=lp.m).phi(rng.randint(0, 3))
+        rcfg, _ = driver._walk_bits_and_cap(
+            lp.m, lp.n, phi, driver.SolveConfig(rng=randomness.RngConfig(seed=done, mode=mode))
+        )
+        rcfg = rcfg.with_phi(phi)
+        got_stream, ref_stream = randomness.DrawStream(done), randomness.DrawStream(done)
+
+        pert = randomness.perturb_objective(r.c0, rcfg, got_stream)
+        ref_c, ref_intervals = reference.perturb_objective(c0_face, rcfg, ref_stream)
+        assert values((pert.c, pert.den)) == ref_c
+        assert [(F(lo, pert.den), F(hi, pert.den)) for lo, hi in pert.intervals] == ref_intervals
+
+        lam = randomness.draw_lambda(len(free), rcfg, got_stream)
+        ref_lam = reference.draw_lambda(len(free), rcfg, ref_stream)
+        assert values(lam) == ref_lam
+        assert got_stream.bits_consumed == ref_stream.bits_consumed
+
+        c = r.lift((pert.c, pert.den))
+        ref_lift = reference.lift(r, ref_c)
+        assert values(c) == ref_lift
+        tau = [driver._face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free]
+        w = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
+        ref_w = reference.lifted_cone_objective([tab.R[i] for i in free], ref_lam, tau)
+        assert values(w) == ref_w
+
+        tab.aim(c, w, fixed)
+        assert (tab.c_num, tab.c_den) == common_denominator(ref_lift)
+        assert (tab.w_num, tab.w_den) == common_denominator(ref_w)
+        done += 1
+
+
+def test_chain_orthogonalizes_each_fixed_row_once():
+    # a chain passes one ortho list through its rounds: each round's face
+    # basis is the one built from all the fixed rows afresh
+    rng = random.Random(63)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        lp, start = random_boxed(rng, n, n + 3)
+        rows = model.integer_form(lp).R
+        c0 = primitive_int_row(lp.c0)[0]
+        ortho = []
+        for k in range(n):
+            fixed = [rows[i] for i in start.basis[:k]]
+            assert driver.facet_restriction(fixed, c0, ortho) == driver.facet_restriction(fixed, c0)
+            assert len(ortho) == k
+
+
+def test_aim_strips_the_gcd():
+    tab = walk.Tableau(
+        model.integer_form(box(model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1]))),
+        BasicSolution(point=(F(1), F(1)), basis=(0, 1)),
+    )
+    tab.aim(([6, -4], 10), ([0, 0], 7))
+    assert (tab.c_num, tab.c_den, tab.w_num, tab.w_den) == ([3, -2], 5, [0, 0], 1)
+    assert (tab.c_num, tab.c_den) == common_denominator([F(6, 10), F(-4, 10)])
+
+
+def awkward_lp(rng, n, m):
+    """Rows with rational entries, a duplicated row and parallel rows; the
+    origin is feasible."""
+    A = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)] for _ in range(m)]
+    A = [row for row in A if any(row)]
+    if not A:
+        return None
+    A.append(list(A[0]))
+    A.append([F(2) * x for x in A[-1]])
+    A.append([F(-1, 3) * x for x in A[rng.randrange(len(A))]])
+    b = [F(rng.randint(0, 9), rng.randint(1, 4)) for _ in A]
+    for i in range(n):  # a bounded slab keeps most crawls finite
+        A += [[F(int(j == i)) for j in range(n)], [F(-int(j == i)) for j in range(n)]]
+        b += [F(rng.randint(1, 5)), F(rng.randint(0, 5))]
+    return model.make_lp(A, b, [1] * n)
+
+
+def crawl_both(lp, x):
+    """(integer crawl, Fraction crawl); an LPModelError from either is its
+    message."""
+    out = []
+    for crawl in (model.move_to_vertex, reference.move_to_vertex):
+        try:
+            out.append(crawl(lp, x))
+        except LPModelError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_crawl_matches_the_fraction_crawl_on_awkward_rows():
+    rng = random.Random(64)
+    done = crawled = 0
+    while done < 80:
+        n = rng.randint(1, 4)
+        lp = awkward_lp(rng, n, rng.randint(1, 5))
+        if lp is None:
+            continue
+        x = [F(rng.randint(-1, 1), rng.randint(2, 9)) for _ in range(n)]
+        got, want = crawl_both(lp, x)
+        assert got == want
+        if isinstance(got, BasicSolution):
+            model.validate_basic_solution(lp, got)
+            crawled += 1
+        done += 1
+    assert crawled > 40
+
+
+def test_crawl_matches_the_fraction_crawl_on_the_tu_warm_starts():
+    # the seed-7 tu-warm benchmark pool: every start its setup crawls to
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+    wl = workloads.WORKLOADS["tu-warm"]
+    m, n = workloads.TU_WARM_SIZE
+    rng = random.Random("tu-warm:7")
+    for i in range(wl.pool_size):
+        gen_seed = rng.getrandbits(31)
+        rng.getrandbits(31)
+        kind = workloads.TU_KINDS[i % 3]
+        lp = harness.generate_tu_instance(kind, m, n, gen_seed)
+        x = workloads._interior_point(pkg, kind, m, n, gen_seed)
+        got, want = crawl_both(lp, x)
+        assert isinstance(got, BasicSolution) and got == want
+
+
+def test_crawl_rejects_what_the_fraction_crawl_rejects():
+    square = model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
+    with pytest.raises(LPModelError, match="infeasible"):
+        model.move_to_vertex(square, [F(2), F(0)])
+    with pytest.raises(LPModelError, match="coordinates"):
+        model.move_to_vertex(square, [F(0)])
+    strip = model.make_lp([[1, 0], [-1, 0]], [1, 0], [1, 0])
+    assert crawl_both(strip, [F(1, 2), F(0)]) == ["no blocking row: rank(A) < n"] * 2
+
+
+class TestBoxTightOnTheTableau:
+    def recording(self, monkeypatch):
+        walks = []
+        first_gain = walk.first_gain
+
+        def record(tab, c):
+            walks.append(tab)
+            return first_gain(tab, c)
+
+        monkeypatch.setattr(walk, "first_gain", record)
+        return walks
+
+    def test_box_tight_vertex_runs_the_recession_walk(self, monkeypatch):
+        # maximize x subject to -x <= 0: the top box corner, on box row
+        # x <= r / t, is box-tight, which the tableau's slack numerators
+        # tell, and the recession walk from d = 0 finds the ray
+        lp = box(model.make_lp([[-1]], [0], [1]))
+        form = model.integer_form(lp)
+        top = BasicSolution(point=(lp.b[2],), basis=(2,))
+        tab = walk.Tableau(form, top)
+        assert tab.slack_nums([1, 2]) != [0, 0] and tab.slack_nums([2]) == [0]
+        assert lp.tight_rows(top.point) == [2]
+        walks = self.recording(monkeypatch)
+        got = model.assert_unbounded_if_box_tight(tab, lp)
+        assert isinstance(got, UnboundedCertificate) and got.point == top.point
+        assert got.ray[0] > 0
+        (rec,) = walks
+        # the recession LP: the same integer rows, rhs 0 off the box
+        assert rec.R == form.R and rec.beta[0] == 0 and all(rec.beta[1:])
+
+    def test_vertex_off_the_box_walks_nothing(self, monkeypatch):
+        lp = box(model.make_lp([[1], [-1]], [1, 0], [1]))
+        tab = walk.Tableau(model.integer_form(lp), BasicSolution(point=(F(1),), basis=(0,)))
+        walks = self.recording(monkeypatch)
+        assert model.assert_unbounded_if_box_tight(tab, lp) == model.BOUNDED
+        assert walks == []

@@ -244,7 +244,7 @@ class TestBounding:
     def test_rank_deficient_rejected(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
         with pytest.raises(LPModelError):
-            model.bound_polytope(lp, lead_rows(lp))
+            model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))
 
     def test_box_rows_are_the_unit_norm_half_spaces(self):
         # +-a_i x <= r / t_i is the half-space +-t_i a_i x <= r: the tableau,
@@ -260,23 +260,48 @@ class TestBounding:
                 b.append(r)
         ref = model.make_lp(A, b, lp.c0)
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 2))
-        got, want = walk.Tableau(boxed, start), walk.Tableau(ref, start)
+        got = walk.Tableau(model.integer_form(boxed), start)
+        want = walk.Tableau(model.integer_form(ref), start)
         assert (got.R, got.beta, got.s) == (want.R, want.beta, want.s)
         assert boxed.A[3] == (3, 4) and boxed.b[3] == 5 * r
+
+    def test_box_form_is_the_boxed_lps_integer_form(self):
+        # the box rows +-R_i and their rhs come from the solve's one form of
+        # the rows, exactly as the boxed LP's own integer form gives them;
+        # rational, duplicated and parallel rows give factors other than 1
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            rows = [[F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)] for _ in range(n + 3)]
+            rows = [r for r in rows if any(r)]
+            if len(rows) < n:
+                continue
+            rows += [list(rows[0]), [F(-1, 3) * x for x in rows[-1]]]
+            lp = model.make_lp(rows, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in rows], [1] * n)
+            if linalg.rank(lp.rows()) < n:
+                continue
+            boxed, form = model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))
+            assert boxed == box(lp)
+            assert form == model.integer_form(boxed)
+
+
+def on(lp, vertex):
+    """A tableau on lp's integer form standing on vertex."""
+    return walk.Tableau(model.integer_form(lp), BasicSolution(vertex.point, vertex.basis))
 
 
 class TestBoxTightAssert:
     def test_interior_optimum_bounded(self):
         lp = box(square_lp())
         bs = model.move_to_vertex(lp, [F(1), F(1)])
-        assert model.assert_unbounded_if_box_tight(bs, lp) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp) == model.BOUNDED
 
     def test_genuinely_unbounded(self):
         # maximize x subject to x >= 0
         lp = box(model.make_lp([[-1]], [0], [1]))
         vs = oracle.enumerate_vertices(lp).vertices
         top = max(vs, key=lambda v: v.point[0])
-        got = model.assert_unbounded_if_box_tight(top, lp)
+        got = model.assert_unbounded_if_box_tight(on(lp, top), lp)
         assert isinstance(got, UnboundedCertificate)
         assert got.ray[0] > 0
 
@@ -291,7 +316,7 @@ class TestBoxTightAssert:
                 corner = v
                 break
         assert corner is not None
-        assert model.assert_unbounded_if_box_tight(corner, lp) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp) == model.BOUNDED
 
 
 class TestVertexUtilities:

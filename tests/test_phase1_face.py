@@ -35,7 +35,7 @@ def two_violated():
 
 
 def build_face(lp):
-    return build_phase1_face(lp, lead_rows(lp))
+    return build_phase1_face(lp, lead_rows(lp), model.integer_form(lp))
 
 
 def face_optimum(p1: Phase1Problem) -> BasicSolution:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from reference import pair, unit, values
 
 from shadow_simplex import model, oracle, randomness
 from shadow_simplex.randomness import (
@@ -17,34 +18,40 @@ from shadow_simplex.rational import dot, norm_sq, unit_scale
 F = Fraction
 
 
+def perturbed(pert):
+    """(c, intervals) of a PerturbedObjective as Fractions."""
+    d = pert.den
+    return values((pert.c, d)), [(F(lo, d), F(hi, d)) for lo, hi in pert.intervals]
+
+
 class TestDyadicDraws:
     def test_one_bit_support(self):
-        vals = {DrawStream(s).unit(1) for s in range(64)}
+        vals = {unit(DrawStream(s), 1) for s in range(64)}
         assert vals <= {F(0), F(1, 2)}
         assert vals == {F(0), F(1, 2)}
 
     def test_seeded_determinism(self):
-        a = [DrawStream(42).unit(8) for _ in range(1)]
-        b = [DrawStream(42).unit(8) for _ in range(1)]
+        a = [DrawStream(42).numerator(8) for _ in range(1)]
+        b = [DrawStream(42).numerator(8) for _ in range(1)]
         assert a == b
         s1, s2 = DrawStream(9), DrawStream(9)
-        assert [s1.unit(16) for _ in range(20)] == [s2.unit(16) for _ in range(20)]
+        assert [s1.numerator(16) for _ in range(20)] == [s2.numerator(16) for _ in range(20)]
 
     def test_mean_law_of_large_numbers(self):
         s = DrawStream(123)
-        total = sum(s.unit(16) for _ in range(10**5))
+        total = sum(unit(s, 16) for _ in range(10**5))
         assert abs(float(total) / 10**5 - 0.5) < 0.01
 
     def test_prefix_pairing_across_bit_counts(self):
         # draws with k and k' >= k bits share their top k bits for one seed
-        a = [DrawStream(5).unit(20) for _ in range(1)][0]
-        b = [DrawStream(5).unit(53) for _ in range(1)][0]
+        a = [unit(DrawStream(5), 20) for _ in range(1)][0]
+        b = [unit(DrawStream(5), 53) for _ in range(1)][0]
         assert a == F(int(b * 2**20), 2**20)
 
     def test_bit_accounting(self):
         s = DrawStream(0)
-        s.unit(10)
-        s.unit(20)
+        s.numerator(10)
+        s.numerator(20)
         assert s.bits_consumed == 30 and s.draws == 2
 
 
@@ -71,11 +78,14 @@ class TestPerturbation:
 
     def test_interval_placement_at_top(self):
         c0 = [F(1), F(0)]
-        pert = perturb_objective(c0, self.cfg(2), DrawStream(0))
-        assert pert.intervals[0] == (F(1, 2), F(1))
-        assert pert.intervals[1] == (F(0), F(1, 2))
-        for c, (lo, hi) in zip(pert.c, pert.intervals):
-            assert lo <= c <= hi
+        c, intervals = perturbed(perturb_objective(pair(c0), self.cfg(2), DrawStream(0)))
+        assert intervals[0] == (F(1, 2), F(1))
+        assert intervals[1] == (F(0), F(1, 2))
+        for ci, (lo, hi) in zip(c, intervals):
+            assert lo <= ci <= hi
+        # c0_i = 1 - 1/phi exactly is not above it: the interval starts there
+        _, intervals = perturbed(perturb_objective(pair([F(1, 2), F(0)]), self.cfg(2), DrawStream(0)))
+        assert intervals[0] == (F(1, 2), F(1))
 
     def test_sup_norm_bound(self):
         import random
@@ -89,24 +99,24 @@ class TestPerturbation:
             t = unit_scale(raw)
             c0 = [t * x for x in raw]
             phi = F(rnd.randint(3, 40))
-            pert = perturb_objective(c0, self.cfg(phi, seed=trial), DrawStream(trial))
-            for ci, c0i in zip(pert.c, c0):
+            c, _ = perturbed(perturb_objective(pair(c0), self.cfg(phi, seed=trial), DrawStream(trial)))
+            for ci, c0i in zip(c, c0):
                 assert abs(ci - c0i) <= 1 / phi
                 assert -1 <= ci <= 1
-            assert norm_sq([a - b for a, b in zip(pert.c, c0)]) <= F(n) / phi**2
+            assert norm_sq([a - b for a, b in zip(c, c0)]) <= F(n) / phi**2
 
     def test_dyadic_reproducible_denominators(self):
         c0 = [F(1), F(0)]
         cfg = self.cfg(2, mode="dyadic", bits=3)
-        a = perturb_objective(c0, cfg, DrawStream(7))
-        b = perturb_objective(c0, cfg, DrawStream(7))
-        assert a.c == b.c
-        for ci in a.c:
+        a = perturb_objective(pair(c0), cfg, DrawStream(7))
+        b = perturb_objective(pair(c0), cfg, DrawStream(7))
+        assert a == b
+        for ci in perturbed(a)[0]:
             assert ci.denominator <= 2**3 * 2  # interval length 1/2, 3-bit draws
 
     def test_phi_below_sqrt_n_rejected(self):
         with pytest.raises(RandomnessError):
-            perturb_objective([F(1), F(0)], self.cfg(1), DrawStream(0))
+            perturb_objective(pair([F(1), F(0)]), self.cfg(1), DrawStream(0))
 
     def test_large_phi_gets_inside_identification_radius(self):
         # phi > 2 n^{3/2}/delta forces ||c - c0|| < delta/(2n)
@@ -118,8 +128,8 @@ class TestPerturbation:
         n = 2
         phi = 3 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
         c0 = [F(1), F(0)]
-        pert = perturb_objective(c0, self.cfg(phi), DrawStream(4))
-        diff = norm_sq([a - b for a, b in zip(pert.c, c0)])
+        c, _ = perturbed(perturb_objective(pair(c0), self.cfg(phi), DrawStream(4)))
+        diff = norm_sq([a - b for a, b in zip(c, c0)])
         # compare squared quantities exactly: diff < (delta/(2n))^2
         assert diff < F(1, (2 * n) ** 2) / inv2
 
@@ -127,10 +137,10 @@ class TestPerturbation:
 class TestLambdaAndCone:
     def test_lambda_in_half_open_unit(self):
         cfg = RngConfig(seed=1, mode="dyadic", bits_per_draw=1)
-        lam = draw_lambda(50, cfg, DrawStream(1))
+        lam = values(draw_lambda(50, cfg, DrawStream(1)))
         assert set(lam) <= {F(1, 2), F(1)}
         cfg = RngConfig(seed=1)
-        lam = draw_lambda(100, cfg, DrawStream(2))
+        lam = values(draw_lambda(100, cfg, DrawStream(2)))
         assert all(0 < l <= 1 for l in lam)
 
     def test_seed_reproducibility(self):
@@ -158,7 +168,7 @@ class TestLambdaAndCone:
 
             if len(linalg.independent_rows(rows)) < n:
                 continue
-            lam = draw_lambda(n, RngConfig(seed=1), DrawStream(7))
+            lam = values(draw_lambda(n, RngConfig(seed=1), DrawStream(7)))
             w = cone_objective(rows, lam)
             assert float(norm_sq(w)) <= n * n + 1e-9
 
@@ -168,7 +178,7 @@ class TestLambdaAndCone:
             model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
         )
         rows = [lp.row(1), lp.row(3)]
-        lam = draw_lambda(2, RngConfig(seed=2), DrawStream(11))
+        lam = values(draw_lambda(2, RngConfig(seed=2), DrawStream(11)))
         w = cone_objective(rows, lam)
         vs = oracle.enumerate_vertices(lp)
         vals = {v.point: dot(w, list(v.point)) for v in vs.vertices}

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from test_golden import _solve_warm
 
-from shadow_simplex import driver, harness, randomness
+from shadow_simplex import driver, harness, linalg, model, randomness
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -69,3 +69,42 @@ def test_cold_start_violating_no_row_never_reenters(solve_depths):
     out = _cold("interval-matrix", 1)
     assert out.status == "optimal" and out.phase1_artificials == 0
     assert solve_depths == [None]
+
+
+# the names the round loop and the box reach through their module
+# attributes; the per-layer spans of `randomness.draw`, `model.bound_polytope`,
+# `driver.facet_restriction` and `linalg.complement_basis_int` rest on them
+ROUND_LOOP_NAMES = (
+    (randomness, "perturb_objective"),
+    (randomness, "draw_lambda"),
+    (model, "bound_polytope"),
+    (driver, "facet_restriction"),
+    (linalg, "complement_basis_int"),
+)
+
+
+@pytest.fixture
+def round_loop_calls(monkeypatch):
+    """Call counts of a recorder patched onto each round-loop name."""
+    calls = {}
+    for module, attr in ROUND_LOOP_NAMES:
+        inner = getattr(module, attr)
+        name = f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"
+        calls[name] = 0
+
+        def recording(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
+def test_cold_solve_reaches_the_round_loop_names(round_loop_calls):
+    assert _cold("tu-incidence", 0).status == "optimal"
+    assert all(round_loop_calls.values()), round_loop_calls
+
+
+def test_warm_solve_reaches_the_round_loop_names(round_loop_calls):
+    assert _solve_warm("interval-matrix", 1).status == "optimal"
+    assert all(round_loop_calls.values()), round_loop_calls

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 from boxing import box
+from reference import pair, values
 
-from shadow_simplex import model, oracle, randomness, walk
-from shadow_simplex.model import BasicSolution
+from shadow_simplex import model, oracle, randomness, rational, walk
+from shadow_simplex.model import BasicSolution, integer_form
 from shadow_simplex.rational import dot, unit_scale
 from shadow_simplex.walk import (
     ShadowPath,
@@ -61,8 +62,8 @@ class TestShadowPivot:
         lp = square()
         c = [F(9, 10), F(1, 10)]
         w = [F(1, 2), F(1, 2)]  # -(-e1*l) - .. with l = 1/2 each
-        tab = Tableau(lp, origin_start())
-        tab.aim(c, w)
+        tab = Tableau(integer_form(lp), origin_start())
+        tab.aim(pair(c), pair(w))
         step = tab.pivot()
         assert step is not None
         assert tab.vertex() == [1, 0]
@@ -70,8 +71,8 @@ class TestShadowPivot:
 
     def test_at_optimum_returns_none(self):
         lp = square()
-        tab = Tableau(lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)))
-        tab.aim([F(1, 2), F(1, 2)], [F(-1), F(-1)])
+        tab = Tableau(integer_form(lp), BasicSolution(point=(F(1), F(1)), basis=(0, 2)))
+        tab.aim(pair([F(1, 2), F(1, 2)]), pair([F(-1), F(-1)]))
         assert tab.pivot() is None
 
     def test_equal_slope_tie_takes_lowest_entering_row(self):
@@ -80,8 +81,8 @@ class TestShadowPivot:
         lp = square()
         c = [F(1, 2), F(1, 2)]
         w = [F(1, 3), F(1, 3)]
-        tab = Tableau(lp, origin_start())
-        tab.aim(c, w)
+        tab = Tableau(integer_form(lp), origin_start())
+        tab.aim(pair(c), pair(w))
         step = tab.pivot()
         assert step.entering_row == 0  # rows 0 and 2 tie; lowest index wins
 
@@ -89,19 +90,19 @@ class TestShadowPivot:
         # rows 0 and 1 (x <= 1, -x <= 0) are parallel
         lp = square()
         with pytest.raises(WalkError):
-            Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
+            Tableau(integer_form(lp), BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
 
     def test_unbounded_edge_raises(self):
         lp = model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1])
-        tab = Tableau(lp, BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
-        tab.aim([F(1), F(0)], [F(-1), F(-1)])
+        tab = Tableau(integer_form(lp), BasicSolution(point=(F(0), F(0)), basis=(0, 1)))
+        tab.aim(pair([F(1), F(0)]), pair([F(-1), F(-1)]))
         with pytest.raises(UnboundedEdgeError):
             tab.pivot()
 
 
 class TestFirstGain:
     def test_returns_first_vertex_off_the_point(self):
-        tab = Tableau(square(), origin_start())
+        tab = Tableau(integer_form(square()), origin_start())
         x = first_gain(tab, [F(1, 2), F(1, 2)])
         assert x in ([1, 0], [0, 1])
         assert tab.vertex() == x
@@ -109,7 +110,7 @@ class TestFirstGain:
     def test_none_when_basis_carries_c(self):
         # (1, 0) of the square with c = (1, -1): the basis {x <= 1, -y <= 0}
         # carries c; starting from it the walk makes no pivot
-        tab = Tableau(square(), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
+        tab = Tableau(integer_form(square()), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
         assert first_gain(tab, [F(1), F(-1)]) is None
         assert tab.pivot_count == 0
 
@@ -119,7 +120,7 @@ class TestShadowWalk:
         lp = square()
         c = [F(7, 10), F(7, 10)]
         w = [F(2, 3), F(1, 3)]
-        res = shadow_walk(lp, origin_start(), c, w)
+        res = shadow_walk(lp, origin_start(), pair(c), pair(w))
         assert res.finished
         assert res.solution.point == (1, 1)
         assert 1 <= res.pivots <= 2
@@ -128,12 +129,12 @@ class TestShadowWalk:
     def test_already_optimal_empty_path(self):
         lp = square()
         res = shadow_walk(lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)),
-                          [F(1, 2), F(1, 2)], [F(-1), F(-1)])
+                          pair([F(1, 2), F(1, 2)]), pair([F(-1), F(-1)]))
         assert res.finished and res.pivots == 0 and res.path.steps == ()
 
     def test_cap_zero_contract(self):
         lp = square()
-        res = shadow_walk(lp, origin_start(), [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)],
+        res = shadow_walk(lp, origin_start(), pair([F(1, 2), F(1, 2)]), pair([F(1, 3), F(2, 3)]),
                           pivot_cap=0)
         assert not res.finished and res.path.steps == ()
 
@@ -162,20 +163,21 @@ class TestShadowWalk:
                 continue
             u = [unit(r) for r in tight_rows_at(lp, start)]
             lam = randomness.draw_lambda(n, randomness.RngConfig(seed=done), randomness.DrawStream(done))
-            w = randomness.cone_objective(u, lam)
+            w = randomness.cone_objective(u, values(lam))
             pert = randomness.perturb_objective(
-                unit(lp.c0),
+                pair(unit(lp.c0)),
                 randomness.RngConfig(seed=done, phi=F(8 * n)),
                 randomness.DrawStream(1000 + done),
             )
-            res = shadow_walk(lp, start, list(pert.c), w)
+            c = values((pert.c, pert.den))
+            res = shadow_walk(lp, start, (pert.c, pert.den), pair(w))
             assert res.finished
             validate_shadow_path(res.path)
             best = max(
-                dot(list(pert.c), list(v.point))
+                dot(c, list(v.point))
                 for v in oracle.enumerate_vertices(lp).vertices
             )
-            assert dot(list(pert.c), list(res.solution.point)) == best
+            assert dot(c, list(res.solution.point)) == best
             done += 1
 
     def test_degenerate_start_walks_cleanly(self):
@@ -191,9 +193,9 @@ class TestShadowWalk:
         lam = [F(1, 2), F(1, 3), F(1, 4)]
         w = randomness.cone_objective(u, lam)
         pert = randomness.perturb_objective(
-            unit(lp.c0), randomness.RngConfig(seed=0, phi=F(40)), randomness.DrawStream(5)
+            pair(unit(lp.c0)), randomness.RngConfig(seed=0, phi=F(40)), randomness.DrawStream(5)
         )
-        res = shadow_walk(lp, apex, list(pert.c), w)
+        res = shadow_walk(lp, apex, (pert.c, pert.den), pair(w))
         assert res.finished
         validate_shadow_path(res.path)
         assert res.solution.point[2] == 0  # reached the base
@@ -206,8 +208,8 @@ class TestTableauInternals:
         start = model.move_to_vertex(lp, [F(0), F(0)])
         c = [F(3, 5), F(4, 5)]
         w = [F(-1, 2), F(-1, 3)]
-        tab = Tableau(lp, start)
-        tab.aim(c, w)
+        tab = Tableau(integer_form(lp), start)
+        tab.aim(pair(c), pair(w))
         while True:
             # invariant: R_basis @ M == D * I exactly
             n = tab.n
@@ -218,8 +220,22 @@ class TestTableauInternals:
             # objective views stay consistent with the exact vertex
             assert tab.c_value() == dot(c, tab.vertex())
             assert tab.w_value() == dot(w, tab.vertex())
-            if tab.pivot() is None:
+            step = tab.pivot()
+            if step is None:
                 break
+            # the step's value, from the pricing pass before it
+            assert step.c_value == dot(c, tab.vertex())
+
+    def test_vertex_shares_equal_coordinates(self):
+        # equal coordinates are one Fraction, and small integral ones the
+        # shared rational.SMALL_INTEGRAL values: kept answers hold no copies
+        lp = model.make_lp([[1, 0], [0, 1], [-1, -1]], [F(1, 2), F(1, 2), 5], [1, 1])
+        x = Tableau(integer_form(lp), BasicSolution(point=(F(1, 2), F(1, 2)), basis=(0, 1))).vertex()
+        assert x == [F(1, 2), F(1, 2)] and x[0] is x[1]
+        x = Tableau(integer_form(square()), BasicSolution(point=(F(1), F(0)), basis=(0, 3))).vertex()
+        assert x == [1, 0]
+        assert x[0] is rational.SMALL_INTEGRAL[257] and x[1] is rational.SMALL_INTEGRAL[256]
+        assert rational.fraction(10**6, 2) == 5 * 10**5 and rational.fraction(-3, 2) == F(-3, 2)
 
     def test_pivot_cost_linear_in_mn(self):
         # measured arithmetic-op proxy per pivot stays below C * m * n
@@ -245,8 +261,8 @@ class TestTableauInternals:
                 continue
             c = [F(rng.randint(1, 5), 7) for _ in range(n)]
             w = [F(-rng.randint(1, 5), 7) for _ in range(n)]
-            tab = Tableau(lp, start)
-            tab.aim(c, w)
+            tab = Tableau(integer_form(lp), start)
+            tab.aim(pair(c), pair(w))
             tab.ops = 0
             before = 0
             while tab.pivot() is not None:
@@ -272,7 +288,7 @@ class TestPathPlumbing:
 
     def test_csv_trace_columns(self):
         lp = square()
-        res = shadow_walk(lp, origin_start(), [F(7, 10), F(7, 10)], [F(2, 3), F(1, 3)])
+        res = shadow_walk(lp, origin_start(), pair([F(7, 10), F(7, 10)]), pair([F(2, 3), F(1, 3)]))
         text = walk.path_to_csv(res.path)
         header = text.splitlines()[0]
         assert header == "pivot_index,entering_row,leaving_row,slope,c_value"
