@@ -29,14 +29,11 @@ def _add_rng_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     lp = _read_lp(args.file)
-    if args.phase1_only:
-        return _emit_phase1(lp)
     cfg = driver.SolveConfig(
         rng=randomness.RngConfig(seed=args.seed, mode=args.mode, bits_per_draw=args.bits),
         schedule=args.schedule,
         cap_constant=args.cap_constant,
         max_doublings=args.max_doublings,
-        collect_paths=args.trace is not None,
     )
     out = driver.solve(lp, cfg)
     if args.trace is not None:
@@ -136,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None,
                    help="directory for per-walk path CSVs (row indices are rows "
                    "of the boxed LP walked)")
-    p.add_argument("--phase1-only", action="store_true",
-                   help="emit the feasibility subproblem and its start, then exit")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exact brute-force classification")

@@ -26,8 +26,13 @@ priced on the tableau's integer rows (`lifted_cone_objective`), with each
 free row's near-unit factor tau formed once per round.  Both reach
 `Tableau.aim` as (numerators, denominator) pairs.  The walk is the one on
 the restricted LP, whose delta-distance value is preserved to rounding of
-the unit scaling, without building it.  Row indices in walk paths and in
-`SolveOutcome.pivot_sequence` are rows of the boxed LP walked.
+the unit scaling, without building it.
+
+Each round keeps its walk's path in a `RoundTrace`, and the traces are the
+one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
+first, then every round of every doubling, and `SolveOutcome.pivot_sequence`
+is read off them.  Row indices in walk paths and in the pivot sequence are
+rows of the boxed LP walked.
 """
 
 from __future__ import annotations
@@ -298,13 +303,10 @@ class RoundTrace:
 
 @dataclass
 class Candidate:
-    solution: BasicSolution | None
-    tableau: walk.Tableau  # the chain's tableau; stands on solution unless capped
+    tableau: walk.Tableau  # the chain's tableau, on its last vertex
     capped: bool
     pivots: int
-    rounds: int
-    traces: list[RoundTrace]
-    pairs: list[tuple[int, int]]
+    traces: list[RoundTrace]  # one per round walked
 
 
 def repeated_shadow_vertex(
@@ -315,7 +317,6 @@ def repeated_shadow_vertex(
     cfg: randomness.RngConfig,
     stream: randomness.DrawStream,
     cap: int | None = None,
-    collect_paths: bool = False,
 ) -> Candidate:
     """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau.
 
@@ -326,7 +327,8 @@ def repeated_shadow_vertex(
     with each free row's factor tau formed once (the facet choice reuses
     them), and walks the tableau with the fixed rows held in the basis, from
     where the previous round stopped; every objective stays in integers.
-    The chain's last basis is the candidate's basis.
+    The chain's last basis is the candidate's basis, and each round's walk
+    path is kept in its trace.
     """
     cfg = cfg.with_phi(phi)
     tab = walk.Tableau(form, x0)
@@ -334,9 +336,7 @@ def repeated_shadow_vertex(
     fixed: list[int] = []
     ortho: list[list[int]] = []  # the fixed rows, orthogonalized
     pivots = 0
-    rounds = 0
     traces: list[RoundTrace] = []
-    pairs: list[tuple[int, int]] = []
     while len(fixed) < lp.n:
         r = facet_restriction([tab.R[i] for i in fixed], c0, ortho)
         if r.c0 is None:
@@ -347,28 +347,14 @@ def repeated_shadow_vertex(
         lam = randomness.draw_lambda(len(free), cfg, stream)
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
         c = r.lift((pert.c, pert.den))
-        res = walk.shadow_walk(lp, tab, c, w, pivot_cap=cap, held=fixed)
+        res = walk.shadow_walk(tab, c, w, pivot_cap=cap, held=fixed)
         pivots += res.pivots
-        rounds += 1
-        pairs.extend((st.entering_row, st.leaving_row) for st in res.path.steps)
-        if collect_paths:
-            traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
+        traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
-            return Candidate(
-                solution=None, tableau=tab, capped=True, pivots=pivots,
-                rounds=rounds, traces=traces, pairs=pairs,
-            )
+            return Candidate(tableau=tab, capped=True, pivots=pivots, traces=traces)
         free = sorted(set(tab.basis) - set(fixed))
         fixed.append(free[identify_basis_element(tab, r, free, tau)])
-    return Candidate(
-        solution=tab.solution(),
-        tableau=tab,
-        capped=False,
-        pivots=pivots,
-        rounds=rounds,
-        traces=traces,
-        pairs=pairs,
-    )
+    return Candidate(tableau=tab, capped=False, pivots=pivots, traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +368,6 @@ class SolveConfig:
     schedule: str = SCHEDULE_BASE
     cap_constant: int = 16
     max_doublings: int = 64
-    collect_paths: bool = False
 
 
 @dataclass
@@ -399,9 +384,15 @@ class SolveOutcome:
     bits_consumed: int = 0
     doublings: int = 0
     phi_accepted: Fraction | None = None
-    traces: list[RoundTrace] = field(default_factory=list)
-    # (entering, leaving) rows of every pivot, indexed in the boxed LP walked
-    pivot_sequence: list[tuple[int, int]] = field(default_factory=list)
+    traces: list[RoundTrace] = field(default_factory=list)  # Phase 1's rounds first
+
+    @property
+    def pivot_sequence(self) -> list[tuple[int, int]]:
+        """(entering, leaving) rows of every pivot in walk order, read off
+        the traces; rows are indexed in the boxed LP walked."""
+        return [
+            (st.entering_row, st.leaving_row) for tr in self.traces for st in tr.path.steps
+        ]
 
 
 def _walk_bits_and_cap(
@@ -477,17 +468,13 @@ def solve(
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         rng_i, cap = _walk_bits_and_cap(boxed.m, boxed.n, phi, cfg)
-        cand = repeated_shadow_vertex(
-            boxed, boxed_form, bfs, phi, rng_i, stream, cap=cap,
-            collect_paths=cfg.collect_paths,
-        )
+        cand = repeated_shadow_vertex(boxed, boxed_form, bfs, phi, rng_i, stream, cap=cap)
         out.pivots += cand.pivots
         out.traces.extend(cand.traces)
-        out.pivot_sequence.extend(cand.pairs)
         out.doublings = i
         if cand.capped:
             continue
-        if not is_optimal(boxed, cand.solution, cand.tableau):
+        if not is_optimal(boxed, cand.tableau.solution(), cand.tableau):
             continue
         # the basis the certificate walk ended on carries c0
         vertex = cand.tableau.solution()
@@ -562,10 +549,9 @@ def _phase1_start(work, form, lead, cfg, stream, out):
     out.phase1_pivots = sub.pivots
     out.pivots += sub.pivots
     out.traces.extend(sub.traces)
-    out.pivot_sequence.extend(sub.pivot_sequence)
     if sub.status != "optimal":
         raise DriverError("Phase 1 subproblem must be bounded and feasible")
-    got = phase1.extract_bfs(sub.vertex, work, p1)
+    got = phase1.extract_bfs(sub.vertex, form, p1)
     if isinstance(got, phase1.InfeasibleCertificate):
         out.status = "infeasible"
         out.infeasible_gap = got.gap

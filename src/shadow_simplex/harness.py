@@ -248,7 +248,6 @@ def run_trial(cfg: ExperimentConfig, m: int, n: int, index: int) -> TrialRecord:
     solve_cfg = driver.SolveConfig(
         rng=randomness.RngConfig(seed=seed, mode=cfg.mode, bits_per_draw=cfg.bits),
         schedule=cfg.schedule,
-        collect_paths=True,
     )
     t0 = time.perf_counter()
     out = driver.solve(lp, solve_cfg)

@@ -9,8 +9,6 @@ integer forms of a row sequence, which takes every rank decision
 (`independent_rows`, `rank`, `nullspace_vector`); and a fraction-free
 Gram-Schmidt pass over integer rows (`complement_basis_int`).  Only the
 objective escape (`_project_out`) still projects in Fraction arithmetic.
-`det_fraction` is the plain Fraction determinant that tests hold the
-Bareiss kernel against.
 """
 
 from __future__ import annotations
@@ -59,26 +57,6 @@ def inverse_columns(M: Mat) -> list[Vec]:
     n = len(M)
     inv = _gauss_jordan(M, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
     return [list(col) for col in zip(*inv)]
-
-
-def det_fraction(M: Mat) -> Fraction:
-    n = len(M)
-    a = [list(row) for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def _bareiss(M: Sequence[Sequence[int]], adjugate: bool) -> tuple[list[list[int]], int]:

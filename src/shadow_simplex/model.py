@@ -11,7 +11,7 @@ solve turns the rows into their integer form once (`integer_form`): each
 row's primitive integer row R_i = f_i a_i, its factor f_i > 0, and the
 scaled rhs over one common denominator.  The boxed LP's form, the recession
 LP's form, `walk.Tableau`, the exact point checks and the crawl to a vertex
-(`move_to_vertex`) all read it; nothing is kept on the LP.  The unit row
+(`crawl_to_vertex`) all read it; nothing is kept on the LP.  The unit row
 norms that the paper states the delta-distance for are applied only where a
 size matters: the box rows of a lead row a_i are +-a_i with rhs r / t_i,
 t_i = `unit_scale(a_i)` formed from |R_i|^2 and f_i, and the draws of the
@@ -410,18 +410,17 @@ def encoding_bits(lp: LinearProgram) -> int:
     return total
 
 
-def lcm_denominators(lp: LinearProgram) -> int:
-    return lcm(*(x.denominator for row in lp.A for x in row))
-
-
-def box_radius(lp: LinearProgram) -> Fraction:
-    """Rational r >= sqrt(n) * 2^(enc(A,b) - n^2) * lcm(A)^n, a vertex ball bound."""
+def box_radius(lp: LinearProgram, form: IntegerForm) -> Fraction:
+    """Rational r >= sqrt(n) * 2^(enc(A,b) - n^2) * lcm(A)^n, a vertex ball
+    bound; form is lp's integer form.  lcm(A), the lcm of the entries'
+    denominators, is that of the factors' numerators: the numerator of a
+    primitive row's factor f_i is the lcm of the row's denominators."""
     n = lp.n
     enc = encoding_bits(lp)
     sqrt_n = ratsqrt_ceil(Fraction(n))
     e = enc - n * n
     pow2 = Fraction(2) ** e
-    return sqrt_n * pow2 * Fraction(lcm_denominators(lp)) ** n
+    return sqrt_n * pow2 * Fraction(lcm(*(f.numerator for f in form.factor))) ** n
 
 
 def bound_polytope(
@@ -438,7 +437,7 @@ def bound_polytope(
     """
     if len(lead) != lp.n:
         raise LPModelError("need n independent lead rows")
-    r = box_radius(lp)
+    r = box_radius(lp, form)
     A = list(lp.A)
     b = list(lp.b)
     R = []
@@ -505,21 +504,26 @@ def tight_basis_at(form: IntegerForm, point) -> list[int]:
 
 
 def move_to_vertex(lp: LinearProgram, point) -> BasicSolution:
-    """Crawl from a feasible point to a vertex (requires rank(A) = n).
+    """Crawl from a feasible point to a vertex of lp (requires rank(A) = n),
+    on lp's integer form."""
+    return crawl_to_vertex(integer_form(lp), point)
+
+
+def crawl_to_vertex(form: IntegerForm, point) -> BasicSolution:
+    """Crawl from a feasible point to a vertex of the LP whose integer form
+    is form (requires rank(A) = n); raises on an infeasible point.
 
     Repeatedly fixes one more independent tight row by walking a null-space
     direction d of the current tight set until a constraint blocks.  The
-    crawl runs on lp's integer form, with the point as xn / xd: row i's slack
-    numerator beta_i xd - s R_i xn has the sign of b_i - a_i x, and d is a
-    primitive integer vector.  The step theta d, theta the least ratio of
-    slack to R_i d over the rows with R_i d > 0, does not depend on the
-    positive scale of d or of any row.
+    point is kept as xn / xd: row i's slack numerator beta_i xd - s R_i xn
+    has the sign of b_i - a_i x, and d is a primitive integer vector.  The
+    step theta d, theta the least ratio of slack to R_i d over the rows with
+    R_i d > 0, does not depend on the positive scale of d or of any row.
     """
-    form = integer_form(lp)
-    R, beta, s = form.R, form.beta, form.s
+    R, beta, s, n = form.R, form.beta, form.s, form.n
     x = as_fractions(point)
-    if len(x) != lp.n:
-        raise LPModelError(f"point has {len(x)} coordinates, expected {lp.n}")
+    if len(x) != n:
+        raise LPModelError(f"point has {len(x)} coordinates, expected {n}")
     xn, xd = common_denominator(x)
     slack = [bt * xd - s * sum(map(mul, r, xn)) for r, bt in zip(R, beta)]
     if any(v < 0 for v in slack):
@@ -527,9 +531,9 @@ def move_to_vertex(lp: LinearProgram, point) -> BasicSolution:
     while True:
         tight = [i for i, v in enumerate(slack) if v == 0]
         basis = [tight[k] for k in linalg.independent_rows([R[i] for i in tight])]
-        if len(basis) == lp.n:
+        if len(basis) == n:
             return BasicSolution(point=tuple(Fraction(v, xd) for v in xn), basis=tuple(basis))
-        d = linalg.nullspace_vector([R[i] for i in basis], lp.n)
+        d = linalg.nullspace_vector([R[i] for i in basis], n)
         if d is None:
             raise LPModelError("tight rows already full rank")  # unreachable
         d = primitive_int_row(d)[0]

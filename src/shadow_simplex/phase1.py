@@ -14,7 +14,8 @@ keeps y_i = 0.  Fixing those y_i deletes their columns and their rows
 x_bar violates.  The optimum on the face is still 0 exactly when the LP is
 feasible, and faces keep the delta-distance value, so the Phase-1 bound
 carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
-skipped.
+skipped.  `extract_bfs` crawls from the x-part of a zero-gap optimum to a
+vertex on the integer form the solve already holds.
 """
 
 from __future__ import annotations
@@ -145,14 +146,15 @@ def slack_sum(problem: Phase1Problem, point) -> Fraction:
 
 
 def extract_bfs(
-    solution: BasicSolution, lp: LinearProgram, problem: Phase1Problem
+    solution: BasicSolution, form: model.IntegerForm, problem: Phase1Problem
 ) -> BasicSolution | InfeasibleCertificate:
     """Turn a certified LP' optimum (full or face) into a vertex of the
-    original LP.
+    original LP, given by its integer form, which the solve already holds.
 
-    The x-part of a zero-slack optimum is feasible; crawling fixes one
-    independent tight row at a time until a genuine basis emerges (the LP'
-    optimum may be degenerate or sit on the bounding box of LP').
+    The x-part of a zero-slack optimum is feasible; crawling on form fixes
+    one independent tight row at a time until a genuine basis emerges (the
+    LP' optimum may be degenerate or sit on the bounding box of LP'), and
+    raises on an infeasible point.
     """
     point = as_fractions(solution.point)
     if len(point) != problem.lp_prime.n:
@@ -162,7 +164,4 @@ def extract_bfs(
         return InfeasibleCertificate(gap=gap)
     if gap < 0:
         raise Phase1Error("negative slack sum: solution infeasible for LP'")
-    x = point[: problem.orig_n]
-    if not lp.feasible(x):
-        raise Phase1Error("zero-slack point is not feasible for the original LP")
-    return model.move_to_vertex(lp, x)
+    return model.crawl_to_vertex(form, point[: problem.orig_n])

@@ -22,15 +22,6 @@ SQRT_BITS = 64
 SMALL_INTEGRAL = tuple(Fraction(k) for k in range(-256, 257))
 
 
-def ratsqrt_floor(v: Fraction, bits: int = SQRT_BITS) -> Fraction:
-    """Largest dyadic-denominator rational t with t <= sqrt(v)."""
-    if v < 0:
-        raise ValueError("negative radicand")
-    p, q = v.numerator, v.denominator
-    # sqrt(p/q) = sqrt(p*q)/q
-    return Fraction(isqrt((p * q) << (2 * bits)), q << bits)
-
-
 def ratsqrt_ceil(v: Fraction, bits: int = SQRT_BITS) -> Fraction:
     """Rational upper bound on sqrt(v), tight to ~2**-bits relative."""
     if v < 0:

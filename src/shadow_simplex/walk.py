@@ -18,9 +18,10 @@ integer numerators over a denominator, and the rows it holds in the basis.
 Held rows never leave (they are left out of pricing and of the
 perturbation), so the walk stays on the face where they are tight; the
 facet chain of the driver walks all its rounds on one Tableau this way,
-with one basis inverse.  `first_gain` walks a Tableau on a plain objective
-only until the point moves: the optimality and boundedness certificates are
-decided that way.
+with one basis inverse.  `shadow_walk` walks a Tableau in place and returns
+its `ShadowPath`, the one record of the walk's pivots.  `first_gain` walks
+a Tableau on a plain objective only until the point moves: the optimality
+and boundedness certificates are decided that way.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import BasicSolution, IntegerForm, LinearProgram, integer_form
+from .model import BasicSolution, IntegerForm, LinearProgram
 from .rational import as_fractions, common_denominator, fraction, lowest_terms
 
 
@@ -73,7 +74,6 @@ class ShadowPath:
 @dataclass(frozen=True)
 class WalkResult:
     finished: bool
-    solution: BasicSolution
     path: ShadowPath
     pivots: int
 
@@ -194,11 +194,6 @@ class Tableau:
         xn = self._x_num()
         num = sum(cv * xv for cv, xv in zip(self.c_num, xn))
         return Fraction(num, self.c_den * self.D * self.s)
-
-    def w_value(self) -> Fraction:
-        xn = self._x_num()
-        num = sum(wv * xv for wv, xv in zip(self.w_num, xn))
-        return Fraction(num, self.w_den * self.D * self.s)
 
     def solution(self) -> BasicSolution:
         return BasicSolution(point=tuple(self.vertex()), basis=tuple(sorted(self.basis)))
@@ -395,22 +390,11 @@ def first_gain(tab: Tableau, c) -> list[Fraction] | None:
     return None
 
 
-def shadow_walk(
-    lp: LinearProgram,
-    x0: BasicSolution | Tableau,
-    c,
-    w,
-    pivot_cap: int | None = None,
-    held=(),
-) -> WalkResult:
-    """Walk to the c-maximal vertex of the face where the held rows stay
-    tight, or stop at the pivot cap; c and w are (integer numerators,
-    denominator) pairs, as `Tableau.aim` takes them.
-
-    x0 is the start vertex, or a Tableau on lp standing on it; a Tableau is
-    walked in place and ends on the walk's last vertex.
-    """
-    tab = x0 if isinstance(x0, Tableau) else Tableau(integer_form(lp), x0)
+def shadow_walk(tab: Tableau, c, w, pivot_cap: int | None = None, held=()) -> WalkResult:
+    """Walk tab in place to the c-maximal vertex of the face where the held
+    rows stay tight, or stop at the pivot cap; c and w are (integer
+    numerators, denominator) pairs, as `Tableau.aim` takes them.  tab ends
+    on the walk's last vertex, and the path records every pivot."""
     tab.aim(c, w, held)
     start_basis = tuple(sorted(tab.basis))
     steps: list[PathStep] = []
@@ -425,33 +409,9 @@ def shadow_walk(
         steps.append(step)
     return WalkResult(
         finished=finished,
-        solution=tab.solution(),
         path=ShadowPath(start_basis, start_value, tuple(steps)),
         pivots=tab.pivot_count,
     )
-
-
-def validate_shadow_path(path: ShadowPath) -> None:
-    """Structural invariants: neighbor bases, improving directions,
-    nondecreasing values, strictly increasing slopes."""
-    prev_basis = set(path.start_basis)
-    prev_value = path.start_value
-    prev_slope = None
-    for st in path.steps:
-        cur = set(st.basis)
-        if len(prev_basis - cur) != 1 or len(cur - prev_basis) != 1:
-            raise WalkError("consecutive bases do not differ in exactly one row")
-        if st.c_gain <= 0:
-            raise WalkError("non-improving edge recorded")
-        if st.c_value < prev_value:
-            raise WalkError("objective value decreased")
-        if st.step_length < 0:
-            raise WalkError("negative step")
-        if prev_slope is not None and st.slope <= prev_slope:
-            raise WalkError("slopes not strictly increasing")
-        prev_basis = cur
-        prev_value = st.c_value
-        prev_slope = st.slope
 
 
 def path_to_csv(path: ShadowPath) -> str:

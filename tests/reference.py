@@ -1,15 +1,17 @@
-"""Fraction forms of the solver's integer round loop and crawl, for the tests
-to hold the integer code against: each is the formula the solver used
-before it moved to integers, with the same draws from the stream.  A test
-helper module, not a test module."""
+"""Reference forms for the tests to hold the solver against: Fraction forms
+of its integer round loop, crawl, box radius and determinant (the round
+loop's with the same draws from the stream), and the structural check of a
+recorded shadow path.  A test helper module, not a test module."""
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
-from shadow_simplex import linalg
+from shadow_simplex import linalg, model
 from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.randomness import RandomnessError
-from shadow_simplex.rational import as_fractions, common_denominator, dot, norm_sq
+from shadow_simplex.rational import as_fractions, common_denominator, dot, norm_sq, ratsqrt_ceil
+from shadow_simplex.walk import WalkError
 
 
 def pair(vec):
@@ -96,3 +98,56 @@ def move_to_vertex(lp, point):
         )
         x = [xi + theta * di for xi, di in zip(x, d)]
 
+
+def box_radius(lp):
+    """sqrt(n) * 2^(enc(A,b) - n^2) * lcm(A)^n, lcm(A) taken over every
+    entry's denominator."""
+    n = lp.n
+    lcm_den = lcm(*(x.denominator for row in lp.A for x in row))
+    e = model.encoding_bits(lp) - n * n
+    return ratsqrt_ceil(Fraction(n)) * Fraction(2) ** e * Fraction(lcm_den) ** n
+
+
+def det_fraction(M):
+    """The determinant by Fraction Gaussian elimination."""
+    n = len(M)
+    a = [list(row) for row in M]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def validate_shadow_path(path):
+    """Structural invariants of a `walk.ShadowPath`: neighbor bases,
+    improving directions, nondecreasing values, strictly increasing slopes;
+    raises `walk.WalkError` on the first one broken."""
+    prev_basis = set(path.start_basis)
+    prev_value = path.start_value
+    prev_slope = None
+    for st in path.steps:
+        cur = set(st.basis)
+        if len(prev_basis - cur) != 1 or len(cur - prev_basis) != 1:
+            raise WalkError("consecutive bases do not differ in exactly one row")
+        if st.c_gain <= 0:
+            raise WalkError("non-improving edge recorded")
+        if st.c_value < prev_value:
+            raise WalkError("objective value decreased")
+        if st.step_length < 0:
+            raise WalkError("negative step")
+        if prev_slope is not None and st.slope <= prev_slope:
+            raise WalkError("slopes not strictly increasing")
+        prev_basis = cur
+        prev_value = st.c_value
+        prev_slope = st.slope

@@ -12,7 +12,7 @@ from math import ceil, comb, log2, sqrt
 
 import pytest
 from boxing import box
-from reference import pair, values
+from reference import pair, validate_shadow_path, values
 
 from shadow_simplex import (
     driver,
@@ -64,9 +64,7 @@ def criterion1_runs():
     t0 = time.perf_counter()
     for trial in range(500):
         lp = random_lp(rng)
-        cfg = driver.SolveConfig(
-            rng=randomness.RngConfig(seed=trial), collect_paths=True
-        )
+        cfg = driver.SolveConfig(rng=randomness.RngConfig(seed=trial))
         out = driver.solve(lp, cfg)
         runs.append((lp, trial, out, agreement(lp, out)))
     elapsed = time.perf_counter() - t0
@@ -82,9 +80,7 @@ def criterion2_runs():
         n = 2 + trial % 5  # up to 6
         m = 2 + trial % (n + 1)
         lp = harness.generate_tu_instance(kind, m=m, n=n, seed=7000 + trial)
-        cfg = driver.SolveConfig(
-            rng=randomness.RngConfig(seed=trial), collect_paths=True
-        )
+        cfg = driver.SolveConfig(rng=randomness.RngConfig(seed=trial))
         out = driver.solve(lp, cfg)
         Delta = metrics.max_subdeterminant([[int(x) for x in r] for r in lp.rows()])
         runs.append((lp, trial, out, agreement(lp, out), Delta))
@@ -206,7 +202,7 @@ def test_criterion_5_path_structure(criterion1_runs, criterion2_runs):
             for tr in out.traces:
                 paths += 1
                 try:
-                    walk.validate_shadow_path(tr.path)
+                    validate_shadow_path(tr.path)
                 except walk.WalkError as exc:
                     violations.append(str(exc))
     ok = not violations
@@ -254,7 +250,7 @@ def test_criterion_6_facet_identification():
         u = driver.restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
         lam = randomness.draw_lambda(n, rcfg, stream)
         w = randomness.cone_objective(u, values(lam))
-        res = walk.shadow_walk(boxed, tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
+        res = walk.shadow_walk(tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
         assert res.finished
         free = sorted(tab.basis)
         if free[driver.identify_basis_element(tab, r, free, {})] not in opt_tight:

@@ -6,7 +6,7 @@ from math import ceil, log2
 
 import pytest
 from boxing import box
-from reference import pair, values
+from reference import pair, validate_shadow_path, values
 from test_golden import _flat_in_x3, _interior_point
 
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
@@ -102,7 +102,7 @@ class TestIdentify:
             c = [F(rng.randint(-9, 9), 10) for _ in r.cols]
             if not any(c):
                 continue
-            walk.shadow_walk(lp, tab, r.lift(pair(c)), ([0] * n, 1), held=fixed)
+            walk.shadow_walk(tab, r.lift(pair(c)), ([0] * n, 1), held=fixed)
             free = sorted(set(tab.basis) - set(fixed))
             u = restriction_coords(r, [tab.R[i] for i in free])
             mu = linalg.solve_square([list(col) for col in zip(*u)], c)
@@ -129,12 +129,12 @@ class TestReduceAndLift:
         assert faces == [None, None, [1], [-1]]
         # walking with the fixed row held goes from (1, 0) to (1, 1)
         boxed = box(lp)
-        res = walk.shadow_walk(
-            boxed, BasicSolution(point=(F(1), F(0)), basis=(0, 3)),
-            r.lift(r.c0), r.lift(pair([F(-1)])), held=[0],
+        tab = walk.Tableau(
+            model.integer_form(boxed), BasicSolution(point=(F(1), F(0)), basis=(0, 3))
         )
-        assert res.finished and res.solution.point == (1, 1)
-        assert 0 in res.solution.basis
+        res = walk.shadow_walk(tab, r.lift(r.c0), r.lift(pair([F(-1)])), held=[0])
+        assert res.finished and tab.solution().point == (1, 1)
+        assert 0 in tab.solution().basis
 
     def test_reduce_dim1_is_error(self):
         lp = model.make_lp([[1]], [1], [1])
@@ -285,7 +285,7 @@ class TestRepeated:
             lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
         )
         assert not cand.capped
-        assert cand.solution.point == (1, 1)
+        assert cand.tableau.solution().point == (1, 1)
 
     def test_interval_single_round(self):
         lp = box(model.make_lp([[1], [-1]], [1, 0], [1]))
@@ -293,8 +293,8 @@ class TestRepeated:
         cand = repeated_shadow_vertex(
             lp, model.integer_form(lp), start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
         )
-        assert cand.solution.point == (1,)
-        assert cand.rounds == 1
+        assert cand.tableau.solution().point == (1,)
+        assert len(cand.traces) == 1
 
     def test_tiny_cap_propagates(self):
         lp = self.boxed_square()
@@ -302,7 +302,7 @@ class TestRepeated:
         cand = repeated_shadow_vertex(
             lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
         )
-        assert cand.capped and cand.solution is None
+        assert cand.capped
 
     def test_one_basis_inverse_per_chain(self, monkeypatch):
         calls = []
@@ -318,8 +318,8 @@ class TestRepeated:
         cand = repeated_shadow_vertex(
             lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
-        assert cand.rounds == 3
-        assert cand.solution.point == (1, 1, 1)
+        assert len(cand.traces) == 3
+        assert cand.tableau.solution().point == (1, 1, 1)
         assert len(calls) == 1
 
     def test_chain_basis_certifies_degenerate_optimum(self, monkeypatch):
@@ -422,12 +422,10 @@ class TestConeObjective:
                 if tab.pivot() is None:
                     break
 
-            paths = [
-                walk.shadow_walk(lp, walk.Tableau(model.integer_form(lp), start), c, w, held=fixed)
-                for w in (w_int, w_ref)
-            ]
+            tabs = [walk.Tableau(model.integer_form(lp), start) for _ in range(2)]
+            paths = [walk.shadow_walk(t, c, w, held=fixed) for t, w in zip(tabs, (w_int, w_ref))]
             assert paths[0].path == paths[1].path
-            assert paths[0].solution == paths[1].solution
+            assert tabs[0].solution() == tabs[1].solution()
             done += 1
         # the integer w is not the projected one: it prices held rows apart
         assert held_differs > 0
@@ -576,7 +574,7 @@ class TestSolve:
             [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 2], [1, 2]
         )
         start = BasicSolution(point=(F(1), F(1)), basis=(2, 4))
-        out = solve(lp, cfg(collect_paths=True), initial_bfs=start)
+        out = solve(lp, cfg(), initial_bfs=start)
         assert out.status == "optimal" and out.value == 3
         assert out.traces[0].path.start_basis == (2, 4)
 
@@ -587,8 +585,8 @@ class TestSolve:
         start = model.move_to_vertex(warm, _interior_point("interval-matrix", 16, 8, 3))
         dyadic = randomness.RngConfig(seed=3, mode=randomness.MODE_DYADIC)
         cases = [
-            (harness.generate_random_integer(9, 5, 920), cfg(seed=0, collect_paths=True), None),
-            (warm, SolveConfig(rng=dyadic, collect_paths=True), start),
+            (harness.generate_random_integer(9, 5, 920), cfg(seed=0), None),
+            (warm, SolveConfig(rng=dyadic), start),
         ]
         for lp, conf, bfs in cases:
             before = dict(vars(lp))
@@ -695,12 +693,32 @@ class TestSolve:
             solve(lp, bad)
 
     def test_traces_collected(self):
-        out = solve(square(c0=(1, 3)), cfg(collect_paths=True))
+        out = solve(square(c0=(1, 3)), cfg())
         assert out.traces
-        from shadow_simplex.walk import validate_shadow_path
-
         for tr in out.traces:
             validate_shadow_path(tr.path)
+
+    def test_traces_are_the_pivot_record(self):
+        # every solve keeps each round's path, also when Phase 1 runs and when
+        # a walk is capped; its pivot count and sequence are read off them
+        warm = harness.generate_tu_instance("interval-matrix", 16, 8, 3)
+        warm_start = model.move_to_vertex(warm, _interior_point("interval-matrix", 16, 8, 3))
+        # a parabola's edges from x = -2 to 30, under y <= 900: from the
+        # bottom vertex the optimum (30, 900) is 3 pivots away on the left
+        # and 30 on the right, which a cap of 8n = 16 pivots cuts
+        rows = [[2 * x + 1, -1] for x in range(-2, 30)] + [[0, 1]]
+        rhs = [x * (x + 1) for x in range(-2, 30)] + [900]
+        fan = model.make_lp(rows, rhs, [1, 100])
+        bottom = BasicSolution(point=(F(0), F(0)), basis=(1, 2))
+        dyadic = randomness.RngConfig(seed=0, mode=randomness.MODE_DYADIC)
+        cold = solve(harness.generate_tu_instance("interval-matrix", 6, 3, 0), cfg())
+        capped = solve(fan, SolveConfig(rng=dyadic, cap_constant=0), initial_bfs=bottom)
+        assert cold.phase1_artificials > 0 and cold.phase1_pivots > 0
+        assert capped.doublings == 1 and len(capped.traces[0].path.steps) == 16
+        for out in (cold, solve(warm, cfg(seed=3), initial_bfs=warm_start), capped):
+            assert out.traces
+            steps = sum(len(tr.path.steps) for tr in out.traces)
+            assert out.pivots == len(out.pivot_sequence) == steps
 
     def test_tri_oracle_agreement(self):
         # enumeration, the textbook simplex, and the shadow pipeline agree
@@ -773,7 +791,7 @@ class TestSolve:
             u = restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
             lam = randomness.draw_lambda(n, rcfg, stream)
             w = randomness.cone_objective(u, values(lam))
-            res = walk.shadow_walk(boxed, tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
+            res = walk.shadow_walk(tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
             assert res.finished
             free = sorted(tab.basis)
             assert free[identify_basis_element(tab, r, free, {})] in opt_tight

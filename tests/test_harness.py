@@ -203,11 +203,6 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "status: optimal" in r.stdout
 
-    def test_phase1_only_flag_on_solve(self, square_file, tmp_path):
-        r = self.run_cli("solve", square_file, "--phase1-only", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
-        assert r.stdout.startswith("maximize") and "basis:" in r.stdout
-
     def test_phi_schedule_alias(self, square_file, tmp_path):
         r = self.run_cli("solve", square_file, "--phi-schedule", "n52", cwd=tmp_path)
         assert r.returncode == 0, r.stderr

@@ -6,6 +6,7 @@ from math import isclose, sqrt
 import numpy as np
 import pytest
 from float_orthonormal import complete_orthonormal
+from reference import det_fraction
 
 from shadow_simplex import linalg, metrics
 from shadow_simplex.metrics import (
@@ -159,7 +160,7 @@ class TestSubdeterminants:
                 for ri in combinations(range(m), k):
                     for ci in combinations(range(n), k):
                         sub = [[F(A[i][j]) for j in ci] for i in ri]
-                        best = max(best, abs(linalg.det_fraction(sub)))
+                        best = max(best, abs(det_fraction(sub)))
                 assert prof[k] == best
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference
 from boxing import box, lead_rows
 
 from shadow_simplex import linalg, metrics, model, oracle, walk
@@ -230,7 +231,7 @@ class TestBounding:
 
     def test_radius_exceeds_vertex_norms(self):
         lp = square_lp()
-        r = model.box_radius(lp)
+        r = model.box_radius(lp, model.integer_form(lp))
         for v in oracle.enumerate_vertices(lp).vertices:
             assert norm_sq(list(v.point)) < r * r
 
@@ -240,6 +241,17 @@ class TestBounding:
         assert boxed.m == 6 and len(boxed.box_rows) == 4
         vs = oracle.enumerate_vertices(boxed)
         assert len(vs) > 1  # box closed the polyhedron
+
+    def test_radius_matches_the_entry_lcm_formula(self):
+        # lcm(A) read off the factors' numerators is the lcm of every entry's
+        # denominator: the radius is the Fraction formula's exactly
+        rng = random.Random(23)
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            rows = [[F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)] for _ in range(n + 2)]
+            rows = [row for row in rows if any(row)]
+            lp = model.make_lp(rows, [F(rng.randint(-5, 5), rng.randint(1, 9)) for _ in rows], [1] * n)
+            assert model.box_radius(lp, model.integer_form(lp)) == reference.box_radius(lp)
 
     def test_rank_deficient_rejected(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
@@ -251,7 +263,7 @@ class TestBounding:
         # which walks primitive integer rows, cannot tell them apart
         lp = model.make_lp([[3, 4], [-1, 0], [0, -1]], [12, 0, 0], [1, 1])
         boxed = box(lp)
-        r = model.box_radius(lp)
+        r = model.box_radius(lp, model.integer_form(lp))
         A, b = lp.rows(), list(lp.b)
         for i in lead_rows(lp):
             t = unit_scale(lp.row(i))

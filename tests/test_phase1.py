@@ -123,7 +123,7 @@ class TestExtraction:
         lp = model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
         p1 = build_phase1(lp)
         sol = p1.initial  # already optimal: all slack zero
-        got = extract_bfs(sol, lp, p1)
+        got = extract_bfs(sol, model.integer_form(lp), p1)
         assert not isinstance(got, InfeasibleCertificate)
         model.validate_basic_solution(lp, got)
 
@@ -135,7 +135,7 @@ class TestExtraction:
         ref = oracle.brute_force_optimum(boxed)
         assert ref.status == "optimal" and ref.value == -1
         got = extract_bfs(
-            model.move_to_vertex(p1.lp_prime, list(ref.point)), lp, p1
+            model.move_to_vertex(p1.lp_prime, list(ref.point)), model.integer_form(lp), p1
         )
         assert isinstance(got, InfeasibleCertificate)
         assert got.gap == 1
@@ -153,7 +153,7 @@ class TestExtraction:
             b = [F(rng.randint(0, 4)) for _ in range(m)]  # origin feasible
             lp = model.make_lp(A, b, [1] * n)
             p1 = build_phase1(lp)
-            got = extract_bfs(p1.initial, lp, p1)
+            got = extract_bfs(p1.initial, model.integer_form(lp), p1)
             if isinstance(got, InfeasibleCertificate):
                 continue
             assert len(got.basis) == n

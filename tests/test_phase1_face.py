@@ -123,13 +123,13 @@ class TestExtraction:
         lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1])
         p1 = build_face(lp)
         assert p1.lp_prime.n == 3
-        got = extract_bfs(face_optimum(p1), lp, p1)
+        got = extract_bfs(face_optimum(p1), model.integer_form(lp), p1)
         assert not isinstance(got, InfeasibleCertificate)
         model.validate_basic_solution(lp, got)
 
     def test_infeasible_face_optimum_yields_gap(self):
         lp = two_violated()
         p1 = build_face(lp)
-        got = extract_bfs(face_optimum(p1), lp, p1)
+        got = extract_bfs(face_optimum(p1), model.integer_form(lp), p1)
         assert isinstance(got, InfeasibleCertificate)
         assert got.gap == 3

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from boxing import box
-from reference import pair, values
+from reference import pair, validate_shadow_path, values
 
 from shadow_simplex import model, oracle, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, integer_form
@@ -16,7 +16,6 @@ from shadow_simplex.walk import (
     first_gain,
     shadow_walk,
     tight_rows_at,
-    validate_shadow_path,
 )
 
 F = Fraction
@@ -117,25 +116,23 @@ class TestFirstGain:
 
 class TestShadowWalk:
     def test_square_reaches_argmax(self):
-        lp = square()
+        tab = Tableau(integer_form(square()), origin_start())
         c = [F(7, 10), F(7, 10)]
         w = [F(2, 3), F(1, 3)]
-        res = shadow_walk(lp, origin_start(), pair(c), pair(w))
+        res = shadow_walk(tab, pair(c), pair(w))
         assert res.finished
-        assert res.solution.point == (1, 1)
+        assert tab.solution().point == (1, 1)
         assert 1 <= res.pivots <= 2
         validate_shadow_path(res.path)
 
     def test_already_optimal_empty_path(self):
-        lp = square()
-        res = shadow_walk(lp, BasicSolution(point=(F(1), F(1)), basis=(0, 2)),
-                          pair([F(1, 2), F(1, 2)]), pair([F(-1), F(-1)]))
+        tab = Tableau(integer_form(square()), BasicSolution(point=(F(1), F(1)), basis=(0, 2)))
+        res = shadow_walk(tab, pair([F(1, 2), F(1, 2)]), pair([F(-1), F(-1)]))
         assert res.finished and res.pivots == 0 and res.path.steps == ()
 
     def test_cap_zero_contract(self):
-        lp = square()
-        res = shadow_walk(lp, origin_start(), pair([F(1, 2), F(1, 2)]), pair([F(1, 3), F(2, 3)]),
-                          pivot_cap=0)
+        tab = Tableau(integer_form(square()), origin_start())
+        res = shadow_walk(tab, pair([F(1, 2), F(1, 2)]), pair([F(1, 3), F(2, 3)]), pivot_cap=0)
         assert not res.finished and res.path.steps == ()
 
     def test_walk_matches_brute_force_on_random_instances(self):
@@ -170,14 +167,15 @@ class TestShadowWalk:
                 randomness.DrawStream(1000 + done),
             )
             c = values((pert.c, pert.den))
-            res = shadow_walk(lp, start, (pert.c, pert.den), pair(w))
+            tab = Tableau(integer_form(lp), start)
+            res = shadow_walk(tab, (pert.c, pert.den), pair(w))
             assert res.finished
             validate_shadow_path(res.path)
             best = max(
                 dot(c, list(v.point))
                 for v in oracle.enumerate_vertices(lp).vertices
             )
-            assert dot(c, list(res.solution.point)) == best
+            assert dot(c, list(tab.solution().point)) == best
             done += 1
 
     def test_degenerate_start_walks_cleanly(self):
@@ -195,10 +193,11 @@ class TestShadowWalk:
         pert = randomness.perturb_objective(
             pair(unit(lp.c0)), randomness.RngConfig(seed=0, phi=F(40)), randomness.DrawStream(5)
         )
-        res = shadow_walk(lp, apex, (pert.c, pert.den), pair(w))
+        tab = Tableau(integer_form(lp), apex)
+        res = shadow_walk(tab, (pert.c, pert.den), pair(w))
         assert res.finished
         validate_shadow_path(res.path)
-        assert res.solution.point[2] == 0  # reached the base
+        assert tab.solution().point[2] == 0  # reached the base
 
 
 class TestTableauInternals:
@@ -217,9 +216,8 @@ class TestTableauInternals:
                 for j in range(n):
                     got = sum(tab.R[tab.basis[i]][t] * tab.M[t][j] for t in range(n))
                     assert got == (tab.D if i == j else 0)
-            # objective views stay consistent with the exact vertex
+            # the objective value stays consistent with the exact vertex
             assert tab.c_value() == dot(c, tab.vertex())
-            assert tab.w_value() == dot(w, tab.vertex())
             step = tab.pivot()
             if step is None:
                 break
@@ -287,8 +285,8 @@ class TestPathPlumbing:
             validate_shadow_path(bad)
 
     def test_csv_trace_columns(self):
-        lp = square()
-        res = shadow_walk(lp, origin_start(), pair([F(7, 10), F(7, 10)]), pair([F(2, 3), F(1, 3)]))
+        tab = Tableau(integer_form(square()), origin_start())
+        res = shadow_walk(tab, pair([F(7, 10), F(7, 10)]), pair([F(2, 3), F(1, 3)]))
         text = walk.path_to_csv(res.path)
         header = text.splitlines()[0]
         assert header == "pivot_index,entering_row,leaving_row,slope,c_value"
