@@ -23,8 +23,7 @@ def _add_rng_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bits", type=int, default=None, help="bits per draw (dyadic mode)")
     p.add_argument("--mode", choices=(randomness.MODE_FLOAT, randomness.MODE_DYADIC),
                    default=randomness.MODE_FLOAT)
-    p.add_argument("--schedule", "--phi-schedule", dest="schedule", choices=SCHEDULES,
-                   default=driver.SCHEDULE_BASE)
+    p.add_argument("--schedule", choices=SCHEDULES, default=driver.SCHEDULE_BASE)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -30,9 +30,9 @@ the unit scaling, without building it.
 
 Each round keeps its walk's path in a `RoundTrace`, and the traces are the
 one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
-first, then every round of every doubling, and `SolveOutcome.pivot_sequence`
-is read off them.  Row indices in walk paths and in the pivot sequence are
-rows of the boxed LP walked.
+first, then every round of every doubling, and `SolveOutcome.pivots` and
+`.pivot_sequence` are read off them.  Row indices in walk paths and in the
+pivot sequence are rows of the boxed LP walked.
 """
 
 from __future__ import annotations
@@ -255,15 +255,14 @@ def identify_basis_element(
     position.
 
     tab stands where its walk on c ended, so c = sum_k nu_k R_basis[k] with
-    nu_k = t_c[k] / (D c_den) from its pricing.  The fixed rows vanish on the
+    nu_k = t_c[k] / (D c_den) from its prices.  The fixed rows vanish on the
     face, hence mu_j = nu_j / tau_j: no system is solved.  tau holds the
     round's factors by row; only rows that entered the basis during the walk
     have theirs computed here.
     """
-    _, t_c, _ = tab._price()
     pos = {row: k for k, row in enumerate(tab.basis)}
     mu = [
-        t_c[pos[i]] / (tau[i] if i in tau else _face_scale(tab.R[i], r.cols, r.col_scale)[1])
+        tab.t_c[pos[i]] / (tau[i] if i in tau else _face_scale(tab.R[i], r.cols, r.col_scale)[1])
         for i in free
     ]
     return max(range(len(free)), key=lambda k: (mu[k], -k))
@@ -305,7 +304,6 @@ class RoundTrace:
 class Candidate:
     tableau: walk.Tableau  # the chain's tableau, on its last vertex
     capped: bool
-    pivots: int
     traces: list[RoundTrace]  # one per round walked
 
 
@@ -335,7 +333,6 @@ def repeated_shadow_vertex(
     c0 = primitive_int_row(lp.c0)[0]
     fixed: list[int] = []
     ortho: list[list[int]] = []  # the fixed rows, orthogonalized
-    pivots = 0
     traces: list[RoundTrace] = []
     while len(fixed) < lp.n:
         r = facet_restriction([tab.R[i] for i in fixed], c0, ortho)
@@ -348,13 +345,12 @@ def repeated_shadow_vertex(
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
         c = r.lift((pert.c, pert.den))
         res = walk.shadow_walk(tab, c, w, pivot_cap=cap, held=fixed)
-        pivots += res.pivots
         traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
-            return Candidate(tableau=tab, capped=True, pivots=pivots, traces=traces)
+            return Candidate(tableau=tab, capped=True, traces=traces)
         free = sorted(set(tab.basis) - set(fixed))
         fixed.append(free[identify_basis_element(tab, r, free, tau)])
-    return Candidate(tableau=tab, capped=False, pivots=pivots, traces=traces)
+    return Candidate(tableau=tab, capped=False, traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +374,17 @@ class SolveOutcome:
     vertex: BasicSolution | None = None  # its basis carries c0 in the boxed LP
     ray: tuple[Fraction, ...] | None = None
     infeasible_gap: Fraction | None = None
-    pivots: int = 0
     phase1_pivots: int = 0
     phase1_artificials: int = 0  # |V|: the y_i Phase 1 walked; 0 if it did not run
     bits_consumed: int = 0
     doublings: int = 0
     phi_accepted: Fraction | None = None
     traces: list[RoundTrace] = field(default_factory=list)  # Phase 1's rounds first
+
+    @property
+    def pivots(self) -> int:
+        """Pivots of every walk in the traces, Phase 1's included."""
+        return sum(len(tr.path.steps) for tr in self.traces)
 
     @property
     def pivot_sequence(self) -> list[tuple[int, int]]:
@@ -469,7 +469,6 @@ def solve(
         phi = sched.phi(i)
         rng_i, cap = _walk_bits_and_cap(boxed.m, boxed.n, phi, cfg)
         cand = repeated_shadow_vertex(boxed, boxed_form, bfs, phi, rng_i, stream, cap=cap)
-        out.pivots += cand.pivots
         out.traces.extend(cand.traces)
         out.doublings = i
         if cand.capped:
@@ -547,7 +546,6 @@ def _phase1_start(work, form, lead, cfg, stream, out):
         _schedule=PhiSchedule(variant=SCHEDULE_PHASE1, n=work.n, m=work.m),
     )
     out.phase1_pivots = sub.pivots
-    out.pivots += sub.pivots
     out.traces.extend(sub.traces)
     if sub.status != "optimal":
         raise DriverError("Phase 1 subproblem must be bounded and feasible")

@@ -7,8 +7,8 @@ it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 (`invert`, `det_int`); a fraction-free echelon pass over the primitive
 integer forms of a row sequence, which takes every rank decision
 (`independent_rows`, `rank`, `nullspace_vector`); and a fraction-free
-Gram-Schmidt pass over integer rows (`complement_basis_int`).  Only the
-objective escape (`_project_out`) still projects in Fraction arithmetic.
+Gram-Schmidt pass over integer rows (`complement_basis_int`, and the
+objective escape's projection `_project_out`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .rational import as_fractions, dot, norm_sq, primitive_int_row, unit_scale
+from .rational import as_fractions, common_denominator, primitive_int_row, unit_scale
 
 Mat = list[list[Fraction]]
 Vec = list[Fraction]
@@ -174,11 +174,7 @@ def complement_basis_int(
     if ortho is None:
         ortho = []
     norms = [sum(map(mul, o, o)) for o in ortho]
-    for d in rows[len(ortho):]:
-        w = _project_int(d, ortho, norms)
-        if any(w):
-            ortho.append(w)
-            norms.append(sum(map(mul, w, w)))
+    _orthogonalize_int(rows[len(ortho):], ortho, norms)
     dirs = list(ortho)
     span_size = len(ortho)
     for j in range(n):
@@ -212,23 +208,30 @@ def _project_int(
     return r
 
 
-def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:
-    """Component of v orthogonal to span(dirs), exact (rational in, rational out)."""
-    ortho: list[Vec] = []
-    for d in dirs:
-        w = list(d)
-        for o in ortho:
-            c = dot(w, o) / norm_sq(o)
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, o)]
-        if any(x != 0 for x in w):
+def _orthogonalize_int(
+    rows: Sequence[Sequence[int]], ortho: list[list[int]], norms: list[int]
+) -> None:
+    """Append each integer row's projection off ortho, when nonzero, to ortho
+    and its squared norm to norms (fraction-free Gram-Schmidt)."""
+    for d in rows:
+        w = _project_int(d, ortho, norms)
+        if any(w):
             ortho.append(w)
-    r = list(v)
-    for o in ortho:
-        c = dot(r, o) / norm_sq(o)
-        if c != 0:
-            r = [x - c * y for x, y in zip(r, o)]
-    return r
+            norms.append(sum(map(mul, w, w)))
+
+
+def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:
+    """Component of v orthogonal to span(dirs), exact (rational in, rational
+    out).  Projecting v's numerators off the orthogonalized primitive integer
+    forms of dirs gives a positive multiple r of it, which is (v . r / r . r) r."""
+    ortho: list[list[int]] = []
+    norms: list[int] = []
+    _orthogonalize_int([primitive_int_row(d)[0] for d in dirs], ortho, norms)
+    vn, vd = common_denominator(as_fractions(v))
+    r = _project_int(vn, ortho, norms)
+    rr = sum(map(mul, r, r))
+    k = Fraction(sum(map(mul, vn, r)), vd * rr) if rr else Fraction(0)
+    return [k * x for x in r]
 
 
 def _near_unit(v: Sequence[int]) -> Vec:

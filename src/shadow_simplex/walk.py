@@ -7,8 +7,10 @@ The tableau keeps every decision exact and cheap:
   pivot decisions are invariant under positive row scaling, so this is a
   pure canonicalization);
 * the basis inverse is carried as the integer pair (M, D) with
-  M = D * inv(rows_of_basis) and D > 0, updated by an exact integer
-  Sherman-Morrison step;
+  M = D * inv(rows_of_basis) and D > 0, and beside it the vertex's
+  numerators x_num = M beta_B and the prices t_c = c M and t_w = w M; each
+  pivot updates all of them by one exact integer rank-one
+  (Sherman-Morrison) step, so none is recomputed from scratch;
 * degeneracy is resolved by a symbolic lexicographic perturbation of b with
   exponents assigned non-basis-rows-first, which makes any starting basis
   lexicographically feasible and every leaving choice unique.
@@ -58,7 +60,6 @@ class PathStep:
     leaving_row: int
     slope: Fraction
     c_gain: Fraction  # c^T d of the traversed direction, exactly > 0
-    w_gain: Fraction
     step_length: Fraction  # 0 on degenerate pivots
     c_value: Fraction  # c^T x after the step
     basis: tuple[int, ...]
@@ -102,7 +103,10 @@ def _cmp_frac(p1: int, q1: int, p2: int, q2: int) -> int:
 
 
 class Tableau:
-    """Walking state: current basis, integer basis inverse, pivot counter.
+    """Walking state: the basis, its integer inverse (M, D), the vertex
+    numerators x_num, the prices t_c and t_w, and the pivot counter.  The
+    build sets M, D and x_num, `aim` sets the prices for its objectives, and
+    each pivot's `_update_basis` carries all five.
 
     Single-owner mutable state; concurrent walks must each build their own.
     """
@@ -116,7 +120,6 @@ class Tableau:
         self.ops = 0
         self.R, self.beta, self.s = form.R, form.beta, form.s
         self.pivot_count = 0
-        self._price_cache: tuple[int, list[int], list[int], list[int]] | None = None
 
         self.basis = sorted(start.basis)
         if len(self.basis) != n or len(set(self.basis)) != n:
@@ -129,13 +132,15 @@ class Tableau:
         self.D = abs(det)
         self.M = adj if det > 0 else [[-e for e in row] for row in adj]
 
-        # the vertex x_num / (D s) is the start point pn / pd
-        x_num = self._x_num()
+        # the vertex x_num / (D s), x_num = M beta_B, is the start point pn / pd
+        M, beta = self.M, self.beta
+        self.ops += n * n
+        self.x_num = [sum(M[t][k] * beta[i] for k, i in enumerate(self.basis)) for t in range(n)]
         pn, pd = common_denominator(as_fractions(start.point))
         den = self.D * self.s
-        if len(pn) != n or any(a * pd != p * den for a, p in zip(x_num, pn)):
+        if len(pn) != n or any(a * pd != p * den for a, p in zip(self.x_num, pn)):
             raise WalkError("basis does not reproduce the start point")
-        if any(v < 0 for v in self._slacks(range(m), x_num)):
+        if any(v < 0 for v in self.slack_nums(range(m))):
             raise WalkError("start point infeasible")
 
     def aim(self, c, w, held=()) -> None:
@@ -149,8 +154,12 @@ class Tableau:
             raise WalkError("held rows must be in the basis")
         self.c_num, self.c_den = lowest_terms(*c)
         self.w_num, self.w_den = lowest_terms(*w)
+        # the prices c M and w M: edge k has c^T d_k = -t_c[k] / (D c_den)
+        M, n = self.M, self.n
+        self.ops += 2 * n * n
+        self.t_c = [sum(a * M[t][k] for t, a in enumerate(self.c_num)) for k in range(n)]
+        self.t_w = [sum(a * M[t][k] for t, a in enumerate(self.w_num)) for k in range(n)]
         self.pivot_count = 0
-        self._price_cache = None
         # lexicographic exponents: non-basis rows first, then the free basis
         # rows; held rows keep exponent 0, i.e. no perturbation
         order = [i for i in range(self.m) if i not in in_basis] + sorted(in_basis - self.held)
@@ -160,19 +169,9 @@ class Tableau:
 
     # -- exact views ------------------------------------------------------
 
-    def _x_num(self) -> list[int]:
-        """Numerators of the vertex over D s; the pricing pass's when it is
-        current."""
-        cache = self._price_cache
-        if cache is not None and cache[0] == self.pivot_count:
-            return cache[1]
-        M, beta, basis, n = self.M, self.beta, self.basis, self.n
-        self.ops += n * n
-        return [sum(M[t][k] * beta[basis[k]] for k in range(n)) for t in range(n)]
-
     def vertex(self) -> list[Fraction]:
         """The vertex; equal coordinates share one (immutable) Fraction."""
-        xn = self._x_num()
+        xn = self.x_num
         den = self.D * self.s
         coords: dict[int, Fraction] = {}
         for v in xn:
@@ -183,16 +182,12 @@ class Tableau:
     def slack_nums(self, rows) -> list[int]:
         """Slack numerators beta_i D - R_i . x_num of rows at the vertex: the
         slack of row i is this over D s, so a zero is a tight row."""
-        return self._slacks(rows, self._x_num())
-
-    def _slacks(self, rows, x_num: list[int]) -> list[int]:
-        beta, D, R = self.beta, self.D, self.R
+        beta, D, R, x_num = self.beta, self.D, self.R, self.x_num
         self.ops += self.n * len(rows)
         return [beta[i] * D - sum(a * v for a, v in zip(R[i], x_num)) for i in rows]
 
     def c_value(self) -> Fraction:
-        xn = self._x_num()
-        num = sum(cv * xv for cv, xv in zip(self.c_num, xn))
+        num = sum(cv * xv for cv, xv in zip(self.c_num, self.x_num))
         return Fraction(num, self.c_den * self.D * self.s)
 
     def solution(self) -> BasicSolution:
@@ -200,33 +195,21 @@ class Tableau:
 
     # -- pricing ----------------------------------------------------------
 
-    def _price(self) -> tuple[list[int], list[int], list[int]]:
-        if self._price_cache is not None and self._price_cache[0] == self.pivot_count:
-            return self._price_cache[1], self._price_cache[2], self._price_cache[3]
-        n = self.n
-        M = self.M
-        self.ops += 3 * n * n
-        x_num = [sum(M[t][k] * self.beta[self.basis[k]] for k in range(n)) for t in range(n)]
-        t_c = [sum(self.c_num[t] * M[t][k] for t in range(n)) for k in range(n)]
-        t_w = [sum(self.w_num[t] * M[t][k] for t in range(n)) for k in range(n)]
-        self._price_cache = (self.pivot_count, x_num, t_c, t_w)
-        return x_num, t_c, t_w
-
-    def _improving(self, t_c: list[int]) -> list[int]:
+    def _improving(self) -> list[int]:
         # c^T d_k = -t_c[k] / (D c_den): improving edges have t_c[k] < 0;
         # the edge that frees a held row leaves the face
+        t_c = self.t_c
         return [k for k in range(self.n) if t_c[k] < 0 and self.basis[k] not in self.held]
 
     def at_optimum(self) -> bool:
-        _, t_c, _ = self._price()
-        return not self._improving(t_c)
+        return not self._improving()
 
     # -- the pivot --------------------------------------------------------
 
     def pivot(self) -> PathStep | None:
         """One step along the minimum-slope improving edge; None at the optimum."""
-        x_num, t_c, t_w = self._price()
-        improving = self._improving(t_c)
+        x_num, t_c, t_w = self.x_num, self.t_c, self.t_w
+        improving = self._improving()
         if not improving:
             return None
         # minimum slope y_w/y_c = (t_w[k] c_den) / (t_c[k] w_den)
@@ -247,7 +230,7 @@ class Tableau:
         # smallest entering row index
         chosen = None
         for k in best:
-            enter, rd, slack = self._ratio_test(k, x_num)
+            enter, rd, slack = self._ratio_test(k)
             if chosen is None or enter < chosen[1]:
                 chosen = (k, enter, rd, slack)
         k, enter, rd_enter, slack_enter = chosen
@@ -255,15 +238,14 @@ class Tableau:
         theta = Fraction(slack_enter, self.s * rd_enter)
         slope = Fraction(t_w[k] * self.c_den, t_c[k] * self.w_den)
         c_gain = Fraction(-t_c[k], self.D * self.c_den)
-        w_gain = Fraction(-t_w[k], self.D * self.w_den)
-        # c^T x after the step, from this pricing pass's x_num: c^T x + theta
-        # c_gain = (c_num . x_num rd - slack t_c[k]) / (c_den D s rd)
+        # c^T x after the step: c^T x + theta c_gain = (c_num . x_num rd -
+        # slack t_c[k]) / (c_den D s rd)
         cx = sum(cv * xv for cv, xv in zip(self.c_num, x_num))
         c_value = Fraction(
             cx * rd_enter - slack_enter * t_c[k], self.c_den * self.D * self.s * rd_enter
         )
 
-        self._update_basis(k, enter)
+        self._update_basis(k, enter, slack_enter)
         self.pivot_count += 1
         if self.pivot_count > HARD_PIVOT_GUARD:
             raise WalkError("pivot guard exceeded: walk did not terminate")
@@ -273,17 +255,16 @@ class Tableau:
             leaving_row=leave,
             slope=slope,
             c_gain=c_gain,
-            w_gain=w_gain,
             step_length=theta,
             c_value=c_value,
             basis=tuple(sorted(self.basis)),
         )
 
-    def _ratio_test(self, k: int, x_num: list[int]) -> tuple[int, int, int]:
+    def _ratio_test(self, k: int) -> tuple[int, int, int]:
         """Lexicographic minimum ratio along direction -M[:,k]; returns
         (entering row, R_i.dvec, slack numerator)."""
         n, m = self.n, self.m
-        M = self.M
+        M, x_num = self.M, self.x_num
         dvec = [-M[t][k] for t in range(n)]
         in_basis = set(self.basis)
         best_i = -1
@@ -343,34 +324,45 @@ class Tableau:
                 return cmp < 0
         raise WalkError("lexicographic tie: duplicate perturbation exponents")
 
-    def _update_basis(self, pos: int, enter: int) -> None:
+    def _update_basis(self, pos: int, enter: int, slack_enter: int) -> None:
+        """Put row enter, whose slack numerator is slack_enter, at basis
+        position pos: one rank-one step on u = R_enter M, divided exactly by
+        the old D, carries M, the vertex and both prices.  Column pos of M
+        and entry pos of each price stay; for q != pos, M[:,q] <- (u_pos
+        M[:,q] - u_q M[:,pos]) / D and t[q] <- (u_pos t[q] - u_q t[pos]) / D;
+        x_num <- (u_pos x_num + slack_enter M[:,pos]) / D; D <- u_pos, and
+        all of them change sign when u_pos < 0."""
         n = self.n
         M, D = self.M, self.D
         a = self.R[enter]
-        self.ops += 2 * n * n
+        self.ops += 2 * n * n + 3 * n
         u = [sum(a[t] * M[t][q] for t in range(n)) for q in range(n)]
         up = u[pos]
         if up == 0:
             raise WalkError("degenerate pivot column")  # unreachable: rd != 0
-        newM = [row[:] for row in M]
-        for q in range(n):
-            if q == pos:
-                continue
-            uq = u[q]
-            for t in range(n):
-                num = up * M[t][q] - M[t][pos] * uq
-                quo, rem = divmod(num, D)
-                if rem:
-                    raise WalkError("integer pivot update lost exactness")
-                newM[t][q] = quo
-        newD = up
-        if newD < 0:
-            newD = -newD
+
+        def exact(num: int) -> int:
+            quo, rem = divmod(num, D)
+            if rem:
+                raise WalkError("integer pivot update lost exactness")
+            return quo
+
+        newM = [
+            [mq if q == pos else exact(up * mq - row[pos] * u[q]) for q, mq in enumerate(row)]
+            for row in M
+        ]
+        t_c, t_w = (
+            [tq if q == pos else exact(up * tq - t[pos] * u[q]) for q, tq in enumerate(t)]
+            for t in (self.t_c, self.t_w)
+        )
+        x_num = [exact(up * x + row[pos] * slack_enter) for x, row in zip(self.x_num, M)]
+        if up < 0:
+            up = -up
             newM = [[-e for e in row] for row in newM]
-        self.M = newM
-        self.D = newD
+            x_num, t_c, t_w = ([-e for e in v] for v in (x_num, t_c, t_w))
+        self.M, self.D = newM, up
+        self.x_num, self.t_c, self.t_w = x_num, t_c, t_w
         self.basis[pos] = enter
-        self._price_cache = None
 
 
 def first_gain(tab: Tableau, c) -> list[Fraction] | None:

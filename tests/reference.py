@@ -1,7 +1,8 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
-of its integer round loop, crawl, box radius and determinant (the round
-loop's with the same draws from the stream), and the structural check of a
-recorded shadow path.  A test helper module, not a test module."""
+of its integer round loop, crawl, box radius, objective-escape projection
+and determinant (the round loop's with the same draws from the stream), and
+the structural check of a recorded shadow path.  A test helper module, not
+a test module."""
 
 from fractions import Fraction
 from math import lcm
@@ -106,6 +107,25 @@ def box_radius(lp):
     lcm_den = lcm(*(x.denominator for row in lp.A for x in row))
     e = model.encoding_bits(lp) - n * n
     return ratsqrt_ceil(Fraction(n)) * Fraction(2) ** e * Fraction(lcm_den) ** n
+
+
+def project_out(v, dirs):
+    """Component of v orthogonal to span(dirs) by Fraction Gram-Schmidt."""
+    ortho = []
+    for d in dirs:
+        w = list(d)
+        for o in ortho:
+            c = dot(w, o) / norm_sq(o)
+            if c != 0:
+                w = [x - c * y for x, y in zip(w, o)]
+        if any(x != 0 for x in w):
+            ortho.append(w)
+    r = list(v)
+    for o in ortho:
+        c = dot(r, o) / norm_sq(o)
+        if c != 0:
+            r = [x - c * y for x, y in zip(r, o)]
+    return r
 
 
 def det_fraction(M):

@@ -203,7 +203,7 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "status: optimal" in r.stdout
 
-    def test_phi_schedule_alias(self, square_file, tmp_path):
-        r = self.run_cli("solve", square_file, "--phi-schedule", "n52", cwd=tmp_path)
+    def test_schedule_n52(self, square_file, tmp_path):
+        r = self.run_cli("solve", square_file, "--schedule", "n52", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert "status: optimal" in r.stdout

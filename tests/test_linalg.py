@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from float_orthonormal import complete_orthonormal
-from reference import det_fraction
+from reference import det_fraction, project_out
 
-from shadow_simplex import linalg
+from shadow_simplex import linalg, model
 from shadow_simplex.linalg import LinAlgError
 from shadow_simplex.rational import (
     dot,
@@ -304,3 +304,35 @@ class TestIntegerEchelon:
             assert len(out) == n - linalg.rank(rows)
             for v in out:
                 assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in ints)
+
+
+class TestObjectiveEscape:
+    def test_integer_projection_matches_fraction_gram_schmidt(self):
+        # seeded rank-deficient LPs, with integer rows and with rational
+        # rows, each with a duplicated row; c0 in the row span or not
+        rng = random.Random(37)
+        escapes = in_span = 0
+        for trial in range(400):
+            n = rng.randint(2, 6)
+            dens = [1, 2, 3, 7] if trial % 2 else [1]
+            rows = [
+                [F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))
+            ]
+            if any(not any(r) for r in rows):
+                continue
+            rows.append(list(rng.choice(rows)))
+            rng.shuffle(rows)
+            if rng.random() < 0.3:
+                coef = [rng.randint(-2, 2) for _ in rows]
+                c0 = [sum(k * r[j] for k, r in zip(coef, rows)) for j in range(n)]
+            else:
+                c0 = [F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+            want = project_out(c0, rows)
+            assert linalg._project_out(c0, rows) == want
+            lp = model.make_lp(rows, [1] * len(rows), c0)
+            got = model._objective_escape(lp)
+            assert got == (want if any(want) else None)
+            escapes += got is not None
+            in_span += got is None
+        assert escapes > 250 and in_span > 100

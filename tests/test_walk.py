@@ -5,7 +5,7 @@ import pytest
 from boxing import box
 from reference import pair, validate_shadow_path, values
 
-from shadow_simplex import model, oracle, randomness, rational, walk
+from shadow_simplex import driver, harness, model, oracle, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, integer_form
 from shadow_simplex.rational import dot, unit_scale
 from shadow_simplex.walk import (
@@ -269,17 +269,92 @@ class TestTableauInternals:
                 assert per_pivot <= C * lp.m * lp.n
 
 
+def assert_carried(tab):
+    """The tableau's vertex and prices equal M beta_B, c M and w M, recomputed
+    from its basis inverse."""
+    M, n, beta = tab.M, tab.n, tab.beta
+    assert tab.x_num == [sum(M[t][k] * beta[i] for k, i in enumerate(tab.basis)) for t in range(n)]
+    assert tab.t_c == [sum(a * M[t][k] for t, a in enumerate(tab.c_num)) for k in range(n)]
+    assert tab.t_w == [sum(a * M[t][k] for t, a in enumerate(tab.w_num)) for k in range(n)]
+
+
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Check the carried state after every pivot of every tableau; yields
+    the checked steps, each with whether its walk held rows and whether it
+    was a certificate walk (w = 0)."""
+    seen = []
+    pivot = Tableau.pivot
+
+    def checked(tab):
+        step = pivot(tab)
+        if step is not None:
+            assert_carried(tab)
+            seen.append((step, bool(tab.held), not any(tab.w_num)))
+        return step
+
+    monkeypatch.setattr(Tableau, "pivot", checked)
+    return seen
+
+
+class TestCarriedState:
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_carried_along_solves(self, checked_pivots, mode):
+        # cold solves of seeded random LPs: Phase 1, the facet chains on the
+        # boxed LPs with their held rows, and the certificate walks
+        kinds = ("tu-incidence", "interval-matrix", "network-matrix")
+        for seed in range(24):
+            rng = random.Random(seed)
+            n = rng.randint(3, 6)
+            if seed % 2:
+                lp = harness.generate_random_integer(rng.randint(n + 1, 8), n, seed)
+            else:
+                lp = harness.generate_tu_instance(kinds[seed // 2 % 3], 2 * n, n, seed)
+            driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
+        held = sum(h for _, h, _ in checked_pivots)
+        certificate = sum(c for _, _, c in checked_pivots)
+        degenerate = sum(st.step_length == 0 for st, _, _ in checked_pivots)
+        assert len(checked_pivots) > 150 and held > 5 and certificate > 15 and degenerate > 15
+
+    def test_carried_with_held_rows(self, checked_pivots):
+        # from the unit cube's origin, holding z >= 0: the walk stays on z = 0
+        lp = model.make_lp(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [1, 1, 1, 0, 0, 0],
+            [1, 1, 1],
+        )
+        start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
+        tab = Tableau(integer_form(lp), start)
+        c, w = pair([F(3, 5), F(4, 7), F(1)]), pair([F(-1, 2), F(-1, 3), F(-1, 4)])
+        res = shadow_walk(tab, c, w, held=[5])
+        assert res.finished and res.pivots == 2 and tab.vertex() == [1, 1, 0]
+        assert [h for _, h, _ in checked_pivots] == [True, True]
+
+    def test_carried_from_a_degenerate_start(self, checked_pivots):
+        # the pyramid apex has 4 tight rows in R^3: a first_gain walk from it
+        # makes a degenerate pivot before its step off the apex
+        lp = box(model.make_lp(
+            [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]],
+            [1, 1, 1, 1, 0],
+            [0, 0, -1],
+        ))
+        apex = BasicSolution(point=(F(0), F(0), F(1)), basis=(0, 1, 2))
+        assert first_gain(Tableau(integer_form(lp), apex), [F(1), F(-1), F(-1)]) is not None
+        assert [st.step_length for st, _, _ in checked_pivots] == [0, 2]
+        assert all(cert for _, _, cert in checked_pivots)
+
+
 class TestPathPlumbing:
     def test_validate_rejects_bad_paths(self):
         from shadow_simplex.walk import PathStep
 
-        good = PathStep(1, 0, 1, F(1), F(1), F(1), F(1), F(1), (0, 2))
+        good = PathStep(1, 0, 1, F(1), F(1), F(1), F(1), (0, 2))
         path = ShadowPath(start_basis=(1, 2), start_value=F(0), steps=(good,))
         validate_shadow_path(path)  # differs by one row: {1,2} -> {0,2}
         bad = ShadowPath(
             start_basis=(0, 2),
             start_value=F(0),
-            steps=(PathStep(1, 3, 1, F(1), F(0), F(1), F(1), F(1), (2, 3)),),
+            steps=(PathStep(1, 3, 1, F(1), F(0), F(1), F(1), (2, 3)),),
         )
         with pytest.raises(WalkError):
             validate_shadow_path(bad)
