@@ -19,11 +19,13 @@ is the check of the start, and a bad one raises `walk.WalkError`.  The rows
 fixed so far stay in its basis, held out of pricing, so each walk stays on
 the face where they are tight.  Each round runs in integers: it draws its
 perturbed objective in coordinates of that face, over an exactly orthogonal
-integer basis of the fixed rows' complement (the fixed rows orthogonalized
-once, one more per round), as numerators over one denominator, and lifts it
-to the boxed LP exactly on the integer columns; its cone objective is
-priced on the tableau's integer rows (`lifted_cone_objective`), with each
-free row's near-unit factor tau formed once per round.  Both reach
+integer basis of the fixed rows' complement (a `linalg.FaceBasis` carried
+through the chain, which each round updates with its new fixed row in
+O(n^2)), as numerators over one denominator, and lifts it to the boxed LP
+exactly on the integer columns; its cone objective is priced on the
+tableau's integer rows (`lifted_cone_objective`), with each free row's
+near-unit factor tau formed once per round, and the facet is chosen by
+integer cross-multiplication of the prices and the tau.  Both reach
 `Tableau.aim` as (numerators, denominator) pairs.  The walk is the one on
 the restricted LP, whose delta-distance value is preserved to rounding of
 the unit scaling, without building it.
@@ -110,9 +112,10 @@ def pivot_cap(m: int, n: int, phi: Fraction, delta: Fraction, constant: int = 16
 @dataclass(frozen=True)
 class FacetRestriction:
     """The face where the fixed rows are tight, over an exactly orthogonal
-    integer basis `cols` of the fixed rows' complement, each column scaled by
-    the near-unit `col_scale`: its points are x = x_f + sum_k y_k v_k with
-    v_k = col_scale_k cols_k and x_f any point of the face.
+    integer basis `cols` of the fixed rows' complement, with squared norms
+    `norms`, each column scaled by the near-unit `col_scale`, given as
+    (numerator, denominator) pairs: its points are x = x_f + sum_k y_k v_k
+    with v_k = col_scale_k cols_k and x_f any point of the face.
 
     A row a has face coordinates (a . v_k)_k, since a . x = a . x_f +
     sum_k y_k (a . v_k).  c0 is the objective's face coordinates scaled to
@@ -121,7 +124,8 @@ class FacetRestriction:
     """
 
     cols: tuple[tuple[int, ...], ...]
-    col_scale: tuple[Fraction, ...]
+    norms: tuple[int, ...]
+    col_scale: tuple[tuple[int, int], ...]
     c0: tuple[tuple[int, ...], int] | None
 
     def lift(self, y) -> tuple[list[int], int]:
@@ -131,13 +135,9 @@ class FacetRestriction:
         columns."""
         yn, yd = y
         # y_k / (col_scale_k N_k) = yn_k sd_k / (yd sn_k N_k), over yd L
-        dens = [
-            sk.numerator * sum(a * a for a in v) for sk, v in zip(self.col_scale, self.cols)
-        ]
+        dens = [sn * N for (sn, _), N in zip(self.col_scale, self.norms)]
         L = lcm(*dens)
-        coef = [
-            yk * sk.denominator * (L // dk) for yk, sk, dk in zip(yn, self.col_scale, dens)
-        ]
+        coef = [yk * sd * (L // dk) for yk, (_, sd), dk in zip(yn, self.col_scale, dens)]
         return [sum(map(mul, coef, col)) for col in zip(*self.cols)], yd * L
 
 
@@ -152,54 +152,60 @@ def _face_scale(
     dots = [sum(map(mul, ints, v)) for v in cols]
     if not any(dots):
         return None
-    # dots_k * col_scale_k in lowest terms, in integers
+    # dots_k * col_scale_k in lowest terms, and their squared norm num / den
     red = []
-    for dk, sk in zip(dots, col_scale):
-        g = gcd(dk, sk.denominator)
-        red.append((dk // g * sk.numerator, sk.denominator // g))
     num = 0
     den = 1
-    for p, q in red:
+    for dk, (sn, sd) in zip(dots, col_scale):
+        if not dk:
+            red.append((0, 1))  # adds 0 / 1 to num / den
+            continue
+        g = gcd(dk, sd)
+        p, q = dk // g * sn, sd // g
+        red.append((p, q))
         num = num * q * q + p * p * den
         den = den * q * q
     t = unit_scale_pq(num, den)
-    sq_num = t.numerator * t.numerator * num
-    sq_den = t.denominator * t.denominator * den
+    tn, td = t.numerator, t.denominator
+    sq_num = tn * tn * num
+    sq_den = td * td * den
     if abs(sq_num - sq_den) * 10**10 > 3 * sq_den:
         raise DriverError("face image is not unit norm")
     return red, t
 
 
 def facet_restriction(
-    fixed: list[list[int]], c0: list[int], ortho: list[list[int]] | None = None
+    fixed: list[list[int]], c0: list[int], basis: linalg.FaceBasis | None = None
 ) -> FacetRestriction:
     """The face basis of the fixed rows, with the objective's face image,
     from the primitive integer forms of the fixed rows and of c0.
 
-    Built from the top-level rows each round (chaining one-step reductions
+    The basis is the one of the top-level rows (chaining one-step reductions
     would square exact entry sizes per level), so numbers stay single-level
     small no matter how deep the facet chain is.  A facet chain, whose fixed
-    rows only grow, passes the same ortho list every round:
-    `linalg.complement_basis_int` keeps the fixed rows orthogonalized there,
-    so each round projects only its new row.
+    rows only grow, passes the same `linalg.FaceBasis` every round, and
+    `linalg.complement_basis_int` adds only the round's new row to it: the
+    columns it changes and their near-unit scales are all that is recomputed.
     """
     n = len(c0)
     d = n - len(fixed)
     if d < 1:
         raise DriverError("nothing left to restrict")
-    V_int = linalg.complement_basis_int(fixed, n, ortho)
-    if len(V_int) != d:
+    if basis is None:
+        basis = linalg.FaceBasis(n)
+    cols = linalg.complement_basis_int(fixed, n, basis)
+    if len(cols) != d:
         raise DriverError("fixed facet rows are dependent")
-    # near-unit column scale, kept separate so row projections stay integer
-    col_scale = [unit_scale_pq(sum(a * a for a in v), 1) for v in V_int]
-    c0_face = _face_scale(c0, V_int, col_scale)
+    # near-unit column scales, kept separate so row projections stay integer
+    col_scale = tuple(basis.scales)
+    c0_face = _face_scale(c0, cols, col_scale)
     if c0_face is not None:
         # t (p_k / q_k)_k over the one denominator t_den lcm(q)
         red, t = c0_face
         L = lcm(*(q for _, q in red))
         c0_face = (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
     return FacetRestriction(
-        cols=tuple(tuple(v) for v in V_int), col_scale=tuple(col_scale), c0=c0_face
+        cols=tuple(cols), norms=tuple(basis.norms), col_scale=col_scale, c0=c0_face
     )
 
 
@@ -239,11 +245,7 @@ def lifted_cone_objective(
         raise DriverError("lambda coordinates must lie in (0, 1]")
     T = lcm(*(t.denominator for t in tau))
     coef = [l * t.numerator * (T // t.denominator) for l, t in zip(lnum, tau)]
-    w = [0] * len(rows[0])
-    for a, row in zip(coef, rows):
-        for j, x in enumerate(row):
-            w[j] -= a * x
-    return w, lden * T
+    return [-sum(map(mul, coef, col)) for col in zip(*rows)], lden * T
 
 
 def identify_basis_element(
@@ -258,14 +260,19 @@ def identify_basis_element(
     nu_k = t_c[k] / (D c_den) from its prices.  The fixed rows vanish on the
     face, hence mu_j = nu_j / tau_j: no system is solved.  tau holds the
     round's factors by row; only rows that entered the basis during the walk
-    have theirs computed here.
+    have theirs computed here.  The mu_j share the positive factor D c_den,
+    so they are compared as t_c[j] tau_den / tau_num, by integer
+    cross-multiplication.
     """
     pos = {row: k for k, row in enumerate(tab.basis)}
-    mu = [
-        tab.t_c[pos[i]] / (tau[i] if i in tau else _face_scale(tab.R[i], r.cols, r.col_scale)[1])
-        for i in free
-    ]
-    return max(range(len(free)), key=lambda k: (mu[k], -k))
+    t_c = tab.t_c
+    best = bn = bd = 0
+    for k, i in enumerate(free):
+        t = tau[i] if i in tau else _face_scale(tab.R[i], r.cols, r.col_scale)[1]
+        num, den = t_c[pos[i]] * t.denominator, t.numerator
+        if not k or num * bd > bn * den:
+            best, bn, bd = k, num, den
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +283,14 @@ def identify_basis_element(
 def is_optimal(lp: LinearProgram, x: BasicSolution, tab: walk.Tableau) -> bool:
     """Exact test that c0 lies in the normal cone of the vertex x.
 
-    tab is a Tableau on lp standing on x, the facet chain's own; it is
-    walked in place on c0 by `walk.first_gain`.  x is optimal exactly when
+    tab is a Tableau on lp standing on x, the facet chain's own (checked in
+    integers); it is walked in place on c0 by `walk.first_gain`.  x is optimal exactly when
     that walk ends without leaving x, and tab's basis then carries c0.  At a
     degenerate vertex the walk makes degenerate pivots until it reaches such
     a basis or a step of positive length; no subset of the tight rows is
     scanned.  These pivots are not counted in `SolveOutcome.pivots`.
     """
-    if tab.vertex() != list(x.point):
+    if not tab.stands_on(x.point):
         raise DriverError("tableau does not stand on the vertex")
     return walk.first_gain(tab, lp.c0) is None
 
@@ -332,10 +339,10 @@ def repeated_shadow_vertex(
     tab = walk.Tableau(form, x0)
     c0 = primitive_int_row(lp.c0)[0]
     fixed: list[int] = []
-    ortho: list[list[int]] = []  # the fixed rows, orthogonalized
+    basis = linalg.FaceBasis(lp.n)  # the fixed rows' face basis, carried
     traces: list[RoundTrace] = []
     while len(fixed) < lp.n:
-        r = facet_restriction([tab.R[i] for i in fixed], c0, ortho)
+        r = facet_restriction([tab.R[i] for i in fixed], c0, basis)
         if r.c0 is None:
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))

@@ -7,8 +7,10 @@ it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 (`invert`, `det_int`); a fraction-free echelon pass over the primitive
 integer forms of a row sequence, which takes every rank decision
 (`independent_rows`, `rank`, `nullspace_vector`); and a fraction-free
-Gram-Schmidt pass over integer rows (`complement_basis_int`, and the
-objective escape's projection `_project_out`).
+Gram-Schmidt pass over integer rows (the objective escape's projection
+`_project_out`, and the rows' own part of `FaceBasis`).  `FaceBasis` carries
+the complement of a growing row sequence, so a facet chain updates its face
+basis with each fixed row (`complement_basis_int`) instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .rational import as_fractions, common_denominator, primitive_int_row, unit_scale
+from .rational import as_fractions, common_denominator, primitive_int_row, unit_scale_pq
 
 Mat = list[list[Fraction]]
 Vec = list[Fraction]
@@ -157,35 +159,76 @@ def exact_complement_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[V
     fraction-free over primitive integer vectors (scaling deferred to the
     very end) so the exact data stays small and fast.
     """
-    ints = [primitive_int_row(r)[0] for r in rows]
-    return [_near_unit(v) for v in complement_basis_int(ints, n)]
+    basis = FaceBasis(n)
+    complement_basis_int([primitive_int_row(r)[0] for r in rows], n, basis)
+    return [[Fraction(sn * x, sd) for x in v] for v, (sn, sd) in zip(basis.cols, basis.scales)]
+
+
+class FaceBasis:
+    """The orthogonal complement of a growing sequence of integer rows,
+    carried as rows are added: the rows orthogonalized (`ortho`, with squared
+    norms `ortho_norms`), and the complement's basis `cols`, with each
+    column's squared norm `norms` and near-unit scale `scales`, the
+    (numerator, denominator) of `unit_scale_pq(norm, 1)` in lowest terms.
+
+    Column k is the primitive residual of e_j off span(rows, e_1..e_{j-1})
+    for the k-th j at which that residual is nonzero.  Fraction-free
+    projection only multiplies by positive norms and strips positive gcds,
+    so the residual is unique, and a row added to the span changes it only by
+    projecting it off that row's own residual g off span(rows, e_1..e_{j-1}).
+    So adding a row walks the columns v in order, from g the row projected off
+    `ortho`: v <- strip(|g|^2 v - (v . g) g) and g <- strip(|v|^2 g - (v . g)
+    v).  The first v that becomes 0 drops out, g is 0 from there on, and
+    every later column stays: O(n^2) per row, and the same columns as
+    projecting every e_j afresh.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.rows = 0  # rows added so far, dependent ones included
+        self.ortho: list[list[int]] = []
+        self.ortho_norms: list[int] = []
+        self.cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        self.norms = [1] * n
+        self.scales = [(1, 1)] * n
+
+    def _add(self, row: Sequence[int]) -> None:
+        ortho = self.ortho
+        k = len(ortho)
+        _orthogonalize_int([row], ortho, self.ortho_norms)
+        if len(ortho) == k:
+            return  # row in the span already
+        g, Ng = ortho[k], self.ortho_norms[k]
+        cols, norms, scales = self.cols, self.norms, self.scales
+        for q, v in enumerate(cols):
+            d = sum(map(mul, v, g))
+            if not d:
+                continue
+            v2 = _strip_gcd([Ng * x - d * y for x, y in zip(v, g)])
+            if not any(v2):
+                del cols[q], norms[q], scales[q]
+                return
+            g = _strip_gcd([norms[q] * y - d * x for x, y in zip(v, g)])
+            Ng = sum(map(mul, g, g))
+            N = sum(map(mul, v2, v2))
+            t = unit_scale_pq(N, 1)
+            cols[q], norms[q], scales[q] = tuple(v2), N, (t.numerator, t.denominator)
 
 
 def complement_basis_int(
-    rows: Sequence[Sequence[int]], n: int, ortho: list[list[int]] | None = None
-) -> list[list[int]]:
-    """Primitive integer basis of the complement of integer rows, pairwise
-    exactly orthogonal.
+    rows: Sequence[Sequence[int]], n: int, basis: FaceBasis | None = None
+) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the complement of integer rows in Z^n,
+    pairwise exactly orthogonal.
 
-    ortho, when given, holds rows[:len(ortho)] orthogonalized by an earlier
-    call on independent rows; the rows after them are projected onto it and
-    appended in place.  A caller whose independent rows only grow, a facet
-    chain's fixed rows, so projects each row once."""
-    if ortho is None:
-        ortho = []
-    norms = [sum(map(mul, o, o)) for o in ortho]
-    _orthogonalize_int(rows[len(ortho):], ortho, norms)
-    dirs = list(ortho)
-    span_size = len(ortho)
-    for j in range(n):
-        if len(dirs) == n:
-            break
-        e = [int(i == j) for i in range(n)]
-        v = _project_int(e, dirs, norms)
-        if any(v):
-            dirs.append(v)
-            norms.append(sum(map(mul, v, v)))
-    return dirs[span_size:]
+    basis, when given, is the `FaceBasis` of rows[:basis.rows] from earlier
+    calls; the rows after them are added to it in place.  A caller whose rows
+    only grow, a facet chain's fixed rows, so adds each row once."""
+    if basis is None:
+        basis = FaceBasis(n)
+    for row in rows[basis.rows:]:
+        basis._add(row)
+    basis.rows = len(rows)
+    return list(basis.cols)
 
 
 def _strip_gcd(v: list[int]) -> list[int]:
@@ -232,9 +275,3 @@ def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:
     rr = sum(map(mul, r, r))
     k = Fraction(sum(map(mul, vn, r)), vd * rr) if rr else Fraction(0)
     return [k * x for x in r]
-
-
-def _near_unit(v: Sequence[int]) -> Vec:
-    w = as_fractions(v)
-    t = unit_scale(w)
-    return [t * x for x in w]

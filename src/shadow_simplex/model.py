@@ -452,7 +452,7 @@ def bound_polytope(
         factor += [f, f]
         rhs += [f * bi] * 2
     added = frozenset(range(lp.m, len(A)))
-    boxed = replace(lp, A=tuple(A), b=tuple(b), box_rows=lp.box_rows | added)
+    boxed = replace(lp, A=tuple(A), b=tuple(b), box_rows=added)
     return boxed, form.with_rows(R, factor, rhs)
 
 

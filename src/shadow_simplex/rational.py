@@ -104,11 +104,7 @@ def fraction(p: int, q: int) -> Fraction:
 def lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
     """The rational vector nums / den (den > 0) with the common gcd of its
     numerators and den stripped: the pair `common_denominator` gives."""
-    g = den
-    for x in nums:
-        if g == 1:
-            break
-        g = gcd(g, x)
+    g = gcd(den, *nums)
     if g > 1:
         return [x // g for x in nums], den // g
     return list(nums), den

@@ -36,6 +36,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .model import BasicSolution, IntegerForm, LinearProgram
@@ -132,13 +133,11 @@ class Tableau:
         self.D = abs(det)
         self.M = adj if det > 0 else [[-e for e in row] for row in adj]
 
-        # the vertex x_num / (D s), x_num = M beta_B, is the start point pn / pd
-        M, beta = self.M, self.beta
+        # the vertex x_num / (D s), x_num = M beta_B, is the start point
+        beta_B = [self.beta[i] for i in self.basis]
         self.ops += n * n
-        self.x_num = [sum(M[t][k] * beta[i] for k, i in enumerate(self.basis)) for t in range(n)]
-        pn, pd = common_denominator(as_fractions(start.point))
-        den = self.D * self.s
-        if len(pn) != n or any(a * pd != p * den for a, p in zip(self.x_num, pn)):
+        self.x_num = [sum(map(mul, row, beta_B)) for row in self.M]
+        if not self.stands_on(start.point):
             raise WalkError("basis does not reproduce the start point")
         if any(v < 0 for v in self.slack_nums(range(m))):
             raise WalkError("start point infeasible")
@@ -155,10 +154,10 @@ class Tableau:
         self.c_num, self.c_den = lowest_terms(*c)
         self.w_num, self.w_den = lowest_terms(*w)
         # the prices c M and w M: edge k has c^T d_k = -t_c[k] / (D c_den)
-        M, n = self.M, self.n
-        self.ops += 2 * n * n
-        self.t_c = [sum(a * M[t][k] for t, a in enumerate(self.c_num)) for k in range(n)]
-        self.t_w = [sum(a * M[t][k] for t, a in enumerate(self.w_num)) for k in range(n)]
+        cols = list(zip(*self.M))
+        self.ops += 2 * self.n * self.n
+        self.t_c = [sum(map(mul, self.c_num, col)) for col in cols]
+        self.t_w = [sum(map(mul, self.w_num, col)) for col in cols]
         self.pivot_count = 0
         # lexicographic exponents: non-basis rows first, then the free basis
         # rows; held rows keep exponent 0, i.e. no perturbation
@@ -179,16 +178,22 @@ class Tableau:
                 coords[v] = fraction(v, den)
         return [coords[v] for v in xn]
 
+    def stands_on(self, point) -> bool:
+        """Whether the vertex x_num / (D s) is point, decided in integers
+        against point's numerators over one denominator."""
+        pn, pd = common_denominator(as_fractions(point))
+        den = self.D * self.s
+        return len(pn) == self.n and all(a * pd == p * den for a, p in zip(self.x_num, pn))
+
     def slack_nums(self, rows) -> list[int]:
         """Slack numerators beta_i D - R_i . x_num of rows at the vertex: the
         slack of row i is this over D s, so a zero is a tight row."""
         beta, D, R, x_num = self.beta, self.D, self.R, self.x_num
         self.ops += self.n * len(rows)
-        return [beta[i] * D - sum(a * v for a, v in zip(R[i], x_num)) for i in rows]
+        return [beta[i] * D - sum(map(mul, R[i], x_num)) for i in rows]
 
     def c_value(self) -> Fraction:
-        num = sum(cv * xv for cv, xv in zip(self.c_num, self.x_num))
-        return Fraction(num, self.c_den * self.D * self.s)
+        return Fraction(sum(map(mul, self.c_num, self.x_num)), self.c_den * self.D * self.s)
 
     def solution(self) -> BasicSolution:
         return BasicSolution(point=tuple(self.vertex()), basis=tuple(sorted(self.basis)))
@@ -240,7 +245,7 @@ class Tableau:
         c_gain = Fraction(-t_c[k], self.D * self.c_den)
         # c^T x after the step: c^T x + theta c_gain = (c_num . x_num rd -
         # slack t_c[k]) / (c_den D s rd)
-        cx = sum(cv * xv for cv, xv in zip(self.c_num, x_num))
+        cx = sum(map(mul, self.c_num, x_num))
         c_value = Fraction(
             cx * rd_enter - slack_enter * t_c[k], self.c_den * self.D * self.s * rd_enter
         )
@@ -264,32 +269,27 @@ class Tableau:
         """Lexicographic minimum ratio along direction -M[:,k]; returns
         (entering row, R_i.dvec, slack numerator)."""
         n, m = self.n, self.m
-        M, x_num = self.M, self.x_num
-        dvec = [-M[t][k] for t in range(n)]
-        in_basis = set(self.basis)
+        x_num, R, beta, D = self.x_num, self.R, self.beta, self.D
+        col = [row[k] for row in self.M]
         best_i = -1
         best_rd = 0
         best_slack = 0
-        h_cache: dict[int, list[int]] = {}
         self.ops += (m - n) * (n + n)
-        for i in range(m):
-            if i in in_basis:
-                continue
-            Ri = self.R[i]
-            rd = sum(a * d for a, d in zip(Ri, dvec))
+        for i, Ri in enumerate(R):
+            # rd = R_i . d with d = -M[:,k]: -D or 0 on the basis rows, since
+            # R_B M = D I, so only non-basic rows can block
+            rd = -sum(map(mul, Ri, col))
             if rd <= 0:
                 continue
-            slack = self.beta[i] * self.D - sum(a * v for a, v in zip(Ri, x_num))
+            slack = beta[i] * D - sum(map(mul, Ri, x_num))
             if best_i < 0:
                 best_i, best_rd, best_slack = i, rd, slack
                 continue
-            cmp = _cmp_frac(slack, rd, best_slack, best_rd)
-            if cmp > 0:
+            # slack / rd against best_slack / best_rd, both rd > 0
+            lhs, rhs = slack * best_rd, best_slack * rd
+            if lhs > rhs:
                 continue
-            if cmp < 0:
-                best_i, best_rd, best_slack = i, rd, slack
-                continue
-            if self._lex_less(i, rd, best_i, best_rd, h_cache):
+            if lhs < rhs or self._lex_less(i, rd, best_i, best_rd):
                 best_i, best_rd, best_slack = i, rd, slack
         if best_i < 0:
             raise UnboundedEdgeError(
@@ -297,28 +297,23 @@ class Tableau:
             )
         return best_i, best_rd, best_slack
 
-    def _coeff_at(self, i: int, e: int, h_cache: dict[int, list[int]]) -> int:
-        """epsilon^e coefficient of row i's perturbed slack numerator."""
-        c = 0
-        if self.exp_of[i] == e:
-            c += self.D
-        for pos, j in enumerate(self.basis):
-            if self.exp_of[j] == e:
-                if i not in h_cache:
-                    self.ops += self.n * self.n
-                    h_cache[i] = [
-                        sum(a * self.M[t][q] for t, a in enumerate(self.R[i]))
-                        for q in range(self.n)
-                    ]
-                c -= h_cache[i][pos]
-        return c
-
-    def _lex_less(self, i: int, rd_i: int, l: int, rd_l: int, h_cache) -> bool:
-        """Break an exact ratio tie by the symbolic perturbation coefficients."""
-        exps = sorted({self.exp_of[i], self.exp_of[l], *(self.exp_of[j] for j in self.basis)} - {0})
-        for e in exps:
-            ci = self._coeff_at(i, e, h_cache)
-            cl = self._coeff_at(l, e, h_cache)
+    def _lex_less(self, i: int, rd_i: int, l: int, rd_l: int) -> bool:
+        """Break an exact ratio tie by the symbolic perturbation coefficients.
+        The epsilon^e coefficient of non-basic row r's perturbed slack
+        numerator is D when r has exponent e, minus R_r . M[:,pos] when the
+        basis row at pos has it; exponents other than 0 are distinct, so one
+        entry of R_r M is read per exponent."""
+        exp_of, D, R = self.exp_of, self.D, self.R
+        pos_of = {exp_of[j]: pos for pos, j in enumerate(self.basis)}
+        for e in sorted({exp_of[i], exp_of[l], *pos_of} - {0}):
+            ci = D if exp_of[i] == e else 0
+            cl = D if exp_of[l] == e else 0
+            pos = pos_of.get(e)
+            if pos is not None:
+                self.ops += 2 * self.n
+                col = [row[pos] for row in self.M]
+                ci -= sum(map(mul, R[i], col))
+                cl -= sum(map(mul, R[l], col))
             cmp = _cmp_frac(ci, rd_i, cl, rd_l)
             if cmp != 0:
                 return cmp < 0
@@ -331,37 +326,38 @@ class Tableau:
         and entry pos of each price stay; for q != pos, M[:,q] <- (u_pos
         M[:,q] - u_q M[:,pos]) / D and t[q] <- (u_pos t[q] - u_q t[pos]) / D;
         x_num <- (u_pos x_num + slack_enter M[:,pos]) / D; D <- u_pos, and
-        all of them change sign when u_pos < 0."""
+        all of them change sign when u_pos < 0.  Each vector's numerators are
+        formed in one pass, with that sign folded in; when D > 1 they are
+        checked for a remainder and divided."""
         n = self.n
         M, D = self.M, self.D
-        a = self.R[enter]
         self.ops += 2 * n * n + 3 * n
-        u = [sum(a[t] * M[t][q] for t in range(n)) for q in range(n)]
+        u = [sum(map(mul, self.R[enter], col)) for col in zip(*M)]
         up = u[pos]
         if up == 0:
             raise WalkError("degenerate pivot column")  # unreachable: rd != 0
+        a = abs(up)
+        flip = up < 0
 
-        def exact(num: int) -> int:
-            quo, rem = divmod(num, D)
-            if rem:
+        def exact(nums: list[int]) -> list[int]:
+            if D == 1:
+                return nums
+            if any(x % D for x in nums):
                 raise WalkError("integer pivot update lost exactness")
-            return quo
+            return [x // D for x in nums]
 
-        newM = [
-            [mq if q == pos else exact(up * mq - row[pos] * u[q]) for q, mq in enumerate(row)]
-            for row in M
-        ]
-        t_c, t_w = (
-            [tq if q == pos else exact(up * tq - t[pos] * u[q]) for q, tq in enumerate(t)]
-            for t in (self.t_c, self.t_w)
-        )
-        x_num = [exact(up * x + row[pos] * slack_enter) for x, row in zip(self.x_num, M)]
-        if up < 0:
-            up = -up
-            newM = [[-e for e in row] for row in newM]
-            x_num, t_c, t_w = ([-e for e in v] for v in (x_num, t_c, t_w))
-        self.M, self.D = newM, up
-        self.x_num, self.t_c, self.t_w = x_num, t_c, t_w
+        def step(v: list[int]) -> list[int]:
+            # sign(u_pos) (u_pos v - v[pos] u) / D, with entry pos kept
+            b = -v[pos] if flip else v[pos]
+            nums = [a * x - b * y for x, y in zip(v, u)]
+            nums[pos] = b * D
+            return exact(nums)
+
+        se = -slack_enter if flip else slack_enter
+        self.M = [step(row) for row in M]
+        self.t_c, self.t_w = step(self.t_c), step(self.t_w)
+        self.x_num = exact([a * x + row[pos] * se for x, row in zip(self.x_num, M)])
+        self.D = a
         self.basis[pos] = enter
 
 

@@ -1,8 +1,8 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
-of its integer round loop, crawl, box radius, objective-escape projection
-and determinant (the round loop's with the same draws from the stream), and
-the structural check of a recorded shadow path.  A test helper module, not
-a test module."""
+of its integer round loop (the round loop's with the same draws from the
+stream; its face basis, face factors and facet choice too), crawl, box
+radius, objective-escape projection and determinant, and the structural
+check of a recorded shadow path.  A test helper module, not a test module."""
 
 from fractions import Fraction
 from math import lcm
@@ -11,7 +11,15 @@ from operator import mul
 from shadow_simplex import linalg, model
 from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.randomness import RandomnessError
-from shadow_simplex.rational import as_fractions, common_denominator, dot, norm_sq, ratsqrt_ceil
+from shadow_simplex.rational import (
+    as_fractions,
+    common_denominator,
+    dot,
+    norm_sq,
+    primitive_int_row,
+    ratsqrt_ceil,
+    unit_scale_pq,
+)
 from shadow_simplex.walk import WalkError
 
 
@@ -59,7 +67,7 @@ def draw_lambda(n, cfg, stream):
 def lift(r, y):
     """The vector in span(r.cols) whose face coordinates are the Fractions y."""
     coef = [
-        yk / (sk * sum(a * a for a in v))
+        yk / (Fraction(*sk) * sum(a * a for a in v))
         for yk, sk, v in zip(as_fractions(y), r.col_scale, r.cols)
     ]
     nums, den = common_denominator(coef)
@@ -74,6 +82,52 @@ def lifted_cone_objective(rows, lam, tau):
         for j, x in enumerate(row):
             w[j] -= a * x
     return [Fraction(x, den) for x in w]
+
+
+def complement_basis(rows, n):
+    """(j, primitive integer form of the residual of e_j off span(rows,
+    e_1..e_{j-1})) for each j at which that residual is nonzero, by Fraction
+    Gram-Schmidt of the rows and then of each e_j afresh."""
+    ortho = []
+
+    def residual(v):
+        for o in ortho:
+            c = dot(v, o) / norm_sq(o)
+            if c != 0:
+                v = [x - c * y for x, y in zip(v, o)]
+        return v
+
+    out = []
+    for j, v in [(None, as_fractions(r)) for r in rows] + [
+        (j, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)
+    ]:
+        w = residual(v)
+        if any(x != 0 for x in w):
+            ortho.append(w)
+            if j is not None:
+                out.append((j, tuple(primitive_int_row(w)[0])))
+    return out
+
+
+def face_factor(row, r):
+    """tau of an integer row on the face of r: `unit_scale_pq` of its face
+    image's squared norm, the Fraction coordinates (row . cols_k) col_scale_k
+    summed as p^2 / q^2 term by term over the product of the q^2, the
+    unreduced form the solver rounds."""
+    num, den = 0, 1
+    for v, s in zip(r.cols, r.col_scale):
+        x = Fraction(*s) * sum(map(mul, row, v))
+        q2 = x.denominator**2
+        num, den = num * q2 + x.numerator**2 * den, den * q2
+    return unit_scale_pq(num, den)
+
+
+def identify_basis_element(tab, r, free):
+    """Position in free of the largest mu_j = t_c[j] / tau_j, as Fractions,
+    ties to the smallest position."""
+    pos = {row: k for k, row in enumerate(tab.basis)}
+    mu = [Fraction(tab.t_c[pos[i]]) / face_factor(tab.R[i], r) for i in free]
+    return max(range(len(free)), key=lambda k: (mu[k], -k))
 
 
 def move_to_vertex(lp, point):

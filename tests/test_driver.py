@@ -115,7 +115,7 @@ class TestIdentify:
 
 def face_coords(r, vec):
     """Exact face coordinates (vec . col_scale_k cols_k)_k, unscaled."""
-    return [dot(list(vec), [s * a for a in v]) for v, s in zip(r.cols, r.col_scale)]
+    return [dot(list(vec), [F(*s) * a for a in v]) for v, s in zip(r.cols, r.col_scale)]
 
 
 class TestReduceAndLift:
@@ -516,6 +516,14 @@ class TestSolve:
         out = solve(model.make_lp([[1, 0], [0, -1]], [1, 1], [1, 0]), cfg())
         assert out.status == "optimal" and out.value == 1
         assert verdicts and verdicts[-1]
+
+    def test_boxed_lp_is_solved_as_given(self):
+        # the box rows of an LP boxed before the solve are rows of the LP it
+        # was given: the optimum on them is bounded, and no ray past them is
+        # sought (it failed the ray check)
+        lp = box(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1]))
+        out = solve(lp, cfg())
+        assert out.status == "optimal" and out.value == oracle.classify(lp).value
 
     def test_unbounded_point_checked_against_raw_lp(self, monkeypatch):
         # the boxed LP's verdict no longer re-checks its point; solve checks

@@ -7,6 +7,7 @@ import importlib.util
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 import reference
 from boxing import box
 from reference import values
+from test_golden import _solve_warm
 
 from shadow_simplex import driver, harness, linalg, model, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, LPModelError, UnboundedCertificate
@@ -85,19 +87,89 @@ def test_round_loop_matches_the_fraction_formulas(mode):
 
 
 def test_chain_orthogonalizes_each_fixed_row_once():
-    # a chain passes one ortho list through its rounds: each round's face
-    # basis is the one built from all the fixed rows afresh
+    # a chain passes one carried face basis through its rounds: each round's
+    # face basis is the one built from all the fixed rows afresh
     rng = random.Random(63)
     for _ in range(30):
         n = rng.randint(2, 6)
         lp, start = random_boxed(rng, n, n + 3)
         rows = model.integer_form(lp).R
         c0 = primitive_int_row(lp.c0)[0]
-        ortho = []
+        basis = linalg.FaceBasis(n)
         for k in range(n):
             fixed = [rows[i] for i in start.basis[:k]]
-            assert driver.facet_restriction(fixed, c0, ortho) == driver.facet_restriction(fixed, c0)
-            assert len(ortho) == k
+            assert driver.facet_restriction(fixed, c0, basis) == driver.facet_restriction(fixed, c0)
+            assert len(basis.ortho) == k
+
+
+class TestCarriedFaceBasis:
+    """Every round of every facet chain, on TU rows and on rational rows:
+    the face basis the chain carries equals one built afresh from its fixed
+    rows and the Fraction Gram-Schmidt residuals of tests/reference.py, and
+    the round's face factors and facet choice equal their Fraction forms."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Patch the round loop's checks in; returns the cases the carried
+        updates met."""
+        seen = {"skipped inside": 0, "dropped first": 0, "dropped last": 0, "rounds": 0}
+        last_js = {}
+        facet_restriction = driver.facet_restriction
+        identify = driver.identify_basis_element
+
+        def checked_restriction(fixed, c0, basis=None):
+            r = facet_restriction(fixed, c0, basis)
+            n = len(c0)
+            fresh = linalg.FaceBasis(n)
+            assert linalg.complement_basis_int(fixed, n, fresh) == basis.cols
+            assert (basis.cols, basis.norms, basis.scales) == (fresh.cols, fresh.norms, fresh.scales)
+            assert r == facet_restriction(fixed, c0)
+            ref = reference.complement_basis(fixed, n)
+            assert basis.cols == [v for _, v in ref]
+            assert basis.norms == [sum(a * a for a in v) for v in basis.cols]
+            assert basis.scales == [
+                (t.numerator, t.denominator) for t in map(rational.unit_scale, basis.cols)
+            ]
+            if r.c0 is not None:
+                tau = reference.face_factor(c0, r)
+                assert values(r.c0) == [
+                    tau * F(*s) * sum(map(mul, c0, v)) for v, s in zip(r.cols, r.col_scale)
+                ]
+            js = [j for j, _ in ref]
+            prev = last_js.get(id(basis))
+            if prev is not None and len(prev) > len(js):
+                (gone,) = set(prev) - set(js)
+                seen["dropped first"] += gone == prev[0]
+                seen["dropped last"] += gone == prev[-1]
+            seen["skipped inside"] += bool(js) and js[-1] + 1 > len(js)
+            last_js[id(basis)] = js
+            seen["rounds"] += 1
+            return r
+
+        def checked_identify(tab, r, free, tau):
+            for i, t in tau.items():
+                assert t == reference.face_factor(tab.R[i], r)
+            got = identify(tab, r, free, tau)
+            assert got == reference.identify_basis_element(tab, r, free)
+            return got
+
+        monkeypatch.setattr(driver, "facet_restriction", checked_restriction)
+        monkeypatch.setattr(driver, "identify_basis_element", checked_identify)
+        return seen
+
+    def test_tu_rows(self, seen):
+        for seed in range(6):
+            assert _solve_warm(harness.GENERATORS[seed % 3], seed).status == "optimal"
+        assert all(seen.values()), seen
+
+    def test_rational_rows(self, seen):
+        rng = random.Random(65)
+        for seed in range(30):
+            n = rng.randint(2, 7)
+            lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
+            cfg = driver.SolveConfig(rng=randomness.RngConfig(seed=seed))
+            driver.solve(lp, cfg, initial_bfs=start)
+        assert all(seen.values()), seen
 
 
 def test_aim_strips_the_gcd():

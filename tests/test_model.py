@@ -229,6 +229,11 @@ class TestBounding:
             for i in boxed.box_rows:
                 assert dot(boxed.row(i), list(v.point)) < boxed.b[i]
 
+    def test_boxing_a_boxed_lp_marks_only_its_own_rows(self):
+        boxed = box(square_lp())
+        again = box(boxed)
+        assert again.box_rows == frozenset(range(boxed.m, again.m))
+
     def test_radius_exceeds_vertex_norms(self):
         lp = square_lp()
         r = model.box_radius(lp, model.integer_form(lp))

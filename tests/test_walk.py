@@ -344,6 +344,40 @@ class TestCarriedState:
         assert all(cert for _, _, cert in checked_pivots)
 
 
+class TestExactUpdate:
+    """The rank-one step divides each carried vector exactly by the old D;
+    a numerator that leaves a remainder raises instead of being rounded."""
+
+    def aimed(self):
+        # 2x + y <= 4, x + 3y <= 6, x >= 0, y >= 0 from the vertex (6/5, 8/5)
+        # of the first two rows, where D = 5, on c = -x: the one improving
+        # edge enters x >= 0 into a basis of determinant 3
+        lp = model.make_lp([[2, 1], [1, 3], [-1, 0], [0, -1]], [4, 6, 0, 0], [-1, 0])
+        tab = Tableau(integer_form(lp), BasicSolution(point=(F(6, 5), F(8, 5)), basis=(0, 1)))
+        tab.aim(pair([F(-1), F(0)]), pair([F(-1), F(1)]))
+        (pos,) = tab._improving()
+        enter, _, slack = tab._ratio_test(pos)
+        return tab, pos, enter, slack
+
+    def test_the_update_divides_by_d(self):
+        tab, pos, enter, slack = self.aimed()
+        assert (tab.D, enter) == (5, 2)
+        tab._update_basis(pos, enter, slack)
+        assert tab.D == 3
+        assert_carried(tab)
+
+    @pytest.mark.parametrize("vector", ["M", "x_num", "t_c", "t_w"])
+    def test_a_remainder_raises(self, vector):
+        tab, pos, enter, slack = self.aimed()
+        q = 1 - pos  # an entry the step divides
+        if vector == "M":
+            tab.M[1][q] += 1  # R_enter has no weight on row 1, so u stays
+        else:
+            getattr(tab, vector)[q] += 1
+        with pytest.raises(WalkError, match="integer pivot update lost exactness"):
+            tab._update_basis(pos, enter, slack)
+
+
 class TestPathPlumbing:
     def test_validate_rejects_bad_paths(self):
         from shadow_simplex.walk import PathStep
