@@ -11,23 +11,27 @@ at round 0, so its start vertex is accepted at the first phi
 schedule and without the box-tight check, which its bounded objective does
 not need.
 
-A solve builds the integer form of its rows once (`model.integer_form`):
-Phase 1's start, the box, the chain's tableau, the box-tight test and the
-checks of the answer all read it.  A facet chain keeps one `walk.Tableau`
-on the boxed LP's form, built on the start vertex's own basis; that build
-is the check of the start, and a bad one raises `walk.WalkError`.  The rows
-fixed so far stay in its basis, held out of pricing, so each walk stays on
-the face where they are tight.  Each round runs in integers: it draws its
-perturbed objective in coordinates of that face, over an exactly orthogonal
-integer basis of the fixed rows' complement (a `linalg.FaceBasis` carried
-through the chain, which each round updates with its new fixed row in
-O(n^2)), as numerators over one denominator, and lifts it to the boxed LP
-exactly on the integer columns; its cone objective is priced on the
-tableau's integer rows (`lifted_cone_objective`), with each free row's
-near-unit factor tau formed once per round, and the facet is chosen by
-integer cross-multiplication of the prices and the tau.  Both reach
-`Tableau.aim` as (numerators, denominator) pairs.  The walk is the one on
-the restricted LP, whose delta-distance value is preserved to rounding of
+A solve builds the integer form of its rows once (`model.integer_form`),
+first of all, and derives everything else from it: the rank pass, rank
+completion, the encoding bits, Phase 1's start and face, the box, the
+chain's tableau, the box-tight test and the checks of the answer.  The
+Phase-1 face comes with its own form, lead rows and encoding bits, built
+from the solve's (`phase1.build_phase1_face`), so the depth-1 solve runs no
+rank pass and builds no form of its own.  A facet chain keeps one
+`walk.Tableau` on the boxed LP's form, built on the start vertex's own
+basis; that build is the check of the start, and a bad one raises
+`walk.WalkError`.  The rows fixed so far stay in its basis, held out of
+pricing, so each walk stays on the face where they are tight.  Each round
+runs in integers: it draws its perturbed objective in coordinates of that
+face, over an exactly orthogonal integer basis of the fixed rows' complement
+(a `linalg.FaceBasis` carried through the chain, which each round updates
+with its new fixed row in O(n^2)), as numerators over one denominator, and
+lifts it to the boxed LP exactly on the integer columns; its cone objective
+is priced on the tableau's integer rows (`lifted_cone_objective`), with each
+free row's near-unit factor tau formed once per round, and the facet is
+chosen by integer cross-multiplication of the prices and the tau.  Both
+reach `Tableau.aim` as (numerators, denominator) pairs.  The walk is the one
+on the restricted LP, whose delta-distance value is preserved to rounding of
 the unit scaling, without building it.
 
 Each round keeps its walk's path in a `RoundTrace`, and the traces are the
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg, model, phase1, randomness, walk
@@ -49,9 +53,7 @@ from .model import BasicSolution, IntegerForm, LinearProgram, UnboundedCertifica
 from .rational import (
     as_fractions,
     common_denominator,
-    dot,
     primitive_int_row,
-    ratsqrt_ceil,
     unit_scale_pq,
 )
 
@@ -81,19 +83,26 @@ class PhiSchedule:
     n: int
     m: int
 
-    def base(self) -> Fraction:
+    def phi(self, i: int) -> Fraction:
+        """phi_i, each square root rounded up at PHI_BITS bits as
+        `ratsqrt_ceil` rounds it, formed from integers as one Fraction."""
         n, m = self.n, self.m
         if self.variant == SCHEDULE_BASE:
-            return n * ratsqrt_ceil(Fraction(n), PHI_BITS)
-        if self.variant == SCHEDULE_DELTA_AWARE:
-            return n * n * ratsqrt_ceil(Fraction(n), PHI_BITS)
-        if self.variant == SCHEDULE_PHASE1:
+            num, bits = n * _sqrt_up(n), PHI_BITS
+        elif self.variant == SCHEDULE_DELTA_AWARE:
+            num, bits = n * n * _sqrt_up(n), PHI_BITS
+        elif self.variant == SCHEDULE_PHASE1:
             nm = n + m
-            return ratsqrt_ceil(Fraction(m), PHI_BITS) * nm * ratsqrt_ceil(Fraction(nm), PHI_BITS)
-        raise DriverError(f"unknown schedule variant {self.variant!r}")
+            num, bits = _sqrt_up(m) * nm * _sqrt_up(nm), 2 * PHI_BITS
+        else:
+            raise DriverError(f"unknown schedule variant {self.variant!r}")
+        return Fraction(num << i, 1 << bits)
 
-    def phi(self, i: int) -> Fraction:
-        return self.base() * (1 << i)
+
+def _sqrt_up(k: int) -> int:
+    """sqrt(k) rounded up at PHI_BITS bits, times 2^PHI_BITS: the numerator
+    of `ratsqrt_ceil(k, PHI_BITS)` over 2^PHI_BITS."""
+    return isqrt(k << 2 * PHI_BITS) + 1
 
 
 def pivot_cap(m: int, n: int, phi: Fraction, delta: Fraction, constant: int = 16) -> int:
@@ -422,6 +431,7 @@ def solve(
     _stream: randomness.DrawStream | None = None,
     _depth: int = 0,
     _schedule: PhiSchedule | None = None,
+    _face: phase1.Phase1Problem | None = None,
 ) -> SolveOutcome:
     """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
     given, box, then the doubling schedule around the repeated shadow vertex
@@ -443,23 +453,29 @@ def solve(
     does not hold n distinct rows, has dependent rows, is not tight at the
     point, or a point that violates a row, raises `walk.WalkError`.
 
-    Only Phase 1's own call sets _stream, _depth (1) and _schedule: it shares
-    the caller's draws, walks on the Phase-1 schedule, and skips the box-tight
-    check, since its objective -sum(y) is bounded above by 0."""
+    Only Phase 1's own call sets _stream, _depth (1), _schedule and _face: it
+    shares the caller's draws, walks on the Phase-1 schedule, takes the face's
+    integer form, lead rows and encoding bits from _face, where its caller
+    derived them from its own form, and skips the box-tight check, since its
+    objective -sum(y) is bounded above by 0."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
     out = SolveOutcome(status="pending")
 
-    # rank completion, whose independent rows are the lead rows
-    idx = linalg.independent_rows(lp_raw.rows())
-    escape = model._objective_escape(lp_raw) if len(idx) < lp_raw.n else None
-    work, lead = _complete_rank(lp_raw, idx)
-    # the solve's one integer form: its first lp_raw.m rows are lp_raw's
-    form = model.integer_form(work)
+    if _face is None:
+        # the solve's one integer form and its rank pass, whose independent
+        # rows are the lead rows; rank completion appends rows to both
+        form = model.integer_form(lp_raw)
+        idx = linalg.independent_rows(form.R)
+        escape = model._objective_escape(lp_raw) if len(idx) < lp_raw.n else None
+        work, form, lead = _complete_rank(lp_raw, form, idx)
+        enc = model.encoding_bits(work, form)
+    else:
+        work, form, lead, enc, escape = lp_raw, _face.form, _face.lead, _face.enc, None
 
     if initial_bfs is None or escape is not None:
-        bfs = _phase1_start(work, form, lead, cfg, stream, out)
+        bfs = _phase1_start(work, form, lead, enc, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
@@ -469,7 +485,7 @@ def solve(
         out.bits_consumed = stream.bits_consumed
         return _accept(out, lp_raw, form, bfs.point, tuple(escape))
 
-    boxed, boxed_form = model.bound_polytope(work, lead, form)
+    boxed, boxed_form = model.bound_polytope(work, lead, form, enc)
 
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
     for i in range(cfg.max_doublings):
@@ -503,13 +519,15 @@ def _accept(
 ) -> SolveOutcome:
     """out answered at point, unbounded along ray when one is given, after
     checking both against lp_raw's rows, the first rows of the solve's
-    integer form."""
+    integer form.  The value c0 x is one Fraction of integer numerators."""
     if any(e > 0 for e in form.excess(point)[: lp_raw.m]):
         raise DriverError("certificate failure: accepted point infeasible")
     out.point = point
     if ray is None:
         out.status = "optimal"
-        out.value = dot(list(lp_raw.c0), as_fractions(point))
+        cn, cd = common_denominator(lp_raw.c0)
+        xn, xd = common_denominator(as_fractions(point))
+        out.value = Fraction(sum(map(mul, cn, xn)), cd * xd)
     else:
         _check_ray(lp_raw, form, ray)
         out.status, out.ray = "unbounded", ray
@@ -526,21 +544,30 @@ def _check_ray(lp: LinearProgram, form: IntegerForm, ray) -> None:
         raise DriverError("certificate failure: ray leaves the recession cone")
 
 
-def _complete_rank(lp: LinearProgram, idx: list[int]) -> tuple[LinearProgram, list[int]]:
-    """(lp made full rank, its n lead rows); idx = independent_rows(lp.rows())
-    gives the lead rows directly when lp already has full rank."""
+def _complete_rank(
+    lp: LinearProgram, form: IntegerForm, idx: list[int]
+) -> tuple[LinearProgram, IntegerForm, list[int]]:
+    """(lp made full rank, its integer form, its n lead rows), from form, lp's
+    integer form, and idx = independent_rows(form.R), which gives the lead
+    rows directly when lp already has full rank.  Otherwise the synthetic
+    rows, whose rhs is 0, are appended to form."""
     if len(idx) >= lp.n:
-        return lp, idx[: lp.n]
+        return lp, form, idx[: lp.n]
     ext = model.extend_to_full_rank(lp)
-    return ext, linalg.independent_rows(ext.rows())[: lp.n]
+    added = [primitive_int_row(a) for a in ext.A[lp.m :]]
+    form = form.with_rows([r for r, _ in added], [f for _, f in added], [(0, 1)] * len(added))
+    return ext, form, linalg.independent_rows(form.R)[: lp.n]
 
 
-def _phase1_start(work, form, lead, cfg, stream, out):
+def _phase1_start(work, form, lead, enc, cfg, stream, out):
     """A vertex of work, or the infeasible outcome; Phase 1 walks the face of
     LP' its start lies on and is skipped when the start is already a vertex.
-    The phi base stays on work's (n, m), the dimensions the paper's Phase-1
-    schedule is stated in; bits and pivot cap follow the walked face."""
-    p1 = phase1.build_phase1_face(work, lead, form)
+    The face, its form, lead rows and encoding bits are built from work's
+    (`phase1.build_phase1_face`), so the Phase-1 solve runs no rank pass and
+    builds no form of its own.  The phi base stays on work's (n, m), the
+    dimensions the paper's Phase-1 schedule is stated in; bits and pivot cap
+    follow the walked face."""
+    p1 = phase1.build_phase1_face(work, lead, form, enc)
     if isinstance(p1, BasicSolution):
         return p1
     out.phase1_artificials = p1.lp_prime.n - p1.orig_n
@@ -551,6 +578,7 @@ def _phase1_start(work, form, lead, cfg, stream, out):
         _stream=stream,
         _depth=1,
         _schedule=PhiSchedule(variant=SCHEDULE_PHASE1, n=work.n, m=work.m),
+        _face=p1,
     )
     out.phase1_pivots = sub.pivots
     out.traces.extend(sub.traces)

@@ -6,11 +6,13 @@ it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 `inverse_columns`); a fraction-free Bareiss pass for integer matrices
 (`invert`, `det_int`); a fraction-free echelon pass over the primitive
 integer forms of a row sequence, which takes every rank decision
-(`independent_rows`, `rank`, `nullspace_vector`); and a fraction-free
-Gram-Schmidt pass over integer rows (the objective escape's projection
-`_project_out`, and the rows' own part of `FaceBasis`).  `FaceBasis` carries
-the complement of a growing row sequence, so a facet chain updates its face
-basis with each fixed row (`complement_basis_int`) instead of rebuilding it.
+(`independent_rows`, `rank`, `nullspace_int`, `nullspace_vector`) and
+takes rows of ints, the rows of an integer form, as they are; and a
+fraction-free Gram-Schmidt pass over integer rows (the objective escape's
+projection `_project_out`, and the rows' own part of `FaceBasis`).
+`FaceBasis` carries the complement of a growing row sequence, so a facet
+chain updates its face basis with each fixed row (`complement_basis_int`)
+instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -106,18 +108,20 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(independent_rows(rows))
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int], list[list[int]]]:
-    """Greedy (ascending index) elimination on primitive integer rows:
-    (chosen row indices, pivot columns, echelon rows).  v <- b_p v - v_p b,
-    gcd stripped, per echelon row b with pivot p: each row is a nonzero
-    multiple of its Fraction-elimination form, so rank decisions agree."""
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[int], list[list[int]]]:
+    """Greedy (ascending index) elimination on integer rows: (chosen row
+    indices, pivot columns, echelon rows).  A row of ints, such as a row of
+    an integer form, is eliminated as it is; any other row is first made
+    its primitive integer row.  v <- b_p v - v_p b, gcd stripped, per echelon
+    row b with pivot p: each row is a nonzero multiple of its
+    Fraction-elimination form, so rank decisions agree."""
     basis: list[list[int]] = []
     pivots: list[int] = []
     chosen: list[int] = []
     for idx, row in enumerate(rows):
         if len(pivots) == len(row):
             break  # full rank: every later row reduces to zero
-        v = primitive_int_row(row)[0]
+        v = row if all(type(x) is int for x in row) else primitive_int_row(row)[0]
         for p, b in zip(pivots, basis):
             f = v[p]
             if f:
@@ -132,23 +136,44 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int], 
     return chosen, pivots, basis
 
 
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     """Greedy (ascending index) maximal independent subset, exact elimination."""
     return _echelon(rows)[0]
 
 
-def nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int) -> Vec | None:
-    """One exact nonzero vector orthogonal to all rows, or None if full rank."""
+def nullspace_int(rows: Sequence[Sequence], n: int) -> tuple[list[int], int] | None:
+    """`nullspace_vector` as (integer numerators, denominator > 0), or None
+    if the rows have full rank.  The free coordinate is back-substituted
+    through the echelon rows in integers over one denominator, which grows
+    by each pivot's share only."""
     _, pivots, basis = _echelon(rows)
     free = next((j for j in range(n) if j not in pivots), None)
     if free is None:
         return None
-    # back-substitute the free coordinate through the echelon basis
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
+    x = [0] * n
+    x[free] = den = 1
     for p, b in sorted(zip(pivots, basis), reverse=True):
-        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0)) / b[p]
-    return x
+        # x_p = -t / (b_p den), t = sum over j != p of b_j x_j (b_j = 0 for j < p)
+        t, bp = sum(map(mul, b[p + 1 :], x[p + 1 :])), b[p]
+        if bp < 0:
+            t, bp = -t, -bp
+        g = gcd(t, bp)
+        k = bp // g
+        if k > 1:
+            x = [v * k for v in x]
+            den *= k
+        x[p] = -t // g
+    return x, den
+
+
+def nullspace_vector(rows: Sequence[Sequence], n: int) -> Vec | None:
+    """One exact nonzero vector orthogonal to all rows, or None if full rank:
+    the free coordinate 1, the others determined by the echelon rows."""
+    got = nullspace_int(rows, n)
+    if got is None:
+        return None
+    x, den = got
+    return [Fraction(v, den) for v in x]
 
 
 def exact_complement_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:

@@ -7,11 +7,16 @@ LP is bounded by walking its recession LP, from d = 0, on the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
 given: each pivot decision is invariant under positive row scaling.  A
-solve turns the rows into their integer form once (`integer_form`): each
-row's primitive integer row R_i = f_i a_i, its factor f_i > 0, and the
-scaled rhs over one common denominator.  The boxed LP's form, the recession
-LP's form, `walk.Tableau`, the exact point checks and the crawl to a vertex
-(`crawl_to_vertex`) all read it; nothing is kept on the LP.  The unit row
+solve turns the rows as given into their integer form once
+(`integer_form`): each row's primitive integer row R_i = f_i a_i, its
+factor f_i > 0, and the scaled rhs over one common denominator.  Everything
+else is derived from that form, and no `Fraction` LP is converted again:
+rank completion appends its rows to it (`IntegerForm.with_rows`), the
+encoding bits read it (`encoding_bits`), the box's radius and rhs are
+formed from integers on it, and so are the Phase-1 face's form
+(`phase1.build_phase1_face`) and the recession LP's rhs; `walk.Tableau`,
+the exact point checks and the crawl to a vertex (`crawl_to_vertex`) walk
+it.  Nothing is kept on the LP.  The unit row
 norms that the paper states the delta-distance for are applied only where a
 size matters: the box rows of a lead row a_i are +-a_i with rhs r / t_i,
 t_i = `unit_scale(a_i)` formed from |R_i|^2 and f_i, and the draws of the
@@ -22,19 +27,22 @@ near-unit norm; the solver does not call it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg
 from .rational import (
+    ONE,
+    SMALL_INTEGRAL,
+    SQRT_BITS,
     as_fractions,
     common_denominator,
     dot,
     format_fraction,
     lowest_terms,
     primitive_int_row,
-    ratsqrt_ceil,
     unit_scale,
     unit_scale_pq,
 )
@@ -65,15 +73,15 @@ class LinearProgram:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise LPModelError("need at least one row and one variable")
-        if any(len(r) != self.n for r in self.A) or len(self.b) != self.m:
+        if set(map(len, self.A)) != {self.n} or len(self.b) != self.m:
             raise LPModelError("dimension mismatch")
-        if any(all(x == 0 for x in row) for row in self.A):
+        if not all(map(any, self.A)):
             raise LPModelError("zero row in constraint matrix")
         if self.box_rows & self.synthetic_rows:
             raise LPModelError("box rows and synthetic rows overlap")
-        for i in self.box_rows | self.synthetic_rows:
-            if not 0 <= i < self.m:
-                raise LPModelError("marker row index out of range")
+        marked = self.box_rows | self.synthetic_rows
+        if marked and not (min(marked) >= 0 and max(marked) < self.m):
+            raise LPModelError("marker row index out of range")
 
     @property
     def m(self) -> int:
@@ -171,33 +179,47 @@ class IntegerForm:
     def unit_scale(self, i: int) -> Fraction:
         """`unit_scale(a_i)`, from |R_i|^2 and the factor: |a_i|^2 = |R_i|^2 / f_i^2."""
         f = self.factor[i]
-        sq = Fraction(sum(a * a for a in self.R[i]) * f.denominator**2, f.numerator**2)
-        return unit_scale_pq(sq.numerator, sq.denominator)
+        sq = sum(a * a for a in self.R[i])
+        if f is ONE:
+            return _unit_scale(sq, 1)
+        [p], q = lowest_terms([sq * f.denominator**2], f.numerator**2)
+        return _unit_scale(p, q)
 
     def with_rows(self, R, factor, rhs) -> "IntegerForm":
         """These rows followed by the rows R (factors factor), whose scaled
-        rhs f_i b_i are the Fractions rhs; s grows to the common denominator
-        of all rows, as `integer_form` of the longer LP would give it."""
-        s = lcm(self.s, *(x.denominator for x in rhs))
+        rhs f_i b_i are given as pairs (p, q) in lowest terms, q > 0; s grows
+        to the common denominator of all rows, as `integer_form` of the
+        longer LP would give it."""
+        s = lcm(self.s, *(q for _, q in rhs))
         k = s // self.s
-        beta = [bt * k for bt in self.beta] + [x.numerator * (s // x.denominator) for x in rhs]
+        beta = [bt * k for bt in self.beta] if k > 1 else list(self.beta)
+        beta += [p * (s // q) for p, q in rhs]
         return IntegerForm(self.R + list(R), self.factor + list(factor), beta, s)
 
     def with_rhs(self, rhs) -> "IntegerForm":
-        """The same rows with the scaled rhs f_i b_i given as Fractions."""
-        beta, s = common_denominator(rhs)
-        return IntegerForm(self.R, self.factor, beta, s)
+        """The same rows with the scaled rhs f_i b_i given as pairs (p, q) in
+        lowest terms, q > 0."""
+        s = lcm(*(q for _, q in rhs))
+        return IntegerForm(self.R, self.factor, [p * (s // q) for p, q in rhs], s)
+
+
+# the box rows of one solve and of the next share their few squared norms
+_unit_scale = lru_cache(maxsize=4096)(unit_scale_pq)
 
 
 def integer_form(lp: LinearProgram) -> IntegerForm:
-    """The integer form of lp's rows, computed per call: nothing is kept on lp."""
+    """The integer form of lp's rows, computed per call: nothing is kept on
+    lp.  A solve calls it once, on the rows as given; every other form it
+    walks is derived from that one."""
     R = []
     factor = []
-    for a in lp.A:
+    rhs = []
+    for a, b in zip(lp.A, lp.b):
         ints, f = primitive_int_row(a)
         R.append(ints)
         factor.append(f)
-    beta, s = common_denominator([f * b for f, b in zip(factor, lp.b)])
+        rhs.append(b if f is ONE else f * b)
+    beta, s = common_denominator(rhs)
     return IntegerForm(R, factor, beta, s)
 
 
@@ -398,62 +420,90 @@ def raise_rank_Delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
 # ---------------------------------------------------------------------------
 
 
-def encoding_bits(lp: LinearProgram) -> int:
+def _bits(x: Fraction) -> int:
+    p, q = x.as_integer_ratio()
+    return (abs(p).bit_length() or 1) + q.bit_length()
+
+
+def encoding_bits(lp: LinearProgram, form: IntegerForm) -> int:
     """Total bit length of all numerators and denominators of (A, b), as
     given: rows scaled to unit norm would carry long near-unit factors and
-    inflate the radius, and with it the exact pivot arithmetic."""
+    inflate the radius, and with it the exact pivot arithmetic.
+
+    form is lp's integer form.  A row whose factor is `ONE` is its integer
+    row R_i, and when every entry of R_i lies in [-1, 1], as in a totally
+    unimodular matrix, each costs 2 bits without reading the Fractions."""
     total = 0
-    for row, rhs in zip(lp.A, lp.b):
-        for x in (*row, rhs):
-            p, q = x.as_integer_ratio()
-            total += (abs(p).bit_length() or 1) + q.bit_length()
+    for row, ints, f, rhs in zip(lp.A, form.R, form.factor, lp.b):
+        if f is ONE and -1 <= min(ints) and max(ints) <= 1:
+            total += 2 * len(ints)
+        else:
+            total += sum(map(_bits, row))
+        total += _bits(rhs)
     return total
 
 
-def box_radius(lp: LinearProgram, form: IntegerForm) -> Fraction:
-    """Rational r >= sqrt(n) * 2^(enc(A,b) - n^2) * lcm(A)^n, a vertex ball
-    bound; form is lp's integer form.  lcm(A), the lcm of the entries'
-    denominators, is that of the factors' numerators: the numerator of a
-    primitive row's factor f_i is the lcm of the row's denominators."""
-    n = lp.n
-    enc = encoding_bits(lp)
-    sqrt_n = ratsqrt_ceil(Fraction(n))
-    e = enc - n * n
-    pow2 = Fraction(2) ** e
-    return sqrt_n * pow2 * Fraction(lcm(*(f.numerator for f in form.factor))) ** n
+def box_radius(form: IntegerForm, enc: int) -> Fraction:
+    """Rational r >= sqrt(n) * 2^(enc - n^2) * lcm(A)^n, a vertex ball bound
+    of the LP whose integer form is form and whose (A, b) take enc bits
+    (`encoding_bits`).  sqrt(n) is rounded up at SQRT_BITS bits, as
+    `ratsqrt_ceil` does, so r is the integer (isqrt(n 2^(2 SQRT_BITS)) + 1)
+    lcm(A)^n times 2^(enc - n^2 - SQRT_BITS).  lcm(A), the lcm of the
+    entries' denominators, is that of the factors' numerators: the numerator
+    of a primitive row's factor f_i is the lcm of the row's denominators."""
+    n = form.n
+    L = lcm(*(f.numerator for f in form.factor if f is not ONE))
+    r = (isqrt(n << 2 * SQRT_BITS) + 1) * L**n
+    e = enc - n * n - SQRT_BITS
+    return Fraction(r << e) if e >= 0 else Fraction(r, 1 << -e)
 
 
 def bound_polytope(
-    lp: LinearProgram, lead: list[int], form: IntegerForm
+    lp: LinearProgram, lead: list[int], form: IntegerForm, enc: int
 ) -> tuple[LinearProgram, IntegerForm]:
     """Intersect with the parallelepiped -r <= t_i a_i x <= r over the n lead
     rows a_i, t_i = `unit_scale(a_i)`, written as +-a_i x <= r / t_i; returns
-    the boxed LP and its integer form, whose box rows are +-R_i.
+    the boxed LP and its integer form, whose box rows are +-R_i with scaled
+    rhs f_i r / t_i.  Each rhs is formed from integers, r / t_i as one
+    Fraction and f_i r / t_i as one pair.
 
-    lead holds the first n rows of `linalg.independent_rows(lp.rows())`,
-    which the caller has already computed, and form is lp's integer form.
-    Only existing row directions are reused, so the delta-distance value is
+    lead holds the first n rows of `linalg.independent_rows(form.R)`, which
+    the caller has already computed, form is lp's integer form, and enc is
+    `encoding_bits(lp, form)`, which the radius needs (`box_radius`).  Only
+    existing row directions are reused, so the delta-distance value is
     unaffected; every vertex of the original polyhedron lies strictly inside.
     """
     if len(lead) != lp.n:
         raise LPModelError("need n independent lead rows")
-    r = box_radius(lp, form)
+    r = box_radius(form, enc)
+    rn, rd = r.numerator, r.denominator
     A = list(lp.A)
     b = list(lp.b)
     R = []
     factor = []
     rhs = []
     for i in lead:
-        bi = r / form.unit_scale(i)
+        t = form.unit_scale(i)
+        bi = Fraction(rn * t.denominator, rd * t.numerator)
         f = form.factor[i]
-        A += [lp.A[i], tuple(-x for x in lp.A[i])]
+        [fbn], fbd = lowest_terms([f.numerator * bi.numerator], f.denominator * bi.denominator)
+        A += [lp.A[i], _negated(lp.A[i], form.R[i], f)]
         b += [bi, bi]
         R += [form.R[i], [-x for x in form.R[i]]]
         factor += [f, f]
-        rhs += [f * bi] * 2
+        rhs += [(fbn, fbd)] * 2
     added = frozenset(range(lp.m, len(A)))
     boxed = replace(lp, A=tuple(A), b=tuple(b), box_rows=added)
     return boxed, form.with_rows(R, factor, rhs)
+
+
+def _negated(row: tuple[Fraction, ...], ints: list[int], f: Fraction) -> tuple[Fraction, ...]:
+    """-row, where ints and f are row's integer row and factor: a row that is
+    its integer row (factor `ONE`) with small entries is negated by looking
+    up the shared `SMALL_INTEGRAL` Fractions."""
+    if f is ONE and -256 <= min(ints) and max(ints) <= 256:
+        return tuple([SMALL_INTEGRAL[256 - v] for v in ints])
+    return tuple(-x for x in row)
 
 
 def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificate | str:
@@ -464,7 +514,8 @@ def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificat
     along.  Otherwise the recession LP decides: max c0 d subject to a_i d <= 0
     on the un-boxed rows and a_i d <= 1 / t_i on the box rows (t_i their
     `unit_scale`), which is bounded because the box rows bound +-a d for n
-    independent rows a.  Its integer form is tab's rows with a new rhs.  d = 0
+    independent rows a.  Its integer form is tab's rows with the rhs f_i / t_i,
+    each formed from integers as one pair.  d = 0
     is a vertex of it, and `walk.first_gain` walks it from there on c0: the
     first vertex it reaches with c0 d > 0 is an improving ray of the un-boxed
     rows.  A walk that never leaves 0 certifies that no such ray exists, so
@@ -478,11 +529,16 @@ def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificat
     if all(tab.slack_nums(sorted(lp.box_rows))):
         return BOUNDED
     form = tab.form
-    zero_rhs = Fraction(0)
-    rec = form.with_rhs(
-        [form.factor[i] / form.unit_scale(i) if i in lp.box_rows else zero_rhs for i in range(lp.m)]
-    )
-    zero = (zero_rhs,) * lp.n
+    rhs = []
+    for i in range(lp.m):
+        if i in lp.box_rows:
+            f, t = form.factor[i], form.unit_scale(i)
+            [p], q = lowest_terms([f.numerator * t.denominator], f.denominator * t.numerator)
+            rhs.append((p, q))
+        else:
+            rhs.append((0, 1))
+    rec = form.with_rhs(rhs)
+    zero = (Fraction(0),) * lp.n
     basis = tight_basis_at(rec, zero)[: lp.n]
     ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), lp.c0)
     if ray is None:
@@ -533,10 +589,11 @@ def crawl_to_vertex(form: IntegerForm, point) -> BasicSolution:
         basis = [tight[k] for k in linalg.independent_rows([R[i] for i in tight])]
         if len(basis) == n:
             return BasicSolution(point=tuple(Fraction(v, xd) for v in xn), basis=tuple(basis))
-        d = linalg.nullspace_vector([R[i] for i in basis], n)
-        if d is None:
+        got = linalg.nullspace_int([R[i] for i in basis], n)
+        if got is None:
             raise LPModelError("tight rows already full rank")  # unreachable
-        d = primitive_int_row(d)[0]
+        g = gcd(*got[0])
+        d = [v // g for v in got[0]]
         prods = [sum(map(mul, r, d)) for r in R]
         if all(p <= 0 for p in prods):
             d = [-v for v in d]

@@ -14,18 +14,24 @@ keeps y_i = 0.  Fixing those y_i deletes their columns and their rows
 x_bar violates.  The optimum on the face is still 0 exactly when the LP is
 feasible, and faces keep the delta-distance value, so the Phase-1 bound
 carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
-skipped.  `extract_bfs` crawls from the x-part of a zero-gap optimum to a
-vertex on the integer form the solve already holds.
+skipped.  The face is built from the solve's integer form: x_bar and the
+residuals stay in integers, and the face's own integer form, lead rows and
+encoding bits follow from the solve's by construction, so the Phase-1 solve
+runs no rank pass and builds no form of its own.  `extract_bfs` crawls
+from the x-part of a zero-gap optimum to a vertex on the integer form the
+solve already holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import linalg, model
 from .model import BasicSolution, LinearProgram
-from .rational import as_fractions
+from .rational import ONE, SMALL_INTEGRAL, as_fractions
 
 
 class Phase1Error(ValueError):
@@ -34,9 +40,18 @@ class Phase1Error(ValueError):
 
 @dataclass(frozen=True)
 class Phase1Problem:
+    """LP' (`build_phase1`) or its face (`build_phase1_face`) with its start
+    vertex.  The face also carries its integer form, its lead rows (the first
+    n + |V| rows of `linalg.independent_rows` of its rows) and its
+    `model.encoding_bits`, all derived from the solve's form: its Phase-1
+    solve reads them instead of deriving them from lp_prime."""
+
     lp_prime: LinearProgram
     initial: BasicSolution
     orig_n: int
+    form: model.IntegerForm | None = None
+    lead: list[int] | None = None
+    enc: int | None = None
 
 
 @dataclass(frozen=True)
@@ -61,44 +76,42 @@ def phase1_matrix(A_rows) -> list[list[Fraction]]:
     return out
 
 
-def _lead_start(lp: LinearProgram, lead: list[int], form: model.IntegerForm):
-    """(perm, rows, rhs, x_bar, violations) for the n independent lead rows:
-    rows and rhs in perm order, the lead rows first; x_bar solves the lead
-    rows; violation_i = a_i x_bar - b_i where that is positive, else 0.
+def _lead_start(lead: list[int], form: model.IntegerForm):
+    """(perm, xn, xd, e) for the n independent lead rows of the LP whose
+    integer form is form: perm is the row order, the lead rows first;
+    x_bar = xn / xd solves the lead rows; e_k = s R_i xn - beta_i xd for the
+    k-th row i of perm has the sign of a_i x_bar - b_i, which is
+    e_k / (s xd f_i).
 
-    Decided on form, lp's integer form: x_bar = adj(R_L) beta_L / (det s)
-    from one Bareiss pass over the lead rows R_L, and the sign of
-    a_i x_bar - b_i is that of s R_i xn - beta_i xd with x_bar = xn / xd."""
-    m, n = lp.m, lp.n
-    rows = lp.rows()
-    perm = list(lead) + [i for i in range(m) if i not in lead]
-    A_perm = [rows[i] for i in perm]
-    b_perm = [lp.b[i] for i in perm]
+    All in integers: x_bar = adj(R_L) beta_L / (det s) from one Bareiss pass
+    over the lead rows R_L."""
     R, beta, s = form.R, form.beta, form.s
+    is_lead = set(lead)
+    perm = list(lead) + [i for i in range(form.m) if i not in is_lead]
     adj, det = linalg.invert([R[i] for i in lead])
-    xn = [sum(a * beta[i] for a, i in zip(row, lead)) for row in adj]
+    beta_L = [beta[i] for i in lead]
+    xn = [sum(map(mul, row, beta_L)) for row in adj]
     xd = det * s
     if xd < 0:
         xn, xd = [-v for v in xn], -xd
-    x_bar = [Fraction(v, xd) for v in xn]
-    viol = []
-    for i in perm:
-        e = s * sum(a * v for a, v in zip(R[i], xn)) - beta[i] * xd
-        # a_i x_bar - b_i = e / (s xd f_i)
-        viol.append(Fraction(e, s * xd) / form.factor[i] if e > 0 else Fraction(0))
-    return perm, A_perm, b_perm, x_bar, viol
+    e = [s * sum(map(mul, R[i], xn)) - beta[i] * xd for i in perm]
+    return perm, xn, xd, e
 
 
 def build_phase1(lp: LinearProgram) -> Phase1Problem:
     """Construct LP' and its basic feasible start from a full-rank LP."""
     m, n = lp.m, lp.n
-    idx = linalg.independent_rows(lp.rows())
+    form = model.integer_form(lp)
+    idx = linalg.independent_rows(form.R)
     if len(idx) < n:
         raise Phase1Error("constraint matrix is rank deficient")
-    perm, A_perm, b_perm, x_bar, y = _lead_start(lp, idx[:n], model.integer_form(lp))
+    perm, xn, xd, e = _lead_start(idx[:n], form)
+    x_bar = [Fraction(v, xd) for v in xn]
+    sxd = form.s * xd
+    y = [Fraction(ek, sxd) / form.factor[i] if ek > 0 else Fraction(0) for i, ek in zip(perm, e)]
 
-    B = phase1_matrix(A_perm)
-    rhs = b_perm + [Fraction(0)] * m
+    B = phase1_matrix([lp.A[i] for i in perm])
+    rhs = [lp.b[i] for i in perm] + [Fraction(0)] * m
     c_prime = [Fraction(0)] * n + [Fraction(-1)] * m
     lp_prime = model.make_lp(B, rhs, c_prime)
 
@@ -110,35 +123,76 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
 
 
 def build_phase1_face(
-    lp: LinearProgram, lead: list[int], form: model.IntegerForm
+    lp: LinearProgram, lead: list[int], form: model.IntegerForm, enc: int
 ) -> Phase1Problem | BasicSolution:
     """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
     (x_bar, y_V); or the vertex x_bar itself when it violates no row.
 
-    lead holds the first n rows of `linalg.independent_rows(lp.rows())`,
-    which the caller has already computed to check the rank, and form is
-    lp's integer form, on which x_bar and V are decided.
+    lead holds the first n rows of `linalg.independent_rows(form.R)`, which
+    the caller has already computed to check the rank, form is lp's integer
+    form, on which x_bar and V are decided, and enc is
+    `model.encoding_bits(lp, form)`.
 
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
     the rows a_i x - y_i = b_i of V.  The caller's solve checks the start
     when its first facet chain builds a `walk.Tableau` on it.
+
+    The face's integer form comes from form, with f_i = p_i / q_i: a row x_bar
+    satisfies is (R_i, 0) with factor f_i, a row of V is (q_i R_i, -p_i e_i)
+    with factor p_i and scaled rhs q_i beta_i / s, and -y_i <= 0 is (0, -e_i)
+    with factor 1.  Its lead rows are the start basis: the lead rows and the
+    rows of V each add an independent direction, and the others lie in the
+    span of the lead rows.  Each 0 or -1 the face adds costs 2 encoding bits.
     """
     m, n = lp.m, lp.n
-    perm, A_perm, b_perm, x_bar, resid = _lead_start(lp, lead, form)
-    V = [i for i in range(m) if resid[i] > 0]
+    perm, xn, xd, e = _lead_start(lead, form)
+    V = [k for k, ek in enumerate(e) if ek > 0]
+    x_bar = tuple(Fraction(v, xd) for v in xn)
     if not V:
-        return BasicSolution(point=tuple(x_bar), basis=tuple(perm[:n]))
-    zero, minus = Fraction(0), Fraction(-1)
-    B = [a + [minus if v == i else zero for v in V] for i, a in enumerate(A_perm)]
-    B += [[zero] * n + [minus if v == u else zero for v in V] for u in V]
-    k = len(V)
-    lp_face = model.make_lp(B, b_perm + [zero] * k, [zero] * n + [minus] * k)
-    initial = BasicSolution(
-        point=tuple(x_bar) + tuple(resid[i] for i in V),
-        basis=tuple(range(n)) + tuple(V),
+        return BasicSolution(point=x_bar, basis=tuple(perm[:n]))
+    nv = len(V)
+    slot = dict(zip(V, range(nv)))
+    zero, minus = SMALL_INTEGRAL[256], SMALL_INTEGRAL[255]
+    zeros, izeros = (zero,) * nv, [0] * nv
+    R, factor, beta, s = form.R, form.factor, form.beta, form.s
+    A, b, fR, ffac, fbeta, y = [], [], [], [], [], []
+    for k, i in enumerate(perm):
+        A_i, R_i, f = lp.A[i], R[i], factor[i]
+        b.append(lp.b[i])
+        t = slot.get(k)
+        if t is None:
+            A.append(A_i + zeros)
+            fR.append(R_i + izeros)
+            ffac.append(f)
+            fbeta.append(beta[i])
+            continue
+        p, q = f.numerator, f.denominator
+        A.append(A_i + zeros[:t] + (minus,) + zeros[t + 1 :])
+        fR.append([q * a for a in R_i] + izeros[:t] + [-p] + izeros[t + 1 :])
+        ffac.append(f if q == 1 else Fraction(p))
+        fbeta.append(q * beta[i])
+        # y_i = a_i x_bar - b_i = e_k q_i / (s xd p_i)
+        y.append(Fraction(e[k] * q, s * xd * p))
+    for t in range(nv):
+        A.append((zero,) * n + zeros[:t] + (minus,) + zeros[t + 1 :])
+        fR.append([0] * (n + t) + [-1] + izeros[t + 1 :])
+        ffac.append(ONE)
+        fbeta.append(0)
+    # a q_i may cancel a denominator of the rhs, as the face's own form would
+    g = gcd(s, *fbeta)
+    if g > 1:
+        fbeta, s = [v // g for v in fbeta], s // g
+    lp_face = LinearProgram(A=tuple(A), b=tuple(b) + zeros, c0=(zero,) * n + (minus,) * nv)
+    basis = list(range(n)) + V
+    return Phase1Problem(
+        lp_prime=lp_face,
+        initial=BasicSolution(point=x_bar + tuple(y), basis=tuple(basis)),
+        orig_n=n,
+        form=model.IntegerForm(fR, ffac, fbeta, s),
+        lead=basis,
+        enc=enc + 2 * (m * nv + nv * (n + nv) + nv),
     )
-    return Phase1Problem(lp_prime=lp_face, initial=initial, orig_n=n)
 
 
 def slack_sum(problem: Phase1Problem, point) -> Fraction:

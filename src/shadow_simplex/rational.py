@@ -20,6 +20,7 @@ SQRT_BITS = 64
 # totally unimodular LPs are integral, so a caller that keeps many answers
 # keeps no copy of these coordinates
 SMALL_INTEGRAL = tuple(Fraction(k) for k in range(-256, 257))
+ONE = SMALL_INTEGRAL[257]  # the factor of every primitive integral row
 
 
 def ratsqrt_ceil(v: Fraction, bits: int = SQRT_BITS) -> Fraction:
@@ -69,18 +70,18 @@ def unit_scale_pq(p: int, q: int) -> Fraction:
 def primitive_int_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Scale a rational row by a positive factor into coprime integers.
 
-    Returns (integer row, factor) with int_row == factor * row.  Integer
-    entries are taken as they are.
+    Returns (integer row, factor) with int_row == factor * row.  An integral
+    row, the common case, is read off its numerators with one gcd, and a
+    primitive one gets the shared factor `ONE`.
     """
-    ints, den = common_denominator(row)
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    if g > 1:
-        ints = [a // g for a in ints]
+    if all(x.denominator == 1 for x in row):
+        ints, den = [x.numerator for x in row], 1
     else:
-        g = 1
-    return ints, Fraction(den, g)
+        ints, den = common_denominator(row)
+    g = gcd(*ints)
+    if g > 1:
+        return [a // g for a in ints], Fraction(den, g)
+    return ints, ONE if den == 1 else Fraction(den)
 
 
 def common_denominator(vec: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -1,8 +1,9 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
-stream; its face basis, face factors and facet choice too), crawl, box
-radius, objective-escape projection and determinant, and the structural
-check of a recorded shadow path.  A test helper module, not a test module."""
+stream; its face basis, face factors and facet choice too), crawl,
+null-space vector, encoding bits, box radius, boxed LP, Phase-1 face,
+objective-escape projection and determinant, and the structural check of a
+recorded shadow path.  A test helper module, not a test module."""
 
 from fractions import Fraction
 from math import lcm
@@ -18,6 +19,7 @@ from shadow_simplex.rational import (
     norm_sq,
     primitive_int_row,
     ratsqrt_ceil,
+    unit_scale,
     unit_scale_pq,
 )
 from shadow_simplex.walk import WalkError
@@ -154,13 +156,62 @@ def move_to_vertex(lp, point):
         x = [xi + theta * di for xi, di in zip(x, d)]
 
 
+def encoding_bits(lp):
+    """Total bit length of every numerator and denominator of (A, b), read
+    off the Fractions."""
+    total = 0
+    for row, rhs in zip(lp.A, lp.b):
+        for x in (*row, rhs):
+            p, q = x.as_integer_ratio()
+            total += (abs(p).bit_length() or 1) + q.bit_length()
+    return total
+
+
 def box_radius(lp):
     """sqrt(n) * 2^(enc(A,b) - n^2) * lcm(A)^n, lcm(A) taken over every
     entry's denominator."""
     n = lp.n
     lcm_den = lcm(*(x.denominator for row in lp.A for x in row))
-    e = model.encoding_bits(lp) - n * n
+    e = encoding_bits(lp) - n * n
     return ratsqrt_ceil(Fraction(n)) * Fraction(2) ** e * Fraction(lcm_den) ** n
+
+
+def bound_polytope(lp, lead):
+    """The boxed LP by `model.make_lp`: rows +-a_i with rhs r / unit_scale(a_i)
+    over the lead rows, in Fractions."""
+    r = box_radius(lp)
+    A, b = lp.rows(), list(lp.b)
+    for i in lead:
+        bi = r / unit_scale(lp.row(i))
+        A += [lp.row(i), [-x for x in lp.row(i)]]
+        b += [bi, bi]
+    added = frozenset(range(lp.m, len(A)))
+    return model.make_lp(A, b, lp.c0, box_rows=added, synthetic_rows=lp.synthetic_rows)
+
+
+def phase1_face(lp, lead, V):
+    """The face of LP' by `model.make_lp`: a_i x - [i in V] y_i <= b_i for the
+    rows in lead-first order, then -y_i <= 0 for i in V, V given as positions
+    in that order."""
+    perm = list(lead) + [i for i in range(lp.m) if i not in lead]
+    n, k = lp.n, len(V)
+    A = [lp.row(i) + [-1 if v == pos else 0 for v in V] for pos, i in enumerate(perm)]
+    A += [[0] * n + [-1 if v == u else 0 for v in V] for u in V]
+    return model.make_lp(A, [lp.b[i] for i in perm] + [0] * k, [0] * n + [-1] * k)
+
+
+def nullspace_vector(rows, n):
+    """The free coordinate back-substituted in Fractions through the
+    integer echelon rows."""
+    _, pivots, basis = linalg._echelon(rows)
+    free = next((j for j in range(n) if j not in pivots), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for p, b in sorted(zip(pivots, basis), reverse=True):
+        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0)) / b[p]
+    return x
 
 
 def project_out(v, dirs):

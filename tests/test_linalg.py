@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from float_orthonormal import complete_orthonormal
-from reference import det_fraction, project_out
+from reference import det_fraction, nullspace_vector, project_out
 
 from shadow_simplex import linalg, model
 from shadow_simplex.linalg import LinAlgError
@@ -288,6 +288,28 @@ class TestIntegerEchelon:
 
     def test_integer_rows_accepted(self):
         assert linalg.independent_rows([[2, 4], [1, 2], [0, 3]]) == [0, 2]
+
+    def test_integer_back_substitution_matches_the_fraction_one(self):
+        # rank-deficient row sets: the integer back-substitution over one
+        # denominator gives the Fraction back-substitution's vector, from
+        # the Fraction rows and from their integer rows, primitive or not
+        rng = random.Random(37)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = awkward_rows(rng, n)[: rng.randint(0, n - 1)]
+            for _ in range(rng.randint(0, 3) if rows else 0):
+                k = Fraction(rng.choice([-2, -1, 3]), rng.randint(1, 3))
+                rows.append([k * x for x in rng.choice(rows)])
+            rng.shuffle(rows)
+            want = nullspace_vector(rows, n)
+            assert want is not None and any(want)
+            nums, den = linalg.nullspace_int(rows, n)
+            assert den > 0 and [Fraction(v, den) for v in nums] == want
+            assert linalg.nullspace_vector(rows, n) == want
+            ks = [rng.choice([1, 2, -3]) for _ in rows]
+            ints = [[k * x for x in primitive_int_row(r)[0]] for k, r in zip(ks, rows)]
+            assert linalg.nullspace_vector(ints, n) == want
+            assert linalg.independent_rows(ints) == linalg.independent_rows(rows)
 
     def test_complement_basis_int_takes_integer_rows(self):
         # integer rows, scaled and signed at random, give the basis their

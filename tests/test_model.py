@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import reference
-from boxing import box, lead_rows
+from boxing import box, boxed_and_form, lead_rows, radius
 
 from shadow_simplex import linalg, metrics, model, oracle, walk
 from shadow_simplex.model import (
@@ -236,7 +236,7 @@ class TestBounding:
 
     def test_radius_exceeds_vertex_norms(self):
         lp = square_lp()
-        r = model.box_radius(lp, model.integer_form(lp))
+        r = radius(lp)
         for v in oracle.enumerate_vertices(lp).vertices:
             assert norm_sq(list(v.point)) < r * r
 
@@ -256,19 +256,19 @@ class TestBounding:
             rows = [[F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)] for _ in range(n + 2)]
             rows = [row for row in rows if any(row)]
             lp = model.make_lp(rows, [F(rng.randint(-5, 5), rng.randint(1, 9)) for _ in rows], [1] * n)
-            assert model.box_radius(lp, model.integer_form(lp)) == reference.box_radius(lp)
+            assert radius(lp) == reference.box_radius(lp)
 
     def test_rank_deficient_rejected(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
         with pytest.raises(LPModelError):
-            model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))
+            boxed_and_form(lp)
 
     def test_box_rows_are_the_unit_norm_half_spaces(self):
         # +-a_i x <= r / t_i is the half-space +-t_i a_i x <= r: the tableau,
         # which walks primitive integer rows, cannot tell them apart
         lp = model.make_lp([[3, 4], [-1, 0], [0, -1]], [12, 0, 0], [1, 1])
         boxed = box(lp)
-        r = model.box_radius(lp, model.integer_form(lp))
+        r = radius(lp)
         A, b = lp.rows(), list(lp.b)
         for i in lead_rows(lp):
             t = unit_scale(lp.row(i))
@@ -297,9 +297,45 @@ class TestBounding:
             lp = model.make_lp(rows, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in rows], [1] * n)
             if linalg.rank(lp.rows()) < n:
                 continue
-            boxed, form = model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))
+            boxed, form = boxed_and_form(lp)
             assert boxed == box(lp)
             assert form == model.integer_form(boxed)
+
+    def test_integer_box_matches_the_fraction_box(self):
+        # the encoding bits, the radius and every box rhs, formed from
+        # integers, against their Fraction forms; the boxed LP against its
+        # make_lp construction.  Short LPs give enc - n^2 - 64 < 0, a
+        # power-of-two denominator in r; long ones an integer r.  Rational
+        # entries give lcm(A) > 1, integer ones rows whose factor is 1.
+        rng = random.Random(41)
+        seen = set()
+        for trial in range(120):
+            n = rng.randint(1, 4)
+            rational, long = trial % 2, trial % 4 > 1
+            hi = rng.choice([1, 3])
+
+            def entry():
+                if rational:
+                    return F(rng.randint(-6, 6), rng.randint(1, 9))
+                return F(rng.randint(-hi, hi))
+
+            k = n + (rng.randint(30, 40) if long else rng.randint(0, 3))
+            rows = [r for r in ([entry() for _ in range(n)] for _ in range(k)) if any(r)]
+            if len(rows) < n:
+                continue
+            lp = model.make_lp(rows, [entry() for _ in rows], [1] * n)
+            if linalg.rank(lp.rows()) < n:
+                continue
+            form = model.integer_form(lp)
+            enc = model.encoding_bits(lp, form)
+            assert enc == reference.encoding_bits(lp)
+            assert model.box_radius(form, enc) == reference.box_radius(lp)
+            boxed, boxed_form = model.bound_polytope(lp, lead_rows(lp), form, enc)
+            assert boxed == reference.bound_polytope(lp, lead_rows(lp))
+            assert boxed_form == model.integer_form(boxed)
+            lcm_A = math.lcm(*(x.denominator for row in lp.A for x in row))
+            seen.add((enc - n * n - 64 < 0, lcm_A > 1))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def on(lp, vertex):

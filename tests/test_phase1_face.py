@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import reference
 from boxing import box, lead_rows
 
 from shadow_simplex import driver, linalg, metrics, model, oracle, randomness
@@ -35,7 +36,8 @@ def two_violated():
 
 
 def build_face(lp):
-    return build_phase1_face(lp, lead_rows(lp), model.integer_form(lp))
+    form = model.integer_form(lp)
+    return build_phase1_face(lp, lead_rows(lp), form, model.encoding_bits(lp, form))
 
 
 def face_optimum(p1: Phase1Problem) -> BasicSolution:
@@ -133,3 +135,69 @@ class TestExtraction:
         got = extract_bfs(face_optimum(p1), model.integer_form(lp), p1)
         assert isinstance(got, InfeasibleCertificate)
         assert got.gap == 3
+
+
+def rational_lp(rng, n):
+    """A seeded LP whose rows have non-integral factors (q_i > 1 for rows
+    like (1/2, 1)), duplicate and parallel rows, and possibly rank below n."""
+    rows = []
+    for _ in range(rng.randint(1, n + 3)):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.4:
+            k = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            rows.append([k * x for x in rng.choice(rows)])
+        else:
+            rows.append([F(rng.randint(-4, 4), rng.choice([1, 2, 3, 6])) for _ in range(n)])
+    rows = [r for r in rows if any(r)] or [[F(1)] * n]
+    b = [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 5])) for _ in rows]
+    return model.make_lp(rows, b, [rng.randint(-2, 2) for _ in range(n)])
+
+
+class TestDirectFaceForm:
+    def test_face_form_lead_rows_and_bits_are_the_face_lps(self):
+        # the face's integer form, lead rows and encoding bits, built from
+        # the solve's form, are the ones its own rank pass, integer_form and
+        # Fraction encoding bits give; the face LP is its make_lp construction
+        rng = random.Random(53)
+        faces = scaled = completed = 0
+        for _ in range(300):
+            lp = rational_lp(rng, rng.randint(1, 4))
+            form = model.integer_form(lp)
+            work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
+            assert form == model.integer_form(work)
+            p1 = build_phase1_face(work, lead, form, model.encoding_bits(work, form))
+            if isinstance(p1, BasicSolution):
+                continue
+            faces += 1
+            completed += work.m > lp.m
+            n, nv = work.n, p1.lp_prime.n - work.n
+            V = list(p1.initial.basis[n:])
+            perm = lead + [i for i in range(work.m) if i not in lead]
+            scaled += any(form.factor[perm[k]].denominator > 1 for k in V)
+            assert p1.lp_prime == reference.phase1_face(work, lead, V)
+            assert p1.form == model.integer_form(p1.lp_prime)
+            assert p1.lead == linalg.independent_rows(p1.lp_prime.rows())[: n + nv]
+            assert p1.lead == list(p1.initial.basis)
+            assert p1.enc == reference.encoding_bits(p1.lp_prime)
+        assert faces >= 100 and scaled >= 20 and completed >= 5
+
+    def test_phase1_solve_on_the_direct_form_matches_the_face_lp(self):
+        # the depth-1 solve on the carried form answers as a solve that
+        # derives everything from the face LP itself
+        rng = random.Random(59)
+        done = 0
+        while done < 25:
+            lp = rational_lp(rng, rng.randint(1, 3))
+            form = model.integer_form(lp)
+            work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
+            p1 = build_phase1_face(work, lead, form, model.encoding_bits(work, form))
+            if isinstance(p1, BasicSolution):
+                continue
+            done += 1
+            kw = dict(initial_bfs=p1.initial, _depth=1)
+            got = driver.solve(p1.lp_prime, cfg(done), _face=p1, **kw)
+            want = driver.solve(p1.lp_prime, cfg(done), **kw)
+            assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
+            assert got.pivot_sequence == want.pivot_sequence

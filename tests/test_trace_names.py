@@ -59,6 +59,47 @@ def test_cold_phase1_reenters_solve_once_at_depth_1(solve_depths):
     assert solve_depths == [None, 1]
 
 
+@pytest.fixture
+def setup_calls(monkeypatch):
+    """Calls of `linalg.independent_rows` outside the crawl to a vertex, and
+    of `model.integer_form`, counted through their module attributes."""
+    calls = {"independent_rows": 0, "integer_form": 0}
+    crawling = []
+
+    def counted(module, attr, outside_crawl_only=False):
+        inner = getattr(module, attr)
+
+        def recording(*args, **kwargs):
+            if not (outside_crawl_only and crawling):
+                calls[attr] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recording)
+
+    counted(linalg, "independent_rows", outside_crawl_only=True)
+    counted(model, "integer_form")
+    crawl = model.crawl_to_vertex
+
+    def crawl_recording(*args, **kwargs):
+        crawling.append(True)
+        try:
+            return crawl(*args, **kwargs)
+        finally:
+            crawling.pop()
+
+    monkeypatch.setattr(model, "crawl_to_vertex", crawl_recording)
+    return calls
+
+
+def test_cold_solve_sets_up_once(setup_calls, solve_depths):
+    # one rank pass and one integer form for the solve: its Phase 1 reads
+    # the face's form and lead rows off the face, and still re-enters solve
+    out = _cold("tu-incidence", 0)
+    assert out.status == "optimal" and out.phase1_artificials > 0
+    assert setup_calls == {"independent_rows": 1, "integer_form": 1}
+    assert solve_depths == [None, 1]
+
+
 def test_warm_solve_never_reenters(solve_depths):
     out = _solve_warm("interval-matrix", 1)
     assert out.status == "optimal"
