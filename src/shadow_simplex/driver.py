@@ -13,11 +13,12 @@ not need.
 
 A solve builds the integer form of its rows once (`model.integer_form`),
 first of all, and derives everything else from it: the rank pass, rank
-completion, the encoding bits, Phase 1's start and face, the box, the
-chain's tableau, the box-tight test and the checks of the answer.  The
-Phase-1 face comes with its own form, lead rows and encoding bits, built
-from the solve's (`phase1.build_phase1_face`), so the depth-1 solve runs no
-rank pass and builds no form of its own.  A facet chain keeps one
+completion, Phase 1's start and face, the box (`model.bound_polytope`:
+integer rhs over the form's own s), the chain's tableau, the box-tight test
+and the checks of the answer.  The Phase-1 face comes with its own form and
+lead rows, built from the solve's (`phase1.build_phase1_face`), so the
+depth-1 solve runs no rank pass and builds no form of its own, and boxes
+the face on the face's form.  A facet chain keeps one
 `walk.Tableau` on the boxed LP's form, built on the start vertex's own
 basis; that build is the check of the start, and a bad one raises
 `walk.WalkError`.  The rows fixed so far stay in its basis, held out of
@@ -455,8 +456,8 @@ def solve(
 
     Only Phase 1's own call sets _stream, _depth (1), _schedule and _face: it
     shares the caller's draws, walks on the Phase-1 schedule, takes the face's
-    integer form, lead rows and encoding bits from _face, where its caller
-    derived them from its own form, and skips the box-tight check, since its
+    integer form and lead rows from _face, where its caller derived them
+    from its own form, and skips the box-tight check, since its
     objective -sum(y) is bounded above by 0."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
@@ -470,12 +471,11 @@ def solve(
         idx = linalg.independent_rows(form.R)
         escape = model._objective_escape(lp_raw) if len(idx) < lp_raw.n else None
         work, form, lead = _complete_rank(lp_raw, form, idx)
-        enc = model.encoding_bits(work, form)
     else:
-        work, form, lead, enc, escape = lp_raw, _face.form, _face.lead, _face.enc, None
+        work, form, lead, escape = lp_raw, _face.form, _face.lead, None
 
     if initial_bfs is None or escape is not None:
-        bfs = _phase1_start(work, form, lead, enc, cfg, stream, out)
+        bfs = _phase1_start(work, form, lead, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
@@ -485,7 +485,7 @@ def solve(
         out.bits_consumed = stream.bits_consumed
         return _accept(out, lp_raw, form, bfs.point, tuple(escape))
 
-    boxed, boxed_form = model.bound_polytope(work, lead, form, enc)
+    boxed, boxed_form = model.bound_polytope(work, lead, form)
 
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
     for i in range(cfg.max_doublings):
@@ -559,15 +559,15 @@ def _complete_rank(
     return ext, form, linalg.independent_rows(form.R)[: lp.n]
 
 
-def _phase1_start(work, form, lead, enc, cfg, stream, out):
+def _phase1_start(work, form, lead, cfg, stream, out):
     """A vertex of work, or the infeasible outcome; Phase 1 walks the face of
     LP' its start lies on and is skipped when the start is already a vertex.
-    The face, its form, lead rows and encoding bits are built from work's
+    The face, its form and lead rows are built from work's
     (`phase1.build_phase1_face`), so the Phase-1 solve runs no rank pass and
     builds no form of its own.  The phi base stays on work's (n, m), the
     dimensions the paper's Phase-1 schedule is stated in; bits and pivot cap
     follow the walked face."""
-    p1 = phase1.build_phase1_face(work, lead, form, enc)
+    p1 = phase1.build_phase1_face(work, lead, form)
     if isinstance(p1, BasicSolution):
         return p1
     out.phase1_artificials = p1.lp_prime.n - p1.orig_n

@@ -2,8 +2,7 @@
 
 delta is computed through the inverse-column characterization and kept as
 the exact rational 1/delta^2 (the squared form is rational whenever the
-input is); the angle/projection definition is implemented independently as
-a cross-check oracle.  Both are exponential-time by design and guarded.
+input is).  Both subset scans are exponential-time by design and guarded.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import combinations
 from math import comb, sqrt
 
 from . import linalg
-from .rational import as_fractions, dot, norm_sq
+from .rational import as_fractions, norm_sq
 
 SUBSET_GUARD = 10**6
 
@@ -60,47 +59,6 @@ def inv_delta_sq_of_rows(rows) -> Fraction:
         v = norm_sq(rows[k]) * norm_sq(cols[k])
         if v > best:
             best = v
-    return best
-
-
-def delta_of_rows(rows) -> float:
-    return 1.0 / sqrt(float(inv_delta_sq_of_rows(rows)))
-
-
-def sin_sq_angle_to_span(span_rows, z) -> Fraction:
-    """Exact sin^2 of the angle between z and span(span_rows) (projection oracle).
-
-    Empty spans use the pi/2 convention.
-    """
-    z = as_fractions(z)
-    nz = norm_sq(z)
-    if nz == 0:
-        raise MetricsError("zero vector has no angle")
-    span_rows = [as_fractions(r) for r in span_rows]
-    keep = linalg.independent_rows(span_rows)
-    basis = [span_rows[i] for i in keep]
-    if not basis:
-        return Fraction(1)
-    # projection via the Gram system
-    G = [[dot(u, v) for v in basis] for u in basis]
-    rhs = [dot(u, z) for u in basis]
-    alpha = linalg.solve_square(G, rhs)
-    proj_sq = sum((a * r for a, r in zip(alpha, rhs)), Fraction(0))
-    return 1 - proj_sq / nz
-
-
-def delta_sq_angle_definition(rows) -> Fraction:
-    """Exact delta^2 straight from the angle definition (independent oracle)."""
-    rows = [as_fractions(r) for r in rows]
-    k = len(rows)
-    if k == 1:
-        return Fraction(1)
-    best = None
-    for ell in range(k):
-        others = [rows[i] for i in range(k) if i != ell]
-        s = sin_sq_angle_to_span(others, rows[ell])
-        if best is None or s < best:
-            best = s
     return best
 
 

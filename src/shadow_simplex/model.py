@@ -12,31 +12,26 @@ solve turns the rows as given into their integer form once
 factor f_i > 0, and the scaled rhs over one common denominator.  Everything
 else is derived from that form, and no `Fraction` LP is converted again:
 rank completion appends its rows to it (`IntegerForm.with_rows`), the
-encoding bits read it (`encoding_bits`), the box's radius and rhs are
-formed from integers on it, and so are the Phase-1 face's form
-(`phase1.build_phase1_face`) and the recession LP's rhs; `walk.Tableau`,
-the exact point checks and the crawl to a vertex (`crawl_to_vertex`) walk
-it.  Nothing is kept on the LP.  The unit row
-norms that the paper states the delta-distance for are applied only where a
-size matters: the box rows of a lead row a_i are +-a_i with rhs r / t_i,
-t_i = `unit_scale(a_i)` formed from |R_i|^2 and f_i, and the draws of the
-driver use near-unit face images.  `normalize` scales every row to
-near-unit norm; the solver does not call it.
+box's rhs are integers over its s (`bound_polytope`), the recession LP's
+are 0 and 1, and the Phase-1 face's form (`phase1.build_phase1_face`) is
+built from it; `walk.Tableau`, the exact point checks and the crawl to a
+vertex (`crawl_to_vertex`) walk it.  Nothing is kept on the LP.  The unit
+row norms that the paper states the delta-distance for are applied only
+where a size matters, in the near-unit face images of the driver's draws.
+`normalize` scales every row to near-unit norm; the solver does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd, isqrt, lcm, prod
+from operator import add, mul
 
 from . import linalg
 from .rational import (
     ONE,
     SMALL_INTEGRAL,
-    SQRT_BITS,
     as_fractions,
     common_denominator,
     dot,
@@ -44,7 +39,6 @@ from .rational import (
     lowest_terms,
     primitive_int_row,
     unit_scale,
-    unit_scale_pq,
 )
 
 
@@ -176,15 +170,6 @@ class IntegerForm:
         s = self.s
         return [s * sum(map(mul, r, xn)) - bt * xd for r, bt in zip(self.R, self.beta)]
 
-    def unit_scale(self, i: int) -> Fraction:
-        """`unit_scale(a_i)`, from |R_i|^2 and the factor: |a_i|^2 = |R_i|^2 / f_i^2."""
-        f = self.factor[i]
-        sq = sum(a * a for a in self.R[i])
-        if f is ONE:
-            return _unit_scale(sq, 1)
-        [p], q = lowest_terms([sq * f.denominator**2], f.numerator**2)
-        return _unit_scale(p, q)
-
     def with_rows(self, R, factor, rhs) -> "IntegerForm":
         """These rows followed by the rows R (factors factor), whose scaled
         rhs f_i b_i are given as pairs (p, q) in lowest terms, q > 0; s grows
@@ -195,16 +180,6 @@ class IntegerForm:
         beta = [bt * k for bt in self.beta] if k > 1 else list(self.beta)
         beta += [p * (s // q) for p, q in rhs]
         return IntegerForm(self.R + list(R), self.factor + list(factor), beta, s)
-
-    def with_rhs(self, rhs) -> "IntegerForm":
-        """The same rows with the scaled rhs f_i b_i given as pairs (p, q) in
-        lowest terms, q > 0."""
-        s = lcm(*(q for _, q in rhs))
-        return IntegerForm(self.R, self.factor, [p * (s // q) for p, q in rhs], s)
-
-
-# the box rows of one solve and of the next share their few squared norms
-_unit_scale = lru_cache(maxsize=4096)(unit_scale_pq)
 
 
 def integer_form(lp: LinearProgram) -> IntegerForm:
@@ -420,81 +395,49 @@ def raise_rank_Delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
 # ---------------------------------------------------------------------------
 
 
-def _bits(x: Fraction) -> int:
-    p, q = x.as_integer_ratio()
-    return (abs(p).bit_length() or 1) + q.bit_length()
-
-
-def encoding_bits(lp: LinearProgram, form: IntegerForm) -> int:
-    """Total bit length of all numerators and denominators of (A, b), as
-    given: rows scaled to unit norm would carry long near-unit factors and
-    inflate the radius, and with it the exact pivot arithmetic.
-
-    form is lp's integer form.  A row whose factor is `ONE` is its integer
-    row R_i, and when every entry of R_i lies in [-1, 1], as in a totally
-    unimodular matrix, each costs 2 bits without reading the Fractions."""
-    total = 0
-    for row, ints, f, rhs in zip(lp.A, form.R, form.factor, lp.b):
-        if f is ONE and -1 <= min(ints) and max(ints) <= 1:
-            total += 2 * len(ints)
-        else:
-            total += sum(map(_bits, row))
-        total += _bits(rhs)
-    return total
-
-
-def box_radius(form: IntegerForm, enc: int) -> Fraction:
-    """Rational r >= sqrt(n) * 2^(enc - n^2) * lcm(A)^n, a vertex ball bound
-    of the LP whose integer form is form and whose (A, b) take enc bits
-    (`encoding_bits`).  sqrt(n) is rounded up at SQRT_BITS bits, as
-    `ratsqrt_ceil` does, so r is the integer (isqrt(n 2^(2 SQRT_BITS)) + 1)
-    lcm(A)^n times 2^(enc - n^2 - SQRT_BITS).  lcm(A), the lcm of the
-    entries' denominators, is that of the factors' numerators: the numerator
-    of a primitive row's factor f_i is the lcm of the row's denominators."""
-    n = form.n
-    L = lcm(*(f.numerator for f in form.factor if f is not ONE))
-    r = (isqrt(n << 2 * SQRT_BITS) + 1) * L**n
-    e = enc - n * n - SQRT_BITS
-    return Fraction(r << e) if e >= 0 else Fraction(r, 1 << -e)
-
-
 def bound_polytope(
-    lp: LinearProgram, lead: list[int], form: IntegerForm, enc: int
+    lp: LinearProgram, lead: list[int], form: IntegerForm
 ) -> tuple[LinearProgram, IntegerForm]:
-    """Intersect with the parallelepiped -r <= t_i a_i x <= r over the n lead
-    rows a_i, t_i = `unit_scale(a_i)`, written as +-a_i x <= r / t_i; returns
-    the boxed LP and its integer form, whose box rows are +-R_i with scaled
-    rhs f_i r / t_i.  Each rhs is formed from integers, r / t_i as one
-    Fraction and f_i r / t_i as one pair.
+    """Intersect with the parallelepiped +-R_i x <= B_i / s over the n lead
+    rows, written as +-a_i x <= B_i / (s f_i); returns the boxed LP and its
+    integer form, whose box rows are +-R_i with scaled rhs B_i over the
+    form's own s, so s does not grow.
+
+    The bound is Cramer's rule with Hadamard's inequality.  A vertex solves
+    R_B x = beta_B / s for n independent rows B, and |det R_B| >= 1 since
+    R_B is integer, so |x_j| <= prod_{i in B} |(R_i, beta_i)| / s.  With H^2
+    the product of the n largest squared augmented norms |R_i|^2 + beta_i^2
+    over all rows of the form, |x| <= sqrt(n H^2) / s, and the integer
+    B_i = isqrt(|R_i|^2 n H^2) + 1 exceeds s |R_i x| at every vertex.
 
     lead holds the first n rows of `linalg.independent_rows(form.R)`, which
-    the caller has already computed, form is lp's integer form, and enc is
-    `encoding_bits(lp, form)`, which the radius needs (`box_radius`).  Only
+    the caller has already computed, and form is lp's integer form.  Only
     existing row directions are reused, so the delta-distance value is
     unaffected; every vertex of the original polyhedron lies strictly inside.
     """
-    if len(lead) != lp.n:
+    n = lp.n
+    if len(lead) != n:
         raise LPModelError("need n independent lead rows")
-    r = box_radius(form, enc)
-    rn, rd = r.numerator, r.denominator
+    R, beta, s = form.R, form.beta, form.s
+    sq = [sum(map(mul, r, r)) for r in R]
+    nH2 = n * prod(sorted(map(add, sq, map(mul, beta, beta)))[-n:])
     A = list(lp.A)
     b = list(lp.b)
-    R = []
+    box_R = []
     factor = []
-    rhs = []
+    box_beta = []
     for i in lead:
-        t = form.unit_scale(i)
-        bi = Fraction(rn * t.denominator, rd * t.numerator)
+        B = isqrt(sq[i] * nH2) + 1
         f = form.factor[i]
-        [fbn], fbd = lowest_terms([f.numerator * bi.numerator], f.denominator * bi.denominator)
-        A += [lp.A[i], _negated(lp.A[i], form.R[i], f)]
+        bi = Fraction(B * f.denominator, s * f.numerator)
+        A += [lp.A[i], _negated(lp.A[i], R[i], f)]
         b += [bi, bi]
-        R += [form.R[i], [-x for x in form.R[i]]]
+        box_R += [R[i], [-x for x in R[i]]]
         factor += [f, f]
-        rhs += [(fbn, fbd)] * 2
+        box_beta += [B, B]
     added = frozenset(range(lp.m, len(A)))
     boxed = replace(lp, A=tuple(A), b=tuple(b), box_rows=added)
-    return boxed, form.with_rows(R, factor, rhs)
+    return boxed, IntegerForm(R + box_R, form.factor + factor, beta + box_beta, s)
 
 
 def _negated(row: tuple[Fraction, ...], ints: list[int], f: Fraction) -> tuple[Fraction, ...]:
@@ -511,12 +454,11 @@ def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificat
 
     tab is a `walk.Tableau` on lp standing on that vertex.  If no box row
     is tight there, which tab's slack numerators tell, the LP was bounded all
-    along.  Otherwise the recession LP decides: max c0 d subject to a_i d <= 0
-    on the un-boxed rows and a_i d <= 1 / t_i on the box rows (t_i their
-    `unit_scale`), which is bounded because the box rows bound +-a d for n
-    independent rows a.  Its integer form is tab's rows with the rhs f_i / t_i,
-    each formed from integers as one pair.  d = 0
-    is a vertex of it, and `walk.first_gain` walks it from there on c0: the
+    along.  Otherwise the recession LP decides: max c0 d subject to
+    R_i d <= 0 on the un-boxed rows and +-R_i d <= 1 on the box rows, which
+    is bounded because the box rows bound R_i d for the n independent lead
+    rows.  Its integer form is tab's rows with the scaled rhs 1 on the box
+    rows and 0 on every other row, over s = 1.  d = 0 is a vertex of it, and `walk.first_gain` walks it from there on c0: the
     first vertex it reaches with c0 d > 0 is an improving ray of the un-boxed
     rows.  A walk that never leaves 0 certifies that no such ray exists, so
     the box-tight optimum already attains the (finite) supremum.  The caller
@@ -529,15 +471,7 @@ def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificat
     if all(tab.slack_nums(sorted(lp.box_rows))):
         return BOUNDED
     form = tab.form
-    rhs = []
-    for i in range(lp.m):
-        if i in lp.box_rows:
-            f, t = form.factor[i], form.unit_scale(i)
-            [p], q = lowest_terms([f.numerator * t.denominator], f.denominator * t.numerator)
-            rhs.append((p, q))
-        else:
-            rhs.append((0, 1))
-    rec = form.with_rhs(rhs)
+    rec = IntegerForm(form.R, form.factor, [int(i in lp.box_rows) for i in range(lp.m)], 1)
     zero = (Fraction(0),) * lp.n
     basis = tight_basis_at(rec, zero)[: lp.n]
     ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), lp.c0)

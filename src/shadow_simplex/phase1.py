@@ -15,9 +15,10 @@ x_bar violates.  The optimum on the face is still 0 exactly when the LP is
 feasible, and faces keep the delta-distance value, so the Phase-1 bound
 carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
 skipped.  The face is built from the solve's integer form: x_bar and the
-residuals stay in integers, and the face's own integer form, lead rows and
-encoding bits follow from the solve's by construction, so the Phase-1 solve
-runs no rank pass and builds no form of its own.  `extract_bfs` crawls
+residuals stay in integers, and the face's own integer form and lead rows
+follow from the solve's by construction, so the Phase-1 solve runs no rank
+pass and builds no form of its own, and it boxes the face on the face's
+form.  `extract_bfs` crawls
 from the x-part of a zero-gap optimum to a vertex on the integer form the
 solve already holds.
 """
@@ -41,17 +42,16 @@ class Phase1Error(ValueError):
 @dataclass(frozen=True)
 class Phase1Problem:
     """LP' (`build_phase1`) or its face (`build_phase1_face`) with its start
-    vertex.  The face also carries its integer form, its lead rows (the first
-    n + |V| rows of `linalg.independent_rows` of its rows) and its
-    `model.encoding_bits`, all derived from the solve's form: its Phase-1
-    solve reads them instead of deriving them from lp_prime."""
+    vertex.  The face also carries its integer form and its lead rows (the
+    first n + |V| rows of `linalg.independent_rows` of its rows), both
+    derived from the solve's form: its Phase-1 solve reads them instead of
+    deriving them from lp_prime."""
 
     lp_prime: LinearProgram
     initial: BasicSolution
     orig_n: int
     form: model.IntegerForm | None = None
     lead: list[int] | None = None
-    enc: int | None = None
 
 
 @dataclass(frozen=True)
@@ -123,15 +123,14 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
 
 
 def build_phase1_face(
-    lp: LinearProgram, lead: list[int], form: model.IntegerForm, enc: int
+    lp: LinearProgram, lead: list[int], form: model.IntegerForm
 ) -> Phase1Problem | BasicSolution:
     """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
     (x_bar, y_V); or the vertex x_bar itself when it violates no row.
 
     lead holds the first n rows of `linalg.independent_rows(form.R)`, which
-    the caller has already computed to check the rank, form is lp's integer
-    form, on which x_bar and V are decided, and enc is
-    `model.encoding_bits(lp, form)`.
+    the caller has already computed to check the rank, and form is lp's
+    integer form, on which x_bar and V are decided.
 
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
@@ -143,9 +142,9 @@ def build_phase1_face(
     with factor p_i and scaled rhs q_i beta_i / s, and -y_i <= 0 is (0, -e_i)
     with factor 1.  Its lead rows are the start basis: the lead rows and the
     rows of V each add an independent direction, and the others lie in the
-    span of the lead rows.  Each 0 or -1 the face adds costs 2 encoding bits.
+    span of the lead rows.
     """
-    m, n = lp.m, lp.n
+    n = lp.n
     perm, xn, xd, e = _lead_start(lead, form)
     V = [k for k, ek in enumerate(e) if ek > 0]
     x_bar = tuple(Fraction(v, xd) for v in xn)
@@ -191,7 +190,6 @@ def build_phase1_face(
         orig_n=n,
         form=model.IntegerForm(fR, ffac, fbeta, s),
         lead=basis,
-        enc=enc + 2 * (m * nv + nv * (n + nv) + nv),
     )
 
 

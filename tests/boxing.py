@@ -1,6 +1,6 @@
 """The boxed LP as `driver.solve` builds it: the box over the lead rows its
 rank pass finds, the first n rows of `linalg.independent_rows`, built on the
-LP's integer form and its encoding bits."""
+LP's integer form."""
 
 from shadow_simplex import linalg, model
 
@@ -10,14 +10,8 @@ def lead_rows(lp):
 
 
 def boxed_and_form(lp):
-    form = model.integer_form(lp)
-    return model.bound_polytope(lp, lead_rows(lp), form, model.encoding_bits(lp, form))
+    return model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))
 
 
 def box(lp):
     return boxed_and_form(lp)[0]
-
-
-def radius(lp):
-    form = model.integer_form(lp)
-    return model.box_radius(form, model.encoding_bits(lp, form))

@@ -1,15 +1,17 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
 stream; its face basis, face factors and facet choice too), crawl,
-null-space vector, encoding bits, box radius, boxed LP, Phase-1 face,
-objective-escape projection and determinant, and the structural check of a
-recorded shadow path.  A test helper module, not a test module."""
+null-space vector, boxed LP, Phase-1 face, objective-escape projection and
+determinant, and the structural check of a recorded shadow path; and the
+delta-distance oracles the tests hold `metrics` against.  A test helper
+module, not a test module."""
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, prod, sqrt
 from operator import mul
 
-from shadow_simplex import linalg, model
+from shadow_simplex import linalg, metrics, model
+from shadow_simplex.metrics import MetricsError
 from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.randomness import RandomnessError
 from shadow_simplex.rational import (
@@ -18,8 +20,6 @@ from shadow_simplex.rational import (
     dot,
     norm_sq,
     primitive_int_row,
-    ratsqrt_ceil,
-    unit_scale,
     unit_scale_pq,
 )
 from shadow_simplex.walk import WalkError
@@ -156,33 +156,19 @@ def move_to_vertex(lp, point):
         x = [xi + theta * di for xi, di in zip(x, d)]
 
 
-def encoding_bits(lp):
-    """Total bit length of every numerator and denominator of (A, b), read
-    off the Fractions."""
-    total = 0
-    for row, rhs in zip(lp.A, lp.b):
-        for x in (*row, rhs):
-            p, q = x.as_integer_ratio()
-            total += (abs(p).bit_length() or 1) + q.bit_length()
-    return total
-
-
-def box_radius(lp):
-    """sqrt(n) * 2^(enc(A,b) - n^2) * lcm(A)^n, lcm(A) taken over every
-    entry's denominator."""
-    n = lp.n
-    lcm_den = lcm(*(x.denominator for row in lp.A for x in row))
-    e = encoding_bits(lp) - n * n
-    return ratsqrt_ceil(Fraction(n)) * Fraction(2) ** e * Fraction(lcm_den) ** n
-
-
 def bound_polytope(lp, lead):
-    """The boxed LP by `model.make_lp`: rows +-a_i with rhs r / unit_scale(a_i)
-    over the lead rows, in Fractions."""
-    r = box_radius(lp)
+    """The boxed LP by `model.make_lp`: rows +-a_i over the lead rows with rhs
+    B_i / (s f_i), B_i = isqrt(|R_i|^2 n H^2) + 1, from each row's own
+    `primitive_int_row` (R_i, f_i) and s the common denominator of the
+    f_i b_i; H^2 is the product of the n largest |R_i|^2 + beta_i^2."""
+    n = lp.n
+    ints = [primitive_int_row(a) for a in lp.A]
+    beta, s = common_denominator([f * b for (_, f), b in zip(ints, lp.b)])
+    sq = [sum(x * x for x in R) for R, _ in ints]
+    H2 = prod(sorted(v + bt * bt for v, bt in zip(sq, beta))[-n:])
     A, b = lp.rows(), list(lp.b)
     for i in lead:
-        bi = r / unit_scale(lp.row(i))
+        bi = Fraction(isqrt(sq[i] * n * H2) + 1) / (s * ints[i][1])
         A += [lp.row(i), [-x for x in lp.row(i)]]
         b += [bi, bi]
     added = frozenset(range(lp.m, len(A)))
@@ -276,3 +262,36 @@ def validate_shadow_path(path):
         prev_basis = cur
         prev_value = st.c_value
         prev_slope = st.slope
+
+
+def delta_of_rows(rows):
+    """delta of n independent rows as a float, from `metrics`' exact 1/delta^2."""
+    return 1.0 / sqrt(float(metrics.inv_delta_sq_of_rows(rows)))
+
+
+def sin_sq_angle_to_span(span_rows, z):
+    """Exact sin^2 of the angle between z and span(span_rows), by projection
+    through the Gram system.  Empty spans use the pi/2 convention."""
+    z = as_fractions(z)
+    nz = norm_sq(z)
+    if nz == 0:
+        raise MetricsError("zero vector has no angle")
+    span_rows = [as_fractions(r) for r in span_rows]
+    basis = [span_rows[i] for i in linalg.independent_rows(span_rows)]
+    if not basis:
+        return Fraction(1)
+    G = [[dot(u, v) for v in basis] for u in basis]
+    rhs = [dot(u, z) for u in basis]
+    alpha = linalg.solve_square(G, rhs)
+    return 1 - sum((a * r for a, r in zip(alpha, rhs)), Fraction(0)) / nz
+
+
+def delta_sq_angle_definition(rows):
+    """Exact delta^2 straight from the angle definition, independent of the
+    inverse-column characterization `metrics` computes."""
+    rows = [as_fractions(r) for r in rows]
+    if len(rows) == 1:
+        return Fraction(1)
+    return min(
+        sin_sq_angle_to_span(rows[:ell] + rows[ell + 1 :], rows[ell]) for ell in range(len(rows))
+    )

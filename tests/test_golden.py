@@ -13,6 +13,8 @@ The zero-objective and objective-escape entries pin (status, value, ray,
 pivots, phase1_pivots, phase1_artificials, bits_consumed) of cold solves,
 recorded while `driver.solve` still sent those LPs down paths of their own;
 the dyadic entries pin the bits that Phase 1 draws on its own schedule.
+The unbounded rays were re-recorded when the recession LP's box rhs became
+the integer 1: each new ray is a positive multiple of its old pin.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ from shadow_simplex import driver, harness, model, randomness
 RANDOM_INTEGER = [
     ((1, 1, 1), ("unbounded", None, ("-1",), 1, 0)),
     ((2, 2, 1), ("unbounded", None, ("0", "3"), 0, 0)),
-    ((2, 2, 3), ("unbounded", None, ("4611686018427387904/3260954456333195553", "0"), 2, 0)),
+    ((2, 2, 3), ("unbounded", None, ("1", "0"), 2, 0)),
     ((3, 2, 1), ("infeasible", None, None, 1, 1)),
     ((3, 4, 0), ("unbounded", None, ("-57/161", "19/230", "-57/805", "-95/322"), 0, 0)),
     (
@@ -36,11 +38,7 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            (
-                "-576460752303423488/983214762735871963",
-                "-864691128455135232/983214762735871963",
-                "288230376151711744/983214762735871963",
-            ),
+            ("-1/8", "-3/16", "1/16"),
             6,
             3,
         ),
@@ -51,11 +49,7 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            (
-                "-73786976294838206464/170011718944491854873",
-                "129127208515966861312/170011718944491854873",
-                "110680464442257309696/170011718944491854873",
-            ),
+            ("-2/19", "7/38", "3/19"),
             5,
             4,
         ),
@@ -65,13 +59,7 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            (
-                "92233720368547758080/117198880090397741703",
-                "-9223372036854775808/117198880090397741703",
-                "-39199331156632797184/117198880090397741703",
-                "-94539563377761452032/117198880090397741703",
-                "-39199331156632797184/117198880090397741703",
-            ),
+            ("40/249", "-4/249", "-17/249", "-41/249", "-17/249"),
             7,
             0,
         ),
@@ -83,13 +71,7 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            (
-                "548790636192859160576/870145065021246687255",
-                "-212137556847659843584/290048355007082229085",
-                "-106068778423829921792/174029013004249337451",
-                "96845406386975145984/290048355007082229085",
-                "4611686018427387904/870145065021246687255",
-            ),
+            ("119/885", "-46/295", "-23/177", "21/295", "1/885"),
             17,
             9,
         ),

@@ -6,14 +6,12 @@ from math import isclose, sqrt
 import numpy as np
 import pytest
 from float_orthonormal import complete_orthonormal
-from reference import det_fraction
+from reference import delta_of_rows, delta_sq_angle_definition, det_fraction
 
 from shadow_simplex import linalg, metrics
 from shadow_simplex.metrics import (
     MetricsError,
     delta_matrix,
-    delta_of_rows,
-    delta_sq_angle_definition,
     inv_delta_sq_of_rows,
     max_subdeterminant,
 )

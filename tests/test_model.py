@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 import reference
-from boxing import box, boxed_and_form, lead_rows, radius
+from boxing import box, boxed_and_form
 
-from shadow_simplex import linalg, metrics, model, oracle, walk
+from shadow_simplex import driver, harness, linalg, metrics, model, oracle, walk
 from shadow_simplex.model import (
     BasicSolution,
     LPFormatError,
@@ -17,7 +17,7 @@ from shadow_simplex.model import (
     parse_lp,
     serialize_lp,
 )
-from shadow_simplex.rational import dot, norm_sq, unit_scale
+from shadow_simplex.rational import dot, norm_sq
 
 F = Fraction
 
@@ -158,7 +158,7 @@ class TestRankRaising:
                 sub = [rows[i] for i in S]
                 if linalg.rank(sub) < r:
                     continue
-                v = metrics.delta_sq_angle_definition(sub)
+                v = reference.delta_sq_angle_definition(sub)
                 if best is None or v < best:
                     best = v
             return sqrt(float(best))
@@ -234,11 +234,21 @@ class TestBounding:
         again = box(boxed)
         assert again.box_rows == frozenset(range(boxed.m, again.m))
 
-    def test_radius_exceeds_vertex_norms(self):
-        lp = square_lp()
-        r = radius(lp)
-        for v in oracle.enumerate_vertices(lp).vertices:
-            assert norm_sq(list(v.point)) < r * r
+    def test_vertices_lie_strictly_inside_the_box(self):
+        # every vertex of the LP the solve boxes lies strictly inside every
+        # box row, whatever its rows: rational, duplicate and parallel rows,
+        # rows appended by rank completion and the rows of an earlier box
+        seen = dict.fromkeys(("rational", "duplicate", "completed", "boxed"), 0)
+        vertices = 0
+        for work, form, lead, kinds in box_cases(61, 80):
+            boxed, _ = model.bound_polytope(work, lead, form)
+            for v in oracle.enumerate_vertices(work).vertices:
+                vertices += 1
+                for i in boxed.box_rows:
+                    assert dot(boxed.row(i), list(v.point)) < boxed.b[i]
+            for k in kinds:
+                seen[k] += 1
+        assert vertices >= 100 and min(seen.values()) >= 5, (vertices, seen)
 
     def test_unbounded_polytope_gets_box(self):
         lp = model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1])
@@ -247,40 +257,20 @@ class TestBounding:
         vs = oracle.enumerate_vertices(boxed)
         assert len(vs) > 1  # box closed the polyhedron
 
-    def test_radius_matches_the_entry_lcm_formula(self):
-        # lcm(A) read off the factors' numerators is the lcm of every entry's
-        # denominator: the radius is the Fraction formula's exactly
-        rng = random.Random(23)
-        for _ in range(80):
-            n = rng.randint(1, 4)
-            rows = [[F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)] for _ in range(n + 2)]
-            rows = [row for row in rows if any(row)]
-            lp = model.make_lp(rows, [F(rng.randint(-5, 5), rng.randint(1, 9)) for _ in rows], [1] * n)
-            assert radius(lp) == reference.box_radius(lp)
-
     def test_rank_deficient_rejected(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
         with pytest.raises(LPModelError):
             boxed_and_form(lp)
 
-    def test_box_rows_are_the_unit_norm_half_spaces(self):
-        # +-a_i x <= r / t_i is the half-space +-t_i a_i x <= r: the tableau,
-        # which walks primitive integer rows, cannot tell them apart
-        lp = model.make_lp([[3, 4], [-1, 0], [0, -1]], [12, 0, 0], [1, 1])
-        boxed = box(lp)
-        r = radius(lp)
-        A, b = lp.rows(), list(lp.b)
-        for i in lead_rows(lp):
-            t = unit_scale(lp.row(i))
-            for sign in (1, -1):
-                A.append([sign * t * x for x in lp.row(i)])
-                b.append(r)
-        ref = model.make_lp(A, b, lp.c0)
-        start = BasicSolution(point=(F(0), F(0)), basis=(1, 2))
-        got = walk.Tableau(model.integer_form(boxed), start)
-        want = walk.Tableau(model.integer_form(ref), start)
-        assert (got.R, got.beta, got.s) == (want.R, want.beta, want.s)
-        assert boxed.A[3] == (3, 4) and boxed.b[3] == 5 * r
+    def test_tu_box_keeps_denominator_one(self):
+        # a totally unimodular LP with integer rhs has s = 1, and its box
+        # rows keep it: every box rhs is an integer
+        for k, kind in enumerate(("tu-incidence", "interval-matrix", "network-matrix")):
+            for n in (2, 4, 6):
+                lp = harness.generate_tu_instance(kind, 2 * n, n, 100 * k + n)
+                boxed, boxed_form = boxed_and_form(lp)
+                assert model.integer_form(lp).s == boxed_form.s == 1
+                assert all(boxed.b[i].denominator == 1 for i in boxed.box_rows)
 
     def test_box_form_is_the_boxed_lps_integer_form(self):
         # the box rows +-R_i and their rhs come from the solve's one form of
@@ -302,40 +292,73 @@ class TestBounding:
             assert form == model.integer_form(boxed)
 
     def test_integer_box_matches_the_fraction_box(self):
-        # the encoding bits, the radius and every box rhs, formed from
-        # integers, against their Fraction forms; the boxed LP against its
-        # make_lp construction.  Short LPs give enc - n^2 - 64 < 0, a
-        # power-of-two denominator in r; long ones an integer r.  Rational
-        # entries give lcm(A) > 1, integer ones rows whose factor is 1.
-        rng = random.Random(41)
-        seen = set()
-        for trial in range(120):
-            n = rng.randint(1, 4)
-            rational, long = trial % 2, trial % 4 > 1
-            hi = rng.choice([1, 3])
-
-            def entry():
-                if rational:
-                    return F(rng.randint(-6, 6), rng.randint(1, 9))
-                return F(rng.randint(-hi, hi))
-
-            k = n + (rng.randint(30, 40) if long else rng.randint(0, 3))
-            rows = [r for r in ([entry() for _ in range(n)] for _ in range(k)) if any(r)]
-            if len(rows) < n:
-                continue
-            lp = model.make_lp(rows, [entry() for _ in rows], [1] * n)
-            if linalg.rank(lp.rows()) < n:
-                continue
-            form = model.integer_form(lp)
-            enc = model.encoding_bits(lp, form)
-            assert enc == reference.encoding_bits(lp)
-            assert model.box_radius(form, enc) == reference.box_radius(lp)
-            boxed, boxed_form = model.bound_polytope(lp, lead_rows(lp), form, enc)
-            assert boxed == reference.bound_polytope(lp, lead_rows(lp))
+        # the boxed LP is its make_lp construction, whose B_i come from each
+        # row's own primitive_int_row, and the box form is its integer form
+        for work, form, lead, _ in box_cases(67, 150):
+            boxed, boxed_form = model.bound_polytope(work, lead, form)
+            assert boxed == reference.bound_polytope(work, lead)
             assert boxed_form == model.integer_form(boxed)
-            lcm_A = math.lcm(*(x.denominator for row in lp.A for x in row))
-            seen.add((enc - n * n - 64 < 0, lcm_A > 1))
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_box_form_keeps_the_solves_rows_and_denominator(self):
+        # the box rows append to the solve's form: its rows, rhs and s stay
+        for work, form, lead, _ in box_cases(71, 150):
+            _, boxed_form = model.bound_polytope(work, lead, form)
+            assert boxed_form.s == form.s
+            assert boxed_form.beta[: work.m] == form.beta
+            assert boxed_form.R[: work.m] == form.R
+            assert boxed_form.factor[: work.m] == form.factor
+
+    def test_box_rhs_match_the_hand_computed_bound(self):
+        # rows (3, 4), (-1, 0), (0, -1) with rhs 12, 0, 0: s = 1, the
+        # augmented squared norms are 169, 1, 1, so n H^2 = 2 * 169 * 1; the
+        # lead rows 0 and 1 get B = isqrt(25 * 338) + 1 = 92 and
+        # isqrt(338) + 1 = 19, above s |R_i x| at the vertices (4, 0), (0, 3)
+        lp = model.make_lp([[3, 4], [-1, 0], [0, -1]], [12, 0, 0], [1, 1])
+        boxed, boxed_form = boxed_and_form(lp)
+        assert boxed.A[3:] == ((3, 4), (-3, -4), (-1, 0), (1, 0))
+        assert boxed.b[3:] == (92, 92, 19, 19)
+        assert boxed_form.beta == [12, 0, 0, 92, 92, 19, 19] and boxed_form.s == 1
+
+
+def box_cases(seed, count):
+    """count seeded (LP, integer form, lead rows, kinds) as a solve boxes
+    them: rows with rational entries, duplicate and parallel rows, rank
+    completion (`driver._complete_rank`), and every fourth LP boxed before.
+    kinds names which of these the case has."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, n + 3)):
+            kind = rng.random()
+            if rows and kind < 0.2:
+                rows.append(list(rng.choice(rows)))
+            elif rows and kind < 0.4:
+                k = F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                rows.append([k * x for x in rng.choice(rows)])
+            else:
+                rows.append([F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6])) for _ in range(n)])
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            continue
+        lp = model.make_lp(rows, [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 5])) for _ in rows], [1] * n)
+        form = model.integer_form(lp)
+        work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
+        kinds = set()
+        if any(x.denominator > 1 for row in lp.A for x in row):
+            kinds.add("rational")
+        if len({tuple(r) for r in form.R[: lp.m]}) < lp.m:
+            kinds.add("duplicate")
+        if work.m > lp.m:
+            kinds.add("completed")
+        if len(cases) % 4 == 3:
+            work = model.bound_polytope(work, lead, form)[0]
+            form = model.integer_form(work)
+            lead = linalg.independent_rows(form.R)[:n]
+            kinds.add("boxed")
+        cases.append((work, form, lead, kinds))
+    return cases
 
 
 def on(lp, vertex):

@@ -36,8 +36,7 @@ def two_violated():
 
 
 def build_face(lp):
-    form = model.integer_form(lp)
-    return build_phase1_face(lp, lead_rows(lp), form, model.encoding_bits(lp, form))
+    return build_phase1_face(lp, lead_rows(lp), model.integer_form(lp))
 
 
 def face_optimum(p1: Phase1Problem) -> BasicSolution:
@@ -156,10 +155,10 @@ def rational_lp(rng, n):
 
 
 class TestDirectFaceForm:
-    def test_face_form_lead_rows_and_bits_are_the_face_lps(self):
-        # the face's integer form, lead rows and encoding bits, built from
-        # the solve's form, are the ones its own rank pass, integer_form and
-        # Fraction encoding bits give; the face LP is its make_lp construction
+    def test_face_form_and_lead_rows_are_the_face_lps(self):
+        # the face's integer form and lead rows, built from the solve's form,
+        # are the ones its own rank pass and integer_form give; the face LP
+        # is its make_lp construction
         rng = random.Random(53)
         faces = scaled = completed = 0
         for _ in range(300):
@@ -167,7 +166,7 @@ class TestDirectFaceForm:
             form = model.integer_form(lp)
             work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
             assert form == model.integer_form(work)
-            p1 = build_phase1_face(work, lead, form, model.encoding_bits(work, form))
+            p1 = build_phase1_face(work, lead, form)
             if isinstance(p1, BasicSolution):
                 continue
             faces += 1
@@ -180,7 +179,6 @@ class TestDirectFaceForm:
             assert p1.form == model.integer_form(p1.lp_prime)
             assert p1.lead == linalg.independent_rows(p1.lp_prime.rows())[: n + nv]
             assert p1.lead == list(p1.initial.basis)
-            assert p1.enc == reference.encoding_bits(p1.lp_prime)
         assert faces >= 100 and scaled >= 20 and completed >= 5
 
     def test_phase1_solve_on_the_direct_form_matches_the_face_lp(self):
@@ -192,7 +190,7 @@ class TestDirectFaceForm:
             lp = rational_lp(rng, rng.randint(1, 3))
             form = model.integer_form(lp)
             work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
-            p1 = build_phase1_face(work, lead, form, model.encoding_bits(work, form))
+            p1 = build_phase1_face(work, lead, form)
             if isinstance(p1, BasicSolution):
                 continue
             done += 1
