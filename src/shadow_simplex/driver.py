@@ -13,33 +13,37 @@ not need.
 
 A solve builds the integer form of its rows once (`model.integer_form`),
 first of all, and derives everything else from it: the rank pass, rank
-completion, Phase 1's start and face, the box (`model.bound_polytope`:
-integer rhs over the form's own s), the chain's tableau, the box-tight test
-and the checks of the answer.  The Phase-1 face comes with its own form and
-lead rows, built from the solve's (`phase1.build_phase1_face`), so the
-depth-1 solve runs no rank pass and builds no form of its own, and boxes
-the face on the face's form.  A facet chain keeps one
-`walk.Tableau` on the boxed LP's form, built on the start vertex's own
-basis; that build is the check of the start, and a bad one raises
-`walk.WalkError`.  The rows fixed so far stay in its basis, held out of
-pricing, so each walk stays on the face where they are tight.  Each round
-runs in integers: it draws its perturbed objective in coordinates of that
-face, over an exactly orthogonal integer basis of the fixed rows' complement
-(a `linalg.FaceBasis` carried through the chain, which each round updates
-with its new fixed row in O(n^2)), as numerators over one denominator, and
-lifts it to the boxed LP exactly on the integer columns; its cone objective
-is priced on the tableau's integer rows (`lifted_cone_objective`), with each
-free row's near-unit factor tau formed once per round, and the facet is
-chosen by integer cross-multiplication of the prices and the tau.  Both
-reach `Tableau.aim` as (numerators, denominator) pairs.  The walk is the one
-on the restricted LP, whose delta-distance value is preserved to rounding of
-the unit scaling, without building it.
+completion, Phase 1's start and face, the box, the chain's tableau, the
+box-tight test and the checks of the answer.  The box is the form's last 2n
+rows, which `model.bound_polytope` appends with integer rhs over the form's
+own s; no `Fraction` LP of the boxed polyhedron exists, and the driver
+passes the boxed form and c0 where it needs the boxed LP.  The Phase-1 face
+comes with its own form and lead rows, built from the solve's
+(`phase1.build_phase1_face`), so the depth-1 solve runs no rank pass and
+builds no form of its own, and boxes the face on the face's form.  A facet
+chain keeps one `walk.Tableau` on the boxed form, built on the start
+vertex's own basis; that build is the check of the start, and a bad one
+raises `walk.WalkError`.  The rows fixed so far stay in its basis, held out
+of pricing, so each walk stays on the face where they are tight.  Each
+round runs in integers: it draws its perturbed objective in coordinates of
+that face, over an exactly orthogonal integer basis of the fixed rows'
+complement (a `linalg.FaceBasis` carried through the chain, which each
+round updates with its new fixed row in O(n^2)), as numerators over one
+denominator, and lifts it to the boxed form exactly on the integer columns;
+its cone objective is priced on the tableau's integer rows
+(`lifted_cone_objective`), with each free row's near-unit factor tau formed
+once per round, and the facet is chosen by integer cross-multiplication of
+the prices and the tau.  Both reach `Tableau.aim` as (numerators,
+denominator) pairs.  The walk is the one on the restricted LP, whose
+delta-distance value is preserved to rounding of the unit scaling, without
+building it.
 
 Each round keeps its walk's path in a `RoundTrace`, and the traces are the
 one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
 first, then every round of every doubling, and `SolveOutcome.pivots` and
 `.pivot_sequence` are read off them.  Row indices in walk paths and in the
-pivot sequence are rows of the boxed LP walked.
+pivot sequence are rows of the boxed form walked: the LP's rows, then any
+rank-completion rows, then the 2n box rows.
 """
 
 from __future__ import annotations
@@ -290,19 +294,23 @@ def identify_basis_element(
 # ---------------------------------------------------------------------------
 
 
-def is_optimal(lp: LinearProgram, x: BasicSolution, tab: walk.Tableau) -> bool:
-    """Exact test that c0 lies in the normal cone of the vertex x.
+def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bool:
+    """Exact test that c0 lies in the normal cone of the vertex x of the LP
+    whose integer form is form, the boxed form the facet chain walked.
 
-    tab is a Tableau on lp standing on x, the facet chain's own (checked in
-    integers); it is walked in place on c0 by `walk.first_gain`.  x is optimal exactly when
-    that walk ends without leaving x, and tab's basis then carries c0.  At a
-    degenerate vertex the walk makes degenerate pivots until it reaches such
-    a basis or a step of positive length; no subset of the tight rows is
-    scanned.  These pivots are not counted in `SolveOutcome.pivots`.
+    tab is a Tableau on form standing on x, the facet chain's own (checked
+    in integers); it is walked in place on c0 by `walk.first_gain`.  x is
+    optimal exactly when that walk ends without leaving x, and tab's basis
+    then carries c0.  At a degenerate vertex the walk makes degenerate
+    pivots until it reaches such a basis or a step of positive length; no
+    subset of the tight rows is scanned.  These pivots are not counted in
+    `SolveOutcome.pivots`.
     """
+    if tab.form is not form:
+        raise DriverError("tableau is not on the form")
     if not tab.stands_on(x.point):
         raise DriverError("tableau does not stand on the vertex")
-    return walk.first_gain(tab, lp.c0) is None
+    return walk.first_gain(tab, c0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -325,38 +333,38 @@ class Candidate:
 
 
 def repeated_shadow_vertex(
-    lp: LinearProgram,
     form: IntegerForm,
+    c0,
     x0: BasicSolution,
     phi: Fraction,
     cfg: randomness.RngConfig,
     stream: randomness.DrawStream,
     cap: int | None = None,
 ) -> Candidate:
-    """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau.
+    """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau,
+    for the objective c0 (rationals) over form, the boxed integer form.
 
-    The tableau starts on x0's own basis, over form, lp's integer form, and
-    its build checks x0 (a bad start raises `walk.WalkError`).  Each round
-    draws its perturbed objective in the coordinates of the current face and
-    lifts it to lp, prices its cone objective on the tableau's integer rows
-    with each free row's factor tau formed once (the facet choice reuses
-    them), and walks the tableau with the fixed rows held in the basis, from
-    where the previous round stopped; every objective stays in integers.
-    The chain's last basis is the candidate's basis, and each round's walk
-    path is kept in its trace.
+    The tableau starts on x0's own basis, over form, and its build checks x0
+    (a bad start raises `walk.WalkError`).  Each round draws its perturbed
+    objective in the coordinates of the current face at phi and lifts it to
+    form's coordinates, prices its cone objective on the tableau's integer
+    rows with each free row's factor tau formed once (the facet choice
+    reuses them), and walks the tableau with the fixed rows held in the
+    basis, from where the previous round stopped; every objective stays in
+    integers.  The chain's last basis is the candidate's basis, and each
+    round's walk path is kept in its trace.
     """
-    cfg = cfg.with_phi(phi)
     tab = walk.Tableau(form, x0)
-    c0 = primitive_int_row(lp.c0)[0]
+    c0 = primitive_int_row(c0)[0]
     fixed: list[int] = []
-    basis = linalg.FaceBasis(lp.n)  # the fixed rows' face basis, carried
+    basis = linalg.FaceBasis(form.n)  # the fixed rows' face basis, carried
     traces: list[RoundTrace] = []
-    while len(fixed) < lp.n:
+    while len(fixed) < form.n:
         r = facet_restriction([tab.R[i] for i in fixed], c0, basis)
         if r.c0 is None:
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
-        pert = randomness.perturb_objective(r.c0, cfg, stream)
+        pert = randomness.perturb_objective(r.c0, phi, cfg, stream)
         tau = {i: _face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free}
         lam = randomness.draw_lambda(len(free), cfg, stream)
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
@@ -388,7 +396,7 @@ class SolveOutcome:
     status: str  # "optimal" | "unbounded" | "infeasible"
     point: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
-    vertex: BasicSolution | None = None  # its basis carries c0 in the boxed LP
+    vertex: BasicSolution | None = None  # its basis carries c0 in the boxed form
     ray: tuple[Fraction, ...] | None = None
     infeasible_gap: Fraction | None = None
     phase1_pivots: int = 0
@@ -406,7 +414,7 @@ class SolveOutcome:
     @property
     def pivot_sequence(self) -> list[tuple[int, int]]:
         """(entering, leaving) rows of every pivot in walk order, read off
-        the traces; rows are indexed in the boxed LP walked."""
+        the traces; rows are indexed in the boxed form walked."""
         return [
             (st.entering_row, st.leaving_row) for tr in self.traces for st in tr.path.steps
         ]
@@ -450,7 +458,7 @@ def solve(
       phi.
 
     initial_bfs is checked by the first facet chain's `walk.Tableau` build
-    on the boxed LP, whose rows include every row of lp_raw: a basis that
+    on the boxed form, whose rows include every row of lp_raw: a basis that
     does not hold n distinct rows, has dependent rows, is not tight at the
     point, or a point that violates a row, raises `walk.WalkError`.
 
@@ -485,25 +493,26 @@ def solve(
         out.bits_consumed = stream.bits_consumed
         return _accept(out, lp_raw, form, bfs.point, tuple(escape))
 
-    boxed, boxed_form = model.bound_polytope(work, lead, form)
+    boxed = model.bound_polytope(form, lead)
+    c0 = lp_raw.c0
 
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         rng_i, cap = _walk_bits_and_cap(boxed.m, boxed.n, phi, cfg)
-        cand = repeated_shadow_vertex(boxed, boxed_form, bfs, phi, rng_i, stream, cap=cap)
+        cand = repeated_shadow_vertex(boxed, c0, bfs, phi, rng_i, stream, cap=cap)
         out.traces.extend(cand.traces)
         out.doublings = i
         if cand.capped:
             continue
-        if not is_optimal(boxed, cand.tableau.solution(), cand.tableau):
+        if not is_optimal(boxed, cand.tableau.solution(), cand.tableau, c0):
             continue
         # the basis the certificate walk ended on carries c0
         vertex = cand.tableau.solution()
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
         verdict = (
-            model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(cand.tableau, boxed)
+            model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(cand.tableau, c0)
         )
         if isinstance(verdict, UnboundedCertificate):
             return _accept(out, lp_raw, form, verdict.point, verdict.ray)

@@ -2,8 +2,12 @@
 box.
 
 The box closes the polyhedron so that the shadow walk always finds a vertex
-optimum; `assert_unbounded_if_box_tight` then decides whether the original
-LP is bounded by walking its recession LP, from d = 0, on the objective.
+optimum.  It exists only in integers: `bound_polytope` appends its 2n rows
+to the solve's integer form, as the form's last rows, and no `Fraction` LP
+of the boxed polyhedron is built.  `assert_unbounded_if_box_tight` then
+decides whether the original LP is bounded by walking its recession LP, the
+same rows with rhs 1 on those last 2n rows and 0 elsewhere, from d = 0, on
+the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
 given: each pivot decision is invariant under positive row scaling.  A
@@ -11,14 +15,15 @@ solve turns the rows as given into their integer form once
 (`integer_form`): each row's primitive integer row R_i = f_i a_i, its
 factor f_i > 0, and the scaled rhs over one common denominator.  Everything
 else is derived from that form, and no `Fraction` LP is converted again:
-rank completion appends its rows to it (`IntegerForm.with_rows`), the
-box's rhs are integers over its s (`bound_polytope`), the recession LP's
-are 0 and 1, and the Phase-1 face's form (`phase1.build_phase1_face`) is
-built from it; `walk.Tableau`, the exact point checks and the crawl to a
-vertex (`crawl_to_vertex`) walk it.  Nothing is kept on the LP.  The unit
-row norms that the paper states the delta-distance for are applied only
-where a size matters, in the near-unit face images of the driver's draws.
-`normalize` scales every row to near-unit norm; the solver does not call it.
+rank completion appends its rows to it (`IntegerForm.with_rows`), the box
+appends its rows with integer rhs over its s (`bound_polytope`), and the
+Phase-1 face's form (`phase1.build_phase1_face`) is built from it;
+`walk.Tableau`, the exact point checks and the crawl to a vertex
+(`crawl_to_vertex`) walk it.  A `LinearProgram` is the input as given, its
+A, b and c0, and nothing else is kept on it.  The unit row norms that the
+paper states the delta-distance for are applied only where a size matters,
+in the near-unit face images of the driver's draws.  `normalize` scales
+every row to near-unit norm; the solver does not call it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from operator import add, mul
 from . import linalg
 from .rational import (
     ONE,
-    SMALL_INTEGRAL,
     as_fractions,
     common_denominator,
     dot,
@@ -61,21 +65,18 @@ class LinearProgram:
     A: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
     c0: tuple[Fraction, ...]
-    box_rows: frozenset[int] = frozenset()
-    synthetic_rows: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise LPModelError("need at least one row and one variable")
-        if set(map(len, self.A)) != {self.n} or len(self.b) != self.m:
+        if (
+            set(map(len, self.A)) != {self.n}
+            or len(self.b) != self.m
+            or len(self.c0) != self.n
+        ):
             raise LPModelError("dimension mismatch")
         if not all(map(any, self.A)):
             raise LPModelError("zero row in constraint matrix")
-        if self.box_rows & self.synthetic_rows:
-            raise LPModelError("box rows and synthetic rows overlap")
-        marked = self.box_rows | self.synthetic_rows
-        if marked and not (min(marked) >= 0 and max(marked) < self.m):
-            raise LPModelError("marker row index out of range")
 
     @property
     def m(self) -> int:
@@ -98,7 +99,7 @@ class LinearProgram:
         return all(e <= 0 for e in integer_form(self).excess(point))
 
     def tight_rows(self, point) -> list[int]:
-        return [i for i, e in enumerate(integer_form(self).excess(point)) if e == 0]
+        return integer_form(self).tight_rows(point)
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,10 @@ class IntegerForm:
         s = self.s
         return [s * sum(map(mul, r, xn)) - bt * xd for r, bt in zip(self.R, self.beta)]
 
+    def tight_rows(self, point) -> list[int]:
+        """The rows a_i x <= b_i that point meets with equality."""
+        return [i for i, e in enumerate(self.excess(point)) if e == 0]
+
     def with_rows(self, R, factor, rhs) -> "IntegerForm":
         """These rows followed by the rows R (factors factor), whose scaled
         rhs f_i b_i are given as pairs (p, q) in lowest terms, q > 0; s grows
@@ -198,12 +203,11 @@ def integer_form(lp: LinearProgram) -> IntegerForm:
     return IntegerForm(R, factor, beta, s)
 
 
-def make_lp(A, b, c0, **flags) -> LinearProgram:
+def make_lp(A, b, c0) -> LinearProgram:
     return LinearProgram(
         A=tuple(tuple(as_fractions(row)) for row in A),
         b=tuple(as_fractions(b)),
         c0=tuple(as_fractions(c0)),
-        **flags,
     )
 
 
@@ -305,43 +309,29 @@ def extend_to_full_rank_delta(lp: LinearProgram) -> LinearProgram:
         raise LPModelError("called on full-rank input")
     A = rows
     b = list(lp.b)
-    added = []
     for o in comp:
         for sign in (1, -1):
-            added.append(len(A))
             A.append([sign * x for x in o])
             b.append(Fraction(0))
-    return replace(
-        lp,
-        A=tuple(tuple(r) for r in A),
-        b=tuple(b),
-        synthetic_rows=lp.synthetic_rows | frozenset(added),
-    )
+    return replace(lp, A=tuple(tuple(r) for r in A), b=tuple(b))
 
 
 def extend_to_full_rank_Delta(lp: LinearProgram) -> LinearProgram:
     """Append canonical unit rows e_i outside the row span, rhs 0 (integral A)."""
     rows = lp.rows()
     b = list(lp.b)
-    added = []
     r = linalg.rank(rows)
+    if r == lp.n:
+        raise LPModelError("called on full-rank input")
     for j in range(lp.n):
         if r == lp.n:
             break
         e = [Fraction(int(i == j)) for i in range(lp.n)]
         if linalg.rank(rows + [e]) > r:
-            added.append(len(rows))
             rows.append(e)
             b.append(Fraction(0))
             r += 1
-    if not added:
-        raise LPModelError("called on full-rank input")
-    return replace(
-        lp,
-        A=tuple(tuple(r_) for r_ in rows),
-        b=tuple(b),
-        synthetic_rows=lp.synthetic_rows | frozenset(added),
-    )
+    return replace(lp, A=tuple(tuple(r_) for r_ in rows), b=tuple(b))
 
 
 def extend_to_full_rank(lp: LinearProgram) -> LinearProgram:
@@ -370,7 +360,7 @@ def raise_rank_delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
     ext = extend_to_full_rank_delta(lp)
     return RankRaised(
         lp=ext,
-        back_map=BackMap(original_rows=lp.m, appended_rows=tuple(sorted(ext.synthetic_rows - lp.synthetic_rows))),
+        back_map=BackMap(original_rows=lp.m, appended_rows=tuple(range(lp.m, ext.m))),
     )
 
 
@@ -386,7 +376,7 @@ def raise_rank_Delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
     ext = extend_to_full_rank_Delta(lp)
     return RankRaised(
         lp=ext,
-        back_map=BackMap(original_rows=lp.m, appended_rows=tuple(sorted(ext.synthetic_rows - lp.synthetic_rows))),
+        back_map=BackMap(original_rows=lp.m, appended_rows=tuple(range(lp.m, ext.m))),
     )
 
 
@@ -395,13 +385,11 @@ def raise_rank_Delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
 # ---------------------------------------------------------------------------
 
 
-def bound_polytope(
-    lp: LinearProgram, lead: list[int], form: IntegerForm
-) -> tuple[LinearProgram, IntegerForm]:
-    """Intersect with the parallelepiped +-R_i x <= B_i / s over the n lead
-    rows, written as +-a_i x <= B_i / (s f_i); returns the boxed LP and its
-    integer form, whose box rows are +-R_i with scaled rhs B_i over the
-    form's own s, so s does not grow.
+def bound_polytope(form: IntegerForm, lead: list[int]) -> IntegerForm:
+    """form with the parallelepiped +-R_i x <= B_i / s over the n lead rows
+    appended: its last 2n rows are the box rows +-R_i, with scaled rhs B_i
+    over the form's own s, so s does not grow.  As rows of the LP, they are
+    +-a_i x <= B_i / (s f_i).
 
     The bound is Cramer's rule with Hadamard's inequality.  A vertex solves
     R_B x = beta_B / s for n independent rows B, and |det R_B| >= 1 since
@@ -411,70 +399,55 @@ def bound_polytope(
     B_i = isqrt(|R_i|^2 n H^2) + 1 exceeds s |R_i x| at every vertex.
 
     lead holds the first n rows of `linalg.independent_rows(form.R)`, which
-    the caller has already computed, and form is lp's integer form.  Only
-    existing row directions are reused, so the delta-distance value is
-    unaffected; every vertex of the original polyhedron lies strictly inside.
+    the caller has already computed.  Only existing row directions are
+    reused, so the delta-distance value is unaffected; every vertex of the
+    original polyhedron lies strictly inside.
     """
-    n = lp.n
+    n = form.n
     if len(lead) != n:
         raise LPModelError("need n independent lead rows")
-    R, beta, s = form.R, form.beta, form.s
+    R, beta = form.R, form.beta
     sq = [sum(map(mul, r, r)) for r in R]
     nH2 = n * prod(sorted(map(add, sq, map(mul, beta, beta)))[-n:])
-    A = list(lp.A)
-    b = list(lp.b)
     box_R = []
     factor = []
     box_beta = []
     for i in lead:
         B = isqrt(sq[i] * nH2) + 1
-        f = form.factor[i]
-        bi = Fraction(B * f.denominator, s * f.numerator)
-        A += [lp.A[i], _negated(lp.A[i], R[i], f)]
-        b += [bi, bi]
         box_R += [R[i], [-x for x in R[i]]]
-        factor += [f, f]
+        factor += [form.factor[i]] * 2
         box_beta += [B, B]
-    added = frozenset(range(lp.m, len(A)))
-    boxed = replace(lp, A=tuple(A), b=tuple(b), box_rows=added)
-    return boxed, IntegerForm(R + box_R, form.factor + factor, beta + box_beta, s)
+    return IntegerForm(R + box_R, form.factor + factor, beta + box_beta, form.s)
 
 
-def _negated(row: tuple[Fraction, ...], ints: list[int], f: Fraction) -> tuple[Fraction, ...]:
-    """-row, where ints and f are row's integer row and factor: a row that is
-    its integer row (factor `ONE`) with small entries is negated by looking
-    up the shared `SMALL_INTEGRAL` Fractions."""
-    if f is ONE and -256 <= min(ints) and max(ints) <= 256:
-        return tuple([SMALL_INTEGRAL[256 - v] for v in ints])
-    return tuple(-x for x in row)
+def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
+    """Decide Bounded vs Unbounded for the objective c0 at an optimal vertex
+    of a boxed LP.
 
-
-def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificate | str:
-    """Decide Bounded vs Unbounded at an optimal vertex of the boxed LP lp.
-
-    tab is a `walk.Tableau` on lp standing on that vertex.  If no box row
-    is tight there, which tab's slack numerators tell, the LP was bounded all
-    along.  Otherwise the recession LP decides: max c0 d subject to
+    tab is a `walk.Tableau` standing on that vertex, on a form that
+    `bound_polytope` returned: its last 2n rows are the box rows.  If no box
+    row is tight there, which tab's slack numerators tell, the LP was bounded
+    all along.  Otherwise the recession LP decides: max c0 d subject to
     R_i d <= 0 on the un-boxed rows and +-R_i d <= 1 on the box rows, which
     is bounded because the box rows bound R_i d for the n independent lead
     rows.  Its integer form is tab's rows with the scaled rhs 1 on the box
-    rows and 0 on every other row, over s = 1.  d = 0 is a vertex of it, and `walk.first_gain` walks it from there on c0: the
-    first vertex it reaches with c0 d > 0 is an improving ray of the un-boxed
-    rows.  A walk that never leaves 0 certifies that no such ray exists, so
-    the box-tight optimum already attains the (finite) supremum.  The caller
-    checks that the vertex is feasible for the un-boxed LP.
+    rows and 0 on every other row, over s = 1.  d = 0 is a vertex of it, and
+    `walk.first_gain` walks it from there on c0: the first vertex it reaches
+    with c0 d > 0 is an improving ray of the un-boxed rows.  A walk that
+    never leaves 0 certifies that no such ray exists, so the box-tight
+    optimum already attains the (finite) supremum.  The caller checks that
+    the vertex is feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
-    if not lp.box_rows:
-        raise LPModelError("lp is not boxed")
-    if all(tab.slack_nums(sorted(lp.box_rows))):
+    n, m = tab.n, tab.m
+    if all(tab.slack_nums(range(m - 2 * n, m))):
         return BOUNDED
     form = tab.form
-    rec = IntegerForm(form.R, form.factor, [int(i in lp.box_rows) for i in range(lp.m)], 1)
-    zero = (Fraction(0),) * lp.n
-    basis = tight_basis_at(rec, zero)[: lp.n]
-    ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), lp.c0)
+    rec = IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)
+    zero = (Fraction(0),) * n
+    basis = tight_basis_at(rec, zero)[:n]
+    ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), c0)
     if ray is None:
         return BOUNDED
     return UnboundedCertificate(point=tuple(tab.vertex()), ray=tuple(ray))
@@ -488,7 +461,7 @@ def assert_unbounded_if_box_tight(tab, lp: LinearProgram) -> UnboundedCertificat
 def tight_basis_at(form: IntegerForm, point) -> list[int]:
     """Greedy (by row index) independent tight rows at a point, on the
     integer form of the LP's rows."""
-    tight = [i for i, e in enumerate(form.excess(point)) if e == 0]
+    tight = form.tight_rows(point)
     rel = linalg.independent_rows([form.R[i] for i in tight])
     return [tight[k] for k in rel]
 

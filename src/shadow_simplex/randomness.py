@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import as_fractions, norm_sq
@@ -38,7 +38,6 @@ class RngConfig:
     seed: int
     mode: str = MODE_FLOAT
     bits_per_draw: int | None = None
-    phi: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_FLOAT, MODE_DYADIC):
@@ -52,9 +51,6 @@ class RngConfig:
         if self.mode == MODE_FLOAT:
             return CONTINUOUS_BITS
         return self.bits_per_draw
-
-    def with_phi(self, phi: Fraction) -> "RngConfig":
-        return replace(self, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def _draw_bits(cfg: RngConfig) -> int:
     return k
 
 
-def perturb_objective(c0, cfg: RngConfig, stream: DrawStream) -> PerturbedObjective:
+def perturb_objective(c0, phi, cfg: RngConfig, stream: DrawStream) -> PerturbedObjective:
     """Componentwise uniform perturbation of a near-unit c0 inside length-1/phi
     intervals, in integers.
 
@@ -126,9 +122,7 @@ def perturb_objective(c0, cfg: RngConfig, stream: DrawStream) -> PerturbedObject
     """
     a, d0 = c0
     n = len(a)
-    if cfg.phi is None:
-        raise RandomnessError("cfg.phi is not set")
-    phi = Fraction(cfg.phi)
+    phi = Fraction(phi)
     if float(phi) ** 2 < n * (1 - 1e-10):
         raise RandomnessError("phi must be at least sqrt(n)")
     k = _draw_bits(cfg)

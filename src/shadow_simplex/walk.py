@@ -118,7 +118,6 @@ class Tableau:
         self.form = form
         m, n = form.m, form.n
         self.m, self.n = m, n
-        self.ops = 0
         self.R, self.beta, self.s = form.R, form.beta, form.s
         self.pivot_count = 0
 
@@ -135,7 +134,6 @@ class Tableau:
 
         # the vertex x_num / (D s), x_num = M beta_B, is the start point
         beta_B = [self.beta[i] for i in self.basis]
-        self.ops += n * n
         self.x_num = [sum(map(mul, row, beta_B)) for row in self.M]
         if not self.stands_on(start.point):
             raise WalkError("basis does not reproduce the start point")
@@ -155,7 +153,6 @@ class Tableau:
         self.w_num, self.w_den = lowest_terms(*w)
         # the prices c M and w M: edge k has c^T d_k = -t_c[k] / (D c_den)
         cols = list(zip(*self.M))
-        self.ops += 2 * self.n * self.n
         self.t_c = [sum(map(mul, self.c_num, col)) for col in cols]
         self.t_w = [sum(map(mul, self.w_num, col)) for col in cols]
         self.pivot_count = 0
@@ -189,7 +186,6 @@ class Tableau:
         """Slack numerators beta_i D - R_i . x_num of rows at the vertex: the
         slack of row i is this over D s, so a zero is a tight row."""
         beta, D, R, x_num = self.beta, self.D, self.R, self.x_num
-        self.ops += self.n * len(rows)
         return [beta[i] * D - sum(map(mul, R[i], x_num)) for i in rows]
 
     def c_value(self) -> Fraction:
@@ -268,13 +264,11 @@ class Tableau:
     def _ratio_test(self, k: int) -> tuple[int, int, int]:
         """Lexicographic minimum ratio along direction -M[:,k]; returns
         (entering row, R_i.dvec, slack numerator)."""
-        n, m = self.n, self.m
         x_num, R, beta, D = self.x_num, self.R, self.beta, self.D
         col = [row[k] for row in self.M]
         best_i = -1
         best_rd = 0
         best_slack = 0
-        self.ops += (m - n) * (n + n)
         for i, Ri in enumerate(R):
             # rd = R_i . d with d = -M[:,k]: -D or 0 on the basis rows, since
             # R_B M = D I, so only non-basic rows can block
@@ -310,7 +304,6 @@ class Tableau:
             cl = D if exp_of[l] == e else 0
             pos = pos_of.get(e)
             if pos is not None:
-                self.ops += 2 * self.n
                 col = [row[pos] for row in self.M]
                 ci -= sum(map(mul, R[i], col))
                 cl -= sum(map(mul, R[l], col))
@@ -329,9 +322,7 @@ class Tableau:
         all of them change sign when u_pos < 0.  Each vector's numerators are
         formed in one pass, with that sign folded in; when D > 1 they are
         checked for a remainder and divided."""
-        n = self.n
         M, D = self.M, self.D
-        self.ops += 2 * n * n + 3 * n
         u = [sum(map(mul, self.R[enter], col)) for col in zip(*M)]
         up = u[pos]
         if up == 0:

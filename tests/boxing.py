@@ -1,6 +1,10 @@
-"""The boxed LP as `driver.solve` builds it: the box over the lead rows its
-rank pass finds, the first n rows of `linalg.independent_rows`, built on the
-LP's integer form."""
+"""The box as `driver.solve` builds it, over the lead rows its rank pass
+finds, the first n rows of `linalg.independent_rows`: the boxed integer form
+(`model.bound_polytope`), and the boxed LP in `Fraction`s that the tests
+enumerate and take dot products on (`reference.bound_polytope`), whose
+integer form is the boxed form."""
+
+import reference
 
 from shadow_simplex import linalg, model
 
@@ -9,9 +13,14 @@ def lead_rows(lp):
     return linalg.independent_rows(lp.rows())[: lp.n]
 
 
-def boxed_and_form(lp):
-    return model.bound_polytope(lp, lead_rows(lp), model.integer_form(lp))
+def boxed_form(lp):
+    return model.bound_polytope(model.integer_form(lp), lead_rows(lp))
 
 
 def box(lp):
-    return boxed_and_form(lp)[0]
+    return reference.bound_polytope(lp, lead_rows(lp))
+
+
+def box_rows(boxed):
+    """The box rows of a boxed LP or form: its last 2n rows."""
+    return range(boxed.m - 2 * boxed.n, boxed.m)

@@ -41,11 +41,11 @@ def unit(stream, bits):
     return Fraction(stream.numerator(bits), 1 << bits)
 
 
-def perturb_objective(c0, cfg, stream):
+def perturb_objective(c0, phi, cfg, stream):
     """(c, intervals) as Fractions, c0 a near-unit Fraction vector."""
     c0 = as_fractions(c0)
     n = len(c0)
-    phi = Fraction(cfg.phi)
+    phi = Fraction(phi)
     if float(phi) ** 2 < n * (1 - 1e-10):
         raise RandomnessError("phi must be at least sqrt(n)")
     if abs(float(norm_sq(c0)) - 1.0) > 3e-10:
@@ -157,10 +157,11 @@ def move_to_vertex(lp, point):
 
 
 def bound_polytope(lp, lead):
-    """The boxed LP by `model.make_lp`: rows +-a_i over the lead rows with rhs
-    B_i / (s f_i), B_i = isqrt(|R_i|^2 n H^2) + 1, from each row's own
-    `primitive_int_row` (R_i, f_i) and s the common denominator of the
-    f_i b_i; H^2 is the product of the n largest |R_i|^2 + beta_i^2."""
+    """The boxed LP by `model.make_lp`: lp's rows, then the 2n box rows
+    +-a_i over the lead rows with rhs B_i / (s f_i), B_i = isqrt(|R_i|^2 n
+    H^2) + 1, from each row's own `primitive_int_row` (R_i, f_i) and s the
+    common denominator of the f_i b_i; H^2 is the product of the n largest
+    |R_i|^2 + beta_i^2."""
     n = lp.n
     ints = [primitive_int_row(a) for a in lp.A]
     beta, s = common_denominator([f * b for (_, f), b in zip(ints, lp.b)])
@@ -171,8 +172,7 @@ def bound_polytope(lp, lead):
         bi = Fraction(isqrt(sq[i] * n * H2) + 1) / (s * ints[i][1])
         A += [lp.row(i), [-x for x in lp.row(i)]]
         b += [bi, bi]
-    added = frozenset(range(lp.m, len(A)))
-    return model.make_lp(A, b, lp.c0, box_rows=added, synthetic_rows=lp.synthetic_rows)
+    return model.make_lp(A, b, lp.c0)
 
 
 def phase1_face(lp, lead, V):

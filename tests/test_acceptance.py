@@ -246,8 +246,8 @@ def test_criterion_6_facet_identification():
         r = driver.facet_restriction([], primitive_int_row(boxed.c0)[0])
         tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
         stream = randomness.DrawStream(done)
-        rcfg = randomness.RngConfig(seed=done, phi=phi)
-        pert = randomness.perturb_objective(r.c0, rcfg, stream)
+        rcfg = randomness.RngConfig(seed=done)
+        pert = randomness.perturb_objective(r.c0, phi, rcfg, stream)
         u = driver.restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
         lam = randomness.draw_lambda(n, rcfg, stream)
         w = randomness.cone_objective(u, values(lam))

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import ceil, log2
 
 import pytest
-from boxing import box
+from boxing import box, box_rows, boxed_form
 from reference import pair, validate_shadow_path, values
 from test_golden import _flat_in_x3, _interior_point
 
@@ -128,10 +128,7 @@ class TestReduceAndLift:
         faces = restriction_coords(r, [prim(lp.row(i)) for i in range(lp.m)])
         assert faces == [None, None, [1], [-1]]
         # walking with the fixed row held goes from (1, 0) to (1, 1)
-        boxed = box(lp)
-        tab = walk.Tableau(
-            model.integer_form(boxed), BasicSolution(point=(F(1), F(0)), basis=(0, 3))
-        )
+        tab = walk.Tableau(boxed_form(lp), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
         res = walk.shadow_walk(tab, r.lift(r.c0), r.lift(pair([F(-1)])), held=[0])
         assert res.finished and tab.solution().point == (1, 1)
         assert 0 in tab.solution().basis
@@ -200,8 +197,9 @@ class TestReduceAndLift:
 
 
 def certify(lp, x):
-    """is_optimal on a fresh tableau standing on x."""
-    return is_optimal(lp, x, walk.Tableau(model.integer_form(lp), x))
+    """is_optimal on a fresh tableau on lp's integer form standing on x."""
+    form = model.integer_form(lp)
+    return is_optimal(form, x, walk.Tableau(form, x), lp.c0)
 
 
 class TestIsOptimal:
@@ -268,39 +266,40 @@ class TestIsOptimal:
 
     def test_tableau_must_stand_on_the_vertex(self):
         lp = square()
+        form = model.integer_form(lp)
         corner = BasicSolution(point=(F(1), F(1)), basis=(0, 2))
-        tab = walk.Tableau(model.integer_form(lp), BasicSolution(point=(F(0), F(0)), basis=(1, 3)))
-        with pytest.raises(DriverError):
-            is_optimal(lp, corner, tab)
+        tab = walk.Tableau(form, BasicSolution(point=(F(0), F(0)), basis=(1, 3)))
+        with pytest.raises(DriverError, match="stand on"):
+            is_optimal(form, corner, tab, lp.c0)
+        # a tableau on another form of the same rows is not on form
+        with pytest.raises(DriverError, match="not on the form"):
+            is_optimal(model.integer_form(lp), corner, walk.Tableau(form, corner), lp.c0)
 
 
 class TestRepeated:
-    def boxed_square(self, c0=(1, 1)):
-        return box(square(c0))
-
     def test_square_reaches_argmax(self):
-        lp = self.boxed_square()
+        lp = square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
-            lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
+            boxed_form(lp), lp.c0, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
         )
         assert not cand.capped
         assert cand.tableau.solution().point == (1, 1)
 
     def test_interval_single_round(self):
-        lp = box(model.make_lp([[1], [-1]], [1, 0], [1]))
+        lp = model.make_lp([[1], [-1]], [1, 0], [1])
         start = BasicSolution(point=(F(0),), basis=(1,))
         cand = repeated_shadow_vertex(
-            lp, model.integer_form(lp), start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
+            boxed_form(lp), lp.c0, start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
         )
         assert cand.tableau.solution().point == (1,)
         assert len(cand.traces) == 1
 
     def test_tiny_cap_propagates(self):
-        lp = self.boxed_square()
+        lp = square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
-            lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
+            boxed_form(lp), lp.c0, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
         )
         assert cand.capped
 
@@ -313,10 +312,10 @@ class TestRepeated:
             [1, 1, 1, 0, 0, 0],
             [3, 2, 1],
         )
-        lp = box(cube)
+        form = boxed_form(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         cand = repeated_shadow_vertex(
-            lp, model.integer_form(lp), start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            form, cube.c0, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         assert len(cand.traces) == 3
         assert cand.tableau.solution().point == (1, 1, 1)
@@ -330,26 +329,27 @@ class TestRepeated:
         checks = []
         is_opt = driver.is_optimal
 
-        def recording(b, x, tab):
+        def recording(b, x, tab, c0):
             checks.append((b, x, tab.basis[:]))
-            return is_opt(b, x, tab)
+            return is_opt(b, x, tab, c0)
 
         monkeypatch.setattr(driver, "is_optimal", recording)
         out = solve(lp, cfg(seed=1591348382))
         ref = oracle.classify(lp)
         assert out.status == ref.status == "optimal" and out.value == ref.value
         boxed, x, chain_basis = checks[-1]
+        assert boxed == boxed_form(lp)
         assert len(boxed.tight_rows(x.point)) > boxed.n
 
         def certificate_pivots(basis):
-            tab = walk.Tableau(model.integer_form(boxed), BasicSolution(point=x.point, basis=tuple(basis)))
-            assert is_opt(boxed, x, tab)
+            tab = walk.Tableau(boxed, BasicSolution(point=x.point, basis=tuple(basis)))
+            assert is_opt(boxed, x, tab, lp.c0)
             return tab.pivot_count
 
         # the chain's basis already carries c0; the greedy one needs at least
         # one degenerate pivot before the walk ends on the same point
         assert certificate_pivots(chain_basis) == 0
-        greedy = model.tight_basis_at(model.integer_form(boxed), x.point)[: boxed.n]
+        greedy = model.tight_basis_at(boxed, x.point)[: boxed.n]
         assert certificate_pivots(greedy) >= 1
 
     def test_outcome_vertex_basis_carries_c0(self, monkeypatch):
@@ -359,13 +359,13 @@ class TestRepeated:
         boxes = []
         is_opt = driver.is_optimal
         monkeypatch.setattr(
-            driver, "is_optimal", lambda b, x, tab: boxes.append(b) or is_opt(b, x, tab)
+            driver, "is_optimal", lambda b, x, tab, c0: boxes.append(b) or is_opt(b, x, tab, c0)
         )
         out = solve(lp, cfg(seed=1591348382))
         boxed = boxes[-1]
         assert out.status == "optimal" and out.vertex.point == out.point
-        rows = [boxed.row(i) for i in out.vertex.basis]
-        mu = linalg.solve_square([list(col) for col in zip(*rows)], list(boxed.c0))
+        rows = [[F(v) for v in boxed.R[i]] for i in out.vertex.basis]
+        mu = linalg.solve_square([list(col) for col in zip(*rows)], list(lp.c0))
         assert min(mu) >= 0
 
 
@@ -401,9 +401,9 @@ class TestConeObjective:
             if r.c0 is None:
                 continue
             free = sorted(set(tab.basis) - set(fixed))
-            rcfg = randomness.RngConfig(seed=done, phi=F(8 * n))
+            rcfg = randomness.RngConfig(seed=done)
             stream = randomness.DrawStream(done)
-            pert = randomness.perturb_objective(r.c0, rcfg, stream)
+            pert = randomness.perturb_objective(r.c0, F(8 * n), rcfg, stream)
             c = r.lift((pert.c, pert.den))
             lam = randomness.draw_lambda(len(free), rcfg, stream)
             tau = [driver._face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free]
@@ -508,9 +508,10 @@ class TestSolve:
         verdicts = []
         decide = model.assert_unbounded_if_box_tight
 
-        def recording(tab, boxed):
-            verdicts.append(boxed.box_rows & set(boxed.tight_rows(tab.vertex())))
-            return decide(tab, boxed)
+        def recording(tab, c0):
+            tight = tab.form.tight_rows(tab.vertex())
+            verdicts.append(set(box_rows(tab.form)) & set(tight))
+            return decide(tab, c0)
 
         monkeypatch.setattr(model, "assert_unbounded_if_box_tight", recording)
         out = solve(model.make_lp([[1, 0], [0, -1]], [1, 1], [1, 0]), cfg())
@@ -531,7 +532,7 @@ class TestSolve:
         monkeypatch.setattr(
             model,
             "assert_unbounded_if_box_tight",
-            lambda tab, boxed: UnboundedCertificate(point=(F(-1),), ray=(F(1),)),
+            lambda tab, c0: UnboundedCertificate(point=(F(-1),), ray=(F(1),)),
         )
         with pytest.raises(DriverError, match="infeasible"):
             solve(model.make_lp([[-1]], [0], [1]), cfg())
@@ -794,8 +795,8 @@ class TestSolve:
             r = restrict(boxed, [])
             tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
             stream = randomness.DrawStream(done)
-            rcfg = randomness.RngConfig(seed=done, phi=phi)
-            pert = randomness.perturb_objective(r.c0, rcfg, stream)
+            rcfg = randomness.RngConfig(seed=done)
+            pert = randomness.perturb_objective(r.c0, phi, rcfg, stream)
             u = restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
             lam = randomness.draw_lambda(n, rcfg, stream)
             w = randomness.cone_objective(u, values(lam))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 import reference
-from boxing import box
+from boxing import box, boxed_form
 from reference import values
 from test_golden import _solve_warm
 
@@ -59,11 +59,10 @@ def test_round_loop_matches_the_fraction_formulas(mode):
         rcfg, _ = driver._walk_bits_and_cap(
             lp.m, lp.n, phi, driver.SolveConfig(rng=randomness.RngConfig(seed=done, mode=mode))
         )
-        rcfg = rcfg.with_phi(phi)
         got_stream, ref_stream = randomness.DrawStream(done), randomness.DrawStream(done)
 
-        pert = randomness.perturb_objective(r.c0, rcfg, got_stream)
-        ref_c, ref_intervals = reference.perturb_objective(c0_face, rcfg, ref_stream)
+        pert = randomness.perturb_objective(r.c0, phi, rcfg, got_stream)
+        ref_c, ref_intervals = reference.perturb_objective(c0_face, phi, rcfg, ref_stream)
         assert values((pert.c, pert.den)) == ref_c
         assert [(F(lo, pert.den), F(hi, pert.den)) for lo, hi in pert.intervals] == ref_intervals
 
@@ -174,7 +173,7 @@ class TestCarriedFaceBasis:
 
 def test_aim_strips_the_gcd():
     tab = walk.Tableau(
-        model.integer_form(box(model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1]))),
+        boxed_form(model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1])),
         BasicSolution(point=(F(1), F(1)), basis=(0, 1)),
     )
     tab.aim(([6, -4], 10), ([0, 0], 7))
@@ -278,14 +277,14 @@ class TestBoxTightOnTheTableau:
         # maximize x subject to -x <= 0: the top box corner, on box row
         # x <= r / t, is box-tight, which the tableau's slack numerators
         # tell, and the recession walk from d = 0 finds the ray
-        lp = box(model.make_lp([[-1]], [0], [1]))
-        form = model.integer_form(lp)
-        top = BasicSolution(point=(lp.b[2],), basis=(2,))
+        lp = model.make_lp([[-1]], [0], [1])
+        form = boxed_form(lp)
+        top = BasicSolution(point=(F(form.beta[2], form.s),), basis=(2,))
         tab = walk.Tableau(form, top)
         assert tab.slack_nums([1, 2]) != [0, 0] and tab.slack_nums([2]) == [0]
-        assert lp.tight_rows(top.point) == [2]
+        assert form.tight_rows(top.point) == [2]
         walks = self.recording(monkeypatch)
-        got = model.assert_unbounded_if_box_tight(tab, lp)
+        got = model.assert_unbounded_if_box_tight(tab, lp.c0)
         assert isinstance(got, UnboundedCertificate) and got.point == top.point
         assert got.ray[0] > 0
         (rec,) = walks
@@ -293,8 +292,8 @@ class TestBoxTightOnTheTableau:
         assert rec.R == form.R and rec.beta[0] == 0 and all(rec.beta[1:])
 
     def test_vertex_off_the_box_walks_nothing(self, monkeypatch):
-        lp = box(model.make_lp([[1], [-1]], [1, 0], [1]))
-        tab = walk.Tableau(model.integer_form(lp), BasicSolution(point=(F(1),), basis=(0,)))
+        lp = model.make_lp([[1], [-1]], [1, 0], [1])
+        tab = walk.Tableau(boxed_form(lp), BasicSolution(point=(F(1),), basis=(0,)))
         walks = self.recording(monkeypatch)
-        assert model.assert_unbounded_if_box_tight(tab, lp) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == model.BOUNDED
         assert walks == []

@@ -1,10 +1,11 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 import reference
-from boxing import box, boxed_and_form
+from boxing import box, box_rows, boxed_form
 
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, walk
 from shadow_simplex.model import (
@@ -36,7 +37,7 @@ class TestParse:
         assert (lp.m, lp.n) == (4, 2)
         assert lp.c0 == (1, 0)
         assert lp.A[1] == (-1, 0)
-        assert not (lp.box_rows or lp.synthetic_rows)
+        assert [f.name for f in fields(lp)] == ["A", "b", "c0"]
 
     def test_empty_objective(self):
         with pytest.raises(LPFormatError):
@@ -46,6 +47,13 @@ class TestParse:
         with pytest.raises(LPFormatError) as e:
             parse_lp("maximize 1 0\nst\n1 2 3 <= 4\n")
         assert "3" in str(e.value)
+
+    def test_objective_dimension_mismatch(self):
+        # a short or a long c0 is rejected when the LP is built, before any
+        # dot product could truncate it
+        for c0 in ([1], [1, 1, 5]):
+            with pytest.raises(LPModelError, match="dimension mismatch"):
+                square_lp(c0)
 
     def test_zero_row(self):
         with pytest.raises(LPFormatError):
@@ -131,8 +139,8 @@ class TestRankRaising:
         assert isinstance(res, RankRaised)
         ext = res.lp
         assert linalg.rank(ext.rows()) == 2
-        assert ext.m == 3 and len(ext.synthetic_rows) == 2
-        for i in ext.synthetic_rows:
+        assert ext.m == 3 and res.back_map.appended_rows == (1, 2)
+        for i in res.back_map.appended_rows:
             assert ext.A[i][0] == 0 and ext.b[i] == 0  # spans the e2 axis
 
     def test_delta_escape(self):
@@ -223,16 +231,26 @@ class TestRankRaising:
 class TestBounding:
     def test_box_rows_added_and_vertices_strict(self):
         lp = square_lp()
-        boxed = box(lp)
-        assert len(boxed.box_rows) == 4
+        boxed = boxed_form(lp)
+        assert boxed.m == lp.m + 4
         for v in oracle.enumerate_vertices(lp).vertices:
-            for i in boxed.box_rows:
-                assert dot(boxed.row(i), list(v.point)) < boxed.b[i]
+            assert all(e < 0 for e in boxed.excess(v.point)[lp.m :])
 
     def test_boxing_a_boxed_lp_marks_only_its_own_rows(self):
-        boxed = box(square_lp())
-        again = box(boxed)
-        assert again.box_rows == frozenset(range(boxed.m, again.m))
+        # boxing a boxed form appends 2n more rows; the first box's rows are
+        # then ordinary rows, and only the last 2n count as box rows
+        lp = model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 1])
+        once = boxed_form(lp)
+        twice = model.bound_polytope(once, linalg.independent_rows(once.R)[:2])
+        assert twice.m == once.m + 4
+        assert (twice.R[: once.m], twice.beta[: once.m]) == (once.R, once.beta)
+        # the corner of the first box, where only the first box's rows are tight
+        B = F(once.beta[3], once.s)
+        corner = BasicSolution(point=(B, B), basis=(3, 5))
+        got = model.assert_unbounded_if_box_tight(walk.Tableau(once, corner), lp.c0)
+        assert isinstance(got, UnboundedCertificate)
+        tab = walk.Tableau(twice, corner)
+        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == model.BOUNDED
 
     def test_vertices_lie_strictly_inside_the_box(self):
         # every vertex of the LP the solve boxes lies strictly inside every
@@ -241,11 +259,10 @@ class TestBounding:
         seen = dict.fromkeys(("rational", "duplicate", "completed", "boxed"), 0)
         vertices = 0
         for work, form, lead, kinds in box_cases(61, 80):
-            boxed, _ = model.bound_polytope(work, lead, form)
+            boxed = model.bound_polytope(form, lead)
             for v in oracle.enumerate_vertices(work).vertices:
                 vertices += 1
-                for i in boxed.box_rows:
-                    assert dot(boxed.row(i), list(v.point)) < boxed.b[i]
+                assert all(e < 0 for e in boxed.excess(v.point)[work.m :])
             for k in kinds:
                 seen[k] += 1
         assert vertices >= 100 and min(seen.values()) >= 5, (vertices, seen)
@@ -253,14 +270,14 @@ class TestBounding:
     def test_unbounded_polytope_gets_box(self):
         lp = model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1])
         boxed = box(lp)
-        assert boxed.m == 6 and len(boxed.box_rows) == 4
+        assert boxed.m == boxed_form(lp).m == 6
         vs = oracle.enumerate_vertices(boxed)
         assert len(vs) > 1  # box closed the polyhedron
 
     def test_rank_deficient_rejected(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
         with pytest.raises(LPModelError):
-            boxed_and_form(lp)
+            boxed_form(lp)
 
     def test_tu_box_keeps_denominator_one(self):
         # a totally unimodular LP with integer rhs has s = 1, and its box
@@ -268,14 +285,15 @@ class TestBounding:
         for k, kind in enumerate(("tu-incidence", "interval-matrix", "network-matrix")):
             for n in (2, 4, 6):
                 lp = harness.generate_tu_instance(kind, 2 * n, n, 100 * k + n)
-                boxed, boxed_form = boxed_and_form(lp)
-                assert model.integer_form(lp).s == boxed_form.s == 1
-                assert all(boxed.b[i].denominator == 1 for i in boxed.box_rows)
+                assert model.integer_form(lp).s == boxed_form(lp).s == 1
+                boxed = box(lp)
+                assert all(boxed.b[i].denominator == 1 for i in box_rows(boxed))
 
     def test_box_form_is_the_boxed_lps_integer_form(self):
         # the box rows +-R_i and their rhs come from the solve's one form of
-        # the rows, exactly as the boxed LP's own integer form gives them;
-        # rational, duplicated and parallel rows give factors other than 1
+        # the rows, exactly as the Fraction boxed LP's own integer form gives
+        # them; rational, duplicated and parallel rows give factors other
+        # than 1
         rng = random.Random(17)
         for _ in range(60):
             n = rng.randint(1, 4)
@@ -287,26 +305,23 @@ class TestBounding:
             lp = model.make_lp(rows, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in rows], [1] * n)
             if linalg.rank(lp.rows()) < n:
                 continue
-            boxed, form = boxed_and_form(lp)
-            assert boxed == box(lp)
-            assert form == model.integer_form(boxed)
+            assert boxed_form(lp) == model.integer_form(box(lp))
 
     def test_integer_box_matches_the_fraction_box(self):
-        # the boxed LP is its make_lp construction, whose B_i come from each
-        # row's own primitive_int_row, and the box form is its integer form
+        # the box form is the integer form of the boxed LP's make_lp
+        # construction, whose B_i come from each row's own primitive_int_row
         for work, form, lead, _ in box_cases(67, 150):
-            boxed, boxed_form = model.bound_polytope(work, lead, form)
-            assert boxed == reference.bound_polytope(work, lead)
-            assert boxed_form == model.integer_form(boxed)
+            boxed = model.bound_polytope(form, lead)
+            assert boxed == model.integer_form(reference.bound_polytope(work, lead))
 
     def test_box_form_keeps_the_solves_rows_and_denominator(self):
         # the box rows append to the solve's form: its rows, rhs and s stay
         for work, form, lead, _ in box_cases(71, 150):
-            _, boxed_form = model.bound_polytope(work, lead, form)
-            assert boxed_form.s == form.s
-            assert boxed_form.beta[: work.m] == form.beta
-            assert boxed_form.R[: work.m] == form.R
-            assert boxed_form.factor[: work.m] == form.factor
+            boxed = model.bound_polytope(form, lead)
+            assert boxed.s == form.s
+            assert boxed.beta[: work.m] == form.beta
+            assert boxed.R[: work.m] == form.R
+            assert boxed.factor[: work.m] == form.factor
 
     def test_box_rhs_match_the_hand_computed_bound(self):
         # rows (3, 4), (-1, 0), (0, -1) with rhs 12, 0, 0: s = 1, the
@@ -314,10 +329,9 @@ class TestBounding:
         # lead rows 0 and 1 get B = isqrt(25 * 338) + 1 = 92 and
         # isqrt(338) + 1 = 19, above s |R_i x| at the vertices (4, 0), (0, 3)
         lp = model.make_lp([[3, 4], [-1, 0], [0, -1]], [12, 0, 0], [1, 1])
-        boxed, boxed_form = boxed_and_form(lp)
-        assert boxed.A[3:] == ((3, 4), (-3, -4), (-1, 0), (1, 0))
-        assert boxed.b[3:] == (92, 92, 19, 19)
-        assert boxed_form.beta == [12, 0, 0, 92, 92, 19, 19] and boxed_form.s == 1
+        boxed = boxed_form(lp)
+        assert boxed.R[3:] == [[3, 4], [-3, -4], [-1, 0], [1, 0]]
+        assert boxed.beta == [12, 0, 0, 92, 92, 19, 19] and boxed.s == 1
 
 
 def box_cases(seed, count):
@@ -353,7 +367,7 @@ def box_cases(seed, count):
         if work.m > lp.m:
             kinds.add("completed")
         if len(cases) % 4 == 3:
-            work = model.bound_polytope(work, lead, form)[0]
+            work = reference.bound_polytope(work, lead)
             form = model.integer_form(work)
             lead = linalg.independent_rows(form.R)[:n]
             kinds.add("boxed")
@@ -362,22 +376,22 @@ def box_cases(seed, count):
 
 
 def on(lp, vertex):
-    """A tableau on lp's integer form standing on vertex."""
-    return walk.Tableau(model.integer_form(lp), BasicSolution(vertex.point, vertex.basis))
+    """A tableau on lp's boxed form standing on vertex."""
+    return walk.Tableau(boxed_form(lp), BasicSolution(vertex.point, vertex.basis))
 
 
 class TestBoxTightAssert:
     def test_interior_optimum_bounded(self):
-        lp = box(square_lp())
-        bs = model.move_to_vertex(lp, [F(1), F(1)])
-        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp) == model.BOUNDED
+        lp = square_lp()
+        bs = model.move_to_vertex(box(lp), [F(1), F(1)])
+        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp.c0) == model.BOUNDED
 
     def test_genuinely_unbounded(self):
         # maximize x subject to x >= 0
-        lp = box(model.make_lp([[-1]], [0], [1]))
-        vs = oracle.enumerate_vertices(lp).vertices
+        lp = model.make_lp([[-1]], [0], [1])
+        vs = oracle.enumerate_vertices(box(lp)).vertices
         top = max(vs, key=lambda v: v.point[0])
-        got = model.assert_unbounded_if_box_tight(on(lp, top), lp)
+        got = model.assert_unbounded_if_box_tight(on(lp, top), lp.c0)
         assert isinstance(got, UnboundedCertificate)
         assert got.ray[0] > 0
 
@@ -385,14 +399,15 @@ class TestBoxTightAssert:
         # maximize x1 with x1 <= 1, x2 <= 0: the optimal face is unbounded,
         # so a box corner ties with the true optimum; the ray test must
         # override the box-tightness signal
-        lp = box(model.make_lp([[1, 0], [0, 1]], [1, 0], [1, 0]))
+        lp = model.make_lp([[1, 0], [0, 1]], [1, 0], [1, 0])
+        boxed = box(lp)
         corner = None
-        for v in oracle.enumerate_vertices(lp).vertices:
-            if v.point[0] == 1 and any(i in lp.box_rows for i in lp.tight_rows(v.point)):
+        for v in oracle.enumerate_vertices(boxed).vertices:
+            if v.point[0] == 1 and set(box_rows(boxed)) & set(boxed.tight_rows(v.point)):
                 corner = v
                 break
         assert corner is not None
-        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp.c0) == model.BOUNDED
 
 
 class TestVertexUtilities:

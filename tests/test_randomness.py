@@ -73,18 +73,18 @@ class TestBitBudget:
 
 
 class TestPerturbation:
-    def cfg(self, phi, seed=0, mode="float", bits=None):
-        return RngConfig(seed=seed, mode=mode, bits_per_draw=bits, phi=F(phi))
+    def cfg(self, seed=0, mode="float", bits=None):
+        return RngConfig(seed=seed, mode=mode, bits_per_draw=bits)
 
     def test_interval_placement_at_top(self):
         c0 = [F(1), F(0)]
-        c, intervals = perturbed(perturb_objective(pair(c0), self.cfg(2), DrawStream(0)))
+        c, intervals = perturbed(perturb_objective(pair(c0), F(2), self.cfg(), DrawStream(0)))
         assert intervals[0] == (F(1, 2), F(1))
         assert intervals[1] == (F(0), F(1, 2))
         for ci, (lo, hi) in zip(c, intervals):
             assert lo <= ci <= hi
         # c0_i = 1 - 1/phi exactly is not above it: the interval starts there
-        _, intervals = perturbed(perturb_objective(pair([F(1, 2), F(0)]), self.cfg(2), DrawStream(0)))
+        _, intervals = perturbed(perturb_objective(pair([F(1, 2), F(0)]), F(2), self.cfg(), DrawStream(0)))
         assert intervals[0] == (F(1, 2), F(1))
 
     def test_sup_norm_bound(self):
@@ -99,7 +99,7 @@ class TestPerturbation:
             t = unit_scale(raw)
             c0 = [t * x for x in raw]
             phi = F(rnd.randint(3, 40))
-            c, _ = perturbed(perturb_objective(pair(c0), self.cfg(phi, seed=trial), DrawStream(trial)))
+            c, _ = perturbed(perturb_objective(pair(c0), phi, self.cfg(seed=trial), DrawStream(trial)))
             for ci, c0i in zip(c, c0):
                 assert abs(ci - c0i) <= 1 / phi
                 assert -1 <= ci <= 1
@@ -107,16 +107,16 @@ class TestPerturbation:
 
     def test_dyadic_reproducible_denominators(self):
         c0 = [F(1), F(0)]
-        cfg = self.cfg(2, mode="dyadic", bits=3)
-        a = perturb_objective(pair(c0), cfg, DrawStream(7))
-        b = perturb_objective(pair(c0), cfg, DrawStream(7))
+        cfg = self.cfg(mode="dyadic", bits=3)
+        a = perturb_objective(pair(c0), F(2), cfg, DrawStream(7))
+        b = perturb_objective(pair(c0), F(2), cfg, DrawStream(7))
         assert a == b
         for ci in perturbed(a)[0]:
             assert ci.denominator <= 2**3 * 2  # interval length 1/2, 3-bit draws
 
     def test_phi_below_sqrt_n_rejected(self):
         with pytest.raises(RandomnessError):
-            perturb_objective(pair([F(1), F(0)]), self.cfg(1), DrawStream(0))
+            perturb_objective(pair([F(1), F(0)]), F(1), self.cfg(), DrawStream(0))
 
     def test_large_phi_gets_inside_identification_radius(self):
         # phi > 2 n^{3/2}/delta forces ||c - c0|| < delta/(2n)
@@ -128,7 +128,7 @@ class TestPerturbation:
         n = 2
         phi = 3 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
         c0 = [F(1), F(0)]
-        c, _ = perturbed(perturb_objective(pair(c0), self.cfg(phi), DrawStream(4)))
+        c, _ = perturbed(perturb_objective(pair(c0), phi, self.cfg(), DrawStream(4)))
         diff = norm_sq([a - b for a, b in zip(c, c0)])
         # compare squared quantities exactly: diff < (delta/(2n))^2
         assert diff < F(1, (2 * n) ** 2) / inv2

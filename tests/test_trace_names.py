@@ -11,21 +11,27 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from test_golden import _solve_warm
 
-from shadow_simplex import driver, harness, linalg, model, randomness
+from shadow_simplex import driver, harness, linalg, model, phase1, randomness, walk
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_wrapped_name_resolves(monkeypatch):
+def load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file executes
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_wrapped_name_resolves(monkeypatch):
+    tracing = load_tracing(monkeypatch)
     missing = [
         f"{module}.{attr}"
         for module, _, attr in tracing.WRAPPED
@@ -149,3 +155,47 @@ def test_cold_solve_reaches_the_round_loop_names(round_loop_calls):
 def test_warm_solve_reaches_the_round_loop_names(round_loop_calls):
     assert _solve_warm("interval-matrix", 1).status == "optimal"
     assert all(round_loop_calls.values()), round_loop_calls
+
+
+def test_recorder_counts_degenerate_optimality_checks(monkeypatch):
+    # the recorder keeps is_optimal's first two arguments and, after each
+    # solve, counts the calls whose vertex has more than n tight rows with
+    # `.n` and `.tight_rows(point)` of the first and `.point` of the second;
+    # here the same calls are counted from the tableau's slack numerators,
+    # read before the certificate walk moves it
+    tracing = load_tracing(monkeypatch)
+    degenerate = []
+    inner = driver.is_optimal
+
+    def counting(form, x, tab, c0):
+        assert tab.form is form and tab.stands_on(x.point)
+        degenerate[-1] += tab.slack_nums(range(tab.m)).count(0) > form.n
+        return inner(form, x, tab, c0)
+
+    monkeypatch.setattr(driver, "is_optimal", counting)
+    pkg = SimpleNamespace(
+        driver=driver, linalg=linalg, model=model, phase1=phase1, randomness=randomness, walk=walk
+    )
+    rec = tracing.SpanRecorder()
+    rec.install(pkg)
+    try:
+        # a cold solve whose optimum has 4 tight rows in R^3, then a warm one
+        solves = (
+            lambda: _cold_seeded("interval-matrix", 1356726337, 1591348382),
+            lambda: _solve_warm("interval-matrix", 1),
+        )
+        for k, run in enumerate(solves):
+            degenerate.append(0)
+            rec.begin_solve(k)
+            assert run().status == "optimal"
+            rec.end_solve()
+            assert rec.counts.degenerate_calls == sum(degenerate)
+    finally:
+        rec.uninstall()
+    assert driver.is_optimal is counting
+    assert degenerate[0] > 0 and rec.counts.optimal_true >= 2
+
+
+def _cold_seeded(kind, generator_seed, solver_seed):
+    lp = harness.generate_tu_instance(kind, 6, 3, generator_seed)
+    return driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=solver_seed)))
