@@ -38,6 +38,17 @@ denominator) pairs.  The walk is the one on the restricted LP, whose
 delta-distance value is preserved to rounding of the unit scaling, without
 building it.
 
+A chain fixes at most n facets, and ends at the first finished walk whose
+basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
+nonnegative combination of the basis rows and the vertex is c0-optimal on
+the boxed form).  No later round could improve on that vertex: the
+paper's n rounds are an upper bound, and this is Dantzig's optimality test,
+the certificate `is_optimal` reads at the end.  Every chain whose objective is not constant
+on its face walks at least once.  The rule serves Phase 1 and the main
+solve alike: a Phase-1 basis that carries -sum(y) stands on its optimum, so
+on a feasible LP Phase 1 ends on a vertex where sum(y) = 0 rather than
+walking across that face for the rest of its rounds.
+
 Each round keeps its walk's path in a `RoundTrace`, and the traces are the
 one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
 first, then every round of every doubling, and `SolveOutcome.pivots` and
@@ -58,6 +69,7 @@ from .model import BasicSolution, IntegerForm, LinearProgram, UnboundedCertifica
 from .rational import (
     as_fractions,
     common_denominator,
+    fraction,
     primitive_int_row,
     unit_scale_pq,
 )
@@ -341,8 +353,10 @@ def repeated_shadow_vertex(
     stream: randomness.DrawStream,
     cap: int | None = None,
 ) -> Candidate:
-    """Up to n rounds of perturb -> walk -> identify -> fix, on one tableau,
-    for the objective c0 (rationals) over form, the boxed integer form.
+    """Rounds of perturb -> walk -> identify -> fix, on one tableau, for the
+    objective c0 (rationals) over form, the boxed integer form: at most n,
+    and none after the first finished walk whose basis carries c0, or once
+    c0 is constant on the face of the fixed rows.
 
     The tableau starts on x0's own basis, over form, and its build checks x0
     (a bad start raises `walk.WalkError`).  Each round draws its perturbed
@@ -373,6 +387,8 @@ def repeated_shadow_vertex(
         traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
             return Candidate(tableau=tab, capped=True, traces=traces)
+        if tab.carries(c0):
+            break  # the basis certifies c0: the vertex is already optimal
         free = sorted(set(tab.basis) - set(fixed))
         fixed.append(free[identify_basis_element(tab, r, free, tau)])
     return Candidate(tableau=tab, capped=False, traces=traces)
@@ -528,7 +544,8 @@ def _accept(
 ) -> SolveOutcome:
     """out answered at point, unbounded along ray when one is given, after
     checking both against lp_raw's rows, the first rows of the solve's
-    integer form.  The value c0 x is one Fraction of integer numerators."""
+    integer form.  The value c0 x is one Fraction of integer numerators,
+    shared from `SMALL_INTEGRAL` when it is a small integer."""
     if any(e > 0 for e in form.excess(point)[: lp_raw.m]):
         raise DriverError("certificate failure: accepted point infeasible")
     out.point = point
@@ -536,7 +553,7 @@ def _accept(
         out.status = "optimal"
         cn, cd = common_denominator(lp_raw.c0)
         xn, xd = common_denominator(as_fractions(point))
-        out.value = Fraction(sum(map(mul, cn, xn)), cd * xd)
+        out.value = fraction(sum(map(mul, cn, xn)), cd * xd)
     else:
         _check_ray(lp_raw, form, ray)
         out.status, out.ray = "unbounded", ray

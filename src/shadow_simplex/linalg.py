@@ -4,8 +4,8 @@ Elimination pivots on the first nonzero entry in row order, so identical
 inputs always take identical elimination paths.  Four private kernels do
 it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 `inverse_columns`); a fraction-free Bareiss pass for integer matrices
-(`invert`, `det_int`); a fraction-free echelon pass over the primitive
-integer forms of a row sequence, which takes every rank decision
+(`invert`, `solve_int`, `det_int`); a fraction-free echelon pass over the
+primitive integer forms of a row sequence, which takes every rank decision
 (`independent_rows`, `rank`, `nullspace_int`, `nullspace_vector`) and
 takes rows of ints, the rows of an integer form, as they are; and a
 fraction-free Gram-Schmidt pass over integer rows (the objective escape's
@@ -63,44 +63,64 @@ def inverse_columns(M: Mat) -> list[Vec]:
     return [list(col) for col in zip(*inv)]
 
 
-def _bareiss(M: Sequence[Sequence[int]], adjugate: bool) -> tuple[list[list[int]], int]:
-    """Fraction-free elimination (Bareiss 1968) of an integer matrix:
-    (adj M, det M), by a Gauss-Jordan pass on [M | I] when adjugate is set,
-    else by a forward pass on M alone, which leaves adj M unfilled.  det M
-    is 0 when M is singular.  Every division is exact."""
-    n = len(M)
-    eye = [[int(i == j) for j in range(n)] if adjugate else [] for i in range(n)]
-    a = [list(row) + e for row, e in zip(M, eye)]
+def _bareiss(a: list[list[int]], n: int, full: bool) -> tuple[int, int]:
+    """Fraction-free elimination (Bareiss 1968), in place, of the integer
+    matrix a = [M | X] on the n columns of M: a Gauss-Jordan pass when full
+    is set, which ends on [d I | d M^-1 X], else a forward pass, which leaves
+    M's columns upper triangular with last diagonal entry d.  Returns (d,
+    sign), d = sign det M with sign that of the row swaps; d is 0 when M is
+    singular.  Every division is exact."""
     sign = prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
-            return [], 0
+            return 0, sign
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         p = a[k][k]
-        for i in range(n) if adjugate else range(k + 1, n):
+        for i in range(n) if full else range(k + 1, n):
             if i != k:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
         prev = p
-    # the pass ends on [d I | d M^-1] with d = sign * det M
-    return [[sign * x for x in row[n:]] for row in a], sign * prev
+    return prev, sign
 
 
 def invert(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """(adj M, det M) of an integer matrix, with adj M = det M * M^-1, from
-    one fraction-free pass; raises LinAlgError if M is singular."""
-    adj, det = _bareiss(M, adjugate=True)
-    if det == 0:
+    one fraction-free Gauss-Jordan pass on [M | I]; raises LinAlgError if M
+    is singular."""
+    n = len(M)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    d, sign = _bareiss(a, n, full=True)
+    if d == 0:
         raise LinAlgError("singular matrix")
-    return adj, det
+    return [[sign * x for x in row[n:]] for row in a], sign * d
+
+
+def solve_int(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int]:
+    """(xn, d) with M xn = d b and d = +-det M, so x = xn / d solves M x = b,
+    from one fraction-free forward pass over [M | b] and the integer
+    back-substitution xn_k = (a_kn d - sum_{j>k} a_kj xn_j) / a_kk, each
+    division exact since xn = d M^-1 b is integral (Cramer's rule); raises
+    LinAlgError if M is singular."""
+    n = len(M)
+    a = [list(row) + [v] for row, v in zip(M, b)]
+    d = _bareiss(a, n, full=False)[0]
+    if d == 0:
+        raise LinAlgError("singular matrix")
+    xn = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        xn[k] = (row[n] * d - sum(map(mul, row[k + 1 : n], xn[k + 1 :]))) // row[k]
+    return xn, d
 
 
 def det_int(M: Sequence[Sequence[int]]) -> int:
     """Fraction-free Bareiss determinant for integer matrices."""
-    return _bareiss(M, adjugate=False)[1]
+    d, sign = _bareiss([list(row) for row in M], len(M), full=False)
+    return sign * d
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

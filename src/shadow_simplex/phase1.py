@@ -32,7 +32,7 @@ from operator import mul
 
 from . import linalg, model
 from .model import BasicSolution, LinearProgram
-from .rational import ONE, SMALL_INTEGRAL, as_fractions
+from .rational import ONE, SMALL_INTEGRAL, as_fractions, fraction
 
 
 class Phase1Error(ValueError):
@@ -83,15 +83,15 @@ def _lead_start(lead: list[int], form: model.IntegerForm):
     k-th row i of perm has the sign of a_i x_bar - b_i, which is
     e_k / (s xd f_i).
 
-    All in integers: x_bar = adj(R_L) beta_L / (det s) from one Bareiss pass
-    over the lead rows R_L."""
+    All in integers: x_bar = R_L^-1 beta_L / s = xn / (d s), with
+    R_L xn = d beta_L, from one fraction-free forward pass over
+    [R_L | beta_L] and a back-substitution (`linalg.solve_int`); no inverse
+    of R_L is formed."""
     R, beta, s = form.R, form.beta, form.s
     is_lead = set(lead)
     perm = list(lead) + [i for i in range(form.m) if i not in is_lead]
-    adj, det = linalg.invert([R[i] for i in lead])
-    beta_L = [beta[i] for i in lead]
-    xn = [sum(map(mul, row, beta_L)) for row in adj]
-    xd = det * s
+    xn, d = linalg.solve_int([R[i] for i in lead], [beta[i] for i in lead])
+    xd = d * s
     if xd < 0:
         xn, xd = [-v for v in xn], -xd
     e = [s * sum(map(mul, R[i], xn)) - beta[i] * xd for i in perm]
@@ -147,7 +147,7 @@ def build_phase1_face(
     n = lp.n
     perm, xn, xd, e = _lead_start(lead, form)
     V = [k for k, ek in enumerate(e) if ek > 0]
-    x_bar = tuple(Fraction(v, xd) for v in xn)
+    x_bar = tuple(fraction(v, xd) for v in xn)
     if not V:
         return BasicSolution(point=x_bar, basis=tuple(perm[:n]))
     nv = len(V)

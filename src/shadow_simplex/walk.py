@@ -23,7 +23,9 @@ facet chain of the driver walks all its rounds on one Tableau this way,
 with one basis inverse.  `shadow_walk` walks a Tableau in place and returns
 its `ShadowPath`, the one record of the walk's pivots.  `first_gain` walks
 a Tableau on a plain objective only until the point moves: the optimality
-and boundedness certificates are decided that way.
+and boundedness certificates are decided that way.  `Tableau.carries`
+reads off M whether the basis already carries an objective, which ends a
+facet chain.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -204,6 +206,13 @@ class Tableau:
 
     def at_optimum(self) -> bool:
         return not self._improving()
+
+    def carries(self, c: list[int]) -> bool:
+        """Whether the basis carries the integer objective c: every entry of
+        c M is >= 0, so c = sum_k nu_k R_basis[k] with every nu_k >= 0 (M =
+        D inv(B), D > 0) and the vertex maximizes c over the form, whatever
+        rows the walk held."""
+        return all(sum(map(mul, c, col)) >= 0 for col in zip(*self.M))
 
     # -- the pivot --------------------------------------------------------
 

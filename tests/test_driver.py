@@ -3,13 +3,25 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, log2
+from types import SimpleNamespace
 
 import pytest
 from boxing import box, box_rows, boxed_form
 from reference import pair, validate_shadow_path, values
-from test_golden import _flat_in_x3, _interior_point
+from test_golden import _flat_in_x3, _interior_point, _solve_warm
+from test_integer_path import load_workloads
 
-from shadow_simplex import driver, harness, linalg, metrics, model, oracle, randomness, walk
+from shadow_simplex import (
+    driver,
+    harness,
+    linalg,
+    metrics,
+    model,
+    oracle,
+    randomness,
+    rational,
+    walk,
+)
 from shadow_simplex.driver import (
     DriverError,
     PhiSchedule,
@@ -29,6 +41,15 @@ F = Fraction
 
 def square(c0=(1, 1)):
     return model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], list(c0))
+
+
+def unit_cube(c0):
+    """The unit cube: x, y, z <= 1, then -x, -y, -z <= 0."""
+    return model.make_lp(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        [1, 1, 1, 0, 0, 0],
+        c0,
+    )
 
 
 def cfg(seed=0, **kw):
@@ -304,21 +325,20 @@ class TestRepeated:
         assert cand.capped
 
     def test_one_basis_inverse_per_chain(self, monkeypatch):
+        # c0 nested over the rows x <= 1, -y <= 0 and -z <= 0 (tests/chains.py):
+        # at phi = 2 each round's perturbation outweighs the lower terms, so
+        # the chain fixes a facet per round and walks all three
         calls = []
         invert = linalg.invert
         monkeypatch.setattr(linalg, "invert", lambda M: calls.append(M) or invert(M))
-        cube = model.make_lp(
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
-            [1, 1, 1, 0, 0, 0],
-            [3, 2, 1],
-        )
+        cube = unit_cube([4096, -64, -1])
         form = boxed_form(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         cand = repeated_shadow_vertex(
-            form, cube.c0, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            form, cube.c0, start, F(2), randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         assert len(cand.traces) == 3
-        assert cand.tableau.solution().point == (1, 1, 1)
+        assert cand.tableau.solution().point == (1, 0, 0)
         assert len(calls) == 1
 
     def test_chain_basis_certifies_degenerate_optimum(self, monkeypatch):
@@ -375,6 +395,118 @@ def prices(tab, w):
     factor -1 / D."""
     nums, den = w
     return [F(sum(nums[t] * tab.M[t][k] for t in range(tab.n)), den) for k in range(tab.n)]
+
+
+class TestChainStop:
+    """A facet chain ends after the first finished walk whose basis carries
+    c0, and never before its first walk."""
+
+    def test_chain_ends_when_its_basis_carries_c0(self):
+        cube = unit_cube([3, 2, 1])
+        form = boxed_form(cube)
+        start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
+        cand = repeated_shadow_vertex(
+            form, cube.c0, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+        )
+        tab = cand.tableau
+        assert len(cand.traces) == 1 and not cand.capped
+        assert tab.solution().point == (1, 1, 1) and tab.carries([3, 2, 1])
+        assert is_optimal(form, tab.solution(), tab, cube.c0)
+        assert tab.pivot_count == 0  # the certificate walk found no improving edge
+
+    def test_chain_starts_with_a_walk_even_at_the_optimum(self):
+        # the start is the optimum and its basis carries c0: one walk, no pivot
+        cube = unit_cube([3, 2, 1])
+        start = BasicSolution(point=(F(1), F(1), F(1)), basis=(0, 1, 2))
+        cand = repeated_shadow_vertex(
+            boxed_form(cube), cube.c0, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+        )
+        assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
+
+    def test_degenerate_optimum_walks_a_second_round(self, monkeypatch):
+        # a tu-warm instance whose first walk ends on the c0-optimal vertex,
+        # which has 10 tight rows in R^8, on a basis that does not carry c0:
+        # the chain walks on, and the second round's basis carries it
+        lp = harness.generate_tu_instance("interval-matrix", 16, 8, 52)
+        c0 = prim(lp.c0)
+        after = []
+        shadow_walk = walk.shadow_walk
+
+        def recording(tab, c, w, pivot_cap=None, held=()):
+            res = shadow_walk(tab, c, w, pivot_cap=pivot_cap, held=held)
+            after.append((tab.solution(), tab.carries(c0)))
+            return res
+
+        monkeypatch.setattr(walk, "shadow_walk", recording)
+        out = _solve_warm("interval-matrix", 52)
+        start = model.move_to_vertex(lp, _interior_point("interval-matrix", 16, 8, 52))
+        ref = oracle.reference_simplex(lp, start)
+        assert out.status == ref.status == "optimal" and out.value == ref.value
+        (first, carried), *rest = after
+        assert dot(list(lp.c0), list(first.point)) == out.value
+        assert len(model.integer_form(lp).tight_rows(first.point)) > lp.n
+        assert not carried
+        assert rest and rest[-1][1] and not any(c for _, c in rest[:-1])
+
+    def test_phase1_chain_ends_at_the_first_zero_artificial_sum(self, monkeypatch):
+        # the 32x16 interval instance of the TU sweep (generator seed 1001,
+        # solver seed 1): Phase 1 walks until the artificial sum first
+        # reaches 0, and stops there (141 Phase-1 pivots when every chain
+        # ran all its rounds)
+        lp = harness.generate_tu_instance("interval-matrix", 32, 16, 1001)
+        sums = []
+        shadow_walk = walk.shadow_walk
+
+        def recording(tab, c, w, pivot_cap=None, held=()):
+            res = shadow_walk(tab, c, w, pivot_cap=pivot_cap, held=held)
+            if tab.n > lp.n:  # a walk on the Phase-1 face
+                sums.append(sum(tab.vertex()[lp.n :]))
+            return res
+
+        monkeypatch.setattr(walk, "shadow_walk", recording)
+        out = solve(lp, cfg(seed=1))
+        start = model.move_to_vertex(lp, _interior_point("interval-matrix", 32, 16, 1001))
+        ref = oracle.reference_simplex(lp, start)
+        assert out.status == ref.status == "optimal" and out.value == ref.value
+        assert sums[-1] == 0 and all(y > 0 for y in sums[:-1])
+        assert out.phase1_pivots == 38
+
+    def test_infeasible_cold_solve_keeps_its_gap(self, monkeypatch):
+        # Phase 1 never reaches a zero artificial sum, so it ends on its
+        # optimum, whose sum is the gap
+        lp = harness.generate_random_integer(10, 4, 1041)
+        sums = []
+        shadow_walk = walk.shadow_walk
+
+        def recording(tab, c, w, pivot_cap=None, held=()):
+            res = shadow_walk(tab, c, w, pivot_cap=pivot_cap, held=held)
+            sums.append(sum(tab.vertex()[lp.n :]))
+            return res
+
+        monkeypatch.setattr(walk, "shadow_walk", recording)
+        out = solve(lp, cfg(seed=1))
+        assert out.status == oracle.classify(lp).status == "infeasible"
+        assert out.infeasible_gap > 0 and out.infeasible_gap == sums[-1]
+        assert all(y > 0 for y in sums)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_pools_agree_with_the_oracle(self, seed):
+        # every instance of the three benchmark pools, as the benchmark
+        # solves it on its first pass and checks it
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        for name, wl in workloads.WORKLOADS.items():
+            for inst in workloads.build_pool(pkg, name, seed):
+                rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
+                out = solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start)
+                if wl.check == "classify":
+                    ref = oracle.classify(inst.lp)
+                else:
+                    ref = oracle.reference_simplex(inst.lp, inst.start)
+                assert (out.status, out.value) == (ref.status, ref.value), inst.id
+                if out.status == "optimal":
+                    assert inst.lp.feasible(out.point), inst.id
+                    assert dot(list(inst.lp.c0), list(out.point)) == out.value, inst.id
 
 
 class TestConeObjective:

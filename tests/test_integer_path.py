@@ -14,8 +14,9 @@ from types import SimpleNamespace
 import pytest
 import reference
 from boxing import box, boxed_form
+from chains import nested_objective
 from reference import values
-from test_golden import _solve_warm
+from test_golden import _interior_point
 
 from shadow_simplex import driver, harness, linalg, model, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, LPModelError, UnboundedCertificate
@@ -105,14 +106,16 @@ class TestCarriedFaceBasis:
     """Every round of every facet chain, on TU rows and on rational rows:
     the face basis the chain carries equals one built afresh from its fixed
     rows and the Fraction Gram-Schmidt residuals of tests/reference.py, and
-    the round's face factors and facet choice equal their Fraction forms."""
+    the round's face factors and facet choice equal their Fraction forms.
+    The LPs take nested objectives (tests/chains.py), so that their chains
+    walk several rounds."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
         """Patch the round loop's checks in; returns the cases the carried
         updates met."""
         seen = {"skipped inside": 0, "dropped first": 0, "dropped last": 0, "rounds": 0}
-        last_js = {}
+        last_js = {}  # by the chain's FaceBasis itself, which the key keeps alive
         facet_restriction = driver.facet_restriction
         identify = driver.identify_basis_element
 
@@ -135,13 +138,13 @@ class TestCarriedFaceBasis:
                     tau * F(*s) * sum(map(mul, c0, v)) for v, s in zip(r.cols, r.col_scale)
                 ]
             js = [j for j, _ in ref]
-            prev = last_js.get(id(basis))
+            prev = last_js.get(basis)
             if prev is not None and len(prev) > len(js):
                 (gone,) = set(prev) - set(js)
                 seen["dropped first"] += gone == prev[0]
                 seen["dropped last"] += gone == prev[-1]
             seen["skipped inside"] += bool(js) and js[-1] + 1 > len(js)
-            last_js[id(basis)] = js
+            last_js[basis] = js
             seen["rounds"] += 1
             return r
 
@@ -157,17 +160,28 @@ class TestCarriedFaceBasis:
         return seen
 
     def test_tu_rows(self, seen):
-        for seed in range(6):
-            assert _solve_warm(harness.GENERATORS[seed % 3], seed).status == "optimal"
+        # the tu-warm setup, 16x8 from the generator's interior point
+        for seed in range(12):
+            kind = harness.GENERATORS[seed % 3]
+            lp = nested_objective(harness.generate_tu_instance(kind, 16, 8, seed), seed)
+            start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
+            rng = randomness.RngConfig(seed=seed, mode=randomness.MODE_DYADIC)
+            out = driver.solve(lp, driver.SolveConfig(rng=rng), initial_bfs=start)
+            assert out.status == "optimal"
         assert all(seen.values()), seen
 
     def test_rational_rows(self, seen):
         rng = random.Random(65)
-        for seed in range(30):
-            n = rng.randint(2, 7)
-            lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
-            cfg = driver.SolveConfig(rng=randomness.RngConfig(seed=seed))
-            driver.solve(lp, cfg, initial_bfs=start)
+        done = 0
+        while done < 30:
+            n = rng.randint(2, 6)
+            lp = awkward_lp(rng, n, rng.randint(n, n + 4))
+            if lp is None:
+                continue
+            lp = nested_objective(lp, done)
+            start = model.move_to_vertex(lp, [F(0)] * n)
+            driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=done)), initial_bfs=start)
+            done += 1
         assert all(seen.values()), seen
 
 
@@ -228,15 +242,21 @@ def test_crawl_matches_the_fraction_crawl_on_awkward_rows():
     assert crawled > 40
 
 
-def test_crawl_matches_the_fraction_crawl_on_the_tu_warm_starts():
-    # the seed-7 tu-warm benchmark pool: every start its setup crawls to
+def load_workloads():
+    """perfbench/workloads.py, which builds the benchmark's pools."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
     try:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def test_crawl_matches_the_fraction_crawl_on_the_tu_warm_starts():
+    # the seed-7 tu-warm benchmark pool: every start its setup crawls to
+    workloads = load_workloads()
     pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
     wl = workloads.WORKLOADS["tu-warm"]
     m, n = workloads.TU_WARM_SIZE

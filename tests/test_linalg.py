@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -139,6 +140,27 @@ class TestDeterminants:
                     got = sum(M[i][k] * adj[k][j] for k in range(n))
                     assert type(got) is int and got == (d if i == j else 0)
         assert singular > 0
+
+    def test_solve_int_solves_by_back_substitution(self):
+        # M xn = d b in integers with d = +-det M, and a singular M rejected
+        rng = random.Random(7)
+        singular = negative = 0
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            det = det_fraction(mat(M))
+            if det == 0:
+                singular += 1
+                with pytest.raises(LinAlgError):
+                    linalg.solve_int(M, b)
+                continue
+            negative += det < 0
+            xn, d = linalg.solve_int(M, b)
+            assert abs(d) == abs(det)
+            assert [sum(map(mul, row, xn)) for row in M] == [d * v for v in b]
+            assert all(type(v) is int for v in xn)
+        assert singular > 0 and negative > 0
 
 
 class TestCompleteOrthonormal:

@@ -11,6 +11,7 @@ from shadow_simplex.model import BasicSolution
 from shadow_simplex.phase1 import (
     InfeasibleCertificate,
     Phase1Problem,
+    _lead_start,
     build_phase1,
     build_phase1_face,
     extract_bfs,
@@ -152,6 +153,27 @@ def rational_lp(rng, n):
     rows = [r for r in rows if any(r)] or [[F(1)] * n]
     b = [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 5])) for _ in rows]
     return model.make_lp(rows, b, [rng.randint(-2, 2) for _ in range(n)])
+
+
+class TestLeadStart:
+    def test_lead_point_is_the_adjugate_solution(self):
+        # x_bar from the forward pass and back-substitution is
+        # adj(R_L) beta_L / (det s), the lead rows' Bareiss adjugate solution,
+        # on lead sets with negative determinants and rational rows
+        rng = random.Random(67)
+        negative = scaled = 0
+        for _ in range(200):
+            lp = rational_lp(rng, rng.randint(1, 4))
+            form = model.integer_form(lp)
+            _, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
+            _, xn, xd, _ = _lead_start(lead, form)
+            adj, det = linalg.invert([form.R[i] for i in lead])
+            beta_L = [form.beta[i] for i in lead]
+            want = [F(sum(a * v for a, v in zip(row, beta_L)), det * form.s) for row in adj]
+            assert xd > 0 and [F(v, xd) for v in xn] == want
+            negative += det < 0
+            scaled += form.s > 1 or any(f.denominator > 1 for f in form.factor)
+        assert negative >= 20 and scaled >= 20
 
 
 class TestDirectFaceForm:

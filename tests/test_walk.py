@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from boxing import box
+from chains import nested_objective
 from reference import pair, validate_shadow_path, values
 
 from shadow_simplex import driver, harness, model, oracle, randomness, rational, walk
@@ -269,7 +270,9 @@ class TestCarriedState:
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_carried_along_solves(self, checked_pivots, mode):
         # cold solves of seeded random LPs: Phase 1, the facet chains on the
-        # boxed LPs with their held rows, and the certificate walks
+        # boxed LPs with their held rows, and the certificate walks; each LP
+        # is solved once more with a nested objective, whose chains walk
+        # several rounds and so pivot with held rows
         kinds = ("tu-incidence", "interval-matrix", "network-matrix")
         for seed in range(24):
             rng = random.Random(seed)
@@ -278,7 +281,8 @@ class TestCarriedState:
                 lp = harness.generate_random_integer(rng.randint(n + 1, 8), n, seed)
             else:
                 lp = harness.generate_tu_instance(kinds[seed // 2 % 3], 2 * n, n, seed)
-            driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
+            for each in (lp, nested_objective(lp, seed)):
+                driver.solve(each, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
         held = sum(h for _, h, _ in checked_pivots)
         certificate = sum(c for _, _, c in checked_pivots)
         degenerate = sum(st.step_length == 0 for st, _, _ in checked_pivots)
