@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-doublings", type=int, default=64)
     p.add_argument("--trace", default=None,
                    help="directory for per-walk path CSVs (row indices are rows "
-                   "of the boxed form walked)")
+                   "of the form walked, then the 2n box rows once a walk appends them)")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exact brute-force classification")

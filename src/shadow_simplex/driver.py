@@ -2,7 +2,7 @@
 wrapped in the doubling phi schedule with exact optimality certificates.
 
 `solve` runs one path for every LP: one rank pass, rank completion, Phase 1
-when no start vertex is given, the box, then the doubling loop.  An LP of
+when no start vertex is given, then the doubling loop.  An LP of
 rank below n whose c0 leaves the row span (the objective escape) has no
 vertex: a given start is ignored, Phase 1 decides feasibility, and a
 feasible one is unbounded along the escape.  A zero objective's chain stops
@@ -13,35 +13,38 @@ not need.
 
 A solve builds the integer form of its rows once (`model.integer_form`),
 first of all, and derives everything else from it: the rank pass, rank
-completion, Phase 1's start and face, the box, the chain's tableau, the
-box-tight test and the checks of the answer.  The box is the form's last 2n
-rows, which `model.bound_polytope` appends with integer rhs over the form's
-own s; no `Fraction` LP of the boxed polyhedron exists, and the driver
-passes the boxed form and c0 where it needs the boxed LP.  The Phase-1 face
-comes with its own form and lead rows, built from the solve's
+completion, Phase 1's start and face, the chain's tableau, the box-tight
+test and the checks of the answer.  The box is not built up front.  Its
+rows strictly contain every vertex, so they can block only an edge that is
+unbounded in the LP: each facet chain's `walk.Tableau` is built on the
+solve's form with its lead rows, and appends the box
+(`model.bound_polytope`, the form's last 2n rows, with integer rhs over the
+form's own s) at the first improving edge no row blocks, with the pivots a
+walk of the boxed form makes.  A bounded LP's solve never builds it.  The
+bit budget and the pivot cap are those of the boxed form, m + 2n rows.  The
+Phase-1 face comes with its own form and lead rows, built from the solve's
 (`phase1.build_phase1_face`), so the depth-1 solve runs no rank pass and
 builds no form of its own, and boxes the face on the face's form.  A facet
-chain keeps one `walk.Tableau` on the boxed form, built on the start
-vertex's own basis; that build is the check of the start, and a bad one
-raises `walk.WalkError`.  The rows fixed so far stay in its basis, held out
-of pricing, so each walk stays on the face where they are tight.  Each
-round runs in integers: it draws its perturbed objective in coordinates of
-that face, over an exactly orthogonal integer basis of the fixed rows'
-complement (a `linalg.FaceBasis` carried through the chain, which each
-round updates with its new fixed row in O(n^2)), as numerators over one
-denominator, and lifts it to the boxed form exactly on the integer columns;
-its cone objective is priced on the tableau's integer rows
-(`lifted_cone_objective`), with each free row's near-unit factor tau formed
-once per round, and the facet is chosen by integer cross-multiplication of
-the prices and the tau.  Both reach `Tableau.aim` as (numerators,
-denominator) pairs.  The walk is the one on the restricted LP, whose
-delta-distance value is preserved to rounding of the unit scaling, without
-building it.
+chain's tableau is built on the start vertex's own basis; that build is the
+check of the start, and a bad one raises `walk.WalkError`.  The rows fixed
+so far stay in its basis, held out of pricing, so each walk stays on the
+face where they are tight.  Each round runs in integers: it draws its
+perturbed objective in coordinates of that face, over an exactly orthogonal
+integer basis of the fixed rows' complement (a `linalg.FaceBasis` carried
+through the chain, which each round updates with its new fixed row in
+O(n^2)), as numerators over one denominator, and lifts it to the form
+exactly on the integer columns; its cone objective is priced on the
+tableau's integer rows (`lifted_cone_objective`), with each free row's
+near-unit factor tau formed once per round, and the facet is chosen by
+integer cross-multiplication of the prices and the tau.  Both reach
+`Tableau.aim` as (numerators, denominator) pairs.  The walk is the one on
+the restricted LP, whose delta-distance value is preserved to rounding of
+the unit scaling, without building it.
 
 A chain fixes at most n facets, and ends at the first finished walk whose
 basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
 nonnegative combination of the basis rows and the vertex is c0-optimal on
-the boxed form).  No later round could improve on that vertex: the
+the form walked).  No later round could improve on that vertex: the
 paper's n rounds are an upper bound, and this is Dantzig's optimality test,
 the certificate `is_optimal` reads at the end.  Every chain whose objective is not constant
 on its face walks at least once.  The rule serves Phase 1 and the main
@@ -53,8 +56,8 @@ Each round keeps its walk's path in a `RoundTrace`, and the traces are the
 one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
 first, then every round of every doubling, and `SolveOutcome.pivots` and
 `.pivot_sequence` are read off them.  Row indices in walk paths and in the
-pivot sequence are rows of the boxed form walked: the LP's rows, then any
-rank-completion rows, then the 2n box rows.
+pivot sequence are rows of the form walked: the LP's rows, then any
+rank-completion rows, then the 2n box rows once a walk has appended them.
 """
 
 from __future__ import annotations
@@ -308,12 +311,13 @@ def identify_basis_element(
 
 def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bool:
     """Exact test that c0 lies in the normal cone of the vertex x of the LP
-    whose integer form is form, the boxed form the facet chain walked.
+    whose integer form is form, the form the facet chain walked.
 
     tab is a Tableau on form standing on x, the facet chain's own (checked
-    in integers); it is walked in place on c0 by `walk.first_gain`.  x is
-    optimal exactly when that walk ends without leaving x, and tab's basis
-    then carries c0.  At a degenerate vertex the walk makes degenerate
+    in integers); it is walked in place on c0 by `walk.first_gain`, and
+    appends the box, as the chain's walks do, if an edge no row blocks
+    improves c0.  x is optimal exactly when that walk ends without leaving
+    x, and tab's basis then carries c0.  At a degenerate vertex the walk makes degenerate
     pivots until it reaches such a basis or a step of positive length; no
     subset of the tight rows is scanned.  These pivots are not counted in
     `SolveOutcome.pivots`.
@@ -352,23 +356,26 @@ def repeated_shadow_vertex(
     cfg: randomness.RngConfig,
     stream: randomness.DrawStream,
     cap: int | None = None,
+    lead: list[int] | None = None,
 ) -> Candidate:
     """Rounds of perturb -> walk -> identify -> fix, on one tableau, for the
-    objective c0 (rationals) over form, the boxed integer form: at most n,
-    and none after the first finished walk whose basis carries c0, or once
-    c0 is constant on the face of the fixed rows.
+    objective c0 (rationals) over form, the integer form: at most n, and
+    none after the first finished walk whose basis carries c0, or once c0 is
+    constant on the face of the fixed rows.
 
     The tableau starts on x0's own basis, over form, and its build checks x0
-    (a bad start raises `walk.WalkError`).  Each round draws its perturbed
-    objective in the coordinates of the current face at phi and lifts it to
-    form's coordinates, prices its cone objective on the tableau's integer
-    rows with each free row's factor tau formed once (the facet choice
-    reuses them), and walks the tableau with the fixed rows held in the
-    basis, from where the previous round stopped; every objective stays in
-    integers.  The chain's last basis is the candidate's basis, and each
-    round's walk path is kept in its trace.
+    (a bad start raises `walk.WalkError`).  With the form's lead rows it
+    appends the box over them at the first edge no row blocks; without, it
+    walks form as given, which must then bound every walk.  Each round
+    draws its perturbed objective in the coordinates of the current face at
+    phi and lifts it to form's coordinates, prices its cone objective on
+    the tableau's integer rows with each free row's factor tau formed once
+    (the facet choice reuses them), and walks the tableau with the fixed
+    rows held in the basis, from where the previous round stopped; every
+    objective stays in integers.  The chain's last basis is the candidate's
+    basis, and each round's walk path is kept in its trace.
     """
-    tab = walk.Tableau(form, x0)
+    tab = walk.Tableau(form, x0, lead)
     c0 = primitive_int_row(c0)[0]
     fixed: list[int] = []
     basis = linalg.FaceBasis(form.n)  # the fixed rows' face basis, carried
@@ -412,7 +419,7 @@ class SolveOutcome:
     status: str  # "optimal" | "unbounded" | "infeasible"
     point: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
-    vertex: BasicSolution | None = None  # its basis carries c0 in the boxed form
+    vertex: BasicSolution | None = None  # its basis carries c0 in the form walked
     ray: tuple[Fraction, ...] | None = None
     infeasible_gap: Fraction | None = None
     phase1_pivots: int = 0
@@ -430,7 +437,7 @@ class SolveOutcome:
     @property
     def pivot_sequence(self) -> list[tuple[int, int]]:
         """(entering, leaving) rows of every pivot in walk order, read off
-        the traces; rows are indexed in the boxed form walked."""
+        the traces; rows are indexed in the form walked."""
         return [
             (st.entering_row, st.leaving_row) for tr in self.traces for st in tr.path.steps
         ]
@@ -459,9 +466,10 @@ def solve(
     _face: phase1.Phase1Problem | None = None,
 ) -> SolveOutcome:
     """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
-    given, box, then the doubling schedule around the repeated shadow vertex
-    algorithm.  The rows are used as given, never scaled: one rank pass finds
-    the lead rows that both Phase 1 and the box use.  Every answer is checked
+    given, then the doubling schedule around the repeated shadow vertex
+    algorithm, whose tableaus box the LP at their first unbounded edge.  The
+    rows are used as given, never scaled: one rank pass finds the lead rows
+    that both Phase 1 and the box use.  Every answer is checked
     against lp_raw: the point for feasibility, a ray for improvement and
     recession.
 
@@ -474,7 +482,7 @@ def solve(
       phi.
 
     initial_bfs is checked by the first facet chain's `walk.Tableau` build
-    on the boxed form, whose rows include every row of lp_raw: a basis that
+    on the solve's form, whose rows include every row of lp_raw: a basis that
     does not hold n distinct rows, has dependent rows, is not tight at the
     point, or a point that violates a row, raises `walk.WalkError`.
 
@@ -509,27 +517,26 @@ def solve(
         out.bits_consumed = stream.bits_consumed
         return _accept(out, lp_raw, form, bfs.point, tuple(escape))
 
-    boxed = model.bound_polytope(form, lead)
     c0 = lp_raw.c0
 
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
-        rng_i, cap = _walk_bits_and_cap(boxed.m, boxed.n, phi, cfg)
-        cand = repeated_shadow_vertex(boxed, c0, bfs, phi, rng_i, stream, cap=cap)
+        # the boxed form's m + 2n rows, whether or not a walk appends the box
+        rng_i, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
+        cand = repeated_shadow_vertex(form, c0, bfs, phi, rng_i, stream, cap=cap, lead=lead)
         out.traces.extend(cand.traces)
         out.doublings = i
         if cand.capped:
             continue
-        if not is_optimal(boxed, cand.tableau.solution(), cand.tableau, c0):
+        tab = cand.tableau
+        if not is_optimal(tab.form, tab.solution(), tab, c0):
             continue
         # the basis the certificate walk ended on carries c0
-        vertex = cand.tableau.solution()
+        vertex = tab.solution()
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
-        verdict = (
-            model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(cand.tableau, c0)
-        )
+        verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(tab, c0)
         if isinstance(verdict, UnboundedCertificate):
             return _accept(out, lp_raw, form, verdict.point, verdict.ray)
         out.vertex = vertex

@@ -69,7 +69,9 @@ def _bareiss(a: list[list[int]], n: int, full: bool) -> tuple[int, int]:
     is set, which ends on [d I | d M^-1 X], else a forward pass, which leaves
     M's columns upper triangular with last diagonal entry d.  Returns (d,
     sign), d = sign det M with sign that of the row swaps; d is 0 when M is
-    singular.  Every division is exact."""
+    singular.  Every division is exact.  A row whose multiplier is 0 is only
+    scaled by p / prev, and left as it is when p = prev, as on the unit
+    pivots of a totally unimodular matrix."""
     sign = prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -79,10 +81,15 @@ def _bareiss(a: list[list[int]], n: int, full: bool) -> tuple[int, int]:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         p = a[k][k]
+        ak = a[k]
         for i in range(n) if full else range(k + 1, n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+            if i == k:
+                continue
+            f = a[i][k]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ak)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
         prev = p
     return prev, sign
 
@@ -277,9 +284,7 @@ def complement_basis_int(
 
 
 def _strip_gcd(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
 
 

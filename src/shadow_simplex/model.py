@@ -4,10 +4,12 @@ box.
 The box closes the polyhedron so that the shadow walk always finds a vertex
 optimum.  It exists only in integers: `bound_polytope` appends its 2n rows
 to the solve's integer form, as the form's last rows, and no `Fraction` LP
-of the boxed polyhedron is built.  `assert_unbounded_if_box_tight` then
-decides whether the original LP is bounded by walking its recession LP, the
-same rows with rhs 1 on those last 2n rows and 0 elsewhere, from d = 0, on
-the objective.
+of the boxed polyhedron is built.  Its rows strictly contain every vertex,
+so they can block only an edge that is unbounded in the LP: the walk's
+tableau appends them at the first such edge, and a bounded LP's solve
+never builds them.  `assert_unbounded_if_box_tight` then decides whether
+the original LP is bounded by walking its recession LP, the same rows with
+rhs 1 on those last 2n rows and 0 elsewhere, from d = 0, on the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
 given: each pivot decision is invariant under positive row scaling.  A
@@ -424,24 +426,26 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     """Decide Bounded vs Unbounded for the objective c0 at an optimal vertex
     of a boxed LP.
 
-    tab is a `walk.Tableau` standing on that vertex, on a form that
-    `bound_polytope` returned: its last 2n rows are the box rows.  If no box
-    row is tight there, which tab's slack numerators tell, the LP was bounded
-    all along.  Otherwise the recession LP decides: max c0 d subject to
-    R_i d <= 0 on the un-boxed rows and +-R_i d <= 1 on the box rows, which
-    is bounded because the box rows bound R_i d for the n independent lead
-    rows.  Its integer form is tab's rows with the scaled rhs 1 on the box
-    rows and 0 on every other row, over s = 1.  d = 0 is a vertex of it, and
-    `walk.first_gain` walks it from there on c0: the first vertex it reaches
-    with c0 d > 0 is an improving ray of the un-boxed rows.  A walk that
-    never leaves 0 certifies that no such ray exists, so the box-tight
-    optimum already attains the (finite) supremum.  The caller checks that
-    the vertex is feasible for the un-boxed LP.
+    tab is a `walk.Tableau` standing on that vertex.  A tableau that still
+    holds its lead rows never met an unbounded edge, so it never appended
+    the box, and the LP is bounded.  Otherwise its form is one that
+    `bound_polytope` returned, whose last 2n rows are the box rows.  If none
+    of them is tight there, which tab's carried slack numerators tell, the LP
+    was bounded all along.  Otherwise the recession LP decides: max c0 d
+    subject to R_i d <= 0 on the un-boxed rows and +-R_i d <= 1 on the box
+    rows, which is bounded because the box rows bound R_i d for the n
+    independent lead rows.  Its integer form is tab's rows with the scaled
+    rhs 1 on the box rows and 0 on every other row, over s = 1.  d = 0 is a
+    vertex of it, and `walk.first_gain` walks it from there on c0: the first
+    vertex it reaches with c0 d > 0 is an improving ray of the un-boxed
+    rows.  A walk that never leaves 0 certifies that no such ray exists, so
+    the box-tight optimum already attains the (finite) supremum.  The caller
+    checks that the vertex is feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
     n, m = tab.n, tab.m
-    if all(tab.slack_nums(range(m - 2 * n, m))):
+    if tab.lead is not None or all(tab.slack[m - 2 * n :]):
         return BOUNDED
     form = tab.form
     rec = IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)

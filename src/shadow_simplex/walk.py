@@ -8,12 +8,22 @@ The tableau keeps every decision exact and cheap:
   pure canonicalization);
 * the basis inverse is carried as the integer pair (M, D) with
   M = D * inv(rows_of_basis) and D > 0, and beside it the vertex's
-  numerators x_num = M beta_B and the prices t_c = c M and t_w = w M; each
-  pivot updates all of them by one exact integer rank-one
-  (Sherman-Morrison) step, so none is recomputed from scratch;
+  numerators x_num = M beta_B, every row's slack numerator and the prices
+  t_c = c M and t_w = w M; each pivot updates all of them by one exact
+  integer rank-one (Sherman-Morrison) step, so none is recomputed from
+  scratch;
 * degeneracy is resolved by a symbolic lexicographic perturbation of b with
   exponents assigned non-basis-rows-first, which makes any starting basis
   lexicographically feasible and every leaving choice unique.
+
+A tableau built with the form's lead rows walks the form as it is until an
+improving edge has no blocking row.  Only then does it append the box
+`model.bound_polytope` builds over those rows, whose 2n rows strictly
+contain every vertex of the form and so can block only an edge that is
+unbounded in it, and redo that ratio test.  The box rows get the
+lexicographic exponents they would have had had they been there from the
+start, so every pivot is the one a walk of the boxed form makes.  A tableau
+built without lead rows walks its form as given.
 
 A Tableau outlives one walk: `aim` gives it the next walk's objectives, as
 integer numerators over a denominator, and the rows it holds in the basis.
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
+from . import linalg, model
 from .model import BasicSolution, IntegerForm, LinearProgram
 from .rational import as_fractions, common_denominator, fraction, lowest_terms
 
@@ -58,14 +68,34 @@ HARD_PIVOT_GUARD = 10**6
 
 @dataclass(frozen=True)
 class PathStep:
+    """One pivot.  Its exact values are kept as the integer (numerator,
+    denominator) pairs the tableau forms them from, not reduced, and each
+    becomes a Fraction only when read."""
+
     pivot_index: int
     entering_row: int
     leaving_row: int
-    slope: Fraction
-    c_gain: Fraction  # c^T d of the traversed direction, exactly > 0
-    step_length: Fraction  # 0 on degenerate pivots
-    c_value: Fraction  # c^T x after the step
+    slope_pair: tuple[int, int]
+    c_gain_pair: tuple[int, int]  # c^T d of the traversed direction, exactly > 0
+    step_length_pair: tuple[int, int]  # numerator 0 on degenerate pivots
+    c_value_pair: tuple[int, int]  # c^T x after the step
     basis: tuple[int, ...]
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(*self.slope_pair)
+
+    @property
+    def c_gain(self) -> Fraction:
+        return Fraction(*self.c_gain_pair)
+
+    @property
+    def step_length(self) -> Fraction:
+        return Fraction(*self.step_length_pair)
+
+    @property
+    def c_value(self) -> Fraction:
+        return Fraction(*self.c_value_pair)
 
 
 @dataclass(frozen=True)
@@ -94,30 +124,26 @@ def tight_rows_at(lp: LinearProgram, x0: BasicSolution) -> list[list[Fraction]]:
     return rows
 
 
-def _cmp_frac(p1: int, q1: int, p2: int, q2: int) -> int:
-    """Compare p1/q1 with p2/q2 exactly; denominators may carry signs."""
-    if q1 < 0:
-        p1, q1 = -p1, -q1
-    if q2 < 0:
-        p2, q2 = -p2, -q2
-    lhs = p1 * q2
-    rhs = p2 * q1
-    return (lhs > rhs) - (lhs < rhs)
-
-
 class Tableau:
     """Walking state: the basis, its integer inverse (M, D), the vertex
-    numerators x_num, the prices t_c and t_w, and the pivot counter.  The
-    build sets M, D and x_num, `aim` sets the prices for its objectives, and
-    each pivot's `_update_basis` carries all five.
+    numerators x_num, every row's slack numerator, the prices t_c and t_w,
+    and the pivot counter.  The build sets M, D, x_num and the slacks, `aim`
+    sets the prices for its objectives, and each pivot's `_update_basis`
+    carries all six.
+
+    lead, when given, holds the form's n lead rows: the tableau appends the
+    box over them, once, at the first improving edge no row blocks, and
+    `lead` is None from then on.  A tableau built without lead walks its
+    form as given, and an edge no row blocks raises `UnboundedEdgeError`.
 
     Single-owner mutable state; concurrent walks must each build their own.
     """
 
-    def __init__(self, form: IntegerForm, start: BasicSolution) -> None:
+    def __init__(self, form: IntegerForm, start: BasicSolution, lead=None) -> None:
         """Build the integer basis inverse at start on the LP's integer form;
         `aim` sets the objectives before the first pivot."""
         self.form = form
+        self.lead = lead
         m, n = form.m, form.n
         self.m, self.n = m, n
         self.R, self.beta, self.s = form.R, form.beta, form.s
@@ -139,7 +165,8 @@ class Tableau:
         self.x_num = [sum(map(mul, row, beta_B)) for row in self.M]
         if not self.stands_on(start.point):
             raise WalkError("basis does not reproduce the start point")
-        if any(v < 0 for v in self.slack_nums(range(m))):
+        self.slack = self._slacks(range(m))
+        if any(v < 0 for v in self.slack):
             raise WalkError("start point infeasible")
 
     def aim(self, c, w, held=()) -> None:
@@ -184,9 +211,10 @@ class Tableau:
         den = self.D * self.s
         return len(pn) == self.n and all(a * pd == p * den for a, p in zip(self.x_num, pn))
 
-    def slack_nums(self, rows) -> list[int]:
-        """Slack numerators beta_i D - R_i . x_num of rows at the vertex: the
-        slack of row i is this over D s, so a zero is a tight row."""
+    def _slacks(self, rows) -> list[int]:
+        """Slack numerators beta_i D - R_i . x_num of rows at the vertex,
+        recomputed: the slack of row i is this over D s, so a zero is a
+        tight row.  The tableau carries them in `slack`."""
         beta, D, R, x_num = self.beta, self.D, self.R, self.x_num
         return [beta[i] * D - sum(map(mul, R[i], x_num)) for i in rows]
 
@@ -218,94 +246,100 @@ class Tableau:
 
     def pivot(self) -> PathStep | None:
         """One step along the minimum-slope improving edge; None at the optimum."""
-        x_num, t_c, t_w = self.x_num, self.t_c, self.t_w
+        t_c, t_w = self.t_c, self.t_w
         improving = self._improving()
         if not improving:
             return None
-        # minimum slope y_w/y_c = (t_w[k] c_den) / (t_c[k] w_den)
-        best: list[int] = []
-        for k in improving:
-            if not best:
+        # minimum slope y_w/y_c = (t_w[k] c_den) / (t_c[k] w_den); the
+        # positive c_den / w_den cancels, and t_c[k] t_c[b] > 0 on two
+        # improving edges, so t_w[k] t_c[b] < t_w[b] t_c[k] is the lower slope
+        best = [improving[0]]
+        for k in improving[1:]:
+            b = best[0]
+            lhs, rhs = t_w[k] * t_c[b], t_w[b] * t_c[k]
+            if lhs < rhs:
                 best = [k]
-                continue
-            cmp = _cmp_frac(
-                t_w[k] * self.c_den, t_c[k] * self.w_den,
-                t_w[best[0]] * self.c_den, t_c[best[0]] * self.w_den,
-            )
-            if cmp < 0:
-                best = [k]
-            elif cmp == 0:
+            elif lhs == rhs:
                 best.append(k)
         # ratio test per slope-tied edge; equal slopes resolved by the
-        # smallest entering row index
-        chosen = None
-        for k in best:
-            enter, rd, slack = self._ratio_test(k)
-            if chosen is None or enter < chosen[1]:
-                chosen = (k, enter, rd, slack)
-        k, enter, rd_enter, slack_enter = chosen
+        # smallest entering row index.  An edge no row blocks appends the box
+        # over the lead rows, and the ratio tests are redone on it
+        while True:
+            tests = [(*self._ratio_test(k), k) for k in best]
+            if all(enter >= 0 for enter, _, _ in tests):
+                break
+            if self.lead is None:
+                raise UnboundedEdgeError(
+                    "improving edge with no blocking row (polytope not boxed?)"
+                )
+            self._append_box()
+        enter, rd, k = min(tests, key=lambda t: t[0])
         leave = self.basis[k]
-        theta = Fraction(slack_enter, self.s * rd_enter)
-        slope = Fraction(t_w[k] * self.c_den, t_c[k] * self.w_den)
-        c_gain = Fraction(-t_c[k], self.D * self.c_den)
-        # c^T x after the step: c^T x + theta c_gain = (c_num . x_num rd -
-        # slack t_c[k]) / (c_den D s rd)
-        cx = sum(map(mul, self.c_num, x_num))
-        c_value = Fraction(
-            cx * rd_enter - slack_enter * t_c[k], self.c_den * self.D * self.s * rd_enter
+        slack, rd_enter, tk = self.slack[enter], rd[enter], t_c[k]
+        D, s, c_den = self.D, self.s, self.c_den
+        # c^T x after the step: c^T x + theta c_gain, theta = slack / (s
+        # rd_enter), is (c_num . x_num rd_enter - slack t_c[k]) / (c_den D s rd_enter)
+        cx = sum(map(mul, self.c_num, self.x_num))
+        pairs = (
+            (t_w[k] * c_den, tk * self.w_den),
+            (-tk, D * c_den),
+            (slack, s * rd_enter),
+            (cx * rd_enter - slack * tk, c_den * D * s * rd_enter),
         )
 
-        self._update_basis(k, enter, slack_enter)
+        self._update_basis(k, enter, rd)
         self.pivot_count += 1
         if self.pivot_count > HARD_PIVOT_GUARD:
             raise WalkError("pivot guard exceeded: walk did not terminate")
-        return PathStep(
-            pivot_index=self.pivot_count,
-            entering_row=enter,
-            leaving_row=leave,
-            slope=slope,
-            c_gain=c_gain,
-            step_length=theta,
-            c_value=c_value,
-            basis=tuple(sorted(self.basis)),
-        )
+        return PathStep(self.pivot_count, enter, leave, *pairs, tuple(sorted(self.basis)))
 
-    def _ratio_test(self, k: int) -> tuple[int, int, int]:
-        """Lexicographic minimum ratio along direction -M[:,k]; returns
-        (entering row, R_i.dvec, slack numerator)."""
-        x_num, R, beta, D = self.x_num, self.R, self.beta, self.D
-        col = [row[k] for row in self.M]
+    def _ratio_test(self, k: int) -> tuple[int, list[int]]:
+        """Lexicographic minimum ratio along direction d = -M[:,k]: (entering
+        row, R_i . d of every row), the row -1 when no row blocks."""
+        slack, col = self.slack, [row[k] for row in self.M]
+        # rd = R_i . d: -D or 0 on the basis rows, since R_B M = D I, so only
+        # non-basic rows can block
+        rd = [-sum(map(mul, Ri, col)) for Ri in self.R]
         best_i = -1
-        best_rd = 0
-        best_slack = 0
-        for i, Ri in enumerate(R):
-            # rd = R_i . d with d = -M[:,k]: -D or 0 on the basis rows, since
-            # R_B M = D I, so only non-basic rows can block
-            rd = -sum(map(mul, Ri, col))
-            if rd <= 0:
+        best_rd = best_slack = 0
+        for i, r in enumerate(rd):
+            if r <= 0:
                 continue
-            slack = beta[i] * D - sum(map(mul, Ri, x_num))
+            sl = slack[i]
             if best_i < 0:
-                best_i, best_rd, best_slack = i, rd, slack
+                best_i, best_rd, best_slack = i, r, sl
                 continue
-            # slack / rd against best_slack / best_rd, both rd > 0
-            lhs, rhs = slack * best_rd, best_slack * rd
+            # sl / r against best_slack / best_rd, both rd > 0
+            lhs, rhs = sl * best_rd, best_slack * r
             if lhs > rhs:
                 continue
-            if lhs < rhs or self._lex_less(i, rd, best_i, best_rd):
-                best_i, best_rd, best_slack = i, rd, slack
-        if best_i < 0:
-            raise UnboundedEdgeError(
-                "improving edge with no blocking row (polytope not boxed?)"
-            )
-        return best_i, best_rd, best_slack
+            if lhs < rhs or self._lex_less(i, r, best_i, best_rd):
+                best_i, best_rd, best_slack = i, r, sl
+        return best_i, rd
+
+    def _append_box(self) -> None:
+        """Append the box over the lead rows (`model.bound_polytope`) as the
+        form's last 2n rows, each strictly slack at the vertex.  The box rows
+        take the exponents right after the current aim's non-basic rows, and
+        its free basis rows move up by 2n, as in a walk of the boxed form."""
+        m, n = self.m, self.n
+        form = model.bound_polytope(self.form, self.lead)
+        self.form, self.lead = form, None
+        self.R, self.beta, self.m = form.R, form.beta, form.m
+        box = self._slacks(range(m, form.m))
+        if not all(v > 0 for v in box):
+            raise WalkError("box row not strictly slack at the vertex")
+        self.slack += box
+        nb = m - n  # the aim's non-basic rows hold exponents 1..nb
+        self.exp_of = [e + 2 * n if e > nb else e for e in self.exp_of]
+        self.exp_of += range(nb + 1, nb + 2 * n + 1)
 
     def _lex_less(self, i: int, rd_i: int, l: int, rd_l: int) -> bool:
         """Break an exact ratio tie by the symbolic perturbation coefficients.
         The epsilon^e coefficient of non-basic row r's perturbed slack
         numerator is D when r has exponent e, minus R_r . M[:,pos] when the
         basis row at pos has it; exponents other than 0 are distinct, so one
-        entry of R_r M is read per exponent."""
+        entry of R_r M is read per exponent.  Both rd are > 0."""
         exp_of, D, R = self.exp_of, self.D, self.R
         pos_of = {exp_of[j]: pos for pos, j in enumerate(self.basis)}
         for e in sorted({exp_of[i], exp_of[l], *pos_of} - {0}):
@@ -316,21 +350,24 @@ class Tableau:
                 col = [row[pos] for row in self.M]
                 ci -= sum(map(mul, R[i], col))
                 cl -= sum(map(mul, R[l], col))
-            cmp = _cmp_frac(ci, rd_i, cl, rd_l)
-            if cmp != 0:
-                return cmp < 0
+            lhs, rhs = ci * rd_l, cl * rd_i
+            if lhs != rhs:
+                return lhs < rhs
         raise WalkError("lexicographic tie: duplicate perturbation exponents")
 
-    def _update_basis(self, pos: int, enter: int, slack_enter: int) -> None:
-        """Put row enter, whose slack numerator is slack_enter, at basis
-        position pos: one rank-one step on u = R_enter M, divided exactly by
-        the old D, carries M, the vertex and both prices.  Column pos of M
-        and entry pos of each price stay; for q != pos, M[:,q] <- (u_pos
-        M[:,q] - u_q M[:,pos]) / D and t[q] <- (u_pos t[q] - u_q t[pos]) / D;
-        x_num <- (u_pos x_num + slack_enter M[:,pos]) / D; D <- u_pos, and
-        all of them change sign when u_pos < 0.  Each vector's numerators are
-        formed in one pass, with that sign folded in; when D > 1 they are
-        checked for a remainder and divided."""
+    def _update_basis(self, pos: int, enter: int, rd: list[int]) -> None:
+        """Put row enter at basis position pos, rd holding R_i . d for every
+        row i along the edge d = -M[:,pos]: one rank-one step on u = R_enter
+        M, divided exactly by the old D, carries M, the vertex, the slacks and
+        both prices.  Column pos of M and entry pos of each price stay; for
+        q != pos, M[:,q] <- (u_pos M[:,q] - u_q M[:,pos]) / D and t[q] <-
+        (u_pos t[q] - u_q t[pos]) / D; with se the slack numerator of row
+        enter, x_num <- (u_pos x_num + se M[:,pos]) / D and slack_i <-
+        (u_pos slack_i + se rd_i) / D; D <- u_pos, and all of them change
+        sign when u_pos < 0.  Each vector's numerators are formed in one
+        pass, with that sign folded in; when D > 1 they are checked for a
+        remainder and divided.  A vector the step would leave as it is (its
+        pivot term 0, and |u_pos| = D) is kept."""
         M, D = self.M, self.D
         u = [sum(map(mul, self.R[enter], col)) for col in zip(*M)]
         up = u[pos]
@@ -338,6 +375,7 @@ class Tableau:
             raise WalkError("degenerate pivot column")  # unreachable: rd != 0
         a = abs(up)
         flip = up < 0
+        same = a == D
 
         def exact(nums: list[int]) -> list[int]:
             if D == 1:
@@ -349,14 +387,19 @@ class Tableau:
         def step(v: list[int]) -> list[int]:
             # sign(u_pos) (u_pos v - v[pos] u) / D, with entry pos kept
             b = -v[pos] if flip else v[pos]
+            if not b and same:
+                return v
             nums = [a * x - b * y for x, y in zip(v, u)]
             nums[pos] = b * D
             return exact(nums)
 
+        slack_enter = self.slack[enter]
         se = -slack_enter if flip else slack_enter
         self.M = [step(row) for row in M]
         self.t_c, self.t_w = step(self.t_c), step(self.t_w)
-        self.x_num = exact([a * x + row[pos] * se for x, row in zip(self.x_num, M)])
+        if se or not same:
+            self.x_num = exact([a * x + row[pos] * se for x, row in zip(self.x_num, M)])
+            self.slack = exact([a * x + se * r for x, r in zip(self.slack, rd)])
         self.D = a
         self.basis[pos] = enter
 
@@ -367,13 +410,14 @@ def first_gain(tab: Tableau, c) -> list[Fraction] | None:
     point, whose basis then carries c in its normal cone.
 
     The walk holds no rows and uses w = 0, so every improving edge ties on
-    slope and the pivot's tie rule picks the step.  Under the lexicographic
-    perturbation every step raises the perturbed c value, so no basis
-    repeats and the walk is finite.
+    slope and the pivot's tie rule picks the step.  A step leaves the point
+    when the entering row's slack numerator, its step length's, is > 0.
+    Under the lexicographic perturbation every step raises the perturbed c
+    value, so no basis repeats and the walk is finite.
     """
     tab.aim(common_denominator(as_fractions(c)), ([0] * tab.n, 1))
     while (step := tab.pivot()) is not None:
-        if step.step_length > 0:
+        if step.step_length_pair[0] > 0:
             return tab.vertex()
     return None
 

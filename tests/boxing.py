@@ -1,8 +1,9 @@
-"""The box as `driver.solve` builds it, over the lead rows its rank pass
-finds, the first n rows of `linalg.independent_rows`: the boxed integer form
-(`model.bound_polytope`), and the boxed LP in `Fraction`s that the tests
-enumerate and take dot products on (`reference.bound_polytope`), whose
-integer form is the boxed form."""
+"""The box as a solve's walks build it, at their first unbounded edge, over
+the lead rows its rank pass finds, the first n rows of
+`linalg.independent_rows`: the boxed integer form (`model.bound_polytope`),
+and the boxed LP in `Fraction`s that the tests enumerate and take dot
+products on (`reference.bound_polytope`), whose integer form is the boxed
+form."""
 
 import reference
 

@@ -240,6 +240,16 @@ def det_fraction(M):
     return det
 
 
+def path_values(path):
+    """A `walk.ShadowPath` with each step's exact values, as Fractions, in
+    place of the integer pairs it keeps."""
+    return path.start_basis, path.start_value, [
+        (st.pivot_index, st.entering_row, st.leaving_row, st.slope, st.c_gain,
+         st.step_length, st.c_value, st.basis)
+        for st in path.steps
+    ]
+
+
 def validate_shadow_path(path):
     """Structural invariants of a `walk.ShadowPath`: neighbor bases,
     improving directions, nondecreasing values, strictly increasing slopes;

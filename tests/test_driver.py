@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from fractions import Fraction
@@ -7,9 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 from boxing import box, box_rows, boxed_form
-from reference import pair, validate_shadow_path, values
+from reference import pair, path_values, validate_shadow_path, values
 from test_golden import _flat_in_x3, _interior_point, _solve_warm
-from test_integer_path import load_workloads
+from test_fuzz import lps as fuzz_lps
+from test_integer_path import load_workloads, random_boxed
 
 from shadow_simplex import (
     driver,
@@ -357,19 +359,22 @@ class TestRepeated:
         out = solve(lp, cfg(seed=1591348382))
         ref = oracle.classify(lp)
         assert out.status == ref.status == "optimal" and out.value == ref.value
-        boxed, x, chain_basis = checks[-1]
-        assert boxed == boxed_form(lp)
-        assert len(boxed.tight_rows(x.point)) > boxed.n
+        # the chain's own form: the LP is bounded, so no walk appended the box
+        form, x, chain_basis = checks[-1]
+        assert form == model.integer_form(lp)
+        assert len(form.tight_rows(x.point)) > form.n
+        # the box rows, had they been there, would not be tight at x
+        assert boxed_form(lp).tight_rows(x.point) == form.tight_rows(x.point)
 
         def certificate_pivots(basis):
-            tab = walk.Tableau(boxed, BasicSolution(point=x.point, basis=tuple(basis)))
-            assert is_opt(boxed, x, tab, lp.c0)
+            tab = walk.Tableau(form, BasicSolution(point=x.point, basis=tuple(basis)))
+            assert is_opt(form, x, tab, lp.c0)
             return tab.pivot_count
 
         # the chain's basis already carries c0; the greedy one needs at least
         # one degenerate pivot before the walk ends on the same point
         assert certificate_pivots(chain_basis) == 0
-        greedy = model.tight_basis_at(boxed, x.point)[: boxed.n]
+        greedy = model.tight_basis_at(form, x.point)[: form.n]
         assert certificate_pivots(greedy) >= 1
 
     def test_outcome_vertex_basis_carries_c0(self, monkeypatch):
@@ -387,6 +392,88 @@ class TestRepeated:
         rows = [[F(v) for v in boxed.R[i]] for i in out.vertex.basis]
         mu = linalg.solve_square([list(col) for col in zip(*rows)], list(lp.c0))
         assert min(mu) >= 0
+
+
+@pytest.fixture
+def twinned_chains(monkeypatch):
+    """Walk every facet chain of the solves run twice: as the solve walks it,
+    on its form with the lead rows to box on demand, and on the eagerly
+    boxed form `model.bound_polytope(form, lead)` with no lead rows, from a
+    copy of the same draw stream.  Counts the chains, and the lazy ones that
+    appended the box."""
+    seen = {"chains": 0, "boxed": 0}
+    chain = driver.repeated_shadow_vertex
+
+    def twins(form, c0, x0, phi, rng, stream, cap=None, lead=None):
+        twin = copy.deepcopy(stream)
+        eager = chain(model.bound_polytope(form, lead), c0, x0, phi, rng, twin, cap=cap)
+        lazy = chain(form, c0, x0, phi, rng, stream, cap=cap, lead=lead)
+        tab, ref = lazy.tableau, eager.tableau
+        assert lazy.traces == eager.traces and lazy.capped == eager.capped
+        assert stream.bits_consumed == twin.bits_consumed
+        assert (tab.basis, tab.D, tab.M, tab.x_num) == (ref.basis, ref.D, ref.M, ref.x_num)
+        assert tab.slack == ref.slack[: tab.m]
+        if tab.lead is None:
+            assert tab.form == ref.form
+        else:
+            assert (tab.form, tab.m) == (form, ref.m - 2 * form.n)
+        seen["chains"] += 1
+        seen["boxed"] += tab.lead is None
+        return lazy
+
+    monkeypatch.setattr(driver, "repeated_shadow_vertex", twins)
+    return seen
+
+
+class TestLazyBox:
+    """A facet chain that appends the box at its first unbounded edge walks
+    exactly the chain of the eagerly boxed form: the same traces, draws,
+    final basis and carried state."""
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_fuzz_corpus(self, twinned_chains, mode):
+        for case, _, lp in fuzz_lps():
+            solve(lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
+        assert twinned_chains["chains"] >= 300 and twinned_chains["boxed"] >= 100, twinned_chains
+
+    def test_unbounded_mixed_status_lps(self, twinned_chains):
+        # the seed-7 mixed-status benchmark pool, as its first pass solves it
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        statuses = []
+        for inst in workloads.build_pool(pkg, "mixed-status", 7):
+            rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
+            statuses.append(solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start).status)
+        assert statuses.count("unbounded") >= 100 and twinned_chains["boxed"] >= 100, twinned_chains
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_degenerate_cones(self, twinned_chains, mode):
+        # 0/+-1 rows with rhs mostly 0: rows through the origin meet the
+        # box's corners and edges, so ratio tests tie box rows with other
+        # rows and the tie-break reads the box rows' exponents
+        rng = random.Random(1)
+        for k in range(600):
+            n = rng.randint(2, 4)
+            A = [[rng.choice([-1, 0, 0, 1]) for _ in range(n)] for _ in range(rng.randint(n, n + 4))]
+            A = [row for row in A if any(row)]
+            b = [rng.choice([0, 0, 0, 1]) for _ in A]
+            c0 = [rng.choice([-1, 0, 1, 1, 2]) for _ in range(n)]
+            if not A:
+                continue
+            solve(model.make_lp(A, b, c0), SolveConfig(rng=randomness.RngConfig(seed=k, mode=mode)))
+        assert twinned_chains["boxed"] >= 300, twinned_chains
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_random_boxed_lps(self, twinned_chains, mode):
+        # bounded LPs, boxed before the solve, from a vertex of theirs: no
+        # lazy chain appends a box, and each walks 2n rows fewer
+        rng = random.Random(83)
+        for k in range(40):
+            n = rng.randint(1, 5)
+            lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
+            out = solve(lp, SolveConfig(rng=randomness.RngConfig(seed=k, mode=mode)), initial_bfs=start)
+            assert out.status == "optimal"
+        assert twinned_chains == {"chains": 40, "boxed": 0}
 
 
 def prices(tab, w):
@@ -556,7 +643,8 @@ class TestConeObjective:
 
             tabs = [walk.Tableau(model.integer_form(lp), start) for _ in range(2)]
             paths = [walk.shadow_walk(t, c, w, held=fixed) for t, w in zip(tabs, (w_int, w_ref))]
-            assert paths[0].path == paths[1].path
+            # the two w differ in scale, so the steps' pairs do; their values agree
+            assert path_values(paths[0].path) == path_values(paths[1].path)
             assert tabs[0].solution() == tabs[1].solution()
             done += 1
         # the integer w is not the projected one: it prices held rows apart

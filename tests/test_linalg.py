@@ -163,6 +163,49 @@ class TestDeterminants:
         assert singular > 0 and negative > 0
 
 
+    def test_zero_skipping_kernels_match_fraction_gauss_jordan(self):
+        # Bareiss leaves a row whose multiplier is 0 alone when the pivot
+        # equals the previous one, and only rescales it otherwise: on sparse
+        # 0/+-1 matrices, where most multipliers are 0 and most pivots are
+        # units, on dense ones and on singular ones, invert, solve_int and
+        # det_int agree with Gauss-Jordan in Fractions
+        rng = random.Random(19)
+        seen = dict.fromkeys(("sparse", "dense", "singular"), 0)
+        for k in range(300):
+            n = rng.randint(1, 6)
+            kind = ("sparse", "dense", "singular")[k % 3]
+            if kind == "sparse":
+                # a +-1 diagonal under rows in shuffled order
+                M = [[rng.choice([0, 0, 0, 1, -1]) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    M[i][i] = rng.choice([-1, 1])
+                rng.shuffle(M)
+            else:
+                M = [[rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+            if kind == "singular":
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                t = rng.randint(-2, 2)
+                M[i] = [t * x for x in M[j]] if i != j else [0] * n
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            det = det_fraction(mat(M))
+            assert linalg.det_int(M) == det
+            if det == 0:
+                assert kind != "dense" or n > 1
+                with pytest.raises(LinAlgError):
+                    linalg.invert(M)
+                with pytest.raises(LinAlgError):
+                    linalg.solve_int(M, b)
+                seen["singular"] += 1
+                continue
+            seen[kind] += 1
+            adj, d = linalg.invert(M)
+            cols = linalg.inverse_columns(mat(M))
+            assert d == det and [[F(x, d) for x in row] for row in adj] == [list(r) for r in zip(*cols)]
+            xn, d = linalg.solve_int(M, b)
+            assert [F(v, d) for v in xn] == linalg.solve_square(mat(M), [F(v) for v in b])
+        assert min(seen.values()) >= 40, seen
+
+
 class TestCompleteOrthonormal:
     def test_e1_gives_identity(self):
         Q = complete_orthonormal(np.array([1.0, 0.0, 0.0]))

@@ -120,7 +120,9 @@ def test_cold_start_violating_no_row_never_reenters(solve_depths):
 
 # the names the round loop and the box reach through their module
 # attributes; the per-layer spans of `randomness.draw`, `model.bound_polytope`,
-# `driver.facet_restriction` and `linalg.complement_basis_int` rest on them
+# `driver.facet_restriction` and `linalg.complement_basis_int` rest on them.
+# The walk's tableau builds the box only at an improving edge no row blocks,
+# which a bounded LP's solve never meets
 ROUND_LOOP_NAMES = (
     (randomness, "perturb_objective"),
     (randomness, "draw_lambda"),
@@ -149,11 +151,22 @@ def round_loop_calls(monkeypatch):
 
 def test_cold_solve_reaches_the_round_loop_names(round_loop_calls):
     assert _cold("tu-incidence", 0).status == "optimal"
+    assert round_loop_calls.pop("model.bound_polytope") == 0
     assert all(round_loop_calls.values()), round_loop_calls
 
 
 def test_warm_solve_reaches_the_round_loop_names(round_loop_calls):
     assert _solve_warm("interval-matrix", 1).status == "optimal"
+    assert round_loop_calls.pop("model.bound_polytope") == 0
+    assert all(round_loop_calls.values()), round_loop_calls
+
+
+def test_unbounded_solve_reaches_the_round_loop_names(round_loop_calls):
+    # maximize x + y subject to x, y >= 0 and x - y <= 1: from (1, 0) the
+    # edge along x - y = 1 has no blocking row, so a walk appends the box
+    lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
+    out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=0)))
+    assert out.status == "unbounded"
     assert all(round_loop_calls.values()), round_loop_calls
 
 
@@ -169,7 +182,7 @@ def test_recorder_counts_degenerate_optimality_checks(monkeypatch):
 
     def counting(form, x, tab, c0):
         assert tab.form is form and tab.stands_on(x.point)
-        degenerate[-1] += tab.slack_nums(range(tab.m)).count(0) > form.n
+        degenerate[-1] += tab.slack.count(0) > form.n
         return inner(form, x, tab, c0)
 
     monkeypatch.setattr(driver, "is_optimal", counting)

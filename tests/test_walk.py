@@ -240,26 +240,32 @@ class TestTableauInternals:
 
 def assert_carried(tab):
     """The tableau's vertex and prices equal M beta_B, c M and w M, recomputed
-    from its basis inverse."""
+    from its basis inverse, and its slacks beta_i D - R_i x_num over every
+    row of its form."""
     M, n, beta = tab.M, tab.n, tab.beta
     assert tab.x_num == [sum(M[t][k] * beta[i] for k, i in enumerate(tab.basis)) for t in range(n)]
     assert tab.t_c == [sum(a * M[t][k] for t, a in enumerate(tab.c_num)) for k in range(n)]
     assert tab.t_w == [sum(a * M[t][k] for t, a in enumerate(tab.w_num)) for k in range(n)]
+    assert len(tab.slack) == tab.m == len(tab.form.R)
+    assert tab.slack == [
+        bt * tab.D - sum(a * x for a, x in zip(r, tab.x_num)) for r, bt in zip(tab.R, beta)
+    ]
 
 
 @pytest.fixture
 def checked_pivots(monkeypatch):
     """Check the carried state after every pivot of every tableau; yields
-    the checked steps, each with whether its walk held rows and whether it
-    was a certificate walk (w = 0)."""
+    the checked steps, each with whether its walk held rows, whether it was
+    a certificate walk (w = 0) and whether it appended the box."""
     seen = []
     pivot = Tableau.pivot
 
     def checked(tab):
+        m = tab.m
         step = pivot(tab)
         if step is not None:
             assert_carried(tab)
-            seen.append((step, bool(tab.held), not any(tab.w_num)))
+            seen.append((step, bool(tab.held), not any(tab.w_num), tab.m != m))
         return step
 
     monkeypatch.setattr(Tableau, "pivot", checked)
@@ -283,10 +289,12 @@ class TestCarriedState:
                 lp = harness.generate_tu_instance(kinds[seed // 2 % 3], 2 * n, n, seed)
             for each in (lp, nested_objective(lp, seed)):
                 driver.solve(each, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
-        held = sum(h for _, h, _ in checked_pivots)
-        certificate = sum(c for _, _, c in checked_pivots)
-        degenerate = sum(st.step_length == 0 for st, _, _ in checked_pivots)
+        held = sum(h for _, h, _, _ in checked_pivots)
+        certificate = sum(c for _, _, c, _ in checked_pivots)
+        degenerate = sum(st.step_length == 0 for st, _, _, _ in checked_pivots)
+        boxing = sum(b for _, _, _, b in checked_pivots)
         assert len(checked_pivots) > 150 and held > 5 and certificate > 15 and degenerate > 15
+        assert boxing > 0
 
     def test_carried_with_held_rows(self, checked_pivots):
         # from the unit cube's origin, holding z >= 0: the walk stays on z = 0
@@ -300,7 +308,29 @@ class TestCarriedState:
         c, w = pair([F(3, 5), F(4, 7), F(1)]), pair([F(-1, 2), F(-1, 3), F(-1, 4)])
         res = shadow_walk(tab, c, w, held=[5])
         assert res.finished and res.pivots == 2 and tab.vertex() == [1, 1, 0]
-        assert [h for _, h, _ in checked_pivots] == [True, True]
+        assert [h for _, h, _, _ in checked_pivots] == [True, True]
+
+    def test_carried_through_the_box(self, checked_pivots):
+        # x, y >= 0 and x - y <= 1 on c = (1, 1) from the origin, with w = 0:
+        # both edges tie on slope, and the one up the y axis has no blocking
+        # row, so the first pivot appends the box over the lead rows 0 and 1,
+        # redoes its ratio tests and takes the x axis to (1, 0); box rows
+        # block the next two edges.  The walk is the one on the eagerly
+        # boxed form
+        lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
+        form = integer_form(lp)
+        start = BasicSolution(point=(F(0), F(0)), basis=(0, 1))
+        c, w = pair([F(1), F(1)]), pair([F(0), F(0)])
+        tab = Tableau(form, start, lead=[0, 1])
+        res = shadow_walk(tab, c, w)
+        boxed = model.bound_polytope(form, [0, 1])
+        assert res.finished and tab.lead is None and tab.form == boxed
+        assert [b for _, _, _, b in checked_pivots] == [True] + [False] * (res.pivots - 1)
+        assert [st.entering_row for st in res.path.steps] == [2, 4, 6]
+        assert tab.vertex() == [3, 3]
+        eager = Tableau(boxed, start)
+        assert shadow_walk(eager, c, w).path == res.path
+        assert (eager.basis, eager.slack) == (tab.basis, tab.slack)
 
     def test_carried_from_a_degenerate_start(self, checked_pivots):
         # the pyramid apex has 4 tight rows in R^3: a first_gain walk from it
@@ -312,8 +342,8 @@ class TestCarriedState:
         ))
         apex = BasicSolution(point=(F(0), F(0), F(1)), basis=(0, 1, 2))
         assert first_gain(Tableau(integer_form(lp), apex), [F(1), F(-1), F(-1)]) is not None
-        assert [st.step_length for st, _, _ in checked_pivots] == [0, 2]
-        assert all(cert for _, _, cert in checked_pivots)
+        assert [st.step_length for st, _, _, _ in checked_pivots] == [0, 2]
+        assert all(cert for _, _, cert, _ in checked_pivots)
 
 
 class TestExactUpdate:
@@ -328,39 +358,41 @@ class TestExactUpdate:
         tab = Tableau(integer_form(lp), BasicSolution(point=(F(6, 5), F(8, 5)), basis=(0, 1)))
         tab.aim(pair([F(-1), F(0)]), pair([F(-1), F(1)]))
         (pos,) = tab._improving()
-        enter, _, slack = tab._ratio_test(pos)
-        return tab, pos, enter, slack
+        enter, rd = tab._ratio_test(pos)
+        return tab, pos, enter, rd
 
     def test_the_update_divides_by_d(self):
-        tab, pos, enter, slack = self.aimed()
+        tab, pos, enter, rd = self.aimed()
         assert (tab.D, enter) == (5, 2)
-        tab._update_basis(pos, enter, slack)
+        tab._update_basis(pos, enter, rd)
         assert tab.D == 3
         assert_carried(tab)
 
-    @pytest.mark.parametrize("vector", ["M", "x_num", "t_c", "t_w"])
+    @pytest.mark.parametrize("vector", ["M", "x_num", "t_c", "t_w", "slack"])
     def test_a_remainder_raises(self, vector):
-        tab, pos, enter, slack = self.aimed()
-        q = 1 - pos  # an entry the step divides
+        tab, pos, enter, rd = self.aimed()
+        q = 1 - pos  # an entry the step divides; as a row, one of the basis
         if vector == "M":
             tab.M[1][q] += 1  # R_enter has no weight on row 1, so u stays
         else:
             getattr(tab, vector)[q] += 1
         with pytest.raises(WalkError, match="integer pivot update lost exactness"):
-            tab._update_basis(pos, enter, slack)
+            tab._update_basis(pos, enter, rd)
 
 
 class TestPathPlumbing:
     def test_validate_rejects_bad_paths(self):
         from shadow_simplex.walk import PathStep
 
-        good = PathStep(1, 0, 1, F(1), F(1), F(1), F(1), (0, 2))
+        # slope, c gain, step length and c value as (numerator, denominator)
+        good = PathStep(1, 0, 1, (1, 1), (2, 2), (3, 3), (-4, -4), (0, 2))
+        assert (good.slope, good.c_gain, good.step_length, good.c_value) == (1, 1, 1, 1)
         path = ShadowPath(start_basis=(1, 2), start_value=F(0), steps=(good,))
         validate_shadow_path(path)  # differs by one row: {1,2} -> {0,2}
         bad = ShadowPath(
             start_basis=(0, 2),
             start_value=F(0),
-            steps=(PathStep(1, 3, 1, F(1), F(0), F(1), F(1), (2, 3)),),
+            steps=(PathStep(1, 3, 1, (1, 1), (0, 5), (1, 1), (1, 1), (2, 3)),),
         )
         with pytest.raises(WalkError):
             validate_shadow_path(bad)
