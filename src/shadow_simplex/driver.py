@@ -12,19 +12,20 @@ schedule and without the box-tight check, which its bounded objective does
 not need.
 
 A solve builds the integer form of its rows once (`model.integer_form`),
-first of all, and derives everything else from it: the rank pass, rank
-completion, Phase 1's start and face, the chain's tableau, the box-tight
-test and the checks of the answer.  The box is not built up front.  Its
-rows strictly contain every vertex, so they can block only an edge that is
-unbounded in the LP: each facet chain's `walk.Tableau` is built on the
+first of all.  It checks its answer against the LP it was given and
+derives everything else from that form, building no `Fraction` LP: the rank
+pass, rank completion and the objective escape, Phase 1's start and face,
+the chain's tableau and the box-tight test.  The box is not built up front.
+Its rows strictly contain every vertex, so they can block only an edge that
+is unbounded in the LP: each facet chain's `walk.Tableau` is built on the
 solve's form with its lead rows, and appends the box
 (`model.bound_polytope`, the form's last 2n rows, with integer rhs over the
 form's own s) at the first improving edge no row blocks, with the pivots a
 walk of the boxed form makes.  A bounded LP's solve never builds it.  The
 bit budget and the pivot cap are those of the boxed form, m + 2n rows.  The
-Phase-1 face comes with its own form and lead rows, built from the solve's
-(`phase1.build_phase1_face`), so the depth-1 solve runs no rank pass and
-builds no form of its own, and boxes the face on the face's form.  A facet
+Phase-1 face is only its own form, lead rows and objective, built from the
+solve's (`phase1.build_phase1_face`), so the depth-1 solve runs no rank
+pass and builds no form or LP, and boxes the face on its form.  A facet
 chain's tableau is built on the start vertex's own basis; that build is the
 check of the start, and a bad one raises `walk.WalkError`.  The rows fixed
 so far stay in its basis, held out of pricing, so each walk stays on the
@@ -46,8 +47,9 @@ basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
 nonnegative combination of the basis rows and the vertex is c0-optimal on
 the form walked).  No later round could improve on that vertex: the
 paper's n rounds are an upper bound, and this is Dantzig's optimality test,
-the certificate `is_optimal` reads at the end.  Every chain whose objective is not constant
-on its face walks at least once.  The rule serves Phase 1 and the main
+the certificate `is_optimal` reads at the end, off the same reduced costs,
+before it walks anything.  Every chain whose objective is not constant on
+its face walks at least once.  The rule serves Phase 1 and the main
 solve alike: a Phase-1 basis that carries -sum(y) stands on its optimum, so
 on a feasible LP Phase 1 ends on a vertex where sum(y) = 0 rather than
 walking across that face for the rest of its rounds.
@@ -314,18 +316,21 @@ def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bo
     whose integer form is form, the form the facet chain walked.
 
     tab is a Tableau on form standing on x, the facet chain's own (checked
-    in integers); it is walked in place on c0 by `walk.first_gain`, and
-    appends the box, as the chain's walks do, if an edge no row blocks
-    improves c0.  x is optimal exactly when that walk ends without leaving
-    x, and tab's basis then carries c0.  At a degenerate vertex the walk makes degenerate
-    pivots until it reaches such a basis or a step of positive length; no
-    subset of the tight rows is scanned.  These pivots are not counted in
-    `SolveOutcome.pivots`.
+    in integers).  x is optimal when tab's basis carries c0
+    (`Tableau.carries`, off the reduced costs); else tab is walked in place
+    on c0 by `walk.first_gain`, and appends the box, as the chain's walks
+    do, if an edge no row blocks improves c0.  x is optimal exactly when
+    that walk ends without leaving x, on a basis that carries c0.  At a
+    degenerate vertex it makes degenerate pivots until it reaches such a
+    basis or a step of positive length; no subset of the tight rows is
+    scanned.  These pivots are not counted in `SolveOutcome.pivots`.
     """
     if tab.form is not form:
         raise DriverError("tableau is not on the form")
     if not tab.stands_on(x.point):
         raise DriverError("tableau does not stand on the vertex")
+    if tab.carries(primitive_int_row(c0)[0]):
+        return True
     return walk.first_gain(tab, c0) is None
 
 
@@ -457,7 +462,7 @@ def _walk_bits_and_cap(
 
 
 def solve(
-    lp_raw: LinearProgram,
+    lp_raw: LinearProgram | None,
     cfg: SolveConfig,
     initial_bfs: BasicSolution | None = None,
     _stream: randomness.DrawStream | None = None,
@@ -469,8 +474,8 @@ def solve(
     given, then the doubling schedule around the repeated shadow vertex
     algorithm, whose tableaus box the LP at their first unbounded edge.  The
     rows are used as given, never scaled: one rank pass finds the lead rows
-    that both Phase 1 and the box use.  Every answer is checked
-    against lp_raw: the point for feasibility, a ray for improvement and
+    that both Phase 1 and the box use.  Every answer is checked against
+    lp_raw's rows: the point for feasibility, a ray for improvement and
     recession.
 
     - Rank below n with c0 off the row span (the objective escape): the LP
@@ -483,14 +488,15 @@ def solve(
 
     initial_bfs is checked by the first facet chain's `walk.Tableau` build
     on the solve's form, whose rows include every row of lp_raw: a basis that
-    does not hold n distinct rows, has dependent rows, is not tight at the
-    point, or a point that violates a row, raises `walk.WalkError`.
+    does not hold n distinct rows of the form, has dependent rows, is not
+    tight at the point, or a point that violates a row, raises
+    `walk.WalkError`.
 
-    Only Phase 1's own call sets _stream, _depth (1), _schedule and _face: it
-    shares the caller's draws, walks on the Phase-1 schedule, takes the face's
-    integer form and lead rows from _face, where its caller derived them
-    from its own form, and skips the box-tight check, since its
-    objective -sum(y) is bounded above by 0."""
+    Only Phase 1's own call sets _stream, _depth (1), _schedule and _face,
+    and no lp_raw: it shares the caller's draws, walks on the Phase-1
+    schedule, takes the face's form, lead rows and objective from _face,
+    checks its answer against every face row, and skips the box-tight
+    check, since its objective -sum(y) is bounded above by 0."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -499,15 +505,17 @@ def solve(
     if _face is None:
         # the solve's one integer form and its rank pass, whose independent
         # rows are the lead rows; rank completion appends rows to both
+        c0, m = lp_raw.c0, lp_raw.m
         form = model.integer_form(lp_raw)
         idx = linalg.independent_rows(form.R)
-        escape = model._objective_escape(lp_raw) if len(idx) < lp_raw.n else None
-        work, form, lead = _complete_rank(lp_raw, form, idx)
+        rows = [form.R[i] for i in idx]
+        escape = model._objective_escape(c0, rows) if len(idx) < form.n else None
+        form, lead = model.complete_rank(form, idx)
     else:
-        work, form, lead, escape = lp_raw, _face.form, _face.lead, None
+        c0, m, form, lead, escape = _face.c0, _face.form.m, _face.form, _face.lead, None
 
     if initial_bfs is None or escape is not None:
-        bfs = _phase1_start(work, form, lead, cfg, stream, out)
+        bfs = _phase1_start(form, lead, cfg, stream, out)
         if isinstance(bfs, SolveOutcome):
             return bfs
     else:
@@ -515,11 +523,9 @@ def solve(
 
     if escape is not None:
         out.bits_consumed = stream.bits_consumed
-        return _accept(out, lp_raw, form, bfs.point, tuple(escape))
+        return _accept(out, form, m, c0, bfs.point, tuple(escape))
 
-    c0 = lp_raw.c0
-
-    sched = _schedule or PhiSchedule(variant=cfg.schedule, n=work.n, m=work.m)
+    sched = _schedule or PhiSchedule(variant=cfg.schedule, n=form.n, m=form.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         # the boxed form's m + 2n rows, whether or not a walk appends the box
@@ -538,79 +544,64 @@ def solve(
         out.bits_consumed = stream.bits_consumed
         verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(tab, c0)
         if isinstance(verdict, UnboundedCertificate):
-            return _accept(out, lp_raw, form, verdict.point, verdict.ray)
+            return _accept(out, form, m, c0, verdict.point, verdict.ray)
         out.vertex = vertex
-        return _accept(out, lp_raw, form, vertex.point)
+        return _accept(out, form, m, c0, vertex.point)
     raise DoublingLimitError(
         f"no acceptance within {cfg.max_doublings} doublings (bug: i* is finite)"
     )
 
 
 def _accept(
-    out: SolveOutcome, lp_raw: LinearProgram, form: IntegerForm, point, ray=None
+    out: SolveOutcome, form: IntegerForm, m: int, c0, point, ray=None
 ) -> SolveOutcome:
     """out answered at point, unbounded along ray when one is given, after
-    checking both against lp_raw's rows, the first rows of the solve's
-    integer form.  The value c0 x is one Fraction of integer numerators,
+    checking both against the LP's m rows, the first rows of the solve's
+    form, and c0.  The value c0 x is one Fraction of integer numerators,
     shared from `SMALL_INTEGRAL` when it is a small integer."""
-    if any(e > 0 for e in form.excess(point)[: lp_raw.m]):
+    if any(e > 0 for e in form.excess(point)[:m]):
         raise DriverError("certificate failure: accepted point infeasible")
     out.point = point
     if ray is None:
         out.status = "optimal"
-        cn, cd = common_denominator(lp_raw.c0)
+        cn, cd = common_denominator(c0)
         xn, xd = common_denominator(as_fractions(point))
         out.value = fraction(sum(map(mul, cn, xn)), cd * xd)
     else:
-        _check_ray(lp_raw, form, ray)
+        _check_ray(form, m, c0, ray)
         out.status, out.ray = "unbounded", ray
     return out
 
 
-def _check_ray(lp: LinearProgram, form: IntegerForm, ray) -> None:
-    """c0 r > 0 and a_i r <= 0 for every row of lp, the first rows of form,
+def _check_ray(form: IntegerForm, m: int, c0, ray) -> None:
+    """c0 r > 0 and a_i r <= 0 for the LP's m rows, the first rows of form,
     decided in integers: r's numerators against c0's and each R_i."""
     rn = common_denominator(as_fractions(ray))[0]
-    if sum(map(mul, common_denominator(lp.c0)[0], rn)) <= 0:
+    if sum(map(mul, common_denominator(c0)[0], rn)) <= 0:
         raise DriverError("certificate failure: ray does not improve")
-    if any(sum(map(mul, r, rn)) > 0 for r in form.R[: lp.m]):
+    if any(sum(map(mul, r, rn)) > 0 for r in form.R[:m]):
         raise DriverError("certificate failure: ray leaves the recession cone")
 
 
-def _complete_rank(
-    lp: LinearProgram, form: IntegerForm, idx: list[int]
-) -> tuple[LinearProgram, IntegerForm, list[int]]:
-    """(lp made full rank, its integer form, its n lead rows), from form, lp's
-    integer form, and idx = independent_rows(form.R), which gives the lead
-    rows directly when lp already has full rank.  Otherwise the synthetic
-    rows, whose rhs is 0, are appended to form."""
-    if len(idx) >= lp.n:
-        return lp, form, idx[: lp.n]
-    ext = model.extend_to_full_rank(lp)
-    added = [primitive_int_row(a) for a in ext.A[lp.m :]]
-    form = form.with_rows([r for r, _ in added], [f for _, f in added], [(0, 1)] * len(added))
-    return ext, form, linalg.independent_rows(form.R)[: lp.n]
-
-
-def _phase1_start(work, form, lead, cfg, stream, out):
-    """A vertex of work, or the infeasible outcome; Phase 1 walks the face of
-    LP' its start lies on and is skipped when the start is already a vertex.
-    The face, its form and lead rows are built from work's
+def _phase1_start(form, lead, cfg, stream, out):
+    """A vertex of the LP of the full-rank form, or the infeasible outcome;
+    Phase 1 walks the face of LP' its start lies on and is skipped when the
+    start is already a vertex.  The face is built from form
     (`phase1.build_phase1_face`), so the Phase-1 solve runs no rank pass and
-    builds no form of its own.  The phi base stays on work's (n, m), the
+    builds no form of its own.  The phi base stays on form's (n, m), the
     dimensions the paper's Phase-1 schedule is stated in; bits and pivot cap
     follow the walked face."""
-    p1 = phase1.build_phase1_face(work, lead, form)
+    p1 = phase1.build_phase1_face(form, lead)
     if isinstance(p1, BasicSolution):
         return p1
-    out.phase1_artificials = p1.lp_prime.n - p1.orig_n
+    out.phase1_artificials = p1.n - p1.orig_n
     sub = solve(
-        p1.lp_prime,
+        None,
         cfg,
         initial_bfs=p1.initial,
         _stream=stream,
         _depth=1,
-        _schedule=PhiSchedule(variant=SCHEDULE_PHASE1, n=work.n, m=work.m),
+        _schedule=PhiSchedule(variant=SCHEDULE_PHASE1, n=form.n, m=form.m),
         _face=p1,
     )
     out.phase1_pivots = sub.pivots

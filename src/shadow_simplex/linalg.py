@@ -6,13 +6,13 @@ it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 `inverse_columns`); a fraction-free Bareiss pass for integer matrices
 (`invert`, `solve_int`, `det_int`); a fraction-free echelon pass over the
 primitive integer forms of a row sequence, which takes every rank decision
-(`independent_rows`, `rank`, `nullspace_int`, `nullspace_vector`) and
-takes rows of ints, the rows of an integer form, as they are; and a
-fraction-free Gram-Schmidt pass over integer rows (the objective escape's
-projection `_project_out`, and the rows' own part of `FaceBasis`).
-`FaceBasis` carries the complement of a growing row sequence, so a facet
-chain updates its face basis with each fixed row (`complement_basis_int`)
-instead of rebuilding it.
+(`independent_rows`, `rank`, `unit_completion`, `nullspace_int`,
+`nullspace_vector`) and takes rows of ints, the rows of an integer form, as
+they are; and a fraction-free Gram-Schmidt pass over integer rows (the
+objective escape's projection `_project_out`, and the rows' own part of
+`FaceBasis`).  `FaceBasis` carries the complement of a growing row
+sequence, so a facet chain updates its face basis with each fixed row
+(`complement_basis_int`) instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -193,6 +193,16 @@ def nullspace_int(rows: Sequence[Sequence], n: int) -> tuple[list[int], int] | N
     return x, den
 
 
+def unit_completion(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The j, ascending, of the unit rows e_j that complete the independent
+    integer rows to a basis: each e_j is reduced through the echelon of the
+    rows and of the e_i taken before it, and taken when it stays nonzero,
+    which is the greedy rank test of e_j."""
+    n, r = len(rows[0]), len(rows)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    return [k - r for k in _echelon(list(rows) + units)[0][r:]]
+
+
 def nullspace_vector(rows: Sequence[Sequence], n: int) -> Vec | None:
     """One exact nonzero vector orthogonal to all rows, or None if full rank:
     the free coordinate 1, the others determined by the echelon rows."""
@@ -201,19 +211,6 @@ def nullspace_vector(rows: Sequence[Sequence], n: int) -> Vec | None:
         return None
     x, den = got
     return [Fraction(v, den) for v in x]
-
-
-def exact_complement_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:
-    """Rational basis of the orthogonal complement of span(rows).
-
-    The returned vectors are exactly orthogonal to every input row and to
-    each other; norms are 1 from below within ~2**-63.  Gram-Schmidt runs
-    fraction-free over primitive integer vectors (scaling deferred to the
-    very end) so the exact data stays small and fast.
-    """
-    basis = FaceBasis(n)
-    complement_basis_int([primitive_int_row(r)[0] for r in rows], n, basis)
-    return [[Fraction(sn * x, sd) for x in v] for v, (sn, sd) in zip(basis.cols, basis.scales)]
 
 
 class FaceBasis:
@@ -313,13 +310,13 @@ def _orthogonalize_int(
             norms.append(sum(map(mul, w, w)))
 
 
-def _project_out(v: Vec, dirs: Sequence[Vec]) -> Vec:
-    """Component of v orthogonal to span(dirs), exact (rational in, rational
-    out).  Projecting v's numerators off the orthogonalized primitive integer
-    forms of dirs gives a positive multiple r of it, which is (v . r / r . r) r."""
+def _project_out(v: Vec, dirs: Sequence[Sequence[int]]) -> Vec:
+    """Component of the rational v orthogonal to span(dirs), integer rows,
+    exact.  Projecting v's numerators off the orthogonalized dirs gives a
+    positive multiple r of it, which is (v . r / r . r) r."""
     ortho: list[list[int]] = []
     norms: list[int] = []
-    _orthogonalize_int([primitive_int_row(d)[0] for d in dirs], ortho, norms)
+    _orthogonalize_int(dirs, ortho, norms)
     vn, vd = common_denominator(as_fractions(v))
     r = _project_int(vn, ortho, norms)
     rr = sum(map(mul, r, r))

@@ -16,16 +16,17 @@ given: each pivot decision is invariant under positive row scaling.  A
 solve turns the rows as given into their integer form once
 (`integer_form`): each row's primitive integer row R_i = f_i a_i, its
 factor f_i > 0, and the scaled rhs over one common denominator.  Everything
-else is derived from that form, and no `Fraction` LP is converted again:
-rank completion appends its rows to it (`IntegerForm.with_rows`), the box
-appends its rows with integer rhs over its s (`bound_polytope`), and the
-Phase-1 face's form (`phase1.build_phase1_face`) is built from it;
-`walk.Tableau`, the exact point checks and the crawl to a vertex
-(`crawl_to_vertex`) walk it.  A `LinearProgram` is the input as given, its
-A, b and c0, and nothing else is kept on it.  The unit row norms that the
-paper states the delta-distance for are applied only where a size matters,
-in the near-unit face images of the driver's draws.  `normalize` scales
-every row to near-unit norm; the solver does not call it.
+else is derived from that form, and no `Fraction` LP is built again: rank
+completion appends its rows to it (`complete_rank`; `extend_to_full_rank`
+is its `Fraction` view), the box appends its rows with integer rhs over its
+s (`bound_polytope`), and the Phase-1 face's form
+(`phase1.build_phase1_face`) is built from it; `walk.Tableau`, the exact
+point checks and the crawl to a vertex (`crawl_to_vertex`) walk it.  A
+`LinearProgram` is the input as given, its A, b and c0, and nothing else is
+kept on it.  The unit row norms that the paper states the delta-distance
+for are applied only where a size matters, in the near-unit face images of
+the driver's draws.  `normalize` scales every row to near-unit norm; the
+solver does not call it.
 """
 
 from __future__ import annotations
@@ -303,50 +304,67 @@ def normalize(lp: LinearProgram) -> LinearProgram:
 # ---------------------------------------------------------------------------
 
 
+def complete_rank(form: IntegerForm, idx: list[int]) -> tuple[IntegerForm, list[int]]:
+    """(form made full rank, its n lead rows), from idx, the rows of form's
+    rank pass.  Below full rank the completion rows of the rows idx are
+    appended with rhs 0: for an integral LP (every factor's numerator is 1)
+    the unit rows `linalg.unit_completion` picks, which keep the largest
+    subdeterminant; else +-v_k for each column v_k of their
+    `linalg.FaceBasis`, with factor sd_k / sn_k, so the LP's rows
+    +-(sn_k / sd_k) v_k are exactly orthogonal and near-unit, which keeps
+    delta.  The lead rows, idx and then every unit row or the first of each
+    +- pair, are the first n of the longer form's rank pass: none is run."""
+    if len(idx) >= form.n:
+        return form, idx[: form.n]
+    return _complete_rank(form, idx, all(f.numerator == 1 for f in form.factor))
+
+
+def _complete_rank(form: IntegerForm, idx: list[int], unit: bool):
+    n, m = form.n, form.m
+    rows = [form.R[i] for i in idx]
+    if unit:
+        R = [[int(i == j) for i in range(n)] for j in linalg.unit_completion(rows)]
+        factor, step = [ONE] * len(R), 1
+    else:
+        basis = linalg.FaceBasis(n)
+        cols = linalg.complement_basis_int(rows, n, basis)
+        R = [[k * x for x in v] for v in cols for k in (1, -1)]
+        factor, step = [Fraction(sd, sn) for sn, sd in basis.scales for _ in (1, -1)], 2
+    return form.with_rows(R, factor, [(0, 1)] * len(R)), idx + list(range(m, m + len(R), step))
+
+
+def _extension(lp: LinearProgram, unit: bool) -> LinearProgram:
+    """lp with the rows `_complete_rank` appends to its form, R_i / f_i."""
+    form = integer_form(lp)
+    idx = linalg.independent_rows(form.R)
+    if len(idx) == lp.n:
+        raise LPModelError("called on full-rank input")
+    full = _complete_rank(form, idx, unit)[0]
+    added = zip(full.R[lp.m :], full.factor[lp.m :])
+    A = tuple(tuple(Fraction(x) / f for x in r) for r, f in added)
+    return replace(lp, A=lp.A + A, b=lp.b + (Fraction(0),) * len(A))
+
+
 def extend_to_full_rank_delta(lp: LinearProgram) -> LinearProgram:
     """Append ±o_k rows (orthonormal complement of the row span) with rhs 0."""
-    rows = lp.rows()
-    comp = linalg.exact_complement_basis(rows, lp.n)
-    if not comp:
-        raise LPModelError("called on full-rank input")
-    A = rows
-    b = list(lp.b)
-    for o in comp:
-        for sign in (1, -1):
-            A.append([sign * x for x in o])
-            b.append(Fraction(0))
-    return replace(lp, A=tuple(tuple(r) for r in A), b=tuple(b))
+    return _extension(lp, unit=False)
 
 
 def extend_to_full_rank_Delta(lp: LinearProgram) -> LinearProgram:
-    """Append canonical unit rows e_i outside the row span, rhs 0 (integral A)."""
-    rows = lp.rows()
-    b = list(lp.b)
-    r = linalg.rank(rows)
-    if r == lp.n:
-        raise LPModelError("called on full-rank input")
-    for j in range(lp.n):
-        if r == lp.n:
-            break
-        e = [Fraction(int(i == j)) for i in range(lp.n)]
-        if linalg.rank(rows + [e]) > r:
-            rows.append(e)
-            b.append(Fraction(0))
-            r += 1
-    return replace(lp, A=tuple(tuple(r_) for r_ in rows), b=tuple(b))
+    """Append canonical unit rows e_i outside the row span, rhs 0."""
+    return _extension(lp, unit=True)
 
 
 def extend_to_full_rank(lp: LinearProgram) -> LinearProgram:
-    """The Delta-preserving extension for integral A, else the delta-preserving one."""
-    if lp.is_integral():
-        return extend_to_full_rank_Delta(lp)
-    return extend_to_full_rank_delta(lp)
+    """The Delta-preserving extension for integral A, else the
+    delta-preserving one: the Fraction view of `complete_rank`."""
+    return _extension(lp, unit=lp.is_integral())
 
 
-def _objective_escape(lp: LinearProgram):
-    """Component of c0 orthogonal to span(rows); None if c0 is in the span."""
-    rows = lp.rows()
-    d = linalg._project_out(list(lp.c0), rows)
+def _objective_escape(c0, rows: list[list[int]]):
+    """Component of c0 orthogonal to span(rows), any integer rows spanning
+    the LP's rows (a solve passes its rank pass's); None if c0 is in it."""
+    d = linalg._project_out(c0, rows)
     if any(x != 0 for x in d):
         return d
     return None
@@ -354,32 +372,23 @@ def _objective_escape(lp: LinearProgram):
 
 def raise_rank_delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
     """Rank-raise preserving the delta-distance value (complement rows, rhs 0)."""
-    if linalg.rank(lp.rows()) == lp.n:
-        raise LPModelError("called on full-rank input")
-    d = _objective_escape(lp)
-    if d is not None:
-        return ObjectiveEscapesSpan(direction=tuple(d))
-    ext = extend_to_full_rank_delta(lp)
-    return RankRaised(
-        lp=ext,
-        back_map=BackMap(original_rows=lp.m, appended_rows=tuple(range(lp.m, ext.m))),
-    )
+    return _raise_rank(lp, extend_to_full_rank_delta)
 
 
 def raise_rank_Delta(lp: LinearProgram) -> RankRaised | ObjectiveEscapesSpan:
     """Rank-raise preserving the max subdeterminant (unit rows, rhs 0)."""
     if not lp.is_integral():
         raise LPModelError("matrix must be integral")
-    if linalg.rank(lp.rows()) == lp.n:
-        raise LPModelError("called on full-rank input")
-    d = _objective_escape(lp)
+    return _raise_rank(lp, extend_to_full_rank_Delta)
+
+
+def _raise_rank(lp: LinearProgram, extend) -> RankRaised | ObjectiveEscapesSpan:
+    # c0 is in the span of full-rank rows, and extend raises on them
+    d = _objective_escape(lp.c0, integer_form(lp).R)
     if d is not None:
         return ObjectiveEscapesSpan(direction=tuple(d))
-    ext = extend_to_full_rank_Delta(lp)
-    return RankRaised(
-        lp=ext,
-        back_map=BackMap(original_rows=lp.m, appended_rows=tuple(range(lp.m, ext.m))),
-    )
+    ext = extend(lp)
+    return RankRaised(ext, BackMap(original_rows=lp.m, appended_rows=tuple(range(lp.m, ext.m))))
 
 
 # ---------------------------------------------------------------------------
@@ -426,32 +435,32 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     """Decide Bounded vs Unbounded for the objective c0 at an optimal vertex
     of a boxed LP.
 
-    tab is a `walk.Tableau` standing on that vertex.  A tableau that still
-    holds its lead rows never met an unbounded edge, so it never appended
-    the box, and the LP is bounded.  Otherwise its form is one that
-    `bound_polytope` returned, whose last 2n rows are the box rows.  If none
-    of them is tight there, which tab's carried slack numerators tell, the LP
-    was bounded all along.  Otherwise the recession LP decides: max c0 d
-    subject to R_i d <= 0 on the un-boxed rows and +-R_i d <= 1 on the box
-    rows, which is bounded because the box rows bound R_i d for the n
-    independent lead rows.  Its integer form is tab's rows with the scaled
-    rhs 1 on the box rows and 0 on every other row, over s = 1.  d = 0 is a
-    vertex of it, and `walk.first_gain` walks it from there on c0: the first
-    vertex it reaches with c0 d > 0 is an improving ray of the un-boxed
-    rows.  A walk that never leaves 0 certifies that no such ray exists, so
-    the box-tight optimum already attains the (finite) supremum.  The caller
-    checks that the vertex is feasible for the un-boxed LP.
+    tab is a `walk.Tableau` standing on that vertex.  A tableau that never
+    met an unbounded edge never appended the box, and the LP is bounded.
+    Otherwise its form is one that `bound_polytope` returned, whose last 2n
+    rows are the box rows.  If none of them is tight there, which tab's
+    carried slack numerators tell, the LP was bounded all along.  Otherwise
+    the recession LP decides: max c0 d subject to R_i d <= 0 on the un-boxed
+    rows and +-R_i d <= 1 on the box rows, which is bounded because the box
+    rows bound R_i d for the n independent lead rows.  Its integer form is
+    tab's rows with the scaled rhs 1 on the box rows and 0 on every other
+    row, over s = 1.  d = 0 is its vertex on the lead rows the box was built
+    over, the greedy independent rows of the un-boxed rows tight there, and
+    `walk.first_gain` walks it from there on c0: the first vertex it reaches
+    with c0 d > 0 is an improving ray of the un-boxed rows.  A walk that
+    never leaves 0 certifies that no such ray exists, so the box-tight
+    optimum already attains the (finite) supremum.  The caller checks that
+    the vertex is feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
     n, m = tab.n, tab.m
-    if tab.lead is not None or all(tab.slack[m - 2 * n :]):
+    if not tab.boxed or all(tab.slack[m - 2 * n :]):
         return BOUNDED
     form = tab.form
     rec = IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)
     zero = (Fraction(0),) * n
-    basis = tight_basis_at(rec, zero)[:n]
-    ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(basis))), c0)
+    ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(tab.lead))), c0)
     if ray is None:
         return BOUNDED
     return UnboundedCertificate(point=tuple(tab.vertex()), ray=tuple(ray))

@@ -151,7 +151,7 @@ def classify(lp: LinearProgram) -> OracleOutcome:
     """
     rows = lp.rows()
     if len(linalg.independent_rows(rows)) < lp.n:
-        escape = model._objective_escape(lp)
+        escape = model._objective_escape(lp.c0, model.integer_form(lp).R)
         lifted = model.extend_to_full_rank(lp)
         if escape is not None:
             vs = enumerate_vertices(lifted)

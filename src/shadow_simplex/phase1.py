@@ -14,13 +14,12 @@ keeps y_i = 0.  Fixing those y_i deletes their columns and their rows
 x_bar violates.  The optimum on the face is still 0 exactly when the LP is
 feasible, and faces keep the delta-distance value, so the Phase-1 bound
 carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
-skipped.  The face is built from the solve's integer form: x_bar and the
-residuals stay in integers, and the face's own integer form and lead rows
-follow from the solve's by construction, so the Phase-1 solve runs no rank
-pass and builds no form of its own, and it boxes the face on the face's
-form.  `extract_bfs` crawls
-from the x-part of a zero-gap optimum to a vertex on the integer form the
-solve already holds.
+skipped.  The face exists only in integers: x_bar and the residuals stay
+in integers, and the face's integer form, lead rows and objective follow
+from the solve's form by construction, so the Phase-1 solve runs no rank
+pass and builds no form or LP of its own, and boxes the face on its form.
+`extract_bfs` crawls from the x-part of a zero-gap optimum to a vertex on
+the integer form the solve already holds.
 """
 
 from __future__ import annotations
@@ -42,16 +41,21 @@ class Phase1Error(ValueError):
 @dataclass(frozen=True)
 class Phase1Problem:
     """LP' (`build_phase1`) or its face (`build_phase1_face`) with its start
-    vertex.  The face also carries its integer form and its lead rows (the
-    first n + |V| rows of `linalg.independent_rows` of its rows), both
-    derived from the solve's form: its Phase-1 solve reads them instead of
-    deriving them from lp_prime."""
+    vertex.  LP' is the `LinearProgram` lp_prime, which the CLI prints.  The
+    face is its integer form, its lead rows (the first n + |V| rows of
+    `linalg.independent_rows` of its rows) and its objective c0 = (0, -1),
+    all derived from the solve's form, which its Phase-1 solve reads."""
 
-    lp_prime: LinearProgram
     initial: BasicSolution
     orig_n: int
+    lp_prime: LinearProgram | None = None
     form: model.IntegerForm | None = None
     lead: list[int] | None = None
+    c0: tuple[Fraction, ...] | None = None
+
+    @property
+    def n(self) -> int:  # the x and the y walked
+        return len(self.initial.point)
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,13 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     return Phase1Problem(lp_prime=lp_prime, initial=initial, orig_n=n)
 
 
-def build_phase1_face(
-    lp: LinearProgram, lead: list[int], form: model.IntegerForm
-) -> Phase1Problem | BasicSolution:
+def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem | BasicSolution:
     """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
     (x_bar, y_V); or the vertex x_bar itself when it violates no row.
 
-    lead holds the first n rows of `linalg.independent_rows(form.R)`, which
-    the caller has already computed to check the rank, and form is lp's
-    integer form, on which x_bar and V are decided.
+    form is the integer form of a full-rank LP, on which x_bar and V are
+    decided, and lead holds its n lead rows, the first n rows of
+    `linalg.independent_rows(form.R)`, which the caller has already found.
 
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
@@ -144,7 +146,7 @@ def build_phase1_face(
     rows of V each add an independent direction, and the others lie in the
     span of the lead rows.
     """
-    n = lp.n
+    n = form.n
     perm, xn, xd, e = _lead_start(lead, form)
     V = [k for k, ek in enumerate(e) if ek > 0]
     x_bar = tuple(fraction(v, xd) for v in xn)
@@ -153,28 +155,24 @@ def build_phase1_face(
     nv = len(V)
     slot = dict(zip(V, range(nv)))
     zero, minus = SMALL_INTEGRAL[256], SMALL_INTEGRAL[255]
-    zeros, izeros = (zero,) * nv, [0] * nv
+    izeros = [0] * nv
     R, factor, beta, s = form.R, form.factor, form.beta, form.s
-    A, b, fR, ffac, fbeta, y = [], [], [], [], [], []
+    fR, ffac, fbeta, y = [], [], [], []
     for k, i in enumerate(perm):
-        A_i, R_i, f = lp.A[i], R[i], factor[i]
-        b.append(lp.b[i])
+        R_i, f = R[i], factor[i]
         t = slot.get(k)
         if t is None:
-            A.append(A_i + zeros)
             fR.append(R_i + izeros)
             ffac.append(f)
             fbeta.append(beta[i])
             continue
         p, q = f.numerator, f.denominator
-        A.append(A_i + zeros[:t] + (minus,) + zeros[t + 1 :])
         fR.append([q * a for a in R_i] + izeros[:t] + [-p] + izeros[t + 1 :])
         ffac.append(f if q == 1 else Fraction(p))
         fbeta.append(q * beta[i])
         # y_i = a_i x_bar - b_i = e_k q_i / (s xd p_i)
         y.append(Fraction(e[k] * q, s * xd * p))
     for t in range(nv):
-        A.append((zero,) * n + zeros[:t] + (minus,) + zeros[t + 1 :])
         fR.append([0] * (n + t) + [-1] + izeros[t + 1 :])
         ffac.append(ONE)
         fbeta.append(0)
@@ -182,19 +180,14 @@ def build_phase1_face(
     g = gcd(s, *fbeta)
     if g > 1:
         fbeta, s = [v // g for v in fbeta], s // g
-    lp_face = LinearProgram(A=tuple(A), b=tuple(b) + zeros, c0=(zero,) * n + (minus,) * nv)
     basis = list(range(n)) + V
     return Phase1Problem(
-        lp_prime=lp_face,
         initial=BasicSolution(point=x_bar + tuple(y), basis=tuple(basis)),
         orig_n=n,
         form=model.IntegerForm(fR, ffac, fbeta, s),
         lead=basis,
+        c0=(zero,) * n + (minus,) * nv,
     )
-
-
-def slack_sum(problem: Phase1Problem, point) -> Fraction:
-    return sum(as_fractions(point)[problem.orig_n :], Fraction(0))
 
 
 def extract_bfs(
@@ -209,9 +202,9 @@ def extract_bfs(
     raises on an infeasible point.
     """
     point = as_fractions(solution.point)
-    if len(point) != problem.lp_prime.n:
+    if len(point) != problem.n:
         raise Phase1Error("solution has the wrong dimension")
-    gap = slack_sum(problem, point)
+    gap = sum(point[problem.orig_n :], Fraction(0))
     if gap > 0:
         return InfeasibleCertificate(gap=gap)
     if gap < 0:

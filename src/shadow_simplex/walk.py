@@ -132,9 +132,10 @@ class Tableau:
     carries all six.
 
     lead, when given, holds the form's n lead rows: the tableau appends the
-    box over them, once, at the first improving edge no row blocks, and
-    `lead` is None from then on.  A tableau built without lead walks its
-    form as given, and an edge no row blocks raises `UnboundedEdgeError`.
+    box over them, once, at the first improving edge no row blocks, and is
+    `boxed` from then on.  A tableau built without lead walks its form as
+    given; there, or once boxed, an edge no row blocks raises
+    `UnboundedEdgeError`.
 
     Single-owner mutable state; concurrent walks must each build their own.
     """
@@ -144,6 +145,7 @@ class Tableau:
         `aim` sets the objectives before the first pivot."""
         self.form = form
         self.lead = lead
+        self.boxed = False
         m, n = form.m, form.n
         self.m, self.n = m, n
         self.R, self.beta, self.s = form.R, form.beta, form.s
@@ -152,6 +154,8 @@ class Tableau:
         self.basis = sorted(start.basis)
         if len(self.basis) != n or len(set(self.basis)) != n:
             raise WalkError("basis must hold n distinct rows")
+        if self.basis[0] < 0 or self.basis[-1] >= m:
+            raise WalkError(f"basis rows must lie in range({m})")
         try:
             adj, det = linalg.invert([self.R[i] for i in self.basis])
         except linalg.LinAlgError:
@@ -268,7 +272,7 @@ class Tableau:
             tests = [(*self._ratio_test(k), k) for k in best]
             if all(enter >= 0 for enter, _, _ in tests):
                 break
-            if self.lead is None:
+            if self.lead is None or self.boxed:
                 raise UnboundedEdgeError(
                     "improving edge with no blocking row (polytope not boxed?)"
                 )
@@ -324,7 +328,7 @@ class Tableau:
         its free basis rows move up by 2n, as in a walk of the boxed form."""
         m, n = self.m, self.n
         form = model.bound_polytope(self.form, self.lead)
-        self.form, self.lead = form, None
+        self.form, self.boxed = form, True
         self.R, self.beta, self.m = form.R, form.beta, form.m
         box = self._slacks(range(m, form.m))
         if not all(v > 0 for v in box):

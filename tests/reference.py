@@ -1,10 +1,10 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
 stream; its face basis, face factors and facet choice too), crawl,
-null-space vector, boxed LP, Phase-1 face, objective-escape projection and
-determinant, and the structural check of a recorded shadow path; and the
-delta-distance oracles the tests hold `metrics` against.  A test helper
-module, not a test module."""
+null-space vector, rank completion, boxed LP, Phase-1 face,
+objective-escape projection and determinant, and the structural check of a
+recorded shadow path; and the delta-distance oracles the tests hold
+`metrics` against.  A test helper module, not a test module."""
 
 from fractions import Fraction
 from math import isqrt, prod, sqrt
@@ -154,6 +154,42 @@ def move_to_vertex(lp, point):
             (lp.b[i] - dot(lp.row(i), x)) / prods[i] for i in range(lp.m) if prods[i] > 0
         )
         x = [xi + theta * di for xi, di in zip(x, d)]
+
+
+def extend_to_full_rank(lp):
+    """lp made full rank in Fractions, rhs 0 on the rows appended: for
+    integral A each unit row e_j that raises the rank of the rows and of the
+    e_i taken before it, by a fresh rank per row; else +-t_k o_k for each
+    primitive o_k of the Fraction Gram-Schmidt complement of the rows, with
+    t_k = `unit_scale_pq(|o_k|^2, 1)`."""
+    rows, n = lp.rows(), lp.n
+    r = linalg.rank(rows)
+    if r == n:
+        raise LPModelError("called on full-rank input")
+    if lp.is_integral():
+        for j in range(n):
+            e = [Fraction(int(i == j)) for i in range(n)]
+            if r < n and linalg.rank(rows + [e]) > r:
+                rows.append(e)
+                r += 1
+    else:
+        for _, o in complement_basis(rows, n):
+            t = unit_scale_pq(sum(x * x for x in o), 1)
+            rows += [[t * x for x in o], [-t * x for x in o]]
+    return model.make_lp(rows, list(lp.b) + [0] * (len(rows) - lp.m), lp.c0)
+
+
+def complete_rank(lp, form, idx):
+    """(lp made full rank, its integer form, its n lead rows) from form,
+    lp's integer form, and idx = independent_rows(form.R): the rows of
+    `extend_to_full_rank` made primitive and appended to form, and the lead
+    rows from a second rank pass over the longer form."""
+    if len(idx) >= lp.n:
+        return lp, form, idx[: lp.n]
+    ext = extend_to_full_rank(lp)
+    added = [primitive_int_row(a) for a in ext.A[lp.m :]]
+    form = form.with_rows([r for r, _ in added], [f for _, f in added], [(0, 1)] * len(added))
+    return ext, form, linalg.independent_rows(form.R)[: lp.n]
 
 
 def bound_polytope(lp, lead):

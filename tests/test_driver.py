@@ -413,12 +413,12 @@ def twinned_chains(monkeypatch):
         assert stream.bits_consumed == twin.bits_consumed
         assert (tab.basis, tab.D, tab.M, tab.x_num) == (ref.basis, ref.D, ref.M, ref.x_num)
         assert tab.slack == ref.slack[: tab.m]
-        if tab.lead is None:
+        if tab.boxed:
             assert tab.form == ref.form
         else:
             assert (tab.form, tab.m) == (form, ref.m - 2 * form.n)
         seen["chains"] += 1
-        seen["boxed"] += tab.lead is None
+        seen["boxed"] += tab.boxed
         return lazy
 
     monkeypatch.setattr(driver, "repeated_shadow_vertex", twins)
@@ -476,6 +476,66 @@ class TestLazyBox:
         assert twinned_chains == {"chains": 40, "boxed": 0}
 
 
+def recession_basis(form):
+    """The greedy independent rows tight at d = 0 (`model.tight_basis_at`)
+    of the recession LP of form, a form whose last 2n rows are a box: its
+    rows with rhs 1 on the box rows and 0 elsewhere."""
+    n, m = form.n, form.m
+    rec = model.IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)
+    return model.tight_basis_at(rec, (F(0),) * n)[:n]
+
+
+@pytest.fixture
+def recession_bases(monkeypatch):
+    """Hold the lead rows each recession walk of the solves run starts from
+    against `recession_basis` of its form, and count those walks."""
+    seen = {"walks": 0}
+    decide = model.assert_unbounded_if_box_tight
+
+    def checked(tab, c0):
+        if tab.boxed and not all(tab.slack[tab.m - 2 * tab.n :]):
+            assert tab.lead == recession_basis(tab.form)
+            seen["walks"] += 1
+        return decide(tab, c0)
+
+    monkeypatch.setattr(model, "assert_unbounded_if_box_tight", checked)
+    return seen
+
+
+class TestRecessionBasis:
+    """The recession walk starts at d = 0 on the lead rows the box was built
+    over, which are the greedy independent rows tight there: the un-boxed
+    rows, all tight at 0, whose rank pass gave the lead rows."""
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_fuzz_corpus(self, recession_bases, mode):
+        for case, _, lp in fuzz_lps():
+            solve(lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
+        assert recession_bases["walks"] >= 60, recession_bases
+
+    def test_unbounded_mixed_status_lps(self, recession_bases):
+        # the seed-7 mixed-status benchmark pool, as its first pass solves it
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        for inst in workloads.build_pool(pkg, "mixed-status", 7):
+            rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
+            solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start)
+        assert recession_bases["walks"] == 72, recession_bases
+
+    def test_random_boxed_lps(self):
+        # LPs boxed before the solve are bounded, so no solve of theirs walks
+        # the recession LP; boxed once more, as a walk would box them, the
+        # rows of their first box are un-boxed rows tight at 0, and the
+        # greedy rows there are still the lead rows
+        rng = random.Random(83)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            lp, _ = random_boxed(rng, n, rng.randint(n + 1, n + 5))
+            form = model.integer_form(lp)
+            form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
+            assert recession_basis(model.bound_polytope(form, lead)) == lead
+
+
 def prices(tab, w):
     """Exact price w . (-M[:, k]) / D of w, an (integer numerators,
     denominator) pair, at each basis position of tab, up to the common
@@ -498,8 +558,11 @@ class TestChainStop:
         tab = cand.tableau
         assert len(cand.traces) == 1 and not cand.capped
         assert tab.solution().point == (1, 1, 1) and tab.carries([3, 2, 1])
+        walked = (tab.c_num, tab.pivot_count)
+        assert walked[1] > 0
         assert is_optimal(form, tab.solution(), tab, cube.c0)
-        assert tab.pivot_count == 0  # the certificate walk found no improving edge
+        # the reduced costs certify c0, so no certificate walk is aimed
+        assert (tab.c_num, tab.pivot_count) == walked
 
     def test_chain_starts_with_a_walk_even_at_the_optimum(self):
         # the start is the optimum and its basis carries c0: one walk, no pivot
@@ -710,7 +773,7 @@ class TestSolve:
         lp = model.make_lp(pair_cone_rows(8), [0] * 36, [1] * 8)
         out = solve(lp, cfg())
         assert out.status == "unbounded"
-        driver._check_ray(lp, model.integer_form(lp), out.ray)
+        driver._check_ray(model.integer_form(lp), lp.m, lp.c0, out.ray)
 
     def test_random_20x8_unbounded_quickly(self):
         # the old ray scan took minutes on this instance (C(20, 7) subsets)
@@ -719,7 +782,7 @@ class TestSolve:
         out = solve(lp, cfg(seed=5))
         assert time.perf_counter() - t0 < 10
         assert out.status == "unbounded"
-        driver._check_ray(lp, model.integer_form(lp), out.ray)
+        driver._check_ray(model.integer_form(lp), lp.m, lp.c0, out.ray)
 
     def test_box_tight_bounded_optimum(self, monkeypatch):
         # max x1 subject to x1 <= 1, -x2 <= 1: the optimal face is unbounded,
@@ -842,6 +905,17 @@ class TestSolve:
         with pytest.raises(walk.WalkError, match="dependent"):
             solve(square(c0=(0, 0)), cfg(), initial_bfs=bad)
 
+    @pytest.mark.parametrize("basis", [(-2, -1), (2, 7)])
+    def test_start_rows_out_of_range_raise(self, basis):
+        # rows x <= 1, y <= 1, -x <= 0, -y <= 0 at (0, 0): negative rows
+        # would alias rows 3 and 2, the tight ones, and row 7 does not exist
+        lp = model.make_lp([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0], [0, 0])
+        start = BasicSolution(point=(F(0), F(0)), basis=basis)
+        with pytest.raises(walk.WalkError, match="range"):
+            solve(lp, cfg(), initial_bfs=start)
+        with pytest.raises(walk.WalkError, match="range"):
+            walk.Tableau(model.integer_form(lp), start)
+
     def test_escape_ignores_the_given_start(self):
         # rank 2 of 3 and c0 off the row span: the LP has no vertex, so Phase
         # 1 decides feasibility even when a start is given
@@ -863,7 +937,9 @@ class TestSolve:
     def test_rank_completion_checks_escape_once(self, monkeypatch):
         calls = []
         escape = model._objective_escape
-        monkeypatch.setattr(model, "_objective_escape", lambda lp: calls.append(lp) or escape(lp))
+        monkeypatch.setattr(
+            model, "_objective_escape", lambda c0, rows: calls.append(rows) or escape(c0, rows)
+        )
         lp = model.make_lp([[1, 0], [-1, 0]], [1, 0], [1, 0])
         out = solve(lp, cfg())
         assert out.status == "optimal" and out.value == 1

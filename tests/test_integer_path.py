@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 import reference
-from boxing import box, boxed_form
+from boxing import box, boxed_form, lead_rows, on_box
 from chains import nested_objective
 from reference import values
 from test_golden import _interior_point
@@ -300,7 +300,7 @@ class TestBoxTightOnTheTableau:
         lp = model.make_lp([[-1]], [0], [1])
         form = boxed_form(lp)
         top = BasicSolution(point=(F(form.beta[2], form.s),), basis=(2,))
-        tab = walk.Tableau(form, top)
+        tab = on_box(form, top, lead_rows(lp))
         assert tab.slack[1:] != [0, 0] and tab.slack[2] == 0
         assert form.tight_rows(top.point) == [2]
         walks = self.recording(monkeypatch)
@@ -313,7 +313,7 @@ class TestBoxTightOnTheTableau:
 
     def test_vertex_off_the_box_walks_nothing(self, monkeypatch):
         lp = model.make_lp([[1], [-1]], [1, 0], [1])
-        tab = walk.Tableau(boxed_form(lp), BasicSolution(point=(F(1),), basis=(0,)))
+        tab = on_box(boxed_form(lp), BasicSolution(point=(F(1),), basis=(0,)), lead_rows(lp))
         walks = self.recording(monkeypatch)
         assert model.assert_unbounded_if_box_tight(tab, lp.c0) == model.BOUNDED
         assert walks == []

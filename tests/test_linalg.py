@@ -232,37 +232,54 @@ class TestCompleteOrthonormal:
             assert np.abs(Q @ v - e1).max() <= 1e-10
 
 
+def complement(rows, n):
+    """The +o_k rows of the delta-preserving rank completion of rows
+    (`model.extend_to_full_rank_delta`, the rows `model.complete_rank`
+    appends to a non-integral LP), each of which is followed by -o_k."""
+    lp = model.make_lp(rows, [0] * len(rows), [0] * n)
+    added = model.extend_to_full_rank_delta(lp).rows()[lp.m :]
+    assert added[1::2] == [[-x for x in o] for o in added[::2]]
+    return added[::2]
+
+
 class TestComplements:
     def test_single_row_in_r3(self):
-        out = linalg.exact_complement_basis(mat([[1, 0, 0]]), 3)
+        out = complement(mat([[1, 0, 0]]), 3)
         assert len(out) == 2
         for v in out:
             assert v[0] == 0
 
     def test_full_span_empty(self):
-        assert linalg.exact_complement_basis(mat([[1, 0], [0, 1]]), 2) == []
+        form = model.integer_form(model.make_lp([[1, 0], [0, 1]], [0, 0], [0, 0]))
+        assert model.complete_rank(form, [0, 1]) == (form, [0, 1])
+        with pytest.raises(model.LPModelError):
+            complement(mat([[1, 0], [0, 1]]), 2)
 
     def test_oblique_row(self):
-        out = linalg.exact_complement_basis(mat([[1, 1, 0]]), 3)
+        out = complement(mat([[1, 1, 0]]), 3)
         assert len(out) == 2
         for v in out:
             assert dot(v, mat([[1, 1, 0]])[0]) == 0
 
     def test_exact_complement(self):
+        # the complement rows are exactly orthogonal to every row and to
+        # each other, and of unit norm from below within 1e-15
         rng = random.Random(11)
+        done = 0
         for _ in range(40):
             n = rng.randint(2, 6)
-            k = rng.randint(0, n)
-            rows = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
-            out = linalg.exact_complement_basis(rows, n)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            rows = mat([r for r in rows if any(r)])
+            if not rows or linalg.rank(rows) == n:
+                continue
+            out = complement(rows, n)
             assert len(out) == n - linalg.rank(rows)
-            for v in out:
-                for r in rows:
+            for k, v in enumerate(out):
+                for r in rows + out[:k]:
                     assert dot(v, r) == 0
                 assert abs(float(norm_sq(v)) - 1.0) < 1e-15
-            for i in range(len(out)):
-                for j in range(i + 1, len(out)):
-                    assert dot(out[i], out[j]) == 0
+            done += 1
+        assert done >= 20
 
 
 class TestNullspace:
@@ -416,10 +433,15 @@ class TestObjectiveEscape:
             else:
                 c0 = [F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
             want = project_out(c0, rows)
-            assert linalg._project_out(c0, rows) == want
             lp = model.make_lp(rows, [1] * len(rows), c0)
-            got = model._objective_escape(lp)
+            form = model.integer_form(lp)
+            assert linalg._project_out(c0, form.R) == want
+            # from the rank pass's rows, as the solve passes them, and from
+            # every row: any spanning set gives the same escape
+            lead = [form.R[i] for i in linalg.independent_rows(form.R)]
+            got = model._objective_escape(lp.c0, lead)
             assert got == (want if any(want) else None)
+            assert model._objective_escape(lp.c0, form.R) == got
             escapes += got is not None
             in_span += got is None
         assert escapes > 250 and in_span > 100

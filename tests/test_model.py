@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 import reference
-from boxing import box, box_rows, boxed_form
+from boxing import box, box_rows, boxed_form, lead_rows, on_box
 
-from shadow_simplex import driver, harness, linalg, metrics, model, oracle, walk
+from shadow_simplex import harness, linalg, metrics, model, oracle
 from shadow_simplex.model import (
     BasicSolution,
     LPFormatError,
@@ -132,6 +132,64 @@ class TestNormalize:
             assert abs(math.hypot(*(float(x) for x in row)) - 1.0) <= 1e-12
 
 
+def rank_deficient_lp(rng, rational):
+    """A seeded LP of rank r < n: r random rows, integer or with
+    denominators up to 7, then combinations and copies of them, shuffled."""
+    while True:
+        n = rng.randint(2, 5)
+        dens = [1, 1, 2, 3, 7] if rational else [1]
+        base = [
+            [F(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+            for _ in range(rng.randint(1, n - 1))
+        ]
+        rows = list(base)
+        for _ in range(rng.randint(0, 3)):
+            coef = [F(rng.randint(-2, 2), rng.choice(dens)) for _ in base]
+            rows.append([sum(k * r[j] for k, r in zip(coef, base)) for j in range(n)])
+        rows = [r for r in rows if any(r)]
+        if rows and linalg.rank(rows) < n:
+            rng.shuffle(rows)
+            b = [F(rng.randint(-5, 5), rng.choice(dens)) for _ in rows]
+            return model.make_lp(rows, b, [rng.randint(-2, 2) for _ in range(n)])
+
+
+class TestRankCompletion:
+    def test_completion_matches_the_fraction_reference(self):
+        # the completed form and lead rows from the rank pass alone equal
+        # the integer form of the Fraction completion and the first n rows
+        # of its own rank pass, on integral and rational LPs; the Fraction
+        # views are that completion
+        rng = random.Random(43)
+        seen = {True: 0, False: 0}
+        for trial in range(1200):
+            lp = rank_deficient_lp(rng, rational=trial % 2 == 1)
+            form = model.integer_form(lp)
+            idx = linalg.independent_rows(form.R)
+            ext, want_form, want_lead = reference.complete_rank(lp, form, idx)
+            assert model.complete_rank(form, idx) == (want_form, want_lead)
+            assert model.extend_to_full_rank(lp) == ext
+            view = model.extend_to_full_rank_Delta if lp.is_integral() else model.extend_to_full_rank_delta
+            assert view(lp) == ext
+            seen[lp.is_integral()] += 1
+        assert min(seen.values()) >= 500, seen
+
+    def test_full_rank_form_is_kept(self):
+        form = model.integer_form(square_lp())
+        idx = linalg.independent_rows(form.R)
+        assert model.complete_rank(form, idx) == (form, idx[:2])
+        for extend in (model.extend_to_full_rank_delta, model.extend_to_full_rank_Delta):
+            with pytest.raises(LPModelError):
+                extend(square_lp())
+
+    def test_unit_rows_follow_the_greedy_rank_test(self):
+        # the row (1, 1): reduced through its echelon, e_0 stays nonzero and
+        # is taken, which the complement of the pivot columns would not give
+        lp = model.make_lp([[1, 1], [2, 2]], [1, 2], [1, 1])
+        form = model.integer_form(lp)
+        full, lead = model.complete_rank(form, linalg.independent_rows(form.R))
+        assert full.R[2:] == [[1, 0]] and lead == [0, 2]
+
+
 class TestRankRaising:
     def test_delta_complement_rows(self):
         lp = model.make_lp([[1, 0]], [1], [1, 0])
@@ -247,9 +305,9 @@ class TestBounding:
         # the corner of the first box, where only the first box's rows are tight
         B = F(once.beta[3], once.s)
         corner = BasicSolution(point=(B, B), basis=(3, 5))
-        got = model.assert_unbounded_if_box_tight(walk.Tableau(once, corner), lp.c0)
+        got = model.assert_unbounded_if_box_tight(on_box(once, corner, [0, 1]), lp.c0)
         assert isinstance(got, UnboundedCertificate)
-        tab = walk.Tableau(twice, corner)
+        tab = on_box(twice, corner, [0, 1])
         assert model.assert_unbounded_if_box_tight(tab, lp.c0) == model.BOUNDED
 
     def test_vertices_lie_strictly_inside_the_box(self):
@@ -337,7 +395,8 @@ class TestBounding:
 def box_cases(seed, count):
     """count seeded (LP, integer form, lead rows, kinds) as a solve boxes
     them: rows with rational entries, duplicate and parallel rows, rank
-    completion (`driver._complete_rank`), and every fourth LP boxed before.
+    completion (`model.complete_rank`, the LP completed by its Fraction view
+    `model.extend_to_full_rank`), and every fourth LP boxed before.
     kinds names which of these the case has."""
     rng = random.Random(seed)
     cases = []
@@ -358,7 +417,8 @@ def box_cases(seed, count):
             continue
         lp = model.make_lp(rows, [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 5])) for _ in rows], [1] * n)
         form = model.integer_form(lp)
-        work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
+        form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
+        work = model.extend_to_full_rank(lp) if form.m > lp.m else lp
         kinds = set()
         if any(x.denominator > 1 for row in lp.A for x in row):
             kinds.add("rational")
@@ -376,8 +436,9 @@ def box_cases(seed, count):
 
 
 def on(lp, vertex):
-    """A tableau on lp's boxed form standing on vertex."""
-    return walk.Tableau(boxed_form(lp), BasicSolution(vertex.point, vertex.basis))
+    """A tableau on lp's boxed form standing on vertex, as one that appended
+    the box over lp's lead rows."""
+    return on_box(boxed_form(lp), BasicSolution(vertex.point, vertex.basis), lead_rows(lp))
 
 
 class TestBoxTightAssert:

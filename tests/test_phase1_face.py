@@ -37,13 +37,19 @@ def two_violated():
 
 
 def build_face(lp):
-    return build_phase1_face(lp, lead_rows(lp), model.integer_form(lp))
+    return build_phase1_face(model.integer_form(lp), lead_rows(lp))
 
 
-def face_optimum(p1: Phase1Problem) -> BasicSolution:
-    ref = oracle.brute_force_optimum(box(p1.lp_prime))
+def face_lp(lp, p1: Phase1Problem):
+    """The face of LP' that p1 is, built in Fractions from lp's rows."""
+    return reference.phase1_face(lp, lead_rows(lp), list(p1.initial.basis[lp.n :]))
+
+
+def face_optimum(lp, p1: Phase1Problem) -> BasicSolution:
+    face = face_lp(lp, p1)
+    ref = oracle.brute_force_optimum(box(face))
     assert ref.status == "optimal"
-    return model.move_to_vertex(p1.lp_prime, list(ref.point))
+    return model.move_to_vertex(face, list(ref.point))
 
 
 class TestFaceDelta:
@@ -71,7 +77,8 @@ class TestFaceDelta:
             if isinstance(got, BasicSolution):
                 face = normed  # every y_i fixed at 0
             else:
-                face = got.lp_prime.rows()
+                face = face_lp(lp, got).rows()
+                assert got.form == model.integer_form(face_lp(lp, got))
                 with_face += 1
                 # the face is LP' with the columns and lower rows of y_i,
                 # i outside V, deleted; its rows come lead rows first
@@ -108,8 +115,8 @@ class TestInfeasibilityGap:
     def test_two_violated_rows_give_positive_gap(self):
         lp = two_violated()
         p1 = build_face(lp)
-        assert p1.lp_prime.n == 1 + 2 and p1.lp_prime.m == 3 + 2
-        model.validate_basic_solution(p1.lp_prime, p1.initial)
+        assert p1.n == 1 + 2 and p1.form.m == 3 + 2
+        model.validate_basic_solution(face_lp(lp, p1), p1.initial)
         out = driver.solve(lp, cfg())
         assert out.status == "infeasible" == oracle.classify(lp).status
         assert out.phase1_artificials == 2
@@ -124,15 +131,15 @@ class TestExtraction:
         # x <= 0 and y <= 0 lead; x_bar = (0, 0) violates x + y <= -1
         lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1])
         p1 = build_face(lp)
-        assert p1.lp_prime.n == 3
-        got = extract_bfs(face_optimum(p1), model.integer_form(lp), p1)
+        assert p1.n == 3
+        got = extract_bfs(face_optimum(lp, p1), model.integer_form(lp), p1)
         assert not isinstance(got, InfeasibleCertificate)
         model.validate_basic_solution(lp, got)
 
     def test_infeasible_face_optimum_yields_gap(self):
         lp = two_violated()
         p1 = build_face(lp)
-        got = extract_bfs(face_optimum(p1), model.integer_form(lp), p1)
+        got = extract_bfs(face_optimum(lp, p1), model.integer_form(lp), p1)
         assert isinstance(got, InfeasibleCertificate)
         assert got.gap == 3
 
@@ -165,7 +172,7 @@ class TestLeadStart:
         for _ in range(200):
             lp = rational_lp(rng, rng.randint(1, 4))
             form = model.integer_form(lp)
-            _, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
+            form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
             _, xn, xd, _ = _lead_start(lead, form)
             adj, det = linalg.invert([form.R[i] for i in lead])
             beta_L = [form.beta[i] for i in lead]
@@ -178,46 +185,53 @@ class TestLeadStart:
 
 class TestDirectFaceForm:
     def test_face_form_and_lead_rows_are_the_face_lps(self):
-        # the face's integer form and lead rows, built from the solve's form,
-        # are the ones its own rank pass and integer_form give; the face LP
-        # is its make_lp construction
+        # the face's integer form, lead rows and objective, built from the
+        # solve's form, are the ones the face LP's make_lp construction
+        # (`reference.phase1_face`), its integer_form and its own rank pass
+        # give, over the LP completed in Fractions
         rng = random.Random(53)
         faces = scaled = completed = 0
         for _ in range(300):
             lp = rational_lp(rng, rng.randint(1, 4))
             form = model.integer_form(lp)
-            work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
-            assert form == model.integer_form(work)
-            p1 = build_phase1_face(work, lead, form)
+            idx = linalg.independent_rows(form.R)
+            work, want_form, want_lead = reference.complete_rank(lp, form, idx)
+            form, lead = model.complete_rank(form, idx)
+            assert (form, lead) == (want_form, want_lead)
+            p1 = build_phase1_face(form, lead)
             if isinstance(p1, BasicSolution):
                 continue
             faces += 1
             completed += work.m > lp.m
-            n, nv = work.n, p1.lp_prime.n - work.n
+            n, nv = form.n, p1.n - form.n
             V = list(p1.initial.basis[n:])
             perm = lead + [i for i in range(work.m) if i not in lead]
             scaled += any(form.factor[perm[k]].denominator > 1 for k in V)
-            assert p1.lp_prime == reference.phase1_face(work, lead, V)
-            assert p1.form == model.integer_form(p1.lp_prime)
-            assert p1.lead == linalg.independent_rows(p1.lp_prime.rows())[: n + nv]
+            face = reference.phase1_face(work, lead, V)
+            assert p1.form == model.integer_form(face)
+            assert p1.lead == linalg.independent_rows(face.rows())[: n + nv]
             assert p1.lead == list(p1.initial.basis)
+            assert p1.c0 == face.c0 and p1.n == face.n
         assert faces >= 100 and scaled >= 20 and completed >= 5
 
     def test_phase1_solve_on_the_direct_form_matches_the_face_lp(self):
-        # the depth-1 solve on the carried form answers as a solve that
-        # derives everything from the face LP itself
+        # the depth-1 solve on the face's form, lead rows and objective
+        # answers as a solve that derives everything from the face LP
         rng = random.Random(59)
         done = 0
         while done < 25:
             lp = rational_lp(rng, rng.randint(1, 3))
             form = model.integer_form(lp)
-            work, form, lead = driver._complete_rank(lp, form, linalg.independent_rows(form.R))
-            p1 = build_phase1_face(work, lead, form)
+            idx = linalg.independent_rows(form.R)
+            work = reference.complete_rank(lp, form, idx)[0]
+            form, lead = model.complete_rank(form, idx)
+            p1 = build_phase1_face(form, lead)
             if isinstance(p1, BasicSolution):
                 continue
             done += 1
+            face = reference.phase1_face(work, lead, list(p1.initial.basis[form.n :]))
             kw = dict(initial_bfs=p1.initial, _depth=1)
-            got = driver.solve(p1.lp_prime, cfg(done), _face=p1, **kw)
-            want = driver.solve(p1.lp_prime, cfg(done), **kw)
+            got = driver.solve(None, cfg(done), _face=p1, **kw)
+            want = driver.solve(face, cfg(done), **kw)
             assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
             assert got.pivot_sequence == want.pivot_sequence

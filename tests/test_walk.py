@@ -324,7 +324,8 @@ class TestCarriedState:
         tab = Tableau(form, start, lead=[0, 1])
         res = shadow_walk(tab, c, w)
         boxed = model.bound_polytope(form, [0, 1])
-        assert res.finished and tab.lead is None and tab.form == boxed
+        assert res.finished and tab.boxed and tab.form == boxed
+        assert tab.lead == [0, 1]  # kept: the recession LP's basis at d = 0
         assert [b for _, _, _, b in checked_pivots] == [True] + [False] * (res.pivots - 1)
         assert [st.entering_row for st in res.path.steps] == [2, 4, 6]
         assert tab.vertex() == [3, 3]
