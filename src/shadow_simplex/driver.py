@@ -1,10 +1,13 @@
 """Repeated shadow vertex driver: perturb, walk, fix a facet, repeat;
 wrapped in the doubling phi schedule with exact optimality certificates.
 
-`solve` runs one path for every LP: one rank pass, rank completion, Phase 1
-when no start vertex is given, then the doubling loop.  An LP of
-rank below n whose c0 leaves the row span (the objective escape) has no
-vertex: a given start is ignored, Phase 1 decides feasibility, and a
+`solve` runs one path for every LP: a rank pass and rank completion, Phase 1
+when no start vertex is given, then the doubling loop.  A given start is
+checked first, by the first facet chain's tableau build on the solve's
+integer form; a build that succeeds proves the form has rank n, so no rank
+pass runs, and the lead rows are found only if a walk appends the box.  An
+LP of rank below n whose c0 leaves the row span (the objective escape) has
+no vertex: a given start is ignored, Phase 1 decides feasibility, and a
 feasible one is unbounded along the escape.  A zero objective's chain stops
 at round 0, so its start vertex is accepted at the first phi
 (`phi_accepted`).  Phase 1 is `solve` itself at depth 1, on the Phase-1 phi
@@ -26,8 +29,8 @@ bit budget and the pivot cap are those of the boxed form, m + 2n rows.  The
 Phase-1 face is only its own form, lead rows and objective, built from the
 solve's (`phase1.build_phase1_face`), so the depth-1 solve runs no rank
 pass and builds no form or LP, and boxes the face on its form.  A facet
-chain's tableau is built on the start vertex's own basis; that build is the
-check of the start, and a bad one raises `walk.WalkError`.  The rows fixed
+chain's tableau is built on the start vertex's own basis; a start that
+fails the build on a form of rank n raises `walk.WalkError`.  The rows fixed
 so far stay in its basis, held out of pricing, so each walk stays on the
 face where they are tight.  Each round runs in integers: it draws its
 perturbed objective in coordinates of that face, over an exactly orthogonal
@@ -37,10 +40,12 @@ O(n^2)), as numerators over one denominator, and lifts it to the form
 exactly on the integer columns; its cone objective is priced on the
 tableau's integer rows (`lifted_cone_objective`), with each free row's
 near-unit factor tau formed once per round, and the facet is chosen by
-integer cross-multiplication of the prices and the tau.  Both reach
-`Tableau.aim` as (numerators, denominator) pairs.  The walk is the one on
-the restricted LP, whose delta-distance value is preserved to rounding of
-the unit scaling, without building it.
+integer cross-multiplication of the prices and the tau.  At round 0 no row
+is fixed, so each row is its own face coordinates: tau and c0's face image
+are read off the rows' squared norms, and the lift is the identity.  Both
+objectives reach `Tableau.aim` as (numerators, denominator) pairs.  The
+walk is the one on the restricted LP, whose delta-distance value is
+preserved to rounding of the unit scaling, without building it.
 
 A chain fixes at most n facets, and ends at the first finished walk whose
 basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
@@ -65,6 +70,7 @@ rank-completion rows, then the 2n box rows once a walk has appended them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -127,7 +133,7 @@ def _sqrt_up(k: int) -> int:
     return isqrt(k << 2 * PHI_BITS) + 1
 
 
-def pivot_cap(m: int, n: int, phi: Fraction, delta: Fraction, constant: int = 16) -> int:
+def pivot_cap(m: int, n: int, phi: Fraction, delta: float, constant: int = 16) -> int:
     """8n * p(m, n, phi, delta) with p = ceil(K (m n^2/d^2 + m sqrt(n) phi/d))."""
     phi_f = float(phi)
     d = float(delta)
@@ -163,8 +169,10 @@ class FacetRestriction:
         """The vector in span(cols) whose face coordinates are exactly y,
         both as (integer numerators, denominator) pairs: x = sum_k y_k cols_k
         / (col_scale_k |cols_k|^2), over one denominator, on the integer
-        columns."""
+        columns; y itself when no row is fixed."""
         yn, yd = y
+        if len(yn) == len(self.cols[0]):
+            return list(yn), yd  # no fixed row: the unit columns, unscaled
         # y_k / (col_scale_k N_k) = yn_k sd_k / (yd sn_k N_k), over yd L
         dens = [sn * N for (sn, _), N in zip(self.col_scale, self.norms)]
         L = lcm(*dens)
@@ -196,13 +204,36 @@ def _face_scale(
         red.append((p, q))
         num = num * q * q + p * p * den
         den = den * q * q
+    return red, _near_unit(num, den)
+
+
+def _near_unit(num: int, den: int) -> Fraction:
+    """tau = `unit_scale_pq(num, den)` for a face image of squared norm
+    num / den, whose scaled squared norm tau^2 num / den is checked to be
+    within 3e-10 of 1, in integers."""
     t = unit_scale_pq(num, den)
     tn, td = t.numerator, t.denominator
     sq_num = tn * tn * num
     sq_den = td * td * den
     if abs(sq_num - sq_den) * 10**10 > 3 * sq_den:
         raise DriverError("face image is not unit norm")
-    return red, t
+    return t
+
+
+def _unit_tau(R: list[list[int]], rows) -> dict[int, Fraction]:
+    """tau of each of the rows, by row, on the face of no fixed row: each
+    row is its own face coordinates over the unit columns, so tau_i =
+    `unit_scale_pq(|R_i|^2, 1)`, checked as `_face_scale` checks it, and
+    rows of equal squared norm share one."""
+    by_norm: dict[int, Fraction] = {}
+    tau = {}
+    for i in rows:
+        sq = sum(map(mul, R[i], R[i]))
+        t = by_norm.get(sq)
+        if t is None:
+            t = by_norm[sq] = _near_unit(sq, 1)
+        tau[i] = t
+    return tau
 
 
 def facet_restriction(
@@ -217,6 +248,8 @@ def facet_restriction(
     rows only grow, passes the same `linalg.FaceBasis` every round, and
     `linalg.complement_basis_int` adds only the round's new row to it: the
     columns it changes and their near-unit scales are all that is recomputed.
+    With no row fixed, the columns are the unit vectors, unscaled, and c0's
+    face image is read off c0 itself.
     """
     n = len(c0)
     d = n - len(fixed)
@@ -229,12 +262,19 @@ def facet_restriction(
         raise DriverError("fixed facet rows are dependent")
     # near-unit column scales, kept separate so row projections stay integer
     col_scale = tuple(basis.scales)
-    c0_face = _face_scale(c0, cols, col_scale)
-    if c0_face is not None:
-        # t (p_k / q_k)_k over the one denominator t_den lcm(q)
-        red, t = c0_face
-        L = lcm(*(q for _, q in red))
-        c0_face = (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
+    if not fixed:
+        # c0 is its own face coordinates: t c0, t checked as in _face_scale
+        c0_face = None
+        if any(c0):
+            t = _near_unit(sum(map(mul, c0, c0)), 1)
+            c0_face = (tuple(t.numerator * x for x in c0), t.denominator)
+    else:
+        c0_face = _face_scale(c0, cols, col_scale)
+        if c0_face is not None:
+            # t (p_k / q_k)_k over the one denominator t_den lcm(q)
+            red, t = c0_face
+            L = lcm(*(q for _, q in red))
+            c0_face = (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
     return FacetRestriction(
         cols=tuple(cols), norms=tuple(basis.norms), col_scale=col_scale, c0=c0_face
     )
@@ -313,7 +353,9 @@ def identify_basis_element(
 
 def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bool:
     """Exact test that c0 lies in the normal cone of the vertex x of the LP
-    whose integer form is form, the form the facet chain walked.
+    whose integer form is form, the form the facet chain walked.  c0 may be
+    any positive multiple of the objective, rationals or integers: the
+    solve passes its primitive integer row.
 
     tab is a Tableau on form standing on x, the facet chain's own (checked
     in integers).  x is optimal when tab's basis carries c0
@@ -329,7 +371,7 @@ def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bo
         raise DriverError("tableau is not on the form")
     if not tab.stands_on(x.point):
         raise DriverError("tableau does not stand on the vertex")
-    if tab.carries(primitive_int_row(c0)[0]):
+    if tab.carries(c0):
         return True
     return walk.first_gain(tab, c0) is None
 
@@ -354,44 +396,45 @@ class Candidate:
 
 
 def repeated_shadow_vertex(
-    form: IntegerForm,
-    c0,
-    x0: BasicSolution,
+    tab: walk.Tableau,
+    c0: list[int],
     phi: Fraction,
     cfg: randomness.RngConfig,
     stream: randomness.DrawStream,
     cap: int | None = None,
-    lead: list[int] | None = None,
 ) -> Candidate:
-    """Rounds of perturb -> walk -> identify -> fix, on one tableau, for the
-    objective c0 (rationals) over form, the integer form: at most n, and
-    none after the first finished walk whose basis carries c0, or once c0 is
-    constant on the face of the fixed rows.
+    """Rounds of perturb -> walk -> identify -> fix, on the tableau tab, for
+    the objective c0, a primitive integer row: at most n, and none after
+    the first finished walk whose basis carries c0, or once c0 is constant
+    on the face of the fixed rows.
 
-    The tableau starts on x0's own basis, over form, and its build checks x0
-    (a bad start raises `walk.WalkError`).  With the form's lead rows it
-    appends the box over them at the first edge no row blocks; without, it
-    walks form as given, which must then bound every walk.  Each round
-    draws its perturbed objective in the coordinates of the current face at
-    phi and lifts it to form's coordinates, prices its cone objective on
-    the tableau's integer rows with each free row's factor tau formed once
-    (the facet choice reuses them), and walks the tableau with the fixed
-    rows held in the basis, from where the previous round stopped; every
-    objective stays in integers.  The chain's last basis is the candidate's
-    basis, and each round's walk path is kept in its trace.
+    tab stands on the chain's start vertex, freshly built on its basis (the
+    build is the check of the start), and is walked in place: with the
+    form's lead rows it appends the box over them at the first edge no row
+    blocks; without, it walks its form as given, which must then bound
+    every walk.  Each round draws its perturbed objective in the
+    coordinates of the current face at phi and lifts it to form's
+    coordinates, prices its cone objective on the tableau's integer rows
+    with each free row's factor tau formed once (the facet choice reuses
+    them), and walks the tableau with the fixed rows held in the basis,
+    from where the previous round stopped; every objective stays in
+    integers.  At round 0 no row is fixed, so each row is its own face
+    coordinates.  The chain's last basis is the candidate's basis, and each
+    round's walk path is kept in its trace.
     """
-    tab = walk.Tableau(form, x0, lead)
-    c0 = primitive_int_row(c0)[0]
     fixed: list[int] = []
-    basis = linalg.FaceBasis(form.n)  # the fixed rows' face basis, carried
+    basis = linalg.FaceBasis(tab.n)  # the fixed rows' face basis, carried
     traces: list[RoundTrace] = []
-    while len(fixed) < form.n:
+    while len(fixed) < tab.n:
         r = facet_restriction([tab.R[i] for i in fixed], c0, basis)
         if r.c0 is None:
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
         pert = randomness.perturb_objective(r.c0, phi, cfg, stream)
-        tau = {i: _face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free}
+        if fixed:
+            tau = {i: _face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free}
+        else:
+            tau = _unit_tau(tab.R, free)
         lam = randomness.draw_lambda(len(free), cfg, stream)
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
         c = r.lift((pert.c, pert.den))
@@ -473,10 +516,11 @@ def solve(
     """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
     given, then the doubling schedule around the repeated shadow vertex
     algorithm, whose tableaus box the LP at their first unbounded edge.  The
-    rows are used as given, never scaled: one rank pass finds the lead rows
-    that both Phase 1 and the box use.  Every answer is checked against
-    lp_raw's rows: the point for feasibility, a ray for improvement and
-    recession.
+    rows are used as given, never scaled: a rank pass finds the lead rows
+    that both Phase 1 and the box use, unless a given start's tableau builds
+    on the solve's form, which then has rank n.  Every answer is checked
+    against lp_raw's rows: the point for feasibility, a ray for improvement
+    and recession.
 
     - Rank below n with c0 off the row span (the objective escape): the LP
       has no vertex, so initial_bfs is ignored and Phase 1 runs; the answer
@@ -487,10 +531,11 @@ def solve(
       phi.
 
     initial_bfs is checked by the first facet chain's `walk.Tableau` build
-    on the solve's form, whose rows include every row of lp_raw: a basis that
-    does not hold n distinct rows of the form, has dependent rows, is not
-    tight at the point, or a point that violates a row, raises
-    `walk.WalkError`.
+    on the solve's form, whose rows include every row of lp_raw; that
+    tableau is the chain's.  A build that fails is made again after the
+    rank pass, on the rank-completed form: a basis that does not hold n
+    distinct rows of the form, has dependent rows, is not tight at the
+    point, or a point that violates a row, then raises `walk.WalkError`.
 
     Only Phase 1's own call sets _stream, _depth (1), _schedule and _face,
     and no lp_raw: it shares the caller's draws, walks on the Phase-1
@@ -502,15 +547,26 @@ def solve(
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
     out = SolveOutcome(status="pending")
 
+    first = None  # the first chain's tableau, when checking the start built it
     if _face is None:
-        # the solve's one integer form and its rank pass, whose independent
-        # rows are the lead rows; rank completion appends rows to both
         c0, m = lp_raw.c0, lp_raw.m
         form = model.integer_form(lp_raw)
-        idx = linalg.independent_rows(form.R)
-        rows = [form.R[i] for i in idx]
-        escape = model._objective_escape(c0, rows) if len(idx) < form.n else None
-        form, lead = model.complete_rank(form, idx)
+        # on a form of rank n the lead rows are its rank pass's first n rows,
+        # found only when a walk appends the box, and once per solve
+        lead, escape = cache(lambda: linalg.independent_rows(form.R)[: form.n]), None
+        if initial_bfs is not None:
+            # a build on n rows of the form proves it has rank n: no rank pass
+            try:
+                first = walk.Tableau(form, initial_bfs, lead)
+            except walk.WalkError:
+                pass  # rank below n, or a bad start: the rank pass decides
+        if first is None:
+            # the rank pass, whose independent rows are the lead rows; rank
+            # completion appends rows to both
+            idx = linalg.independent_rows(form.R)
+            rows = [form.R[i] for i in idx]
+            escape = model._objective_escape(c0, rows) if len(idx) < form.n else None
+            form, lead = model.complete_rank(form, idx)
     else:
         c0, m, form, lead, escape = _face.c0, _face.form.m, _face.form, _face.lead, None
 
@@ -525,24 +581,27 @@ def solve(
         out.bits_consumed = stream.bits_consumed
         return _accept(out, form, m, c0, bfs.point, tuple(escape))
 
+    c0_int = primitive_int_row(c0)[0]
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=form.n, m=form.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         # the boxed form's m + 2n rows, whether or not a walk appends the box
         rng_i, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
-        cand = repeated_shadow_vertex(form, c0, bfs, phi, rng_i, stream, cap=cap, lead=lead)
+        tab = first or walk.Tableau(form, bfs, lead)
+        first = None
+        cand = repeated_shadow_vertex(tab, c0_int, phi, rng_i, stream, cap=cap)
         out.traces.extend(cand.traces)
         out.doublings = i
         if cand.capped:
             continue
-        tab = cand.tableau
-        if not is_optimal(tab.form, tab.solution(), tab, c0):
-            continue
-        # the basis the certificate walk ended on carries c0
         vertex = tab.solution()
+        if not is_optimal(tab.form, vertex, tab, c0_int):
+            continue
+        if tuple(sorted(tab.basis)) != vertex.basis:
+            vertex = tab.solution()  # the basis the certificate walk ended on
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
-        verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(tab, c0)
+        verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(tab, c0_int)
         if isinstance(verdict, UnboundedCertificate):
             return _accept(out, form, m, c0, verdict.point, verdict.ray)
         out.vertex = vertex

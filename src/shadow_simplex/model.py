@@ -196,14 +196,14 @@ def integer_form(lp: LinearProgram) -> IntegerForm:
     walks is derived from that one."""
     R = []
     factor = []
-    rhs = []
+    rhs = []  # f_i b_i as integer ratios
     for a, b in zip(lp.A, lp.b):
         ints, f = primitive_int_row(a)
         R.append(ints)
         factor.append(f)
-        rhs.append(b if f is ONE else f * b)
-    beta, s = common_denominator(rhs)
-    return IntegerForm(R, factor, beta, s)
+        rhs.append(b.as_integer_ratio() if f is ONE else (f * b).as_integer_ratio())
+    s = lcm(*(q for _, q in rhs))
+    return IntegerForm(R, factor, [p * (s // q) for p, q in rhs], s)
 
 
 def make_lp(A, b, c0) -> LinearProgram:

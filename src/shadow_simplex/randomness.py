@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import as_fractions, norm_sq
+from .rational import SQRT_BITS, as_fractions, norm_sq
 
 UNDERLYING_BITS = 1024
 CONTINUOUS_BITS = 53
@@ -94,12 +94,14 @@ def bit_budget(m: int, n: int, phi, delta) -> int:
     )
 
 
-def delta_hat(n: int, phi) -> Fraction:
-    """Schedule-driven stand-in for delta when it is unknown: min(1, 2 n^{3/2}/phi)."""
-    from .rational import ratsqrt_ceil
-
-    est = 2 * n * ratsqrt_ceil(Fraction(n)) / Fraction(phi)
-    return min(Fraction(1), est)
+def delta_hat(n: int, phi: Fraction) -> float:
+    """Schedule-driven stand-in for delta when it is unknown: min(1, 2 n^{3/2}/phi),
+    sqrt(n) rounded up at SQRT_BITS bits as `ratsqrt_ceil` rounds it, as
+    the float nearest to that rational.  It is formed from integers: int
+    true division rounds correctly, as float() of the Fraction does."""
+    p = 2 * n * (math.isqrt(n << 2 * SQRT_BITS) + 1) * phi.denominator
+    q = phi.numerator << SQRT_BITS
+    return 1.0 if p >= q else p / q
 
 
 def _draw_bits(cfg: RngConfig) -> int:

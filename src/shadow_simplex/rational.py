@@ -10,7 +10,7 @@ an integer square root at `SQRT_BITS` of precision (relative error below
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 SQRT_BITS = 64
@@ -70,14 +70,18 @@ def unit_scale_pq(p: int, q: int) -> Fraction:
 def primitive_int_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Scale a rational row by a positive factor into coprime integers.
 
-    Returns (integer row, factor) with int_row == factor * row.  An integral
-    row, the common case, is read off its numerators with one gcd, and a
-    primitive one gets the shared factor `ONE`.
+    Returns (integer row, factor) with int_row == factor * row.  Each entry
+    is read once, as its integer ratio.  An integral row, the common case,
+    is its numerators, with one gcd, and a primitive one gets the shared
+    factor `ONE`; any other is put over the lcm of its denominators, as
+    `common_denominator` puts it.
     """
-    if all(x.denominator == 1 for x in row):
-        ints, den = [x.numerator for x in row], 1
+    nums, dens = zip(*[x.as_integer_ratio() for x in row])
+    if max(dens) == 1:
+        ints, den = list(nums), 1
     else:
-        ints, den = common_denominator(row)
+        den = lcm(*dens)
+        ints = [p * (den // q) for p, q in zip(nums, dens)]
     g = gcd(*ints)
     if g > 1:
         return [a // g for a in ints], Fraction(den, g)

@@ -18,9 +18,10 @@ The tableau keeps every decision exact and cheap:
 
 A tableau built with the form's lead rows walks the form as it is until an
 improving edge has no blocking row.  Only then does it append the box
-`model.bound_polytope` builds over those rows, whose 2n rows strictly
-contain every vertex of the form and so can block only an edge that is
-unbounded in it, and redo that ratio test.  The box rows get the
+`model.bound_polytope` builds over those rows (given as a function when
+they are to be found only then), whose 2n rows strictly contain every
+vertex of the form and so can block only an edge that is unbounded in it,
+and redo that ratio test.  The box rows get the
 lexicographic exponents they would have had had they been there from the
 start, so every pivot is the one a walk of the boxed form makes.  A tableau
 built without lead rows walks its form as given.
@@ -39,7 +40,11 @@ facet chain.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
-applies.
+applies.  The two products each pivot forms skip zeros: the ratio test's
+R d = -R M[:,k] sums the form's columns over the nonzero entries of
+M[:,k], and the rank-one step's u = R_enter M sums M's rows over the
+nonzero entries of R_enter, whose rows are sparse on the LPs the solver is
+built for (a totally unimodular row holds a few +-1).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, neg, sub
 
 from . import linalg, model
 from .model import BasicSolution, IntegerForm, LinearProgram
@@ -131,11 +136,12 @@ class Tableau:
     sets the prices for its objectives, and each pivot's `_update_basis`
     carries all six.
 
-    lead, when given, holds the form's n lead rows: the tableau appends the
-    box over them, once, at the first improving edge no row blocks, and is
-    `boxed` from then on.  A tableau built without lead walks its form as
-    given; there, or once boxed, an edge no row blocks raises
-    `UnboundedEdgeError`.
+    lead, when given, holds the form's n lead rows, or a function of no
+    arguments that returns them, called when the box is appended: the
+    tableau appends the box over them, once, at the first improving edge no
+    row blocks, and is `boxed` from then on, with lead the rows.  A tableau
+    built without lead walks its form as given; there, or once boxed, an
+    edge no row blocks raises `UnboundedEdgeError`.
 
     Single-owner mutable state; concurrent walks must each build their own.
     """
@@ -149,6 +155,7 @@ class Tableau:
         m, n = form.m, form.n
         self.m, self.n = m, n
         self.R, self.beta, self.s = form.R, form.beta, form.s
+        self.cols = list(zip(*self.R))  # the form's columns, for R d
         self.pivot_count = 0
 
         self.basis = sorted(start.basis)
@@ -300,10 +307,10 @@ class Tableau:
     def _ratio_test(self, k: int) -> tuple[int, list[int]]:
         """Lexicographic minimum ratio along direction d = -M[:,k]: (entering
         row, R_i . d of every row), the row -1 when no row blocks."""
-        slack, col = self.slack, [row[k] for row in self.M]
+        slack = self.slack
         # rd = R_i . d: -D or 0 on the basis rows, since R_B M = D I, so only
         # non-basic rows can block
-        rd = [-sum(map(mul, Ri, col)) for Ri in self.R]
+        rd = _combine(((-row[k], col) for row, col in zip(self.M, self.cols)), self.m)
         best_i = -1
         best_rd = best_slack = 0
         for i, r in enumerate(rd):
@@ -327,9 +334,12 @@ class Tableau:
         take the exponents right after the current aim's non-basic rows, and
         its free basis rows move up by 2n, as in a walk of the boxed form."""
         m, n = self.m, self.n
+        if callable(self.lead):
+            self.lead = self.lead()
         form = model.bound_polytope(self.form, self.lead)
         self.form, self.boxed = form, True
         self.R, self.beta, self.m = form.R, form.beta, form.m
+        self.cols = list(zip(*self.R))
         box = self._slacks(range(m, form.m))
         if not all(v > 0 for v in box):
             raise WalkError("box row not strictly slack at the vertex")
@@ -373,7 +383,7 @@ class Tableau:
         remainder and divided.  A vector the step would leave as it is (its
         pivot term 0, and |u_pos| = D) is kept."""
         M, D = self.M, self.D
-        u = [sum(map(mul, self.R[enter], col)) for col in zip(*M)]
+        u = _combine(zip(self.R[enter], M), self.n)
         up = u[pos]
         if up == 0:
             raise WalkError("degenerate pivot column")  # unreachable: rd != 0
@@ -406,6 +416,25 @@ class Tableau:
             self.slack = exact([a * x + se * r for x, r in zip(self.slack, rd)])
         self.D = a
         self.basis[pos] = enter
+
+
+def _combine(terms, size: int) -> list[int]:
+    """sum_j a_j v_j over the (a_j, v_j) with a_j != 0, as a list of size
+    ints: the product of a sparse vector a with the vectors v_j, formed
+    without reading the v_j of its zero entries."""
+    out = None
+    for a, v in terms:
+        if not a:
+            continue
+        if out is None:
+            out = list(v) if a == 1 else list(map(neg, v)) if a == -1 else [a * x for x in v]
+        elif a == 1:
+            out = list(map(add, out, v))
+        elif a == -1:
+            out = list(map(sub, out, v))
+        else:
+            out = [y + a * x for y, x in zip(out, v)]
+    return [0] * size if out is None else out
 
 
 def first_gain(tab: Tableau, c) -> list[Fraction] | None:

@@ -2,9 +2,10 @@
 of its integer round loop (the round loop's with the same draws from the
 stream; its face basis, face factors and facet choice too), crawl,
 null-space vector, rank completion, boxed LP, Phase-1 face,
-objective-escape projection and determinant, and the structural check of a
-recorded shadow path; and the delta-distance oracles the tests hold
-`metrics` against.  A test helper module, not a test module."""
+objective-escape projection and determinant, the stand-in for delta, and
+the structural check of a recorded shadow path; and the delta-distance
+oracles the tests hold `metrics` against.  A test helper module, not a test
+module."""
 
 from fractions import Fraction
 from math import isqrt, prod, sqrt
@@ -20,6 +21,7 @@ from shadow_simplex.rational import (
     dot,
     norm_sq,
     primitive_int_row,
+    ratsqrt_ceil,
     unit_scale_pq,
 )
 from shadow_simplex.walk import WalkError
@@ -130,6 +132,13 @@ def identify_basis_element(tab, r, free):
     pos = {row: k for k, row in enumerate(tab.basis)}
     mu = [Fraction(tab.t_c[pos[i]]) / face_factor(tab.R[i], r) for i in free]
     return max(range(len(free)), key=lambda k: (mu[k], -k))
+
+
+def delta_hat(n, phi):
+    """min(1, 2 n^{3/2} / phi) as a Fraction, with sqrt(n) from
+    `ratsqrt_ceil`: the stand-in for delta the bit budget and pivot cap
+    were first computed from."""
+    return min(Fraction(1), 2 * n * ratsqrt_ceil(Fraction(n)) / Fraction(phi))
 
 
 def move_to_vertex(lp, point):

@@ -3,11 +3,12 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, log2
+from math import ceil, lcm, log2
 from types import SimpleNamespace
 
 import pytest
 from boxing import box, box_rows, boxed_form
+import reference
 from reference import pair, path_values, validate_shadow_path, values
 from test_golden import _flat_in_x3, _interior_point, _solve_warm
 from test_fuzz import lps as fuzz_lps
@@ -219,6 +220,42 @@ class TestReduceAndLift:
         assert restriction_coords(r, [[1, 0], [0, -1], [-3, 0]]) == [[1], None, [-1]]
 
 
+class TestRoundZero:
+    """With no row fixed, each row is its own face coordinates: a round-0
+    tau, c0's face image and the lift equal their forms over the unit
+    columns of `linalg.FaceBasis(n)`, without a dot product."""
+
+    def test_rows_are_their_own_face_coordinates(self):
+        rng = random.Random(29)
+        shared = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            big = 10 ** rng.choice([1, 1, 6])
+            rows = [[rng.randint(-3, 3) * rng.choice([1, big]) for _ in range(n)] for _ in range(8)]
+            rows = [r for r in rows if any(r)]
+            c0 = [rng.choice([0, rng.randint(-big, big)]) for _ in range(n)]
+            unit = linalg.FaceBasis(n)
+            cols, scales = list(unit.cols), tuple(unit.scales)
+            tau = driver._unit_tau(rows, range(len(rows)))
+            assert tau == {i: driver._face_scale(r, cols, scales)[1] for i, r in enumerate(rows)}
+            for i, j in combinations(range(len(rows)), 2):
+                if dot(rows[i], rows[i]) == dot(rows[j], rows[j]):
+                    assert tau[i] is tau[j]
+                    shared += 1
+            r = facet_restriction([], c0)
+            assert (list(r.cols), r.col_scale) == (cols, scales)
+            face = driver._face_scale(c0, cols, scales)
+            if face is None:
+                assert r.c0 is None and not any(c0)
+            else:
+                red, t = face
+                L = lcm(*(q for _, q in red))
+                assert r.c0 == (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
+            y = ([rng.randint(-9, 9) for _ in range(n)], rng.randint(1, 9))
+            assert values(r.lift(y)) == reference.lift(r, values(y))
+        assert shared > 100
+
+
 def certify(lp, x):
     """is_optimal on a fresh tableau on lp's integer form standing on x."""
     form = model.integer_form(lp)
@@ -304,7 +341,8 @@ class TestRepeated:
         lp = square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
-            boxed_form(lp), lp.c0, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
+            walk.Tableau(boxed_form(lp), start), prim(lp.c0), F(64),
+            randomness.RngConfig(seed=1), randomness.DrawStream(1)
         )
         assert not cand.capped
         assert cand.tableau.solution().point == (1, 1)
@@ -313,7 +351,8 @@ class TestRepeated:
         lp = model.make_lp([[1], [-1]], [1, 0], [1])
         start = BasicSolution(point=(F(0),), basis=(1,))
         cand = repeated_shadow_vertex(
-            boxed_form(lp), lp.c0, start, F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
+            walk.Tableau(boxed_form(lp), start), prim(lp.c0), F(16),
+            randomness.RngConfig(seed=3), randomness.DrawStream(3)
         )
         assert cand.tableau.solution().point == (1,)
         assert len(cand.traces) == 1
@@ -322,7 +361,8 @@ class TestRepeated:
         lp = square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
-            boxed_form(lp), lp.c0, start, F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
+            walk.Tableau(boxed_form(lp), start), prim(lp.c0), F(64),
+            randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
         )
         assert cand.capped
 
@@ -337,7 +377,8 @@ class TestRepeated:
         form = boxed_form(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         cand = repeated_shadow_vertex(
-            form, cube.c0, start, F(2), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            walk.Tableau(form, start), prim(cube.c0), F(2),
+            randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         assert len(cand.traces) == 3
         assert cand.tableau.solution().point == (1, 0, 0)
@@ -397,17 +438,20 @@ class TestRepeated:
 @pytest.fixture
 def twinned_chains(monkeypatch):
     """Walk every facet chain of the solves run twice: as the solve walks it,
-    on its form with the lead rows to box on demand, and on the eagerly
-    boxed form `model.bound_polytope(form, lead)` with no lead rows, from a
+    on its form with the lead rows to box on demand, and on a tableau of
+    the eagerly boxed form `model.bound_polytope(form, lead)` with no lead
+    rows (found now when the solve defers them), at the same start, from a
     copy of the same draw stream.  Counts the chains, and the lazy ones that
     appended the box."""
     seen = {"chains": 0, "boxed": 0}
     chain = driver.repeated_shadow_vertex
 
-    def twins(form, c0, x0, phi, rng, stream, cap=None, lead=None):
+    def twins(tab, c0, phi, rng, stream, cap=None):
         twin = copy.deepcopy(stream)
-        eager = chain(model.bound_polytope(form, lead), c0, x0, phi, rng, twin, cap=cap)
-        lazy = chain(form, c0, x0, phi, rng, stream, cap=cap, lead=lead)
+        form, lead = tab.form, tab.lead() if callable(tab.lead) else tab.lead
+        eager_tab = walk.Tableau(model.bound_polytope(form, lead), tab.solution())
+        eager = chain(eager_tab, c0, phi, rng, twin, cap=cap)
+        lazy = chain(tab, c0, phi, rng, stream, cap=cap)
         tab, ref = lazy.tableau, eager.tableau
         assert lazy.traces == eager.traces and lazy.capped == eager.capped
         assert stream.bits_consumed == twin.bits_consumed
@@ -474,6 +518,159 @@ class TestLazyBox:
             out = solve(lp, SolveConfig(rng=randomness.RngConfig(seed=k, mode=mode)), initial_bfs=start)
             assert out.status == "optimal"
         assert twinned_chains == {"chains": 40, "boxed": 0}
+
+
+class RankPassFirst(walk.Tableau):
+    """A tableau that refuses lead rows deferred to a function, so that a
+    solve with a start takes the rank-pass path: the start's first build
+    raises, and the rank pass and rank completion run as on a cold solve."""
+
+    def __init__(self, form, start, lead=None):
+        if callable(lead):
+            raise walk.WalkError("deferred lead rows refused")
+        super().__init__(form, start, lead)
+
+
+def vertex_start(lp, point):
+    """A vertex of lp's rank-completed form, crawled to from a feasible
+    point: for a rank-deficient LP, its basis holds completion rows."""
+    form = model.integer_form(lp)
+    full, _ = model.complete_rank(form, linalg.independent_rows(form.R))
+    return model.crawl_to_vertex(full, point)
+
+
+@pytest.fixture
+def warm_twins(monkeypatch):
+    """solve(lp, conf, start) run twice, as the solve runs it and on the
+    rank-pass path (`RankPassFirst`), which must give the same answer,
+    draws, pivot sequence and boxes (lead rows, rows and rhs).  Counts the
+    solves, those whose start's build skipped the rank pass, and the boxes
+    those built on lead rows found only when the box was appended."""
+    seen = {"solves": 0, "skipped": 0, "deferred boxes": 0}
+    boxes, completions = [], []
+    bound, complete, tableau = model.bound_polytope, model.complete_rank, walk.Tableau
+
+    def recording(form, lead):
+        boxed = bound(form, lead)
+        boxes.append((list(lead), boxed.R, boxed.beta, boxed.s))
+        return boxed
+
+    monkeypatch.setattr(model, "bound_polytope", recording)
+    monkeypatch.setattr(
+        model, "complete_rank", lambda form, idx: completions.append(idx) or complete(form, idx)
+    )
+
+    def answer(lp, conf, start):
+        boxes.clear()
+        completions.clear()
+        out = solve(lp, conf, initial_bfs=start)
+        return (
+            out.status, out.value, out.point, out.ray, out.infeasible_gap, out.bits_consumed,
+            out.doublings, out.phi_accepted, out.vertex, out.pivot_sequence, list(boxes),
+        ), not completions
+
+    def run(lp, conf, start):
+        got, skipped = answer(lp, conf, start)
+        monkeypatch.setattr(walk, "Tableau", RankPassFirst)
+        want, refused = answer(lp, conf, start)
+        monkeypatch.setattr(walk, "Tableau", tableau)
+        assert got == want and not refused
+        seen["solves"] += 1
+        seen["skipped"] += skipped
+        seen["deferred boxes"] += len(got[-1]) if skipped else 0
+        return got
+
+    seen["run"] = run
+    return seen
+
+
+class TestWarmStart:
+    """A start whose tableau builds on the bare integer form proves the form
+    has rank n: the solve runs no rank pass and hands that tableau to its
+    first chain, and finds the lead rows only if a walk appends the box.
+    Everything else is the rank-pass path's."""
+
+    def test_bounded_warm_solve_runs_no_rank_pass(self, monkeypatch):
+        # the seed-7 tu-warm benchmark pool: bounded LPs from a vertex
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        pool = workloads.build_pool(pkg, "tu-warm", 7)
+        calls = {"rank": 0, "invert": 0, "chains": 0}
+        rank, invert, chain = linalg.independent_rows, linalg.invert, driver.repeated_shadow_vertex
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "independent_rows", counted("rank", rank))
+        monkeypatch.setattr(linalg, "invert", counted("invert", invert))
+        monkeypatch.setattr(driver, "repeated_shadow_vertex", counted("chains", chain))
+        for inst in pool:
+            rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
+            assert solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start).status == "optimal"
+        assert calls["rank"] == 0
+        assert calls["invert"] == calls["chains"] >= len(pool)
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_fuzz_corpus(self, warm_twins, mode):
+        # each feasible LP from a vertex of its rank-completed form, reached
+        # from its cold answer's point
+        for case, _, lp in fuzz_lps():
+            conf = SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode))
+            out = solve(lp, conf)
+            if out.status != "infeasible":
+                warm_twins["run"](lp, conf, vertex_start(lp, out.point))
+        # 195 solves, 133 of them with no rank pass, whose walks appended 67 boxes
+        assert warm_twins["solves"] >= 190 and warm_twins["deferred boxes"] >= 60, warm_twins
+        assert warm_twins["skipped"] >= 130 and warm_twins["solves"] - warm_twins["skipped"] >= 60
+
+    def test_unbounded_mixed_status_lps(self, warm_twins):
+        # the unbounded LPs of the mixed-status pools of seeds 1-4, from a
+        # vertex reached from the point their cold answer's ray starts at
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        for seed in (1, 2, 3, 4):
+            for inst in workloads.build_pool(pkg, "mixed-status", seed):
+                conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+                out = solve(inst.lp, conf)
+                if out.status == "unbounded":
+                    got = warm_twins["run"](inst.lp, conf, vertex_start(inst.lp, out.point))
+                    assert got[0] == "unbounded"
+        # 481 solves; the 278 of full rank run no rank pass, and each appends a box
+        assert warm_twins["solves"] >= 480 and warm_twins["deferred boxes"] >= 270, warm_twins
+
+    def test_escape_with_a_start_runs_phase1(self, monkeypatch):
+        # rank 2 of 3 and c0 off the row span, with a start on three rows of
+        # the LP: its build finds them dependent, the rank pass finds the
+        # escape, and Phase 1 decides, as on a cold solve
+        lp = _flat_in_x3([2, 2, 3, 0, 0, 4], [1, 1, 1])
+        start = BasicSolution(point=(F(0), F(0), F(0)), basis=(0, 3, 4))
+        with pytest.raises(walk.WalkError, match="dependent"):
+            walk.Tableau(model.integer_form(lp), start)
+        escapes = []
+        escape = model._objective_escape
+        monkeypatch.setattr(
+            model, "_objective_escape", lambda c0, rows: escapes.append(rows) or escape(c0, rows)
+        )
+        out = solve(lp, cfg(seed=1), initial_bfs=start)
+        assert out.status == "unbounded" and out.ray == (0, 0, 1)
+        assert out.phase1_artificials == 2 and len(escapes) == 1
+        assert out == solve(lp, cfg(seed=1))
+
+    def test_bad_start_on_a_full_rank_lp_raises(self, monkeypatch):
+        # the start's build raises, the rank pass runs, and the first
+        # chain's build on the same form raises the same error
+        lp = model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 1], [1, 1])
+        start = BasicSolution(point=(F(1), F(1)), basis=(0, 2))
+        passes = []
+        rank = linalg.independent_rows
+        monkeypatch.setattr(linalg, "independent_rows", lambda rows: passes.append(rows) or rank(rows))
+        with pytest.raises(walk.WalkError, match="infeasible"):
+            solve(lp, cfg(), initial_bfs=start)
+        assert len(passes) == 1
 
 
 def recession_basis(form):
@@ -553,7 +750,8 @@ class TestChainStop:
         form = boxed_form(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         cand = repeated_shadow_vertex(
-            form, cube.c0, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            walk.Tableau(form, start), prim(cube.c0), F(64),
+            randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         tab = cand.tableau
         assert len(cand.traces) == 1 and not cand.capped
@@ -569,7 +767,8 @@ class TestChainStop:
         cube = unit_cube([3, 2, 1])
         start = BasicSolution(point=(F(1), F(1), F(1)), basis=(0, 1, 2))
         cand = repeated_shadow_vertex(
-            boxed_form(cube), cube.c0, start, F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            walk.Tableau(boxed_form(cube), start), prim(cube.c0), F(64),
+            randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
 
@@ -751,6 +950,24 @@ class TestSchedule:
     def test_phase1_variant(self):
         s = PhiSchedule(variant="phase1", n=2, m=4)
         assert float(s.phi(0)) == pytest.approx(2 * 6**1.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant", [driver.SCHEDULE_BASE, driver.SCHEDULE_DELTA_AWARE, driver.SCHEDULE_PHASE1]
+    )
+    def test_bits_and_cap_equal_the_fraction_formula(self, variant):
+        # delta_hat is formed from integer square roots; the bit budget and
+        # the pivot cap are those of the Fraction stand-in, whose float it is
+        conf = SolveConfig(rng=randomness.RngConfig(seed=0, mode=randomness.MODE_DYADIC))
+        for n in range(1, 65):
+            m = 3 * n + 2  # a boxed form's m + 2n rows
+            sched = PhiSchedule(variant, n=n, m=m)
+            for i in range(21):
+                phi = sched.phi(i)
+                dh = reference.delta_hat(n, phi)
+                assert randomness.delta_hat(n, phi) == float(dh)
+                rng, cap = driver._walk_bits_and_cap(m, n, phi, conf)
+                assert rng.bits_per_draw == randomness.bit_budget(m, n, phi, dh)
+                assert cap == driver.pivot_cap(m, n, phi, dh, conf.cap_constant)
 
 
 class TestSolve:

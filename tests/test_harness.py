@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import shadow_simplex
-from shadow_simplex import harness, metrics, oracle
+from shadow_simplex import driver, harness, metrics, oracle, randomness
 from shadow_simplex.harness import (
     ExperimentConfig,
     HarnessError,
@@ -69,7 +70,26 @@ class TestRunner:
         assert len(records) == 5
         assert all(r.oracle_agrees for r in records)
         header = csv_text.splitlines()[0]
-        assert header == "m,n,delta,Delta,mean_pivots,median_pivots,max_pivots,oracle_agree_rate,mean_bits"
+        assert header == "m,n,delta,Delta,mean_pivots,median_pivots,max_pivots,oracle_agree_rate,mean_bits,oracle_unchecked"
+
+    def test_trials_past_the_oracle_guard_are_unchecked(self):
+        # 30 interval rows and 10 bound rows in R^5: C(40, 5) = 658,008
+        # bases, past the oracle's enumeration guard, so nothing is checked
+        lp = generate_tu_instance("interval-matrix", 30, 5, 4)
+        out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=4)))
+        assert out.status == "optimal"
+        assert harness._verify_against_oracle(lp, out) is None
+        small = generate_tu_instance("interval-matrix", 4, 2, 4)
+        good = driver.solve(small, driver.SolveConfig(rng=randomness.RngConfig(seed=4)))
+        assert harness._verify_against_oracle(small, good) is True
+        assert harness._verify_against_oracle(small, replace(good, value=good.value + 1)) is False
+        records, csv_text = run_experiments(
+            ExperimentConfig(generator="interval-matrix", sizes=((4, 2), (30, 5)), trials=2, seed=4)
+        )
+        assert [r.oracle_agrees for r in records] == [True, True, None, None]
+        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+        # oracle_agree_rate over the checked trials, then the unchecked count
+        assert [(r[7], r[-1]) for r in rows] == [("1", "0"), ("", "2")]
 
     def test_reproducible_csv_bytes(self):
         cfg = ExperimentConfig(

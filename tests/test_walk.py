@@ -5,6 +5,7 @@ import pytest
 from boxing import box
 from chains import nested_objective
 from reference import pair, validate_shadow_path, values
+from test_golden import _interior_point
 
 from shadow_simplex import driver, harness, model, oracle, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, integer_form
@@ -345,6 +346,66 @@ class TestCarriedState:
         assert first_gain(Tableau(integer_form(lp), apex), [F(1), F(-1), F(-1)]) is not None
         assert [st.step_length for st, _, _, _ in checked_pivots] == [0, 2]
         assert all(cert for _, _, cert, _ in checked_pivots)
+
+
+@pytest.fixture
+def dense_products(monkeypatch):
+    """Hold the two zero-skipping products of every pivot against their
+    dense forms: each ratio test's R d, d = -M[:,k], against -R_i . M[:,k]
+    over every row, and each rank-one step's u = R_enter M against
+    R_enter . M[:,q] over every column.  Counts the products checked and the
+    zero entries they skipped, and the ratio tests on an appended box."""
+    seen = {"rd": 0, "u": 0, "skipped": 0, "boxed": 0}
+    ratio_test, update, combine = Tableau._ratio_test, Tableau._update_basis, walk._combine
+    want_u = []
+
+    def checked_ratio_test(tab, k):
+        col = [row[k] for row in tab.M]
+        got = ratio_test(tab, k)
+        assert got[1] == [-sum(a * x for a, x in zip(Ri, col)) for Ri in tab.R]
+        seen["rd"] += 1
+        seen["skipped"] += col.count(0)
+        seen["boxed"] += tab.boxed
+        return got
+
+    def checked_update(tab, pos, enter, rd):
+        want_u.append([sum(a * x for a, x in zip(tab.R[enter], col)) for col in zip(*tab.M)])
+        seen["skipped"] += tab.R[enter].count(0)
+        update(tab, pos, enter, rd)
+        assert not want_u  # the step formed its u
+
+    def checked_combine(terms, size):
+        got = combine(terms, size)
+        if want_u:  # the step's u; a ratio test's R d is checked above
+            assert got == want_u.pop()
+            seen["u"] += 1
+        return got
+
+    monkeypatch.setattr(Tableau, "_ratio_test", checked_ratio_test)
+    monkeypatch.setattr(Tableau, "_update_basis", checked_update)
+    monkeypatch.setattr(walk, "_combine", checked_combine)
+    return seen
+
+
+class TestSparseProducts:
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_equal_to_the_dense_products(self, dense_products, mode):
+        # warm solves of TU LPs, whose rows hold a few +-1, and cold solves of
+        # random integer LPs: Phase 1, facet chains that append the box, and
+        # certificate walks
+        kinds = ("tu-incidence", "interval-matrix", "network-matrix")
+        conf = driver.SolveConfig(rng=randomness.RngConfig(seed=5, mode=mode))
+        for seed in range(12):
+            kind = kinds[seed % 3]
+            lp = harness.generate_tu_instance(kind, 16, 8, seed)
+            start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
+            driver.solve(lp, conf, initial_bfs=start)
+            rng = random.Random(seed)
+            n = rng.randint(2, 5)
+            driver.solve(harness.generate_random_integer(rng.randint(n, 9), n, seed), conf)
+        # a pivot's ratio tests: one per slope-tied edge, redone on the box
+        assert dense_products["rd"] >= dense_products["u"] > 100, dense_products
+        assert dense_products["skipped"] > 800 and dense_products["boxed"] > 10, dense_products
 
 
 class TestExactUpdate:
