@@ -49,6 +49,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("ray: " + " ".join(format_fraction(x) for x in out.ray))
     else:
         print(f"phase1 gap: {format_fraction(out.infeasible_gap)}")
+    print(f"route: {out.route}")
     print(f"pivots: {out.pivots} (phase1 {out.phase1_pivots})")
     print(f"phase1 artificials: {out.phase1_artificials}")
     print(f"doublings: {out.doublings}")

@@ -21,12 +21,15 @@ pass, rank completion and the objective escape, Phase 1's start and face,
 the chain's tableau and the box-tight test.  The box is not built up front.
 Its rows strictly contain every vertex, so they can block only an edge that
 is unbounded in the LP: each facet chain's `walk.Tableau` is built on the
-solve's form with its lead rows, and appends the box
-(`model.bound_polytope`, the form's last 2n rows, with integer rhs over the
-form's own s) at the first improving edge no row blocks, with the pivots a
-walk of the boxed form makes.  A bounded LP's solve never builds it.  The
-bit budget and the pivot cap are those of the boxed form, m + 2n rows.  The
-Phase-1 face is only its own form, lead rows and objective, built from the
+solve's form with its lead rows and c0's primitive integer row.  An
+improving edge that no row blocks and along which c0 rises is a ray
+(Dantzig): the walk ends there, and the chain answers unbounded along it.
+The box (`model.bound_polytope`, the form's last 2n rows, with integer rhs
+over the form's own s) is appended at the first edge no row blocks that
+c0 does not rise along, with the pivots a walk of the boxed form makes.  A
+bounded LP's solve never builds it, and Phase 1's objective -sum(y),
+bounded above by 0, never ends a walk at a ray.  The bit budget and the
+pivot cap are those of the boxed form, m + 2n rows.  The Phase-1 face is only its own form, lead rows and objective, built from the
 solve's (`phase1.build_phase1_face`), so the depth-1 solve runs no rank
 pass and builds no form or LP, and boxes the face on its form.  A facet
 chain's tableau is built on the start vertex's own basis; a start that
@@ -58,6 +61,11 @@ its face walks at least once.  The rule serves Phase 1 and the main
 solve alike: a Phase-1 basis that carries -sum(y) stands on its optimum, so
 on a feasible LP Phase 1 ends on a vertex where sum(y) = 0 rather than
 walking across that face for the rest of its rounds.
+
+An accepted vertex on a tight box row is bounded when c0 needs no box row
+of its basis (`model.assert_unbounded_if_box_tight`), and the recession LP
+is walked only otherwise; `SolveOutcome.route` names the certificate that
+answered.
 
 Each round keeps its walk's path in a `RoundTrace`, and the traces are the
 one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
@@ -360,12 +368,14 @@ def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bo
     tab is a Tableau on form standing on x, the facet chain's own (checked
     in integers).  x is optimal when tab's basis carries c0
     (`Tableau.carries`, off the reduced costs); else tab is walked in place
-    on c0 by `walk.first_gain`, and appends the box, as the chain's walks
-    do, if an edge no row blocks improves c0.  x is optimal exactly when
-    that walk ends without leaving x, on a basis that carries c0.  At a
-    degenerate vertex it makes degenerate pivots until it reaches such a
-    basis or a step of positive length; no subset of the tight rows is
-    scanned.  These pivots are not counted in `SolveOutcome.pivots`.
+    on c0 by `walk.first_gain`.  x is optimal exactly when that walk ends
+    without leaving x, on a basis that carries c0.  Every edge it walks
+    improves c0, so on a tableau not yet boxed an edge no row blocks is a
+    ray, which ends the walk and stays in `tab.ray`, as in the chain's
+    walks; once boxed, the box blocks it.  At a degenerate vertex the walk
+    makes degenerate pivots until it reaches such a basis, a step of
+    positive length or a ray; no subset of the tight rows is scanned.
+    These pivots are not counted in `SolveOutcome.pivots`.
     """
     if tab.form is not form:
         raise DriverError("tableau is not on the form")
@@ -373,7 +383,7 @@ def is_optimal(form: IntegerForm, x: BasicSolution, tab: walk.Tableau, c0) -> bo
         raise DriverError("tableau does not stand on the vertex")
     if tab.carries(c0):
         return True
-    return walk.first_gain(tab, c0) is None
+    return not walk.first_gain(tab, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +400,9 @@ class RoundTrace:
 
 @dataclass
 class Candidate:
-    tableau: walk.Tableau  # the chain's tableau, on its last vertex
     capped: bool
     traces: list[RoundTrace]  # one per round walked
+    ray: tuple[int, ...] | None = None  # the ray the last walk ended at
 
 
 def repeated_shadow_vertex(
@@ -405,22 +415,24 @@ def repeated_shadow_vertex(
 ) -> Candidate:
     """Rounds of perturb -> walk -> identify -> fix, on the tableau tab, for
     the objective c0, a primitive integer row: at most n, and none after
-    the first finished walk whose basis carries c0, or once c0 is constant
-    on the face of the fixed rows.
+    the first finished walk whose basis carries c0 or that ended at a ray,
+    or once c0 is constant on the face of the fixed rows.
 
     tab stands on the chain's start vertex, freshly built on its basis (the
-    build is the check of the start), and is walked in place: with the
-    form's lead rows it appends the box over them at the first edge no row
-    blocks; without, it walks its form as given, which must then bound
-    every walk.  Each round draws its perturbed objective in the
-    coordinates of the current face at phi and lifts it to form's
-    coordinates, prices its cone objective on the tableau's integer rows
-    with each free row's factor tau formed once (the facet choice reuses
-    them), and walks the tableau with the fixed rows held in the basis,
-    from where the previous round stopped; every objective stays in
-    integers.  At round 0 no row is fixed, so each row is its own face
-    coordinates.  The chain's last basis is the candidate's basis, and each
-    round's walk path is kept in its trace.
+    build is the check of the start), and is walked in place and left on
+    the chain's last vertex.  Built with c0, a walk that meets an improving
+    edge no row blocks along which c0 rises ends there, and the candidate
+    carries that ray; with the form's lead rows, tab appends the box over
+    them at the first other edge no row blocks; without, it walks its form
+    as given, which must then bound every walk.  Each round draws its
+    perturbed objective in the coordinates of the current face at phi and
+    lifts it to form's coordinates, prices its cone objective on the
+    tableau's integer rows with each free row's factor tau formed once (the
+    facet choice reuses them), and walks the tableau with the fixed rows
+    held in the basis, from where the previous round stopped; every
+    objective stays in integers.  At round 0 no row is fixed, so each row
+    is its own face coordinates.  Each round's walk path is kept in its
+    trace.
     """
     fixed: list[int] = []
     basis = linalg.FaceBasis(tab.n)  # the fixed rows' face basis, carried
@@ -441,12 +453,14 @@ def repeated_shadow_vertex(
         res = walk.shadow_walk(tab, c, w, pivot_cap=cap, held=fixed)
         traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
-            return Candidate(tableau=tab, capped=True, traces=traces)
+            return Candidate(capped=True, traces=traces)
+        if res.ray is not None:
+            return Candidate(capped=False, traces=traces, ray=res.ray)
         if tab.carries(c0):
             break  # the basis certifies c0: the vertex is already optimal
         free = sorted(set(tab.basis) - set(fixed))
         fixed.append(free[identify_basis_element(tab, r, free, tau)])
-    return Candidate(tableau=tab, capped=False, traces=traces)
+    return Candidate(capped=False, traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +490,11 @@ class SolveOutcome:
     doublings: int = 0
     phi_accepted: Fraction | None = None
     traces: list[RoundTrace] = field(default_factory=list)  # Phase 1's rounds first
+    # the certificate that answered: "vertex" (the chain's vertex, off the
+    # box or never boxed), "edge-ray" (an edge no row blocks that improves
+    # c0), "box-cone" (box-tight, but c0 needs no box row of the basis),
+    # "recession" (the recession walk), "escape" or "phase1-gap"
+    route: str | None = None
 
     @property
     def pivots(self) -> int:
@@ -515,10 +534,12 @@ def solve(
 ) -> SolveOutcome:
     """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
     given, then the doubling schedule around the repeated shadow vertex
-    algorithm, whose tableaus box the LP at their first unbounded edge.  The
-    rows are used as given, never scaled: a rank pass finds the lead rows
-    that both Phase 1 and the box use, unless a given start's tableau builds
-    on the solve's form, which then has rank n.  Every answer is checked
+    algorithm, whose walks answer unbounded at an improving edge no row
+    blocks along which c0 rises, and box the LP at the first other such
+    edge.  The rows are used as given, never scaled: a rank pass finds the
+    lead rows that both Phase 1 and the box use, unless a given start's
+    tableau builds on the solve's form, which then has rank n.  The answer's
+    certificate is named in `SolveOutcome.route`.  Every answer is checked
     against lp_raw's rows: the point for feasibility, a ray for improvement
     and recession.
 
@@ -547,9 +568,11 @@ def solve(
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
     out = SolveOutcome(status="pending")
 
+    c0 = lp_raw.c0 if _face is None else _face.c0
+    c0_int = primitive_int_row(c0)[0]
     first = None  # the first chain's tableau, when checking the start built it
     if _face is None:
-        c0, m = lp_raw.c0, lp_raw.m
+        m = lp_raw.m
         form = model.integer_form(lp_raw)
         # on a form of rank n the lead rows are its rank pass's first n rows,
         # found only when a walk appends the box, and once per solve
@@ -557,7 +580,7 @@ def solve(
         if initial_bfs is not None:
             # a build on n rows of the form proves it has rank n: no rank pass
             try:
-                first = walk.Tableau(form, initial_bfs, lead)
+                first = walk.Tableau(form, initial_bfs, lead, c0_int)
             except walk.WalkError:
                 pass  # rank below n, or a bad start: the rank pass decides
         if first is None:
@@ -568,7 +591,7 @@ def solve(
             escape = model._objective_escape(c0, rows) if len(idx) < form.n else None
             form, lead = model.complete_rank(form, idx)
     else:
-        c0, m, form, lead, escape = _face.c0, _face.form.m, _face.form, _face.lead, None
+        m, form, lead, escape = _face.form.m, _face.form, _face.lead, None
 
     if initial_bfs is None or escape is not None:
         bfs = _phase1_start(form, lead, cfg, stream, out)
@@ -579,15 +602,15 @@ def solve(
 
     if escape is not None:
         out.bits_consumed = stream.bits_consumed
+        out.route = "escape"
         return _accept(out, form, m, c0, bfs.point, tuple(escape))
 
-    c0_int = primitive_int_row(c0)[0]
     sched = _schedule or PhiSchedule(variant=cfg.schedule, n=form.n, m=form.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         # the boxed form's m + 2n rows, whether or not a walk appends the box
         rng_i, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
-        tab = first or walk.Tableau(form, bfs, lead)
+        tab = first or walk.Tableau(form, bfs, lead, c0_int)
         first = None
         cand = repeated_shadow_vertex(tab, c0_int, phi, rng_i, stream, cap=cap)
         out.traces.extend(cand.traces)
@@ -595,16 +618,23 @@ def solve(
         if cand.capped:
             continue
         vertex = tab.solution()
-        if not is_optimal(tab.form, vertex, tab, c0_int):
-            continue
-        if tuple(sorted(tab.basis)) != vertex.basis:
-            vertex = tab.solution()  # the basis the certificate walk ended on
+        ray = cand.ray
+        if ray is None and not is_optimal(tab.form, vertex, tab, c0_int):
+            if tab.ray is None:
+                continue  # the certificate walk left the vertex
+            ray = tab.ray  # it met a ray there
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
-        verdict = model.BOUNDED if _depth else model.assert_unbounded_if_box_tight(tab, c0_int)
+        if ray is not None:
+            out.route = "edge-ray"
+            return _accept(out, form, m, c0, vertex.point, tuple(map(Fraction, ray)))
+        if tuple(sorted(tab.basis)) != vertex.basis:
+            vertex = tab.solution()  # the basis the certificate walk ended on
+        verdict = "vertex" if _depth else model.assert_unbounded_if_box_tight(tab, c0_int)
         if isinstance(verdict, UnboundedCertificate):
+            out.route = "recession"
             return _accept(out, form, m, c0, verdict.point, verdict.ray)
-        out.vertex = vertex
+        out.route, out.vertex = verdict, vertex
         return _accept(out, form, m, c0, vertex.point)
     raise DoublingLimitError(
         f"no acceptance within {cfg.max_doublings} doublings (bug: i* is finite)"
@@ -669,7 +699,7 @@ def _phase1_start(form, lead, cfg, stream, out):
         raise DriverError("Phase 1 subproblem must be bounded and feasible")
     got = phase1.extract_bfs(sub.vertex, form, p1)
     if isinstance(got, phase1.InfeasibleCertificate):
-        out.status = "infeasible"
+        out.status, out.route = "infeasible", "phase1-gap"
         out.infeasible_gap = got.gap
         out.bits_consumed = stream.bits_consumed
         return out

@@ -5,11 +5,14 @@ The box closes the polyhedron so that the shadow walk always finds a vertex
 optimum.  It exists only in integers: `bound_polytope` appends its 2n rows
 to the solve's integer form, as the form's last rows, and no `Fraction` LP
 of the boxed polyhedron is built.  Its rows strictly contain every vertex,
-so they can block only an edge that is unbounded in the LP: the walk's
-tableau appends them at the first such edge, and a bounded LP's solve
-never builds them.  `assert_unbounded_if_box_tight` then decides whether
-the original LP is bounded by walking its recession LP, the same rows with
-rhs 1 on those last 2n rows and 0 elsewhere, from d = 0, on the objective.
+so they can block only an edge that is unbounded in the LP.  The walk's
+tableau answers unbounded at such an edge when the objective rises along
+it, and appends the box at the first other one; a bounded LP's solve never
+builds it.  At an optimum of the boxed form, `assert_unbounded_if_box_tight`
+decides whether the original LP is bounded: off the tableau's basis when
+the objective needs none of its box rows, and otherwise by walking its
+recession LP, the same rows with rhs 1 on those last 2n rows and 0
+elsewhere, from d = 0, on the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
 given: each pivot decision is invariant under positive row scaling.  A
@@ -138,9 +141,6 @@ class ObjectiveEscapesSpan:
 class UnboundedCertificate:
     point: tuple[Fraction, ...]
     ray: tuple[Fraction, ...]
-
-
-BOUNDED = "bounded"
 
 
 @dataclass(frozen=True)
@@ -432,38 +432,48 @@ def bound_polytope(form: IntegerForm, lead: list[int]) -> IntegerForm:
 
 
 def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
-    """Decide Bounded vs Unbounded for the objective c0 at an optimal vertex
-    of a boxed LP.
+    """Decide Bounded vs Unbounded for the integer objective c0 at an
+    optimal vertex of a boxed LP: the route of a bounded answer, or the
+    certificate of an unbounded one, whose route is "recession".
 
-    tab is a `walk.Tableau` standing on that vertex.  A tableau that never
-    met an unbounded edge never appended the box, and the LP is bounded.
-    Otherwise its form is one that `bound_polytope` returned, whose last 2n
-    rows are the box rows.  If none of them is tight there, which tab's
-    carried slack numerators tell, the LP was bounded all along.  Otherwise
-    the recession LP decides: max c0 d subject to R_i d <= 0 on the un-boxed
-    rows and +-R_i d <= 1 on the box rows, which is bounded because the box
-    rows bound R_i d for the n independent lead rows.  Its integer form is
-    tab's rows with the scaled rhs 1 on the box rows and 0 on every other
-    row, over s = 1.  d = 0 is its vertex on the lead rows the box was built
-    over, the greedy independent rows of the un-boxed rows tight there, and
-    `walk.first_gain` walks it from there on c0: the first vertex it reaches
-    with c0 d > 0 is an improving ray of the un-boxed rows.  A walk that
-    never leaves 0 certifies that no such ray exists, so the box-tight
-    optimum already attains the (finite) supremum.  The caller checks that
-    the vertex is feasible for the un-boxed LP.
+    tab is a `walk.Tableau` standing on that vertex, on a basis that
+    carries c0.  A tableau that never met an unbounded edge never appended
+    the box, and the LP is bounded ("vertex").  Otherwise its form is one
+    that `bound_polytope` returned, whose last 2n rows are the box rows.  If
+    none of them is tight there, which tab's carried slack numerators tell,
+    the LP was bounded all along ("vertex").  If c0 M is 0 at every basis
+    position that holds a box row, c0 is a nonnegative combination of the
+    LP's own basis rows (`Tableau.carries`), so the vertex is optimal for
+    the un-boxed LP as well, which is bounded ("box-cone").  Otherwise the
+    recession LP decides ("recession"): max c0 d subject to R_i d <= 0 on
+    the un-boxed rows and +-R_i d <= 1 on the box rows, which is bounded
+    because the box rows bound R_i d for the n independent lead rows.  Its
+    integer form is tab's rows with the scaled rhs 1 on the box rows and 0
+    on every other row, over s = 1.  d = 0 is its vertex on the lead rows
+    the box was built over, the greedy independent rows of the un-boxed
+    rows tight there, and `walk.first_gain` walks it from there on c0: the
+    first vertex it reaches with c0 d > 0 is an improving ray of the
+    un-boxed rows.  A walk that never leaves 0 certifies that no such ray
+    exists, so the box-tight optimum already attains the (finite)
+    supremum.  The caller checks that the vertex is feasible for the
+    un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
-    n, m = tab.n, tab.m
-    if not tab.boxed or all(tab.slack[m - 2 * n :]):
-        return BOUNDED
+    n = tab.n
+    box = tab.m - 2 * n  # the first box row
+    if not tab.boxed or all(tab.slack[box:]):
+        return "vertex"
+    if not any(sum(map(mul, c0, col)) for col, i in zip(zip(*tab.M), tab.basis) if i >= box):
+        return "box-cone"
     form = tab.form
-    rec = IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)
-    zero = (Fraction(0),) * n
-    ray = first_gain(Tableau(rec, BasicSolution(point=zero, basis=tuple(tab.lead))), c0)
-    if ray is None:
-        return BOUNDED
-    return UnboundedCertificate(point=tuple(tab.vertex()), ray=tuple(ray))
+    rec = Tableau(
+        IntegerForm(form.R, form.factor, [0] * box + [1] * (2 * n), 1),
+        BasicSolution(point=(Fraction(0),) * n, basis=tuple(tab.lead)),
+    )
+    if not first_gain(rec, c0):
+        return "recession"
+    return UnboundedCertificate(point=tuple(tab.vertex()), ray=tuple(rec.vertex()))
 
 
 # ---------------------------------------------------------------------------

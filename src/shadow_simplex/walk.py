@@ -16,15 +16,20 @@ The tableau keeps every decision exact and cheap:
   exponents assigned non-basis-rows-first, which makes any starting basis
   lexicographically feasible and every leaving choice unique.
 
-A tableau built with the form's lead rows walks the form as it is until an
-improving edge has no blocking row.  Only then does it append the box
-`model.bound_polytope` builds over those rows (given as a function when
-they are to be found only then), whose 2n rows strictly contain every
-vertex of the form and so can block only an edge that is unbounded in it,
-and redo that ratio test.  The box rows get the
-lexicographic exponents they would have had had they been there from the
-start, so every pivot is the one a walk of the boxed form makes.  A tableau
-built without lead rows walks its form as given.
+A tableau walks its form as it is until an improving edge has no blocking
+row.  Built with the solve's objective c0, as a primitive integer row, it
+decides in integers whether such an edge d = -M[:,k] has c0 . d > 0, which
+makes d a ray of the form (Dantzig): the first of the slope-tied edges no
+row blocks that does ends the walk there, unboxed, and the tableau keeps d
+in `ray`.  Otherwise a tableau built with the form's lead rows appends the
+box `model.bound_polytope` builds over those rows (given as a function
+when they are to be found only then) at the first edge no row blocks that
+c0 does not rise along, and redoes that ratio test.  The box's 2n rows
+strictly contain every vertex of the form and so can block only an edge
+that is unbounded in it.  The box rows get the lexicographic exponents
+they would have had had they been there from the start, so every pivot is
+the one a walk of the boxed form makes.  A tableau built without lead rows
+walks its form as given.
 
 A Tableau outlives one walk: `aim` gives it the next walk's objectives, as
 integer numerators over a denominator, and the rows it holds in the basis.
@@ -32,11 +37,11 @@ Held rows never leave (they are left out of pricing and of the
 perturbation), so the walk stays on the face where they are tight; the
 facet chain of the driver walks all its rounds on one Tableau this way,
 with one basis inverse.  `shadow_walk` walks a Tableau in place and returns
-its `ShadowPath`, the one record of the walk's pivots.  `first_gain` walks
-a Tableau on a plain objective only until the point moves: the optimality
-and boundedness certificates are decided that way.  `Tableau.carries`
-reads off M whether the basis already carries an objective, which ends a
-facet chain.
+its `ShadowPath`, the one record of the walk's pivots, and the ray it ended
+at, if any.  `first_gain` walks a Tableau on a plain objective only until
+the point moves or a ray is met: the optimality and boundedness
+certificates are decided that way.  `Tableau.carries` reads off M whether
+the basis already carries an objective, which ends a facet chain.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -53,6 +58,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, neg, sub
 
 from . import linalg, model
@@ -112,9 +118,10 @@ class ShadowPath:
 
 @dataclass(frozen=True)
 class WalkResult:
-    finished: bool
+    finished: bool  # the walk reached the optimum or a ray, not the cap
     path: ShadowPath
     pivots: int
+    ray: tuple[int, ...] | None = None  # the ray it ended at, from tab's vertex
 
 
 def tight_rows_at(lp: LinearProgram, x0: BasicSolution) -> list[list[Fraction]]:
@@ -136,22 +143,28 @@ class Tableau:
     sets the prices for its objectives, and each pivot's `_update_basis`
     carries all six.
 
-    lead, when given, holds the form's n lead rows, or a function of no
-    arguments that returns them, called when the box is appended: the
-    tableau appends the box over them, once, at the first improving edge no
-    row blocks, and is `boxed` from then on, with lead the rows.  A tableau
-    built without lead walks its form as given; there, or once boxed, an
-    edge no row blocks raises `UnboundedEdgeError`.
+    c0, when given, is the solve's objective as an integer row: until the
+    box is appended, an improving edge no row blocks whose direction d has
+    c0 . d > 0 ends the walk, and `ray` holds d's primitive integer row
+    until the next `aim`.  lead, when given, holds the form's n lead rows,
+    or a function of no arguments that returns them, called when the box is
+    appended: the tableau appends the box over them, once, at the first
+    improving edge no row blocks that is not such a ray, and is `boxed`
+    from then on, with lead the rows.  A tableau built without lead walks
+    its form as given; there, or once boxed, an edge no row blocks that
+    ends no walk raises `UnboundedEdgeError`.
 
     Single-owner mutable state; concurrent walks must each build their own.
     """
 
-    def __init__(self, form: IntegerForm, start: BasicSolution, lead=None) -> None:
+    def __init__(self, form: IntegerForm, start: BasicSolution, lead=None, c0=None) -> None:
         """Build the integer basis inverse at start on the LP's integer form;
         `aim` sets the objectives before the first pivot."""
         self.form = form
         self.lead = lead
+        self.c0 = c0
         self.boxed = False
+        self.ray: tuple[int, ...] | None = None
         m, n = form.m, form.n
         self.m, self.n = m, n
         self.R, self.beta, self.s = form.R, form.beta, form.s
@@ -196,6 +209,7 @@ class Tableau:
         self.t_c = [sum(map(mul, self.c_num, col)) for col in cols]
         self.t_w = [sum(map(mul, self.w_num, col)) for col in cols]
         self.pivot_count = 0
+        self.ray = None
         # lexicographic exponents: non-basis rows first, then the free basis
         # rows; held rows keep exponent 0, i.e. no perturbation
         order = [i for i in range(self.m) if i not in in_basis] + sorted(in_basis - self.held)
@@ -256,7 +270,8 @@ class Tableau:
     # -- the pivot --------------------------------------------------------
 
     def pivot(self) -> PathStep | None:
-        """One step along the minimum-slope improving edge; None at the optimum."""
+        """One step along the minimum-slope improving edge; None at the
+        optimum, or at a ray of the form, which it keeps in `ray`."""
         t_c, t_w = self.t_c, self.t_w
         improving = self._improving()
         if not improving:
@@ -273,12 +288,17 @@ class Tableau:
             elif lhs == rhs:
                 best.append(k)
         # ratio test per slope-tied edge; equal slopes resolved by the
-        # smallest entering row index.  An edge no row blocks appends the box
-        # over the lead rows, and the ratio tests are redone on it
+        # smallest entering row index.  The first edge no row blocks that
+        # improves c0 is a ray; else such an edge appends the box over the
+        # lead rows, and the ratio tests are redone on it
         while True:
             tests = [(*self._ratio_test(k), k) for k in best]
             if all(enter >= 0 for enter, _, _ in tests):
                 break
+            if self.c0 is not None and not self.boxed:
+                self.ray = self._ray([k for enter, _, k in tests if enter < 0])
+                if self.ray is not None:
+                    return None
             if self.lead is None or self.boxed:
                 raise UnboundedEdgeError(
                     "improving edge with no blocking row (polytope not boxed?)"
@@ -327,6 +347,18 @@ class Tableau:
             if lhs < rhs or self._lex_less(i, r, best_i, best_rd):
                 best_i, best_rd, best_slack = i, r, sl
         return best_i, rd
+
+    def _ray(self, edges: list[int]) -> tuple[int, ...] | None:
+        """The primitive direction of the first of edges, edges no row
+        blocks, along which c0 rises: c0 . d = -(c0 M)[k] > 0 for d =
+        -M[:,k]; None when c0 rises along none."""
+        c0, M = self.c0, self.M
+        for k in edges:
+            if sum(c * row[k] for c, row in zip(c0, M)) < 0:
+                d = [-row[k] for row in M]
+                g = gcd(*d)
+                return tuple(v // g for v in d)
+        return None
 
     def _append_box(self) -> None:
         """Append the box over the lead rows (`model.bound_polytope`) as the
@@ -437,29 +469,34 @@ def _combine(terms, size: int) -> list[int]:
     return [0] * size if out is None else out
 
 
-def first_gain(tab: Tableau, c) -> list[Fraction] | None:
-    """Walk tab on c until a step leaves its point: the vertex that step
-    reaches, which has a higher c value, or None when the walk ends on the
-    point, whose basis then carries c in its normal cone.
+def first_gain(tab: Tableau, c) -> bool:
+    """Walk tab on c until a step leaves its point or an edge from it is a
+    ray: whether c can rise from the point.  True leaves tab on the vertex
+    that step reached, which has a higher c value, or on the point with the
+    ray in `tab.ray`; False leaves it on the point, on a basis that carries c
+    in its normal cone.
 
     The walk holds no rows and uses w = 0, so every improving edge ties on
     slope and the pivot's tie rule picks the step.  A step leaves the point
     when the entering row's slack numerator, its step length's, is > 0.
-    Under the lexicographic perturbation every step raises the perturbed c
-    value, so no basis repeats and the walk is finite.
+    When tab's c0 is c, every improving edge rises along c0, so an edge no
+    row blocks is a ray.  Under the lexicographic perturbation every step
+    raises the perturbed c value, so no basis repeats and the walk is
+    finite.
     """
     tab.aim(common_denominator(as_fractions(c)), ([0] * tab.n, 1))
     while (step := tab.pivot()) is not None:
         if step.step_length_pair[0] > 0:
-            return tab.vertex()
-    return None
+            return True
+    return tab.ray is not None
 
 
 def shadow_walk(tab: Tableau, c, w, pivot_cap: int | None = None, held=()) -> WalkResult:
     """Walk tab in place to the c-maximal vertex of the face where the held
-    rows stay tight, or stop at the pivot cap; c and w are (integer
-    numerators, denominator) pairs, as `Tableau.aim` takes them.  tab ends
-    on the walk's last vertex, and the path records every pivot."""
+    rows stay tight, to a ray of tab's c0 (`Tableau.pivot`), or to the pivot
+    cap; c and w are (integer numerators, denominator) pairs, as
+    `Tableau.aim` takes them.  tab ends on the walk's last vertex, where a
+    ray starts, and the path records every pivot."""
     tab.aim(c, w, held)
     start_basis = tuple(sorted(tab.basis))
     steps: list[PathStep] = []
@@ -470,12 +507,14 @@ def shadow_walk(tab: Tableau, c, w, pivot_cap: int | None = None, held=()) -> Wa
             finished = False
             break
         step = tab.pivot()
-        assert step is not None
+        if step is None:
+            break  # a ray
         steps.append(step)
     return WalkResult(
         finished=finished,
         path=ShadowPath(start_basis, start_value, tuple(steps)),
         pivots=tab.pivot_count,
+        ray=tab.ray,
     )
 
 

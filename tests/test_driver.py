@@ -7,7 +7,7 @@ from math import ceil, lcm, log2
 from types import SimpleNamespace
 
 import pytest
-from boxing import box, box_rows, boxed_form
+from boxing import box, box_rows, boxed_form, lifted, orthants
 import reference
 from reference import pair, path_values, validate_shadow_path, values
 from test_golden import _flat_in_x3, _interior_point, _solve_warm
@@ -340,21 +340,21 @@ class TestRepeated:
     def test_square_reaches_argmax(self):
         lp = square()
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
+        tab = walk.Tableau(boxed_form(lp), start)
         cand = repeated_shadow_vertex(
-            walk.Tableau(boxed_form(lp), start), prim(lp.c0), F(64),
-            randomness.RngConfig(seed=1), randomness.DrawStream(1)
+            tab, prim(lp.c0), F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
         )
         assert not cand.capped
-        assert cand.tableau.solution().point == (1, 1)
+        assert tab.solution().point == (1, 1)
 
     def test_interval_single_round(self):
         lp = model.make_lp([[1], [-1]], [1, 0], [1])
         start = BasicSolution(point=(F(0),), basis=(1,))
+        tab = walk.Tableau(boxed_form(lp), start)
         cand = repeated_shadow_vertex(
-            walk.Tableau(boxed_form(lp), start), prim(lp.c0), F(16),
-            randomness.RngConfig(seed=3), randomness.DrawStream(3)
+            tab, prim(lp.c0), F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
         )
-        assert cand.tableau.solution().point == (1,)
+        assert tab.solution().point == (1,)
         assert len(cand.traces) == 1
 
     def test_tiny_cap_propagates(self):
@@ -376,12 +376,12 @@ class TestRepeated:
         cube = unit_cube([4096, -64, -1])
         form = boxed_form(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
+        tab = walk.Tableau(form, start)
         cand = repeated_shadow_vertex(
-            walk.Tableau(form, start), prim(cube.c0), F(2),
-            randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            tab, prim(cube.c0), F(2), randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
         assert len(cand.traces) == 3
-        assert cand.tableau.solution().point == (1, 0, 0)
+        assert tab.solution().point == (1, 0, 0)
         assert len(calls) == 1
 
     def test_chain_basis_certifies_degenerate_optimum(self, monkeypatch):
@@ -435,24 +435,51 @@ class TestRepeated:
         assert min(mu) >= 0
 
 
+def assert_ray_twin(tab, lazy, eager, boxed):
+    """lazy, a chain on tab that ended at a ray, walked eager's chain, on
+    the eagerly boxed form boxed, up to that edge: the same rounds and, in
+    its last round, the same pivots first.  There the edge is blocked in
+    boxed by a box row, under the exponents eager's walk gives the rows."""
+    *done, last = lazy.traces
+    assert not tab.boxed and eager.traces[: len(done)] == done
+    ref = eager.traces[len(done)]
+    assert (ref.phi, ref.dim, ref.path.start_basis, ref.path.start_value) == (
+        last.phi, last.dim, last.path.start_basis, last.path.start_value
+    )
+    assert ref.path.steps[: len(last.path.steps)] == last.path.steps
+    (k,) = [k for k in range(tab.n) if prim([-row[k] for row in tab.M]) == list(lazy.ray)]
+    at = walk.Tableau(boxed, tab.solution())
+    at.aim((tab.c_num, tab.c_den), (tab.w_num, tab.w_den), tab.held)
+    enter, _ = at._ratio_test(at.basis.index(tab.basis[k]))
+    assert enter in box_rows(boxed)
+
+
 @pytest.fixture
 def twinned_chains(monkeypatch):
     """Walk every facet chain of the solves run twice: as the solve walks it,
     on its form with the lead rows to box on demand, and on a tableau of
     the eagerly boxed form `model.bound_polytope(form, lead)` with no lead
     rows (found now when the solve defers them), at the same start, from a
-    copy of the same draw stream.  Counts the chains, and the lazy ones that
-    appended the box."""
-    seen = {"chains": 0, "boxed": 0}
+    copy of the same draw stream.  A lazy chain that ends at a ray is held
+    against the eager one up to that edge (`assert_ray_twin`); any other
+    walks the eager chain exactly.  Counts the chains, the lazy ones that
+    appended the box, and those that ended at a ray."""
+    seen = {"chains": 0, "boxed": 0, "rays": 0}
     chain = driver.repeated_shadow_vertex
 
     def twins(tab, c0, phi, rng, stream, cap=None):
         twin = copy.deepcopy(stream)
         form, lead = tab.form, tab.lead() if callable(tab.lead) else tab.lead
-        eager_tab = walk.Tableau(model.bound_polytope(form, lead), tab.solution())
-        eager = chain(eager_tab, c0, phi, rng, twin, cap=cap)
+        boxed = model.bound_polytope(form, lead)
+        ref = walk.Tableau(boxed, tab.solution())
+        eager = chain(ref, c0, phi, rng, twin, cap=cap)
         lazy = chain(tab, c0, phi, rng, stream, cap=cap)
-        tab, ref = lazy.tableau, eager.tableau
+        seen["chains"] += 1
+        if lazy.ray is not None:
+            assert_ray_twin(tab, lazy, eager, boxed)
+            assert stream.bits_consumed <= twin.bits_consumed
+            seen["rays"] += 1
+            return lazy
         assert lazy.traces == eager.traces and lazy.capped == eager.capped
         assert stream.bits_consumed == twin.bits_consumed
         assert (tab.basis, tab.D, tab.M, tab.x_num) == (ref.basis, ref.D, ref.M, ref.x_num)
@@ -461,7 +488,6 @@ def twinned_chains(monkeypatch):
             assert tab.form == ref.form
         else:
             assert (tab.form, tab.m) == (form, ref.m - 2 * form.n)
-        seen["chains"] += 1
         seen["boxed"] += tab.boxed
         return lazy
 
@@ -472,23 +498,33 @@ def twinned_chains(monkeypatch):
 class TestLazyBox:
     """A facet chain that appends the box at its first unbounded edge walks
     exactly the chain of the eagerly boxed form: the same traces, draws,
-    final basis and carried state."""
+    final basis and carried state.  One that ends at a ray walks it up to
+    that edge, which a box row blocks in the boxed form.  Most unbounded
+    LPs now end at a ray, so each test solves enough LPs to box as often as
+    it did when every unbounded edge appended the box."""
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, twinned_chains, mode):
+        # each LP of the corpus with its objective and with the negated one
         for case, _, lp in fuzz_lps():
-            solve(lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
+            for c0 in (lp.c0, [-x for x in lp.c0]):
+                lp = model.make_lp(lp.A, lp.b, c0)
+                solve(lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
         assert twinned_chains["chains"] >= 300 and twinned_chains["boxed"] >= 100, twinned_chains
+        assert twinned_chains["rays"] >= 100, twinned_chains
 
     def test_unbounded_mixed_status_lps(self, twinned_chains):
-        # the seed-7 mixed-status benchmark pool, as its first pass solves it
+        # the mixed-status benchmark pools of seeds 7-9, as their first pass
+        # solves them
         workloads = load_workloads()
         pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
         statuses = []
-        for inst in workloads.build_pool(pkg, "mixed-status", 7):
-            rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
-            statuses.append(solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start).status)
+        for seed in (7, 8, 9):
+            for inst in workloads.build_pool(pkg, "mixed-status", seed):
+                rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
+                statuses.append(solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start).status)
         assert statuses.count("unbounded") >= 100 and twinned_chains["boxed"] >= 100, twinned_chains
+        assert twinned_chains["rays"] >= 100, twinned_chains
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_degenerate_cones(self, twinned_chains, mode):
@@ -496,7 +532,7 @@ class TestLazyBox:
         # box's corners and edges, so ratio tests tie box rows with other
         # rows and the tie-break reads the box rows' exponents
         rng = random.Random(1)
-        for k in range(600):
+        for k in range(1800):
             n = rng.randint(2, 4)
             A = [[rng.choice([-1, 0, 0, 1]) for _ in range(n)] for _ in range(rng.randint(n, n + 4))]
             A = [row for row in A if any(row)]
@@ -517,7 +553,7 @@ class TestLazyBox:
             lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
             out = solve(lp, SolveConfig(rng=randomness.RngConfig(seed=k, mode=mode)), initial_bfs=start)
             assert out.status == "optimal"
-        assert twinned_chains == {"chains": 40, "boxed": 0}
+        assert twinned_chains == {"chains": 40, "boxed": 0, "rays": 0}
 
 
 class RankPassFirst(walk.Tableau):
@@ -525,10 +561,10 @@ class RankPassFirst(walk.Tableau):
     solve with a start takes the rank-pass path: the start's first build
     raises, and the rank pass and rank completion run as on a cold solve."""
 
-    def __init__(self, form, start, lead=None):
+    def __init__(self, form, start, lead=None, c0=None):
         if callable(lead):
             raise walk.WalkError("deferred lead rows refused")
-        super().__init__(form, start, lead)
+        super().__init__(form, start, lead, c0)
 
 
 def vertex_start(lp, point):
@@ -617,30 +653,46 @@ class TestWarmStart:
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, warm_twins, mode):
         # each feasible LP from a vertex of its rank-completed form, reached
-        # from its cold answer's point
+        # from its cold answer's point; then lifted (`lifted`), from that
+        # point at t = 0, at its seed and at another, since a walk of the LP
+        # itself from there rarely appends the box
         for case, _, lp in fuzz_lps():
             conf = SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode))
             out = solve(lp, conf)
             if out.status != "infeasible":
                 warm_twins["run"](lp, conf, vertex_start(lp, out.point))
-        # 195 solves, 133 of them with no rank pass, whose walks appended 67 boxes
-        assert warm_twins["solves"] >= 190 and warm_twins["deferred boxes"] >= 60, warm_twins
-        assert warm_twins["skipped"] >= 130 and warm_twins["solves"] - warm_twins["skipped"] >= 60
+                up = lifted(lp)
+                for seed in (case, case + 300):
+                    conf = SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode))
+                    got = warm_twins["run"](up, conf, vertex_start(up, (*out.point, 0)))
+                    assert got[:2] == (out.status, out.value)
+        # 585 solves, 399 of them with no rank pass, whose walks appended 91
+        # boxes (3 of them on the LPs as given)
+        assert warm_twins["solves"] >= 580 and warm_twins["deferred boxes"] >= 60, warm_twins
+        assert warm_twins["skipped"] >= 390 and warm_twins["solves"] - warm_twins["skipped"] >= 60
 
     def test_unbounded_mixed_status_lps(self, warm_twins):
         # the unbounded LPs of the mixed-status pools of seeds 1-4, from a
-        # vertex reached from the point their cold answer's ray starts at
+        # vertex reached from the point their cold answer's ray starts at;
+        # they answer at an edge and rarely append the box, so every
+        # feasible LP of the pools of seeds 1-8 is also solved lifted, from
+        # its cold answer's point at t = 0
         workloads = load_workloads()
         pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
-        for seed in (1, 2, 3, 4):
+        for seed in range(1, 9):
             for inst in workloads.build_pool(pkg, "mixed-status", seed):
                 conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
                 out = solve(inst.lp, conf)
-                if out.status == "unbounded":
+                if out.status == "unbounded" and seed <= 4:
                     got = warm_twins["run"](inst.lp, conf, vertex_start(inst.lp, out.point))
                     assert got[0] == "unbounded"
-        # 481 solves; the 278 of full rank run no rank pass, and each appends a box
-        assert warm_twins["solves"] >= 480 and warm_twins["deferred boxes"] >= 270, warm_twins
+                if out.status != "infeasible":
+                    up = lifted(inst.lp)
+                    got = warm_twins["run"](up, conf, vertex_start(up, (*out.point, 0)))
+                    assert got[:2] == (out.status, out.value)
+        # 1,751 solves; 1,143 of full rank run no rank pass, and 317 of those
+        # append a box
+        assert warm_twins["solves"] >= 1700 and warm_twins["deferred boxes"] >= 270, warm_twins
 
     def test_escape_with_a_start_runs_phase1(self, monkeypatch):
         # rank 2 of 3 and c0 off the row span, with a start on three rows of
@@ -684,16 +736,20 @@ def recession_basis(form):
 
 @pytest.fixture
 def recession_bases(monkeypatch):
-    """Hold the lead rows each recession walk of the solves run starts from
-    against `recession_basis` of its form, and count those walks."""
-    seen = {"walks": 0}
+    """Hold the lead rows the recession walk starts from against
+    `recession_basis` of its form at every box-tight answer of the solves
+    run, and count those answers and the recession walks among them (the
+    others answer off the basis, "box-cone")."""
+    seen = {"box-tight": 0, "walks": 0}
     decide = model.assert_unbounded_if_box_tight
 
     def checked(tab, c0):
         if tab.boxed and not all(tab.slack[tab.m - 2 * tab.n :]):
             assert tab.lead == recession_basis(tab.form)
-            seen["walks"] += 1
-        return decide(tab, c0)
+            seen["box-tight"] += 1
+        verdict = decide(tab, c0)
+        seen["walks"] += verdict not in ("vertex", "box-cone")
+        return verdict
 
     monkeypatch.setattr(model, "assert_unbounded_if_box_tight", checked)
     return seen
@@ -702,22 +758,31 @@ def recession_bases(monkeypatch):
 class TestRecessionBasis:
     """The recession walk starts at d = 0 on the lead rows the box was built
     over, which are the greedy independent rows tight there: the un-boxed
-    rows, all tight at 0, whose rank pass gave the lead rows."""
+    rows, all tight at 0, whose rank pass gave the lead rows.  Few solves
+    walk it since an edge no row blocks answers unbounded when c0 rises
+    along it, and a box-tight vertex answers bounded when c0 needs no box
+    row of its basis."""
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, recession_bases, mode):
+        # the corpus walks it twice; the orthants, built to walk it, do the rest
         for case, _, lp in fuzz_lps():
             solve(lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
+        for lp, seed in orthants(range(150)):
+            out = solve(lp, SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
+            assert out.status == "unbounded" and out.route in ("edge-ray", "recession")
         assert recession_bases["walks"] >= 60, recession_bases
 
     def test_unbounded_mixed_status_lps(self, recession_bases):
-        # the seed-7 mixed-status benchmark pool, as its first pass solves it
+        # the seed-7 mixed-status benchmark pool, as its first pass solves
+        # it: 72 box-tight answers, all walked, before edges answered
+        # unbounded and the basis answered bounded
         workloads = load_workloads()
         pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
         for inst in workloads.build_pool(pkg, "mixed-status", 7):
             rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
             solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start)
-        assert recession_bases["walks"] == 72, recession_bases
+        assert recession_bases == {"box-tight": 5, "walks": 3}, recession_bases
 
     def test_random_boxed_lps(self):
         # LPs boxed before the solve are bounded, so no solve of theirs walks
@@ -731,6 +796,179 @@ class TestRecessionBasis:
             form = model.integer_form(lp)
             form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
             assert recession_basis(model.bound_polytope(form, lead)) == lead
+
+
+@pytest.fixture
+def ray_ends(monkeypatch):
+    """The depth of the solve (0, or 1 for Phase 1) of every facet chain and
+    `is_optimal` walk that ended at a ray, by where it ended: "chain" or
+    "is_optimal".  Phase 1 enters through the module's `solve`."""
+    depth = [0]
+    ends = {"chain": [], "is_optimal": []}
+    inner_solve, chain, is_opt = driver.solve, driver.repeated_shadow_vertex, driver.is_optimal
+
+    def solving(*args, _depth=0, **kwargs):
+        depth.append(_depth)
+        try:
+            return inner_solve(*args, _depth=_depth, **kwargs)
+        finally:
+            depth.pop()
+
+    def chaining(tab, *args, **kwargs):
+        cand = chain(tab, *args, **kwargs)
+        if cand.ray is not None:
+            ends["chain"].append(depth[-1])
+        return cand
+
+    def certifying(form, x, tab, c0):
+        optimal = is_opt(form, x, tab, c0)
+        if not optimal and tab.ray is not None:
+            ends["is_optimal"].append(depth[-1])
+        return optimal
+
+    monkeypatch.setattr(driver, "solve", solving)
+    monkeypatch.setattr(driver, "repeated_shadow_vertex", chaining)
+    monkeypatch.setattr(driver, "is_optimal", certifying)
+    return ends
+
+
+def pool_solves(seed):
+    """(id, LP, config, start) of the mixed-status pool of seed, as its
+    first pass solves it."""
+    workloads = load_workloads()
+    pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+    for inst in workloads.build_pool(pkg, "mixed-status", seed):
+        conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+        yield inst.id, inst.lp, conf, inst.start
+
+
+def fuzz_solves(mode):
+    for case, kind, lp in fuzz_lps():
+        yield f"{kind}-{case}", lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)), None
+
+
+class TestRoutes:
+    """`SolveOutcome.route` names the certificate that answered.  An edge no
+    row blocks answers unbounded where c0 rises along it ("edge-ray"), at a
+    chain walk or at the `is_optimal` walk; a box-tight vertex answers
+    bounded when c0 needs no box row of its basis ("box-cone"); the
+    recession walk decides the rest ("recession")."""
+
+    def test_edge_ray_ends_a_chain_walk(self, monkeypatch):
+        # maximize x subject to -x <= 0 from 0: the one edge has no blocking
+        # row and c0 rises along it, so the first walk ends there, unboxed,
+        # and the solve answers with no certificate walk and no box
+        lp = model.make_lp([[-1]], [0], [1])
+        start = BasicSolution(point=(F(0),), basis=(0,))
+        tab = walk.Tableau(model.integer_form(lp), start, [0], [1])
+        cand = repeated_shadow_vertex(
+            tab, [1], F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
+        )
+        assert cand.ray == (1,) and not cand.capped and not tab.boxed
+        assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(driver, "is_optimal", refuse)
+        monkeypatch.setattr(model, "bound_polytope", refuse)
+        out = solve(lp, cfg(seed=3), initial_bfs=start)
+        assert (out.status, out.route, out.point, out.ray) == ("unbounded", "edge-ray", (0,), (1,))
+        assert out.vertex is None and out.phi_accepted == PhiSchedule(driver.SCHEDULE_BASE, 1, 1).phi(0)
+
+    def test_edge_ray_keeps_the_walk_before_it(self):
+        # maximize x + y subject to x, y >= 0 and x - y <= 1 at seed 3: the
+        # first walk pivots from 0 to (1, 0), where the edge along x - y = 1
+        # has no blocking row; the pivot stays in the round's trace
+        lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
+        out = solve(lp, cfg(seed=3))
+        assert (out.status, out.route, out.point, out.ray) == ("unbounded", "edge-ray", (1, 0), (1, 1))
+        assert out.pivot_sequence == [(2, 0)]
+        driver._check_ray(model.integer_form(lp), lp.m, lp.c0, out.ray)
+
+    def test_edge_ray_ends_the_optimality_walk(self):
+        # x, y >= 0 and x - y <= 0, all tight at 0, on c0 = (1, 0) from the
+        # basis {-x <= 0, -y <= 0}, which does not carry c0: the certificate
+        # walk pivots once, degenerately, onto x - y <= 0, and the edge up
+        # x = y has no blocking row and raises c0
+        lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 0], [1, 0])
+        form = model.integer_form(lp)
+        x = BasicSolution(point=(F(0), F(0)), basis=(0, 1))
+        tab = walk.Tableau(form, x, [0, 1], [1, 0])
+        assert not is_optimal(form, x, tab, [1, 0])
+        assert (tab.ray, tab.pivot_count, sorted(tab.basis)) == ((1, 1), 1, [1, 2])
+        assert not tab.boxed and tab.stands_on(x.point)
+        # without c0 the tableau appends the box there instead
+        tab = walk.Tableau(form, x, [0, 1])
+        assert not is_optimal(form, x, tab, [1, 0])
+        assert tab.ray is None and tab.boxed
+
+    def test_box_cone_answers_bounded_off_the_basis(self, monkeypatch):
+        # maximize x1 subject to x1 <= 1, -x2 <= 1: the perturbed objective
+        # rises up the optimal face, which no row blocks and c0 does not rise
+        # along, so a walk appends the box and the chain ends on the corner
+        # (1, B); c0 = R_0 needs no box row of its basis, and no recession
+        # walk runs
+        walks = []
+        first_gain = walk.first_gain
+        monkeypatch.setattr(walk, "first_gain", lambda tab, c: walks.append(tab) or first_gain(tab, c))
+        lp = model.make_lp([[1, 0], [0, -1]], [1, 1], [1, 0])
+        out = solve(lp, cfg())
+        assert (out.status, out.value, out.route) == ("optimal", 1, "box-cone")
+        boxed = boxed_form(lp)
+        assert set(boxed.tight_rows(out.point)) - set(box_rows(boxed)) == {0}
+        assert all(tab.lead is not None for tab in walks)  # none on the recession form
+
+    def test_recession_walk_decides_past_the_basis(self):
+        # maximize x over the quadrant x, y >= 0 at seed 245: the first walk
+        # rises up the y axis, which no row blocks and c0 does not rise
+        # along, so it appends the box; the chain ends on the corner (B, B),
+        # whose basis carries c0 only with the box row x <= B, and the
+        # recession walk finds the ray
+        lp = model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 0])
+        out = solve(lp, cfg(seed=245))
+        assert (out.status, out.route, out.ray) == ("unbounded", "recession", (1, 0))
+        boxed = boxed_form(lp)
+        assert boxed.tight_rows(out.point) == [3, 5]  # x <= B and y <= B
+
+    def test_other_routes(self):
+        assert solve(square(), cfg()).route == "vertex"
+        assert solve(model.make_lp([[1], [-1]], [0, -1], [1]), cfg()).route == "phase1-gap"
+        assert solve(_flat_in_x3([2, 2, 3, 0, 0, 4], [1, 1, 1]), cfg(seed=1)).route == "escape"
+
+    @pytest.mark.parametrize(
+        "solves",
+        [
+            pytest.param(lambda: fuzz_solves(randomness.MODE_FLOAT), id="fuzz-float"),
+            pytest.param(lambda: fuzz_solves(randomness.MODE_DYADIC), id="fuzz-dyadic"),
+            *(
+                pytest.param(lambda seed=seed: pool_solves(seed), id=f"mixed-status-{seed}")
+                for seed in (1, 2, 3, 4)
+            ),
+        ],
+    )
+    def test_answers_agree_with_the_oracle(self, ray_ends, solves):
+        # every status and optimal value equals the oracle's, as the answers
+        # before edges answered unbounded did; every ray is certified and
+        # unbounded for the oracle, and no Phase-1 walk ends at a ray
+        routes = []
+        for name, lp, conf, start in solves():
+            out = solve(lp, conf, initial_bfs=start)
+            ref = oracle.classify(lp)
+            assert (out.status, out.value) == (ref.status, ref.value), name
+            if out.ray is not None:
+                driver._check_ray(model.integer_form(lp), lp.m, lp.c0, out.ray)
+            routes.append(out.route)
+        assert set(ray_ends["chain"] + ray_ends["is_optimal"]) == {0}
+        assert routes.count("edge-ray") == len(ray_ends["chain"] + ray_ends["is_optimal"]) >= 50
+        assert set(routes) <= {"vertex", "edge-ray", "box-cone", "recession", "escape", "phase1-gap"}
+
+    def test_the_fuzz_corpus_has_an_optimality_walk_ray(self, ray_ends):
+        # case 166 of the corpus ends its chain unboxed on a vertex whose
+        # basis does not carry c0; the certificate walk meets the ray
+        for _, lp, conf, start in fuzz_solves(randomness.MODE_FLOAT):
+            solve(lp, conf, initial_bfs=start)
+        assert ray_ends["is_optimal"] == [0]
 
 
 def prices(tab, w):
@@ -749,11 +987,10 @@ class TestChainStop:
         cube = unit_cube([3, 2, 1])
         form = boxed_form(cube)
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
+        tab = walk.Tableau(form, start)
         cand = repeated_shadow_vertex(
-            walk.Tableau(form, start), prim(cube.c0), F(64),
-            randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            tab, prim(cube.c0), F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
         )
-        tab = cand.tableau
         assert len(cand.traces) == 1 and not cand.capped
         assert tab.solution().point == (1, 1, 1) and tab.carries([3, 2, 1])
         walked = (tab.c_num, tab.pivot_count)
@@ -1028,14 +1265,18 @@ class TestSolve:
 
     def test_unbounded_point_checked_against_raw_lp(self, monkeypatch):
         # the boxed LP's verdict no longer re-checks its point; solve checks
-        # the reported point against the LP it was given, as for an optimum
+        # the reported point against the LP it was given, as for an optimum.
+        # The quadrant at seed 245 reaches the verdict on a box corner
+        # (`TestRoutes.test_recession_walk_decides_past_the_basis`)
+        calls = []
         monkeypatch.setattr(
             model,
             "assert_unbounded_if_box_tight",
-            lambda tab, c0: UnboundedCertificate(point=(F(-1),), ray=(F(1),)),
+            lambda tab, c0: calls.append(tab) or UnboundedCertificate((F(-1), F(0)), (F(1), F(0))),
         )
         with pytest.raises(DriverError, match="infeasible"):
-            solve(model.make_lp([[-1]], [0], [1]), cfg())
+            solve(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 0]), cfg(seed=245))
+        assert len(calls) == 1
 
     def test_never_normalizes(self, monkeypatch):
         def refuse(lp):

@@ -19,6 +19,12 @@ the integer 1: each new ray is a positive multiple of its old pin.
 Pivot counts, bits and sequence hashes were re-recorded when a facet chain
 began to end at the first round whose basis carries c0: chains walk fewer
 rounds and draw less, while every status, value and ray stayed the same.
+Six random-integer entries and two sequence hashes were re-recorded when an
+edge no row blocks began to answer unbounded where c0 rises along it: the
+walk stops there, unboxed, with fewer pivots, and the ray is that edge's
+primitive direction.  Statuses and values held and every new ray passed
+`driver._check_ray`: two rays are unchanged, three are positive multiples
+of their old pins, and the one of (6, 5, 0) is another ray of its LP.
 """
 
 import hashlib
@@ -32,9 +38,9 @@ from shadow_simplex import driver, harness, model, randomness
 
 # (m, n, solver seed) -> the answer for generate_random_integer(m, n, 100 m + 10 n + seed)
 RANDOM_INTEGER = [
-    ((1, 1, 1), ("unbounded", None, ("-1",), 1, 0)),
+    ((1, 1, 1), ("unbounded", None, ("-1",), 0, 0)),
     ((2, 2, 1), ("unbounded", None, ("0", "3"), 0, 0)),
-    ((2, 2, 3), ("unbounded", None, ("1", "0"), 2, 0)),
+    ((2, 2, 3), ("unbounded", None, ("1", "0"), 0, 0)),
     ((3, 2, 1), ("infeasible", None, None, 1, 1)),
     ((3, 4, 0), ("unbounded", None, ("-57/161", "19/230", "-57/805", "-95/322"), 0, 0)),
     (
@@ -42,8 +48,8 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            ("-1/8", "-3/16", "1/16"),
-            6,
+            ("-2", "-3", "1"),
+            3,
             3,
         ),
     ),
@@ -53,8 +59,8 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            ("-2/19", "7/38", "3/19"),
-            5,
+            ("-4", "7", "6"),
+            4,
             4,
         ),
     ),
@@ -63,8 +69,8 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            ("40/249", "-4/249", "-17/249", "-41/249", "-17/249"),
-            5,
+            ("1", "-25", "-44", "55", "-44"),
+            1,
             0,
         ),
     ),
@@ -75,8 +81,8 @@ RANDOM_INTEGER = [
         (
             "unbounded",
             None,
-            ("119/885", "-46/295", "-23/177", "21/295", "1/885"),
-            16,
+            ("119", "-138", "-115", "63", "1"),
+            12,
             7,
         ),
     ),
@@ -123,11 +129,11 @@ PIVOT_SEQUENCES = [
     ),
     (
         ("random", 6, 5, 0),
-        "efe0f710894c00f46110e34f9503a62868bc41e1ad3f00b35e97a9fed471810a",
+        "0d4e72cc4770e38e20f859ea3413bb76a21a1bc5fa7eb83e3f5cb6b4dd92a771",
     ),
     (
         ("random", 9, 5, 0),
-        "f1d4d6e9f67185c01b2d19e25507c31c6dd8df6016762e808e48cf5f1864eab7",
+        "54ced401a713fa26a1ad37e7193dfc54d8807dfe2bf285177eaaee407ee998c3",
     ),
     (
         ("random", 10, 5, 1),

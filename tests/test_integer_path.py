@@ -315,5 +315,5 @@ class TestBoxTightOnTheTableau:
         lp = model.make_lp([[1], [-1]], [1, 0], [1])
         tab = on_box(boxed_form(lp), BasicSolution(point=(F(1),), basis=(0,)), lead_rows(lp))
         walks = self.recording(monkeypatch)
-        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == "vertex"
         assert walks == []

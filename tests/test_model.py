@@ -308,7 +308,7 @@ class TestBounding:
         got = model.assert_unbounded_if_box_tight(on_box(once, corner, [0, 1]), lp.c0)
         assert isinstance(got, UnboundedCertificate)
         tab = on_box(twice, corner, [0, 1])
-        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == "vertex"
 
     def test_vertices_lie_strictly_inside_the_box(self):
         # every vertex of the LP the solve boxes lies strictly inside every
@@ -445,7 +445,7 @@ class TestBoxTightAssert:
     def test_interior_optimum_bounded(self):
         lp = square_lp()
         bs = model.move_to_vertex(box(lp), [F(1), F(1)])
-        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp.c0) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp.c0) == "vertex"
 
     def test_genuinely_unbounded(self):
         # maximize x subject to x >= 0
@@ -458,8 +458,9 @@ class TestBoxTightAssert:
 
     def test_box_tight_tie_without_ray_is_bounded(self):
         # maximize x1 with x1 <= 1, x2 <= 0: the optimal face is unbounded,
-        # so a box corner ties with the true optimum; the ray test must
-        # override the box-tightness signal
+        # so a box corner ties with the true optimum; c0 = R_0 needs no box
+        # row of the corner's basis, which overrides the box-tightness signal
+        # with no recession walk
         lp = model.make_lp([[1, 0], [0, 1]], [1, 0], [1, 0])
         boxed = box(lp)
         corner = None
@@ -468,7 +469,7 @@ class TestBoxTightAssert:
                 corner = v
                 break
         assert corner is not None
-        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp.c0) == model.BOUNDED
+        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp.c0) == "box-cone"
 
 
 class TestVertexUtilities:

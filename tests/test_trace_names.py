@@ -121,8 +121,8 @@ def test_cold_start_violating_no_row_never_reenters(solve_depths):
 # the names the round loop and the box reach through their module
 # attributes; the per-layer spans of `randomness.draw`, `model.bound_polytope`,
 # `driver.facet_restriction` and `linalg.complement_basis_int` rest on them.
-# The walk's tableau builds the box only at an improving edge no row blocks,
-# which a bounded LP's solve never meets
+# The walk's tableau builds the box only at an improving edge no row blocks
+# that c0 does not rise along, which a bounded LP's solve never meets
 ROUND_LOOP_NAMES = (
     (randomness, "perturb_objective"),
     (randomness, "draw_lambda"),
@@ -162,11 +162,12 @@ def test_warm_solve_reaches_the_round_loop_names(round_loop_calls):
 
 
 def test_unbounded_solve_reaches_the_round_loop_names(round_loop_calls):
-    # maximize x + y subject to x, y >= 0 and x - y <= 1: from (1, 0) the
-    # edge along x - y = 1 has no blocking row, so a walk appends the box
-    lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
-    out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=0)))
-    assert out.status == "unbounded"
+    # maximize x subject to x, y >= 0, at seed 245: the first walk rises up
+    # the y axis, which no row blocks and c0 does not rise along, so it
+    # appends the box, and the recession walk answers
+    lp = model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 0])
+    out = driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=245)))
+    assert (out.status, out.route) == ("unbounded", "recession")
     assert all(round_loop_calls.values()), round_loop_calls
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from boxing import box
+from boxing import box, lifted, orthants
 from chains import nested_objective
 from reference import pair, validate_shadow_path, values
 from test_golden import _interior_point
@@ -104,15 +104,14 @@ class TestShadowPivot:
 class TestFirstGain:
     def test_returns_first_vertex_off_the_point(self):
         tab = Tableau(integer_form(square()), origin_start())
-        x = first_gain(tab, [F(1, 2), F(1, 2)])
-        assert x in ([1, 0], [0, 1])
-        assert tab.vertex() == x
+        assert first_gain(tab, [F(1, 2), F(1, 2)]) is True
+        assert tab.vertex() in ([1, 0], [0, 1]) and tab.ray is None
 
     def test_none_when_basis_carries_c(self):
         # (1, 0) of the square with c = (1, -1): the basis {x <= 1, -y <= 0}
         # carries c; starting from it the walk makes no pivot
         tab = Tableau(integer_form(square()), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
-        assert first_gain(tab, [F(1), F(-1)]) is None
+        assert first_gain(tab, [F(1), F(-1)]) is False
         assert tab.pivot_count == 0
 
 
@@ -279,7 +278,8 @@ class TestCarriedState:
         # cold solves of seeded random LPs: Phase 1, the facet chains on the
         # boxed LPs with their held rows, and the certificate walks; each LP
         # is solved once more with a nested objective, whose chains walk
-        # several rounds and so pivot with held rows
+        # several rounds and so pivot with held rows.  Their unbounded ones
+        # answer at an edge, so the orthants add the recession walks
         kinds = ("tu-incidence", "interval-matrix", "network-matrix")
         for seed in range(24):
             rng = random.Random(seed)
@@ -290,6 +290,8 @@ class TestCarriedState:
                 lp = harness.generate_tu_instance(kinds[seed // 2 % 3], 2 * n, n, seed)
             for each in (lp, nested_objective(lp, seed)):
                 driver.solve(each, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
+        for lp, seed in orthants(range(50)):
+            driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
         held = sum(h for _, h, _, _ in checked_pivots)
         certificate = sum(c for _, _, c, _ in checked_pivots)
         degenerate = sum(st.step_length == 0 for st, _, _, _ in checked_pivots)
@@ -343,7 +345,7 @@ class TestCarriedState:
             [0, 0, -1],
         ))
         apex = BasicSolution(point=(F(0), F(0), F(1)), basis=(0, 1, 2))
-        assert first_gain(Tableau(integer_form(lp), apex), [F(1), F(-1), F(-1)]) is not None
+        assert first_gain(Tableau(integer_form(lp), apex), [F(1), F(-1), F(-1)]) is True
         assert [st.step_length for st, _, _, _ in checked_pivots] == [0, 2]
         assert all(cert for _, _, cert, _ in checked_pivots)
 
@@ -402,10 +404,44 @@ class TestSparseProducts:
             driver.solve(lp, conf, initial_bfs=start)
             rng = random.Random(seed)
             n = rng.randint(2, 5)
-            driver.solve(harness.generate_random_integer(rng.randint(n, 9), n, seed), conf)
+            lp = harness.generate_random_integer(rng.randint(n, 9), n, seed)
+            # lifted, since most of them answer unbounded at an edge unboxed
+            for each in (lp, lifted(lp)):
+                driver.solve(each, conf)
         # a pivot's ratio tests: one per slope-tied edge, redone on the box
         assert dense_products["rd"] >= dense_products["u"] > 100, dense_products
         assert dense_products["skipped"] > 800 and dense_products["boxed"] > 10, dense_products
+
+
+class TestRayEdge:
+    """A tableau built with c0 ends its walk at the first slope-tied edge no
+    row blocks along which c0 rises, unboxed, with the ray in `ray` and in
+    the walk's result; an edge no row blocks that c0 does not rise along
+    appends the box, as without c0."""
+
+    def tableau(self, c0):
+        # x, y >= 0 and x - y <= 1 from the origin, on c = (1, 1) with w = 0:
+        # both edges tie on slope, and the one up the y axis has no blocking row
+        lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
+        start = BasicSolution(point=(F(0), F(0)), basis=(0, 1))
+        return Tableau(integer_form(lp), start, lead=[0, 1], c0=c0)
+
+    def test_the_walk_ends_at_the_ray(self):
+        tab = self.tableau([1, 1])
+        res = shadow_walk(tab, pair([F(1), F(1)]), pair([F(0), F(0)]))
+        assert res.finished and res.pivots == 0 and res.path.steps == ()
+        assert res.ray == tab.ray == (0, 1) and not tab.boxed and tab.vertex() == [0, 0]
+        # the next aim starts without it
+        tab.aim(pair([F(-1), F(-1)]), pair([F(0), F(0)]))
+        assert tab.ray is None
+
+    def test_an_edge_c0_does_not_rise_along_appends_the_box(self):
+        # c0 = (1, 0) is flat up the y axis: the walk of
+        # TestCarriedState.test_carried_through_the_box
+        tab = self.tableau([1, 0])
+        res = shadow_walk(tab, pair([F(1), F(1)]), pair([F(0), F(0)]))
+        assert res.finished and res.ray is None and tab.boxed
+        assert [st.entering_row for st in res.path.steps] == [2, 4, 6]
 
 
 class TestExactUpdate:
