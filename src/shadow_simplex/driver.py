@@ -29,26 +29,29 @@ over the form's own s) is appended at the first edge no row blocks that
 c0 does not rise along, with the pivots a walk of the boxed form makes.  A
 bounded LP's solve never builds it, and Phase 1's objective -sum(y),
 bounded above by 0, never ends a walk at a ray.  The bit budget and the
-pivot cap are those of the boxed form, m + 2n rows.  The Phase-1 face is only its own form, lead rows and objective, built from the
-solve's (`phase1.build_phase1_face`), so the depth-1 solve runs no rank
-pass and builds no form or LP, and boxes the face on its form.  A facet
-chain's tableau is built on the start vertex's own basis; a start that
-fails the build on a form of rank n raises `walk.WalkError`.  The rows fixed
-so far stay in its basis, held out of pricing, so each walk stays on the
-face where they are tight.  Each round runs in integers: it draws its
-perturbed objective in coordinates of that face, over an exactly orthogonal
-integer basis of the fixed rows' complement (a `linalg.FaceBasis` carried
-through the chain, which each round updates with its new fixed row in
-O(n^2)), as numerators over one denominator, and lifts it to the form
-exactly on the integer columns; its cone objective is priced on the
-tableau's integer rows (`lifted_cone_objective`), with each free row's
-near-unit factor tau formed once per round, and the facet is chosen by
-integer cross-multiplication of the prices and the tau.  At round 0 no row
-is fixed, so each row is its own face coordinates: tau and c0's face image
-are read off the rows' squared norms, and the lift is the identity.  Both
-objectives reach `Tableau.aim` as (numerators, denominator) pairs.  The
-walk is the one on the restricted LP, whose delta-distance value is
-preserved to rounding of the unit scaling, without building it.
+pivot cap are those of the boxed form, m + 2n rows.  The Phase-1 face is
+only its own form, lead rows, objective and start, built from the solve's
+(`phase1.build_phase1_face`), so the depth-1 solve runs no rank pass and
+builds no form or LP, and boxes the face on its form.  A facet chain's
+tableau is built on the start vertex's own basis; a start that fails the
+build on a form of rank n raises `walk.WalkError`.  The rows fixed so far
+stay in its basis, held out of pricing, so each walk stays on the face
+where they are tight.  That face is one `linalg.FaceBasis`, an exactly
+orthogonal integer basis of the fixed rows' complement, which the chain
+carries and each round updates with its new fixed row in O(n^2).  Each
+round runs in integers: it draws its perturbed objective in coordinates of
+that face, as numerators over one denominator with the doubling's bit
+count, and lifts it to the form exactly on the integer columns
+(`FaceBasis.lift`); its cone objective is priced on the tableau's integer
+rows (`lifted_cone_objective`), with each free row's near-unit factor tau
+formed once per round, and the facet is chosen by integer
+cross-multiplication of the prices and the tau.  Round 0 is the round
+whose face basis has no row yet: each row is its own face coordinates, so
+c0's face image and every tau are read off the rows' squared norms, and
+the lift is the identity.  Both objectives reach `Tableau.aim` as
+(numerators, denominator) pairs.  The walk is the one on the restricted LP,
+whose delta-distance value is preserved to rounding of the unit scaling,
+without building it.
 
 A chain fixes at most n facets, and ends at the first finished walk whose
 basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
@@ -77,7 +80,7 @@ rank-completion rows, then the 2n box rows once a walk has appended them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -154,56 +157,22 @@ def pivot_cap(m: int, n: int, phi: Fraction, delta: float, constant: int = 16) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FacetRestriction:
-    """The face where the fixed rows are tight, over an exactly orthogonal
-    integer basis `cols` of the fixed rows' complement, with squared norms
-    `norms`, each column scaled by the near-unit `col_scale`, given as
-    (numerator, denominator) pairs: its points are x = x_f + sum_k y_k v_k
-    with v_k = col_scale_k cols_k and x_f any point of the face.
-
-    A row a has face coordinates (a . v_k)_k, since a . x = a . x_f +
-    sum_k y_k (a . v_k).  c0 is the objective's face coordinates scaled to
-    near-unit norm, as (integer numerators, denominator), or None when the
-    objective is constant on the face.
-    """
-
-    cols: tuple[tuple[int, ...], ...]
-    norms: tuple[int, ...]
-    col_scale: tuple[tuple[int, int], ...]
-    c0: tuple[tuple[int, ...], int] | None
-
-    def lift(self, y) -> tuple[list[int], int]:
-        """The vector in span(cols) whose face coordinates are exactly y,
-        both as (integer numerators, denominator) pairs: x = sum_k y_k cols_k
-        / (col_scale_k |cols_k|^2), over one denominator, on the integer
-        columns; y itself when no row is fixed."""
-        yn, yd = y
-        if len(yn) == len(self.cols[0]):
-            return list(yn), yd  # no fixed row: the unit columns, unscaled
-        # y_k / (col_scale_k N_k) = yn_k sd_k / (yd sn_k N_k), over yd L
-        dens = [sn * N for (sn, _), N in zip(self.col_scale, self.norms)]
-        L = lcm(*dens)
-        coef = [yk * sd * (L // dk) for yk, (_, sd), dk in zip(yn, self.col_scale, dens)]
-        return [sum(map(mul, coef, col)) for col in zip(*self.cols)], yd * L
-
-
 def _face_scale(
-    ints: list[int], cols, col_scale
+    ints: list[int], cols, scales
 ) -> tuple[list[tuple[int, int]], Fraction] | None:
     """(face coordinates (ints . v_k)_k of an integer row as reduced pairs
-    (p_k, q_k), the near-unit factor tau of its face image tau (p_k / q_k)_k),
-    via one integer norm computation; None when the row is constant on the
-    face.  The image's squared norm tau^2 sum p_k^2 / q_k^2 is checked to be
-    within 3e-10 of 1, in integers."""
+    (p_k, q_k), v_k = scales_k cols_k, the near-unit factor tau of its
+    face image tau (p_k / q_k)_k), via one integer norm computation; None
+    when the row is constant on the face.  The image's squared norm tau^2
+    sum p_k^2 / q_k^2 is checked to be within 3e-10 of 1, in integers."""
     dots = [sum(map(mul, ints, v)) for v in cols]
     if not any(dots):
         return None
-    # dots_k * col_scale_k in lowest terms, and their squared norm num / den
+    # dots_k * scales_k in lowest terms, and their squared norm num / den
     red = []
     num = 0
     den = 1
-    for dk, (sn, sd) in zip(dots, col_scale):
+    for dk, (sn, sd) in zip(dots, scales):
         if not dk:
             red.append((0, 1))  # adds 0 / 1 to num / den
             continue
@@ -228,74 +197,59 @@ def _near_unit(num: int, den: int) -> Fraction:
     return t
 
 
-def _unit_tau(R: list[list[int]], rows) -> dict[int, Fraction]:
-    """tau of each of the rows, by row, on the face of no fixed row: each
-    row is its own face coordinates over the unit columns, so tau_i =
-    `unit_scale_pq(|R_i|^2, 1)`, checked as `_face_scale` checks it, and
-    rows of equal squared norm share one."""
-    by_norm: dict[int, Fraction] = {}
-    tau = {}
-    for i in rows:
-        sq = sum(map(mul, R[i], R[i]))
-        t = by_norm.get(sq)
-        if t is None:
-            t = by_norm[sq] = _near_unit(sq, 1)
-        tau[i] = t
-    return tau
+def _face_image(
+    ints: list[int], basis: linalg.FaceBasis
+) -> tuple[list[tuple[int, int]], Fraction] | None:
+    """`_face_scale` of an integer row on the face of basis.  Before any row
+    is added (round 0) the columns are the unit vectors, unscaled, so the
+    row is its own face coordinates and tau comes from its squared norm,
+    with no dot product: the same values."""
+    if basis.rows:
+        return _face_scale(ints, basis.cols, basis.scales)
+    if not any(ints):
+        return None
+    return [(x, 1) for x in ints], _near_unit(sum(map(mul, ints, ints)), 1)
 
 
 def facet_restriction(
-    fixed: list[list[int]], c0: list[int], basis: linalg.FaceBasis | None = None
-) -> FacetRestriction:
-    """The face basis of the fixed rows, with the objective's face image,
-    from the primitive integer forms of the fixed rows and of c0.
+    fixed: list[list[int]], c0: list[int], basis: linalg.FaceBasis
+) -> tuple[tuple[int, ...], int] | None:
+    """c0's face image on the face where the fixed rows are tight, scaled
+    to near-unit norm, as (integer numerators, denominator); None when c0 is
+    constant on the face.  fixed and c0 are primitive integer rows.
 
-    The basis is the one of the top-level rows (chaining one-step reductions
-    would square exact entry sizes per level), so numbers stay single-level
-    small no matter how deep the facet chain is.  A facet chain, whose fixed
-    rows only grow, passes the same `linalg.FaceBasis` every round, and
-    `linalg.complement_basis_int` adds only the round's new row to it: the
-    columns it changes and their near-unit scales are all that is recomputed.
-    With no row fixed, the columns are the unit vectors, unscaled, and c0's
-    face image is read off c0 itself.
+    basis is the face: the `linalg.FaceBasis` of fixed[:basis.rows], to
+    which the rows after them are added in place
+    (`linalg.complement_basis_int`), so a facet chain, whose fixed rows only
+    grow, orthogonalizes each one once, and only the columns it changes are
+    recomputed.  Its columns are those of the top-level rows (chaining
+    one-step reductions would square exact entry sizes per level), so
+    numbers stay single-level small no matter how deep the chain is.
     """
     n = len(c0)
-    d = n - len(fixed)
-    if d < 1:
+    if len(fixed) >= n:
         raise DriverError("nothing left to restrict")
-    if basis is None:
-        basis = linalg.FaceBasis(n)
-    cols = linalg.complement_basis_int(fixed, n, basis)
-    if len(cols) != d:
+    if len(linalg.complement_basis_int(fixed, n, basis)) != n - len(fixed):
         raise DriverError("fixed facet rows are dependent")
-    # near-unit column scales, kept separate so row projections stay integer
-    col_scale = tuple(basis.scales)
-    if not fixed:
-        # c0 is its own face coordinates: t c0, t checked as in _face_scale
-        c0_face = None
-        if any(c0):
-            t = _near_unit(sum(map(mul, c0, c0)), 1)
-            c0_face = (tuple(t.numerator * x for x in c0), t.denominator)
-    else:
-        c0_face = _face_scale(c0, cols, col_scale)
-        if c0_face is not None:
-            # t (p_k / q_k)_k over the one denominator t_den lcm(q)
-            red, t = c0_face
-            L = lcm(*(q for _, q in red))
-            c0_face = (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
-    return FacetRestriction(
-        cols=tuple(cols), norms=tuple(basis.norms), col_scale=col_scale, c0=c0_face
-    )
+    face = _face_image(c0, basis)
+    if face is None:
+        return None
+    # t (p_k / q_k)_k over the one denominator t_den lcm(q)
+    red, t = face
+    L = lcm(*(q for _, q in red))
+    return tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L
 
 
-def restriction_coords(r: FacetRestriction, rows: list[list[int]]) -> list[list[Fraction] | None]:
-    """Near-unit face coordinates tau (p_k / q_k)_k of integer rows, as
-    `_face_scale` gives them (None for a row constant on the face).  The
-    solve path does not build them: its cone objective is priced on the
-    integer rows."""
+def restriction_coords(
+    basis: linalg.FaceBasis, rows: list[list[int]]
+) -> list[list[Fraction] | None]:
+    """Near-unit face coordinates tau (p_k / q_k)_k of integer rows on the
+    face of basis, as `_face_image` gives them (None for a row constant on
+    the face).  The solve path does not build them: its cone objective is
+    priced on the integer rows."""
     out = []
     for ints in rows:
-        face = _face_scale(ints, r.cols, r.col_scale)
+        face = _face_image(ints, basis)
         if face is None:
             out.append(None)
             continue
@@ -328,12 +282,12 @@ def lifted_cone_objective(
 
 
 def identify_basis_element(
-    tab: walk.Tableau, r: FacetRestriction, free: list[int], tau: dict[int, Fraction]
+    tab: walk.Tableau, basis: linalg.FaceBasis, free: list[int], tau: dict[int, Fraction]
 ) -> int:
     """Position in free of the basis row with the largest coefficient mu_j
     when the face image of tab's objective c is written over the free rows'
-    near-unit face images u_j = tau_j face(R_j); ties go to the smallest
-    position.
+    near-unit face images u_j = tau_j face(R_j) on the face of basis; ties
+    go to the smallest position.
 
     tab stands where its walk on c ended, so c = sum_k nu_k R_basis[k] with
     nu_k = t_c[k] / (D c_den) from its prices.  The fixed rows vanish on the
@@ -347,7 +301,7 @@ def identify_basis_element(
     t_c = tab.t_c
     best = bn = bd = 0
     for k, i in enumerate(free):
-        t = tau[i] if i in tau else _face_scale(tab.R[i], r.cols, r.col_scale)[1]
+        t = tau[i] if i in tau else _face_image(tab.R[i], basis)[1]
         num, den = t_c[pos[i]] * t.denominator, t.numerator
         if not k or num * bd > bn * den:
             best, bn, bd = k, num, den
@@ -409,7 +363,7 @@ def repeated_shadow_vertex(
     tab: walk.Tableau,
     c0: list[int],
     phi: Fraction,
-    cfg: randomness.RngConfig,
+    bits: int,
     stream: randomness.DrawStream,
     cap: int | None = None,
 ) -> Candidate:
@@ -424,32 +378,31 @@ def repeated_shadow_vertex(
     edge no row blocks along which c0 rises ends there, and the candidate
     carries that ray; with the form's lead rows, tab appends the box over
     them at the first other edge no row blocks; without, it walks its form
-    as given, which must then bound every walk.  Each round draws its
-    perturbed objective in the coordinates of the current face at phi and
-    lifts it to form's coordinates, prices its cone objective on the
-    tableau's integer rows with each free row's factor tau formed once (the
-    facet choice reuses them), and walks the tableau with the fixed rows
-    held in the basis, from where the previous round stopped; every
-    objective stays in integers.  At round 0 no row is fixed, so each row
-    is its own face coordinates.  Each round's walk path is kept in its
-    trace.
+    as given, which must then bound every walk.  The chain carries one
+    `linalg.FaceBasis`, the face of its fixed rows, to which each round adds
+    the row fixed last (`facet_restriction`).  Each round draws its
+    perturbed objective in that face's coordinates at phi, bits random bits
+    per draw, and lifts it to form's coordinates (`FaceBasis.lift`), prices
+    its cone objective on the tableau's integer rows with each free row's
+    factor tau formed once (the facet choice reuses them), and walks the
+    tableau with the fixed rows held in the basis, from where the previous
+    round stopped; every objective stays in integers.  Round 0's basis has
+    no row yet, so each row is its own face coordinates.  Each round's walk
+    path is kept in its trace.
     """
     fixed: list[int] = []
-    basis = linalg.FaceBasis(tab.n)  # the fixed rows' face basis, carried
+    basis = linalg.FaceBasis(tab.n)
     traces: list[RoundTrace] = []
     while len(fixed) < tab.n:
-        r = facet_restriction([tab.R[i] for i in fixed], c0, basis)
-        if r.c0 is None:
+        c0_face = facet_restriction([tab.R[i] for i in fixed], c0, basis)
+        if c0_face is None:
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
-        pert = randomness.perturb_objective(r.c0, phi, cfg, stream)
-        if fixed:
-            tau = {i: _face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free}
-        else:
-            tau = _unit_tau(tab.R, free)
-        lam = randomness.draw_lambda(len(free), cfg, stream)
+        pert = randomness.perturb_objective(c0_face, phi, bits, stream)
+        tau = {i: _face_image(tab.R[i], basis)[1] for i in free}
+        lam = randomness.draw_lambda(len(free), bits, stream)
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
-        c = r.lift((pert.c, pert.den))
+        c = basis.lift((pert.c, pert.den))
         res = walk.shadow_walk(tab, c, w, pivot_cap=cap, held=fixed)
         traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
@@ -459,7 +412,7 @@ def repeated_shadow_vertex(
         if tab.carries(c0):
             break  # the basis certifies c0: the vertex is already optimal
         free = sorted(set(tab.basis) - set(fixed))
-        fixed.append(free[identify_basis_element(tab, r, free, tau)])
+        fixed.append(free[identify_basis_element(tab, basis, free, tau)])
     return Candidate(capped=False, traces=traces)
 
 
@@ -512,15 +465,16 @@ class SolveOutcome:
 
 def _walk_bits_and_cap(
     lp_m: int, lp_n: int, phi: Fraction, cfg: SolveConfig
-) -> tuple[randomness.RngConfig, int | None]:
+) -> tuple[int, int | None]:
+    """(bits per draw, pivot cap) of the walks at phi: `CONTINUOUS_BITS` and
+    no cap in float mode; in dyadic mode the configured bits or else the
+    bit budget, and the pivot cap, both at the stand-in delta-hat."""
     rng = cfg.rng
-    if rng.mode == randomness.MODE_DYADIC:
-        dh = randomness.delta_hat(lp_n, phi)
-        if rng.bits_per_draw is None:
-            rng = replace(rng, bits_per_draw=randomness.bit_budget(lp_m, lp_n, phi, dh))
-        cap = pivot_cap(lp_m, lp_n, phi, dh, cfg.cap_constant)
-        return rng, cap
-    return rng, None
+    if rng.mode != randomness.MODE_DYADIC:
+        return randomness.CONTINUOUS_BITS, None
+    dh = randomness.delta_hat(lp_n, phi)
+    bits = rng.bits_per_draw or randomness.bit_budget(lp_m, lp_n, phi, dh)
+    return bits, pivot_cap(lp_m, lp_n, phi, dh, cfg.cap_constant)
 
 
 def solve(
@@ -529,7 +483,6 @@ def solve(
     initial_bfs: BasicSolution | None = None,
     _stream: randomness.DrawStream | None = None,
     _depth: int = 0,
-    _schedule: PhiSchedule | None = None,
     _face: phase1.Phase1Problem | None = None,
 ) -> SolveOutcome:
     """Parse-to-certificate pipeline: rank raise, Phase 1 when no start is
@@ -558,11 +511,13 @@ def solve(
     distinct rows of the form, has dependent rows, is not tight at the
     point, or a point that violates a row, then raises `walk.WalkError`.
 
-    Only Phase 1's own call sets _stream, _depth (1), _schedule and _face,
-    and no lp_raw: it shares the caller's draws, walks on the Phase-1
-    schedule, takes the face's form, lead rows and objective from _face,
-    checks its answer against every face row, and skips the box-tight
-    check, since its objective -sum(y) is bounded above by 0."""
+    Only Phase 1's own call sets _stream, _depth (1) and _face, and no
+    lp_raw nor initial_bfs: it shares the caller's draws, and takes from
+    _face the face's form, lead rows, objective and start vertex, and the
+    dimensions of its Phase-1 phi schedule, those of the solve's form (n
+    the face's x, m its rows less the |V| rows -y_i <= 0).  It checks its
+    answer against every face row, and skips the box-tight check, since its
+    objective -sum(y) is bounded above by 0."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -590,8 +545,12 @@ def solve(
             rows = [form.R[i] for i in idx]
             escape = model._objective_escape(c0, rows) if len(idx) < form.n else None
             form, lead = model.complete_rank(form, idx)
+        sched = PhiSchedule(variant=cfg.schedule, n=form.n, m=form.m)
     else:
         m, form, lead, escape = _face.form.m, _face.form, _face.lead, None
+        k = _face.n - _face.orig_n
+        sched = PhiSchedule(variant=SCHEDULE_PHASE1, n=_face.orig_n, m=form.m - k)
+        initial_bfs = _face.initial
 
     if initial_bfs is None or escape is not None:
         bfs = _phase1_start(form, lead, cfg, stream, out)
@@ -605,14 +564,13 @@ def solve(
         out.route = "escape"
         return _accept(out, form, m, c0, bfs.point, tuple(escape))
 
-    sched = _schedule or PhiSchedule(variant=cfg.schedule, n=form.n, m=form.m)
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
         # the boxed form's m + 2n rows, whether or not a walk appends the box
-        rng_i, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
+        bits, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
         tab = first or walk.Tableau(form, bfs, lead, c0_int)
         first = None
-        cand = repeated_shadow_vertex(tab, c0_int, phi, rng_i, stream, cap=cap)
+        cand = repeated_shadow_vertex(tab, c0_int, phi, bits, stream, cap=cap)
         out.traces.extend(cand.traces)
         out.doublings = i
         if cand.capped:
@@ -677,22 +635,14 @@ def _phase1_start(form, lead, cfg, stream, out):
     Phase 1 walks the face of LP' its start lies on and is skipped when the
     start is already a vertex.  The face is built from form
     (`phase1.build_phase1_face`), so the Phase-1 solve runs no rank pass and
-    builds no form of its own.  The phi base stays on form's (n, m), the
-    dimensions the paper's Phase-1 schedule is stated in; bits and pivot cap
-    follow the walked face."""
+    builds no form of its own.  Its phi base stays on form's (n, m), the
+    dimensions the paper's Phase-1 schedule is stated in, which it reads
+    off the face; bits and pivot cap follow the walked face."""
     p1 = phase1.build_phase1_face(form, lead)
     if isinstance(p1, BasicSolution):
         return p1
     out.phase1_artificials = p1.n - p1.orig_n
-    sub = solve(
-        None,
-        cfg,
-        initial_bfs=p1.initial,
-        _stream=stream,
-        _depth=1,
-        _schedule=PhiSchedule(variant=SCHEDULE_PHASE1, n=form.n, m=form.m),
-        _face=p1,
-    )
+    sub = solve(None, cfg, _stream=stream, _depth=1, _face=p1)
     out.phase1_pivots = sub.pivots
     out.traces.extend(sub.traces)
     if sub.status != "optimal":

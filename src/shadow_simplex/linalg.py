@@ -12,13 +12,14 @@ they are; and a fraction-free Gram-Schmidt pass over integer rows (the
 objective escape's projection `_project_out`, and the rows' own part of
 `FaceBasis`).  `FaceBasis` carries the complement of a growing row
 sequence, so a facet chain updates its face basis with each fixed row
-(`complement_basis_int`) instead of rebuilding it.
+(`complement_basis_int`) instead of rebuilding it, and lifts face
+coordinates back to Q^n (`FaceBasis.lift`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -219,6 +220,9 @@ class FaceBasis:
     norms `ortho_norms`), and the complement's basis `cols`, with each
     column's squared norm `norms` and near-unit scale `scales`, the
     (numerator, denominator) of `unit_scale_pq(norm, 1)` in lowest terms.
+    It is a facet chain's face: the points x_f + sum_k y_k v_k, v_k =
+    scale_k cols_k and x_f any point where the rows are tight, whose face
+    coordinates y `lift` maps back.
 
     Column k is the primitive residual of e_j off span(rows, e_1..e_{j-1})
     for the k-th j at which that residual is nonzero.  Fraction-free
@@ -261,6 +265,21 @@ class FaceBasis:
             N = sum(map(mul, v2, v2))
             t = unit_scale_pq(N, 1)
             cols[q], norms[q], scales[q] = tuple(v2), N, (t.numerator, t.denominator)
+
+    def lift(self, y) -> tuple[list[int], int]:
+        """The vector in span(cols) whose face coordinates (x . v_k)_k, v_k =
+        scale_k cols_k, are exactly y, both as (integer numerators,
+        denominator) pairs: x = sum_k y_k cols_k / (scale_k |cols_k|^2), over
+        one denominator, on the integer columns.  With no row added the
+        columns are the unit vectors, unscaled, and x is y itself."""
+        yn, yd = y
+        if not self.rows:
+            return list(yn), yd
+        # y_k / (scale_k N_k) = yn_k sd_k / (yd sn_k N_k), over yd L
+        dens = [sn * N for (sn, _), N in zip(self.scales, self.norms)]
+        L = lcm(*dens)
+        coef = [yk * sd * (L // dk) for yk, (_, sd), dk in zip(yn, self.scales, dens)]
+        return [sum(map(mul, coef, col)) for col in zip(*self.cols)], yd * L
 
 
 def complement_basis_int(

@@ -1,16 +1,22 @@
 """Random draws: objective perturbation, cone weights, and dyadic bit mode.
 
-Every draw is a dyadic rational j/2^k obtained by truncating one shared
-1024-bit underlying uniform integer, so runs with different bit counts but
-the same seed see bitwise-matching prefixes (the truncation map x ->
-floor(x*2^k)/2^k applied to a common x).  "Continuous" mode is the k = 53
-case, which makes it reproducible across platforms and exactly
-representable, so all downstream arithmetic stays rational.
+Every draw is a dyadic rational j/2^k built from one fresh 1024-bit
+underlying uniform integer x.  A draw of k <= 1024 bits truncates x (the map
+x -> floor(x*2^k)/2^k), so runs with different bit counts but the same seed
+see bitwise-matching prefixes as long as every draw is that narrow: the
+i-th draws of two such runs agree in their first min(k, k') bits.  A draw
+of k > 1024 bits, which the dyadic bit budget asks for on large faces, is
+x followed by k - 1024 further low-order bits from the same generator.  Its
+first 1024 bits are still the x of that draw, but it takes more of the
+generator than a narrow draw does, so every later draw of the run sees
+other underlying integers.  "Continuous" mode is the k = 53 case, which
+makes it reproducible across platforms and exactly representable, so all
+downstream arithmetic stays rational.
 
 The stream hands out the integer numerator j of each draw, and the round
-loop stays in integers: `perturb_objective` and `draw_lambda` return
-numerators over one common denominator, which the driver lifts and the
-walk's `Tableau.aim` takes as they are.
+loop stays in integers: `perturb_objective` and `draw_lambda` take the bit
+count k of their draws and return numerators over one common denominator,
+which the driver lifts and the walk's `Tableau.aim` takes as they are.
 """
 
 from __future__ import annotations
@@ -46,12 +52,6 @@ class RngConfig:
             if self.bits_per_draw < 1:
                 raise RandomnessError("bits_per_draw must be >= 1")
 
-    def effective_bits(self) -> int | None:
-        """Bits per draw, or None when dyadic mode must derive them per phi."""
-        if self.mode == MODE_FLOAT:
-            return CONTINUOUS_BITS
-        return self.bits_per_draw
-
 
 @dataclass(frozen=True)
 class PerturbedObjective:
@@ -72,13 +72,18 @@ class DrawStream:
         self.draws = 0
 
     def numerator(self, bits: int) -> int:
-        """The numerator j of a uniform draw j/2^bits on [0, 1), exact."""
-        if not 1 <= bits <= UNDERLYING_BITS:
-            raise RandomnessError(f"bits must be in 1..{UNDERLYING_BITS}")
+        """The numerator j of a uniform draw j/2^bits on [0, 1), exact: the
+        top bits of one underlying draw, extended by further low-order bits
+        past `UNDERLYING_BITS`."""
+        if bits < 1:
+            raise RandomnessError("bits must be >= 1")
         x = self._rng.getrandbits(UNDERLYING_BITS)
         self.bits_consumed += bits
         self.draws += 1
-        return x >> (UNDERLYING_BITS - bits)
+        extra = bits - UNDERLYING_BITS
+        if extra > 0:
+            return x << extra | self._rng.getrandbits(extra)
+        return x >> -extra
 
 
 def bit_budget(m: int, n: int, phi, delta) -> int:
@@ -104,22 +109,15 @@ def delta_hat(n: int, phi: Fraction) -> float:
     return 1.0 if p >= q else p / q
 
 
-def _draw_bits(cfg: RngConfig) -> int:
-    k = cfg.effective_bits()
-    if k is None:
-        raise RandomnessError("dyadic mode needs bits_per_draw (or a derived budget)")
-    return k
-
-
-def perturb_objective(c0, phi, cfg: RngConfig, stream: DrawStream) -> PerturbedObjective:
+def perturb_objective(c0, phi, bits: int, stream: DrawStream) -> PerturbedObjective:
     """Componentwise uniform perturbation of a near-unit c0 inside length-1/phi
     intervals, in integers.
 
     c0 is an (integer numerators, denominator > 0) pair; the caller has
     checked that it is near-unit.  Interval placement: [c0_i - 1/phi, c0_i]
     when c0_i sits above 1 - 1/phi, else [c0_i, c0_i + 1/phi]; both stay
-    inside [-1, 1].  With 1/phi = wn / wd and k bits per draw, everything is
-    over den = c0's denominator * wd * 2^k, where the draw j_i adds
+    inside [-1, 1].  With 1/phi = wn / wd and k = bits per draw, everything
+    is over den = c0's denominator * wd * 2^k, where the draw j_i adds
     wn * den_c0 * j_i.
     """
     a, d0 = c0
@@ -127,26 +125,24 @@ def perturb_objective(c0, phi, cfg: RngConfig, stream: DrawStream) -> PerturbedO
     phi = Fraction(phi)
     if float(phi) ** 2 < n * (1 - 1e-10):
         raise RandomnessError("phi must be at least sqrt(n)")
-    k = _draw_bits(cfg)
     wn, wd = phi.denominator, phi.numerator
     step = wn * d0  # 1/phi over den, per unit of j
-    width = step << k
+    width = step << bits
     top = (wd - wn) * d0  # c0_i > 1 - 1/phi exactly when a_i wd > top
     intervals = []
     c = []
     for ai in a:
-        lo = (ai * wd << k) - (width if ai * wd > top else 0)
+        lo = (ai * wd << bits) - (width if ai * wd > top else 0)
         intervals.append((lo, lo + width))
-        c.append(lo + step * stream.numerator(k))
-    return PerturbedObjective(c=tuple(c), intervals=tuple(intervals), den=d0 * wd << k)
+        c.append(lo + step * stream.numerator(bits))
+    return PerturbedObjective(c=tuple(c), intervals=tuple(intervals), den=d0 * wd << bits)
 
 
-def draw_lambda(n: int, cfg: RngConfig, stream: DrawStream) -> tuple[list[int], int]:
-    """n independent uniforms on (0, 1] (1 minus a [0,1) dyadic draw), as
-    numerators over their one denominator 2^k."""
-    k = _draw_bits(cfg)
-    den = 1 << k
-    return [den - stream.numerator(k) for _ in range(n)], den
+def draw_lambda(n: int, bits: int, stream: DrawStream) -> tuple[list[int], int]:
+    """n independent uniforms on (0, 1] (1 minus a [0,1) dyadic draw of
+    bits bits), as numerators over their one denominator 2^bits."""
+    den = 1 << bits
+    return [den - stream.numerator(bits) for _ in range(n)], den
 
 
 def cone_objective(tight_rows, lam) -> list[Fraction]:

@@ -63,7 +63,7 @@ from operator import add, mul, neg, sub
 
 from . import linalg, model
 from .model import BasicSolution, IntegerForm, LinearProgram
-from .rational import as_fractions, common_denominator, fraction, lowest_terms
+from .rational import as_fractions, common_denominator, fraction
 
 
 class WalkError(RuntimeError):
@@ -196,14 +196,15 @@ class Tableau:
     def aim(self, c, w, held=()) -> None:
         """Set the objectives of the next walk, each an (integer numerators,
         denominator > 0) pair, and the basis rows it holds; the pivot count
-        starts again at 0.  Each pair is kept with its gcd stripped, which is
-        what `common_denominator` gives for the same values."""
+        starts again at 0.  Each pair is kept as given: every pivot decision,
+        and the value of every step the walk records, is the same at any
+        positive scale of a pair."""
         self.held = frozenset(held)
         in_basis = set(self.basis)
         if not self.held <= in_basis:
             raise WalkError("held rows must be in the basis")
-        self.c_num, self.c_den = lowest_terms(*c)
-        self.w_num, self.w_den = lowest_terms(*w)
+        self.c_num, self.c_den = c
+        self.w_num, self.w_den = w
         # the prices c M and w M: edge k has c^T d_k = -t_c[k] / (D c_den)
         cols = list(zip(*self.M))
         self.t_c = [sum(map(mul, self.c_num, col)) for col in cols]

@@ -43,8 +43,9 @@ def unit(stream, bits):
     return Fraction(stream.numerator(bits), 1 << bits)
 
 
-def perturb_objective(c0, phi, cfg, stream):
-    """(c, intervals) as Fractions, c0 a near-unit Fraction vector."""
+def perturb_objective(c0, phi, bits, stream):
+    """(c, intervals) as Fractions, c0 a near-unit Fraction vector, from
+    draws of bits bits."""
     c0 = as_fractions(c0)
     n = len(c0)
     phi = Fraction(phi)
@@ -52,30 +53,29 @@ def perturb_objective(c0, phi, cfg, stream):
         raise RandomnessError("phi must be at least sqrt(n)")
     if abs(float(norm_sq(c0)) - 1.0) > 3e-10:
         raise RandomnessError("c0 must be unit norm")
-    k = cfg.effective_bits()
     width = 1 / phi
     intervals = []
     c = []
     for i in range(n):
         lo = c0[i] - width if c0[i] > 1 - width else c0[i]
         intervals.append((lo, lo + width))
-        c.append(lo + width * unit(stream, k))
+        c.append(lo + width * unit(stream, bits))
     return c, intervals
 
 
-def draw_lambda(n, cfg, stream):
-    k = cfg.effective_bits()
-    return [1 - unit(stream, k) for _ in range(n)]
+def draw_lambda(n, bits, stream):
+    return [1 - unit(stream, bits) for _ in range(n)]
 
 
-def lift(r, y):
-    """The vector in span(r.cols) whose face coordinates are the Fractions y."""
+def lift(basis, y):
+    """The vector in span(basis.cols) whose face coordinates are the
+    Fractions y."""
     coef = [
         yk / (Fraction(*sk) * sum(a * a for a in v))
-        for yk, sk, v in zip(as_fractions(y), r.col_scale, r.cols)
+        for yk, sk, v in zip(as_fractions(y), basis.scales, basis.cols)
     ]
     nums, den = common_denominator(coef)
-    return [Fraction(sum(map(mul, nums, col)), den) for col in zip(*r.cols)]
+    return [Fraction(sum(map(mul, nums, col)), den) for col in zip(*basis.cols)]
 
 
 def lifted_cone_objective(rows, lam, tau):
@@ -113,24 +113,24 @@ def complement_basis(rows, n):
     return out
 
 
-def face_factor(row, r):
-    """tau of an integer row on the face of r: `unit_scale_pq` of its face
-    image's squared norm, the Fraction coordinates (row . cols_k) col_scale_k
-    summed as p^2 / q^2 term by term over the product of the q^2, the
-    unreduced form the solver rounds."""
+def face_factor(row, basis):
+    """tau of an integer row on the face of basis: `unit_scale_pq` of its
+    face image's squared norm, the Fraction coordinates (row . cols_k)
+    scale_k summed as p^2 / q^2 term by term over the product of the q^2,
+    the unreduced form the solver rounds."""
     num, den = 0, 1
-    for v, s in zip(r.cols, r.col_scale):
+    for v, s in zip(basis.cols, basis.scales):
         x = Fraction(*s) * sum(map(mul, row, v))
         q2 = x.denominator**2
         num, den = num * q2 + x.numerator**2 * den, den * q2
     return unit_scale_pq(num, den)
 
 
-def identify_basis_element(tab, r, free):
+def identify_basis_element(tab, basis, free):
     """Position in free of the largest mu_j = t_c[j] / tau_j, as Fractions,
     ties to the smallest position."""
     pos = {row: k for k, row in enumerate(tab.basis)}
-    mu = [Fraction(tab.t_c[pos[i]]) / face_factor(tab.R[i], r) for i in free]
+    mu = [Fraction(tab.t_c[pos[i]]) / face_factor(tab.R[i], basis) for i in free]
     return max(range(len(free)), key=lambda k: (mu[k], -k))
 
 

@@ -243,18 +243,19 @@ def test_criterion_6_facet_identification():
         inv2 = metrics.delta_matrix(boxed.rows()).inv_delta_sq
         phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)  # > 2 n^{3/2}/delta
         # the first round of a facet chain: nothing fixed yet
-        r = driver.facet_restriction([], primitive_int_row(boxed.c0)[0])
+        basis = linalg.FaceBasis(n)
+        c0_face = driver.facet_restriction([], primitive_int_row(boxed.c0)[0], basis)
         tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
         stream = randomness.DrawStream(done)
-        rcfg = randomness.RngConfig(seed=done)
-        pert = randomness.perturb_objective(r.c0, phi, rcfg, stream)
-        u = driver.restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
-        lam = randomness.draw_lambda(n, rcfg, stream)
+        bits = randomness.CONTINUOUS_BITS
+        pert = randomness.perturb_objective(c0_face, phi, bits, stream)
+        u = driver.restriction_coords(basis, [tab.R[i] for i in sorted(tab.basis)])
+        lam = randomness.draw_lambda(n, bits, stream)
         w = randomness.cone_objective(u, values(lam))
-        res = walk.shadow_walk(tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
+        res = walk.shadow_walk(tab, basis.lift((pert.c, pert.den)), basis.lift(pair(w)))
         assert res.finished
         free = sorted(tab.basis)
-        if free[driver.identify_basis_element(tab, r, free, {})] not in opt_tight:
+        if free[driver.identify_basis_element(tab, basis, free, {})] not in opt_tight:
             wrong += 1
         done += 1
     ok = wrong == 0

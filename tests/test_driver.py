@@ -12,7 +12,12 @@ import reference
 from reference import pair, path_values, validate_shadow_path, values
 from test_golden import _flat_in_x3, _interior_point, _solve_warm
 from test_fuzz import lps as fuzz_lps
-from test_integer_path import load_workloads, random_boxed
+from test_integer_path import (
+    load_workloads,
+    random_boxed,
+    solve_benchmark_pools,
+    solve_fuzz_corpus,
+)
 
 from shadow_simplex import (
     driver,
@@ -40,6 +45,7 @@ from shadow_simplex.model import BasicSolution, UnboundedCertificate
 from shadow_simplex.rational import as_fractions, dot, primitive_int_row
 
 F = Fraction
+BITS = randomness.CONTINUOUS_BITS  # the bits of a float-mode draw
 
 
 def square(c0=(1, 1)):
@@ -72,20 +78,22 @@ def prim(row):
 
 
 def restrict(lp, fixed):
-    """facet_restriction on the primitive rows of lp's fixed rows and c0,
-    as the facet chain calls it."""
-    return facet_restriction([prim(lp.row(i)) for i in fixed], prim(lp.c0))
+    """(the face basis of lp's fixed rows, c0's face image): facet_restriction
+    on the primitive rows of lp's fixed rows and c0, as the facet chain
+    calls it, on a fresh `linalg.FaceBasis`."""
+    basis = linalg.FaceBasis(lp.n)
+    return basis, facet_restriction([prim(lp.row(i)) for i in fixed], prim(lp.c0), basis)
 
 
 def identify_at(lp, start, c):
     """The row identify_basis_element fixes, in the first round of a chain,
     on a tableau standing at start, whose basis carries c."""
     tab = walk.Tableau(model.integer_form(lp), start)
-    r = restrict(lp, [])
-    tab.aim(r.lift(pair(c)), ([0] * lp.n, 1))
+    basis, _ = restrict(lp, [])
+    tab.aim(basis.lift(pair(c)), ([0] * lp.n, 1))
     assert tab.at_optimum()
     free = sorted(tab.basis)
-    return free[identify_basis_element(tab, r, free, {})]
+    return free[identify_basis_element(tab, basis, free, {})]
 
 
 class TestIdentify:
@@ -122,38 +130,38 @@ class TestIdentify:
             lp = box(model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n))
             tab = walk.Tableau(model.integer_form(lp), model.move_to_vertex(lp, [F(0)] * n))
             fixed = tab.basis[:1] if n > 2 else []
-            r = restrict(lp, fixed)
-            c = [F(rng.randint(-9, 9), 10) for _ in r.cols]
+            basis, _ = restrict(lp, fixed)
+            c = [F(rng.randint(-9, 9), 10) for _ in basis.cols]
             if not any(c):
                 continue
-            walk.shadow_walk(tab, r.lift(pair(c)), ([0] * n, 1), held=fixed)
+            walk.shadow_walk(tab, basis.lift(pair(c)), ([0] * n, 1), held=fixed)
             free = sorted(set(tab.basis) - set(fixed))
-            u = restriction_coords(r, [tab.R[i] for i in free])
+            u = restriction_coords(basis, [tab.R[i] for i in free])
             mu = linalg.solve_square([list(col) for col in zip(*u)], c)
             assert min(mu) >= 0
-            assert identify_basis_element(tab, r, free, {}) == max(
+            assert identify_basis_element(tab, basis, free, {}) == max(
                 range(len(free)), key=lambda k: (mu[k], -k)
             )
             done += 1
 
 
-def face_coords(r, vec):
-    """Exact face coordinates (vec . col_scale_k cols_k)_k, unscaled."""
-    return [dot(list(vec), [F(*s) * a for a in v]) for v, s in zip(r.cols, r.col_scale)]
+def face_coords(basis, vec):
+    """Exact face coordinates (vec . scale_k cols_k)_k, unscaled."""
+    return [dot(list(vec), [F(*s) * a for a in v]) for v, s in zip(basis.cols, basis.scales)]
 
 
 class TestReduceAndLift:
     def test_square_reduce_to_interval(self):
         lp = square()
-        r = restrict(lp, [0])  # fix x <= 1
-        assert len(r.cols) == 1
+        basis, c0_face = restrict(lp, [0])  # fix x <= 1
+        assert len(basis.cols) == 1
         # an interval: x <= 1 and -x <= 0 are constant on the face, the
         # other two rows bound it from both sides
-        faces = restriction_coords(r, [prim(lp.row(i)) for i in range(lp.m)])
+        faces = restriction_coords(basis, [prim(lp.row(i)) for i in range(lp.m)])
         assert faces == [None, None, [1], [-1]]
         # walking with the fixed row held goes from (1, 0) to (1, 1)
         tab = walk.Tableau(boxed_form(lp), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
-        res = walk.shadow_walk(tab, r.lift(r.c0), r.lift(pair([F(-1)])), held=[0])
+        res = walk.shadow_walk(tab, basis.lift(c0_face), basis.lift(pair([F(-1)])), held=[0])
         assert res.finished and tab.solution().point == (1, 1)
         assert 0 in tab.solution().basis
 
@@ -174,19 +182,19 @@ class TestReduceAndLift:
                 continue
             lp = model.make_lp(A, [F(rng.randint(1, 4)) for _ in A], [1] * n)
             fixed = [0, 1] if n > 2 and linalg.rank(A[:2]) == 2 else [0]
-            r = restrict(lp, fixed)
+            basis, _ = restrict(lp, fixed)
             # the face basis is exactly orthogonal to the fixed rows and
             # pairwise
-            for v in r.cols:
+            for v in basis.cols:
                 assert all(dot(lp.row(i), as_fractions(v)) == 0 for i in fixed)
-            for a, b in combinations(r.cols, 2):
+            for a, b in combinations(basis.cols, 2):
                 assert sum(x * y for x, y in zip(a, b)) == 0
-            y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r.cols]
-            x = values(r.lift(pair(y)))
+            y = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis.cols]
+            x = values(basis.lift(pair(y)))
             # the lifted direction lies in the face ...
             assert all(dot(lp.row(i), x) == 0 for i in fixed)
             # ... and maps back to the same face coordinates
-            assert face_coords(r, x) == y
+            assert face_coords(basis, x) == y
             done += 1
 
     def test_delta_preserved_on_4d_instance(self):
@@ -199,9 +207,9 @@ class TestReduceAndLift:
                 continue
             lp = model.make_lp(A, [1] * len(A), [1, 0, 0, 0])
             before = metrics.delta_matrix(lp.rows()).delta
-            r = restrict(lp, [0])
-            red = [u for u in restriction_coords(r, [prim(row) for row in lp.rows()[1:]]) if u]
-            if linalg.rank(red) < len(r.cols):
+            basis, _ = restrict(lp, [0])
+            red = [u for u in restriction_coords(basis, [prim(row) for row in lp.rows()[1:]]) if u]
+            if linalg.rank(red) < len(basis.cols):
                 continue
             after = metrics.delta_matrix(red).delta
             # restriction cannot worsen delta (projection preserves the
@@ -212,22 +220,22 @@ class TestReduceAndLift:
 
     def test_restriction_coords_inverse(self):
         lp = square()
-        r = restrict(lp, [2])  # fix y <= 1
-        assert values(r.lift(pair([F(1, 3)]))) == [F(1, 3), 0]
-        assert face_coords(r, [F(1, 3), F(5)]) == [F(1, 3)]
+        basis, _ = restrict(lp, [2])  # fix y <= 1
+        assert values(basis.lift(pair([F(1, 3)]))) == [F(1, 3), 0]
+        assert face_coords(basis, [F(1, 3), F(5)]) == [F(1, 3)]
         # face coordinates are near-unit, and None for a row parallel to the
         # fixed one
-        assert restriction_coords(r, [[1, 0], [0, -1], [-3, 0]]) == [[1], None, [-1]]
+        assert restriction_coords(basis, [[1, 0], [0, -1], [-3, 0]]) == [[1], None, [-1]]
 
 
 class TestRoundZero:
-    """With no row fixed, each row is its own face coordinates: a round-0
-    tau, c0's face image and the lift equal their forms over the unit
-    columns of `linalg.FaceBasis(n)`, without a dot product."""
+    """Round 0 is the round whose face basis has no row yet.  Each row is
+    its own face coordinates there: a round-0 tau, c0's face image and the
+    lift equal their forms over the unit columns of `linalg.FaceBasis(n)`,
+    without a dot product."""
 
     def test_rows_are_their_own_face_coordinates(self):
         rng = random.Random(29)
-        shared = 0
         for _ in range(400):
             n = rng.randint(1, 6)
             big = 10 ** rng.choice([1, 1, 6])
@@ -235,25 +243,59 @@ class TestRoundZero:
             rows = [r for r in rows if any(r)]
             c0 = [rng.choice([0, rng.randint(-big, big)]) for _ in range(n)]
             unit = linalg.FaceBasis(n)
-            cols, scales = list(unit.cols), tuple(unit.scales)
-            tau = driver._unit_tau(rows, range(len(rows)))
-            assert tau == {i: driver._face_scale(r, cols, scales)[1] for i, r in enumerate(rows)}
-            for i, j in combinations(range(len(rows)), 2):
-                if dot(rows[i], rows[i]) == dot(rows[j], rows[j]):
-                    assert tau[i] is tau[j]
-                    shared += 1
-            r = facet_restriction([], c0)
-            assert (list(r.cols), r.col_scale) == (cols, scales)
+            cols, scales = list(unit.cols), list(unit.scales)
+            for row in rows:
+                assert driver._face_image(row, unit) == driver._face_scale(row, cols, scales)
+            c0_face = facet_restriction([], c0, unit)
+            assert (unit.rows, unit.cols, unit.scales) == (0, cols, scales)
             face = driver._face_scale(c0, cols, scales)
             if face is None:
-                assert r.c0 is None and not any(c0)
+                assert c0_face is None and not any(c0)
             else:
                 red, t = face
                 L = lcm(*(q for _, q in red))
-                assert r.c0 == (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
+                assert c0_face == (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
             y = ([rng.randint(-9, 9) for _ in range(n)], rng.randint(1, 9))
-            assert values(r.lift(y)) == reference.lift(r, values(y))
-        assert shared > 100
+            assert values(unit.lift(y)) == reference.lift(unit, values(y))
+
+    @pytest.fixture
+    def round_zero(self, monkeypatch):
+        """Check every face image formed on a round-0 face against
+        `_face_scale` over the unit columns; returns the counts of those
+        checked and of those identify_basis_element formed, the tau of rows
+        that entered the basis during round 0's walk."""
+        seen = {"round 0": 0, "entered": 0}
+        face_image, identify = driver._face_image, driver.identify_basis_element
+        identifying = []
+
+        def checked_image(ints, basis):
+            got = face_image(ints, basis)
+            if not basis.rows:
+                unit = linalg.FaceBasis(len(ints))
+                assert got == driver._face_scale(ints, unit.cols, unit.scales)
+                seen["round 0"] += 1
+                seen["entered"] += bool(identifying)
+            return got
+
+        def checked_identify(tab, basis, free, tau):
+            identifying.append(tab)
+            try:
+                return identify(tab, basis, free, tau)
+            finally:
+                identifying.pop()
+
+        monkeypatch.setattr(driver, "_face_image", checked_image)
+        monkeypatch.setattr(driver, "identify_basis_element", checked_identify)
+        return seen
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_fuzz_corpus(self, round_zero, mode):
+        solve_fuzz_corpus(mode)
+        assert round_zero["round 0"] > 1000 and round_zero["entered"] > 10, round_zero
+
+    def test_benchmark_pools(self, round_zero):
+        solve_benchmark_pools(7)
+        assert round_zero["round 0"] > 3000 and round_zero["entered"] > 30, round_zero
 
 
 def certify(lp, x):
@@ -342,7 +384,7 @@ class TestRepeated:
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         tab = walk.Tableau(boxed_form(lp), start)
         cand = repeated_shadow_vertex(
-            tab, prim(lp.c0), F(64), randomness.RngConfig(seed=1), randomness.DrawStream(1)
+            tab, prim(lp.c0), F(64), BITS, randomness.DrawStream(1)
         )
         assert not cand.capped
         assert tab.solution().point == (1, 1)
@@ -352,7 +394,7 @@ class TestRepeated:
         start = BasicSolution(point=(F(0),), basis=(1,))
         tab = walk.Tableau(boxed_form(lp), start)
         cand = repeated_shadow_vertex(
-            tab, prim(lp.c0), F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
+            tab, prim(lp.c0), F(16), BITS, randomness.DrawStream(3)
         )
         assert tab.solution().point == (1,)
         assert len(cand.traces) == 1
@@ -362,7 +404,7 @@ class TestRepeated:
         start = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         cand = repeated_shadow_vertex(
             walk.Tableau(boxed_form(lp), start), prim(lp.c0), F(64),
-            randomness.RngConfig(seed=1), randomness.DrawStream(1), cap=0
+            BITS, randomness.DrawStream(1), cap=0
         )
         assert cand.capped
 
@@ -378,7 +420,7 @@ class TestRepeated:
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         tab = walk.Tableau(form, start)
         cand = repeated_shadow_vertex(
-            tab, prim(cube.c0), F(2), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            tab, prim(cube.c0), F(2), BITS, randomness.DrawStream(2)
         )
         assert len(cand.traces) == 3
         assert tab.solution().point == (1, 0, 0)
@@ -467,13 +509,13 @@ def twinned_chains(monkeypatch):
     seen = {"chains": 0, "boxed": 0, "rays": 0}
     chain = driver.repeated_shadow_vertex
 
-    def twins(tab, c0, phi, rng, stream, cap=None):
+    def twins(tab, c0, phi, bits, stream, cap=None):
         twin = copy.deepcopy(stream)
         form, lead = tab.form, tab.lead() if callable(tab.lead) else tab.lead
         boxed = model.bound_polytope(form, lead)
         ref = walk.Tableau(boxed, tab.solution())
-        eager = chain(ref, c0, phi, rng, twin, cap=cap)
-        lazy = chain(tab, c0, phi, rng, stream, cap=cap)
+        eager = chain(ref, c0, phi, bits, twin, cap=cap)
+        lazy = chain(tab, c0, phi, bits, stream, cap=cap)
         seen["chains"] += 1
         if lazy.ray is not None:
             assert_ray_twin(tab, lazy, eager, boxed)
@@ -862,7 +904,7 @@ class TestRoutes:
         start = BasicSolution(point=(F(0),), basis=(0,))
         tab = walk.Tableau(model.integer_form(lp), start, [0], [1])
         cand = repeated_shadow_vertex(
-            tab, [1], F(16), randomness.RngConfig(seed=3), randomness.DrawStream(3)
+            tab, [1], F(16), BITS, randomness.DrawStream(3)
         )
         assert cand.ray == (1,) and not cand.capped and not tab.boxed
         assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
@@ -989,7 +1031,7 @@ class TestChainStop:
         start = BasicSolution(point=(F(0), F(0), F(0)), basis=(3, 4, 5))
         tab = walk.Tableau(form, start)
         cand = repeated_shadow_vertex(
-            tab, prim(cube.c0), F(64), randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            tab, prim(cube.c0), F(64), BITS, randomness.DrawStream(2)
         )
         assert len(cand.traces) == 1 and not cand.capped
         assert tab.solution().point == (1, 1, 1) and tab.carries([3, 2, 1])
@@ -1005,7 +1047,7 @@ class TestChainStop:
         start = BasicSolution(point=(F(1), F(1), F(1)), basis=(0, 1, 2))
         cand = repeated_shadow_vertex(
             walk.Tableau(boxed_form(cube), start), prim(cube.c0), F(64),
-            randomness.RngConfig(seed=2), randomness.DrawStream(2)
+            BITS, randomness.DrawStream(2)
         )
         assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
 
@@ -1098,7 +1140,7 @@ class TestChainStop:
 class TestConeObjective:
     def test_integer_w_prices_like_the_projected_w(self):
         # w on the tableau's integer rows against the face-coordinate w
-        # lifted by r.lift: equal prices at every non-held basis position
+        # lifted by basis.lift: equal prices at every non-held basis position
         # along the walk, and the same path
         rng = random.Random(91)
         done = 0
@@ -1115,19 +1157,19 @@ class TestConeObjective:
             start = model.move_to_vertex(lp, [F(0)] * n)
             tab = walk.Tableau(model.integer_form(lp), start)
             fixed = tab.basis[: min(done % 3, n - 1)]
-            r = facet_restriction([tab.R[i] for i in fixed], prim(lp.c0))
-            if r.c0 is None:
+            basis = linalg.FaceBasis(n)
+            c0_face = facet_restriction([tab.R[i] for i in fixed], prim(lp.c0), basis)
+            if c0_face is None:
                 continue
             free = sorted(set(tab.basis) - set(fixed))
-            rcfg = randomness.RngConfig(seed=done)
             stream = randomness.DrawStream(done)
-            pert = randomness.perturb_objective(r.c0, F(8 * n), rcfg, stream)
-            c = r.lift((pert.c, pert.den))
-            lam = randomness.draw_lambda(len(free), rcfg, stream)
-            tau = [driver._face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free]
+            pert = randomness.perturb_objective(c0_face, F(8 * n), BITS, stream)
+            c = basis.lift((pert.c, pert.den))
+            lam = randomness.draw_lambda(len(free), BITS, stream)
+            tau = [driver._face_scale(tab.R[i], basis.cols, basis.scales)[1] for i in free]
             w_int = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
-            u = restriction_coords(r, [tab.R[i] for i in free])
-            w_ref = r.lift(pair(randomness.cone_objective(u, values(lam))))
+            u = restriction_coords(basis, [tab.R[i] for i in free])
+            w_ref = basis.lift(pair(randomness.cone_objective(u, values(lam))))
 
             tab.aim(c, w_int, fixed)
             while True:
@@ -1158,13 +1200,14 @@ class TestConeObjective:
 
     def test_unit_norm_check_on_tau(self, monkeypatch):
         exact = driver.unit_scale_pq
-        r = facet_restriction([[1, 1, 0]], [1, 2, 3])
-        assert driver._face_scale([1, 0, 2], r.cols, r.col_scale) is not None
+        basis = linalg.FaceBasis(3)
+        facet_restriction([[1, 1, 0]], [1, 2, 3], basis)
+        assert driver._face_scale([1, 0, 2], basis.cols, basis.scales) is not None
         monkeypatch.setattr(
             driver, "unit_scale_pq", lambda p, q: exact(p, q) * F(2**20 + 1, 2**20)
         )
         with pytest.raises(DriverError, match="unit norm"):
-            driver._face_scale([1, 0, 2], r.cols, r.col_scale)
+            driver._face_scale([1, 0, 2], basis.cols, basis.scales)
         with pytest.raises(DriverError, match="unit norm"):
             solve(square(), cfg())
         # an error well inside the 3e-10 tolerance passes
@@ -1202,8 +1245,8 @@ class TestSchedule:
                 phi = sched.phi(i)
                 dh = reference.delta_hat(n, phi)
                 assert randomness.delta_hat(n, phi) == float(dh)
-                rng, cap = driver._walk_bits_and_cap(m, n, phi, conf)
-                assert rng.bits_per_draw == randomness.bit_budget(m, n, phi, dh)
+                bits, cap = driver._walk_bits_and_cap(m, n, phi, conf)
+                assert bits == randomness.bit_budget(m, n, phi, dh)
                 assert cap == driver.pivot_cap(m, n, phi, dh, conf.cap_constant)
 
 
@@ -1228,6 +1271,27 @@ class TestSolve:
         out = solve(lp, cfg())
         assert out.status == "unbounded"
         driver._check_ray(model.integer_form(lp), lp.m, lp.c0, out.ray)
+
+    @pytest.mark.parametrize("s", range(6))
+    def test_dyadic_draws_wider_than_the_underlying_draw(self, s, monkeypatch):
+        # cold 32x16 TU solves: the Phase-1 face's bit budget passes the
+        # 1024-bit underlying draw, whose draws once raised; the dyadic solve
+        # answers with the float-mode value
+        lp = harness.generate_tu_instance(harness.GENERATORS[s % 3], 32, 16, 1000 + s)
+        widths = []
+        bits_and_cap = driver._walk_bits_and_cap
+
+        def recording(*args):
+            got = bits_and_cap(*args)
+            widths.append(got[0])
+            return got
+
+        monkeypatch.setattr(driver, "_walk_bits_and_cap", recording)
+        dyadic = randomness.RngConfig(seed=s, mode=randomness.MODE_DYADIC)
+        out = solve(lp, SolveConfig(rng=dyadic))
+        assert max(widths) > randomness.UNDERLYING_BITS
+        ref = solve(lp, cfg(seed=s))
+        assert out.status == ref.status == "optimal" and out.value == ref.value
 
     def test_random_20x8_unbounded_quickly(self):
         # the old ray scan took minutes on this instance (C(20, 7) subsets)
@@ -1546,16 +1610,15 @@ class TestSolve:
 
             phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
             # the first round of a facet chain: nothing fixed yet
-            r = restrict(boxed, [])
+            basis, c0_face = restrict(boxed, [])
             tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
             stream = randomness.DrawStream(done)
-            rcfg = randomness.RngConfig(seed=done)
-            pert = randomness.perturb_objective(r.c0, phi, rcfg, stream)
-            u = restriction_coords(r, [tab.R[i] for i in sorted(tab.basis)])
-            lam = randomness.draw_lambda(n, rcfg, stream)
+            pert = randomness.perturb_objective(c0_face, phi, BITS, stream)
+            u = restriction_coords(basis, [tab.R[i] for i in sorted(tab.basis)])
+            lam = randomness.draw_lambda(n, BITS, stream)
             w = randomness.cone_objective(u, values(lam))
-            res = walk.shadow_walk(tab, r.lift((pert.c, pert.den)), r.lift(pair(w)))
+            res = walk.shadow_walk(tab, basis.lift((pert.c, pert.den)), basis.lift(pair(w)))
             assert res.finished
             free = sorted(tab.basis)
-            assert free[identify_basis_element(tab, r, free, {})] in opt_tight
+            assert free[identify_basis_element(tab, basis, free, {})] in opt_tight
             done += 1

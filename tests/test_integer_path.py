@@ -16,11 +16,12 @@ import reference
 from boxing import box, boxed_form, lead_rows, on_box
 from chains import nested_objective
 from reference import values
+from test_fuzz import lps as fuzz_lps
 from test_golden import _interior_point
 
 from shadow_simplex import driver, harness, linalg, model, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, LPModelError, UnboundedCertificate
-from shadow_simplex.rational import common_denominator, primitive_int_row
+from shadow_simplex.rational import primitive_int_row
 
 F = Fraction
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -50,40 +51,65 @@ def test_round_loop_matches_the_fraction_formulas(mode):
         lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
         tab = walk.Tableau(model.integer_form(lp), start)
         fixed = tab.basis[: rng.randint(0, n - 1)]
-        r = driver.facet_restriction([tab.R[i] for i in fixed], primitive_int_row(lp.c0)[0])
-        if r.c0 is None:
+        c0 = primitive_int_row(lp.c0)[0]
+        basis = linalg.FaceBasis(n)
+        c0_face = driver.facet_restriction([tab.R[i] for i in fixed], c0, basis)
+        if c0_face is None:
             continue
-        (c0_face,) = driver.restriction_coords(r, [primitive_int_row(lp.c0)[0]])
-        assert values(r.c0) == c0_face
+        (c0_ref,) = driver.restriction_coords(basis, [c0])
+        assert values(c0_face) == c0_ref
         free = sorted(set(tab.basis) - set(fixed))
         phi = driver.PhiSchedule(driver.SCHEDULE_BASE, n=lp.n, m=lp.m).phi(rng.randint(0, 3))
-        rcfg, _ = driver._walk_bits_and_cap(
+        bits, _ = driver._walk_bits_and_cap(
             lp.m, lp.n, phi, driver.SolveConfig(rng=randomness.RngConfig(seed=done, mode=mode))
         )
         got_stream, ref_stream = randomness.DrawStream(done), randomness.DrawStream(done)
 
-        pert = randomness.perturb_objective(r.c0, phi, rcfg, got_stream)
-        ref_c, ref_intervals = reference.perturb_objective(c0_face, phi, rcfg, ref_stream)
+        pert = randomness.perturb_objective(c0_face, phi, bits, got_stream)
+        ref_c, ref_intervals = reference.perturb_objective(c0_ref, phi, bits, ref_stream)
         assert values((pert.c, pert.den)) == ref_c
         assert [(F(lo, pert.den), F(hi, pert.den)) for lo, hi in pert.intervals] == ref_intervals
 
-        lam = randomness.draw_lambda(len(free), rcfg, got_stream)
-        ref_lam = reference.draw_lambda(len(free), rcfg, ref_stream)
+        lam = randomness.draw_lambda(len(free), bits, got_stream)
+        ref_lam = reference.draw_lambda(len(free), bits, ref_stream)
         assert values(lam) == ref_lam
         assert got_stream.bits_consumed == ref_stream.bits_consumed
 
-        c = r.lift((pert.c, pert.den))
-        ref_lift = reference.lift(r, ref_c)
+        c = basis.lift((pert.c, pert.den))
+        ref_lift = reference.lift(basis, ref_c)
         assert values(c) == ref_lift
-        tau = [driver._face_scale(tab.R[i], r.cols, r.col_scale)[1] for i in free]
+        tau = [driver._face_image(tab.R[i], basis)[1] for i in free]
         w = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
         ref_w = reference.lifted_cone_objective([tab.R[i] for i in free], ref_lam, tau)
         assert values(w) == ref_w
 
+        # aim keeps each pair as given
         tab.aim(c, w, fixed)
-        assert (tab.c_num, tab.c_den) == common_denominator(ref_lift)
-        assert (tab.w_num, tab.w_den) == common_denominator(ref_w)
+        assert (tab.c_num, tab.c_den, tab.w_num, tab.w_den) == (*c, *w)
         done += 1
+
+
+def face_state(basis):
+    """Everything a `linalg.FaceBasis` carries."""
+    return basis.rows, basis.ortho, basis.ortho_norms, basis.cols, basis.norms, basis.scales
+
+
+def solve_fuzz_corpus(mode):
+    """Solve every LP of the differential fuzz corpus (tests/test_fuzz.py)
+    in mode, with the case number as seed."""
+    for case, _, lp in fuzz_lps():
+        driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
+
+
+def solve_benchmark_pools(seed):
+    """Solve every instance of the three benchmark pools of seed, as the
+    benchmark's first pass solves them."""
+    workloads = load_workloads()
+    pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+    for name in workloads.WORKLOADS:
+        for inst in workloads.build_pool(pkg, name, seed):
+            rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
+            driver.solve(inst.lp, driver.SolveConfig(rng=rng), initial_bfs=inst.start)
 
 
 def test_chain_orthogonalizes_each_fixed_row_once():
@@ -98,44 +124,50 @@ def test_chain_orthogonalizes_each_fixed_row_once():
         basis = linalg.FaceBasis(n)
         for k in range(n):
             fixed = [rows[i] for i in start.basis[:k]]
-            assert driver.facet_restriction(fixed, c0, basis) == driver.facet_restriction(fixed, c0)
+            fresh = linalg.FaceBasis(n)
+            got = driver.facet_restriction(fixed, c0, basis)
+            assert got == driver.facet_restriction(fixed, c0, fresh)
+            assert face_state(basis) == face_state(fresh)
             assert len(basis.ortho) == k
 
 
 class TestCarriedFaceBasis:
-    """Every round of every facet chain, on TU rows and on rational rows:
-    the face basis the chain carries equals one built afresh from its fixed
-    rows and the Fraction Gram-Schmidt residuals of tests/reference.py, and
-    the round's face factors and facet choice equal their Fraction forms.
-    The LPs take nested objectives (tests/chains.py), so that their chains
-    walk several rounds."""
+    """Every round of every facet chain: the face basis the chain carries,
+    once the round's new fixed row is added, equals one built afresh from
+    its fixed rows (columns, norms, scales and c0's face image) and the
+    Fraction Gram-Schmidt residuals of tests/reference.py, and the round's
+    face factors and facet choice equal their Fraction forms.  The TU and
+    rational LPs take nested objectives (tests/chains.py), so that their
+    chains walk several rounds; the fuzz corpus and the benchmark pools are
+    solved as they are."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
         """Patch the round loop's checks in; returns the cases the carried
         updates met."""
-        seen = {"skipped inside": 0, "dropped first": 0, "dropped last": 0, "rounds": 0}
+        seen = {"skipped inside": 0, "dropped first": 0, "dropped last": 0, "rounds": 0, "fixed": 0}
         last_js = {}  # by the chain's FaceBasis itself, which the key keeps alive
         facet_restriction = driver.facet_restriction
         identify = driver.identify_basis_element
 
-        def checked_restriction(fixed, c0, basis=None):
-            r = facet_restriction(fixed, c0, basis)
+        def checked_restriction(fixed, c0, basis):
+            got = facet_restriction(fixed, c0, basis)
             n = len(c0)
             fresh = linalg.FaceBasis(n)
-            assert linalg.complement_basis_int(fixed, n, fresh) == basis.cols
-            assert (basis.cols, basis.norms, basis.scales) == (fresh.cols, fresh.norms, fresh.scales)
-            assert r == facet_restriction(fixed, c0)
+            assert facet_restriction(fixed, c0, fresh) == got
+            assert face_state(basis) == face_state(fresh)
             ref = reference.complement_basis(fixed, n)
             assert basis.cols == [v for _, v in ref]
             assert basis.norms == [sum(a * a for a in v) for v in basis.cols]
             assert basis.scales == [
                 (t.numerator, t.denominator) for t in map(rational.unit_scale, basis.cols)
             ]
-            if r.c0 is not None:
-                tau = reference.face_factor(c0, r)
-                assert values(r.c0) == [
-                    tau * F(*s) * sum(map(mul, c0, v)) for v, s in zip(r.cols, r.col_scale)
+            if got is None:
+                assert not any(sum(map(mul, c0, v)) for v in basis.cols)
+            else:
+                tau = reference.face_factor(c0, basis)
+                assert values(got) == [
+                    tau * F(*s) * sum(map(mul, c0, v)) for v, s in zip(basis.cols, basis.scales)
                 ]
             js = [j for j, _ in ref]
             prev = last_js.get(basis)
@@ -146,13 +178,14 @@ class TestCarriedFaceBasis:
             seen["skipped inside"] += bool(js) and js[-1] + 1 > len(js)
             last_js[basis] = js
             seen["rounds"] += 1
-            return r
+            seen["fixed"] += bool(fixed)
+            return got
 
-        def checked_identify(tab, r, free, tau):
+        def checked_identify(tab, basis, free, tau):
             for i, t in tau.items():
-                assert t == reference.face_factor(tab.R[i], r)
-            got = identify(tab, r, free, tau)
-            assert got == reference.identify_basis_element(tab, r, free)
+                assert t == reference.face_factor(tab.R[i], basis)
+            got = identify(tab, basis, free, tau)
+            assert got == reference.identify_basis_element(tab, basis, free)
             return got
 
         monkeypatch.setattr(driver, "facet_restriction", checked_restriction)
@@ -184,15 +217,15 @@ class TestCarriedFaceBasis:
             done += 1
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_fuzz_corpus(self, seen, mode):
+        solve_fuzz_corpus(mode)
+        assert seen["rounds"] > 300 and seen["fixed"] > 10, seen
 
-def test_aim_strips_the_gcd():
-    tab = walk.Tableau(
-        boxed_form(model.make_lp([[1, 0], [0, 1]], [1, 1], [1, 1])),
-        BasicSolution(point=(F(1), F(1)), basis=(0, 1)),
-    )
-    tab.aim(([6, -4], 10), ([0, 0], 7))
-    assert (tab.c_num, tab.c_den, tab.w_num, tab.w_den) == ([3, -2], 5, [0, 0], 1)
-    assert (tab.c_num, tab.c_den) == common_denominator([F(6, 10), F(-4, 10)])
+    def test_benchmark_pools(self, seen):
+        solve_benchmark_pools(7)
+        # one round per `complement_basis_int` call: 169 + 113 + 256
+        assert seen["rounds"] == 538 and seen["fixed"] > 10, seen
 
 
 def awkward_lp(rng, n, m):

@@ -5,9 +5,10 @@ from reference import pair, unit, values
 
 from shadow_simplex import model, oracle, randomness
 from shadow_simplex.randomness import (
+    CONTINUOUS_BITS,
+    UNDERLYING_BITS,
     DrawStream,
     RandomnessError,
-    RngConfig,
     bit_budget,
     cone_objective,
     draw_lambda,
@@ -54,6 +55,24 @@ class TestDyadicDraws:
         s.numerator(20)
         assert s.bits_consumed == 30 and s.draws == 2
 
+    def test_draws_past_the_underlying_bits(self):
+        # a draw of k > 1024 bits is the 1024-bit underlying draw followed by
+        # k - 1024 further low-order bits; narrower draws stay its truncations
+        wide, narrow = DrawStream(8), DrawStream(8)
+        j = wide.numerator(UNDERLYING_BITS + 100)
+        assert 0 <= j < 1 << UNDERLYING_BITS + 100
+        assert j >> 100 == narrow.numerator(UNDERLYING_BITS)
+        assert unit(DrawStream(8), 20) == F(j >> UNDERLYING_BITS + 80, 2**20)
+        assert wide.bits_consumed == UNDERLYING_BITS + 100 and wide.draws == 1
+        # the extra bits come from the same generator, so later draws shift
+        assert wide.numerator(64) != narrow.numerator(64)
+        a, b = DrawStream(9), DrawStream(9)
+        assert [a.numerator(3000) for _ in range(3)] == [b.numerator(3000) for _ in range(3)]
+
+    def test_rejects_no_bits(self):
+        with pytest.raises(RandomnessError):
+            DrawStream(0).numerator(0)
+
 
 class TestBitBudget:
     def test_tiny_case(self):
@@ -72,19 +91,19 @@ class TestBitBudget:
             bit_budget(4, 2, 4, 2)
 
 
-class TestPerturbation:
-    def cfg(self, seed=0, mode="float", bits=None):
-        return RngConfig(seed=seed, mode=mode, bits_per_draw=bits)
+BITS = CONTINUOUS_BITS  # the bits of a float-mode draw
 
+
+class TestPerturbation:
     def test_interval_placement_at_top(self):
         c0 = [F(1), F(0)]
-        c, intervals = perturbed(perturb_objective(pair(c0), F(2), self.cfg(), DrawStream(0)))
+        c, intervals = perturbed(perturb_objective(pair(c0), F(2), BITS, DrawStream(0)))
         assert intervals[0] == (F(1, 2), F(1))
         assert intervals[1] == (F(0), F(1, 2))
         for ci, (lo, hi) in zip(c, intervals):
             assert lo <= ci <= hi
         # c0_i = 1 - 1/phi exactly is not above it: the interval starts there
-        _, intervals = perturbed(perturb_objective(pair([F(1, 2), F(0)]), F(2), self.cfg(), DrawStream(0)))
+        _, intervals = perturbed(perturb_objective(pair([F(1, 2), F(0)]), F(2), BITS, DrawStream(0)))
         assert intervals[0] == (F(1, 2), F(1))
 
     def test_sup_norm_bound(self):
@@ -99,7 +118,7 @@ class TestPerturbation:
             t = unit_scale(raw)
             c0 = [t * x for x in raw]
             phi = F(rnd.randint(3, 40))
-            c, _ = perturbed(perturb_objective(pair(c0), phi, self.cfg(seed=trial), DrawStream(trial)))
+            c, _ = perturbed(perturb_objective(pair(c0), phi, BITS, DrawStream(trial)))
             for ci, c0i in zip(c, c0):
                 assert abs(ci - c0i) <= 1 / phi
                 assert -1 <= ci <= 1
@@ -107,16 +126,15 @@ class TestPerturbation:
 
     def test_dyadic_reproducible_denominators(self):
         c0 = [F(1), F(0)]
-        cfg = self.cfg(mode="dyadic", bits=3)
-        a = perturb_objective(pair(c0), F(2), cfg, DrawStream(7))
-        b = perturb_objective(pair(c0), F(2), cfg, DrawStream(7))
+        a = perturb_objective(pair(c0), F(2), 3, DrawStream(7))
+        b = perturb_objective(pair(c0), F(2), 3, DrawStream(7))
         assert a == b
         for ci in perturbed(a)[0]:
             assert ci.denominator <= 2**3 * 2  # interval length 1/2, 3-bit draws
 
     def test_phi_below_sqrt_n_rejected(self):
         with pytest.raises(RandomnessError):
-            perturb_objective(pair([F(1), F(0)]), F(1), self.cfg(), DrawStream(0))
+            perturb_objective(pair([F(1), F(0)]), F(1), BITS, DrawStream(0))
 
     def test_large_phi_gets_inside_identification_radius(self):
         # phi > 2 n^{3/2}/delta forces ||c - c0|| < delta/(2n)
@@ -128,7 +146,7 @@ class TestPerturbation:
         n = 2
         phi = 3 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
         c0 = [F(1), F(0)]
-        c, _ = perturbed(perturb_objective(pair(c0), phi, self.cfg(), DrawStream(4)))
+        c, _ = perturbed(perturb_objective(pair(c0), phi, BITS, DrawStream(4)))
         diff = norm_sq([a - b for a, b in zip(c, c0)])
         # compare squared quantities exactly: diff < (delta/(2n))^2
         assert diff < F(1, (2 * n) ** 2) / inv2
@@ -136,16 +154,13 @@ class TestPerturbation:
 
 class TestLambdaAndCone:
     def test_lambda_in_half_open_unit(self):
-        cfg = RngConfig(seed=1, mode="dyadic", bits_per_draw=1)
-        lam = values(draw_lambda(50, cfg, DrawStream(1)))
+        lam = values(draw_lambda(50, 1, DrawStream(1)))
         assert set(lam) <= {F(1, 2), F(1)}
-        cfg = RngConfig(seed=1)
-        lam = values(draw_lambda(100, cfg, DrawStream(2)))
+        lam = values(draw_lambda(100, BITS, DrawStream(2)))
         assert all(0 < l <= 1 for l in lam)
 
     def test_seed_reproducibility(self):
-        cfg = RngConfig(seed=3)
-        assert draw_lambda(5, cfg, DrawStream(3)) == draw_lambda(5, cfg, DrawStream(3))
+        assert draw_lambda(5, BITS, DrawStream(3)) == draw_lambda(5, BITS, DrawStream(3))
 
     def test_cone_objective_basic(self):
         w = cone_objective([[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
@@ -168,7 +183,7 @@ class TestLambdaAndCone:
 
             if len(linalg.independent_rows(rows)) < n:
                 continue
-            lam = values(draw_lambda(n, RngConfig(seed=1), DrawStream(7)))
+            lam = values(draw_lambda(n, BITS, DrawStream(7)))
             w = cone_objective(rows, lam)
             assert float(norm_sq(w)) <= n * n + 1e-9
 
@@ -178,7 +193,7 @@ class TestLambdaAndCone:
             model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
         )
         rows = [lp.row(1), lp.row(3)]
-        lam = values(draw_lambda(2, RngConfig(seed=2), DrawStream(11)))
+        lam = values(draw_lambda(2, BITS, DrawStream(11)))
         w = cone_objective(rows, lam)
         vs = oracle.enumerate_vertices(lp)
         vals = {v.point: dot(w, list(v.point)) for v in vs.vertices}

@@ -160,12 +160,12 @@ class TestShadowWalk:
             except model.LPModelError:
                 continue
             u = [unit(r) for r in tight_rows_at(lp, start)]
-            lam = randomness.draw_lambda(n, randomness.RngConfig(seed=done), randomness.DrawStream(done))
+            lam = randomness.draw_lambda(n, randomness.CONTINUOUS_BITS, randomness.DrawStream(done))
             w = randomness.cone_objective(u, values(lam))
             pert = randomness.perturb_objective(
                 pair(unit(lp.c0)),
                 F(8 * n),
-                randomness.RngConfig(seed=done),
+                randomness.CONTINUOUS_BITS,
                 randomness.DrawStream(1000 + done),
             )
             c = values((pert.c, pert.den))
@@ -193,7 +193,7 @@ class TestShadowWalk:
         lam = [F(1, 2), F(1, 3), F(1, 4)]
         w = randomness.cone_objective(u, lam)
         pert = randomness.perturb_objective(
-            pair(unit(lp.c0)), F(40), randomness.RngConfig(seed=0), randomness.DrawStream(5)
+            pair(unit(lp.c0)), F(40), randomness.CONTINUOUS_BITS, randomness.DrawStream(5)
         )
         tab = Tableau(integer_form(lp), apex)
         res = shadow_walk(tab, (pert.c, pert.den), pair(w))
