@@ -30,9 +30,10 @@ c0 does not rise along, with the pivots a walk of the boxed form makes.  A
 bounded LP's solve never builds it, and Phase 1's objective -sum(y),
 bounded above by 0, never ends a walk at a ray.  The bit budget and the
 pivot cap are those of the boxed form, m + 2n rows.  The Phase-1 face is
-only its own form, lead rows, objective and start, built from the solve's
-(`phase1.build_phase1_face`), so the depth-1 solve runs no rank pass and
-builds no form or LP, and boxes the face on its form.  A facet chain's
+only its own form, lead rows, objective, start and the start's integer
+inverse, built from the solve's (`phase1.build_phase1_face`), so the
+depth-1 solve runs no rank pass and builds no form or LP, its tableaus run
+no elimination, and it boxes the face on its form.  A facet chain's
 tableau is built on the start vertex's own basis; a start that fails the
 build on a form of rank n raises `walk.WalkError`.  The rows fixed so far
 stay in its basis, held out of pricing, so each walk stays on the face
@@ -60,10 +61,12 @@ the form walked).  No later round could improve on that vertex: the
 paper's n rounds are an upper bound, and this is Dantzig's optimality test,
 the certificate `is_optimal` reads at the end, off the same reduced costs,
 before it walks anything.  Every chain whose objective is not constant on
-its face walks at least once.  The rule serves Phase 1 and the main
-solve alike: a Phase-1 basis that carries -sum(y) stands on its optimum, so
-on a feasible LP Phase 1 ends on a vertex where sum(y) = 0 rather than
-walking across that face for the rest of its rounds.
+its face walks at least once.  Phase 1 ends sooner: its objective -sum(y)
+is at most 0, so its tableau stops at zero (`walk.Tableau.at_zero`).  Its
+walk ends at the first vertex where sum(y) = 0, its chain ends there, and
+the depth-1 solve accepts that vertex without `is_optimal`, since the
+bound is the certificate.  An infeasible LP never reaches 0, and its
+Phase 1 ends as any chain does.
 
 An accepted vertex on a tight box row is bounded when c0 needs no box row
 of its basis (`model.assert_unbounded_if_box_tight`), and the recession LP
@@ -409,8 +412,8 @@ def repeated_shadow_vertex(
             return Candidate(capped=True, traces=traces)
         if res.ray is not None:
             return Candidate(capped=False, traces=traces, ray=res.ray)
-        if tab.carries(c0):
-            break  # the basis certifies c0: the vertex is already optimal
+        if tab.at_zero() or tab.carries(c0):
+            break  # the bound or the basis certifies c0: the vertex is optimal
         free = sorted(set(tab.basis) - set(fixed))
         fixed.append(free[identify_basis_element(tab, basis, free, tau)])
     return Candidate(capped=False, traces=traces)
@@ -434,7 +437,9 @@ class SolveOutcome:
     status: str  # "optimal" | "unbounded" | "infeasible"
     point: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
-    vertex: BasicSolution | None = None  # its basis carries c0 in the form walked
+    # its basis carries c0 in the form walked, unless it is a Phase-1
+    # vertex where sum(y) = 0, which the bound certifies
+    vertex: BasicSolution | None = None
     ray: tuple[Fraction, ...] | None = None
     infeasible_gap: Fraction | None = None
     phase1_pivots: int = 0
@@ -513,11 +518,13 @@ def solve(
 
     Only Phase 1's own call sets _stream, _depth (1) and _face, and no
     lp_raw nor initial_bfs: it shares the caller's draws, and takes from
-    _face the face's form, lead rows, objective and start vertex, and the
-    dimensions of its Phase-1 phi schedule, those of the solve's form (n
-    the face's x, m its rows less the |V| rows -y_i <= 0).  It checks its
-    answer against every face row, and skips the box-tight check, since its
-    objective -sum(y) is bounded above by 0."""
+    _face the face's form, lead rows, objective, start vertex and the
+    start's inverse, and the dimensions of its Phase-1 phi schedule, those
+    of the solve's form (n the face's x, m its rows less the |V| rows
+    -y_i <= 0).  Its objective -sum(y) is bounded above by 0, so its walks
+    stop at the first vertex where sum(y) = 0, which it accepts with no
+    `is_optimal` call, and it skips the box-tight check.  It checks its
+    answer against every face row."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -525,7 +532,9 @@ def solve(
 
     c0 = lp_raw.c0 if _face is None else _face.c0
     c0_int = primitive_int_row(c0)[0]
-    first = None  # the first chain's tableau, when checking the start built it
+    first = inverse = None  # the first chain's tableau, when checking the start built it
+    # Phase 1's objective -sum(y) is at most 0: its walks stop where it is 0
+    stop = _depth == 1
     if _face is None:
         m = lp_raw.m
         form = model.integer_form(lp_raw)
@@ -535,7 +544,7 @@ def solve(
         if initial_bfs is not None:
             # a build on n rows of the form proves it has rank n: no rank pass
             try:
-                first = walk.Tableau(form, initial_bfs, lead, c0_int)
+                first = walk.Tableau(form, initial_bfs, lead, c0_int, stop_at_zero=stop)
             except walk.WalkError:
                 pass  # rank below n, or a bad start: the rank pass decides
         if first is None:
@@ -551,6 +560,7 @@ def solve(
         k = _face.n - _face.orig_n
         sched = PhiSchedule(variant=SCHEDULE_PHASE1, n=_face.orig_n, m=form.m - k)
         initial_bfs = _face.initial
+        inverse = _face.inverse
 
     if initial_bfs is None or escape is not None:
         bfs = _phase1_start(form, lead, cfg, stream, out)
@@ -568,7 +578,9 @@ def solve(
         phi = sched.phi(i)
         # the boxed form's m + 2n rows, whether or not a walk appends the box
         bits, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
-        tab = first or walk.Tableau(form, bfs, lead, c0_int)
+        tab = first or walk.Tableau(
+            form, bfs, lead, c0_int, inverse=inverse, stop_at_zero=stop
+        )
         first = None
         cand = repeated_shadow_vertex(tab, c0_int, phi, bits, stream, cap=cap)
         out.traces.extend(cand.traces)
@@ -577,7 +589,8 @@ def solve(
             continue
         vertex = tab.solution()
         ray = cand.ray
-        if ray is None and not is_optimal(tab.form, vertex, tab, c0_int):
+        # at depth 1 a vertex where sum(y) = 0 is optimal by the bound
+        if ray is None and not tab.at_zero() and not is_optimal(tab.form, vertex, tab, c0_int):
             if tab.ray is None:
                 continue  # the certificate walk left the vertex
             ray = tab.ray  # it met a ray there

@@ -4,7 +4,7 @@ Elimination pivots on the first nonzero entry in row order, so identical
 inputs always take identical elimination paths.  Four private kernels do
 it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 `inverse_columns`); a fraction-free Bareiss pass for integer matrices
-(`invert`, `solve_int`, `det_int`); a fraction-free echelon pass over the
+(`invert`, `det_int`); a fraction-free echelon pass over the
 primitive integer forms of a row sequence, which takes every rank decision
 (`independent_rows`, `rank`, `unit_completion`, `nullspace_int`,
 `nullspace_vector`) and takes rows of ints, the rows of an integer form, as
@@ -13,14 +13,16 @@ objective escape's projection `_project_out`, and the rows' own part of
 `FaceBasis`).  `FaceBasis` carries the complement of a growing row
 sequence, so a facet chain updates its face basis with each fixed row
 (`complement_basis_int`) instead of rebuilding it, and lifts face
-coordinates back to Q^n (`FaceBasis.lift`).
+coordinates back to Q^n (`FaceBasis.lift`).  `combine` multiplies a sparse
+integer vector into integer vectors, skipping its zero entries: the two
+products of a tableau pivot and the Phase-1 face's block inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .rational import as_fractions, common_denominator, primitive_int_row, unit_scale_pq
@@ -107,22 +109,23 @@ def invert(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in a], sign * d
 
 
-def solve_int(M: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int]:
-    """(xn, d) with M xn = d b and d = +-det M, so x = xn / d solves M x = b,
-    from one fraction-free forward pass over [M | b] and the integer
-    back-substitution xn_k = (a_kn d - sum_{j>k} a_kj xn_j) / a_kk, each
-    division exact since xn = d M^-1 b is integral (Cramer's rule); raises
-    LinAlgError if M is singular."""
-    n = len(M)
-    a = [list(row) + [v] for row, v in zip(M, b)]
-    d = _bareiss(a, n, full=False)[0]
-    if d == 0:
-        raise LinAlgError("singular matrix")
-    xn = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = a[k]
-        xn[k] = (row[n] * d - sum(map(mul, row[k + 1 : n], xn[k + 1 :]))) // row[k]
-    return xn, d
+def combine(terms, size: int) -> list[int]:
+    """sum_j a_j v_j over the (a_j, v_j) with a_j != 0, as a list of size
+    ints: the product of a sparse vector a with the integer vectors v_j,
+    formed without reading the v_j of its zero entries."""
+    out = None
+    for a, v in terms:
+        if not a:
+            continue
+        if out is None:
+            out = list(v) if a == 1 else list(map(neg, v)) if a == -1 else [a * x for x in v]
+        elif a == 1:
+            out = list(map(add, out, v))
+        elif a == -1:
+            out = list(map(sub, out, v))
+        else:
+            out = [y + a * x for y, x in zip(out, v)]
+    return [0] * size if out is None else out
 
 
 def det_int(M: Sequence[Sequence[int]]) -> int:

@@ -14,19 +14,24 @@ keeps y_i = 0.  Fixing those y_i deletes their columns and their rows
 x_bar violates.  The optimum on the face is still 0 exactly when the LP is
 feasible, and faces keep the delta-distance value, so the Phase-1 bound
 carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
-skipped.  The face exists only in integers: x_bar and the residuals stay
-in integers, and the face's integer form, lead rows and objective follow
-from the solve's form by construction, so the Phase-1 solve runs no rank
-pass and builds no form or LP of its own, and boxes the face on its form.
-`extract_bfs` crawls from the x-part of a zero-gap optimum to a vertex on
-the integer form the solve already holds.
+skipped.  The face exists only in integers: x_bar is read off the lead
+rows' adjugate, the residuals stay in integers, and the face's integer
+form, lead rows and objective follow from the solve's form by
+construction, so the Phase-1 solve runs no rank pass and builds no form
+or LP of its own, and boxes the face on its form.  Its start basis is
+block triangular over the lead rows, so the start's integer inverse
+follows from the same adjugate and a |V| x n product, and the face
+tableau runs no elimination.  The objective -sum(y) is at most 0, so a
+Phase-1 walk ends at the first vertex where sum(y) = 0, which the bound
+certifies optimal.  `extract_bfs` crawls from the x-part of a zero-gap
+optimum to a vertex on the integer form the solve already holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from . import linalg, model
@@ -43,8 +48,10 @@ class Phase1Problem:
     """LP' (`build_phase1`) or its face (`build_phase1_face`) with its start
     vertex.  LP' is the `LinearProgram` lp_prime, which the CLI prints.  The
     face is its integer form, its lead rows (the first n + |V| rows of
-    `linalg.independent_rows` of its rows) and its objective c0 = (0, -1),
-    all derived from the solve's form, which its Phase-1 solve reads."""
+    `linalg.independent_rows` of its rows), its objective c0 = (0, -1) and
+    its start basis's integer inverse (M, D), M = D B^-1 as `walk.Tableau`
+    carries it, all derived from the solve's form, which its Phase-1 solve
+    reads."""
 
     initial: BasicSolution
     orig_n: int
@@ -52,6 +59,7 @@ class Phase1Problem:
     form: model.IntegerForm | None = None
     lead: list[int] | None = None
     c0: tuple[Fraction, ...] | None = None
+    inverse: tuple[list[list[int]], int] | None = None  # the face start's (M, D)
 
     @property
     def n(self) -> int:  # the x and the y walked
@@ -81,25 +89,27 @@ def phase1_matrix(A_rows) -> list[list[Fraction]]:
 
 
 def _lead_start(lead: list[int], form: model.IntegerForm):
-    """(perm, xn, xd, e) for the n independent lead rows of the LP whose
-    integer form is form: perm is the row order, the lead rows first;
+    """(perm, xn, xd, e, adj, d) for the n independent lead rows of the LP
+    whose integer form is form: perm is the row order, the lead rows first;
     x_bar = xn / xd solves the lead rows; e_k = s R_i xn - beta_i xd for the
     k-th row i of perm has the sign of a_i x_bar - b_i, which is
-    e_k / (s xd f_i).
+    e_k / (s xd f_i); and (adj, d) = `linalg.invert(R_L)`, which raises when
+    the lead rows are dependent.
 
-    All in integers: x_bar = R_L^-1 beta_L / s = xn / (d s), with
-    R_L xn = d beta_L, from one fraction-free forward pass over
-    [R_L | beta_L] and a back-substitution (`linalg.solve_int`); no inverse
-    of R_L is formed."""
+    All in integers: x_bar = R_L^-1 beta_L / s = adj beta_L / (d s), read
+    off the adjugate, which `build_phase1_face` reuses as the lead block of
+    its start basis's inverse."""
     R, beta, s = form.R, form.beta, form.s
     is_lead = set(lead)
     perm = list(lead) + [i for i in range(form.m) if i not in is_lead]
-    xn, d = linalg.solve_int([R[i] for i in lead], [beta[i] for i in lead])
+    adj, d = linalg.invert([R[i] for i in lead])
+    beta_L = [beta[i] for i in lead]
+    xn = [sum(map(mul, row, beta_L)) for row in adj]
     xd = d * s
     if xd < 0:
         xn, xd = [-v for v in xn], -xd
     e = [s * sum(map(mul, R[i], xn)) - beta[i] * xd for i in perm]
-    return perm, xn, xd, e
+    return perm, xn, xd, e, adj, d
 
 
 def build_phase1(lp: LinearProgram) -> Phase1Problem:
@@ -109,7 +119,7 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     idx = linalg.independent_rows(form.R)
     if len(idx) < n:
         raise Phase1Error("constraint matrix is rank deficient")
-    perm, xn, xd, e = _lead_start(idx[:n], form)
+    perm, xn, xd, e, _, _ = _lead_start(idx[:n], form)
     x_bar = [Fraction(v, xd) for v in xn]
     sxd = form.s * xd
     y = [Fraction(ek, sxd) / form.factor[i] if ek > 0 else Fraction(0) for i, ek in zip(perm, e)]
@@ -137,7 +147,8 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
     Face rows, in order: a_i x - [i in V] y_i <= b_i for every row in perm
     order, then -y_i <= 0 for i in V.  The start basis is the n lead rows plus
     the rows a_i x - y_i = b_i of V.  The caller's solve checks the start
-    when its first facet chain builds a `walk.Tableau` on it.
+    when its first facet chain builds a `walk.Tableau` on it, from the
+    start's inverse (`Phase1Problem.inverse`).
 
     The face's integer form comes from form, with f_i = p_i / q_i: a row x_bar
     satisfies is (R_i, 0) with factor f_i, a row of V is (q_i R_i, -p_i e_i)
@@ -145,9 +156,17 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
     with factor 1.  Its lead rows are the start basis: the lead rows and the
     rows of V each add an independent direction, and the others lie in the
     span of the lead rows.
+
+    The start basis B = [[R_L, 0], [Q R_V, -P]], with Q and P the q_t and
+    p_t of V's factors, has det B = d (-1)^|V| Pi, Pi the product of the
+    p_t, and inverse [[R_L^-1, 0], [P^-1 Q R_V R_L^-1, -P^-1]].  So its
+    (M, D), M = D B^-1 and D = |det B| = |d| Pi, follows from the lead rows'
+    (adj, d) that `_lead_start` forms: the x-rows of M are sgn(d) Pi adj,
+    then zeros, and y-row t is sgn(d) (Pi / p_t) q_t R_t adj, then
+    -|d| (Pi / p_t) e_t.  No pass over the n + |V| rows is made.
     """
     n = form.n
-    perm, xn, xd, e = _lead_start(lead, form)
+    perm, xn, xd, e, adj, d = _lead_start(lead, form)
     V = [k for k, ek in enumerate(e) if ek > 0]
     x_bar = tuple(fraction(v, xd) for v in xn)
     if not V:
@@ -157,6 +176,9 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
     zero, minus = SMALL_INTEGRAL[256], SMALL_INTEGRAL[255]
     izeros = [0] * nv
     R, factor, beta, s = form.R, form.factor, form.beta, form.s
+    sg, ad = (1, d) if d > 0 else (-1, -d)
+    Pi = prod(factor[perm[k]].numerator for k in V)
+    M = [[sg * Pi * a for a in row] + izeros for row in adj]
     fR, ffac, fbeta, y = [], [], [], []
     for k, i in enumerate(perm):
         R_i, f = R[i], factor[i]
@@ -172,6 +194,10 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
         fbeta.append(q * beta[i])
         # y_i = a_i x_bar - b_i = e_k q_i / (s xd p_i)
         y.append(Fraction(e[k] * q, s * xd * p))
+        r = Pi // p
+        c = sg * r * q
+        u = linalg.combine(zip(R_i, adj), n)  # R_i adj
+        M.append([c * v for v in u] + izeros[:t] + [-ad * r] + izeros[t + 1 :])
     for t in range(nv):
         fR.append([0] * (n + t) + [-1] + izeros[t + 1 :])
         ffac.append(ONE)
@@ -187,6 +213,7 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
         form=model.IntegerForm(fR, ffac, fbeta, s),
         lead=basis,
         c0=(zero,) * n + (minus,) * nv,
+        inverse=(M, ad * Pi),
     )
 
 

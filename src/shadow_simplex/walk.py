@@ -41,7 +41,9 @@ its `ShadowPath`, the one record of the walk's pivots, and the ray it ended
 at, if any.  `first_gain` walks a Tableau on a plain objective only until
 the point moves or a ray is met: the optimality and boundedness
 certificates are decided that way.  `Tableau.carries` reads off M whether
-the basis already carries an objective, which ends a facet chain.
+the basis already carries an objective, which ends a facet chain.  A
+tableau that stops at zero, built for Phase 1, whose objective -sum(y) is
+at most 0, ends a walk at the first vertex where c0 . x = 0.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -59,7 +61,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import mul
 
 from . import linalg, model
 from .model import BasicSolution, IntegerForm, LinearProgram
@@ -154,15 +156,31 @@ class Tableau:
     its form as given; there, or once boxed, an edge no row blocks that
     ends no walk raises `UnboundedEdgeError`.
 
+    stop_at_zero says that c0, which must then be given, is at most 0 on
+    the form, as Phase 1's -sum(y) is: a vertex where c0 . x = 0 is then
+    c0-optimal, and a walk ends at the first one it reaches (`at_zero`).
+
     Single-owner mutable state; concurrent walks must each build their own.
     """
 
-    def __init__(self, form: IntegerForm, start: BasicSolution, lead=None, c0=None) -> None:
+    def __init__(
+        self,
+        form: IntegerForm,
+        start: BasicSolution,
+        lead=None,
+        c0=None,
+        inverse: tuple[list[list[int]], int] | None = None,
+        stop_at_zero: bool = False,
+    ) -> None:
         """Build the integer basis inverse at start on the LP's integer form;
-        `aim` sets the objectives before the first pivot."""
+        `aim` sets the objectives before the first pivot.  inverse, when
+        given, is the start basis's (M, D), its columns in sorted basis
+        order, formed by the caller (the Phase-1 face builds it by blocks);
+        no elimination is run, and every other check of the start is."""
         self.form = form
         self.lead = lead
         self.c0 = c0
+        self.stop_at_zero = stop_at_zero
         self.boxed = False
         self.ray: tuple[int, ...] | None = None
         m, n = form.m, form.n
@@ -176,13 +194,16 @@ class Tableau:
             raise WalkError("basis must hold n distinct rows")
         if self.basis[0] < 0 or self.basis[-1] >= m:
             raise WalkError(f"basis rows must lie in range({m})")
-        try:
-            adj, det = linalg.invert([self.R[i] for i in self.basis])
-        except linalg.LinAlgError:
-            raise WalkError("basis rows are dependent") from None
-        # M = D inv(B) with D = |det B|: the adjugate, negated when det B < 0
-        self.D = abs(det)
-        self.M = adj if det > 0 else [[-e for e in row] for row in adj]
+        if inverse is not None:
+            self.M, self.D = inverse
+        else:
+            try:
+                adj, det = linalg.invert([self.R[i] for i in self.basis])
+            except linalg.LinAlgError:
+                raise WalkError("basis rows are dependent") from None
+            # M = D inv(B) with D = |det B|: the adjugate, negated when det B < 0
+            self.D = abs(det)
+            self.M = adj if det > 0 else [[-e for e in row] for row in adj]
 
         # the vertex x_num / (D s), x_num = M beta_B, is the start point
         beta_B = [self.beta[i] for i in self.basis]
@@ -261,6 +282,11 @@ class Tableau:
     def at_optimum(self) -> bool:
         return not self._improving()
 
+    def at_zero(self) -> bool:
+        """Whether the tableau stops at zero and c0 . x = 0 at its vertex,
+        decided on the numerators x_num."""
+        return self.stop_at_zero and not sum(map(mul, self.c0, self.x_num))
+
     def carries(self, c: list[int]) -> bool:
         """Whether the basis carries the integer objective c: every entry of
         c M is >= 0, so c = sum_k nu_k R_basis[k] with every nu_k >= 0 (M =
@@ -331,7 +357,7 @@ class Tableau:
         slack = self.slack
         # rd = R_i . d: -D or 0 on the basis rows, since R_B M = D I, so only
         # non-basic rows can block
-        rd = _combine(((-row[k], col) for row, col in zip(self.M, self.cols)), self.m)
+        rd = linalg.combine(((-row[k], col) for row, col in zip(self.M, self.cols)), self.m)
         best_i = -1
         best_rd = best_slack = 0
         for i, r in enumerate(rd):
@@ -416,7 +442,7 @@ class Tableau:
         remainder and divided.  A vector the step would leave as it is (its
         pivot term 0, and |u_pos| = D) is kept."""
         M, D = self.M, self.D
-        u = _combine(zip(self.R[enter], M), self.n)
+        u = linalg.combine(zip(self.R[enter], M), self.n)
         up = u[pos]
         if up == 0:
             raise WalkError("degenerate pivot column")  # unreachable: rd != 0
@@ -451,25 +477,6 @@ class Tableau:
         self.basis[pos] = enter
 
 
-def _combine(terms, size: int) -> list[int]:
-    """sum_j a_j v_j over the (a_j, v_j) with a_j != 0, as a list of size
-    ints: the product of a sparse vector a with the vectors v_j, formed
-    without reading the v_j of its zero entries."""
-    out = None
-    for a, v in terms:
-        if not a:
-            continue
-        if out is None:
-            out = list(v) if a == 1 else list(map(neg, v)) if a == -1 else [a * x for x in v]
-        elif a == 1:
-            out = list(map(add, out, v))
-        elif a == -1:
-            out = list(map(sub, out, v))
-        else:
-            out = [y + a * x for y, x in zip(out, v)]
-    return [0] * size if out is None else out
-
-
 def first_gain(tab: Tableau, c) -> bool:
     """Walk tab on c until a step leaves its point or an edge from it is a
     ray: whether c can rise from the point.  True leaves tab on the vertex
@@ -494,8 +501,9 @@ def first_gain(tab: Tableau, c) -> bool:
 
 def shadow_walk(tab: Tableau, c, w, pivot_cap: int | None = None, held=()) -> WalkResult:
     """Walk tab in place to the c-maximal vertex of the face where the held
-    rows stay tight, to a ray of tab's c0 (`Tableau.pivot`), or to the pivot
-    cap; c and w are (integer numerators, denominator) pairs, as
+    rows stay tight, to a ray of tab's c0 (`Tableau.pivot`), to a vertex
+    where c0 . x = 0 when tab stops at zero (`Tableau.at_zero`), or to the
+    pivot cap; c and w are (integer numerators, denominator) pairs, as
     `Tableau.aim` takes them.  tab ends on the walk's last vertex, where a
     ray starts, and the path records every pivot."""
     tab.aim(c, w, held)
@@ -503,7 +511,7 @@ def shadow_walk(tab: Tableau, c, w, pivot_cap: int | None = None, held=()) -> Wa
     steps: list[PathStep] = []
     start_value = tab.c_value()
     finished = True
-    while not tab.at_optimum():
+    while not (tab.at_optimum() or tab.at_zero()):
         if pivot_cap is not None and tab.pivot_count >= pivot_cap:
             finished = False
             break

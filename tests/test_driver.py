@@ -513,7 +513,8 @@ def twinned_chains(monkeypatch):
         twin = copy.deepcopy(stream)
         form, lead = tab.form, tab.lead() if callable(tab.lead) else tab.lead
         boxed = model.bound_polytope(form, lead)
-        ref = walk.Tableau(boxed, tab.solution())
+        # a Phase-1 twin stops where sum(y) = 0, as the solve's tableau does
+        ref = walk.Tableau(boxed, tab.solution(), c0=tab.c0, stop_at_zero=tab.stop_at_zero)
         eager = chain(ref, c0, phi, bits, twin, cap=cap)
         lazy = chain(tab, c0, phi, bits, stream, cap=cap)
         seen["chains"] += 1
@@ -537,16 +538,27 @@ def twinned_chains(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def walking_past_zero(monkeypatch):
+    """Phase-1 tableaus that do not stop where sum(y) = 0: each Phase-1
+    chain walks on along the face sum(y) = 0, whose edges that no row blocks
+    append most of the boxes of the corpora below, and `is_optimal`
+    certifies its end."""
+    monkeypatch.setattr(walk.Tableau, "at_zero", lambda tab: False)
+
+
 class TestLazyBox:
     """A facet chain that appends the box at its first unbounded edge walks
     exactly the chain of the eagerly boxed form: the same traces, draws,
     final basis and carried state.  One that ends at a ray walks it up to
     that edge, which a box row blocks in the boxed form.  Most unbounded
     LPs now end at a ray, so each test solves enough LPs to box as often as
-    it did when every unbounded edge appended the box."""
+    it did when every unbounded edge appended the box; and a Phase-1 walk
+    ends at its first vertex where sum(y) = 0, so the corpora are solved
+    walking past it (`walking_past_zero`)."""
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
-    def test_fuzz_corpus(self, twinned_chains, mode):
+    def test_fuzz_corpus(self, twinned_chains, walking_past_zero, mode):
         # each LP of the corpus with its objective and with the negated one
         for case, _, lp in fuzz_lps():
             for c0 in (lp.c0, [-x for x in lp.c0]):
@@ -555,7 +567,7 @@ class TestLazyBox:
         assert twinned_chains["chains"] >= 300 and twinned_chains["boxed"] >= 100, twinned_chains
         assert twinned_chains["rays"] >= 100, twinned_chains
 
-    def test_unbounded_mixed_status_lps(self, twinned_chains):
+    def test_unbounded_mixed_status_lps(self, twinned_chains, walking_past_zero):
         # the mixed-status benchmark pools of seeds 7-9, as their first pass
         # solves them
         workloads = load_workloads()
@@ -569,7 +581,7 @@ class TestLazyBox:
         assert twinned_chains["rays"] >= 100, twinned_chains
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
-    def test_degenerate_cones(self, twinned_chains, mode):
+    def test_degenerate_cones(self, twinned_chains, walking_past_zero, mode):
         # 0/+-1 rows with rhs mostly 0: rows through the origin meet the
         # box's corners and edges, so ratio tests tie box rows with other
         # rows and the tie-break reads the box rows' exponents
@@ -603,10 +615,10 @@ class RankPassFirst(walk.Tableau):
     solve with a start takes the rank-pass path: the start's first build
     raises, and the rank pass and rank completion run as on a cold solve."""
 
-    def __init__(self, form, start, lead=None, c0=None):
+    def __init__(self, form, start, lead=None, c0=None, **kw):
         if callable(lead):
             raise walk.WalkError("deferred lead rows refused")
-        super().__init__(form, start, lead, c0)
+        super().__init__(form, start, lead, c0, **kw)
 
 
 def vertex_start(lp, point):
@@ -1078,26 +1090,26 @@ class TestChainStop:
 
     def test_phase1_chain_ends_at_the_first_zero_artificial_sum(self, monkeypatch):
         # the 32x16 interval instance of the TU sweep (generator seed 1001,
-        # solver seed 1): Phase 1 walks until the artificial sum first
-        # reaches 0, and stops there (141 Phase-1 pivots when every chain
-        # ran all its rounds)
+        # solver seed 1): the Phase-1 walk pivots until the artificial sum
+        # first reaches 0 and stops at that pivot, which ends its chain (38
+        # Phase-1 pivots when the walk ran on to its own optimum)
         lp = harness.generate_tu_instance("interval-matrix", 32, 16, 1001)
         sums = []
-        shadow_walk = walk.shadow_walk
+        pivot = walk.Tableau.pivot
 
-        def recording(tab, c, w, pivot_cap=None, held=()):
-            res = shadow_walk(tab, c, w, pivot_cap=pivot_cap, held=held)
-            if tab.n > lp.n:  # a walk on the Phase-1 face
+        def recording(tab):
+            step = pivot(tab)
+            if tab.n > lp.n and step is not None:  # a pivot on the Phase-1 face
                 sums.append(sum(tab.vertex()[lp.n :]))
-            return res
+            return step
 
-        monkeypatch.setattr(walk, "shadow_walk", recording)
+        monkeypatch.setattr(walk.Tableau, "pivot", recording)
         out = solve(lp, cfg(seed=1))
         start = model.move_to_vertex(lp, _interior_point("interval-matrix", 32, 16, 1001))
         ref = oracle.reference_simplex(lp, start)
         assert out.status == ref.status == "optimal" and out.value == ref.value
         assert sums[-1] == 0 and all(y > 0 for y in sums[:-1])
-        assert out.phase1_pivots == 38
+        assert out.phase1_pivots == len(sums) == 21
 
     def test_infeasible_cold_solve_keeps_its_gap(self, monkeypatch):
         # Phase 1 never reaches a zero artificial sum, so it ends on its
@@ -1116,6 +1128,88 @@ class TestChainStop:
         assert out.status == oracle.classify(lp).status == "infeasible"
         assert out.infeasible_gap > 0 and out.infeasible_gap == sums[-1]
         assert all(y > 0 for y in sums)
+
+    def test_no_phase1_walk_pivots_past_zero(self, monkeypatch):
+        # the fuzz corpus in both modes and the pools of seed 7: a
+        # Phase-1 tableau never pivots from a vertex where sum(y) = 0, read
+        # off its vertex in Fractions, and its solve accepts the first such
+        # vertex with no is_optimal call
+        pivot, certify = walk.Tableau.pivot, driver.is_optimal
+        reached, certified = [], []
+
+        def checked(tab):
+            if tab.stop_at_zero:
+                assert dot(tab.c0, tab.vertex()) < 0
+            step = pivot(tab)
+            if tab.stop_at_zero and step is not None and dot(tab.c0, tab.vertex()) == 0:
+                reached.append(tab)
+            return step
+
+        def certifying(form, x, tab, c0):
+            certified.append(tab)
+            return certify(form, x, tab, c0)
+
+        monkeypatch.setattr(walk.Tableau, "pivot", checked)
+        monkeypatch.setattr(driver, "is_optimal", certifying)
+        solve_fuzz_corpus(randomness.MODE_FLOAT)
+        solve_fuzz_corpus(randomness.MODE_DYADIC)
+        solve_benchmark_pools(7)
+        assert len(reached) >= 200
+        assert not set(map(id, reached)) & set(map(id, certified))
+
+    def test_phase1_boxed_before_zero_agrees_with_the_oracle(self, twinned_chains, monkeypatch):
+        # x2 <= 1 and x1 >= 0 lead, and x_bar = (0, 1) violates x2 <= 0.  From
+        # the Phase-1 start the edge along x1 keeps sum(y) and no face row
+        # blocks it, so a walk whose draws take it first appends the face box
+        # before it reaches 0, and ends on a box row of the face; its chain
+        # is the eagerly boxed face's (`twinned_chains`)
+        lp = model.make_lp([[0, 1], [-1, 0], [0, 1]], [1, 0, 0], [1, -1])
+        ref = oracle.classify(lp)
+        pivot = walk.Tableau.pivot
+        boxed = []
+
+        def recording(tab):
+            step = pivot(tab)
+            # the solve's tableau, which boxes on its lead rows, not the twin
+            if tab.lead is not None and tab.stop_at_zero and step is not None and tab.at_zero():
+                boxed.append(tab.boxed)
+            return step
+
+        monkeypatch.setattr(walk.Tableau, "pivot", recording)
+        form = model.integer_form(lp)
+        for mode in (randomness.MODE_FLOAT, randomness.MODE_DYADIC):
+            for seed in range(400):
+                conf = SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode))
+                out = solve(lp, conf)
+                assert out.status == ref.status == "unbounded" and out.phase1_artificials == 1
+                assert lp.feasible(out.point)
+                driver._check_ray(form, lp.m, lp.c0, out.ray)
+        assert len(boxed) == 800 and sum(boxed) >= 10
+        assert twinned_chains["boxed"] >= sum(boxed)
+
+    def test_infeasible_lps_keep_their_phase1_pivots_and_gaps(self, monkeypatch):
+        # with the stop at zero switched off a Phase-1 walk runs on to its
+        # own optimum, which is_optimal certifies.  On the fuzz corpus and
+        # the mixed-status pools of seeds 1 and 2, an infeasible LP, which
+        # never reaches sum(y) = 0, has the same pivots, bits and gap either
+        # way, and every other LP the same status and value, with a
+        # certified ray when it is unbounded
+        solves = [*fuzz_solves(randomness.MODE_FLOAT), *pool_solves(1), *pool_solves(2)]
+        stopped = [solve(lp, conf, initial_bfs=start) for _, lp, conf, start in solves]
+        monkeypatch.setattr(walk.Tableau, "at_zero", lambda tab: False)
+        infeasible = 0
+        for (name, lp, conf, start), got in zip(solves, stopped):
+            want = solve(lp, conf, initial_bfs=start)
+            assert (got.status, got.value) == (want.status, want.value), name
+            if got.ray is not None:
+                driver._check_ray(model.integer_form(lp), lp.m, lp.c0, got.ray)
+            if want.status == "infeasible":
+                infeasible += 1
+                assert got.infeasible_gap == want.infeasible_gap > 0, name
+                assert got.pivot_sequence == want.pivot_sequence, name
+                assert got.bits_consumed == want.bits_consumed, name
+                assert got.phase1_pivots == want.phase1_pivots, name
+        assert infeasible >= 100
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_pools_agree_with_the_oracle(self, seed):

@@ -215,6 +215,16 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("m,n,delta")
 
+    def test_bench_reports_unchecked_trials(self, tmp_path):
+        # 30x5 interval LPs lie past the oracle's enumeration guard (see
+        # test_trials_past_the_oracle_guard_are_unchecked), 4x2 ones do not
+        args = ["bench", "--generator", "interval-matrix", "--trials", "2", "--seed", "4"]
+        r = self.run_cli(*args, "--sizes", "4x2,30x5", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "2 of 4 trials unchecked: past the oracle's enumeration guard" in r.stderr
+        r = self.run_cli(*args, "--sizes", "4x2", cwd=tmp_path)
+        assert "0 of 2 trials unchecked" in r.stderr
+
     def test_dyadic_flags(self, square_file, tmp_path):
         r = self.run_cli(
             "solve", square_file, "--mode", "dyadic", "--bits", "40", "--seed", "3",

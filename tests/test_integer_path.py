@@ -219,7 +219,12 @@ class TestCarriedFaceBasis:
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, seen, mode):
+        # with their nested objectives too: a Phase-1 chain ends at its first
+        # vertex where sum(y) = 0, so few chains of the corpus fix a row
         solve_fuzz_corpus(mode)
+        for case, _, lp in fuzz_lps():
+            conf = driver.SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode))
+            driver.solve(nested_objective(lp, case), conf)
         assert seen["rounds"] > 300 and seen["fixed"] > 10, seen
 
     def test_benchmark_pools(self, seen):

@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import reference
 from boxing import box, lead_rows
+from test_integer_path import solve_benchmark_pools, solve_fuzz_corpus
 
-from shadow_simplex import driver, linalg, metrics, model, oracle, randomness
+from shadow_simplex import driver, linalg, metrics, model, oracle, phase1, randomness
 from shadow_simplex.model import BasicSolution
 from shadow_simplex.phase1 import (
     InfeasibleCertificate,
@@ -164,23 +167,55 @@ def rational_lp(rng, n):
 
 class TestLeadStart:
     def test_lead_point_is_the_adjugate_solution(self):
-        # x_bar from the forward pass and back-substitution is
-        # adj(R_L) beta_L / (det s), the lead rows' Bareiss adjugate solution,
-        # on lead sets with negative determinants and rational rows
+        # x_bar, read off adj(R_L) beta_L / (d s), is the Fraction solution
+        # of the lead rows a_i x = b_i, and (adj, d) is linalg.invert's, on
+        # lead sets with negative determinants and rational rows
         rng = random.Random(67)
         negative = scaled = 0
         for _ in range(200):
             lp = rational_lp(rng, rng.randint(1, 4))
             form = model.integer_form(lp)
-            form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
-            _, xn, xd, _ = _lead_start(lead, form)
-            adj, det = linalg.invert([form.R[i] for i in lead])
-            beta_L = [form.beta[i] for i in lead]
-            want = [F(sum(a * v for a, v in zip(row, beta_L)), det * form.s) for row in adj]
+            idx = linalg.independent_rows(form.R)
+            work = reference.complete_rank(lp, form, idx)[0]
+            form, lead = model.complete_rank(form, idx)
+            _, xn, xd, _, adj, d = _lead_start(lead, form)
+            want = linalg.solve_square([work.row(i) for i in lead], [work.b[i] for i in lead])
             assert xd > 0 and [F(v, xd) for v in xn] == want
-            negative += det < 0
+            assert (adj, d) == linalg.invert([form.R[i] for i in lead])
+            negative += d < 0
             scaled += form.s > 1 or any(f.denominator > 1 for f in form.factor)
         assert negative >= 20 and scaled >= 20
+
+    def test_lead_point_solves_random_lead_rows(self):
+        # on random integer lead rows over a rhs denominator s, x_bar solves
+        # R_L x = beta_L / s and every residual e_k has the sign of
+        # a_i x_bar - b_i; singular lead rows raise LinAlgError
+        rng = random.Random(7)
+        singular = negative = 0
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 2)]
+            beta = [rng.randint(-9, 9) for _ in R]
+            s = rng.choice([1, 2, 3])
+            form = model.IntegerForm(R, [F(1)] * len(R), beta, s)
+            lead = list(range(n))
+            det = reference.det_fraction([[F(v) for v in R[i]] for i in lead])
+            if det == 0:
+                singular += 1
+                with pytest.raises(linalg.LinAlgError):
+                    _lead_start(lead, form)
+                continue
+            negative += det < 0
+            perm, xn, xd, e, _, d = _lead_start(lead, form)
+            assert d == det and xd > 0 and all(type(v) is int for v in xn)
+            x = [F(v, xd) for v in xn]
+            rows = [[F(v) for v in R[i]] for i in lead]
+            assert x == linalg.solve_square(rows, [F(beta[i], s) for i in lead])
+            assert not any(e[:n])
+            for k, i in enumerate(perm):
+                excess = sum(a * v for a, v in zip(R[i], x)) - F(beta[i], s)
+                assert (e[k] > 0, e[k] < 0) == (excess > 0, excess < 0)
+        assert singular > 0 and negative > 0
 
 
 class TestDirectFaceForm:
@@ -235,3 +270,62 @@ class TestDirectFaceForm:
             want = driver.solve(face, cfg(done), **kw)
             assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
             assert got.pivot_sequence == want.pivot_sequence
+
+
+def fresh_inverse(p1: Phase1Problem):
+    """(M, D) of the face's start basis from a Bareiss pass over its n + |V|
+    rows, as `walk.Tableau` builds it when no inverse is given."""
+    adj, det = linalg.invert([p1.form.R[i] for i in sorted(p1.initial.basis)])
+    return (adj if det > 0 else [[-v for v in row] for row in adj]), abs(det)
+
+
+@pytest.fixture
+def built_faces(monkeypatch):
+    """Every Phase-1 face a solve builds, through the module attribute
+    the driver calls."""
+    faces = []
+    build = phase1.build_phase1_face
+
+    def recording(form, lead):
+        p1 = build(form, lead)
+        if isinstance(p1, Phase1Problem):
+            faces.append(p1)
+        return p1
+
+    monkeypatch.setattr(phase1, "build_phase1_face", recording)
+    return faces
+
+
+class TestBlockInverse:
+    """The face start's (M, D), built by blocks from the lead rows'
+    adjugate, is the one a Bareiss pass over the start basis gives."""
+
+    def test_block_inverse_on_rational_faces(self):
+        # rational rows: V rows with p_t != 1 scale the y-rows by Pi / p_t
+        rng = random.Random(53)
+        faces = scaled = 0
+        for _ in range(300):
+            lp = rational_lp(rng, rng.randint(1, 4))
+            form = model.integer_form(lp)
+            form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
+            p1 = build_phase1_face(form, lead)
+            if isinstance(p1, BasicSolution):
+                continue
+            faces += 1
+            assert p1.inverse == fresh_inverse(p1)
+            # a row of V holds -p_t in its y-column
+            scaled += any(min(p1.form.R[k][form.n :]) != -1 for k in p1.lead[form.n :])
+        assert faces >= 120 and scaled >= 100
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_block_inverse_on_the_fuzz_corpus(self, built_faces, mode):
+        solve_fuzz_corpus(mode)
+        assert len(built_faces) >= 150
+        assert all(p1.inverse == fresh_inverse(p1) for p1 in built_faces)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7])
+    def test_block_inverse_on_the_cold_pools(self, built_faces, seed):
+        # the tu-cold and mixed-status pools; tu-warm's starts build no face
+        solve_benchmark_pools(seed)
+        assert len(built_faces) >= 150
+        assert all(p1.inverse == fresh_inverse(p1) for p1 in built_faces)

@@ -7,7 +7,7 @@ from chains import nested_objective
 from reference import pair, validate_shadow_path, values
 from test_golden import _interior_point
 
-from shadow_simplex import driver, harness, model, oracle, randomness, rational, walk
+from shadow_simplex import driver, harness, linalg, model, oracle, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, integer_form
 from shadow_simplex.rational import dot, unit_scale
 from shadow_simplex.walk import (
@@ -279,9 +279,11 @@ class TestCarriedState:
         # boxed LPs with their held rows, and the certificate walks; each LP
         # is solved once more with a nested objective, whose chains walk
         # several rounds and so pivot with held rows.  Their unbounded ones
-        # answer at an edge, so the orthants add the recession walks
+        # answer at an edge, so the orthants add the recession walks.  Phase
+        # 1 makes no pivot on its degenerate face sum(y) = 0, so 32 seeds
+        # are needed for more than 15 degenerate pivots
         kinds = ("tu-incidence", "interval-matrix", "network-matrix")
-        for seed in range(24):
+        for seed in range(32):
             rng = random.Random(seed)
             n = rng.randint(3, 6)
             if seed % 2:
@@ -358,7 +360,7 @@ def dense_products(monkeypatch):
     R_enter . M[:,q] over every column.  Counts the products checked and the
     zero entries they skipped, and the ratio tests on an appended box."""
     seen = {"rd": 0, "u": 0, "skipped": 0, "boxed": 0}
-    ratio_test, update, combine = Tableau._ratio_test, Tableau._update_basis, walk._combine
+    ratio_test, update, combine = Tableau._ratio_test, Tableau._update_basis, linalg.combine
     want_u = []
 
     def checked_ratio_test(tab, k):
@@ -385,7 +387,7 @@ def dense_products(monkeypatch):
 
     monkeypatch.setattr(Tableau, "_ratio_test", checked_ratio_test)
     monkeypatch.setattr(Tableau, "_update_basis", checked_update)
-    monkeypatch.setattr(walk, "_combine", checked_combine)
+    monkeypatch.setattr(linalg, "combine", checked_combine)
     return seen
 
 
@@ -394,10 +396,12 @@ class TestSparseProducts:
     def test_equal_to_the_dense_products(self, dense_products, mode):
         # warm solves of TU LPs, whose rows hold a few +-1, and cold solves of
         # random integer LPs: Phase 1, facet chains that append the box, and
-        # certificate walks
+        # certificate walks.  Phase 1 makes no pivot on its face sum(y) = 0,
+        # where the box is appended most, so 24 seeds are needed for more
+        # than 10 ratio tests on a box
         kinds = ("tu-incidence", "interval-matrix", "network-matrix")
         conf = driver.SolveConfig(rng=randomness.RngConfig(seed=5, mode=mode))
-        for seed in range(12):
+        for seed in range(24):
             kind = kinds[seed % 3]
             lp = harness.generate_tu_instance(kind, 16, 8, seed)
             start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
