@@ -5,14 +5,13 @@ wrapped in the doubling phi schedule with exact optimality certificates.
 when no start vertex is given, then the doubling loop.  A given start is
 checked first, by the first facet chain's tableau build on the solve's
 integer form; a build that succeeds proves the form has rank n, so no rank
-pass runs, and the lead rows are found only if a walk appends the box.  An
-LP of rank below n whose c0 leaves the row span (the objective escape) has
-no vertex: a given start is ignored, Phase 1 decides feasibility, and a
-feasible one is unbounded along the escape.  A zero objective's chain stops
-at round 0, so its start vertex is accepted at the first phi
-(`phi_accepted`).  Phase 1 is `solve` itself at depth 1, on the Phase-1 phi
-schedule and without the box-tight check, which its bounded objective does
-not need.
+pass runs.  An LP of rank below n whose c0 leaves the row span (the
+objective escape) has no vertex: a given start is ignored, Phase 1 decides
+feasibility, and a feasible one is unbounded along the escape.  A zero
+objective's chain stops at round 0, so its start vertex is accepted at the
+first phi (`phi_accepted`).  Phase 1 is `solve` itself at depth 1, on the
+Phase-1 phi schedule and without the box-tight check, which its bounded
+objective does not need.
 
 A solve builds the integer form of its rows once (`model.integer_form`),
 first of all.  It checks its answer against the LP it was given and
@@ -21,19 +20,22 @@ pass, rank completion and the objective escape, Phase 1's start and face,
 the chain's tableau and the box-tight test.  The box is not built up front.
 Its rows strictly contain every vertex, so they can block only an edge that
 is unbounded in the LP: each facet chain's `walk.Tableau` is built on the
-solve's form with its lead rows and c0's primitive integer row.  An
-improving edge that no row blocks and along which c0 rises is a ray
-(Dantzig): the walk ends there, and the chain answers unbounded along it.
-The box (`model.bound_polytope`, the form's last 2n rows, with integer rhs
-over the form's own s) is appended at the first edge no row blocks that
-c0 does not rise along, with the pivots a walk of the boxed form makes.  A
-bounded LP's solve never builds it, and Phase 1's objective -sum(y),
-bounded above by 0, never ends a walk at a ray.  The bit budget and the
-pivot cap are those of the boxed form, m + 2n rows.  The Phase-1 face is
-only its own form, lead rows, objective, start and the start's integer
-inverse, built from the solve's (`phase1.build_phase1_face`), so the
-depth-1 solve runs no rank pass and builds no form or LP, its tableaus run
-no elimination, and it boxes the face on its form.  A facet chain's
+solve's form with c0's primitive integer row.  An improving edge that no
+row blocks and along which c0 rises is a ray (Dantzig): the walk ends
+there, the tableau keeps it in `ray`, and the chain answers unbounded
+along it.  The box (`model.bound_polytope`, the form's last 2n rows, with
+integer rhs over the form's own s) is appended by the tableau over its own
+basis at the first edge no row blocks that c0 does not rise along, with
+the pivots a walk of the boxed form makes.  A bounded LP's solve never
+builds it, and Phase 1's objective -sum(y), bounded above by 0, never ends
+a walk at a ray.  The bit budget and the pivot cap are those of the boxed
+form, m + 2n rows.  The Phase-1 face is only its own form, objective,
+start and the start's integer inverse, built from the solve's
+(`phase1.build_phase1_face`), so the depth-1 solve runs no rank pass and
+builds no form or LP, its tableaus run no elimination, and it boxes the
+face on its form.  When the lead rows' point is already a vertex, Phase 1
+is skipped and the chain's tableau takes its inverse from the same
+adjugate.  A facet chain's
 tableau is built on the start vertex's own basis; a start that fails the
 build on a form of rank n raises `walk.WalkError`.  The rows fixed so far
 stay in its basis, held out of pricing, so each walk stays on the face
@@ -84,7 +86,6 @@ rank-completion rows, then the 2n box rows once a walk has appended them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -359,7 +360,6 @@ class RoundTrace:
 class Candidate:
     capped: bool
     traces: list[RoundTrace]  # one per round walked
-    ray: tuple[int, ...] | None = None  # the ray the last walk ended at
 
 
 def repeated_shadow_vertex(
@@ -378,10 +378,10 @@ def repeated_shadow_vertex(
     tab stands on the chain's start vertex, freshly built on its basis (the
     build is the check of the start), and is walked in place and left on
     the chain's last vertex.  Built with c0, a walk that meets an improving
-    edge no row blocks along which c0 rises ends there, and the candidate
-    carries that ray; with the form's lead rows, tab appends the box over
-    them at the first other edge no row blocks; without, it walks its form
-    as given, which must then bound every walk.  The chain carries one
+    edge no row blocks along which c0 rises ends there, with the ray in
+    `tab.ray`, and tab appends the box over its basis at the first other
+    edge no row blocks; without c0, it walks its form as given, which must
+    then bound every walk.  The chain carries one
     `linalg.FaceBasis`, the face of its fixed rows, to which each round adds
     the row fixed last (`facet_restriction`).  Each round draws its
     perturbed objective in that face's coordinates at phi, bits random bits
@@ -410,10 +410,8 @@ def repeated_shadow_vertex(
         traces.append(RoundTrace(phi=phi, dim=len(free), path=res.path))
         if not res.finished:
             return Candidate(capped=True, traces=traces)
-        if res.ray is not None:
-            return Candidate(capped=False, traces=traces, ray=res.ray)
-        if tab.at_zero() or tab.carries(c0):
-            break  # the bound or the basis certifies c0: the vertex is optimal
+        if tab.ray is not None or tab.at_zero() or tab.carries(c0):
+            break  # a ray, or the bound or the basis certifies c0
         free = sorted(set(tab.basis) - set(fixed))
         fixed.append(free[identify_basis_element(tab, basis, free, tau)])
     return Candidate(capped=False, traces=traces)
@@ -495,8 +493,8 @@ def solve(
     algorithm, whose walks answer unbounded at an improving edge no row
     blocks along which c0 rises, and box the LP at the first other such
     edge.  The rows are used as given, never scaled: a rank pass finds the
-    lead rows that both Phase 1 and the box use, unless a given start's
-    tableau builds on the solve's form, which then has rank n.  The answer's
+    lead rows Phase 1 starts from, unless a given start's tableau builds on
+    the solve's form, which then has rank n.  The answer's
     certificate is named in `SolveOutcome.route`.  Every answer is checked
     against lp_raw's rows: the point for feasibility, a ray for improvement
     and recession.
@@ -518,13 +516,13 @@ def solve(
 
     Only Phase 1's own call sets _stream, _depth (1) and _face, and no
     lp_raw nor initial_bfs: it shares the caller's draws, and takes from
-    _face the face's form, lead rows, objective, start vertex and the
-    start's inverse, and the dimensions of its Phase-1 phi schedule, those
-    of the solve's form (n the face's x, m its rows less the |V| rows
-    -y_i <= 0).  Its objective -sum(y) is bounded above by 0, so its walks
-    stop at the first vertex where sum(y) = 0, which it accepts with no
-    `is_optimal` call, and it skips the box-tight check.  It checks its
-    answer against every face row."""
+    _face the face's form, objective, start vertex and the start's inverse,
+    and the dimensions of its Phase-1 phi schedule, those of the solve's
+    form (n the face's x, m its rows less the |V| rows -y_i <= 0).  Its
+    objective -sum(y) is bounded above by 0, so its walks stop at the first
+    vertex where sum(y) = 0, which it accepts with no `is_optimal` call,
+    and it skips the box-tight check.  It checks its answer against every
+    face row."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -532,40 +530,38 @@ def solve(
 
     c0 = lp_raw.c0 if _face is None else _face.c0
     c0_int = primitive_int_row(c0)[0]
-    first = inverse = None  # the first chain's tableau, when checking the start built it
+    first = inverse = escape = None  # first: the start's tableau, when it builds
     # Phase 1's objective -sum(y) is at most 0: its walks stop where it is 0
     stop = _depth == 1
     if _face is None:
         m = lp_raw.m
         form = model.integer_form(lp_raw)
-        # on a form of rank n the lead rows are its rank pass's first n rows,
-        # found only when a walk appends the box, and once per solve
-        lead, escape = cache(lambda: linalg.independent_rows(form.R)[: form.n]), None
         if initial_bfs is not None:
             # a build on n rows of the form proves it has rank n: no rank pass
             try:
-                first = walk.Tableau(form, initial_bfs, lead, c0_int, stop_at_zero=stop)
+                first = walk.Tableau(form, initial_bfs, c0_int, stop_at_zero=stop)
             except walk.WalkError:
                 pass  # rank below n, or a bad start: the rank pass decides
         if first is None:
-            # the rank pass, whose independent rows are the lead rows; rank
-            # completion appends rows to both
+            # the rank pass, whose independent rows are the lead rows Phase 1
+            # starts from; rank completion appends rows to both
             idx = linalg.independent_rows(form.R)
             rows = [form.R[i] for i in idx]
             escape = model._objective_escape(c0, rows) if len(idx) < form.n else None
             form, lead = model.complete_rank(form, idx)
         sched = PhiSchedule(variant=cfg.schedule, n=form.n, m=form.m)
     else:
-        m, form, lead, escape = _face.form.m, _face.form, _face.lead, None
+        m, form = _face.form.m, _face.form
         k = _face.n - _face.orig_n
         sched = PhiSchedule(variant=SCHEDULE_PHASE1, n=_face.orig_n, m=form.m - k)
         initial_bfs = _face.initial
         inverse = _face.inverse
 
     if initial_bfs is None or escape is not None:
-        bfs = _phase1_start(form, lead, cfg, stream, out)
-        if isinstance(bfs, SolveOutcome):
-            return bfs
+        start = _phase1_start(form, lead, cfg, stream, out)
+        if isinstance(start, SolveOutcome):
+            return start
+        bfs, inverse = start
     else:
         bfs = initial_bfs
 
@@ -578,9 +574,7 @@ def solve(
         phi = sched.phi(i)
         # the boxed form's m + 2n rows, whether or not a walk appends the box
         bits, cap = _walk_bits_and_cap(form.m + 2 * form.n, form.n, phi, cfg)
-        tab = first or walk.Tableau(
-            form, bfs, lead, c0_int, inverse=inverse, stop_at_zero=stop
-        )
+        tab = first or walk.Tableau(form, bfs, c0_int, inverse=inverse, stop_at_zero=stop)
         first = None
         cand = repeated_shadow_vertex(tab, c0_int, phi, bits, stream, cap=cap)
         out.traces.extend(cand.traces)
@@ -588,17 +582,17 @@ def solve(
         if cand.capped:
             continue
         vertex = tab.solution()
-        ray = cand.ray
-        # at depth 1 a vertex where sum(y) = 0 is optimal by the bound
-        if ray is None and not tab.at_zero() and not is_optimal(tab.form, vertex, tab, c0_int):
+        # a chain that ended at a ray answers there, and at depth 1 a vertex
+        # where sum(y) = 0 is optimal by the bound; else the certificate
+        # walk decides, which may meet a ray at the vertex
+        if not (tab.ray or tab.at_zero() or is_optimal(tab.form, vertex, tab, c0_int)):
             if tab.ray is None:
                 continue  # the certificate walk left the vertex
-            ray = tab.ray  # it met a ray there
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
-        if ray is not None:
+        if tab.ray is not None:
             out.route = "edge-ray"
-            return _accept(out, form, m, c0, vertex.point, tuple(map(Fraction, ray)))
+            return _accept(out, form, m, c0, vertex.point, tuple(map(Fraction, tab.ray)))
         if tuple(sorted(tab.basis)) != vertex.basis:
             vertex = tab.solution()  # the basis the certificate walk ended on
         verdict = "vertex" if _depth else model.assert_unbounded_if_box_tight(tab, c0_int)
@@ -644,15 +638,17 @@ def _check_ray(form: IntegerForm, m: int, c0, ray) -> None:
 
 
 def _phase1_start(form, lead, cfg, stream, out):
-    """A vertex of the LP of the full-rank form, or the infeasible outcome;
-    Phase 1 walks the face of LP' its start lies on and is skipped when the
-    start is already a vertex.  The face is built from form
-    (`phase1.build_phase1_face`), so the Phase-1 solve runs no rank pass and
-    builds no form of its own.  Its phi base stays on form's (n, m), the
-    dimensions the paper's Phase-1 schedule is stated in, which it reads
-    off the face; bits and pivot cap follow the walked face."""
+    """(a vertex of the LP of the full-rank form, its basis's (M, D) or
+    None), or the infeasible outcome.  Phase 1 walks the face of LP' its
+    start lies on and is skipped when the start is already a vertex, whose
+    (M, D) the face build reads off the lead rows' adjugate.  The face is
+    built from form (`phase1.build_phase1_face`), so the Phase-1 solve runs
+    no rank pass and builds no form of its own.  Its phi base stays on
+    form's (n, m), the dimensions the paper's Phase-1 schedule is stated in,
+    which it reads off the face; bits and pivot cap follow the walked
+    face."""
     p1 = phase1.build_phase1_face(form, lead)
-    if isinstance(p1, BasicSolution):
+    if not isinstance(p1, phase1.Phase1Problem):
         return p1
     out.phase1_artificials = p1.n - p1.orig_n
     sub = solve(None, cfg, _stream=stream, _depth=1, _face=p1)
@@ -666,4 +662,4 @@ def _phase1_start(form, lead, cfg, stream, out):
         out.infeasible_gap = got.gap
         out.bits_consumed = stream.bits_consumed
         return out
-    return got
+    return got, None

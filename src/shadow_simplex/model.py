@@ -396,11 +396,11 @@ def _raise_rank(lp: LinearProgram, extend) -> RankRaised | ObjectiveEscapesSpan:
 # ---------------------------------------------------------------------------
 
 
-def bound_polytope(form: IntegerForm, lead: list[int]) -> IntegerForm:
-    """form with the parallelepiped +-R_i x <= B_i / s over the n lead rows
-    appended: its last 2n rows are the box rows +-R_i, with scaled rhs B_i
-    over the form's own s, so s does not grow.  As rows of the LP, they are
-    +-a_i x <= B_i / (s f_i).
+def bound_polytope(form: IntegerForm, rows) -> IntegerForm:
+    """form with the parallelepiped +-R_i x <= B_i / s over n independent
+    rows of form appended: its last 2n rows are the box rows +-R_i, with
+    scaled rhs B_i over the form's own s, so s does not grow.  As rows of
+    the LP, they are +-a_i x <= B_i / (s f_i).
 
     The bound is Cramer's rule with Hadamard's inequality.  A vertex solves
     R_B x = beta_B / s for n independent rows B, and |det R_B| >= 1 since
@@ -409,21 +409,21 @@ def bound_polytope(form: IntegerForm, lead: list[int]) -> IntegerForm:
     over all rows of the form, |x| <= sqrt(n H^2) / s, and the integer
     B_i = isqrt(|R_i|^2 n H^2) + 1 exceeds s |R_i x| at every vertex.
 
-    lead holds the first n rows of `linalg.independent_rows(form.R)`, which
-    the caller has already computed.  Only existing row directions are
+    The bound holds over any n independent rows: a walk passes the basis it
+    stands on when it appends the box.  Only existing row directions are
     reused, so the delta-distance value is unaffected; every vertex of the
     original polyhedron lies strictly inside.
     """
     n = form.n
-    if len(lead) != n:
-        raise LPModelError("need n independent lead rows")
+    if len(rows) != n:
+        raise LPModelError("need n independent rows")
     R, beta = form.R, form.beta
     sq = [sum(map(mul, r, r)) for r in R]
     nH2 = n * prod(sorted(map(add, sq, map(mul, beta, beta)))[-n:])
     box_R = []
     factor = []
     box_beta = []
-    for i in lead:
+    for i in rows:
         B = isqrt(sq[i] * nH2) + 1
         box_R += [R[i], [-x for x in R[i]]]
         factor += [form.factor[i]] * 2
@@ -447,16 +447,16 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     the un-boxed LP as well, which is bounded ("box-cone").  Otherwise the
     recession LP decides ("recession"): max c0 d subject to R_i d <= 0 on
     the un-boxed rows and +-R_i d <= 1 on the box rows, which is bounded
-    because the box rows bound R_i d for the n independent lead rows.  Its
-    integer form is tab's rows with the scaled rhs 1 on the box rows and 0
-    on every other row, over s = 1.  d = 0 is its vertex on the lead rows
-    the box was built over, the greedy independent rows of the un-boxed
-    rows tight there, and `walk.first_gain` walks it from there on c0: the
-    first vertex it reaches with c0 d > 0 is an improving ray of the
-    un-boxed rows.  A walk that never leaves 0 certifies that no such ray
-    exists, so the box-tight optimum already attains the (finite)
-    supremum.  The caller checks that the vertex is feasible for the
-    un-boxed LP.
+    because the box rows bound R_i d for the n independent rows the box is
+    over.  Its integer form is tab's rows with the scaled rhs 1 on the box
+    rows and 0 on every other row, over s = 1.  d = 0 is its vertex on
+    those rows (`Tableau.box_basis`, the basis the walk stood on when it
+    appended the box), un-boxed rows all tight there, and `walk.first_gain`
+    walks it from there on c0: the first vertex it reaches with c0 d > 0 is
+    an improving ray of the un-boxed rows.  A walk that never leaves 0
+    certifies that no such ray exists, so the box-tight optimum already
+    attains the (finite) supremum.  The caller checks that the vertex is
+    feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
 
@@ -469,7 +469,7 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     form = tab.form
     rec = Tableau(
         IntegerForm(form.R, form.factor, [0] * box + [1] * (2 * n), 1),
-        BasicSolution(point=(Fraction(0),) * n, basis=tuple(tab.lead)),
+        BasicSolution(point=(Fraction(0),) * n, basis=tab.box_basis),
     )
     if not first_gain(rec, c0):
         return "recession"

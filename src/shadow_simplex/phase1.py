@@ -14,14 +14,15 @@ keeps y_i = 0.  Fixing those y_i deletes their columns and their rows
 x_bar violates.  The optimum on the face is still 0 exactly when the LP is
 feasible, and faces keep the delta-distance value, so the Phase-1 bound
 carries over.  When V is empty, x_bar is already a vertex and Phase 1 is
-skipped.  The face exists only in integers: x_bar is read off the lead
-rows' adjugate, the residuals stay in integers, and the face's integer
-form, lead rows and objective follow from the solve's form by
-construction, so the Phase-1 solve runs no rank pass and builds no form
-or LP of its own, and boxes the face on its form.  Its start basis is
-block triangular over the lead rows, so the start's integer inverse
-follows from the same adjugate and a |V| x n product, and the face
-tableau runs no elimination.  The objective -sum(y) is at most 0, so a
+skipped: the main chain's tableau takes its basis's integer inverse from
+the lead rows' adjugate.  The face exists only in integers: x_bar is read
+off that adjugate, the residuals stay in integers, and the face's integer
+form and objective follow from the solve's form by construction, so the
+Phase-1 solve runs no rank pass and builds no form or LP of its own, and
+its tableau boxes the face on its form.  Its start basis is block
+triangular over the lead rows, so the start's integer inverse follows
+from the same adjugate and a |V| x n product, and the face tableau runs
+no elimination.  The objective -sum(y) is at most 0, so a
 Phase-1 walk ends at the first vertex where sum(y) = 0, which the bound
 certifies optimal.  `extract_bfs` crawls from the x-part of a zero-gap
 optimum to a vertex on the integer form the solve already holds.
@@ -47,17 +48,14 @@ class Phase1Error(ValueError):
 class Phase1Problem:
     """LP' (`build_phase1`) or its face (`build_phase1_face`) with its start
     vertex.  LP' is the `LinearProgram` lp_prime, which the CLI prints.  The
-    face is its integer form, its lead rows (the first n + |V| rows of
-    `linalg.independent_rows` of its rows), its objective c0 = (0, -1) and
-    its start basis's integer inverse (M, D), M = D B^-1 as `walk.Tableau`
-    carries it, all derived from the solve's form, which its Phase-1 solve
-    reads."""
+    face is its integer form, its objective c0 = (0, -1) and its start
+    basis's integer inverse (M, D), M = D B^-1 as `walk.Tableau` carries it,
+    all derived from the solve's form, which its Phase-1 solve reads."""
 
     initial: BasicSolution
     orig_n: int
     lp_prime: LinearProgram | None = None
     form: model.IntegerForm | None = None
-    lead: list[int] | None = None
     c0: tuple[Fraction, ...] | None = None
     inverse: tuple[list[list[int]], int] | None = None  # the face start's (M, D)
 
@@ -136,9 +134,14 @@ def build_phase1(lp: LinearProgram) -> Phase1Problem:
     return Phase1Problem(lp_prime=lp_prime, initial=initial, orig_n=n)
 
 
-def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem | BasicSolution:
+def build_phase1_face(
+    form: model.IntegerForm, lead: list[int]
+) -> Phase1Problem | tuple[BasicSolution, tuple[list[list[int]], int]]:
     """The face y_i = 0 (x_bar satisfies row i) of LP', with its start vertex
-    (x_bar, y_V); or the vertex x_bar itself when it violates no row.
+    (x_bar, y_V); or, when x_bar violates no row, the vertex x_bar itself
+    with its basis's (M, D) = (sgn(d) adj, |d|), read off the lead rows'
+    (adj, d), whose columns are in sorted basis order since the lead rows
+    ascend.
 
     form is the integer form of a full-rank LP, on which x_bar and V are
     decided, and lead holds its n lead rows, the first n rows of
@@ -153,9 +156,9 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
     The face's integer form comes from form, with f_i = p_i / q_i: a row x_bar
     satisfies is (R_i, 0) with factor f_i, a row of V is (q_i R_i, -p_i e_i)
     with factor p_i and scaled rhs q_i beta_i / s, and -y_i <= 0 is (0, -e_i)
-    with factor 1.  Its lead rows are the start basis: the lead rows and the
-    rows of V each add an independent direction, and the others lie in the
-    span of the lead rows.
+    with factor 1.  Its start basis is its own rank pass's first n + |V|
+    rows: the lead rows and the rows of V each add an independent
+    direction, and the others lie in the span of the lead rows.
 
     The start basis B = [[R_L, 0], [Q R_V, -P]], with Q and P the q_t and
     p_t of V's factors, has det B = d (-1)^|V| Pi, Pi the product of the
@@ -169,14 +172,15 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
     perm, xn, xd, e, adj, d = _lead_start(lead, form)
     V = [k for k, ek in enumerate(e) if ek > 0]
     x_bar = tuple(fraction(v, xd) for v in xn)
+    sg, ad = (1, d) if d > 0 else (-1, -d)
     if not V:
-        return BasicSolution(point=x_bar, basis=tuple(perm[:n]))
+        M = adj if d > 0 else [[-a for a in row] for row in adj]
+        return BasicSolution(point=x_bar, basis=tuple(perm[:n])), (M, ad)
     nv = len(V)
     slot = dict(zip(V, range(nv)))
     zero, minus = SMALL_INTEGRAL[256], SMALL_INTEGRAL[255]
     izeros = [0] * nv
     R, factor, beta, s = form.R, form.factor, form.beta, form.s
-    sg, ad = (1, d) if d > 0 else (-1, -d)
     Pi = prod(factor[perm[k]].numerator for k in V)
     M = [[sg * Pi * a for a in row] + izeros for row in adj]
     fR, ffac, fbeta, y = [], [], [], []
@@ -211,7 +215,6 @@ def build_phase1_face(form: model.IntegerForm, lead: list[int]) -> Phase1Problem
         initial=BasicSolution(point=x_bar + tuple(y), basis=tuple(basis)),
         orig_n=n,
         form=model.IntegerForm(fR, ffac, fbeta, s),
-        lead=basis,
         c0=(zero,) * n + (minus,) * nv,
         inverse=(M, ad * Pi),
     )

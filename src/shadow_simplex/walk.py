@@ -21,15 +21,14 @@ row.  Built with the solve's objective c0, as a primitive integer row, it
 decides in integers whether such an edge d = -M[:,k] has c0 . d > 0, which
 makes d a ray of the form (Dantzig): the first of the slope-tied edges no
 row blocks that does ends the walk there, unboxed, and the tableau keeps d
-in `ray`.  Otherwise a tableau built with the form's lead rows appends the
-box `model.bound_polytope` builds over those rows (given as a function
-when they are to be found only then) at the first edge no row blocks that
-c0 does not rise along, and redoes that ratio test.  The box's 2n rows
-strictly contain every vertex of the form and so can block only an edge
-that is unbounded in it.  The box rows get the lexicographic exponents
-they would have had had they been there from the start, so every pivot is
-the one a walk of the boxed form makes.  A tableau built without lead rows
-walks its form as given.
+in `ray`.  At the first such edge that c0 does not rise along, it appends
+the box `model.bound_polytope` builds over its own basis, n independent
+rows of the form, keeps those rows for the recession walk, and redoes that
+ratio test.  The box's 2n rows strictly contain every vertex of the form
+and so can block only an edge that is unbounded in it.  The box rows get
+the lexicographic exponents they would have had had they been there from
+the start, so every pivot is the one a walk of the boxed form makes.  A
+tableau built without c0 walks its form as given.
 
 A Tableau outlives one walk: `aim` gives it the next walk's objectives, as
 integer numerators over a denominator, and the rows it holds in the basis.
@@ -37,13 +36,13 @@ Held rows never leave (they are left out of pricing and of the
 perturbation), so the walk stays on the face where they are tight; the
 facet chain of the driver walks all its rounds on one Tableau this way,
 with one basis inverse.  `shadow_walk` walks a Tableau in place and returns
-its `ShadowPath`, the one record of the walk's pivots, and the ray it ended
-at, if any.  `first_gain` walks a Tableau on a plain objective only until
-the point moves or a ray is met: the optimality and boundedness
-certificates are decided that way.  `Tableau.carries` reads off M whether
-the basis already carries an objective, which ends a facet chain.  A
-tableau that stops at zero, built for Phase 1, whose objective -sum(y) is
-at most 0, ends a walk at the first vertex where c0 . x = 0.
+its `ShadowPath`, the one record of the walk's pivots; the ray it ended at,
+if any, stays in the tableau's `ray`.  `first_gain` walks a Tableau on a
+plain objective only until the point moves or a ray is met: the optimality
+and boundedness certificates are decided that way.  `Tableau.carries` reads
+off M whether the basis already carries an objective, which ends a facet
+chain.  A tableau that stops at zero, built for Phase 1, whose objective
+-sum(y) is at most 0, ends a walk at the first vertex where c0 . x = 0.
 
 Slope and ratio comparisons are integer cross-multiplications: both draw
 modes produce dyadic rational objectives, so the exact branch always
@@ -123,7 +122,6 @@ class WalkResult:
     finished: bool  # the walk reached the optimum or a ray, not the cap
     path: ShadowPath
     pivots: int
-    ray: tuple[int, ...] | None = None  # the ray it ended at, from tab's vertex
 
 
 def tight_rows_at(lp: LinearProgram, x0: BasicSolution) -> list[list[Fraction]]:
@@ -148,13 +146,11 @@ class Tableau:
     c0, when given, is the solve's objective as an integer row: until the
     box is appended, an improving edge no row blocks whose direction d has
     c0 . d > 0 ends the walk, and `ray` holds d's primitive integer row
-    until the next `aim`.  lead, when given, holds the form's n lead rows,
-    or a function of no arguments that returns them, called when the box is
-    appended: the tableau appends the box over them, once, at the first
-    improving edge no row blocks that is not such a ray, and is `boxed`
-    from then on, with lead the rows.  A tableau built without lead walks
-    its form as given; there, or once boxed, an edge no row blocks that
-    ends no walk raises `UnboundedEdgeError`.
+    until the next `aim`.  At the first improving edge no row blocks that
+    is not such a ray, the tableau appends the box over its basis rows,
+    once, keeps them in `box_basis` and is `boxed` from then on.  A tableau
+    built without c0 walks its form as given; there, or once boxed, an edge
+    no row blocks that ends no walk raises `UnboundedEdgeError`.
 
     stop_at_zero says that c0, which must then be given, is at most 0 on
     the form, as Phase 1's -sum(y) is: a vertex where c0 . x = 0 is then
@@ -167,7 +163,6 @@ class Tableau:
         self,
         form: IntegerForm,
         start: BasicSolution,
-        lead=None,
         c0=None,
         inverse: tuple[list[list[int]], int] | None = None,
         stop_at_zero: bool = False,
@@ -178,10 +173,9 @@ class Tableau:
         order, formed by the caller (the Phase-1 face builds it by blocks);
         no elimination is run, and every other check of the start is."""
         self.form = form
-        self.lead = lead
         self.c0 = c0
         self.stop_at_zero = stop_at_zero
-        self.boxed = False
+        self.box_basis: tuple[int, ...] | None = None  # the rows the box is over
         self.ray: tuple[int, ...] | None = None
         m, n = form.m, form.n
         self.m, self.n = m, n
@@ -238,6 +232,10 @@ class Tableau:
         self.exp_of = [0] * self.m
         for e, i in enumerate(order, start=1):
             self.exp_of[i] = e
+
+    @property
+    def boxed(self) -> bool:
+        return self.box_basis is not None
 
     # -- exact views ------------------------------------------------------
 
@@ -317,19 +315,18 @@ class Tableau:
         # ratio test per slope-tied edge; equal slopes resolved by the
         # smallest entering row index.  The first edge no row blocks that
         # improves c0 is a ray; else such an edge appends the box over the
-        # lead rows, and the ratio tests are redone on it
+        # basis rows, and the ratio tests are redone on it
         while True:
             tests = [(*self._ratio_test(k), k) for k in best]
             if all(enter >= 0 for enter, _, _ in tests):
                 break
-            if self.c0 is not None and not self.boxed:
-                self.ray = self._ray([k for enter, _, k in tests if enter < 0])
-                if self.ray is not None:
-                    return None
-            if self.lead is None or self.boxed:
+            if self.c0 is None or self.boxed:
                 raise UnboundedEdgeError(
                     "improving edge with no blocking row (polytope not boxed?)"
                 )
+            self.ray = self._ray([k for enter, _, k in tests if enter < 0])
+            if self.ray is not None:
+                return None
             self._append_box()
         enter, rd, k = min(tests, key=lambda t: t[0])
         leave = self.basis[k]
@@ -388,15 +385,15 @@ class Tableau:
         return None
 
     def _append_box(self) -> None:
-        """Append the box over the lead rows (`model.bound_polytope`) as the
-        form's last 2n rows, each strictly slack at the vertex.  The box rows
-        take the exponents right after the current aim's non-basic rows, and
-        its free basis rows move up by 2n, as in a walk of the boxed form."""
+        """Append the box over the basis rows (`model.bound_polytope`), n
+        independent rows of the form, as its last 2n rows, each strictly
+        slack at the vertex, and keep those rows in `box_basis`.  The box
+        rows take the exponents right after the current aim's non-basic
+        rows, and its free basis rows move up by 2n, as in a walk of the
+        boxed form."""
         m, n = self.m, self.n
-        if callable(self.lead):
-            self.lead = self.lead()
-        form = model.bound_polytope(self.form, self.lead)
-        self.form, self.boxed = form, True
+        self.box_basis = tuple(sorted(self.basis))
+        self.form = form = model.bound_polytope(self.form, self.box_basis)
         self.R, self.beta, self.m = form.R, form.beta, form.m
         self.cols = list(zip(*self.R))
         box = self._slacks(range(m, form.m))
@@ -505,25 +502,26 @@ def shadow_walk(tab: Tableau, c, w, pivot_cap: int | None = None, held=()) -> Wa
     where c0 . x = 0 when tab stops at zero (`Tableau.at_zero`), or to the
     pivot cap; c and w are (integer numerators, denominator) pairs, as
     `Tableau.aim` takes them.  tab ends on the walk's last vertex, where a
-    ray starts, and the path records every pivot."""
+    ray starts, and the path records every pivot.  Each pivot scans the
+    improving edges once: a pivot that finds none, or meets a ray, ends the
+    walk, and the optimum is tested on its own only at the cap."""
     tab.aim(c, w, held)
     start_basis = tuple(sorted(tab.basis))
     steps: list[PathStep] = []
     start_value = tab.c_value()
     finished = True
-    while not (tab.at_optimum() or tab.at_zero()):
+    while not tab.at_zero():
         if pivot_cap is not None and tab.pivot_count >= pivot_cap:
-            finished = False
+            finished = tab.at_optimum()
             break
         step = tab.pivot()
         if step is None:
-            break  # a ray
+            break  # the optimum, or a ray
         steps.append(step)
     return WalkResult(
         finished=finished,
         path=ShadowPath(start_basis, start_value, tuple(steps)),
         pivots=tab.pivot_count,
-        ray=tab.ray,
     )
 
 

@@ -1,11 +1,12 @@
-"""The box as a solve's walks build it, at their first unbounded edge that
-c0 does not rise along, over the lead rows its rank pass finds, the first n
-rows of `linalg.independent_rows`: the boxed integer form
-(`model.bound_polytope`), and the boxed LP in `Fraction`s that the tests
-enumerate and take dot products on (`reference.bound_polytope`), whose
-integer form is the boxed form; a tableau that stands on the boxed form as
-one that appended the box does (`on_box`); and LPs whose walks append the
-box (`lifted`, `orthants`)."""
+"""The box in tests.  A solve's walk appends the box at its first unbounded
+edge that c0 does not rise along, over the basis it stands on there
+(`walk.Tableau.box_basis`); the tests build it over any n independent rows,
+by default an LP's lead rows, the first n rows of `linalg.independent_rows`:
+the boxed integer form (`model.bound_polytope`), and the boxed LP in
+`Fraction`s that the tests enumerate and take dot products on
+(`reference.bound_polytope`), whose integer form is the boxed form; a
+tableau that stands on the boxed form as one that appended the box does
+(`on_box`); and LPs whose walks append the box (`lifted`, `orthants`)."""
 
 import reference
 
@@ -29,12 +30,12 @@ def box_rows(boxed):
     return range(boxed.m - 2 * boxed.n, boxed.m)
 
 
-def on_box(form, start, lead):
+def on_box(form, start, rows):
     """A `walk.Tableau` on form, which `model.bound_polytope` returned over
-    the lead rows, standing on start as a tableau that appended that box
-    stands there: it holds lead and is marked boxed."""
-    tab = walk.Tableau(form, start, lead)
-    tab.boxed = True
+    rows, standing on start as a tableau that appended that box stands
+    there: it is boxed over rows."""
+    tab = walk.Tableau(form, start)
+    tab.box_basis = tuple(rows)
     return tab
 
 

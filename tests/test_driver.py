@@ -478,10 +478,11 @@ class TestRepeated:
 
 
 def assert_ray_twin(tab, lazy, eager, boxed):
-    """lazy, a chain on tab that ended at a ray, walked eager's chain, on
-    the eagerly boxed form boxed, up to that edge: the same rounds and, in
-    its last round, the same pivots first.  There the edge is blocked in
-    boxed by a box row, under the exponents eager's walk gives the rows."""
+    """lazy, a chain on tab that ended at the ray tab.ray, walked eager's
+    chain, on the eagerly boxed form boxed, up to that edge: the same rounds
+    and, in its last round, the same pivots first.  There the edge is
+    blocked in boxed by a box row, under the exponents eager's walk gives
+    the rows."""
     *done, last = lazy.traces
     assert not tab.boxed and eager.traces[: len(done)] == done
     ref = eager.traces[len(done)]
@@ -489,7 +490,7 @@ def assert_ray_twin(tab, lazy, eager, boxed):
         last.phi, last.dim, last.path.start_basis, last.path.start_value
     )
     assert ref.path.steps[: len(last.path.steps)] == last.path.steps
-    (k,) = [k for k in range(tab.n) if prim([-row[k] for row in tab.M]) == list(lazy.ray)]
+    (k,) = [k for k in range(tab.n) if prim([-row[k] for row in tab.M]) == list(tab.ray)]
     at = walk.Tableau(boxed, tab.solution())
     at.aim((tab.c_num, tab.c_den), (tab.w_num, tab.w_den), tab.held)
     enter, _ = at._ratio_test(at.basis.index(tab.basis[k]))
@@ -499,26 +500,34 @@ def assert_ray_twin(tab, lazy, eager, boxed):
 @pytest.fixture
 def twinned_chains(monkeypatch):
     """Walk every facet chain of the solves run twice: as the solve walks it,
-    on its form with the lead rows to box on demand, and on a tableau of
-    the eagerly boxed form `model.bound_polytope(form, lead)` with no lead
-    rows (found now when the solve defers them), at the same start, from a
-    copy of the same draw stream.  A lazy chain that ends at a ray is held
-    against the eager one up to that edge (`assert_ray_twin`); any other
-    walks the eager chain exactly.  Counts the chains, the lazy ones that
-    appended the box, and those that ended at a ray."""
+    on its form, boxed on demand over the basis of the pivot that needs the
+    box, and on a tableau of the eagerly boxed form
+    `model.bound_polytope(form, rows)` over the same rows, at the same start,
+    from a copy of the same draw stream.  The rows are found by walking a
+    deep copy of the chain first; a chain that appends no box is twinned
+    with the form boxed over its start basis.  A lazy chain that ends at a
+    ray is held against the eager one up to that edge (`assert_ray_twin`);
+    any other walks the eager chain exactly.  Counts the chains, the lazy
+    ones that appended the box, and those that ended at a ray.  The copy
+    and the twin are marked `twin`."""
     seen = {"chains": 0, "boxed": 0, "rays": 0}
     chain = driver.repeated_shadow_vertex
 
     def twins(tab, c0, phi, bits, stream, cap=None):
-        twin = copy.deepcopy(stream)
-        form, lead = tab.form, tab.lead() if callable(tab.lead) else tab.lead
-        boxed = model.bound_polytope(form, lead)
+        probe = copy.deepcopy(tab)
+        probe.twin = True
+        chain(probe, c0, phi, bits, copy.deepcopy(stream), cap=cap)
+        form = tab.form
+        boxed = model.bound_polytope(form, probe.box_basis or sorted(tab.basis))
         # a Phase-1 twin stops where sum(y) = 0, as the solve's tableau does
         ref = walk.Tableau(boxed, tab.solution(), c0=tab.c0, stop_at_zero=tab.stop_at_zero)
+        ref.twin = True
+        twin = copy.deepcopy(stream)
         eager = chain(ref, c0, phi, bits, twin, cap=cap)
         lazy = chain(tab, c0, phi, bits, stream, cap=cap)
+        assert tab.box_basis == probe.box_basis
         seen["chains"] += 1
-        if lazy.ray is not None:
+        if tab.ray is not None:
             assert_ray_twin(tab, lazy, eager, boxed)
             assert stream.bits_consumed <= twin.bits_consumed
             seen["rays"] += 1
@@ -611,14 +620,17 @@ class TestLazyBox:
 
 
 class RankPassFirst(walk.Tableau):
-    """A tableau that refuses lead rows deferred to a function, so that a
+    """A tableau whose first build after `refuse` is set raises, so that a
     solve with a start takes the rank-pass path: the start's first build
     raises, and the rank pass and rank completion run as on a cold solve."""
 
-    def __init__(self, form, start, lead=None, c0=None, **kw):
-        if callable(lead):
-            raise walk.WalkError("deferred lead rows refused")
-        super().__init__(form, start, lead, c0, **kw)
+    refuse = False
+
+    def __init__(self, *args, **kw):
+        if RankPassFirst.refuse:
+            RankPassFirst.refuse = False
+            raise walk.WalkError("first build refused")
+        super().__init__(*args, **kw)
 
 
 def vertex_start(lp, point):
@@ -633,16 +645,16 @@ def vertex_start(lp, point):
 def warm_twins(monkeypatch):
     """solve(lp, conf, start) run twice, as the solve runs it and on the
     rank-pass path (`RankPassFirst`), which must give the same answer,
-    draws, pivot sequence and boxes (lead rows, rows and rhs).  Counts the
-    solves, those whose start's build skipped the rank pass, and the boxes
-    those built on lead rows found only when the box was appended."""
-    seen = {"solves": 0, "skipped": 0, "deferred boxes": 0}
+    draws, pivot sequence and boxes (the rows each is over, its rows and
+    rhs).  Counts the solves, those whose start's build skipped the rank
+    pass, and the boxes those appended."""
+    seen = {"solves": 0, "skipped": 0, "warm boxes": 0}
     boxes, completions = [], []
     bound, complete, tableau = model.bound_polytope, model.complete_rank, walk.Tableau
 
-    def recording(form, lead):
-        boxed = bound(form, lead)
-        boxes.append((list(lead), boxed.R, boxed.beta, boxed.s))
+    def recording(form, rows):
+        boxed = bound(form, rows)
+        boxes.append((list(rows), boxed.R, boxed.beta, boxed.s))
         return boxed
 
     monkeypatch.setattr(model, "bound_polytope", recording)
@@ -662,12 +674,13 @@ def warm_twins(monkeypatch):
     def run(lp, conf, start):
         got, skipped = answer(lp, conf, start)
         monkeypatch.setattr(walk, "Tableau", RankPassFirst)
+        RankPassFirst.refuse = True
         want, refused = answer(lp, conf, start)
         monkeypatch.setattr(walk, "Tableau", tableau)
         assert got == want and not refused
         seen["solves"] += 1
         seen["skipped"] += skipped
-        seen["deferred boxes"] += len(got[-1]) if skipped else 0
+        seen["warm boxes"] += len(got[-1]) if skipped else 0
         return got
 
     seen["run"] = run
@@ -677,8 +690,8 @@ def warm_twins(monkeypatch):
 class TestWarmStart:
     """A start whose tableau builds on the bare integer form proves the form
     has rank n: the solve runs no rank pass and hands that tableau to its
-    first chain, and finds the lead rows only if a walk appends the box.
-    Everything else is the rank-pass path's."""
+    first chain, and a walk that appends the box boxes over its own basis,
+    with no rank pass either.  Everything else is the rank-pass path's."""
 
     def test_bounded_warm_solve_runs_no_rank_pass(self, monkeypatch):
         # the seed-7 tu-warm benchmark pool: bounded LPs from a vertex
@@ -704,6 +717,37 @@ class TestWarmStart:
         assert calls["rank"] == 0
         assert calls["invert"] == calls["chains"] >= len(pool)
 
+    def test_boxing_warm_solve_runs_no_rank_pass(self, monkeypatch):
+        # the seed-7 tu-warm benchmark pool lifted (`lifted`), from each
+        # start at t = 0: a walk that rises up the t axis appends the box
+        # over its basis, and no solve calls linalg.independent_rows
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        pool = workloads.build_pool(pkg, "tu-warm", 7)  # its setup crawls, which ranks
+        calls = {"rank": 0, "boxes": 0}
+        rank, bound = linalg.independent_rows, model.bound_polytope
+
+        def ranking(rows):
+            calls["rank"] += 1
+            return rank(rows)
+
+        def boxing(form, rows):
+            calls["boxes"] += 1
+            return bound(form, rows)
+
+        monkeypatch.setattr(linalg, "independent_rows", ranking)
+        monkeypatch.setattr(model, "bound_polytope", boxing)
+        boxed = 0
+        for inst in pool:
+            up = lifted(inst.lp)
+            start = BasicSolution((*inst.start.point, F(0)), (*inst.start.basis, inst.lp.m))
+            conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+            calls["boxes"] = 0
+            assert solve(up, conf, initial_bfs=start).status == "optimal"
+            boxed += calls["boxes"] > 0
+        # each of the 102 solves appends a box
+        assert calls["rank"] == 0 and boxed == len(pool) == 102, (calls, boxed)
+
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, warm_twins, mode):
         # each feasible LP from a vertex of its rank-completed form, reached
@@ -722,7 +766,7 @@ class TestWarmStart:
                     assert got[:2] == (out.status, out.value)
         # 585 solves, 399 of them with no rank pass, whose walks appended 91
         # boxes (3 of them on the LPs as given)
-        assert warm_twins["solves"] >= 580 and warm_twins["deferred boxes"] >= 60, warm_twins
+        assert warm_twins["solves"] >= 580 and warm_twins["warm boxes"] >= 60, warm_twins
         assert warm_twins["skipped"] >= 390 and warm_twins["solves"] - warm_twins["skipped"] >= 60
 
     def test_unbounded_mixed_status_lps(self, warm_twins):
@@ -744,9 +788,9 @@ class TestWarmStart:
                     up = lifted(inst.lp)
                     got = warm_twins["run"](up, conf, vertex_start(up, (*out.point, 0)))
                     assert got[:2] == (out.status, out.value)
-        # 1,751 solves; 1,143 of full rank run no rank pass, and 317 of those
-        # append a box
-        assert warm_twins["solves"] >= 1700 and warm_twins["deferred boxes"] >= 270, warm_twins
+        # 1,751 solves; 1,143 of full rank run no rank pass, and 315 of those
+        # append a box (317 when the box was over the lead rows)
+        assert warm_twins["solves"] >= 1700 and warm_twins["warm boxes"] >= 270, warm_twins
 
     def test_escape_with_a_start_runs_phase1(self, monkeypatch):
         # rank 2 of 3 and c0 off the row span, with a start on three rows of
@@ -779,43 +823,56 @@ class TestWarmStart:
         assert len(passes) == 1
 
 
-def recession_basis(form):
-    """The greedy independent rows tight at d = 0 (`model.tight_basis_at`)
-    of the recession LP of form, a form whose last 2n rows are a box: its
-    rows with rhs 1 on the box rows and 0 elsewhere."""
+def recession_form(form):
+    """The recession LP of form, a form whose last 2n rows are a box: its
+    rows with rhs 1 on the box rows and 0 elsewhere, over s = 1."""
     n, m = form.n, form.m
-    rec = model.IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)
-    return model.tight_basis_at(rec, (F(0),) * n)[:n]
+    return model.IntegerForm(form.R, form.factor, [0] * (m - 2 * n) + [1] * (2 * n), 1)
 
 
 @pytest.fixture
 def recession_bases(monkeypatch):
-    """Hold the lead rows the recession walk starts from against
-    `recession_basis` of its form at every box-tight answer of the solves
-    run, and count those answers and the recession walks among them (the
-    others answer off the basis, "box-cone")."""
-    seen = {"box-tight": 0, "walks": 0}
-    decide = model.assert_unbounded_if_box_tight
+    """At every box-tight answer of the solves run, hold the rows the box is
+    over, `Tableau.box_basis`, to being n independent un-boxed rows of the
+    recession LP, tight at d = 0, and the recession walk to starting on
+    them.  Counts those answers and the recession walks among them (the
+    others answer off the basis, "box-cone"), and the box rows that are not
+    the rank pass's lead rows."""
+    seen = {"box-tight": 0, "walks": 0, "not lead": 0}
+    decide, first_gain = model.assert_unbounded_if_box_tight, walk.first_gain
+    starts = []
+
+    def starting(tab, c):
+        starts.append(sorted(tab.basis))
+        return first_gain(tab, c)
 
     def checked(tab, c0):
+        starts.clear()
         if tab.boxed and not all(tab.slack[tab.m - 2 * tab.n :]):
-            assert tab.lead == recession_basis(tab.form)
+            rows, n = list(tab.box_basis), tab.n
+            rec = recession_form(tab.form)
+            assert len(rows) == n and rows[-1] < tab.m - 2 * n
+            assert len(linalg.independent_rows([rec.R[i] for i in rows])) == n
+            assert set(rows) <= set(rec.tight_rows((F(0),) * n))
             seen["box-tight"] += 1
+            seen["not lead"] += rows != linalg.independent_rows(rec.R)[:n]
         verdict = decide(tab, c0)
-        seen["walks"] += verdict not in ("vertex", "box-cone")
+        if verdict not in ("vertex", "box-cone"):
+            assert starts[0] == list(tab.box_basis)
+            seen["walks"] += 1
         return verdict
 
+    monkeypatch.setattr(walk, "first_gain", starting)
     monkeypatch.setattr(model, "assert_unbounded_if_box_tight", checked)
     return seen
 
 
 class TestRecessionBasis:
-    """The recession walk starts at d = 0 on the lead rows the box was built
-    over, which are the greedy independent rows tight there: the un-boxed
-    rows, all tight at 0, whose rank pass gave the lead rows.  Few solves
-    walk it since an edge no row blocks answers unbounded when c0 rises
-    along it, and a box-tight vertex answers bounded when c0 needs no box
-    row of its basis."""
+    """The recession walk starts at d = 0 on the rows the box was built
+    over, the basis of the walk that appended it: n independent rows of
+    the un-boxed LP, all tight at 0.  Few solves walk it since an edge no
+    row blocks answers unbounded when c0 rises along it, and a box-tight
+    vertex answers bounded when c0 needs no box row of its basis."""
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, recession_bases, mode):
@@ -829,27 +886,27 @@ class TestRecessionBasis:
 
     def test_unbounded_mixed_status_lps(self, recession_bases):
         # the seed-7 mixed-status benchmark pool, as its first pass solves
-        # it: 72 box-tight answers, all walked, before edges answered
-        # unbounded and the basis answered bounded
+        # it: 5 box-tight answers, 3 of them walked, 2 boxed over other rows
+        # than the lead rows
         workloads = load_workloads()
         pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
         for inst in workloads.build_pool(pkg, "mixed-status", 7):
             rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
             solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start)
-        assert recession_bases == {"box-tight": 5, "walks": 3}, recession_bases
+        assert recession_bases == {"box-tight": 5, "walks": 3, "not lead": 2}, recession_bases
 
     def test_random_boxed_lps(self):
-        # LPs boxed before the solve are bounded, so no solve of theirs walks
-        # the recession LP; boxed once more, as a walk would box them, the
-        # rows of their first box are un-boxed rows tight at 0, and the
-        # greedy rows there are still the lead rows
+        # LPs boxed before the solve are bounded; boxed once more over the
+        # basis of their start vertex, as a walk would box them there, the
+        # recession walk builds on that basis at d = 0 and finds no ray
         rng = random.Random(83)
         for _ in range(40):
             n = rng.randint(1, 5)
-            lp, _ = random_boxed(rng, n, rng.randint(n + 1, n + 5))
-            form = model.integer_form(lp)
-            form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
-            assert recession_basis(model.bound_polytope(form, lead)) == lead
+            lp, start = random_boxed(rng, n, rng.randint(n + 1, n + 5))
+            rows = sorted(start.basis)
+            rec = recession_form(model.bound_polytope(model.integer_form(lp), rows))
+            tab = walk.Tableau(rec, BasicSolution(point=(F(0),) * n, basis=tuple(rows)))
+            assert not walk.first_gain(tab, prim(lp.c0))
 
 
 @pytest.fixture
@@ -870,7 +927,7 @@ def ray_ends(monkeypatch):
 
     def chaining(tab, *args, **kwargs):
         cand = chain(tab, *args, **kwargs)
-        if cand.ray is not None:
+        if tab.ray is not None:
             ends["chain"].append(depth[-1])
         return cand
 
@@ -914,11 +971,11 @@ class TestRoutes:
         # and the solve answers with no certificate walk and no box
         lp = model.make_lp([[-1]], [0], [1])
         start = BasicSolution(point=(F(0),), basis=(0,))
-        tab = walk.Tableau(model.integer_form(lp), start, [0], [1])
+        tab = walk.Tableau(model.integer_form(lp), start, [1])
         cand = repeated_shadow_vertex(
             tab, [1], F(16), BITS, randomness.DrawStream(3)
         )
-        assert cand.ray == (1,) and not cand.capped and not tab.boxed
+        assert tab.ray == (1,) and not cand.capped and not tab.boxed
         assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
 
         def refuse(*args):
@@ -948,14 +1005,14 @@ class TestRoutes:
         lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 0], [1, 0])
         form = model.integer_form(lp)
         x = BasicSolution(point=(F(0), F(0)), basis=(0, 1))
-        tab = walk.Tableau(form, x, [0, 1], [1, 0])
+        tab = walk.Tableau(form, x, [1, 0])
         assert not is_optimal(form, x, tab, [1, 0])
         assert (tab.ray, tab.pivot_count, sorted(tab.basis)) == ((1, 1), 1, [1, 2])
         assert not tab.boxed and tab.stands_on(x.point)
-        # without c0 the tableau appends the box there instead
-        tab = walk.Tableau(form, x, [0, 1])
-        assert not is_optimal(form, x, tab, [1, 0])
-        assert tab.ray is None and tab.boxed
+        # without c0 the tableau raises there instead
+        tab = walk.Tableau(form, x)
+        with pytest.raises(walk.UnboundedEdgeError):
+            is_optimal(form, x, tab, [1, 0])
 
     def test_box_cone_answers_bounded_off_the_basis(self, monkeypatch):
         # maximize x1 subject to x1 <= 1, -x2 <= 1: the perturbed objective
@@ -971,7 +1028,7 @@ class TestRoutes:
         assert (out.status, out.value, out.route) == ("optimal", 1, "box-cone")
         boxed = boxed_form(lp)
         assert set(boxed.tight_rows(out.point)) - set(box_rows(boxed)) == {0}
-        assert all(tab.lead is not None for tab in walks)  # none on the recession form
+        assert all(tab.c0 is not None for tab in walks)  # none on the recession form
 
     def test_recession_walk_decides_past_the_basis(self):
         # maximize x over the quadrant x, y >= 0 at seed 245: the first walk
@@ -1170,8 +1227,8 @@ class TestChainStop:
 
         def recording(tab):
             step = pivot(tab)
-            # the solve's tableau, which boxes on its lead rows, not the twin
-            if tab.lead is not None and tab.stop_at_zero and step is not None and tab.at_zero():
+            # the solve's tableau, not its twin or the copy walked first
+            if not hasattr(tab, "twin") and tab.stop_at_zero and step is not None and tab.at_zero():
                 boxed.append(tab.boxed)
             return step
 

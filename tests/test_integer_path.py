@@ -229,8 +229,10 @@ class TestCarriedFaceBasis:
 
     def test_benchmark_pools(self, seen):
         solve_benchmark_pools(7)
-        # one round per `complement_basis_int` call: 169 + 113 + 256
-        assert seen["rounds"] == 538 and seen["fixed"] > 10, seen
+        # one round per `complement_basis_int` call: 169 + 113 + 255 (256
+        # when the box was over the lead rows: one mixed-status chain that
+        # boxes over its basis walks a round fewer)
+        assert seen["rounds"] == 537 and seen["fixed"] > 10, seen
 
 
 def awkward_lp(rng, n, m):

@@ -313,11 +313,12 @@ class TestBounding:
     def test_vertices_lie_strictly_inside_the_box(self):
         # every vertex of the LP the solve boxes lies strictly inside every
         # box row, whatever its rows: rational, duplicate and parallel rows,
-        # rows appended by rank completion and the rows of an earlier box
-        seen = dict.fromkeys(("rational", "duplicate", "completed", "boxed"), 0)
+        # rows appended by rank completion and the rows of an earlier box,
+        # and whichever n independent rows the box is over
+        seen = dict.fromkeys(("rational", "duplicate", "completed", "boxed", "not lead"), 0)
         vertices = 0
-        for work, form, lead, kinds in box_cases(61, 80):
-            boxed = model.bound_polytope(form, lead)
+        for work, form, rows, kinds in box_cases(61, 80):
+            boxed = model.bound_polytope(form, rows)
             for v in oracle.enumerate_vertices(work).vertices:
                 vertices += 1
                 assert all(e < 0 for e in boxed.excess(v.point)[work.m :])
@@ -368,14 +369,14 @@ class TestBounding:
     def test_integer_box_matches_the_fraction_box(self):
         # the box form is the integer form of the boxed LP's make_lp
         # construction, whose B_i come from each row's own primitive_int_row
-        for work, form, lead, _ in box_cases(67, 150):
-            boxed = model.bound_polytope(form, lead)
-            assert boxed == model.integer_form(reference.bound_polytope(work, lead))
+        for work, form, rows, _ in box_cases(67, 150):
+            boxed = model.bound_polytope(form, rows)
+            assert boxed == model.integer_form(reference.bound_polytope(work, rows))
 
     def test_box_form_keeps_the_solves_rows_and_denominator(self):
         # the box rows append to the solve's form: its rows, rhs and s stay
-        for work, form, lead, _ in box_cases(71, 150):
-            boxed = model.bound_polytope(form, lead)
+        for work, form, rows, _ in box_cases(71, 150):
+            boxed = model.bound_polytope(form, rows)
             assert boxed.s == form.s
             assert boxed.beta[: work.m] == form.beta
             assert boxed.R[: work.m] == form.R
@@ -393,11 +394,14 @@ class TestBounding:
 
 
 def box_cases(seed, count):
-    """count seeded (LP, integer form, lead rows, kinds) as a solve boxes
+    """count seeded (LP, integer form, box rows, kinds) as a solve boxes
     them: rows with rational entries, duplicate and parallel rows, rank
     completion (`model.complete_rank`, the LP completed by its Fraction view
-    `model.extend_to_full_rank`), and every fourth LP boxed before.
-    kinds names which of these the case has."""
+    `model.extend_to_full_rank`), and every fourth LP boxed before.  The box
+    rows are n independent rows of the form, as a walk's basis is: the
+    greedy independent rows of its rows in a random order, ascending.
+    kinds names which of these the case has, "not lead" when the box rows
+    are not the lead rows."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -431,7 +435,11 @@ def box_cases(seed, count):
             form = model.integer_form(work)
             lead = linalg.independent_rows(form.R)[:n]
             kinds.add("boxed")
-        cases.append((work, form, lead, kinds))
+        order = rng.sample(range(form.m), form.m)
+        box = sorted(order[k] for k in linalg.independent_rows([form.R[i] for i in order]))
+        if box != lead:
+            kinds.add("not lead")
+        cases.append((work, form, box, kinds))
     return cases
 
 

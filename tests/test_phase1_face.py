@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import reference
 from boxing import box, lead_rows
-from test_integer_path import solve_benchmark_pools, solve_fuzz_corpus
+from test_integer_path import load_workloads, solve_benchmark_pools, solve_fuzz_corpus
 
-from shadow_simplex import driver, linalg, metrics, model, oracle, phase1, randomness
+from shadow_simplex import driver, harness, linalg, metrics, model, oracle, phase1, randomness, rational
 from shadow_simplex.model import BasicSolution
 from shadow_simplex.phase1 import (
     InfeasibleCertificate,
@@ -77,7 +78,7 @@ class TestFaceDelta:
             lp = model.make_lp(normed, b, [1] * n)
             got = build_face(lp)
             full = phase1_matrix(normed)
-            if isinstance(got, BasicSolution):
+            if not isinstance(got, Phase1Problem):
                 face = normed  # every y_i fixed at 0
             else:
                 face = face_lp(lp, got).rows()
@@ -98,10 +99,11 @@ class TestFaceDelta:
 
 class TestSkipPath:
     def test_feasible_lead_vertex_skips_phase1(self):
+        # the lead vertex comes with its basis's (M, D), read off the lead
+        # rows' adjugate: x <= 1 and y <= 1 give M = I and D = 1
         lp = square()
-        got = build_face(lp)
-        assert isinstance(got, BasicSolution)
-        assert got.point == (1, 1)
+        got, inverse = build_face(lp)
+        assert got.point == (1, 1) and inverse == ([[1, 0], [0, 1]], 1)
         model.validate_basic_solution(lp, got)
         out = driver.solve(lp, cfg())
         assert out.status == "optimal" and out.value == 2
@@ -220,7 +222,7 @@ class TestLeadStart:
 
 class TestDirectFaceForm:
     def test_face_form_and_lead_rows_are_the_face_lps(self):
-        # the face's integer form, lead rows and objective, built from the
+        # the face's integer form, start basis and objective, built from the
         # solve's form, are the ones the face LP's make_lp construction
         # (`reference.phase1_face`), its integer_form and its own rank pass
         # give, over the LP completed in Fractions
@@ -234,7 +236,7 @@ class TestDirectFaceForm:
             form, lead = model.complete_rank(form, idx)
             assert (form, lead) == (want_form, want_lead)
             p1 = build_phase1_face(form, lead)
-            if isinstance(p1, BasicSolution):
+            if not isinstance(p1, Phase1Problem):
                 continue
             faces += 1
             completed += work.m > lp.m
@@ -244,13 +246,12 @@ class TestDirectFaceForm:
             scaled += any(form.factor[perm[k]].denominator > 1 for k in V)
             face = reference.phase1_face(work, lead, V)
             assert p1.form == model.integer_form(face)
-            assert p1.lead == linalg.independent_rows(face.rows())[: n + nv]
-            assert p1.lead == list(p1.initial.basis)
+            assert list(p1.initial.basis) == linalg.independent_rows(face.rows())[: n + nv]
             assert p1.c0 == face.c0 and p1.n == face.n
         assert faces >= 100 and scaled >= 20 and completed >= 5
 
     def test_phase1_solve_on_the_direct_form_matches_the_face_lp(self):
-        # the depth-1 solve on the face's form, lead rows and objective
+        # the depth-1 solve on the face's form, start and objective
         # answers as a solve that derives everything from the face LP
         rng = random.Random(59)
         done = 0
@@ -261,7 +262,7 @@ class TestDirectFaceForm:
             work = reference.complete_rank(lp, form, idx)[0]
             form, lead = model.complete_rank(form, idx)
             p1 = build_phase1_face(form, lead)
-            if isinstance(p1, BasicSolution):
+            if not isinstance(p1, Phase1Problem):
                 continue
             done += 1
             face = reference.phase1_face(work, lead, list(p1.initial.basis[form.n :]))
@@ -272,11 +273,17 @@ class TestDirectFaceForm:
             assert got.pivot_sequence == want.pivot_sequence
 
 
+def bareiss_inverse(form, basis):
+    """(M, D) of basis on form from a Bareiss pass, as `walk.Tableau`
+    builds it when no inverse is given."""
+    adj, det = linalg.invert([form.R[i] for i in sorted(basis)])
+    return (adj if det > 0 else [[-v for v in row] for row in adj]), abs(det)
+
+
 def fresh_inverse(p1: Phase1Problem):
     """(M, D) of the face's start basis from a Bareiss pass over its n + |V|
-    rows, as `walk.Tableau` builds it when no inverse is given."""
-    adj, det = linalg.invert([p1.form.R[i] for i in sorted(p1.initial.basis)])
-    return (adj if det > 0 else [[-v for v in row] for row in adj]), abs(det)
+    rows."""
+    return bareiss_inverse(p1.form, p1.initial.basis)
 
 
 @pytest.fixture
@@ -309,12 +316,12 @@ class TestBlockInverse:
             form = model.integer_form(lp)
             form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
             p1 = build_phase1_face(form, lead)
-            if isinstance(p1, BasicSolution):
+            if not isinstance(p1, Phase1Problem):
                 continue
             faces += 1
             assert p1.inverse == fresh_inverse(p1)
             # a row of V holds -p_t in its y-column
-            scaled += any(min(p1.form.R[k][form.n :]) != -1 for k in p1.lead[form.n :])
+            scaled += any(min(p1.form.R[k][form.n :]) != -1 for k in p1.initial.basis[form.n :])
         assert faces >= 120 and scaled >= 100
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
@@ -329,3 +336,66 @@ class TestBlockInverse:
         solve_benchmark_pools(seed)
         assert len(built_faces) >= 150
         assert all(p1.inverse == fresh_inverse(p1) for p1 in built_faces)
+
+
+class TestLeadVertexInverse:
+    """A cold solve whose lead rows' point is already a vertex skips Phase 1,
+    and its chain's tableau takes that vertex's (M, D) from the lead rows'
+    adjugate that `_lead_start` formed, rather than inverting them again."""
+
+    def test_lead_vertex_inverse_on_rational_lps(self):
+        # negative determinants and rational rows; the lead rows ascend, as
+        # M's columns, in sorted basis order, need
+        rng = random.Random(53)
+        vertices = negative = 0
+        for _ in range(300):
+            lp = rational_lp(rng, rng.randint(1, 4))
+            form = model.integer_form(lp)
+            form, lead = model.complete_rank(form, linalg.independent_rows(form.R))
+            got = build_phase1_face(form, lead)
+            if isinstance(got, Phase1Problem):
+                continue
+            bfs, inverse = got
+            vertices += 1
+            negative += linalg.invert([form.R[i] for i in lead])[1] < 0
+            assert list(bfs.basis) == lead == sorted(lead)
+            assert inverse == bareiss_inverse(form, bfs.basis)
+        assert vertices >= 150 and negative >= 60, (vertices, negative)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7])
+    def test_lead_vertex_inverse_on_the_cold_pools(self, monkeypatch, seed):
+        # the tu-cold and mixed-status pools: the (M, D) handed on equals a
+        # Bareiss pass's, and the solve calls linalg.invert once, in
+        # `_lead_start`, or twice when the recession walk builds its tableau
+        built, calls = [], [0]
+        build, invert = phase1.build_phase1_face, linalg.invert
+
+        def recording(form, lead):
+            got = build(form, lead)
+            if not isinstance(got, Phase1Problem):
+                built.append((form, *got))
+            return got
+
+        def counted(rows):
+            calls[0] += 1
+            return invert(rows)
+
+        monkeypatch.setattr(phase1, "build_phase1_face", recording)
+        monkeypatch.setattr(linalg, "invert", counted)
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        vertices = 0
+        for name in ("tu-cold", "mixed-status"):
+            for inst in workloads.build_pool(pkg, name, seed):
+                built.clear()
+                calls[0] = 0
+                conf = driver.SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+                out = driver.solve(inst.lp, conf, initial_bfs=inst.start)
+                if not built:
+                    continue
+                vertices += 1
+                assert calls[0] == 1 + (out.route == "recession"), inst.id
+                ((form, bfs, inverse),) = built
+                assert inverse == bareiss_inverse(form, bfs.basis), inst.id
+        # 131 to 146 lead vertices a pool, escapes included, which build no tableau
+        assert vertices >= 120, vertices

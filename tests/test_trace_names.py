@@ -99,7 +99,7 @@ def setup_calls(monkeypatch):
 
 def test_cold_solve_sets_up_once(setup_calls, solve_depths):
     # one rank pass and one integer form for the solve: its Phase 1 reads
-    # the face's form and lead rows off the face, and still re-enters solve
+    # the face's form and start off the face, and still re-enters solve
     out = _cold("tu-incidence", 0)
     assert out.status == "optimal" and out.phase1_artificials > 0
     assert setup_calls == {"independent_rows": 1, "integer_form": 1}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from boxing import box, lifted, orthants
@@ -135,6 +136,50 @@ class TestShadowWalk:
         tab = Tableau(integer_form(square()), origin_start())
         res = shadow_walk(tab, pair([F(1, 2), F(1, 2)]), pair([F(1, 3), F(2, 3)]), pivot_cap=0)
         assert not res.finished and res.path.steps == ()
+
+    def test_optimum_on_the_capth_pivot_is_finished(self):
+        # a walk that reaches its optimum on the cap-th pivot is finished,
+        # with the path of the uncapped walk; one pivot short, it is not
+        c, w = pair([F(1, 2), F(1, 2)]), pair([F(1, 3), F(2, 3)])
+        free = shadow_walk(Tableau(integer_form(square()), origin_start()), c, w)
+        assert free.finished and free.pivots == 2
+        capped = shadow_walk(Tableau(integer_form(square()), origin_start()), c, w, pivot_cap=2)
+        assert capped.finished and capped.path == free.path
+        short = shadow_walk(Tableau(integer_form(square()), origin_start()), c, w, pivot_cap=1)
+        assert not short.finished and short.path.steps == free.path.steps[:1]
+
+    def test_one_scan_of_the_improving_edges_per_pivot(self, monkeypatch):
+        # the seed-7 tu-cold benchmark pool: inside its walks, the improving
+        # edges are scanned once per pivot, plus once at each walk's end (777
+        # scans for 304 pivots when the loop test scanned them too)
+        from test_integer_path import load_workloads
+
+        seen = {"scans": 0, "pivots": 0, "walks": 0, "inside": False}
+        improving, walk_fn = Tableau._improving, walk.shadow_walk
+
+        def scanned(tab):
+            seen["scans"] += seen["inside"]
+            return improving(tab)
+
+        def walking(tab, *args, **kwargs):
+            seen["inside"] = True
+            try:
+                res = walk_fn(tab, *args, **kwargs)
+            finally:
+                seen["inside"] = False
+            seen["pivots"] += res.pivots
+            seen["walks"] += 1
+            return res
+
+        monkeypatch.setattr(Tableau, "_improving", scanned)
+        monkeypatch.setattr(walk, "shadow_walk", walking)
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        for inst in workloads.build_pool(pkg, "tu-cold", 7):
+            conf = driver.SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+            driver.solve(inst.lp, conf, initial_bfs=inst.start)
+        assert (seen["pivots"], seen["walks"]) == (304, 169), seen  # Phase 1's included
+        assert seen["pivots"] <= seen["scans"] <= seen["pivots"] + seen["walks"], seen
 
     def test_walk_matches_brute_force_on_random_instances(self):
         rng = random.Random(77)
@@ -316,27 +361,39 @@ class TestCarriedState:
         assert [h for _, h, _, _ in checked_pivots] == [True, True]
 
     def test_carried_through_the_box(self, checked_pivots):
-        # x, y >= 0 and x - y <= 1 on c = (1, 1) from the origin, with w = 0:
-        # both edges tie on slope, and the one up the y axis has no blocking
-        # row, so the first pivot appends the box over the lead rows 0 and 1,
-        # redoes its ratio tests and takes the x axis to (1, 0); box rows
-        # block the next two edges.  The walk is the one on the eagerly
-        # boxed form
+        # x, y >= 0 and x - y <= 1 on c = (1, 1) from the origin, with w = 0
+        # and c0 = (1, 0): both edges tie on slope, and the one up the y axis
+        # has no blocking row and is flat in c0, so the first pivot appends
+        # the box over its basis, rows 0 and 1, redoes its ratio tests and
+        # takes the x axis to (1, 0); box rows block the next two edges.  The
+        # walk is the one on the eagerly boxed form
         lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
         form = integer_form(lp)
         start = BasicSolution(point=(F(0), F(0)), basis=(0, 1))
         c, w = pair([F(1), F(1)]), pair([F(0), F(0)])
-        tab = Tableau(form, start, lead=[0, 1])
+        tab = Tableau(form, start, c0=[1, 0])
         res = shadow_walk(tab, c, w)
         boxed = model.bound_polytope(form, [0, 1])
         assert res.finished and tab.boxed and tab.form == boxed
-        assert tab.lead == [0, 1]  # kept: the recession LP's basis at d = 0
+        assert tab.box_basis == (0, 1)  # kept: the recession LP's basis at d = 0
         assert [b for _, _, _, b in checked_pivots] == [True] + [False] * (res.pivots - 1)
         assert [st.entering_row for st in res.path.steps] == [2, 4, 6]
         assert tab.vertex() == [3, 3]
         eager = Tableau(boxed, start)
         assert shadow_walk(eager, c, w).path == res.path
         assert (eager.basis, eager.slack) == (tab.basis, tab.slack)
+
+    def test_boxed_over_the_basis_of_its_pivot(self, checked_pivots):
+        # the LP of the test above from the vertex (1, 0), on the basis
+        # {-y <= 0, x - y <= 1}: the one improving edge, up x - y = 1, has
+        # no blocking row and is flat in c0 = (1, -1), so the box is over
+        # that basis, rows 1 and 2, not the lead rows 0 and 1
+        lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
+        form = integer_form(lp)
+        tab = Tableau(form, BasicSolution(point=(F(1), F(0)), basis=(1, 2)), c0=[1, -1])
+        res = shadow_walk(tab, pair([F(1), F(1)]), pair([F(0), F(0)]))
+        assert res.finished and tab.box_basis == (1, 2)
+        assert tab.form == model.bound_polytope(form, [1, 2])
 
     def test_carried_from_a_degenerate_start(self, checked_pivots):
         # the pyramid apex has 4 tight rows in R^3: a first_gain walk from it
@@ -419,22 +476,22 @@ class TestSparseProducts:
 
 class TestRayEdge:
     """A tableau built with c0 ends its walk at the first slope-tied edge no
-    row blocks along which c0 rises, unboxed, with the ray in `ray` and in
-    the walk's result; an edge no row blocks that c0 does not rise along
-    appends the box, as without c0."""
+    row blocks along which c0 rises, unboxed, with the ray in `ray`; an edge
+    no row blocks that c0 does not rise along appends the box over the
+    basis.  A tableau built without c0 raises at such an edge."""
 
     def tableau(self, c0):
         # x, y >= 0 and x - y <= 1 from the origin, on c = (1, 1) with w = 0:
         # both edges tie on slope, and the one up the y axis has no blocking row
         lp = model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1])
         start = BasicSolution(point=(F(0), F(0)), basis=(0, 1))
-        return Tableau(integer_form(lp), start, lead=[0, 1], c0=c0)
+        return Tableau(integer_form(lp), start, c0=c0)
 
     def test_the_walk_ends_at_the_ray(self):
         tab = self.tableau([1, 1])
         res = shadow_walk(tab, pair([F(1), F(1)]), pair([F(0), F(0)]))
         assert res.finished and res.pivots == 0 and res.path.steps == ()
-        assert res.ray == tab.ray == (0, 1) and not tab.boxed and tab.vertex() == [0, 0]
+        assert tab.ray == (0, 1) and not tab.boxed and tab.vertex() == [0, 0]
         # the next aim starts without it
         tab.aim(pair([F(-1), F(-1)]), pair([F(0), F(0)]))
         assert tab.ray is None
@@ -444,8 +501,13 @@ class TestRayEdge:
         # TestCarriedState.test_carried_through_the_box
         tab = self.tableau([1, 0])
         res = shadow_walk(tab, pair([F(1), F(1)]), pair([F(0), F(0)]))
-        assert res.finished and res.ray is None and tab.boxed
+        assert res.finished and tab.ray is None and tab.box_basis == (0, 1)
         assert [st.entering_row for st in res.path.steps] == [2, 4, 6]
+
+    def test_without_c0_the_edge_raises(self):
+        tab = self.tableau(None)
+        with pytest.raises(UnboundedEdgeError):
+            shadow_walk(tab, pair([F(1), F(1)]), pair([F(0), F(0)]))
 
 
 class TestExactUpdate:
