@@ -11,6 +11,10 @@ from . import driver, harness, linalg, metrics, model, oracle, phase1, randomnes
 from .rational import format_fraction
 
 SCHEDULES = (driver.SCHEDULE_BASE, driver.SCHEDULE_DELTA_AWARE, driver.SCHEDULE_PHASE1)
+# faults of the input (the file, the LP in it, the flags) end in one line;
+# a solver fault still raises
+INPUT_ERRORS = (model.LPFormatError, model.LPModelError, metrics.MetricsError,
+                harness.HarnessError, oracle.OracleError, randomness.RandomnessError, OSError)
 
 
 def _read_lp(path: str) -> model.LinearProgram:
@@ -167,7 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except INPUT_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

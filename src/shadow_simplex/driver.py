@@ -43,18 +43,15 @@ where they are tight.  That face is one `linalg.FaceBasis`, an exactly
 orthogonal integer basis of the fixed rows' complement, which the chain
 carries and each round updates with its new fixed row in O(n^2).  Each
 round runs in integers: it draws its perturbed objective in coordinates of
-that face, as numerators over one denominator with the doubling's bit
-count, and lifts it to the form exactly on the integer columns
-(`FaceBasis.lift`); its cone objective is priced on the tableau's integer
-rows (`lifted_cone_objective`), with each free row's near-unit factor tau
-formed once per round, and the facet is chosen by integer
-cross-multiplication of the prices and the tau.  Round 0 is the round
-whose face basis has no row yet: each row is its own face coordinates, so
-c0's face image and every tau are read off the rows' squared norms, and
-the lift is the identity.  Both objectives reach `Tableau.aim` as
-(numerators, denominator) pairs.  The walk is the one on the restricted LP,
-whose delta-distance value is preserved to rounding of the unit scaling,
-without building it.
+that face, on c0's near-unit face image (`FaceBasis.image`), and lifts it
+to the form exactly on the integer columns (`FaceBasis.lift`); its cone
+objective is priced on the tableau's integer rows
+(`lifted_cone_objective`), with each free row's near-unit factor tau
+(`FaceBasis.tau`) formed once per round, and the facet is chosen by
+integer cross-multiplication of the prices and the tau.  Both objectives
+reach `Tableau.aim` as (numerators, denominator) pairs.  The walk is the
+one on the restricted LP, whose delta-distance value is preserved to
+rounding of the unit scaling, without building it.
 
 A chain fixes at most n facets, and ends at the first finished walk whose
 basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
@@ -87,18 +84,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from . import linalg, model, phase1, randomness, walk
 from .model import BasicSolution, IntegerForm, LinearProgram, UnboundedCertificate
-from .rational import (
-    as_fractions,
-    common_denominator,
-    fraction,
-    primitive_int_row,
-    unit_scale_pq,
-)
+from .rational import as_fractions, common_denominator, fraction, primitive_int_row
 
 PHI_BITS = 60
 
@@ -128,7 +119,8 @@ class PhiSchedule:
 
     def phi(self, i: int) -> Fraction:
         """phi_i, each square root rounded up at PHI_BITS bits as
-        `ratsqrt_ceil` rounds it, formed from integers as one Fraction."""
+        `ratsqrt_ceil` of tests/reference.py rounds it, formed from integers
+        as one Fraction."""
         n, m = self.n, self.m
         if self.variant == SCHEDULE_BASE:
             num, bits = n * _sqrt_up(n), PHI_BITS
@@ -144,7 +136,7 @@ class PhiSchedule:
 
 def _sqrt_up(k: int) -> int:
     """sqrt(k) rounded up at PHI_BITS bits, times 2^PHI_BITS: the numerator
-    of `ratsqrt_ceil(k, PHI_BITS)` over 2^PHI_BITS."""
+    of `ratsqrt_ceil(k, PHI_BITS)` (tests/reference.py) over 2^PHI_BITS."""
     return isqrt(k << 2 * PHI_BITS) + 1
 
 
@@ -161,66 +153,13 @@ def pivot_cap(m: int, n: int, phi: Fraction, delta: float, constant: int = 16) -
 # ---------------------------------------------------------------------------
 
 
-def _face_scale(
-    ints: list[int], cols, scales
-) -> tuple[list[tuple[int, int]], Fraction] | None:
-    """(face coordinates (ints . v_k)_k of an integer row as reduced pairs
-    (p_k, q_k), v_k = scales_k cols_k, the near-unit factor tau of its
-    face image tau (p_k / q_k)_k), via one integer norm computation; None
-    when the row is constant on the face.  The image's squared norm tau^2
-    sum p_k^2 / q_k^2 is checked to be within 3e-10 of 1, in integers."""
-    dots = [sum(map(mul, ints, v)) for v in cols]
-    if not any(dots):
-        return None
-    # dots_k * scales_k in lowest terms, and their squared norm num / den
-    red = []
-    num = 0
-    den = 1
-    for dk, (sn, sd) in zip(dots, scales):
-        if not dk:
-            red.append((0, 1))  # adds 0 / 1 to num / den
-            continue
-        g = gcd(dk, sd)
-        p, q = dk // g * sn, sd // g
-        red.append((p, q))
-        num = num * q * q + p * p * den
-        den = den * q * q
-    return red, _near_unit(num, den)
-
-
-def _near_unit(num: int, den: int) -> Fraction:
-    """tau = `unit_scale_pq(num, den)` for a face image of squared norm
-    num / den, whose scaled squared norm tau^2 num / den is checked to be
-    within 3e-10 of 1, in integers."""
-    t = unit_scale_pq(num, den)
-    tn, td = t.numerator, t.denominator
-    sq_num = tn * tn * num
-    sq_den = td * td * den
-    if abs(sq_num - sq_den) * 10**10 > 3 * sq_den:
-        raise DriverError("face image is not unit norm")
-    return t
-
-
-def _face_image(
-    ints: list[int], basis: linalg.FaceBasis
-) -> tuple[list[tuple[int, int]], Fraction] | None:
-    """`_face_scale` of an integer row on the face of basis.  Before any row
-    is added (round 0) the columns are the unit vectors, unscaled, so the
-    row is its own face coordinates and tau comes from its squared norm,
-    with no dot product: the same values."""
-    if basis.rows:
-        return _face_scale(ints, basis.cols, basis.scales)
-    if not any(ints):
-        return None
-    return [(x, 1) for x in ints], _near_unit(sum(map(mul, ints, ints)), 1)
-
-
 def facet_restriction(
     fixed: list[list[int]], c0: list[int], basis: linalg.FaceBasis
 ) -> tuple[tuple[int, ...], int] | None:
-    """c0's face image on the face where the fixed rows are tight, scaled
-    to near-unit norm, as (integer numerators, denominator); None when c0 is
-    constant on the face.  fixed and c0 are primitive integer rows.
+    """c0's near-unit face image on the face where the fixed rows are
+    tight, as `FaceBasis.image` gives it: (integer numerators,
+    denominator), or None when c0 is constant on the face.  fixed and c0
+    are primitive integer rows.
 
     basis is the face: the `linalg.FaceBasis` of fixed[:basis.rows], to
     which the rows after them are added in place
@@ -235,38 +174,25 @@ def facet_restriction(
         raise DriverError("nothing left to restrict")
     if len(linalg.complement_basis_int(fixed, n, basis)) != n - len(fixed):
         raise DriverError("fixed facet rows are dependent")
-    face = _face_image(c0, basis)
-    if face is None:
-        return None
-    # t (p_k / q_k)_k over the one denominator t_den lcm(q)
-    red, t = face
-    L = lcm(*(q for _, q in red))
-    return tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L
+    return basis.image(c0)
 
 
 def restriction_coords(
     basis: linalg.FaceBasis, rows: list[list[int]]
-) -> list[list[Fraction] | None]:
-    """Near-unit face coordinates tau (p_k / q_k)_k of integer rows on the
-    face of basis, as `_face_image` gives them (None for a row constant on
-    the face).  The solve path does not build them: its cone objective is
-    priced on the integer rows."""
-    out = []
-    for ints in rows:
-        face = _face_image(ints, basis)
-        if face is None:
-            out.append(None)
-            continue
-        red, t = face
-        out.append([Fraction(t.numerator * p, t.denominator * q) for p, q in red])
-    return out
+) -> list[tuple[tuple[int, ...], int] | None]:
+    """Near-unit face images of integer rows on the face of basis, as
+    `FaceBasis.image` gives them (None for a row constant on the face).  The
+    solve path does not build them: its cone objective is priced on the
+    integer rows."""
+    return [basis.image(ints) for ints in rows]
 
 
 def lifted_cone_objective(
-    rows: list[list[int]], lam: tuple[list[int], int], tau: list[Fraction]
+    rows: list[list[int]], lam: tuple[list[int], int], tau: list[tuple[int, int]]
 ) -> tuple[list[int], int]:
     """w = -sum_k lam_k tau_k R_k over the integer rows R_k, as (integer
-    numerators, denominator), lam given as numerators over one denominator:
+    numerators, denominator), lam given as numerators over one denominator
+    and each tau_k as its (numerator, denominator) (`FaceBasis.tau`):
     the cone objective -sum_k lam_k u_k over the near-unit face images
     u_k = tau_k face(R_k), lifted without projecting.
 
@@ -280,13 +206,16 @@ def lifted_cone_objective(
     lnum, lden = lam
     if any(not 0 < l <= lden for l in lnum):
         raise DriverError("lambda coordinates must lie in (0, 1]")
-    T = lcm(*(t.denominator for t in tau))
-    coef = [l * t.numerator * (T // t.denominator) for l, t in zip(lnum, tau)]
+    T = lcm(*(td for _, td in tau))
+    coef = [l * tn * (T // td) for l, (tn, td) in zip(lnum, tau)]
     return [-sum(map(mul, coef, col)) for col in zip(*rows)], lden * T
 
 
 def identify_basis_element(
-    tab: walk.Tableau, basis: linalg.FaceBasis, free: list[int], tau: dict[int, Fraction]
+    tab: walk.Tableau,
+    basis: linalg.FaceBasis,
+    free: list[int],
+    tau: dict[int, tuple[int, int]],
 ) -> int:
     """Position in free of the basis row with the largest coefficient mu_j
     when the face image of tab's objective c is written over the free rows'
@@ -296,8 +225,9 @@ def identify_basis_element(
     tab stands where its walk on c ended, so c = sum_k nu_k R_basis[k] with
     nu_k = t_c[k] / (D c_den) from its prices.  The fixed rows vanish on the
     face, hence mu_j = nu_j / tau_j: no system is solved.  tau holds the
-    round's factors by row; only rows that entered the basis during the walk
-    have theirs computed here.  The mu_j share the positive factor D c_den,
+    round's factors by row, as (numerator, denominator) pairs; only rows that
+    entered the basis during the walk have theirs formed here
+    (`FaceBasis.tau`).  The mu_j share the positive factor D c_den,
     so they are compared as t_c[j] tau_den / tau_num, by integer
     cross-multiplication.
     """
@@ -305,8 +235,8 @@ def identify_basis_element(
     t_c = tab.t_c
     best = bn = bd = 0
     for k, i in enumerate(free):
-        t = tau[i] if i in tau else _face_image(tab.R[i], basis)[1]
-        num, den = t_c[pos[i]] * t.denominator, t.numerator
+        tn, td = tau[i] if i in tau else basis.tau(tab.R[i])
+        num, den = t_c[pos[i]] * td, tn
         if not k or num * bd > bn * den:
             best, bn, bd = k, num, den
     return best
@@ -387,11 +317,10 @@ def repeated_shadow_vertex(
     perturbed objective in that face's coordinates at phi, bits random bits
     per draw, and lifts it to form's coordinates (`FaceBasis.lift`), prices
     its cone objective on the tableau's integer rows with each free row's
-    factor tau formed once (the facet choice reuses them), and walks the
-    tableau with the fixed rows held in the basis, from where the previous
-    round stopped; every objective stays in integers.  Round 0's basis has
-    no row yet, so each row is its own face coordinates.  Each round's walk
-    path is kept in its trace.
+    factor tau formed once (`FaceBasis.tau`; the facet choice reuses them),
+    and walks the tableau with the fixed rows held in the basis, from where
+    the previous round stopped; every objective stays in integers.  Each
+    round's walk path is kept in its trace.
     """
     fixed: list[int] = []
     basis = linalg.FaceBasis(tab.n)
@@ -402,7 +331,7 @@ def repeated_shadow_vertex(
             break  # objective constant on the current facet chain
         free = sorted(set(tab.basis) - set(fixed))
         pert = randomness.perturb_objective(c0_face, phi, bits, stream)
-        tau = {i: _face_image(tab.R[i], basis)[1] for i in free}
+        tau = {i: basis.tau(tab.R[i]) for i in free}
         lam = randomness.draw_lambda(len(free), bits, stream)
         w = lifted_cone_objective([tab.R[i] for i in free], lam, [tau[i] for i in free])
         c = basis.lift((pert.c, pert.den))

@@ -12,10 +12,12 @@ they are; and a fraction-free Gram-Schmidt pass over integer rows (the
 objective escape's projection `_project_out`, and the rows' own part of
 `FaceBasis`).  `FaceBasis` carries the complement of a growing row
 sequence, so a facet chain updates its face basis with each fixed row
-(`complement_basis_int`) instead of rebuilding it, and lifts face
-coordinates back to Q^n (`FaceBasis.lift`).  `combine` multiplies a sparse
-integer vector into integer vectors, skipping its zero entries: the two
-products of a tableau pivot and the Phase-1 face's block inverse.
+(`complement_basis_int`) instead of rebuilding it; it alone forms each
+row's near-unit face image (`FaceBasis.image`) and factor tau
+(`FaceBasis.tau`), in integers, and lifts face coordinates back to Q^n
+(`FaceBasis.lift`).  `combine` multiplies a sparse integer vector into
+integer vectors, skipping its zero entries: the two products of a tableau
+pivot and the Phase-1 face's block inverse.
 """
 
 from __future__ import annotations
@@ -224,8 +226,9 @@ class FaceBasis:
     column's squared norm `norms` and near-unit scale `scales`, the
     (numerator, denominator) of `unit_scale_pq(norm, 1)` in lowest terms.
     It is a facet chain's face: the points x_f + sum_k y_k v_k, v_k =
-    scale_k cols_k and x_f any point where the rows are tight, whose face
-    coordinates y `lift` maps back.
+    scale_k cols_k and x_f any point where the rows are tight.  It forms
+    every face image: `image` and `tau` give a row's near-unit face
+    coordinates and factor, and `lift` maps face coordinates back.
 
     Column k is the primitive residual of e_j off span(rows, e_1..e_{j-1})
     for the k-th j at which that residual is nonzero.  Fraction-free
@@ -266,8 +269,36 @@ class FaceBasis:
             g = _strip_gcd([norms[q] * y - d * x for x, y in zip(v, g)])
             Ng = sum(map(mul, g, g))
             N = sum(map(mul, v2, v2))
-            t = unit_scale_pq(N, 1)
-            cols[q], norms[q], scales[q] = tuple(v2), N, (t.numerator, t.denominator)
+            cols[q], norms[q], scales[q] = tuple(v2), N, unit_scale_pq(N, 1)
+
+    def _coords(self, row: Sequence[int]):
+        """Face coordinate k of the integer row, (row . cols_k) scale_k, as
+        its (p_k, q_k) in lowest terms, for each column k in turn."""
+        for v, (sn, sd) in zip(self.cols, self.scales):
+            d = sum(map(mul, row, v))
+            g = gcd(d, sd)
+            yield d // g * sn, sd // g
+
+    def image(self, row: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+        """The integer row's near-unit face image tau (p_k / q_k)_k as
+        (integer numerators, denominator tau_den lcm(q)), tau = `tau(row)`;
+        None when the row is constant on the face.  With no row added the
+        row is its own face coordinates, (row_k / 1)_k, with no dot product."""
+        pq = list(self._coords(row)) if self.rows else [(x, 1) for x in row]
+        if not any(p for p, _ in pq):
+            return None
+        tn, td = _near_unit(*_norm_sq(pq))
+        L = lcm(*(q for _, q in pq))
+        return tuple(tn * p * (L // q) for p, q in pq), td * L
+
+    def tau(self, row: Sequence[int]) -> tuple[int, int]:
+        """The near-unit factor of the integer row's face image, as the
+        reduced pair `unit_scale_pq` gives for its squared norm; the row must
+        not be constant on the face.  With no row added the row is its own
+        face coordinates, so the squared norm is read off it."""
+        if not self.rows:
+            return _near_unit(sum(map(mul, row, row)), 1)
+        return _near_unit(*_norm_sq(self._coords(row)))
 
     def lift(self, y) -> tuple[list[int], int]:
         """The vector in span(cols) whose face coordinates (x . v_k)_k, v_k =
@@ -283,6 +314,28 @@ class FaceBasis:
         L = lcm(*dens)
         coef = [yk * sd * (L // dk) for yk, (_, sd), dk in zip(yn, self.scales, dens)]
         return [sum(map(mul, coef, col)) for col in zip(*self.cols)], yd * L
+
+
+def _norm_sq(coords) -> tuple[int, int]:
+    """sum_k p_k^2 / q_k^2 over the (p_k, q_k) as (num, den), den the
+    product of the q_k^2 of the nonzero p_k."""
+    num, den = 0, 1
+    for p, q in coords:
+        if p:
+            num, den = num * q * q + p * p * den, den * q * q
+    return num, den
+
+
+def _near_unit(num: int, den: int) -> tuple[int, int]:
+    """tau = `unit_scale_pq(num, den)` for a face image of squared norm
+    num / den > 0, checked in integers to scale it within 3e-10 of 1."""
+    if not num:
+        raise LinAlgError("row is constant on the face")
+    tn, td = unit_scale_pq(num, den)
+    sq_den = td * td * den
+    if abs(tn * tn * num - sq_den) * 10**10 > 3 * sq_den:
+        raise LinAlgError("face image is not unit norm")
+    return tn, td
 
 
 def complement_basis_int(

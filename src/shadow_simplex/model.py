@@ -451,11 +451,12 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     over.  Its integer form is tab's rows with the scaled rhs 1 on the box
     rows and 0 on every other row, over s = 1.  d = 0 is its vertex on
     those rows (`Tableau.box_basis`, the basis the walk stood on when it
-    appended the box), un-boxed rows all tight there, and `walk.first_gain`
-    walks it from there on c0: the first vertex it reaches with c0 d > 0 is
-    an improving ray of the un-boxed rows.  A walk that never leaves 0
-    certifies that no such ray exists, so the box-tight optimum already
-    attains the (finite) supremum.  The caller checks that the vertex is
+    appended the box, whose (M, D) `Tableau.box_inverse` kept: the
+    recession form has the same rows), un-boxed rows all tight there, and
+    `walk.first_gain` walks it from there on c0: the first vertex it
+    reaches with c0 d > 0 is an improving ray of the un-boxed rows.  A walk
+    that never leaves 0 certifies that no such ray exists, so the box-tight
+    optimum already attains the (finite) supremum.  The caller checks that the vertex is
     feasible for the un-boxed LP.
     """
     from .walk import Tableau, first_gain  # walk imports this module
@@ -470,6 +471,7 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     rec = Tableau(
         IntegerForm(form.R, form.factor, [0] * box + [1] * (2 * n), 1),
         BasicSolution(point=(Fraction(0),) * n, basis=tab.box_basis),
+        inverse=tab.box_inverse,
     )
     if not first_gain(rec, c0):
         return "recession"

@@ -101,9 +101,10 @@ def bit_budget(m: int, n: int, phi, delta) -> int:
 
 def delta_hat(n: int, phi: Fraction) -> float:
     """Schedule-driven stand-in for delta when it is unknown: min(1, 2 n^{3/2}/phi),
-    sqrt(n) rounded up at SQRT_BITS bits as `ratsqrt_ceil` rounds it, as
-    the float nearest to that rational.  It is formed from integers: int
-    true division rounds correctly, as float() of the Fraction does."""
+    sqrt(n) rounded up at SQRT_BITS bits as `ratsqrt_ceil` of
+    tests/reference.py rounds it, as the float nearest to that rational.  It
+    is formed from integers: int true division rounds correctly, as float()
+    of the Fraction does."""
     p = 2 * n * (math.isqrt(n << 2 * SQRT_BITS) + 1) * phi.denominator
     q = phi.numerator << SQRT_BITS
     return 1.0 if p >= q else p / q

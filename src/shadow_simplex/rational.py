@@ -23,14 +23,6 @@ SMALL_INTEGRAL = tuple(Fraction(k) for k in range(-256, 257))
 ONE = SMALL_INTEGRAL[257]  # the factor of every primitive integral row
 
 
-def ratsqrt_ceil(v: Fraction, bits: int = SQRT_BITS) -> Fraction:
-    """Rational upper bound on sqrt(v), tight to ~2**-bits relative."""
-    if v < 0:
-        raise ValueError("negative radicand")
-    p, q = v.numerator, v.denominator
-    return Fraction(isqrt((p * q) << (2 * bits)) + 1, q << bits)
-
-
 def norm_sq(vec: Sequence[Fraction]) -> Fraction:
     return sum((x * x for x in vec), Fraction(0))
 
@@ -51,20 +43,24 @@ def unit_scale(vec: Sequence[Fraction]) -> Fraction:
     s = norm_sq(vec)
     if s == 0:
         raise ValueError("cannot scale a zero vector")
-    return unit_scale_pq(s.numerator, s.denominator)
+    return Fraction(*unit_scale_pq(s.numerator, s.denominator))
 
 
-def unit_scale_pq(p: int, q: int) -> Fraction:
-    """unit_scale for a squared norm given as p/q (p, q positive ints)."""
+def unit_scale_pq(p: int, q: int) -> tuple[int, int]:
+    """unit_scale for a squared norm given as p/q (p, q positive ints), as
+    its (numerator, denominator) in lowest terms."""
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
-        return Fraction(rq, rp)
-    # precision scaled to the magnitude of the norm keeps the relative
-    # error near 2**-SQRT_BITS for vectors of any size; power-of-two
-    # denominators share structure instead of compounding through lcm
-    e = max((p.bit_length() - q.bit_length()) // 2 + 1, 0)
-    k = SQRT_BITS + e
-    return Fraction(isqrt((q << (2 * k)) // p), 1 << k)
+        a, b = rq, rp
+    else:
+        # precision scaled to the magnitude of the norm keeps the relative
+        # error near 2**-SQRT_BITS for vectors of any size; power-of-two
+        # denominators share structure instead of compounding through lcm
+        e = max((p.bit_length() - q.bit_length()) // 2 + 1, 0)
+        k = SQRT_BITS + e
+        a, b = isqrt((q << (2 * k)) // p), 1 << k
+    g = gcd(a, b)
+    return a // g, b // g
 
 
 def primitive_int_row(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:

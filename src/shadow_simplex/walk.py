@@ -148,9 +148,10 @@ class Tableau:
     c0 . d > 0 ends the walk, and `ray` holds d's primitive integer row
     until the next `aim`.  At the first improving edge no row blocks that
     is not such a ray, the tableau appends the box over its basis rows,
-    once, keeps them in `box_basis` and is `boxed` from then on.  A tableau
-    built without c0 walks its form as given; there, or once boxed, an edge
-    no row blocks that ends no walk raises `UnboundedEdgeError`.
+    once, keeps them in `box_basis` and their inverse in `box_inverse`, and
+    is `boxed` from then on.  A tableau built without c0 walks its form as
+    given; there, or once boxed, an edge no row blocks that ends no walk
+    raises `UnboundedEdgeError`.
 
     stop_at_zero says that c0, which must then be given, is at most 0 on
     the form, as Phase 1's -sum(y) is: a vertex where c0 . x = 0 is then
@@ -176,6 +177,7 @@ class Tableau:
         self.c0 = c0
         self.stop_at_zero = stop_at_zero
         self.box_basis: tuple[int, ...] | None = None  # the rows the box is over
+        self.box_inverse: tuple[list[list[int]], int] | None = None  # their (M, D)
         self.ray: tuple[int, ...] | None = None
         m, n = form.m, form.n
         self.m, self.n = m, n
@@ -387,12 +389,15 @@ class Tableau:
     def _append_box(self) -> None:
         """Append the box over the basis rows (`model.bound_polytope`), n
         independent rows of the form, as its last 2n rows, each strictly
-        slack at the vertex, and keep those rows in `box_basis`.  The box
+        slack at the vertex, and keep those rows in `box_basis` and their
+        (M, D), its columns in sorted basis order, in `box_inverse`.  The box
         rows take the exponents right after the current aim's non-basic
         rows, and its free basis rows move up by 2n, as in a walk of the
         boxed form."""
         m, n = self.m, self.n
-        self.box_basis = tuple(sorted(self.basis))
+        order = sorted(range(n), key=self.basis.__getitem__)
+        self.box_basis = tuple(self.basis[k] for k in order)
+        self.box_inverse = [[row[k] for k in order] for row in self.M], self.D
         self.form = form = model.bound_polytope(self.form, self.box_basis)
         self.R, self.beta, self.m = form.R, form.beta, form.m
         self.cols = list(zip(*self.R))

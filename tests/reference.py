@@ -1,14 +1,14 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
-stream; its face basis, face factors and facet choice too), crawl,
-null-space vector, rank completion, boxed LP, Phase-1 face,
-objective-escape projection and determinant, the stand-in for delta, and
-the structural check of a recorded shadow path; and the delta-distance
-oracles the tests hold `metrics` against.  A test helper module, not a test
-module."""
+stream; its face basis, face images and factors, and facet choice too),
+crawl, null-space vector, rank completion, boxed LP, Phase-1 face,
+objective-escape projection and determinant, the stand-in for delta and
+the rounded-up square root it was first formed with, and the structural
+check of a recorded shadow path; and the delta-distance oracles the tests
+hold `metrics` against.  A test helper module, not a test module."""
 
 from fractions import Fraction
-from math import isqrt, prod, sqrt
+from math import isqrt, lcm, prod, sqrt
 from operator import mul
 
 from shadow_simplex import linalg, metrics, model
@@ -16,15 +16,23 @@ from shadow_simplex.metrics import MetricsError
 from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.randomness import RandomnessError
 from shadow_simplex.rational import (
+    SQRT_BITS,
     as_fractions,
     common_denominator,
     dot,
     norm_sq,
     primitive_int_row,
-    ratsqrt_ceil,
     unit_scale_pq,
 )
 from shadow_simplex.walk import WalkError
+
+
+def ratsqrt_ceil(v, bits=SQRT_BITS):
+    """Rational upper bound on sqrt(v), tight to ~2**-bits relative."""
+    if v < 0:
+        raise ValueError("negative radicand")
+    p, q = v.numerator, v.denominator
+    return Fraction(isqrt((p * q) << (2 * bits)) + 1, q << bits)
 
 
 def pair(vec):
@@ -36,6 +44,12 @@ def values(p):
     """The rational vector of an (integer numerators, denominator) pair."""
     nums, den = p
     return [Fraction(x, den) for x in nums]
+
+
+def image_values(images):
+    """Face images, (integer numerators, denominator) pairs or None, as
+    Fraction lists or None."""
+    return [u and values(u) for u in images]
 
 
 def unit(stream, bits):
@@ -79,8 +93,9 @@ def lift(basis, y):
 
 
 def lifted_cone_objective(rows, lam, tau):
-    """w = -sum_k lam_k tau_k R_k as Fractions, lam as Fractions."""
-    nums, den = common_denominator([l * t for l, t in zip(lam, tau)])
+    """w = -sum_k lam_k tau_k R_k as Fractions, lam as Fractions and each
+    tau_k a (numerator, denominator) pair."""
+    nums, den = common_denominator([l * Fraction(*t) for l, t in zip(lam, tau)])
     w = [0] * len(rows[0])
     for a, row in zip(nums, rows):
         for j, x in enumerate(row):
@@ -113,24 +128,33 @@ def complement_basis(rows, n):
     return out
 
 
-def face_factor(row, basis):
-    """tau of an integer row on the face of basis: `unit_scale_pq` of its
-    face image's squared norm, the Fraction coordinates (row . cols_k)
-    scale_k summed as p^2 / q^2 term by term over the product of the q^2,
-    the unreduced form the solver rounds."""
+def face_image(row, cols, scales):
+    """(near-unit face image, tau) of an integer row over the integer
+    columns cols with near-unit scales, as `linalg.FaceBasis` forms them on
+    its own: the image as (integer numerators, denominator), None when the
+    row is constant there, and tau the pair `unit_scale_pq` gives for the
+    image's squared norm.  The Fraction coordinates x_k = (row . cols_k)
+    scale_k are summed as p^2 / q^2 term by term over the product of the
+    q^2, the unreduced form the solver rounds, and the image is tau x over
+    tau's denominator times the lcm of the q."""
+    x = [Fraction(*s) * sum(map(mul, row, v)) for v, s in zip(cols, scales)]
     num, den = 0, 1
-    for v, s in zip(basis.cols, basis.scales):
-        x = Fraction(*s) * sum(map(mul, row, v))
-        q2 = x.denominator**2
-        num, den = num * q2 + x.numerator**2 * den, den * q2
-    return unit_scale_pq(num, den)
+    for xk in x:
+        q2 = xk.denominator**2
+        num, den = num * q2 + xk.numerator**2 * den, den * q2
+    if not num:
+        return None, None
+    tn, td = unit_scale_pq(num, den)
+    L = lcm(*(xk.denominator for xk in x))
+    return (tuple(tn * xk.numerator * (L // xk.denominator) for xk in x), td * L), (tn, td)
 
 
 def identify_basis_element(tab, basis, free):
     """Position in free of the largest mu_j = t_c[j] / tau_j, as Fractions,
     ties to the smallest position."""
     pos = {row: k for k, row in enumerate(tab.basis)}
-    mu = [Fraction(tab.t_c[pos[i]]) / face_factor(tab.R[i], basis) for i in free]
+    taus = [face_image(tab.R[i], basis.cols, basis.scales)[1] for i in free]
+    mu = [Fraction(tab.t_c[pos[i]]) / Fraction(*t) for i, t in zip(free, taus)]
     return max(range(len(free)), key=lambda k: (mu[k], -k))
 
 
@@ -183,7 +207,7 @@ def extend_to_full_rank(lp):
                 r += 1
     else:
         for _, o in complement_basis(rows, n):
-            t = unit_scale_pq(sum(x * x for x in o), 1)
+            t = Fraction(*unit_scale_pq(sum(x * x for x in o), 1))
             rows += [[t * x for x in o], [-t * x for x in o]]
     return model.make_lp(rows, list(lp.b) + [0] * (len(rows) - lp.m), lp.c0)
 

@@ -13,7 +13,7 @@ from math import ceil, comb, log2, sqrt
 import pytest
 import reference
 from boxing import box
-from reference import pair, validate_shadow_path, values
+from reference import image_values, pair, ratsqrt_ceil, validate_shadow_path, values
 
 from shadow_simplex import (
     driver,
@@ -26,7 +26,7 @@ from shadow_simplex import (
     randomness,
     walk,
 )
-from shadow_simplex.rational import dot, primitive_int_row, ratsqrt_ceil, unit_scale
+from shadow_simplex.rational import dot, primitive_int_row, unit_scale
 
 F = Fraction
 
@@ -249,7 +249,7 @@ def test_criterion_6_facet_identification():
         stream = randomness.DrawStream(done)
         bits = randomness.CONTINUOUS_BITS
         pert = randomness.perturb_objective(c0_face, phi, bits, stream)
-        u = driver.restriction_coords(basis, [tab.R[i] for i in sorted(tab.basis)])
+        u = image_values(driver.restriction_coords(basis, [tab.R[i] for i in sorted(tab.basis)]))
         lam = randomness.draw_lambda(n, bits, stream)
         w = randomness.cone_objective(u, values(lam))
         res = walk.shadow_walk(tab, basis.lift((pert.c, pert.den)), basis.lift(pair(w)))

@@ -3,15 +3,23 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, lcm, log2
+from math import ceil, log2
 from types import SimpleNamespace
 
 import pytest
 from boxing import box, box_rows, boxed_form, lifted, orthants
 import reference
-from reference import pair, path_values, validate_shadow_path, values
+from reference import (
+    image_values,
+    pair,
+    path_values,
+    ratsqrt_ceil,
+    validate_shadow_path,
+    values,
+)
 from test_golden import _flat_in_x3, _interior_point, _solve_warm
 from test_fuzz import lps as fuzz_lps
+from test_phase1_face import bareiss_inverse
 from test_integer_path import (
     load_workloads,
     random_boxed,
@@ -136,7 +144,7 @@ class TestIdentify:
                 continue
             walk.shadow_walk(tab, basis.lift(pair(c)), ([0] * n, 1), held=fixed)
             free = sorted(set(tab.basis) - set(fixed))
-            u = restriction_coords(basis, [tab.R[i] for i in free])
+            u = image_values(restriction_coords(basis, [tab.R[i] for i in free]))
             mu = linalg.solve_square([list(col) for col in zip(*u)], c)
             assert min(mu) >= 0
             assert identify_basis_element(tab, basis, free, {}) == max(
@@ -157,7 +165,7 @@ class TestReduceAndLift:
         assert len(basis.cols) == 1
         # an interval: x <= 1 and -x <= 0 are constant on the face, the
         # other two rows bound it from both sides
-        faces = restriction_coords(basis, [prim(lp.row(i)) for i in range(lp.m)])
+        faces = image_values(restriction_coords(basis, [prim(lp.row(i)) for i in range(lp.m)]))
         assert faces == [None, None, [1], [-1]]
         # walking with the fixed row held goes from (1, 0) to (1, 1)
         tab = walk.Tableau(boxed_form(lp), BasicSolution(point=(F(1), F(0)), basis=(0, 3)))
@@ -208,7 +216,8 @@ class TestReduceAndLift:
             lp = model.make_lp(A, [1] * len(A), [1, 0, 0, 0])
             before = metrics.delta_matrix(lp.rows()).delta
             basis, _ = restrict(lp, [0])
-            red = [u for u in restriction_coords(basis, [prim(row) for row in lp.rows()[1:]]) if u]
+            images = restriction_coords(basis, [prim(row) for row in lp.rows()[1:]])
+            red = [u for u in image_values(images) if u]
             if linalg.rank(red) < len(basis.cols):
                 continue
             after = metrics.delta_matrix(red).delta
@@ -225,14 +234,17 @@ class TestReduceAndLift:
         assert face_coords(basis, [F(1, 3), F(5)]) == [F(1, 3)]
         # face coordinates are near-unit, and None for a row parallel to the
         # fixed one
-        assert restriction_coords(basis, [[1, 0], [0, -1], [-3, 0]]) == [[1], None, [-1]]
+        got = restriction_coords(basis, [[1, 0], [0, -1], [-3, 0]])
+        assert image_values(got) == [[1], None, [-1]]
 
 
 class TestRoundZero:
     """Round 0 is the round whose face basis has no row yet.  Each row is
     its own face coordinates there: a round-0 tau, c0's face image and the
     lift equal their forms over the unit columns of `linalg.FaceBasis(n)`,
-    without a dot product."""
+    without a dot product.  Every face image and tau a solve forms, in
+    round 0 or later, equals the general form over a basis's columns in
+    tests/reference.py."""
 
     def test_rows_are_their_own_face_coordinates(self):
         rng = random.Random(29)
@@ -245,36 +257,44 @@ class TestRoundZero:
             unit = linalg.FaceBasis(n)
             cols, scales = list(unit.cols), list(unit.scales)
             for row in rows:
-                assert driver._face_image(row, unit) == driver._face_scale(row, cols, scales)
+                assert (unit.image(row), unit.tau(row)) == reference.face_image(row, cols, scales)
             c0_face = facet_restriction([], c0, unit)
             assert (unit.rows, unit.cols, unit.scales) == (0, cols, scales)
-            face = driver._face_scale(c0, cols, scales)
-            if face is None:
-                assert c0_face is None and not any(c0)
-            else:
-                red, t = face
-                L = lcm(*(q for _, q in red))
-                assert c0_face == (tuple(t.numerator * p * (L // q) for p, q in red), t.denominator * L)
+            assert c0_face == reference.face_image(c0, cols, scales)[0]
+            assert (c0_face is None) == (not any(c0))
             y = ([rng.randint(-9, 9) for _ in range(n)], rng.randint(1, 9))
             assert values(unit.lift(y)) == reference.lift(unit, values(y))
 
     @pytest.fixture
     def round_zero(self, monkeypatch):
-        """Check every face image formed on a round-0 face against
-        `_face_scale` over the unit columns; returns the counts of those
-        checked and of those identify_basis_element formed, the tau of rows
-        that entered the basis during round 0's walk."""
-        seen = {"round 0": 0, "entered": 0}
-        face_image, identify = driver._face_image, driver.identify_basis_element
+        """Check every face image and tau `linalg.FaceBasis` forms against
+        `reference.face_image`: over the unit columns on a round-0 face, over
+        the basis's own columns on a later one.  Returns the counts of those
+        checked in round 0 and later, and of the round-0 tau
+        identify_basis_element formed, the tau of rows that entered the basis
+        during round 0's walk."""
+        seen = {"round 0": 0, "later": 0, "entered": 0}
+        image, tau = linalg.FaceBasis.image, linalg.FaceBasis.tau
+        identify = driver.identify_basis_element
         identifying = []
 
-        def checked_image(ints, basis):
-            got = face_image(ints, basis)
-            if not basis.rows:
-                unit = linalg.FaceBasis(len(ints))
-                assert got == driver._face_scale(ints, unit.cols, unit.scales)
-                seen["round 0"] += 1
-                seen["entered"] += bool(identifying)
+        def expected(basis, ints):
+            if basis.rows:
+                seen["later"] += 1
+                return reference.face_image(ints, basis.cols, basis.scales)
+            unit = linalg.FaceBasis(len(ints))
+            seen["round 0"] += 1
+            return reference.face_image(ints, unit.cols, unit.scales)
+
+        def checked_image(basis, ints):
+            got = image(basis, ints)
+            assert got == expected(basis, ints)[0]
+            return got
+
+        def checked_tau(basis, ints):
+            got = tau(basis, ints)
+            assert got == expected(basis, ints)[1]
+            seen["entered"] += bool(identifying) and not basis.rows
             return got
 
         def checked_identify(tab, basis, free, tau):
@@ -284,7 +304,8 @@ class TestRoundZero:
             finally:
                 identifying.pop()
 
-        monkeypatch.setattr(driver, "_face_image", checked_image)
+        monkeypatch.setattr(linalg.FaceBasis, "image", checked_image)
+        monkeypatch.setattr(linalg.FaceBasis, "tau", checked_tau)
         monkeypatch.setattr(driver, "identify_basis_element", checked_identify)
         return seen
 
@@ -292,10 +313,12 @@ class TestRoundZero:
     def test_fuzz_corpus(self, round_zero, mode):
         solve_fuzz_corpus(mode)
         assert round_zero["round 0"] > 1000 and round_zero["entered"] > 10, round_zero
+        assert round_zero["later"] > 20, round_zero
 
     def test_benchmark_pools(self, round_zero):
         solve_benchmark_pools(7)
         assert round_zero["round 0"] > 3000 and round_zero["entered"] > 30, round_zero
+        assert round_zero["later"] > 50, round_zero
 
 
 def certify(lp, x):
@@ -909,6 +932,55 @@ class TestRecessionBasis:
             assert not walk.first_gain(tab, prim(lp.c0))
 
 
+class TestRecessionInverse:
+    """A tableau that appends the box keeps its basis's (M, D) there
+    (`Tableau.box_inverse`), and the recession walk builds on it: it equals
+    `linalg.invert`'s of the rows the box is over, and the walk inverts
+    nothing."""
+
+    def test_unbounded_mixed_status_and_boxing_lps(self, monkeypatch):
+        # the mixed-status pools of seeds 1-4 and 7, each unbounded LP of
+        # them also lifted (tests/boxing.py), and the orthants: the recession
+        # walks by source, and the boxed tableaus checked
+        seen = {"boxed": 0, "pool": 0, "lifted": 0, "orthants": 0}
+        source = ["pool"]
+        decide, invert = model.assert_unbounded_if_box_tight, linalg.invert
+        calls = [0]
+
+        def counted(rows):
+            calls[0] += 1
+            return invert(rows)
+
+        def checked(tab, c0):
+            if tab.boxed:
+                assert tab.box_inverse == bareiss_inverse(tab.form, tab.box_basis)
+                seen["boxed"] += 1
+            calls[0] = 0
+            verdict = decide(tab, c0)
+            if verdict not in ("vertex", "box-cone"):
+                assert calls[0] == 0
+                seen[source[0]] += 1
+            return verdict
+
+        monkeypatch.setattr(linalg, "invert", counted)
+        monkeypatch.setattr(model, "assert_unbounded_if_box_tight", checked)
+        workloads = load_workloads()
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        for seed in (1, 2, 3, 4, 7):
+            for inst in workloads.build_pool(pkg, "mixed-status", seed):
+                conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+                source[0] = "pool"
+                if solve(inst.lp, conf, initial_bfs=inst.start).status == "unbounded":
+                    source[0] = "lifted"
+                    assert solve(lifted(inst.lp), conf).status == "unbounded"
+        source[0] = "orthants"
+        for lp, seed in orthants(range(40)):
+            solve(lp, SolveConfig(rng=randomness.RngConfig(seed=seed)))
+        # 59 boxed tableaus; 7, 17 and 25 recession walks
+        assert seen["boxed"] >= 50, seen
+        assert seen["pool"] >= 5 and seen["lifted"] >= 10 and seen["orthants"] >= 20, seen
+
+
 @pytest.fixture
 def ray_ends(monkeypatch):
     """The depth of the solve (0, or 1 for Phase 1) of every facet chain and
@@ -1317,9 +1389,10 @@ class TestConeObjective:
             pert = randomness.perturb_objective(c0_face, F(8 * n), BITS, stream)
             c = basis.lift((pert.c, pert.den))
             lam = randomness.draw_lambda(len(free), BITS, stream)
-            tau = [driver._face_scale(tab.R[i], basis.cols, basis.scales)[1] for i in free]
+            tau = [basis.tau(tab.R[i]) for i in free]
+            assert tau == [reference.face_image(tab.R[i], basis.cols, basis.scales)[1] for i in free]
             w_int = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
-            u = restriction_coords(basis, [tab.R[i] for i in free])
+            u = image_values(restriction_coords(basis, [tab.R[i] for i in free]))
             w_ref = basis.lift(pair(randomness.cone_objective(u, values(lam))))
 
             tab.aim(c, w_int, fixed)
@@ -1343,28 +1416,34 @@ class TestConeObjective:
         assert held_differs > 0
 
     def test_lambda_checked(self):
-        w = driver.lifted_cone_objective([[1, 2]], ([1], 1), [F(1, 2)])
+        w = driver.lifted_cone_objective([[1, 2]], ([1], 1), [(1, 2)])
         assert values(w) == [F(-1, 2), F(-1)]
         for bad in (F(0), F(3, 2), F(-1, 4)):
             with pytest.raises(DriverError, match="lambda"):
-                driver.lifted_cone_objective([[1, 2]], pair([bad]), [F(1)])
+                driver.lifted_cone_objective([[1, 2]], pair([bad]), [(1, 1)])
 
     def test_unit_norm_check_on_tau(self, monkeypatch):
-        exact = driver.unit_scale_pq
+        exact = linalg.unit_scale_pq
+
+        def off_by(k):
+            def scaled(p, q):
+                a, b = exact(p, q)
+                return a * (2**k + 1), b << k  # the exact factor times 1 + 2^-k
+
+            return scaled
+
         basis = linalg.FaceBasis(3)
         facet_restriction([[1, 1, 0]], [1, 2, 3], basis)
-        assert driver._face_scale([1, 0, 2], basis.cols, basis.scales) is not None
-        monkeypatch.setattr(
-            driver, "unit_scale_pq", lambda p, q: exact(p, q) * F(2**20 + 1, 2**20)
-        )
-        with pytest.raises(DriverError, match="unit norm"):
-            driver._face_scale([1, 0, 2], basis.cols, basis.scales)
-        with pytest.raises(DriverError, match="unit norm"):
+        assert basis.tau([1, 0, 2]) == reference.face_image([1, 0, 2], basis.cols, basis.scales)[1]
+        with pytest.raises(linalg.LinAlgError, match="constant"):
+            basis.tau([2, 2, 0])  # the fixed row's multiple has no face image
+        monkeypatch.setattr(linalg, "unit_scale_pq", off_by(20))
+        with pytest.raises(linalg.LinAlgError, match="unit norm"):
+            basis.tau([1, 0, 2])
+        with pytest.raises(linalg.LinAlgError, match="unit norm"):
             solve(square(), cfg())
         # an error well inside the 3e-10 tolerance passes
-        monkeypatch.setattr(
-            driver, "unit_scale_pq", lambda p, q: exact(p, q) * F(2**40 + 1, 2**40)
-        )
+        monkeypatch.setattr(linalg, "unit_scale_pq", off_by(40))
         assert solve(square(), cfg()).status == "optimal"
 
 
@@ -1757,15 +1836,13 @@ class TestSolve:
                 continue
             boxed = box(lp0)
             inv2 = metrics.delta_matrix(boxed.rows()).inv_delta_sq
-            from shadow_simplex.rational import ratsqrt_ceil
-
             phi = 4 * n * ratsqrt_ceil(F(n)) * ratsqrt_ceil(inv2)
             # the first round of a facet chain: nothing fixed yet
             basis, c0_face = restrict(boxed, [])
             tab = walk.Tableau(model.integer_form(boxed), model.move_to_vertex(boxed, [F(0)] * n))
             stream = randomness.DrawStream(done)
             pert = randomness.perturb_objective(c0_face, phi, BITS, stream)
-            u = restriction_coords(basis, [tab.R[i] for i in sorted(tab.basis)])
+            u = image_values(restriction_coords(basis, [tab.R[i] for i in sorted(tab.basis)]))
             lam = randomness.draw_lambda(n, BITS, stream)
             w = randomness.cone_objective(u, values(lam))
             res = walk.shadow_walk(tab, basis.lift((pert.c, pert.den)), basis.lift(pair(w)))

@@ -237,3 +237,30 @@ class TestCli:
         r = self.run_cli("solve", square_file, "--schedule", "n52", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert "status: optimal" in r.stdout
+
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            # MetricsError
+            (("analyze", "lp.lp"), "maximize 1 1\nst\n1 1 <= 1\n2 2 <= 3\n", "rank deficient"),
+            # LPFormatError
+            (("solve", "lp.lp"), "maximize 1 x\nst\n1 1 <= 1\n", "line 1: bad rational"),
+            # RandomnessError
+            (("solve", "lp.lp", "--mode", "dyadic", "--bits", "0"), None, "bits_per_draw"),
+            # FileNotFoundError, an OSError
+            (("solve", "missing.lp"), None, "No such file"),
+            # HarnessError
+            (("bench", "--sizes", "4"), None, "bad size token"),
+            # OracleError: C(40, 8) LP rows past the enumeration guard
+            (("oracle", "lp.lp"), "maximize " + "1 " * 8 + "\nst\n" + "1 0 0 0 0 0 0 0 <= 1\n" * 40,
+             "enumeration guard"),
+        ],
+        ids=["metrics", "lp-format", "randomness", "missing-file", "harness", "oracle"],
+    )
+    def test_input_error_ends_in_one_line(self, square_file, tmp_path, args, text, message):
+        # a fault of the input exits 2 with one line on stderr, no traceback
+        (tmp_path / "lp.lp").write_text(text or open(square_file).read())
+        r = self.run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+        assert message in r.stderr and not r.stdout

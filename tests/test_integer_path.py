@@ -56,8 +56,8 @@ def test_round_loop_matches_the_fraction_formulas(mode):
         c0_face = driver.facet_restriction([tab.R[i] for i in fixed], c0, basis)
         if c0_face is None:
             continue
-        (c0_ref,) = driver.restriction_coords(basis, [c0])
-        assert values(c0_face) == c0_ref
+        assert c0_face == reference.face_image(c0, basis.cols, basis.scales)[0]
+        c0_ref = values(c0_face)
         free = sorted(set(tab.basis) - set(fixed))
         phi = driver.PhiSchedule(driver.SCHEDULE_BASE, n=lp.n, m=lp.m).phi(rng.randint(0, 3))
         bits, _ = driver._walk_bits_and_cap(
@@ -78,7 +78,8 @@ def test_round_loop_matches_the_fraction_formulas(mode):
         c = basis.lift((pert.c, pert.den))
         ref_lift = reference.lift(basis, ref_c)
         assert values(c) == ref_lift
-        tau = [driver._face_image(tab.R[i], basis)[1] for i in free]
+        tau = [basis.tau(tab.R[i]) for i in free]
+        assert tau == [reference.face_image(tab.R[i], basis.cols, basis.scales)[1] for i in free]
         w = driver.lifted_cone_objective([tab.R[i] for i in free], lam, tau)
         ref_w = reference.lifted_cone_objective([tab.R[i] for i in free], ref_lam, tau)
         assert values(w) == ref_w
@@ -162,12 +163,13 @@ class TestCarriedFaceBasis:
             assert basis.scales == [
                 (t.numerator, t.denominator) for t in map(rational.unit_scale, basis.cols)
             ]
+            image, tau = reference.face_image(c0, basis.cols, basis.scales)
+            assert got == image
             if got is None:
                 assert not any(sum(map(mul, c0, v)) for v in basis.cols)
             else:
-                tau = reference.face_factor(c0, basis)
                 assert values(got) == [
-                    tau * F(*s) * sum(map(mul, c0, v)) for v, s in zip(basis.cols, basis.scales)
+                    F(*tau) * F(*s) * sum(map(mul, c0, v)) for v, s in zip(basis.cols, basis.scales)
                 ]
             js = [j for j, _ in ref]
             prev = last_js.get(basis)
@@ -183,7 +185,7 @@ class TestCarriedFaceBasis:
 
         def checked_identify(tab, basis, free, tau):
             for i, t in tau.items():
-                assert t == reference.face_factor(tab.R[i], basis)
+                assert t == reference.face_image(tab.R[i], basis.cols, basis.scales)[1]
             got = identify(tab, basis, free, tau)
             assert got == reference.identify_basis_element(tab, basis, free)
             return got

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from float_orthonormal import complete_orthonormal
-from reference import det_fraction, nullspace_vector, project_out
+from reference import det_fraction, nullspace_vector, project_out, ratsqrt_ceil
 
 from shadow_simplex import linalg, model
 from shadow_simplex.linalg import LinAlgError
@@ -12,7 +12,6 @@ from shadow_simplex.rational import (
     dot,
     norm_sq,
     primitive_int_row,
-    ratsqrt_ceil,
     unit_scale,
 )
 

@@ -139,7 +139,7 @@ class TestPerturbation:
     def test_large_phi_gets_inside_identification_radius(self):
         # phi > 2 n^{3/2}/delta forces ||c - c0|| < delta/(2n)
         from shadow_simplex import metrics
-        from shadow_simplex.rational import ratsqrt_ceil
+        from reference import ratsqrt_ceil
 
         rows = [[F(1), F(0)], [F(1), F(1)], [F(0), F(1)]]
         inv2 = metrics.delta_matrix(rows).inv_delta_sq
