@@ -14,7 +14,8 @@ SCHEDULES = (driver.SCHEDULE_BASE, driver.SCHEDULE_DELTA_AWARE, driver.SCHEDULE_
 # faults of the input (the file, the LP in it, the flags) end in one line;
 # a solver fault still raises
 INPUT_ERRORS = (model.LPFormatError, model.LPModelError, metrics.MetricsError,
-                harness.HarnessError, oracle.OracleError, randomness.RandomnessError, OSError)
+                harness.HarnessError, oracle.OracleError, randomness.RandomnessError,
+                driver.SolveConfigError, OSError)
 
 
 def _read_lp(path: str) -> model.LinearProgram:

@@ -102,6 +102,10 @@ class DoublingLimitError(DriverError):
     """The phi-doubling guard was exhausted; indicates a bug, i* is finite."""
 
 
+class SolveConfigError(ValueError):
+    """A `SolveConfig` value no solve can run on."""
+
+
 # ---------------------------------------------------------------------------
 # phi schedule
 # ---------------------------------------------------------------------------
@@ -357,6 +361,17 @@ class SolveConfig:
     schedule: str = SCHEDULE_BASE
     cap_constant: int = 16
     max_doublings: int = 64
+
+    def __post_init__(self) -> None:
+        # a cap constant below 1 caps the walks at 8n pivots or fewer at
+        # every phi, and no doubling at all accepts nothing: either ends in
+        # a DoublingLimitError that reports a bug
+        if self.schedule not in (SCHEDULE_BASE, SCHEDULE_DELTA_AWARE, SCHEDULE_PHASE1):
+            raise SolveConfigError(f"unknown schedule {self.schedule!r}")
+        if self.cap_constant < 1:
+            raise SolveConfigError(f"cap_constant must be >= 1, got {self.cap_constant}")
+        if self.max_doublings < 1:
+            raise SolveConfigError(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from math import comb
 
 from . import driver, metrics, model, oracle, randomness
 from .model import LinearProgram
+from .rational import fraction
 
 GENERATORS = ("tu-incidence", "interval-matrix", "network-matrix", "random-integer")
 
@@ -87,7 +88,7 @@ class TrialRecord:
 
 def _random_objective(rng: random.Random, n: int) -> list[Fraction]:
     while True:
-        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+        c = [fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
         if any(x != 0 for x in c):
             return c
 
@@ -110,8 +111,8 @@ def _with_bounds_and_rhs(
     for j in range(n):
         b.append(big)
         b.append(big)
-    A = [[Fraction(v) for v in r] for r in full]
-    return A, [Fraction(v) for v in b]
+    A = [[fraction(v, 1) for v in r] for r in full]
+    return A, [fraction(v, 1) for v in b]
 
 
 def _incidence_rows(rng: random.Random, edges: int, n: int) -> list[list[int]]:
@@ -212,9 +213,9 @@ def generate_random_integer(m: int, n: int, seed: int, span: int = 3) -> LinearP
         r = [rng.randint(-span, span) for _ in range(n)]
         if any(r):
             rows.append(r)
-    b = [Fraction(rng.randint(-span, span)) for _ in range(m)]
-    c0 = [Fraction(rng.randint(-span, span)) for _ in range(n)]
-    return model.make_lp([[Fraction(v) for v in r] for r in rows], b, c0)
+    b = [fraction(rng.randint(-span, span), 1) for _ in range(m)]
+    c0 = [fraction(rng.randint(-span, span), 1) for _ in range(n)]
+    return model.make_lp([[fraction(v, 1) for v in r] for r in rows], b, c0)
 
 
 # ---------------------------------------------------------------------------

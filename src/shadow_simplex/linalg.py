@@ -5,10 +5,12 @@ inputs always take identical elimination paths.  Four private kernels do
 it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
 `inverse_columns`); a fraction-free Bareiss pass for integer matrices
 (`invert`, `det_int`); a fraction-free echelon pass over the
-primitive integer forms of a row sequence, which takes every rank decision
-(`independent_rows`, `rank`, `unit_completion`, `nullspace_int`,
+primitive integer forms of a row sequence (`echelon`), which takes every
+rank decision (`independent_rows`, `rank`, `unit_completion`,
 `nullspace_vector`) and takes rows of ints, the rows of an integer form, as
-they are; and a fraction-free Gram-Schmidt pass over integer rows (the
+they are, and whose rows `back_substitute` solves for a null-space vector,
+so the crawl to a vertex, which needs both, eliminates once; and a
+fraction-free Gram-Schmidt pass over integer rows (the
 objective escape's projection `_project_out`, and the rows' own part of
 `FaceBasis`).  `FaceBasis` carries the complement of a growing row
 sequence, so a facet chain updates its face basis with each fixed row
@@ -141,7 +143,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(independent_rows(rows))
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[int], list[list[int]]]:
+def echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[int], list[list[int]]]:
     """Greedy (ascending index) elimination on integer rows: (chosen row
     indices, pivot columns, echelon rows).  A row of ints, such as a row of
     an integer form, is eliminated as it is; any other row is first made
@@ -171,15 +173,18 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[int], list[list[
 
 def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     """Greedy (ascending index) maximal independent subset, exact elimination."""
-    return _echelon(rows)[0]
+    return echelon(rows)[0]
 
 
-def nullspace_int(rows: Sequence[Sequence], n: int) -> tuple[list[int], int] | None:
-    """`nullspace_vector` as (integer numerators, denominator > 0), or None
-    if the rows have full rank.  The free coordinate is back-substituted
-    through the echelon rows in integers over one denominator, which grows
-    by each pivot's share only."""
-    _, pivots, basis = _echelon(rows)
+def back_substitute(
+    pivots: Sequence[int], basis: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], int] | None:
+    """The null-space vector of echelon rows with these pivot columns, as
+    `echelon` returns them, over n columns, as (integer numerators,
+    denominator > 0), or None if they have full rank.  The first free
+    coordinate is 1, the other free ones 0, and the pivot coordinates are
+    back-substituted through the echelon rows in integers over one
+    denominator, which grows by each pivot's share only."""
     free = next((j for j in range(n) if j not in pivots), None)
     if free is None:
         return None
@@ -206,13 +211,13 @@ def unit_completion(rows: Sequence[Sequence[int]]) -> list[int]:
     which is the greedy rank test of e_j."""
     n, r = len(rows[0]), len(rows)
     units = [[int(i == j) for i in range(n)] for j in range(n)]
-    return [k - r for k in _echelon(list(rows) + units)[0][r:]]
+    return [k - r for k in echelon(list(rows) + units)[0][r:]]
 
 
 def nullspace_vector(rows: Sequence[Sequence], n: int) -> Vec | None:
     """One exact nonzero vector orthogonal to all rows, or None if full rank:
     the free coordinate 1, the others determined by the echelon rows."""
-    got = nullspace_int(rows, n)
+    got = back_substitute(*echelon(rows)[1:], n)
     if got is None:
         return None
     x, den = got

@@ -46,6 +46,7 @@ from .rational import (
     common_denominator,
     dot,
     format_fraction,
+    fraction,
     lowest_terms,
     primitive_int_row,
     unit_scale,
@@ -502,11 +503,15 @@ def crawl_to_vertex(form: IntegerForm, point) -> BasicSolution:
     is form (requires rank(A) = n); raises on an infeasible point.
 
     Repeatedly fixes one more independent tight row by walking a null-space
-    direction d of the current tight set until a constraint blocks.  The
-    point is kept as xn / xd: row i's slack numerator beta_i xd - s R_i xn
-    has the sign of b_i - a_i x, and d is a primitive integer vector.  The
-    step theta d, theta the least ratio of slack to R_i d over the rows with
+    direction d of the current tight set until a constraint blocks.  One
+    echelon pass over the tight rows (`linalg.echelon`) gives both the greedy
+    tight basis and, by back-substitution through its rows, d.  The point is
+    kept as xn / xd: row i's slack numerator beta_i xd - s R_i xn has the
+    sign of b_i - a_i x, and d is a primitive integer vector.  The step
+    theta d, theta the least ratio of slack to R_i d over the rows with
     R_i d > 0, does not depend on the positive scale of d or of any row.
+    The slack numerators are formed once and then carried through each step
+    by the products R_i d the ratio test forms.
     """
     R, beta, s, n = form.R, form.beta, form.s, form.n
     x = as_fractions(point)
@@ -518,14 +523,14 @@ def crawl_to_vertex(form: IntegerForm, point) -> BasicSolution:
         raise LPModelError("point infeasible")
     while True:
         tight = [i for i, v in enumerate(slack) if v == 0]
-        basis = [tight[k] for k in linalg.independent_rows([R[i] for i in tight])]
-        if len(basis) == n:
-            return BasicSolution(point=tuple(Fraction(v, xd) for v in xn), basis=tuple(basis))
-        got = linalg.nullspace_int([R[i] for i in basis], n)
-        if got is None:
-            raise LPModelError("tight rows already full rank")  # unreachable
-        g = gcd(*got[0])
-        d = [v // g for v in got[0]]
+        chosen, pivots, rows = linalg.echelon([R[i] for i in tight])
+        if len(chosen) == n:
+            return BasicSolution(
+                point=tuple(fraction(v, xd) for v in xn), basis=tuple(tight[k] for k in chosen)
+            )
+        d = linalg.back_substitute(pivots, rows, n)[0]
+        g = gcd(*d)
+        d = [v // g for v in d]
         prods = [sum(map(mul, r, d)) for r in R]
         if all(p <= 0 for p in prods):
             d = [-v for v in d]
@@ -539,8 +544,12 @@ def crawl_to_vertex(form: IntegerForm, point) -> BasicSolution:
             if p > 0 and (k < 0 or slack[i] * prods[k] < slack[k] * p):
                 k = i
         sk, pk = slack[k], s * prods[k]
-        xn, xd = lowest_terms([pk * a + sk * b for a, b in zip(xn, d)], xd * pk)
-        slack = [bt * xd - s * sum(map(mul, r, xn)) for r, bt in zip(R, beta)]
+        den = xd * pk
+        xn, xd = lowest_terms([pk * a + sk * b for a, b in zip(xn, d)], den)
+        # over den, the slack numerators are pk slack_i - s sk prods_i; the
+        # gcd den / xd that lowest_terms stripped divides each exactly
+        g, ssk = den // xd, s * sk
+        slack = [(pk * v - ssk * p) // g for v, p in zip(slack, prods)]
 
 
 def validate_basic_solution(lp: LinearProgram, bs: BasicSolution) -> None:

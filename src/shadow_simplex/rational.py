@@ -1,9 +1,12 @@
 """Small exact-arithmetic helpers shared across the package.
 
 Everything here works on `fractions.Fraction` / Python ints so downstream
-code can rely on zero rounding.  Square roots are irrational in general;
-where a near-unit or upper/lower rational stand-in is good enough we round
-an integer square root at `SQRT_BITS` of precision (relative error below
+code can rely on zero rounding.  The helpers read each entry once as its
+integer ratio and compute on ints: `dot` forms one integer sum and one
+`Fraction` of it, and `fraction` takes small integral values from the
+shared `SMALL_INTEGRAL`.  Square roots are irrational in general; where a
+near-unit or upper/lower rational stand-in is good enough we round an
+integer square root at `SQRT_BITS` of precision (relative error below
 2**-60, far inside every tolerance in the test suite).
 """
 
@@ -24,11 +27,28 @@ ONE = SMALL_INTEGRAL[257]  # the factor of every primitive integral row
 
 
 def norm_sq(vec: Sequence[Fraction]) -> Fraction:
-    return sum((x * x for x in vec), Fraction(0))
+    return dot(vec, vec)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u: Sequence, v: Sequence) -> Fraction:
+    """sum_i u_i v_i, the entries Fractions or ints, as one integer sum:
+    each entry is read once as its integer ratio, zero products are
+    skipped, and the terms are put over the lcm of their denominators,
+    which is 1 for integral vectors; one `fraction` reduces the sum."""
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        p, q = a.as_integer_ratio()
+        if not p:
+            continue
+        r, t = b.as_integer_ratio()
+        if not r:
+            continue
+        q *= t
+        if den % q:
+            k = q // gcd(den, q)
+            num, den = num * k, den * k
+        num += p * r * (den // q)
+    return fraction(num, den)
 
 
 def unit_scale(vec: Sequence[Fraction]) -> Fraction:

@@ -1,17 +1,19 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
 stream; its face basis, face images and factors, and facet choice too),
-crawl, null-space vector, rank completion, boxed LP, Phase-1 face,
+dot product, generated LPs, crawl (on Fraction elimination), echelon and
+null-space vector, rank completion, boxed LP, Phase-1 face,
 objective-escape projection and determinant, the stand-in for delta and
 the rounded-up square root it was first formed with, and the structural
 check of a recorded shadow path; and the delta-distance oracles the tests
 hold `metrics` against.  A test helper module, not a test module."""
 
+import random
 from fractions import Fraction
 from math import isqrt, lcm, prod, sqrt
 from operator import mul
 
-from shadow_simplex import linalg, metrics, model
+from shadow_simplex import harness, linalg, metrics, model
 from shadow_simplex.metrics import MetricsError
 from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.randomness import RandomnessError
@@ -19,12 +21,15 @@ from shadow_simplex.rational import (
     SQRT_BITS,
     as_fractions,
     common_denominator,
-    dot,
-    norm_sq,
     primitive_int_row,
     unit_scale_pq,
 )
 from shadow_simplex.walk import WalkError
+
+
+def dot(u, v):
+    """sum_i u_i v_i as a Fraction sum, term by term."""
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def ratsqrt_ceil(v, bits=SQRT_BITS):
@@ -65,7 +70,7 @@ def perturb_objective(c0, phi, bits, stream):
     phi = Fraction(phi)
     if float(phi) ** 2 < n * (1 - 1e-10):
         raise RandomnessError("phi must be at least sqrt(n)")
-    if abs(float(norm_sq(c0)) - 1.0) > 3e-10:
+    if abs(float(dot(c0, c0)) - 1.0) > 3e-10:
         raise RandomnessError("c0 must be unit norm")
     width = 1 / phi
     intervals = []
@@ -111,7 +116,7 @@ def complement_basis(rows, n):
 
     def residual(v):
         for o in ortho:
-            c = dot(v, o) / norm_sq(o)
+            c = dot(v, o) / dot(o, o)
             if c != 0:
                 v = [x - c * y for x, y in zip(v, o)]
         return v
@@ -165,28 +170,103 @@ def delta_hat(n, phi):
     return min(Fraction(1), 2 * n * ratsqrt_ceil(Fraction(n)) / Fraction(phi))
 
 
+def echelon_fraction(rows):
+    """The plain Fraction elimination the integer echelon pass is held
+    against: greedy (ascending index), each echelon row normalized to a
+    unit pivot; (chosen row indices, pivot columns, echelon rows)."""
+    basis, pivots, chosen = [], [], []
+    for idx, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for p, b in zip(pivots, basis):
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x != 0), None)
+        if lead is None:
+            continue
+        basis.append([x / v[lead] for x in v])
+        pivots.append(lead)
+        chosen.append(idx)
+    return chosen, pivots, basis
+
+
+def nullspace_fraction(rows, n):
+    """The free coordinate back-substituted through `echelon_fraction`'s
+    rows, or None if the rows have full rank."""
+    _, pivots, basis = echelon_fraction(rows)
+    free = next((j for j in range(n) if j not in pivots), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for p, b in sorted(zip(pivots, basis), reverse=True):
+        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0))
+    return x
+
+
 def move_to_vertex(lp, point):
-    """The crawl to a vertex in Fraction steps, with a Fraction null-space
-    direction and the greedy tight basis of the rows as given."""
+    """The crawl to a vertex in Fraction steps, with the greedy tight basis
+    and null-space direction of Fraction elimination on the rows as given
+    and every slack recomputed by `dot`: no integer kernel of the solver's
+    crawl."""
     x = as_fractions(point)
-    if not lp.feasible(x):
+    rows = lp.rows()
+    if any(dot(r, x) > b for r, b in zip(rows, lp.b)):
         raise LPModelError("point infeasible")
     while True:
-        tight = lp.tight_rows(x)
-        basis = [tight[k] for k in linalg.independent_rows([lp.row(i) for i in tight])]
+        tight = [i for i, (r, b) in enumerate(zip(rows, lp.b)) if dot(r, x) == b]
+        basis = [tight[k] for k in echelon_fraction([rows[i] for i in tight])[0]]
         if len(basis) == lp.n:
             return BasicSolution(point=tuple(x), basis=tuple(basis))
-        d = linalg.nullspace_vector([lp.row(i) for i in basis], lp.n)
-        prods = [dot(lp.row(i), d) for i in range(lp.m)]
+        d = nullspace_fraction([rows[i] for i in basis], lp.n)
+        prods = [dot(r, d) for r in rows]
         if all(p <= 0 for p in prods):
             d = [-v for v in d]
             prods = [-p for p in prods]
         if all(p <= 0 for p in prods):
             raise LPModelError("no blocking row: rank(A) < n")
-        theta = min(
-            (lp.b[i] - dot(lp.row(i), x)) / prods[i] for i in range(lp.m) if prods[i] > 0
-        )
+        theta = min((b - dot(r, x)) / p for r, b, p in zip(rows, lp.b, prods) if p > 0)
         x = [xi + theta * di for xi, di in zip(x, d)]
+
+
+def generate(kind, m, n, seed, span=3):
+    """The LP `harness.generate_tu_instance` (or, for "random-integer",
+    `harness.generate_random_integer` with span) builds, from the same draws
+    of its seeded stream, with each entry built as Fraction(v) or
+    Fraction(p, q)."""
+    rng = random.Random(seed)
+    if kind == "random-integer":
+        rows = []
+        while len(rows) < m:
+            r = [rng.randint(-span, span) for _ in range(n)]
+            if any(r):
+                rows.append(r)
+        b = [Fraction(rng.randint(-span, span)) for _ in range(m)]
+        c0 = [Fraction(rng.randint(-span, span)) for _ in range(n)]
+        return model.make_lp([[Fraction(v) for v in r] for r in rows], b, c0)
+    makers = {
+        "tu-incidence": harness._incidence_rows,
+        "interval-matrix": harness._interval_rows,
+        "network-matrix": harness._network_rows,
+    }
+    n, m = max(n, 1), max(m, 1)
+    if kind == "tu-incidence" and n < 2:
+        n = 2
+    for _ in range(20):
+        rows = makers[kind](rng, m, n)
+        if rows:
+            break
+    x_tilde = [rng.randint(-2, 2) for _ in range(n)]
+    big = max(3, max(abs(v) for v in x_tilde) + 3)
+    b = [sum(a * v for a, v in zip(r, x_tilde)) + rng.randint(1, 3) for r in rows]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    rows += [r for e in units for r in (e, [-v for v in e])]
+    b += [big] * (2 * n)
+    while True:
+        c0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+        if any(c0):
+            break
+    return model.make_lp([[Fraction(v) for v in r] for r in rows], [Fraction(v) for v in b], c0)
 
 
 def extend_to_full_rank(lp):
@@ -258,7 +338,7 @@ def phase1_face(lp, lead, V):
 def nullspace_vector(rows, n):
     """The free coordinate back-substituted in Fractions through the
     integer echelon rows."""
-    _, pivots, basis = linalg._echelon(rows)
+    _, pivots, basis = linalg.echelon(rows)
     free = next((j for j in range(n) if j not in pivots), None)
     if free is None:
         return None
@@ -275,14 +355,14 @@ def project_out(v, dirs):
     for d in dirs:
         w = list(d)
         for o in ortho:
-            c = dot(w, o) / norm_sq(o)
+            c = dot(w, o) / dot(o, o)
             if c != 0:
                 w = [x - c * y for x, y in zip(w, o)]
         if any(x != 0 for x in w):
             ortho.append(w)
     r = list(v)
     for o in ortho:
-        c = dot(r, o) / norm_sq(o)
+        c = dot(r, o) / dot(o, o)
         if c != 0:
             r = [x - c * y for x, y in zip(r, o)]
     return r
@@ -352,7 +432,7 @@ def sin_sq_angle_to_span(span_rows, z):
     """Exact sin^2 of the angle between z and span(span_rows), by projection
     through the Gram system.  Empty spans use the pi/2 convention."""
     z = as_fractions(z)
-    nz = norm_sq(z)
+    nz = dot(z, z)
     if nz == 0:
         raise MetricsError("zero vector has no angle")
     span_rows = [as_fractions(r) for r in span_rows]

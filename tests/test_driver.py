@@ -69,6 +69,26 @@ def unit_cube(c0):
     )
 
 
+def parabola_fan():
+    """A parabola's edges from x = -2 to 30, under y <= 900, and its bottom
+    vertex: from there the optimum (30, 900) is 3 pivots away on the left
+    and 30 on the right, which a cap of 8n = 16 pivots cuts."""
+    rows = [[2 * x + 1, -1] for x in range(-2, 30)] + [[0, 1]]
+    rhs = [x * (x + 1) for x in range(-2, 30)] + [900]
+    return model.make_lp(rows, rhs, [1, 100]), BasicSolution(point=(F(0), F(0)), basis=(1, 2))
+
+
+def cap_at_8n(monkeypatch):
+    """Cap every dyadic walk at 8n pivots: `driver.pivot_cap` at constant 0,
+    below what a `SolveConfig` accepts."""
+    cap = driver.pivot_cap
+
+    def capped(m, n, phi, delta, constant):
+        return cap(m, n, phi, delta, 0)
+
+    monkeypatch.setattr(driver, "pivot_cap", capped)
+
+
 def cfg(seed=0, **kw):
     return SolveConfig(rng=randomness.RngConfig(seed=seed), **kw)
 
@@ -1743,11 +1763,27 @@ class TestSolve:
         assert out.status == out2.status == "optimal"
         assert out.value == out2.value == 5
 
-    def test_doubling_guard_raises(self):
-        lp = square()
-        bad = SolveConfig(rng=randomness.RngConfig(seed=0), max_doublings=0)
+    def test_doubling_guard_raises(self, monkeypatch):
+        # the fan's first walk is capped, and a single doubling allows no
+        # second one
+        fan, bottom = parabola_fan()
+        cap_at_8n(monkeypatch)
+        dyadic = randomness.RngConfig(seed=0, mode=randomness.MODE_DYADIC)
+        bad = SolveConfig(rng=dyadic, max_doublings=1)
         with pytest.raises(driver.DoublingLimitError):
-            solve(lp, bad)
+            solve(fan, bad, initial_bfs=bottom)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_doublings", 0), ("max_doublings", -1), ("cap_constant", 0),
+         ("cap_constant", -3), ("schedule", "bogus")],
+    )
+    def test_config_rejects_values_no_solve_runs_on(self, field, value):
+        # each would end in a DoublingLimitError that reports a bug, or in a
+        # DriverError at the first phi
+        with pytest.raises(driver.SolveConfigError, match=field):
+            SolveConfig(rng=randomness.RngConfig(seed=0), **{field: value})
+        assert issubclass(driver.SolveConfigError, ValueError)
 
     def test_traces_collected(self):
         out = solve(square(c0=(1, 3)), cfg())
@@ -1755,21 +1791,16 @@ class TestSolve:
         for tr in out.traces:
             validate_shadow_path(tr.path)
 
-    def test_traces_are_the_pivot_record(self):
+    def test_traces_are_the_pivot_record(self, monkeypatch):
         # every solve keeps each round's path, also when Phase 1 runs and when
         # a walk is capped; its pivot count and sequence are read off them
         warm = harness.generate_tu_instance("interval-matrix", 16, 8, 3)
         warm_start = model.move_to_vertex(warm, _interior_point("interval-matrix", 16, 8, 3))
-        # a parabola's edges from x = -2 to 30, under y <= 900: from the
-        # bottom vertex the optimum (30, 900) is 3 pivots away on the left
-        # and 30 on the right, which a cap of 8n = 16 pivots cuts
-        rows = [[2 * x + 1, -1] for x in range(-2, 30)] + [[0, 1]]
-        rhs = [x * (x + 1) for x in range(-2, 30)] + [900]
-        fan = model.make_lp(rows, rhs, [1, 100])
-        bottom = BasicSolution(point=(F(0), F(0)), basis=(1, 2))
+        fan, bottom = parabola_fan()
+        cap_at_8n(monkeypatch)
         dyadic = randomness.RngConfig(seed=0, mode=randomness.MODE_DYADIC)
         cold = solve(harness.generate_tu_instance("interval-matrix", 6, 3, 0), cfg())
-        capped = solve(fan, SolveConfig(rng=dyadic, cap_constant=0), initial_bfs=bottom)
+        capped = solve(fan, SolveConfig(rng=dyadic), initial_bfs=bottom)
         assert cold.phase1_artificials > 0 and cold.phase1_pivots > 0
         assert capped.doublings == 1 and len(capped.traces[0].path.steps) == 16
         for out in (cold, solve(warm, cfg(seed=3), initial_bfs=warm_start), capped):

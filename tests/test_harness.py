@@ -1,10 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import reference
 
 import shadow_simplex
 from shadow_simplex import driver, harness, metrics, oracle, randomness
@@ -15,6 +17,7 @@ from shadow_simplex.harness import (
     parse_sizes,
     run_experiments,
 )
+from shadow_simplex.rational import SMALL_INTEGRAL
 
 F = Fraction
 
@@ -54,6 +57,26 @@ class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(HarnessError):
             generate_tu_instance("magic", 3, 3, 0)
+
+    @pytest.mark.parametrize("kind", harness.GENERATORS)
+    def test_equal_to_the_fraction_generators(self, kind):
+        # every entry equals the one built as Fraction(v) from the same
+        # draws, and an integral one is the shared SMALL_INTEGRAL object
+        rng = random.Random(kind)
+        shared = 0
+        for seed in range(300):
+            m, n = rng.randint(1, 10), rng.randint(1, 6)
+            if kind == "random-integer":
+                lp = harness.generate_random_integer(m, n, seed)
+            else:
+                lp = generate_tu_instance(kind, m, n, seed)
+            assert lp == reference.generate(kind, m, n, seed)
+            for x in [x for row in lp.A for x in row] + list(lp.b) + list(lp.c0):
+                assert type(x) is Fraction
+                if x.denominator == 1:
+                    assert x is SMALL_INTEGRAL[x.numerator + 256]
+                    shared += 1
+        assert shared > 5000
 
 
 class TestRunner:
@@ -251,11 +274,16 @@ class TestCli:
             (("solve", "missing.lp"), None, "No such file"),
             # HarnessError
             (("bench", "--sizes", "4"), None, "bad size token"),
+            # SolveConfigError: no doubling, or every dyadic walk capped at once
+            (("solve", "lp.lp", "--max-doublings", "0"), None, "max_doublings must be >= 1"),
+            (("solve", "lp.lp", "--mode", "dyadic", "--cap-constant", "-3"), None,
+             "cap_constant must be >= 1"),
             # OracleError: C(40, 8) LP rows past the enumeration guard
             (("oracle", "lp.lp"), "maximize " + "1 " * 8 + "\nst\n" + "1 0 0 0 0 0 0 0 <= 1\n" * 40,
              "enumeration guard"),
         ],
-        ids=["metrics", "lp-format", "randomness", "missing-file", "harness", "oracle"],
+        ids=["metrics", "lp-format", "randomness", "missing-file", "harness", "max-doublings",
+             "cap-constant", "oracle"],
     )
     def test_input_error_ends_in_one_line(self, square_file, tmp_path, args, text, message):
         # a fault of the input exits 2 with one line on stderr, no traceback

@@ -7,6 +7,7 @@ import importlib.util
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
@@ -266,7 +267,54 @@ def crawl_both(lp, x):
     return out
 
 
-def test_crawl_matches_the_fraction_crawl_on_awkward_rows():
+@pytest.fixture
+def checked_crawls(monkeypatch):
+    """Every crawl to a vertex, through the module attribute its callers
+    reach, as (form, point, answer), and the number of crawl steps checked.
+    At every step, where the crawl eliminates its tight rows, its state is
+    read off its frame: its point is in lowest terms, its carried slack
+    numerators equal their recomputation from that point, and the rows it
+    eliminates are the tight ones."""
+    crawls, steps = [], [0]
+    crawl, echelon = model.crawl_to_vertex, linalg.echelon
+
+    def recording(form, point):
+        got = crawl(form, point)
+        crawls.append((form, point, got))
+        return got
+
+    def checked(rows):
+        frame = sys._getframe(1)
+        if frame.f_code is crawl.__code__:
+            state = frame.f_locals
+            form, xn, xd, slack = state["form"], state["xn"], state["xd"], state["slack"]
+            assert xd > 0 and gcd(xd, *xn) == 1
+            assert slack == [
+                bt * xd - form.s * sum(map(mul, r, xn)) for r, bt in zip(form.R, form.beta)
+            ]
+            assert rows == [r for r, v in zip(form.R, slack) if v == 0]
+            steps[0] += 1
+        return echelon(rows)
+
+    monkeypatch.setattr(model, "crawl_to_vertex", recording)
+    monkeypatch.setattr(linalg, "echelon", checked)
+    return crawls, steps
+
+
+def assert_fraction_crawls(crawls):
+    """Each recorded crawl's vertex and basis are those of the Fraction
+    crawl of tests/reference.py on the LP of the form crawled, and its
+    point is Fractions."""
+    for form, point, got in crawls:
+        lp = model.make_lp(form.R, [F(bt, form.s) for bt in form.beta], [1] * form.n)
+        assert got == reference.move_to_vertex(lp, point)
+        assert all(type(x) is F for x in got.point)
+
+
+def test_crawl_matches_the_fraction_crawl_on_awkward_rows(checked_crawls):
+    # rational, duplicated and parallel rows from rational points, and the
+    # crawls that raise; every step's carried slacks are checked
+    crawls, steps = checked_crawls
     rng = random.Random(64)
     done = crawled = 0
     while done < 80:
@@ -281,7 +329,8 @@ def test_crawl_matches_the_fraction_crawl_on_awkward_rows():
             model.validate_basic_solution(lp, got)
             crawled += 1
         done += 1
-    assert crawled > 40
+    assert crawled > 40 and steps[0] > 100, (crawled, steps)
+    assert_fraction_crawls(crawls)
 
 
 def load_workloads():
@@ -296,21 +345,37 @@ def load_workloads():
     return workloads
 
 
-def test_crawl_matches_the_fraction_crawl_on_the_tu_warm_starts():
-    # the seed-7 tu-warm benchmark pool: every start its setup crawls to
+def test_crawl_matches_the_fraction_crawl_on_the_tu_warm_starts(checked_crawls):
+    # the tu-warm benchmark pools of seeds 1-4 and 7: every start their
+    # setup crawls to from its generator's interior point, in at most n + 1
+    # steps, fewer where a step makes several rows tight
+    crawls, steps = checked_crawls
     workloads = load_workloads()
     pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
-    wl = workloads.WORKLOADS["tu-warm"]
-    m, n = workloads.TU_WARM_SIZE
-    rng = random.Random("tu-warm:7")
-    for i in range(wl.pool_size):
-        gen_seed = rng.getrandbits(31)
-        rng.getrandbits(31)
-        kind = workloads.TU_KINDS[i % 3]
-        lp = harness.generate_tu_instance(kind, m, n, gen_seed)
-        x = workloads._interior_point(pkg, kind, m, n, gen_seed)
-        got, want = crawl_both(lp, x)
-        assert isinstance(got, BasicSolution) and got == want
+    seeds = (1, 2, 3, 4, 7)
+    for seed in seeds:
+        crawls.clear()
+        pool = workloads.build_pool(pkg, "tu-warm", seed)
+        assert [got for _, _, got in crawls] == [inst.start for inst in pool]
+        assert_fraction_crawls(crawls)
+    n, size = workloads.TU_WARM_SIZE[1], len(seeds) * workloads.WORKLOADS["tu-warm"].pool_size
+    assert 5 * size < steps[0] <= (n + 1) * size, steps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 7])
+def test_crawl_matches_the_fraction_crawl_on_the_phase1_answers(checked_crawls, seed):
+    # the tu-cold and mixed-status pools: each Phase-1 answer that
+    # extract_bfs crawls from on the solve's form.  Phase 1 ends at a vertex
+    # of the face, so these crawls stop at their first step
+    crawls, steps = checked_crawls
+    workloads = load_workloads()
+    pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+    for name in ("tu-cold", "mixed-status"):
+        for inst in workloads.build_pool(pkg, name, seed):
+            conf = driver.SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+            driver.solve(inst.lp, conf, initial_bfs=inst.start)
+    assert len(crawls) > 100 and steps[0] == len(crawls), (len(crawls), steps)
+    assert_fraction_crawls(crawls)
 
 
 def test_crawl_rejects_what_the_fraction_crawl_rejects():

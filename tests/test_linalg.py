@@ -3,12 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 from float_orthonormal import complete_orthonormal
-from reference import det_fraction, nullspace_vector, project_out, ratsqrt_ceil
+from reference import (
+    det_fraction,
+    echelon_fraction,
+    nullspace_fraction,
+    nullspace_vector,
+    project_out,
+    ratsqrt_ceil,
+)
 
 from shadow_simplex import linalg, model
 from shadow_simplex.linalg import LinAlgError
 from shadow_simplex.rational import (
+    SMALL_INTEGRAL,
     dot,
     norm_sq,
     primitive_int_row,
@@ -55,6 +64,55 @@ class TestRationalHelpers:
         assert ints == [1, -2] and f == F(3, 2)
         ints, f = primitive_int_row([F(6), F(9)])
         assert ints == [2, 3] and f == F(1, 3)
+
+
+class TestDot:
+    """`rational.dot`'s one integer sum equals the Fraction sum of
+    tests/reference.py."""
+
+    @staticmethod
+    def entry(rng):
+        kind = rng.random()
+        if kind < 0.25:
+            return rng.randint(-5, 5)
+        if kind < 0.5:
+            return F(rng.randint(-5, 5))
+        if kind < 0.75:
+            return F(rng.randint(-9, 9), rng.randint(1, 12))
+        big = 10 ** rng.randint(1, 30)
+        return F(rng.randint(-big, big), rng.randint(1, big))
+
+    def test_matches_the_fraction_sum(self):
+        # ints, integral and rational Fractions, large denominators, zeros,
+        # negatives and the empty vector, mixed in one vector
+        rng = random.Random(71)
+        for _ in range(3000):
+            n = rng.randint(0, 9)
+            u = [self.entry(rng) for _ in range(n)]
+            v = [self.entry(rng) for _ in range(n)]
+            got = dot(u, v)
+            assert type(got) is Fraction and got == reference.dot(u, v)
+            assert norm_sq(u) == reference.dot(u, u)
+        assert dot([], []) == 0
+
+    def test_integral_rows(self):
+        # TU rows against integer points, as the pools' interior checks
+        rng = random.Random(72)
+        for _ in range(500):
+            u = [F(rng.choice((-1, 0, 0, 1))) for _ in range(8)]
+            x = [rng.choice((F(rng.randint(-2, 2)), rng.randint(-2, 2))) for _ in range(8)]
+            assert dot(u, x) == reference.dot(u, x)
+
+    def test_small_integral_results_are_shared(self):
+        rng = random.Random(73)
+        for _ in range(500):
+            u = [F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(4)]
+            v = [F(rng.randint(-9, 9), rng.choice((1, 2))) * 4 for _ in range(4)]
+            got = dot(u, v)
+            if got.denominator == 1 and abs(got) <= 256:
+                assert got is SMALL_INTEGRAL[got.numerator + 256]
+        assert dot([F(1, 3)] * 3, [F(3)] * 3) is SMALL_INTEGRAL[259]
+        assert dot([], []) is SMALL_INTEGRAL[256]
 
 
 class TestSolveSquare:
@@ -269,38 +327,6 @@ class TestNullspace:
                     assert dot(r, v) == 0
 
 
-def echelon_fraction(rows):
-    """The plain Fraction elimination the integer echelon pass is held
-    against: greedy (ascending index), each echelon row normalized to a
-    unit pivot; (chosen row indices, pivot columns, echelon rows)."""
-    basis, pivots, chosen = [], [], []
-    for idx, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
-        for p, b in zip(pivots, basis):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            continue
-        basis.append([x / v[lead] for x in v])
-        pivots.append(lead)
-        chosen.append(idx)
-    return chosen, pivots, basis
-
-
-def nullspace_fraction(rows, n):
-    _, pivots, basis = echelon_fraction(rows)
-    free = next((j for j in range(n) if j not in pivots), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for p, b in sorted(zip(pivots, basis), reverse=True):
-        x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0))
-    return x
-
-
 def awkward_rows(rng, n):
     """Random rows with non-integral entries, duplicates, scaled copies and
     combinations of earlier rows, which reduce to zero."""
@@ -356,7 +382,7 @@ class TestIntegerEchelon:
             rng.shuffle(rows)
             want = nullspace_vector(rows, n)
             assert want is not None and any(want)
-            nums, den = linalg.nullspace_int(rows, n)
+            nums, den = linalg.back_substitute(*linalg.echelon(rows)[1:], n)
             assert den > 0 and [Fraction(v, den) for v in nums] == want
             assert linalg.nullspace_vector(rows, n) == want
             ks = [rng.choice([1, 2, -3]) for _ in rows]
