@@ -56,16 +56,23 @@ rounding of the unit scaling, without building it.
 A chain fixes at most n facets, and ends at the first finished walk whose
 basis carries c0 (`Tableau.carries`: every entry of c0 M is >= 0, so c0 is a
 nonnegative combination of the basis rows and the vertex is c0-optimal on
-the form walked).  No later round could improve on that vertex: the
-paper's n rounds are an upper bound, and this is Dantzig's optimality test,
-the certificate `is_optimal` reads at the end, off the same reduced costs,
-before it walks anything.  Every chain whose objective is not constant on
-its face walks at least once.  Phase 1 ends sooner: its objective -sum(y)
-is at most 0, so its tableau stops at zero (`walk.Tableau.at_zero`).  Its
-walk ends at the first vertex where sum(y) = 0, its chain ends there, and
-the depth-1 solve accepts that vertex without `is_optimal`, since the
-bound is the certificate.  An infeasible LP never reaches 0, and its
-Phase 1 ends as any chain does.
+the form walked), or before round 0, with no trace and no draw, when its
+start basis already carries c0.  No later round could improve on that
+vertex: the paper's n rounds are an upper bound, and this is Dantzig's
+optimality test, the certificate `is_optimal` reads at the end, off the
+same reduced costs, before it walks anything.  Phase 1 ends sooner: its
+objective -sum(y) is at most 0, so its tableau stops at zero
+(`walk.Tableau.at_zero`).  Its walk ends at the first vertex where
+sum(y) = 0, its chain ends there, and the depth-1 solve accepts that
+vertex without `is_optimal`, since the bound is the certificate.  An
+infeasible LP never reaches 0, and its Phase 1 ends as any chain does.
+The depth-1 solve checks its vertex against the face's rows in integers
+and hands back the tableau standing on it, on which the cold solve reads
+Phase 1's answer: the gap -c0 x_num / (D s) when it is positive, else the
+LP vertex and its basis's (M, D), the face inverse's x-block
+(`phase1.handover`), on which the main chain's tableau is built with no
+elimination.  Only a face basis that is not one of the LP's (a -y_i <= 0
+row out of it, or a box row in it) is crawled from (`phase1.extract_bfs`).
 
 An accepted vertex on a tight box row is bounded when c0 needs no box row
 of its basis (`model.assert_unbounded_if_box_tight`), and the recession LP
@@ -307,7 +314,8 @@ def repeated_shadow_vertex(
     """Rounds of perturb -> walk -> identify -> fix, on the tableau tab, for
     the objective c0, a primitive integer row: at most n, and none after
     the first finished walk whose basis carries c0 or that ended at a ray,
-    or once c0 is constant on the face of the fixed rows.
+    or once c0 is constant on the face of the fixed rows; none at all, with
+    no trace and no draw, when the start basis already carries c0.
 
     tab stands on the chain's start vertex, freshly built on its basis (the
     build is the check of the start), and is walked in place and left on
@@ -326,6 +334,8 @@ def repeated_shadow_vertex(
     the previous round stopped; every objective stays in integers.  Each
     round's walk path is kept in its trace.
     """
+    if tab.carries(c0):
+        return Candidate(capped=False, traces=[])  # Dantzig's test, before round 0
     fixed: list[int] = []
     basis = linalg.FaceBasis(tab.n)
     traces: list[RoundTrace] = []
@@ -390,6 +400,8 @@ class SolveOutcome:
     doublings: int = 0
     phi_accepted: Fraction | None = None
     traces: list[RoundTrace] = field(default_factory=list)  # Phase 1's rounds first
+    # at depth 1, the face tableau Phase 1 accepted, standing on its answer
+    tableau: walk.Tableau | None = None
     # the certificate that answered: "vertex" (the chain's vertex, off the
     # box or never boxed), "edge-ray" (an edge no row blocks that improves
     # c0), "box-cone" (box-tight, but c0 needs no box row of the basis),
@@ -466,7 +478,8 @@ def solve(
     objective -sum(y) is bounded above by 0, so its walks stop at the first
     vertex where sum(y) = 0, which it accepts with no `is_optimal` call,
     and it skips the box-tight check.  It checks its answer against every
-    face row."""
+    face row in integers and hands back the tableau standing on it
+    (`SolveOutcome.tableau`), with the value c0 x but no point."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -525,21 +538,23 @@ def solve(
         out.doublings = i
         if cand.capped:
             continue
-        vertex = tab.solution()
         # a chain that ended at a ray answers there, and at depth 1 a vertex
         # where sum(y) = 0 is optimal by the bound; else the certificate
         # walk decides, which may meet a ray at the vertex
-        if not (tab.ray or tab.at_zero() or is_optimal(tab.form, vertex, tab, c0_int)):
+        vertex = None if tab.ray or tab.at_zero() else tab.solution()
+        if vertex is not None and not is_optimal(tab.form, vertex, tab, c0_int):
             if tab.ray is None:
                 continue  # the certificate walk left the vertex
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
+        if _depth:
+            return _accept_face(out, tab, m, c0)
+        if vertex is None or tuple(sorted(tab.basis)) != vertex.basis:
+            vertex = tab.solution()  # the basis the certificate walk ended on
         if tab.ray is not None:
             out.route = "edge-ray"
             return _accept(out, form, m, c0, vertex.point, tuple(map(Fraction, tab.ray)))
-        if tuple(sorted(tab.basis)) != vertex.basis:
-            vertex = tab.solution()  # the basis the certificate walk ended on
-        verdict = "vertex" if _depth else model.assert_unbounded_if_box_tight(tab, c0_int)
+        verdict = model.assert_unbounded_if_box_tight(tab, c0_int)
         if isinstance(verdict, UnboundedCertificate):
             out.route = "recession"
             return _accept(out, form, m, c0, verdict.point, verdict.ray)
@@ -571,6 +586,20 @@ def _accept(
     return out
 
 
+def _accept_face(out: SolveOutcome, tab: walk.Tableau, m: int, c0) -> SolveOutcome:
+    """out answered, at depth 1, at the vertex tab stands on, which out
+    keeps in `SolveOutcome.tableau`, after checking it against the face's m
+    rows, the first rows of tab's form: each slack numerator is recomputed
+    from tab's x_num, not read off the carried ones.  The value c0 x is read
+    off x_num too: no `Fraction` point is built."""
+    if any(v < 0 for v in tab.recomputed_slacks(range(m))):
+        raise DriverError("certificate failure: accepted point infeasible")
+    cn, cd = common_denominator(c0)
+    out.status, out.route, out.tableau = "optimal", "vertex", tab
+    out.value = fraction(sum(map(mul, cn, tab.x_num)), cd * tab.D * tab.s)
+    return out
+
+
 def _check_ray(form: IntegerForm, m: int, c0, ray) -> None:
     """c0 r > 0 and a_i r <= 0 for the LP's m rows, the first rows of form,
     decided in integers: r's numerators against c0's and each R_i."""
@@ -585,7 +614,11 @@ def _phase1_start(form, lead, cfg, stream, out):
     """(a vertex of the LP of the full-rank form, its basis's (M, D) or
     None), or the infeasible outcome.  Phase 1 walks the face of LP' its
     start lies on and is skipped when the start is already a vertex, whose
-    (M, D) the face build reads off the lead rows' adjugate.  The face is
+    (M, D) the face build reads off the lead rows' adjugate.  Its answer is
+    read off the face tableau it hands back: a value below 0 is the gap,
+    and at 0 the LP vertex and its (M, D) come from `phase1.handover`, or,
+    when the face basis is not one of the LP's, from `phase1.extract_bfs`'s
+    crawl, with None.  The face is
     built from form (`phase1.build_phase1_face`), so the Phase-1 solve runs
     no rank pass and builds no form of its own.  Its phi base stays on
     form's (n, m), the dimensions the paper's Phase-1 schedule is stated in,
@@ -600,10 +633,10 @@ def _phase1_start(form, lead, cfg, stream, out):
     out.traces.extend(sub.traces)
     if sub.status != "optimal":
         raise DriverError("Phase 1 subproblem must be bounded and feasible")
-    got = phase1.extract_bfs(sub.vertex, form, p1)
-    if isinstance(got, phase1.InfeasibleCertificate):
+    if sub.value:
         out.status, out.route = "infeasible", "phase1-gap"
-        out.infeasible_gap = got.gap
+        out.infeasible_gap = -sub.value  # sum(y_V) at the face optimum
         out.bits_consumed = stream.bits_consumed
         return out
-    return got, None
+    tab = sub.tableau
+    return phase1.handover(tab, form, p1) or (phase1.extract_bfs(tab.solution(), form, p1), None)

@@ -24,8 +24,14 @@ triangular over the lead rows, so the start's integer inverse follows
 from the same adjugate and a |V| x n product, and the face tableau runs
 no elimination.  The objective -sum(y) is at most 0, so a
 Phase-1 walk ends at the first vertex where sum(y) = 0, which the bound
-certifies optimal.  `extract_bfs` crawls from the x-part of a zero-gap
-optimum to a vertex on the integer form the solve already holds.
+certifies optimal.  The Phase-1 solve hands back the face tableau it
+accepted, and the LP's answer is read off it in integers: a face optimum
+below 0 is the gap, and at 0 `handover` reads the LP vertex, its basis and
+that basis's integer inverse off the face tableau, as Phase 2 goes on from
+Phase 1's final basis in the two-phase method.  Only when that basis is
+not one of the LP's, with a -y_i <= 0 row out of it or a box row in it,
+does `extract_bfs` crawl from the x-part of the answer to a vertex on the
+integer form the solve already holds.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 
-from . import linalg, model
+from . import linalg, model, walk
 from .model import BasicSolution, LinearProgram
 from .rational import ONE, SMALL_INTEGRAL, as_fractions, fraction
 
@@ -48,9 +54,10 @@ class Phase1Error(ValueError):
 class Phase1Problem:
     """LP' (`build_phase1`) or its face (`build_phase1_face`) with its start
     vertex.  LP' is the `LinearProgram` lp_prime, which the CLI prints.  The
-    face is its integer form, its objective c0 = (0, -1) and its start
-    basis's integer inverse (M, D), M = D B^-1 as `walk.Tableau` carries it,
-    all derived from the solve's form, which its Phase-1 solve reads."""
+    face is its integer form, its objective c0 = (0, -1), its start basis's
+    integer inverse (M, D), M = D B^-1 as `walk.Tableau` carries it, and
+    perm, the LP row of each of its first m rows, all derived from the
+    solve's form, which its Phase-1 solve reads."""
 
     initial: BasicSolution
     orig_n: int
@@ -58,6 +65,7 @@ class Phase1Problem:
     form: model.IntegerForm | None = None
     c0: tuple[Fraction, ...] | None = None
     inverse: tuple[list[list[int]], int] | None = None  # the face start's (M, D)
+    perm: list[int] | None = None  # the LP row of each of the face's first m rows
 
     @property
     def n(self) -> int:  # the x and the y walked
@@ -217,14 +225,48 @@ def build_phase1_face(
         form=model.IntegerForm(fR, ffac, fbeta, s),
         c0=(zero,) * n + (minus,) * nv,
         inverse=(M, ad * Pi),
+        perm=perm,
     )
+
+
+def handover(
+    tab: walk.Tableau, form: model.IntegerForm, problem: Phase1Problem
+) -> tuple[BasicSolution, tuple[list[list[int]], int]] | None:
+    """The LP vertex that tab, the face tableau of a Phase-1 answer where
+    sum(y) = 0, stands on, with its basis's (M, D), its columns in sorted
+    basis order; or None when tab's basis holds a box row, or not every
+    -y_t <= 0 row, and so no basis of the LP.
+
+    When every -y_t row is in the basis, the face basis is block triangular,
+    [[A, Y], [0, -I]], with A the x-parts of its other n rows, which are
+    the LP rows perm[k]: a_i for a row x_bar satisfies, q_i a_i for a row of
+    V (f_i = p_i / q_i).  So the x-block of M = D B^-1 is D A^-1: its column
+    for row i, times q_i when i is in V, is D R_B^-1's, and D is the product
+    Q of those q_i times |det R_B|.  Dividing every entry and D by Q, exactly,
+    gives the LP basis's (M, D).  The vertex is the x-part of tab's, since
+    y = 0; the caller's `walk.Tableau` build checks it on form.
+    """
+    n, m = problem.orig_n, form.m
+    if max(tab.basis) >= m + problem.n - n or sum(j < m for j in tab.basis) != n:
+        return None
+    perm, violated, factor = problem.perm, set(problem.initial.basis[n:]), form.factor
+    cols = sorted((perm[j], k, j) for k, j in enumerate(tab.basis) if j < m)
+    qs = [factor[i].denominator if j in violated else 1 for i, _, j in cols]
+    M = [[row[k] * q for (_, k, _), q in zip(cols, qs)] for row in tab.M[:n]]
+    D, Q = tab.D, prod(qs)
+    if Q > 1:
+        M, D = [[v // Q for v in row] for row in M], D // Q
+    den = tab.D * tab.s
+    point = tuple(fraction(v, den) for v in tab.x_num[:n])
+    return BasicSolution(point=point, basis=tuple(i for i, _, _ in cols)), (M, D)
 
 
 def extract_bfs(
     solution: BasicSolution, form: model.IntegerForm, problem: Phase1Problem
 ) -> BasicSolution | InfeasibleCertificate:
     """Turn a certified LP' optimum (full or face) into a vertex of the
-    original LP, given by its integer form, which the solve already holds.
+    original LP, given by its integer form, which the solve already holds:
+    the fallback for a face answer whose basis `handover` cannot read.
 
     The x-part of a zero-slack optimum is feasible; crawling on form fixes
     one independent tight row at a time until a genuine basis emerges (the

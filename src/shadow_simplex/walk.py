@@ -206,7 +206,7 @@ class Tableau:
         self.x_num = [sum(map(mul, row, beta_B)) for row in self.M]
         if not self.stands_on(start.point):
             raise WalkError("basis does not reproduce the start point")
-        self.slack = self._slacks(range(m))
+        self.slack = self.recomputed_slacks(range(m))
         if any(v < 0 for v in self.slack):
             raise WalkError("start point infeasible")
 
@@ -258,7 +258,7 @@ class Tableau:
         den = self.D * self.s
         return len(pn) == self.n and all(a * pd == p * den for a, p in zip(self.x_num, pn))
 
-    def _slacks(self, rows) -> list[int]:
+    def recomputed_slacks(self, rows) -> list[int]:
         """Slack numerators beta_i D - R_i . x_num of rows at the vertex,
         recomputed: the slack of row i is this over D s, so a zero is a
         tight row.  The tableau carries them in `slack`."""
@@ -401,7 +401,7 @@ class Tableau:
         self.form = form = model.bound_polytope(self.form, self.box_basis)
         self.R, self.beta, self.m = form.R, form.beta, form.m
         self.cols = list(zip(*self.R))
-        box = self._slacks(range(m, form.m))
+        box = self.recomputed_slacks(range(m, form.m))
         if not all(v > 0 for v in box):
             raise WalkError("box row not strictly slack at the vertex")
         self.slack += box

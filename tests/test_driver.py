@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 from boxing import box, box_rows, boxed_form, lifted, orthants
+from chains import nested_objective
 import reference
 from reference import (
     image_values,
@@ -331,12 +332,20 @@ class TestRoundZero:
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, round_zero, mode):
+        # with their nested objectives too, whose chains walk more rounds:
+        # a chain whose start basis carries c0 walks none
         solve_fuzz_corpus(mode)
+        for case, _, lp in fuzz_lps():
+            conf = SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode))
+            solve(nested_objective(lp, case), conf)
         assert round_zero["round 0"] > 1000 and round_zero["entered"] > 10, round_zero
         assert round_zero["later"] > 20, round_zero
 
     def test_benchmark_pools(self, round_zero):
+        # the seed-1 pools too: a chain whose start basis carries c0 walks
+        # no round
         solve_benchmark_pools(7)
+        solve_benchmark_pools(1)
         assert round_zero["round 0"] > 3000 and round_zero["entered"] > 30, round_zero
         assert round_zero["later"] > 50, round_zero
 
@@ -611,9 +620,10 @@ class TestLazyBox:
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, twinned_chains, walking_past_zero, mode):
-        # each LP of the corpus with its objective and with the negated one
+        # each LP of the corpus with its objective, the negated one and its
+        # nested one
         for case, _, lp in fuzz_lps():
-            for c0 in (lp.c0, [-x for x in lp.c0]):
+            for c0 in (lp.c0, [-x for x in lp.c0], nested_objective(lp, case).c0):
                 lp = model.make_lp(lp.A, lp.b, c0)
                 solve(lp, SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode)))
         assert twinned_chains["chains"] >= 300 and twinned_chains["boxed"] >= 100, twinned_chains
@@ -636,9 +646,10 @@ class TestLazyBox:
     def test_degenerate_cones(self, twinned_chains, walking_past_zero, mode):
         # 0/+-1 rows with rhs mostly 0: rows through the origin meet the
         # box's corners and edges, so ratio tests tie box rows with other
-        # rows and the tie-break reads the box rows' exponents
+        # rows and the tie-break reads the box rows' exponents; 2400 of
+        # them, since a chain whose start basis carries c0 walks no box
         rng = random.Random(1)
-        for k in range(1800):
+        for k in range(2400):
             n = rng.randint(2, 4)
             A = [[rng.choice([-1, 0, 0, 1]) for _ in range(n)] for _ in range(rng.randint(n, n + 4))]
             A = [row for row in A if any(row)]
@@ -682,6 +693,13 @@ def vertex_start(lp, point):
     form = model.integer_form(lp)
     full, _ = model.complete_rank(form, linalg.independent_rows(form.R))
     return model.crawl_to_vertex(full, point)
+
+
+def far_points(lp, out, conf):
+    """The point of lp's answer out, and that of lp with c0 negated when it
+    is bounded: a start there rarely carries c0, whose chain then walks."""
+    neg = solve(model.make_lp(lp.A, lp.b, [-x for x in lp.c0]), conf)
+    return [out.point] + ([neg.point] if neg.status == "optimal" else [])
 
 
 @pytest.fixture
@@ -788,27 +806,32 @@ class TestWarmStart:
             calls["boxes"] = 0
             assert solve(up, conf, initial_bfs=start).status == "optimal"
             boxed += calls["boxes"] > 0
-        # each of the 102 solves appends a box
-        assert calls["rank"] == 0 and boxed == len(pool) == 102, (calls, boxed)
+        # each of the 102 solves appends a box but one, whose start basis
+        # carries c0, so that its chain ends before round 0
+        assert calls["rank"] == 0 and boxed == len(pool) - 1 == 101, (calls, boxed)
 
     @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
     def test_fuzz_corpus(self, warm_twins, mode):
         # each feasible LP from a vertex of its rank-completed form, reached
         # from its cold answer's point; then lifted (`lifted`), from that
-        # point at t = 0, at its seed and at another, since a walk of the LP
-        # itself from there rarely appends the box
+        # point and from its negated objective's (`far_points`) at t = 0, at
+        # its seed and at two others, since a walk of the LP itself from
+        # there rarely appends the box, and a chain from a start whose basis
+        # carries c0 walks nothing
         for case, _, lp in fuzz_lps():
             conf = SolveConfig(rng=randomness.RngConfig(seed=case, mode=mode))
             out = solve(lp, conf)
             if out.status != "infeasible":
                 warm_twins["run"](lp, conf, vertex_start(lp, out.point))
                 up = lifted(lp)
-                for seed in (case, case + 300):
-                    conf = SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode))
-                    got = warm_twins["run"](up, conf, vertex_start(up, (*out.point, 0)))
-                    assert got[:2] == (out.status, out.value)
-        # 585 solves, 399 of them with no rank pass, whose walks appended 91
-        # boxes (3 of them on the LPs as given)
+                for x in far_points(lp, out, conf):
+                    for seed in (case, case + 300, case + 600):
+                        conf = SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode))
+                        got = warm_twins["run"](up, conf, vertex_start(up, (*x, 0)))
+                        assert got[:2] == (out.status, out.value)
+        # 1,032 solves, 751 of them with no rank pass, whose walks appended
+        # 79 boxes (585, 399 and 91 from the answer's point alone, at two
+        # seeds, when every chain walked at least once)
         assert warm_twins["solves"] >= 580 and warm_twins["warm boxes"] >= 60, warm_twins
         assert warm_twins["skipped"] >= 390 and warm_twins["solves"] - warm_twins["skipped"] >= 60
 
@@ -817,7 +840,8 @@ class TestWarmStart:
         # vertex reached from the point their cold answer's ray starts at;
         # they answer at an edge and rarely append the box, so every
         # feasible LP of the pools of seeds 1-8 is also solved lifted, from
-        # its cold answer's point at t = 0
+        # its cold answer's point and its negated objective's at t = 0, at
+        # two seeds
         workloads = load_workloads()
         pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
         for seed in range(1, 9):
@@ -829,10 +853,14 @@ class TestWarmStart:
                     assert got[0] == "unbounded"
                 if out.status != "infeasible":
                     up = lifted(inst.lp)
-                    got = warm_twins["run"](up, conf, vertex_start(up, (*out.point, 0)))
-                    assert got[:2] == (out.status, out.value)
-        # 1,751 solves; 1,143 of full rank run no rank pass, and 315 of those
-        # append a box (317 when the box was over the lead rows)
+                    for x in far_points(inst.lp, out, conf):
+                        for seed in (inst.seed, inst.seed + 300):
+                            lift = SolveConfig(rng=randomness.RngConfig(seed=seed, mode=inst.mode))
+                            got = warm_twins["run"](up, lift, vertex_start(up, (*x, 0)))
+                            assert got[:2] == (out.status, out.value)
+        # 3,241 solves; 2,429 of full rank run no rank pass, and 342 of those
+        # append a box (1,751, 1,143 and 315 from the answer's point alone,
+        # at one seed, when every chain walked at least once)
         assert warm_twins["solves"] >= 1700 and warm_twins["warm boxes"] >= 270, warm_twins
 
     def test_escape_with_a_start_runs_phase1(self, monkeypatch):
@@ -929,14 +957,15 @@ class TestRecessionBasis:
 
     def test_unbounded_mixed_status_lps(self, recession_bases):
         # the seed-7 mixed-status benchmark pool, as its first pass solves
-        # it: 5 box-tight answers, 3 of them walked, 2 boxed over other rows
-        # than the lead rows
+        # it: 4 box-tight answers, 3 of them walked, 2 boxed over other rows
+        # than the lead rows (5 box-tight when every chain walked at least
+        # once: one start whose basis carries c0 now walks no box)
         workloads = load_workloads()
         pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
         for inst in workloads.build_pool(pkg, "mixed-status", 7):
             rng = randomness.RngConfig(seed=inst.seed, mode=inst.mode)
             solve(inst.lp, SolveConfig(rng=rng), initial_bfs=inst.start)
-        assert recession_bases == {"box-tight": 5, "walks": 3, "not lead": 2}, recession_bases
+        assert recession_bases == {"box-tight": 4, "walks": 3, "not lead": 2}, recession_bases
 
     def test_random_boxed_lps(self):
         # LPs boxed before the solve are bounded; boxed once more over the
@@ -1107,16 +1136,17 @@ class TestRoutes:
             is_optimal(form, x, tab, [1, 0])
 
     def test_box_cone_answers_bounded_off_the_basis(self, monkeypatch):
-        # maximize x1 subject to x1 <= 1, -x2 <= 1: the perturbed objective
-        # rises up the optimal face, which no row blocks and c0 does not rise
-        # along, so a walk appends the box and the chain ends on the corner
-        # (1, B); c0 = R_0 needs no box row of its basis, and no recession
-        # walk runs
+        # maximize x1 subject to x1 <= 1, -x2 <= 1, -x1 <= 0, from (0, -1),
+        # whose basis does not carry c0 (the cold start (1, -1) does, and
+        # ends its chain before round 0): the perturbed objective rises up
+        # the optimal face, which no row blocks and c0 does not rise along,
+        # so a walk appends the box and the chain ends on the corner (1, B);
+        # c0 = R_0 needs no box row of its basis, and no recession walk runs
         walks = []
         first_gain = walk.first_gain
         monkeypatch.setattr(walk, "first_gain", lambda tab, c: walks.append(tab) or first_gain(tab, c))
-        lp = model.make_lp([[1, 0], [0, -1]], [1, 1], [1, 0])
-        out = solve(lp, cfg())
+        lp = model.make_lp([[1, 0], [0, -1], [-1, 0]], [1, 1, 0], [1, 0])
+        out = solve(lp, cfg(), initial_bfs=BasicSolution(point=(F(0), F(-1)), basis=(1, 2)))
         assert (out.status, out.value, out.route) == ("optimal", 1, "box-cone")
         boxed = boxed_form(lp)
         assert set(boxed.tight_rows(out.point)) - set(box_rows(boxed)) == {0}
@@ -1184,7 +1214,7 @@ def prices(tab, w):
 
 class TestChainStop:
     """A facet chain ends after the first finished walk whose basis carries
-    c0, and never before its first walk."""
+    c0, or before round 0 when its start basis already carries it."""
 
     def test_chain_ends_when_its_basis_carries_c0(self):
         cube = unit_cube([3, 2, 1])
@@ -1202,15 +1232,21 @@ class TestChainStop:
         # the reduced costs certify c0, so no certificate walk is aimed
         assert (tab.c_num, tab.pivot_count) == walked
 
-    def test_chain_starts_with_a_walk_even_at_the_optimum(self):
-        # the start is the optimum and its basis carries c0: one walk, no pivot
+    def test_start_that_carries_c0_ends_the_chain_before_round_0(self):
+        # the start is the optimum and its basis carries c0: Dantzig's test
+        # ends the chain with no trace and no draw, and the solve answers as
+        # one that walked first (one walk of no pivot) did
         cube = unit_cube([3, 2, 1])
         start = BasicSolution(point=(F(1), F(1), F(1)), basis=(0, 1, 2))
+        stream = randomness.DrawStream(2)
         cand = repeated_shadow_vertex(
-            walk.Tableau(boxed_form(cube), start), prim(cube.c0), F(64),
-            BITS, randomness.DrawStream(2)
+            walk.Tableau(boxed_form(cube), start), prim(cube.c0), F(64), BITS, stream
         )
-        assert len(cand.traces) == 1 and cand.traces[0].path.steps == ()
+        assert cand.traces == [] and not cand.capped and stream.bits_consumed == 0
+        for conf in (cfg(2), cfg(2, schedule=driver.SCHEDULE_DELTA_AWARE)):
+            out = solve(cube, conf, initial_bfs=start)
+            assert (out.status, out.value, out.point, out.route) == ("optimal", 6, (1, 1, 1), "vertex")
+            assert out.traces == [] and out.bits_consumed == 0 and out.doublings == 0
 
     def test_degenerate_optimum_walks_a_second_round(self, monkeypatch):
         # a tu-warm instance whose first walk ends on the c0-optimal vertex,
@@ -1457,14 +1493,16 @@ class TestConeObjective:
         assert basis.tau([1, 0, 2]) == reference.face_image([1, 0, 2], basis.cols, basis.scales)[1]
         with pytest.raises(linalg.LinAlgError, match="constant"):
             basis.tau([2, 2, 0])  # the fixed row's multiple has no face image
+        # from the origin, whose basis does not carry c0, so the chain walks
+        origin = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
         monkeypatch.setattr(linalg, "unit_scale_pq", off_by(20))
         with pytest.raises(linalg.LinAlgError, match="unit norm"):
             basis.tau([1, 0, 2])
         with pytest.raises(linalg.LinAlgError, match="unit norm"):
-            solve(square(), cfg())
+            solve(square(), cfg(), initial_bfs=origin)
         # an error well inside the 3e-10 tolerance passes
         monkeypatch.setattr(linalg, "unit_scale_pq", off_by(40))
-        assert solve(square(), cfg()).status == "optimal"
+        assert solve(square(), cfg(), initial_bfs=origin).status == "optimal"
 
 
 class TestSchedule:
@@ -1633,9 +1671,10 @@ class TestSolve:
 
     def test_chain_starts_from_the_given_basis(self):
         # (1, 1) is degenerate: x <= 1, y <= 1 and x + y <= 2 are tight there,
-        # and the greedy basis would be (0, 2)
+        # and the greedy basis would be (0, 2), which carries c0; (2, 4) does
+        # not, so the chain walks from it
         lp = model.make_lp(
-            [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 2], [1, 2]
+            [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [1, 0, 1, 0, 2], [2, 1]
         )
         start = BasicSolution(point=(F(1), F(1)), basis=(2, 4))
         out = solve(lp, cfg(), initial_bfs=start)
@@ -1786,7 +1825,9 @@ class TestSolve:
         assert issubclass(driver.SolveConfigError, ValueError)
 
     def test_traces_collected(self):
-        out = solve(square(c0=(1, 3)), cfg())
+        # from the origin: the cold start (1, 1) is already optimal
+        origin = BasicSolution(point=(F(0), F(0)), basis=(1, 3))
+        out = solve(square(c0=(1, 3)), cfg(), initial_bfs=origin)
         assert out.traces
         for tr in out.traces:
             validate_shadow_path(tr.path)

@@ -29,6 +29,13 @@ The pivot counts of sixteen entries and two sequence hashes were
 re-recorded when a Phase-1 walk began to end at the first vertex where
 sum(y) = 0: Phase 1 makes fewer pivots, while every status, value, ray,
 artificial count and bit count held.
+Three random-integer entries and one sequence hash were re-recorded when a
+chain whose start basis already carries c0 began to end before round 0,
+and a cold solve's main chain to start on the basis Phase 1 ended on: the
+infeasible (3, 2, 1)'s Phase-1 start is already Phase-1-optimal (1 pivot
+before), and the main chains of (8, 3, 3) and (10, 5, 1) start on a basis
+that carries c0 (one walk of 1 pivot before).  Every status, value and
+artificial count held.
 """
 
 import hashlib
@@ -45,7 +52,7 @@ RANDOM_INTEGER = [
     ((1, 1, 1), ("unbounded", None, ("-1",), 0, 0)),
     ((2, 2, 1), ("unbounded", None, ("0", "3"), 0, 0)),
     ((2, 2, 3), ("unbounded", None, ("1", "0"), 0, 0)),
-    ((3, 2, 1), ("infeasible", None, None, 1, 1)),
+    ((3, 2, 1), ("infeasible", None, None, 0, 0)),
     ((3, 4, 0), ("unbounded", None, ("-57/161", "19/230", "-57/805", "-95/322"), 0, 0)),
     (
         (4, 3, 1),
@@ -79,7 +86,7 @@ RANDOM_INTEGER = [
         ),
     ),
     ((7, 4, 0), ("optimal", "41/18", None, 4, 1)),
-    ((8, 3, 3), ("optimal", "-6", None, 4, 3)),
+    ((8, 3, 3), ("optimal", "-6", None, 3, 3)),
     (
         (9, 5, 0),
         (
@@ -91,7 +98,7 @@ RANDOM_INTEGER = [
         ),
     ),
     ((10, 4, 1), ("infeasible", None, None, 3, 3)),
-    ((10, 5, 1), ("optimal", "-19/5", None, 6, 5)),
+    ((10, 5, 1), ("optimal", "-19/5", None, 5, 5)),
 ]
 
 # (kind, seed) -> the answer for generate_tu_instance(kind, 6, 3, seed), solver seed = seed
@@ -141,7 +148,7 @@ PIVOT_SEQUENCES = [
     ),
     (
         ("random", 10, 5, 1),
-        "2fffcb50b832b1849524c078db73d95a769edf524bb423b664a6dd1b1d2f36be",
+        "5080ba6ae6a680b33726cf00bd4e1e352958927f273cfcbcfcf406e3ebc43f3b",
     ),
 ]
 

@@ -205,9 +205,15 @@ class TestCli:
         assert "status: infeasible" in r.stdout
         assert "phase1 artificials: 2\n" in r.stdout
 
-    def test_solve_trace_writes_csvs(self, square_file, tmp_path):
+    def test_solve_trace_writes_csvs(self, tmp_path):
+        # the square with its rows reordered: the lead rows meet at the
+        # origin, whose basis does not carry c0, so the chain walks (the
+        # square file's lead vertex (1, 1) is optimal, and its chain ends
+        # before round 0 with no trace)
+        p = tmp_path / "square.lp"
+        p.write_text("maximize 1 1\nst\n-1 0 <= 0\n0 -1 <= 0\n1 0 <= 1\n0 1 <= 1\n")
         trace = tmp_path / "trace"
-        r = self.run_cli("solve", square_file, "--trace", str(trace), cwd=tmp_path)
+        r = self.run_cli("solve", str(p), "--trace", str(trace), cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         files = sorted(os.listdir(trace))
         assert files and all(f.endswith(".csv") for f in files)

@@ -20,7 +20,7 @@ from reference import values
 from test_fuzz import lps as fuzz_lps
 from test_golden import _interior_point
 
-from shadow_simplex import driver, harness, linalg, model, randomness, rational, walk
+from shadow_simplex import driver, harness, linalg, model, phase1, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, LPModelError, UnboundedCertificate
 from shadow_simplex.rational import primitive_int_row
 
@@ -232,10 +232,12 @@ class TestCarriedFaceBasis:
 
     def test_benchmark_pools(self, seen):
         solve_benchmark_pools(7)
-        # one round per `complement_basis_int` call: 169 + 113 + 255 (256
-        # when the box was over the lead rows: one mixed-status chain that
-        # boxes over its basis walks a round fewer)
-        assert seen["rounds"] == 537 and seen["fixed"] > 10, seen
+        # one round per `complement_basis_int` call: 156 + 112 + 200 (169 +
+        # 113 + 255 when every chain walked before its first Dantzig test
+        # and a cold solve's main chain started on the crawl's basis; 256
+        # on mixed-status when the box was over the lead rows: one chain
+        # that boxes over its basis walks a round fewer)
+        assert seen["rounds"] == 468 and seen["fixed"] > 10, seen
 
 
 def awkward_lp(rng, n, m):
@@ -363,19 +365,38 @@ def test_crawl_matches_the_fraction_crawl_on_the_tu_warm_starts(checked_crawls):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7])
-def test_crawl_matches_the_fraction_crawl_on_the_phase1_answers(checked_crawls, seed):
-    # the tu-cold and mixed-status pools: each Phase-1 answer that
-    # extract_bfs crawls from on the solve's form.  Phase 1 ends at a vertex
-    # of the face, so these crawls stop at their first step
+def test_crawl_matches_the_fraction_crawl_on_the_phase1_answers(checked_crawls, monkeypatch, seed):
+    # the tu-cold and mixed-status pools: the vertex each solve takes from a
+    # Phase-1 answer where sum(y) = 0, handed over off the face tableau or,
+    # when the face basis is not one of the LP's, crawled by extract_bfs on
+    # the solve's form, is the Fraction crawl's from the answer's x-part.
+    # A face basis with a -y_t <= 0 row out of it still stands on a vertex
+    # of the LP (y = 0 makes every -y_t row tight), so the crawls stop at
+    # their first step
     crawls, steps = checked_crawls
+    answers = []
+    handover = phase1.handover
+
+    def handing(tab, form, p1):
+        got = handover(tab, form, p1)
+        answers.append((form, tab.vertex()[: p1.orig_n], got and got[0]))
+        return got
+
+    monkeypatch.setattr(phase1, "handover", handing)
     workloads = load_workloads()
     pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
     for name in ("tu-cold", "mixed-status"):
         for inst in workloads.build_pool(pkg, name, seed):
             conf = driver.SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
             driver.solve(inst.lp, conf, initial_bfs=inst.start)
-    assert len(crawls) > 100 and steps[0] == len(crawls), (len(crawls), steps)
+    handed = [(form, x, got) for form, x, got in answers if got is not None]
+    assert [(form, x) for form, x, got in answers if got is None] == [(f, x) for f, x, _ in crawls]
+    assert len(answers) > 100 and len(handed) > 90 and crawls, (len(answers), len(crawls))
+    assert steps[0] == len(crawls), (len(crawls), steps)
     assert_fraction_crawls(crawls)
+    for form, x, got in handed:
+        lp = model.make_lp(form.R, [F(bt, form.s) for bt in form.beta], [1] * form.n)
+        assert got.point == reference.move_to_vertex(lp, x).point
 
 
 def test_crawl_rejects_what_the_fraction_crawl_rejects():

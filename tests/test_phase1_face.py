@@ -269,8 +269,11 @@ class TestDirectFaceForm:
             kw = dict(initial_bfs=p1.initial, _depth=1)
             got = driver.solve(None, cfg(done), _face=p1, **kw)
             want = driver.solve(face, cfg(done), **kw)
-            assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
+            assert (got.status, got.value, got.point) == (want.status, want.value, None)
             assert got.pivot_sequence == want.pivot_sequence
+            # the answer is the tableau each hands back, standing on one vertex
+            assert got.tableau.solution() == want.tableau.solution()
+            assert got.value == reference.dot(face.c0, got.tableau.vertex())
 
 
 def bareiss_inverse(form, basis):
@@ -400,3 +403,139 @@ class TestLeadVertexInverse:
                 assert inverse == bareiss_inverse(form, bfs.basis), inst.id
         # 131 to 146 lead vertices a pool, escapes included, which build no tableau
         assert vertices >= 120, vertices
+
+
+def form_lp(form):
+    """The LP whose integer form is form, in Fractions, for the reference
+    crawl."""
+    return model.make_lp(form.R, [F(bt, form.s) for bt in form.beta], [1] * form.n)
+
+
+@pytest.fixture
+def phase1_answers(monkeypatch):
+    """Every Phase-1 answer of the solves run, as [form, face, depth-1
+    outcome, (how the solve took the vertex, what it took) or None], through
+    the module attributes the driver calls."""
+    answers, forms = [], {}
+    inner, build = driver.solve, phase1.build_phase1_face
+    handover, crawl = phase1.handover, phase1.extract_bfs
+
+    def building(form, lead):
+        p1 = build(form, lead)
+        forms[id(p1)] = form
+        return p1
+
+    def solving(lp, conf, initial_bfs=None, _stream=None, _depth=0, _face=None):
+        out = inner(lp, conf, initial_bfs, _stream=_stream, _depth=_depth, _face=_face)
+        if _depth == 1:
+            answers.append([forms[id(_face)], _face, out, None])
+        return out
+
+    def handing(tab, form, p1):
+        got = handover(tab, form, p1)
+        answers[-1][3] = ("handover", got)
+        return got
+
+    def crawling(solution, form, p1):
+        got = crawl(solution, form, p1)
+        answers[-1][3] = ("crawl", got)
+        return got
+
+    monkeypatch.setattr(phase1, "build_phase1_face", building)
+    monkeypatch.setattr(driver, "solve", solving)
+    monkeypatch.setattr(phase1, "handover", handing)
+    monkeypatch.setattr(phase1, "extract_bfs", crawling)
+    return answers
+
+
+def check_phase1_answers(answers, crawl=phase1.extract_bfs) -> dict[str, int]:
+    """Check each recorded Phase-1 answer against what the solve took from
+    it, and count them by kind: "gap" (infeasible), "handover", "crawl-y"
+    (a -y_t <= 0 row out of the face basis) and "crawl-box" (a box row in
+    it); "scaled" counts the handovers whose (M, D) was divided by a q_t > 1.
+
+    An infeasible answer's gap, read off the tableau, is the sum extract_bfs
+    forms from the face point, and nothing is taken from it.  At sum(y) = 0
+    the vertex taken is the Fraction crawl's from the Phase-1 point; a
+    handed-over vertex has a basis of the LP, whose (M, D) is linalg.invert's
+    on it, and a crawled one is the Fraction crawl's, basis too."""
+    kinds = dict.fromkeys(("gap", "handover", "scaled", "crawl-y", "crawl-box"), 0)
+    for form, p1, sub, taken in answers:
+        n, m, tab = p1.orig_n, form.m, sub.tableau
+        face_point = tab.solution()
+        if sub.value:
+            got = crawl(face_point, form, p1)
+            assert isinstance(got, InfeasibleCertificate) and got.gap == -sub.value > 0
+            assert taken is None
+            kinds["gap"] += 1
+            continue
+        lp = form_lp(form)
+        want = reference.move_to_vertex(lp, face_point.point[:n])
+        how, got = taken
+        if how == "handover":
+            bfs, inverse = got
+            assert bfs.point == want.point and list(bfs.basis) == sorted(bfs.basis)
+            model.validate_basic_solution(lp, bfs)
+            assert inverse == bareiss_inverse(form, bfs.basis)
+            violated = {p1.perm[j] for j in p1.initial.basis[n:]}
+            kinds["handover"] += 1
+            kinds["scaled"] += any(form.factor[i].denominator > 1 for i in violated & set(bfs.basis))
+            continue
+        assert got == want
+        box_row = max(tab.basis) >= m + p1.n - n
+        assert box_row or not set(range(m, m + p1.n - n)) <= set(tab.basis)
+        kinds["crawl-box" if box_row else "crawl-y"] += 1
+    return kinds
+
+
+def orthant_lp(n):
+    """x >= 0 and x_1 >= 1: the lead point 0 violates x_1 >= 1, and the
+    face's edge along x_n has c0 = -y constant and no blocking row, so a
+    Phase-1 walk whose draws take it appends the box there and may end on
+    a box row."""
+    A = [[-int(i == j) for j in range(n)] for i in range(n)] + [[-1] + [0] * (n - 1)]
+    return model.make_lp(A, [0] * n + [-1], [-1] * n)
+
+
+class TestHandover:
+    """A cold solve reads Phase 1's answer off the face tableau the depth-1
+    solve hands back: the gap, or the LP vertex and its (M, D)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7])
+    def test_handover_on_the_cold_pools(self, phase1_answers, seed):
+        # the tu-cold and mixed-status pools (tu-warm's starts run no Phase 1)
+        solve_benchmark_pools(seed)
+        kinds = check_phase1_answers(phase1_answers)
+        # per pool pair: 100-120 handovers, 5-12 crawls with a -y row out
+        assert kinds["handover"] >= 90 and kinds["crawl-y"] >= 3 and kinds["gap"] >= 30, kinds
+        assert kinds["scaled"] >= 3, kinds
+
+    @pytest.mark.parametrize("mode", [randomness.MODE_FLOAT, randomness.MODE_DYADIC])
+    def test_handover_on_the_fuzz_corpus(self, phase1_answers, mode):
+        solve_fuzz_corpus(mode)
+        kinds = check_phase1_answers(phase1_answers)
+        assert kinds["handover"] >= 50 and kinds["crawl-y"] >= 2 and kinds["scaled"] >= 10, kinds
+
+    def test_handover_on_rational_lps(self, phase1_answers):
+        # rows with q_t > 1: a violated row of the face basis scales its
+        # column of the x-block by q_t, and D holds the product of them
+        rng = random.Random(71)
+        for seed in range(300):
+            lp = rational_lp(rng, rng.randint(1, 4))
+            out = driver.solve(lp, cfg(seed))
+            assert out.status == oracle.classify(lp).status
+        kinds = check_phase1_answers(phase1_answers)
+        assert kinds["handover"] >= 60 and kinds["scaled"] >= 10 and kinds["gap"] >= 30, kinds
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_box_row_in_the_face_basis_falls_back_to_the_crawl(self, phase1_answers, n):
+        # the orthant's Phase-1 walk appends the box on its draws of a few
+        # seeds and ends on a box row there: those answers are crawled
+        lp = orthant_lp(n)
+        for mode in (randomness.MODE_FLOAT, randomness.MODE_DYADIC):
+            for seed in range(300):
+                conf = driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode))
+                out = driver.solve(lp, conf)
+                assert (out.status, out.value) == ("optimal", -1)
+        kinds = check_phase1_answers(phase1_answers)
+        assert kinds["crawl-box"] >= 3 and kinds["handover"] >= 500, kinds

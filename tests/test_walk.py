@@ -151,7 +151,9 @@ class TestShadowWalk:
     def test_one_scan_of_the_improving_edges_per_pivot(self, monkeypatch):
         # the seed-7 tu-cold benchmark pool: inside its walks, the improving
         # edges are scanned once per pivot, plus once at each walk's end (777
-        # scans for 304 pivots when the loop test scanned them too)
+        # scans for 304 pivots when the loop test scanned them too; 304
+        # pivots in 169 walks before chains whose start basis carries c0
+        # ended before round 0 and main chains began on Phase 1's basis)
         from test_integer_path import load_workloads
 
         seen = {"scans": 0, "pivots": 0, "walks": 0, "inside": False}
@@ -178,7 +180,7 @@ class TestShadowWalk:
         for inst in workloads.build_pool(pkg, "tu-cold", 7):
             conf = driver.SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
             driver.solve(inst.lp, conf, initial_bfs=inst.start)
-        assert (seen["pivots"], seen["walks"]) == (304, 169), seen  # Phase 1's included
+        assert (seen["pivots"], seen["walks"]) == (299, 156), seen  # Phase 1's included
         assert seen["pivots"] <= seen["scans"] <= seen["pivots"] + seen["walks"], seen
 
     def test_walk_matches_brute_force_on_random_instances(self):
@@ -454,8 +456,9 @@ class TestSparseProducts:
         # warm solves of TU LPs, whose rows hold a few +-1, and cold solves of
         # random integer LPs: Phase 1, facet chains that append the box, and
         # certificate walks.  Phase 1 makes no pivot on its face sum(y) = 0,
-        # where the box is appended most, so 24 seeds are needed for more
-        # than 10 ratio tests on a box
+        # where the box is appended most, and a chain whose start basis
+        # carries c0 walks nothing, so 48 random seeds are needed for more
+        # than 10 ratio tests on a box (24 when every chain walked)
         kinds = ("tu-incidence", "interval-matrix", "network-matrix")
         conf = driver.SolveConfig(rng=randomness.RngConfig(seed=5, mode=mode))
         for seed in range(24):
@@ -463,6 +466,7 @@ class TestSparseProducts:
             lp = harness.generate_tu_instance(kind, 16, 8, seed)
             start = model.move_to_vertex(lp, _interior_point(kind, 16, 8, seed))
             driver.solve(lp, conf, initial_bfs=start)
+        for seed in range(48):
             rng = random.Random(seed)
             n = rng.randint(2, 5)
             lp = harness.generate_random_integer(rng.randint(n, 9), n, seed)
