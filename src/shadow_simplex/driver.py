@@ -14,10 +14,10 @@ Phase-1 phi schedule and without the box-tight check, which its bounded
 objective does not need.
 
 A solve builds the integer form of its rows once (`model.integer_form`),
-first of all.  It checks its answer against the LP it was given and
-derives everything else from that form, building no `Fraction` LP: the rank
-pass, rank completion and the objective escape, Phase 1's start and face,
-the chain's tableau and the box-tight test.  The box is not built up front.
+first of all, and derives everything from that form, building no
+`Fraction` LP: the rank pass, rank completion and the objective escape,
+Phase 1's start and face, the chain's tableau, the box-tight test and the
+check of its answer.  The box is not built up front.
 Its rows strictly contain every vertex, so they can block only an edge that
 is unbounded in the LP: each facet chain's `walk.Tableau` is built on the
 solve's form with c0's primitive integer row.  An improving edge that no
@@ -66,18 +66,27 @@ objective -sum(y) is at most 0, so its tableau stops at zero
 sum(y) = 0, its chain ends there, and the depth-1 solve accepts that
 vertex without `is_optimal`, since the bound is the certificate.  An
 infeasible LP never reaches 0, and its Phase 1 ends as any chain does.
-The depth-1 solve checks its vertex against the face's rows in integers
-and hands back the tableau standing on it, on which the cold solve reads
-Phase 1's answer: the gap -c0 x_num / (D s) when it is positive, else the
-LP vertex and its basis's (M, D), the face inverse's x-block
-(`phase1.handover`), on which the main chain's tableau is built with no
-elimination.  Only a face basis that is not one of the LP's (a -y_i <= 0
+The depth-1 solve hands back the tableau standing on its vertex, on
+which the cold solve reads Phase 1's answer: the gap -c0 x_num / (D s)
+when it is positive, else the LP vertex and its basis's (M, D), the face
+inverse's x-block (`phase1.handover`), on which the main chain's tableau
+is built with no elimination.  Only a face basis that is not one of the LP's (a -y_i <= 0
 row out of it, or a box row in it) is crawled from (`phase1.extract_bfs`).
 
 An accepted vertex on a tight box row is bounded when c0 needs no box row
-of its basis (`model.assert_unbounded_if_box_tight`), and the recession LP
-is walked only otherwise; `SolveOutcome.route` names the certificate that
-answered.
+of its basis (`model.assert_unbounded_if_box_tight`), and unbounded
+otherwise, along the ray the recession walk builds.
+
+Every answer, at both depths, is accepted in one place (`_accept`), off
+the tableau that stands on it: its vertex is checked against the LP's m
+rows, the first rows of the tableau's form, with slack numerators
+recomputed from x_num, its value c0 x is read off x_num, and a ray is
+checked against c0 and those rows, all in integers.  A depth-0 answer's
+point is the vertex its tableau stands on, which on the vertex and
+box-cone routes `SolveOutcome.vertex` carries with the basis it ended on.
+The objective escape walks nothing: it answers off the tableau the main
+chain would start from, built on the (M, D) Phase 1 handed over.
+`SolveOutcome.route` names the certificate that answered.
 
 Each round keeps its walk's path in a `RoundTrace`, and the traces are the
 one record of a solve's pivots: `SolveOutcome.traces` holds Phase 1's rounds
@@ -95,7 +104,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import linalg, model, phase1, randomness, walk
-from .model import BasicSolution, IntegerForm, LinearProgram, UnboundedCertificate
+from .model import BasicSolution, IntegerForm, LinearProgram
 from .rational import as_fractions, common_denominator, fraction, primitive_int_row
 
 PHI_BITS = 60
@@ -389,8 +398,8 @@ class SolveOutcome:
     status: str  # "optimal" | "unbounded" | "infeasible"
     point: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
-    # its basis carries c0 in the form walked, unless it is a Phase-1
-    # vertex where sum(y) = 0, which the bound certifies
+    # on the "vertex" and "box-cone" routes: its basis carries c0 in the
+    # form walked
     vertex: BasicSolution | None = None
     ray: tuple[Fraction, ...] | None = None
     infeasible_gap: Fraction | None = None
@@ -402,10 +411,13 @@ class SolveOutcome:
     traces: list[RoundTrace] = field(default_factory=list)  # Phase 1's rounds first
     # at depth 1, the face tableau Phase 1 accepted, standing on its answer
     tableau: walk.Tableau | None = None
-    # the certificate that answered: "vertex" (the chain's vertex, off the
-    # box or never boxed), "edge-ray" (an edge no row blocks that improves
-    # c0), "box-cone" (box-tight, but c0 needs no box row of the basis),
-    # "recession" (the recession walk), "escape" or "phase1-gap"
+    # the certificate that answered, each checked off the tableau standing
+    # on the answer: "vertex" (the chain's vertex, off the box or never
+    # boxed, or Phase 1's where sum(y) = 0), "edge-ray" (an edge no row
+    # blocks that improves c0), "box-cone" (box-tight, but c0 needs no box
+    # row of the basis), "recession" (box-tight and c0 needs a box row: the
+    # recession walk's ray), "escape" (on the main chain's start tableau)
+    # or "phase1-gap"
     route: str | None = None
 
     @property
@@ -452,8 +464,9 @@ def solve(
     lead rows Phase 1 starts from, unless a given start's tableau builds on
     the solve's form, which then has rank n.  The answer's
     certificate is named in `SolveOutcome.route`.  Every answer is checked
-    against lp_raw's rows: the point for feasibility, a ray for improvement
-    and recession.
+    off the tableau that stands on it (`_accept`), against lp_raw's rows in
+    integer form: the vertex for feasibility, a ray for improvement and
+    recession; an escape's tableau is the main chain's start, unwalked.
 
     - Rank below n with c0 off the row span (the objective escape): the LP
       has no vertex, so initial_bfs is ignored and Phase 1 runs; the answer
@@ -477,9 +490,10 @@ def solve(
     form (n the face's x, m its rows less the |V| rows -y_i <= 0).  Its
     objective -sum(y) is bounded above by 0, so its walks stop at the first
     vertex where sum(y) = 0, which it accepts with no `is_optimal` call,
-    and it skips the box-tight check.  It checks its answer against every
-    face row in integers and hands back the tableau standing on it
-    (`SolveOutcome.tableau`), with the value c0 x but no point."""
+    and it skips the box-tight check.  Its answer is checked as every
+    answer is, against the face's rows, and it hands back the tableau
+    standing on it (`SolveOutcome.tableau`), with the value c0 x but no
+    point."""
     if _depth > 1:
         raise DriverError("unexpected recursive Phase 1")
     stream = _stream or randomness.DrawStream(cfg.rng.seed)
@@ -523,9 +537,12 @@ def solve(
         bfs = initial_bfs
 
     if escape is not None:
+        # no vertex to walk: the answer stands on the main chain's start tableau
         out.bits_consumed = stream.bits_consumed
         out.route = "escape"
-        return _accept(out, form, m, c0, bfs.point, tuple(escape))
+        tab = walk.Tableau(form, bfs, c0_int, inverse=inverse)
+        out.point = bfs.point
+        return _accept(out, tab, m, c0, tuple(escape))
 
     for i in range(cfg.max_doublings):
         phi = sched.phi(i)
@@ -548,55 +565,40 @@ def solve(
         out.phi_accepted = phi
         out.bits_consumed = stream.bits_consumed
         if _depth:
-            return _accept_face(out, tab, m, c0)
+            out.route, out.tableau = "vertex", tab
+            return _accept(out, tab, m, c0)
         if vertex is None or tuple(sorted(tab.basis)) != vertex.basis:
             vertex = tab.solution()  # the basis the certificate walk ended on
+        out.point = vertex.point
         if tab.ray is not None:
             out.route = "edge-ray"
-            return _accept(out, form, m, c0, vertex.point, tuple(map(Fraction, tab.ray)))
-        verdict = model.assert_unbounded_if_box_tight(tab, c0_int)
-        if isinstance(verdict, UnboundedCertificate):
-            out.route = "recession"
-            return _accept(out, form, m, c0, verdict.point, verdict.ray)
-        out.route, out.vertex = verdict, vertex
-        return _accept(out, form, m, c0, vertex.point)
+            return _accept(out, tab, m, c0, tuple(map(Fraction, tab.ray)))
+        out.route, ray = model.assert_unbounded_if_box_tight(tab, c0_int)
+        if ray is None:
+            out.vertex = vertex
+        return _accept(out, tab, m, c0, ray)
     raise DoublingLimitError(
         f"no acceptance within {cfg.max_doublings} doublings (bug: i* is finite)"
     )
 
 
-def _accept(
-    out: SolveOutcome, form: IntegerForm, m: int, c0, point, ray=None
-) -> SolveOutcome:
-    """out answered at point, unbounded along ray when one is given, after
-    checking both against the LP's m rows, the first rows of the solve's
-    form, and c0.  The value c0 x is one Fraction of integer numerators,
-    shared from `SMALL_INTEGRAL` when it is a small integer."""
-    if any(e > 0 for e in form.excess(point)[:m]):
-        raise DriverError("certificate failure: accepted point infeasible")
-    out.point = point
-    if ray is None:
-        out.status = "optimal"
-        cn, cd = common_denominator(c0)
-        xn, xd = common_denominator(as_fractions(point))
-        out.value = fraction(sum(map(mul, cn, xn)), cd * xd)
-    else:
-        _check_ray(form, m, c0, ray)
-        out.status, out.ray = "unbounded", ray
-    return out
-
-
-def _accept_face(out: SolveOutcome, tab: walk.Tableau, m: int, c0) -> SolveOutcome:
-    """out answered, at depth 1, at the vertex tab stands on, which out
-    keeps in `SolveOutcome.tableau`, after checking it against the face's m
-    rows, the first rows of tab's form: each slack numerator is recomputed
-    from tab's x_num, not read off the carried ones.  The value c0 x is read
-    off x_num too: no `Fraction` point is built."""
+def _accept(out: SolveOutcome, tab: walk.Tableau, m: int, c0, ray=None) -> SolveOutcome:
+    """out answered at the vertex tab stands on, unbounded along ray when
+    one is given, after checking the vertex against the LP's m rows, the
+    first rows of tab's form, with each slack numerator recomputed from
+    tab's x_num, not read off the carried ones, and the ray against those
+    rows and c0.  The value c0 x is read off x_num too, as one Fraction of
+    integer numerators, shared from `SMALL_INTEGRAL` when it is a small
+    integer: no `Fraction` point is built."""
     if any(v < 0 for v in tab.recomputed_slacks(range(m))):
         raise DriverError("certificate failure: accepted point infeasible")
-    cn, cd = common_denominator(c0)
-    out.status, out.route, out.tableau = "optimal", "vertex", tab
-    out.value = fraction(sum(map(mul, cn, tab.x_num)), cd * tab.D * tab.s)
+    if ray is None:
+        cn, cd = common_denominator(c0)
+        out.status = "optimal"
+        out.value = fraction(sum(map(mul, cn, tab.x_num)), cd * tab.D * tab.s)
+    else:
+        _check_ray(tab.form, m, c0, ray)
+        out.status, out.ray = "unbounded", ray
     return out
 
 

@@ -9,10 +9,10 @@ so they can block only an edge that is unbounded in the LP.  The walk's
 tableau answers unbounded at such an edge when the objective rises along
 it, and appends the box at the first other one; a bounded LP's solve never
 builds it.  At an optimum of the boxed form, `assert_unbounded_if_box_tight`
-decides whether the original LP is bounded: off the tableau's basis when
-the objective needs none of its box rows, and otherwise by walking its
-recession LP, the same rows with rhs 1 on those last 2n rows and 0
-elsewhere, from d = 0, on the objective.
+reads off the tableau's basis whether the original LP is bounded: it is
+when the objective needs none of its box rows, and otherwise the ray is
+built by walking its recession LP, the same rows with rhs 1 on those last
+2n rows and 0 elsewhere, from d = 0, on the objective.
 
 All constraint data is exact rational, and the solver keeps every row as
 given: each pivot decision is invariant under positive row scaling.  A
@@ -136,12 +136,6 @@ class ObjectiveEscapesSpan:
     """c0 has a component outside span(rows): unbounded whenever feasible."""
 
     direction: tuple[Fraction, ...]  # A d = 0 and c0^T d > 0, exact
-
-
-@dataclass(frozen=True)
-class UnboundedCertificate:
-    point: tuple[Fraction, ...]
-    ray: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -432,10 +426,10 @@ def bound_polytope(form: IntegerForm, rows) -> IntegerForm:
     return IntegerForm(R + box_R, form.factor + factor, beta + box_beta, form.s)
 
 
-def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
+def assert_unbounded_if_box_tight(tab, c0) -> tuple[str, tuple[Fraction, ...] | None]:
     """Decide Bounded vs Unbounded for the integer objective c0 at an
-    optimal vertex of a boxed LP: the route of a bounded answer, or the
-    certificate of an unbounded one, whose route is "recession".
+    optimal vertex of a boxed LP: (route, None) for a bounded answer, or
+    ("recession", ray) for an unbounded one.
 
     tab is a `walk.Tableau` standing on that vertex, on a basis that
     carries c0.  A tableau that never met an unbounded edge never appended
@@ -445,29 +439,32 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
     the LP was bounded all along ("vertex").  If c0 M is 0 at every basis
     position that holds a box row, c0 is a nonnegative combination of the
     LP's own basis rows (`Tableau.carries`), so the vertex is optimal for
-    the un-boxed LP as well, which is bounded ("box-cone").  Otherwise the
-    recession LP decides ("recession"): max c0 d subject to R_i d <= 0 on
-    the un-boxed rows and +-R_i d <= 1 on the box rows, which is bounded
-    because the box rows bound R_i d for the n independent rows the box is
-    over.  Its integer form is tab's rows with the scaled rhs 1 on the box
-    rows and 0 on every other row, over s = 1.  d = 0 is its vertex on
-    those rows (`Tableau.box_basis`, the basis the walk stood on when it
-    appended the box, whose (M, D) `Tableau.box_inverse` kept: the
-    recession form has the same rows), un-boxed rows all tight there, and
-    `walk.first_gain` walks it from there on c0: the first vertex it
-    reaches with c0 d > 0 is an improving ray of the un-boxed rows.  A walk
-    that never leaves 0 certifies that no such ray exists, so the box-tight
-    optimum already attains the (finite) supremum.  The caller checks that the vertex is
-    feasible for the un-boxed LP.
+    the un-boxed LP as well, which is bounded ("box-cone").
+
+    Otherwise c0 puts positive weight on a tight box row, which every
+    optimum of the boxed form is then tight on (complementary slackness).
+    A bounded LP of rank n has an optimal vertex strictly inside the box,
+    which would be one, so the LP is unbounded, and the recession LP builds
+    the ray: max c0 d subject to R_i d <= 0 on the un-boxed rows and
+    +-R_i d <= 1 on the box rows, bounded because the box rows bound R_i d
+    for the n independent rows the box is over.  Its integer form is tab's
+    rows with the scaled rhs 1 on the box rows and 0 on every other row,
+    over s = 1.  d = 0 is its vertex on those rows (`Tableau.box_basis`,
+    the basis the walk stood on when it appended the box, whose (M, D)
+    `Tableau.box_inverse` kept: the recession form has the same rows),
+    un-boxed rows all tight there, and `walk.first_gain` walks it from
+    there on c0: the first vertex it reaches with c0 d > 0 is an improving
+    ray of the un-boxed rows.  A walk that never leaves 0 is a certificate
+    failure and raises `walk.WalkError`.
     """
-    from .walk import Tableau, first_gain  # walk imports this module
+    from .walk import Tableau, WalkError, first_gain  # walk imports this module
 
     n = tab.n
     box = tab.m - 2 * n  # the first box row
     if not tab.boxed or all(tab.slack[box:]):
-        return "vertex"
+        return "vertex", None
     if not any(sum(map(mul, c0, col)) for col, i in zip(zip(*tab.M), tab.basis) if i >= box):
-        return "box-cone"
+        return "box-cone", None
     form = tab.form
     rec = Tableau(
         IntegerForm(form.R, form.factor, [0] * box + [1] * (2 * n), 1),
@@ -475,8 +472,8 @@ def assert_unbounded_if_box_tight(tab, c0) -> UnboundedCertificate | str:
         inverse=tab.box_inverse,
     )
     if not first_gain(rec, c0):
-        return "recession"
-    return UnboundedCertificate(point=tuple(tab.vertex()), ray=tuple(rec.vertex()))
+        raise WalkError("certificate failure: the recession walk found no ray")
+    return "recession", tuple(rec.vertex())
 
 
 # ---------------------------------------------------------------------------

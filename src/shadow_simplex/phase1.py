@@ -72,15 +72,6 @@ class Phase1Problem:
         return len(self.initial.point)
 
 
-@dataclass(frozen=True)
-class InfeasibleCertificate:
-    """gap is the optimum of sum(y) over the artificials the LP' walked: all
-    m in the full LP', only y_V on the face.  It is positive exactly when the
-    LP is infeasible; on the face it may exceed the full LP' optimum."""
-
-    gap: Fraction
-
-
 def phase1_matrix(A_rows) -> list[list[Fraction]]:
     """The (2m) x (n+m) block matrix [[A, -I], [0, -I]]."""
     rows = [as_fractions(r) for r in A_rows]
@@ -263,10 +254,12 @@ def handover(
 
 def extract_bfs(
     solution: BasicSolution, form: model.IntegerForm, problem: Phase1Problem
-) -> BasicSolution | InfeasibleCertificate:
-    """Turn a certified LP' optimum (full or face) into a vertex of the
-    original LP, given by its integer form, which the solve already holds:
-    the fallback for a face answer whose basis `handover` cannot read.
+) -> BasicSolution:
+    """Turn a certified LP' optimum (full or face) where sum(y) = 0 into a
+    vertex of the original LP, given by its integer form, which the solve
+    already holds: the fallback for a face answer whose basis `handover`
+    cannot read.  A nonzero sum(y) raises: the solve reads an infeasible
+    LP's gap off the face tableau and calls this only at 0.
 
     The x-part of a zero-slack optimum is feasible; crawling on form fixes
     one independent tight row at a time until a genuine basis emerges (the
@@ -276,9 +269,6 @@ def extract_bfs(
     point = as_fractions(solution.point)
     if len(point) != problem.n:
         raise Phase1Error("solution has the wrong dimension")
-    gap = sum(point[problem.orig_n :], Fraction(0))
-    if gap > 0:
-        return InfeasibleCertificate(gap=gap)
-    if gap < 0:
-        raise Phase1Error("negative slack sum: solution infeasible for LP'")
+    if sum(point[problem.orig_n :], Fraction(0)):
+        raise Phase1Error("nonzero slack sum: not a Phase-1 optimum of a feasible LP")
     return model.crawl_to_vertex(form, point[: problem.orig_n])

@@ -1,12 +1,13 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
 stream; its face basis, face images and factors, and facet choice too),
-dot product, generated LPs, crawl (on Fraction elimination), echelon and
-null-space vector, rank completion, boxed LP, Phase-1 face,
-objective-escape projection and determinant, the stand-in for delta and
-the rounded-up square root it was first formed with, and the structural
-check of a recorded shadow path; and the delta-distance oracles the tests
-hold `metrics` against.  A test helper module, not a test module."""
+dot product, Phase-1 artificial sum, generated LPs, crawl (on Fraction
+elimination), echelon and null-space vector, rank completion, boxed LP,
+Phase-1 face, objective-escape projection and determinant, the stand-in
+for delta and the rounded-up square root it was first formed with, and
+the structural check of a recorded shadow path; and the delta-distance
+oracles the tests hold `metrics` against.  A test helper module, not a
+test module."""
 
 import random
 from fractions import Fraction
@@ -30,6 +31,12 @@ from shadow_simplex.walk import WalkError
 def dot(u, v):
     """sum_i u_i v_i as a Fraction sum, term by term."""
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def artificial_sum(solution, orig_n):
+    """sum(y) of a point of LP' (full or face), its coordinates past the
+    first orig_n, as a Fraction sum: the gap of a Phase-1 optimum."""
+    return sum(as_fractions(solution.point[orig_n:]), Fraction(0))
 
 
 def ratsqrt_ceil(v, bits=SQRT_BITS):

@@ -29,6 +29,7 @@ from test_integer_path import (
 )
 
 from shadow_simplex import (
+    cli,
     driver,
     harness,
     linalg,
@@ -50,7 +51,7 @@ from shadow_simplex.driver import (
     restriction_coords,
     solve,
 )
-from shadow_simplex.model import BasicSolution, UnboundedCertificate
+from shadow_simplex.model import BasicSolution
 from shadow_simplex.rational import as_fractions, dot, primitive_int_row
 
 F = Fraction
@@ -928,7 +929,7 @@ def recession_bases(monkeypatch):
             seen["box-tight"] += 1
             seen["not lead"] += rows != linalg.independent_rows(rec.R)[:n]
         verdict = decide(tab, c0)
-        if verdict not in ("vertex", "box-cone"):
+        if verdict[0] == "recession":
             assert starts[0] == list(tab.box_basis)
             seen["walks"] += 1
         return verdict
@@ -1006,7 +1007,7 @@ class TestRecessionInverse:
                 seen["boxed"] += 1
             calls[0] = 0
             verdict = decide(tab, c0)
-            if verdict not in ("vertex", "box-cone"):
+            if verdict[0] == "recession":
                 assert calls[0] == 0
                 seen[source[0]] += 1
             return verdict
@@ -1072,6 +1073,17 @@ def pool_solves(seed):
     for inst in workloads.build_pool(pkg, "mixed-status", seed):
         conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
         yield inst.id, inst.lp, conf, inst.start
+
+
+def benchmark_solves(seed):
+    """(id, LP, config, start) of the three benchmark pools of seed, as
+    their first pass solves them."""
+    workloads = load_workloads()
+    pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+    for name in workloads.WORKLOADS:
+        for inst in workloads.build_pool(pkg, name, seed):
+            conf = SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+            yield inst.id, inst.lp, conf, inst.start
 
 
 def fuzz_solves(mode):
@@ -1163,6 +1175,77 @@ class TestRoutes:
         assert (out.status, out.route, out.ray) == ("unbounded", "recession", (1, 0))
         boxed = boxed_form(lp)
         assert boxed.tight_rows(out.point) == [3, 5]  # x <= B and y <= B
+
+    def test_recession_walk_without_a_ray_raises(self, monkeypatch):
+        # a box-tight vertex whose basis needs a box row proves the LP
+        # unbounded, so a recession walk that never leaves 0 is a solver
+        # fault: it raises, and not as an input error the CLI reports
+        first_gain = walk.first_gain
+        monkeypatch.setattr(
+            walk, "first_gain", lambda tab, c: tab.c0 is not None and first_gain(tab, c)
+        )
+        with pytest.raises(walk.WalkError, match="no ray") as err:
+            solve(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 0]), cfg(seed=245))
+        assert not isinstance(err.value, cli.INPUT_ERRORS)
+
+    def test_escape_answers_off_the_start_tableau(self, monkeypatch):
+        # an escape's answer stands on the tableau the main chain would
+        # start from, built on Phase 1's handed-over (M, D): the mixed-status
+        # pools of seeds 1-4 and 7, whose escapes all have one, invert nothing
+        build, invert = walk.Tableau, linalg.invert
+        calls, escapes = [0], []
+
+        def counted(rows):
+            calls[0] += 1
+            return invert(rows)
+
+        def building(*args, **kwargs):
+            before = calls[0]
+            tab = build(*args, **kwargs)
+            tab.inverted = calls[0] - before
+            return tab
+
+        def accepting(out, tab, m, c0, ray=None):
+            if out.route == "escape":
+                escapes.append(tab.inverted)
+            return accept(out, tab, m, c0, ray)
+
+        accept = driver._accept
+        monkeypatch.setattr(linalg, "invert", counted)
+        monkeypatch.setattr(walk, "Tableau", building)
+        monkeypatch.setattr(driver, "_accept", accepting)
+        for seed in (1, 2, 3, 4, 7):
+            for _, lp, conf, start in pool_solves(seed):
+                solve(lp, conf, initial_bfs=start)
+        # 252 escapes
+        assert len(escapes) >= 200 and set(escapes) == {0}, escapes
+
+    @pytest.mark.parametrize(
+        "solves",
+        [
+            pytest.param(lambda: fuzz_solves(randomness.MODE_FLOAT), id="fuzz-float"),
+            pytest.param(lambda: fuzz_solves(randomness.MODE_DYADIC), id="fuzz-dyadic"),
+            *(
+                pytest.param(lambda seed=seed: benchmark_solves(seed), id=f"pools-{seed}")
+                for seed in (1, 2, 3, 4, 7)
+            ),
+        ],
+    )
+    def test_value_and_point_read_off_the_tableau(self, solves):
+        # the value read off x_num is the Fraction sum c0 . x at the point,
+        # and an optimum's vertex is the point; an unbounded answer's point
+        # is feasible and carries no vertex
+        kinds = dict.fromkeys(("optimal", "unbounded", "infeasible"), 0)
+        for name, lp, conf, start in solves():
+            out = solve(lp, conf, initial_bfs=start)
+            kinds[out.status] += 1
+            if out.status == "optimal":
+                assert out.value == reference.dot(lp.c0, out.point), name
+                assert out.vertex.point == out.point, name
+            elif out.status == "unbounded":
+                assert out.vertex is None and lp.feasible(out.point), name
+        # at least 78 of each status (the corpus's optima)
+        assert min(kinds.values()) >= 60, kinds
 
     def test_other_routes(self):
         assert solve(square(), cfg()).route == "vertex"
@@ -1615,20 +1698,41 @@ class TestSolve:
         out = solve(lp, cfg())
         assert out.status == "optimal" and out.value == oracle.classify(lp).value
 
-    def test_unbounded_point_checked_against_raw_lp(self, monkeypatch):
-        # the boxed LP's verdict no longer re-checks its point; solve checks
-        # the reported point against the LP it was given, as for an optimum.
-        # The quadrant at seed 245 reaches the verdict on a box corner
-        # (`TestRoutes.test_recession_walk_decides_past_the_basis`)
-        calls = []
-        monkeypatch.setattr(
-            model,
-            "assert_unbounded_if_box_tight",
-            lambda tab, c0: calls.append(tab) or UnboundedCertificate((F(-1), F(0)), (F(1), F(0))),
-        )
+    @pytest.mark.parametrize(
+        "route,depth,lp,seed",
+        [
+            pytest.param("vertex", 0, square(), 0, id="vertex"),
+            pytest.param(
+                "edge-ray", 0, model.make_lp([[-1, 0], [0, -1], [1, -1]], [0, 0, 1], [1, 1]), 3,
+                id="edge-ray",
+            ),
+            pytest.param(
+                "recession", 0, model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 0]), 245,
+                id="recession",
+            ),
+            pytest.param("escape", 0, _flat_in_x3([2, 2, 3, 0, 0, 4], [1, 1, 1]), 1, id="escape"),
+            pytest.param("vertex", 1, model.make_lp([[1], [-1]], [0, -1], [1]), 0, id="phase1"),
+        ],
+    )
+    def test_accepted_vertex_checked_against_the_lp_rows(self, monkeypatch, route, depth, lp, seed):
+        # the one acceptance checks the vertex its tableau stands on against
+        # the LP's rows, with slacks recomputed from x_num: moved off row 0
+        # with the carried slacks kept, it raises on every route, and at
+        # depth 1 (Phase 1, whose tableau stops at zero)
+        accept, moved = driver._accept, []
+
+        def moving(out, tab, m, c0, ray=None):
+            if (out.route, tab.stop_at_zero) == (route, bool(depth)):
+                (slack,) = tab.recomputed_slacks([0])
+                tab.x_num = [x + (slack + 1) * r for x, r in zip(tab.x_num, tab.R[0])]
+                moved.append(tab)
+            return accept(out, tab, m, c0, ray)
+
+        monkeypatch.setattr(driver, "_accept", moving)
         with pytest.raises(DriverError, match="infeasible"):
-            solve(model.make_lp([[-1, 0], [0, -1]], [0, 0], [1, 0]), cfg(seed=245))
-        assert len(calls) == 1
+            solve(lp, cfg(seed=seed))
+        (tab,) = moved
+        assert min(tab.slack) >= 0
 
     def test_never_normalizes(self, monkeypatch):
         def refuse(lp):

@@ -21,7 +21,7 @@ from test_fuzz import lps as fuzz_lps
 from test_golden import _interior_point
 
 from shadow_simplex import driver, harness, linalg, model, phase1, randomness, rational, walk
-from shadow_simplex.model import BasicSolution, LPModelError, UnboundedCertificate
+from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.rational import primitive_int_row
 
 F = Fraction
@@ -432,9 +432,9 @@ class TestBoxTightOnTheTableau:
         assert tab.slack[1:] != [0, 0] and tab.slack[2] == 0
         assert form.tight_rows(top.point) == [2]
         walks = self.recording(monkeypatch)
-        got = model.assert_unbounded_if_box_tight(tab, lp.c0)
-        assert isinstance(got, UnboundedCertificate) and got.point == top.point
-        assert got.ray[0] > 0
+        route, ray = model.assert_unbounded_if_box_tight(tab, lp.c0)
+        assert route == "recession" and tuple(tab.vertex()) == top.point
+        assert ray[0] > 0
         (rec,) = walks
         # the recession LP: the same integer rows, rhs 0 off the box
         assert rec.R == form.R and rec.beta[0] == 0 and all(rec.beta[1:])
@@ -443,5 +443,5 @@ class TestBoxTightOnTheTableau:
         lp = model.make_lp([[1], [-1]], [1, 0], [1])
         tab = on_box(boxed_form(lp), BasicSolution(point=(F(1),), basis=(0,)), lead_rows(lp))
         walks = self.recording(monkeypatch)
-        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == "vertex"
+        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == ("vertex", None)
         assert walks == []

@@ -14,7 +14,6 @@ from shadow_simplex.model import (
     LPModelError,
     ObjectiveEscapesSpan,
     RankRaised,
-    UnboundedCertificate,
     parse_lp,
     serialize_lp,
 )
@@ -305,10 +304,10 @@ class TestBounding:
         # the corner of the first box, where only the first box's rows are tight
         B = F(once.beta[3], once.s)
         corner = BasicSolution(point=(B, B), basis=(3, 5))
-        got = model.assert_unbounded_if_box_tight(on_box(once, corner, [0, 1]), lp.c0)
-        assert isinstance(got, UnboundedCertificate)
+        route, _ = model.assert_unbounded_if_box_tight(on_box(once, corner, [0, 1]), lp.c0)
+        assert route == "recession"
         tab = on_box(twice, corner, [0, 1])
-        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == "vertex"
+        assert model.assert_unbounded_if_box_tight(tab, lp.c0) == ("vertex", None)
 
     def test_vertices_lie_strictly_inside_the_box(self):
         # every vertex of the LP the solve boxes lies strictly inside every
@@ -453,16 +452,16 @@ class TestBoxTightAssert:
     def test_interior_optimum_bounded(self):
         lp = square_lp()
         bs = model.move_to_vertex(box(lp), [F(1), F(1)])
-        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp.c0) == "vertex"
+        assert model.assert_unbounded_if_box_tight(on(lp, bs), lp.c0) == ("vertex", None)
 
     def test_genuinely_unbounded(self):
         # maximize x subject to x >= 0
         lp = model.make_lp([[-1]], [0], [1])
         vs = oracle.enumerate_vertices(box(lp)).vertices
         top = max(vs, key=lambda v: v.point[0])
-        got = model.assert_unbounded_if_box_tight(on(lp, top), lp.c0)
-        assert isinstance(got, UnboundedCertificate)
-        assert got.ray[0] > 0
+        route, ray = model.assert_unbounded_if_box_tight(on(lp, top), lp.c0)
+        assert route == "recession"
+        assert ray[0] > 0
 
     def test_box_tight_tie_without_ray_is_bounded(self):
         # maximize x1 with x1 <= 1, x2 <= 0: the optimal face is unbounded,
@@ -477,7 +476,7 @@ class TestBoxTightAssert:
                 corner = v
                 break
         assert corner is not None
-        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp.c0) == "box-cone"
+        assert model.assert_unbounded_if_box_tight(on(lp, corner), lp.c0) == ("box-cone", None)
 
 
 class TestVertexUtilities:

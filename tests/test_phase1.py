@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference
 from boxing import box
 
 from shadow_simplex import linalg, metrics, model, oracle, phase1
 from shadow_simplex.phase1 import (
-    InfeasibleCertificate,
     Phase1Error,
     build_phase1,
     extract_bfs,
@@ -123,22 +123,22 @@ class TestExtraction:
         lp = model.make_lp([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], [1, 1])
         p1 = build_phase1(lp)
         sol = p1.initial  # already optimal: all slack zero
+        assert reference.artificial_sum(sol, p1.orig_n) == 0
         got = extract_bfs(sol, model.integer_form(lp), p1)
-        assert not isinstance(got, InfeasibleCertificate)
         model.validate_basic_solution(lp, got)
 
     def test_positive_slack_is_infeasibility_certificate(self):
         lp = model.make_lp([[1], [-1]], [0, -1], [1])
         p1 = build_phase1(lp)
-        # solve LP' by brute force to certify the positive optimum
+        # solve LP' by brute force to certify the positive optimum, whose
+        # gap the solve reads off the face tableau: the crawl refuses it
         boxed = box(p1.lp_prime)
         ref = oracle.brute_force_optimum(boxed)
         assert ref.status == "optimal" and ref.value == -1
-        got = extract_bfs(
-            model.move_to_vertex(p1.lp_prime, list(ref.point)), model.integer_form(lp), p1
-        )
-        assert isinstance(got, InfeasibleCertificate)
-        assert got.gap == 1
+        sol = model.move_to_vertex(p1.lp_prime, list(ref.point))
+        assert reference.artificial_sum(sol, p1.orig_n) == 1
+        with pytest.raises(Phase1Error, match="nonzero slack sum"):
+            extract_bfs(sol, model.integer_form(lp), p1)
 
     def test_extraction_drops_slack_rows_from_basis(self):
         # feasible instance where the LP' optimum needs crawling to stand on
@@ -153,9 +153,9 @@ class TestExtraction:
             b = [F(rng.randint(0, 4)) for _ in range(m)]  # origin feasible
             lp = model.make_lp(A, b, [1] * n)
             p1 = build_phase1(lp)
-            got = extract_bfs(p1.initial, model.integer_form(lp), p1)
-            if isinstance(got, InfeasibleCertificate):
+            if reference.artificial_sum(p1.initial, p1.orig_n):
                 continue
+            got = extract_bfs(p1.initial, model.integer_form(lp), p1)
             assert len(got.basis) == n
             model.validate_basic_solution(lp, got)
             done += 1

@@ -13,7 +13,6 @@ from test_integer_path import load_workloads, solve_benchmark_pools, solve_fuzz_
 from shadow_simplex import driver, harness, linalg, metrics, model, oracle, phase1, randomness, rational
 from shadow_simplex.model import BasicSolution
 from shadow_simplex.phase1 import (
-    InfeasibleCertificate,
     Phase1Problem,
     _lead_start,
     build_phase1,
@@ -137,16 +136,18 @@ class TestExtraction:
         lp = model.make_lp([[1, 0], [0, 1], [1, 1]], [0, 0, -1], [1, 1])
         p1 = build_face(lp)
         assert p1.n == 3
-        got = extract_bfs(face_optimum(lp, p1), model.integer_form(lp), p1)
-        assert not isinstance(got, InfeasibleCertificate)
+        sol = face_optimum(lp, p1)
+        assert reference.artificial_sum(sol, p1.orig_n) == 0
+        got = extract_bfs(sol, model.integer_form(lp), p1)
         model.validate_basic_solution(lp, got)
 
     def test_infeasible_face_optimum_yields_gap(self):
         lp = two_violated()
         p1 = build_face(lp)
-        got = extract_bfs(face_optimum(lp, p1), model.integer_form(lp), p1)
-        assert isinstance(got, InfeasibleCertificate)
-        assert got.gap == 3
+        sol = face_optimum(lp, p1)
+        assert reference.artificial_sum(sol, p1.orig_n) == 3
+        with pytest.raises(phase1.Phase1Error, match="nonzero slack sum"):
+            extract_bfs(sol, model.integer_form(lp), p1)
 
 
 def rational_lp(rng, n):
@@ -448,14 +449,15 @@ def phase1_answers(monkeypatch):
     return answers
 
 
-def check_phase1_answers(answers, crawl=phase1.extract_bfs) -> dict[str, int]:
+def check_phase1_answers(answers) -> dict[str, int]:
     """Check each recorded Phase-1 answer against what the solve took from
     it, and count them by kind: "gap" (infeasible), "handover", "crawl-y"
     (a -y_t <= 0 row out of the face basis) and "crawl-box" (a box row in
     it); "scaled" counts the handovers whose (M, D) was divided by a q_t > 1.
 
-    An infeasible answer's gap, read off the tableau, is the sum extract_bfs
-    forms from the face point, and nothing is taken from it.  At sum(y) = 0
+    An infeasible answer's gap, read off the tableau, is the Fraction sum of
+    the face point's y (`reference.artificial_sum`), and nothing is taken
+    from it.  At sum(y) = 0
     the vertex taken is the Fraction crawl's from the Phase-1 point; a
     handed-over vertex has a basis of the LP, whose (M, D) is linalg.invert's
     on it, and a crawled one is the Fraction crawl's, basis too."""
@@ -464,8 +466,7 @@ def check_phase1_answers(answers, crawl=phase1.extract_bfs) -> dict[str, int]:
         n, m, tab = p1.orig_n, form.m, sub.tableau
         face_point = tab.solution()
         if sub.value:
-            got = crawl(face_point, form, p1)
-            assert isinstance(got, InfeasibleCertificate) and got.gap == -sub.value > 0
+            assert reference.artificial_sum(face_point, n) == -sub.value > 0
             assert taken is None
             kinds["gap"] += 1
             continue
