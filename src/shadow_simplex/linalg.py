@@ -1,25 +1,24 @@
 """Exact linear algebra primitives over `fractions.Fraction` and ints.
 
 Elimination pivots on the first nonzero entry in row order, so identical
-inputs always take identical elimination paths.  Four private kernels do
-it: a Gauss-Jordan pass for square Fraction systems (`solve_square`,
-`inverse_columns`); a fraction-free Bareiss pass for integer matrices
-(`invert`, `det_int`); a fraction-free echelon pass over the
-primitive integer forms of a row sequence (`echelon`), which takes every
-rank decision (`independent_rows`, `rank`, `unit_completion`,
-`nullspace_vector`) and takes rows of ints, the rows of an integer form, as
+inputs always take identical elimination paths.  Three private kernels do
+it, all fraction-free: a Bareiss Gauss-Jordan pass for square integer
+matrices (`invert`), which gives the adjugate and the determinant; an
+echelon pass over the primitive integer forms of a row sequence
+(`echelon`), which takes every rank decision (`independent_rows`, `rank`,
+`unit_completion`) and takes rows of ints, the rows of an integer form, as
 they are, and whose rows `back_substitute` solves for a null-space vector,
 so the crawl to a vertex, which needs both, eliminates once; and a
-fraction-free Gram-Schmidt pass over integer rows (the
-objective escape's projection `_project_out`, and the rows' own part of
-`FaceBasis`).  `FaceBasis` carries the complement of a growing row
-sequence, so a facet chain updates its face basis with each fixed row
-(`complement_basis_int`) instead of rebuilding it; it alone forms each
-row's near-unit face image (`FaceBasis.image`) and factor tau
-(`FaceBasis.tau`), in integers, and lifts face coordinates back to Q^n
-(`FaceBasis.lift`).  `combine` multiplies a sparse integer vector into
-integer vectors, skipping its zero entries: the two products of a tableau
-pivot and the Phase-1 face's block inverse.
+Gram-Schmidt pass over integer rows (the objective escape's projection
+`_project_out`, and the rows' own part of `FaceBasis`).
+`FaceBasis` carries the complement of a growing row sequence, so a facet
+chain updates its face basis with each fixed row (`complement_basis_int`)
+instead of rebuilding it; it alone forms each row's near-unit face image
+(`FaceBasis.image`) and factor tau (`FaceBasis.tau`), in integers, and
+lifts face coordinates back to Q^n (`FaceBasis.lift`).  `combine`
+multiplies a sparse integer vector into integer vectors, skipping its zero
+entries: the two products of a tableau pivot and the Phase-1 face's block
+inverse.  The oracle and the metrics solve on the same kernels.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Sequence
 
 from .rational import as_fractions, common_denominator, primitive_int_row, unit_scale_pq
 
-Mat = list[list[Fraction]]
 Vec = list[Fraction]
 
 
@@ -39,46 +37,13 @@ class LinAlgError(ValueError):
     """Raised for singular systems and malformed inputs."""
 
 
-def _gauss_jordan(M: Mat, rhs_cols: Mat) -> Mat:
-    """Reduce [M | R] to [I | M^-1 R] and return the right block's rows."""
-    n = len(M)
-    a = [list(row) + list(r) for row, r in zip(M, rhs_cols, strict=True)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise LinAlgError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def solve_square(M: Mat, rhs: Vec) -> Vec:
-    """Exact solution of the square system M x = rhs; raises LinAlgError if singular."""
-    return [row[0] for row in _gauss_jordan(M, [[v] for v in rhs])]
-
-
-def inverse_columns(M: Mat) -> list[Vec]:
-    """Columns m_1..m_n of M^{-1}; the basis of the 1/max||m_k|| distance formula."""
-    n = len(M)
-    inv = _gauss_jordan(M, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-    return [list(col) for col in zip(*inv)]
-
-
-def _bareiss(a: list[list[int]], n: int, full: bool) -> tuple[int, int]:
-    """Fraction-free elimination (Bareiss 1968), in place, of the integer
-    matrix a = [M | X] on the n columns of M: a Gauss-Jordan pass when full
-    is set, which ends on [d I | d M^-1 X], else a forward pass, which leaves
-    M's columns upper triangular with last diagonal entry d.  Returns (d,
-    sign), d = sign det M with sign that of the row swaps; d is 0 when M is
-    singular.  Every division is exact.  A row whose multiplier is 0 is only
-    scaled by p / prev, and left as it is when p = prev, as on the unit
-    pivots of a totally unimodular matrix."""
+def _bareiss(a: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place, of
+    the integer matrix a = [M | X] on the n columns of M, which ends on
+    [d I | d M^-1 X].  Returns (d, sign), d = sign det M with sign that of
+    the row swaps; d is 0 when M is singular.  Every division is exact.  A
+    row whose multiplier is 0 is only scaled by p / prev, and left as it is
+    when p = prev, as on the unit pivots of a totally unimodular matrix."""
     sign = prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -89,7 +54,7 @@ def _bareiss(a: list[list[int]], n: int, full: bool) -> tuple[int, int]:
             sign = -sign
         p = a[k][k]
         ak = a[k]
-        for i in range(n) if full else range(k + 1, n):
+        for i in range(n):
             if i == k:
                 continue
             f = a[i][k]
@@ -107,7 +72,7 @@ def invert(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     is singular."""
     n = len(M)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    d, sign = _bareiss(a, n, full=True)
+    d, sign = _bareiss(a, n)
     if d == 0:
         raise LinAlgError("singular matrix")
     return [[sign * x for x in row[n:]] for row in a], sign * d
@@ -130,12 +95,6 @@ def combine(terms, size: int) -> list[int]:
         else:
             out = [y + a * x for y, x in zip(out, v)]
     return [0] * size if out is None else out
-
-
-def det_int(M: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant for integer matrices."""
-    d, sign = _bareiss([list(row) for row in M], len(M), full=False)
-    return sign * d
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -212,16 +171,6 @@ def unit_completion(rows: Sequence[Sequence[int]]) -> list[int]:
     n, r = len(rows[0]), len(rows)
     units = [[int(i == j) for i in range(n)] for j in range(n)]
     return [k - r for k in echelon(list(rows) + units)[0][r:]]
-
-
-def nullspace_vector(rows: Sequence[Sequence], n: int) -> Vec | None:
-    """One exact nonzero vector orthogonal to all rows, or None if full rank:
-    the free coordinate 1, the others determined by the echelon rows."""
-    got = back_substitute(*echelon(rows)[1:], n)
-    if got is None:
-        return None
-    x, den = got
-    return [Fraction(v, den) for v in x]
 
 
 class FaceBasis:

@@ -1,8 +1,10 @@
 """Ground-truth machinery: vertex enumeration, brute force, Bland simplex.
 
-Everything here is exact rational and deliberately naive; these routines
-exist to be trusted, not fast.  They share only low-level plumbing
-(elimination, the LP data model) with the solver under test.
+Everything here is exact and deliberately naive; these routines exist to be
+trusted, not fast.  They eliminate in integers on `linalg`'s kernels, shared
+with the solver, on rows they clear of denominators themselves, and are
+checked against their Fraction forms in `tests/reference.py`.  They share
+nothing else but the LP data model with the solver under test.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 from . import linalg, model
 from .model import BasicSolution, LinearProgram
-from .rational import as_fractions, dot
+from .rational import as_fractions, common_denominator, dot
 
 ENUM_GUARD = 10**6
 
@@ -42,47 +45,56 @@ class OracleOutcome:
     basis: tuple[int, ...] | None = None
 
 
+def _integer_rows(lp: LinearProgram) -> tuple[list[list[int]], list[int]]:
+    """(R, r): each row (a_i, b_i) times its own common denominator, so
+    a_i x <= b_i exactly when R_i x <= r_i."""
+    rows = [common_denominator([*a, b])[0] for a, b in zip(lp.A, lp.b)]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
 def enumerate_vertices(lp: LinearProgram) -> VertexSet:
-    """All basic feasible solutions by exhaustive n-subset solving."""
+    """All basic feasible solutions by exhaustive n-subset solving: x =
+    adj(R_S) r_S / det(R_S), checked against every row in integers."""
     m, n = lp.m, lp.n
     if comb(m, n) > ENUM_GUARD:
         raise OracleError(f"C({m},{n}) exceeds the enumeration guard")
-    rows = lp.rows()
-    if len(linalg.independent_rows(rows)) < n:
+    R, r = _integer_rows(lp)
+    if len(linalg.independent_rows(R)) < n:
         raise OracleError("matrix is rank deficient")
     seen: dict[tuple, BasicSolution] = {}
     for S in combinations(range(m), n):
         try:
-            x = linalg.solve_square([rows[i] for i in S], [lp.b[i] for i in S])
+            adj, d = linalg.invert([R[i] for i in S])
         except linalg.LinAlgError:
             continue
-        if all(dot(rows[i], x) <= lp.b[i] for i in range(m)):
-            key = tuple(x)
+        x = [sum(a * r[i] for a, i in zip(row, S)) for row in adj]
+        if d < 0:
+            x, d = [-v for v in x], -d
+        if all(sum(map(mul, Ri, x)) <= ri * d for Ri, ri in zip(R, r)):
+            g = gcd(d, *x)
+            key = (tuple(v // g for v in x), d // g)
             if key not in seen:
-                seen[key] = BasicSolution(point=key, basis=tuple(S))
+                seen[key] = BasicSolution(tuple(Fraction(v, d) for v in x), tuple(S))
     return VertexSet(vertices=tuple(seen.values()))
 
 
-def _improving_extreme_ray(lp: LinearProgram, objective=None):
-    """Exact scan over extreme-ray candidates of the recession cone."""
-    obj = as_fractions(objective if objective is not None else lp.c0)
-    rows = lp.rows()
+def _improving_extreme_ray(lp: LinearProgram):
+    """Exact scan over extreme-ray candidates of the recession cone: the
+    null-space direction of each independent (n-1)-subset of rows, either
+    sign, tested in integers."""
     m, n = lp.m, lp.n
-    if n == 1:
-        for d in ([Fraction(1)], [Fraction(-1)]):
-            if all(dot(r, d) <= 0 for r in rows) and dot(obj, d) > 0:
-                return d
-        return None
     if comb(m, n - 1) > ENUM_GUARD:
         raise OracleError("ray enumeration guard exceeded")
+    R = _integer_rows(lp)[0]
+    c = common_denominator(lp.c0)[0]
     for S in combinations(range(m), n - 1):
-        sub = [rows[i] for i in S]
-        d = linalg.nullspace_vector(sub, n)
-        if d is None or len(linalg.independent_rows(sub)) < n - 1:
+        chosen, pivots, basis = linalg.echelon([R[i] for i in S])
+        if len(chosen) < n - 1:
             continue
+        d, den = linalg.back_substitute(pivots, basis, n)
         for cand in (d, [-x for x in d]):
-            if all(dot(r, cand) <= 0 for r in rows) and dot(obj, cand) > 0:
-                return cand
+            if all(sum(map(mul, Ri, cand)) <= 0 for Ri in R) and sum(map(mul, c, cand)) > 0:
+                return [Fraction(x, den) for x in cand]
     return None
 
 
@@ -103,10 +115,14 @@ def brute_force_optimum(lp: LinearProgram) -> OracleOutcome:
 
 
 def reference_simplex(lp: LinearProgram, start: BasicSolution) -> OracleOutcome:
-    """Deterministic lowest-index (Bland) simplex over exact rationals."""
+    """Deterministic lowest-index (Bland) simplex, exact: per pivot, the basis
+    rows' (adj B, det B) give the signs of c0's multipliers c0 B^-1 and the
+    edge d = -adj[:, k] / det B off basis row k, and x steps in Fractions."""
     model.validate_basic_solution(lp, start)
     m, n = lp.m, lp.n
     rows = lp.rows()
+    R = _integer_rows(lp)[0]
+    c = common_denominator(lp.c0)[0]
     basis = sorted(start.basis)
     x = as_fractions(start.point)
     guard = 10 * comb(m, n) + 100 if comb(m, n) < ENUM_GUARD else ENUM_GUARD
@@ -115,17 +131,15 @@ def reference_simplex(lp: LinearProgram, start: BasicSolution) -> OracleOutcome:
         pivots += 1
         if pivots > guard:
             raise OracleError("reference simplex pivot guard exceeded")
-        Bt = [[rows[i][t] for i in basis] for t in range(n)]  # columns are basis rows
-        mu = linalg.solve_square(Bt, list(lp.c0))
-        neg = [k for k in range(n) if mu[k] < 0]
+        adj, det = linalg.invert([R[i] for i in basis])
+        cols = list(zip(*adj))
+        neg = [k for k in range(n) if sum(map(mul, c, cols[k])) * det < 0]
         if not neg:
             val = dot(list(lp.c0), x)
             return OracleOutcome(status="optimal", value=val, point=tuple(x), basis=tuple(basis))
         # Bland: relax the lowest-indexed basis row with negative multiplier
         k = min(neg, key=lambda q: basis[q])
-        rhs = [Fraction(0)] * n
-        rhs[k] = Fraction(-1)
-        d = linalg.solve_square([rows[i] for i in basis], rhs)
+        d = [Fraction(-v, det) for v in cols[k]]
         blocking = []
         for i in range(m):
             if i in basis:
@@ -147,13 +161,16 @@ def classify(lp: LinearProgram) -> OracleOutcome:
     """Classification + exact value for an arbitrary LP (handles rank < n).
 
     Rank-deficient inputs are lifted with the lp-model rank-raising rows
-    (feasibility- and value-preserving) before enumeration.
+    (feasibility- and value-preserving) before enumeration.  c0 escapes the
+    row span, and the LP is unbounded whenever feasible, exactly when it
+    raises the rank of the integer rows.
     """
-    rows = lp.rows()
-    if len(linalg.independent_rows(rows)) < lp.n:
-        escape = model._objective_escape(lp.c0, model.integer_form(lp).R)
+    R = _integer_rows(lp)[0]
+    r = linalg.rank(R)
+    if r < lp.n:
+        escapes = linalg.rank(R + [common_denominator(lp.c0)[0]]) > r
         lifted = model.extend_to_full_rank(lp)
-        if escape is not None:
+        if escapes:
             vs = enumerate_vertices(lifted)
             return OracleOutcome(status="unbounded" if len(vs) else "infeasible")
         lp = lifted

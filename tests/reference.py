@@ -5,16 +5,20 @@ dot product, Phase-1 artificial sum, generated LPs, crawl (on Fraction
 elimination), echelon and null-space vector, rank completion, boxed LP,
 Phase-1 face, objective-escape projection and determinant, the stand-in
 for delta and the rounded-up square root it was first formed with, and
-the structural check of a recorded shadow path; and the delta-distance
-oracles the tests hold `metrics` against.  A test helper module, not a
-test module."""
+the structural check of a recorded shadow path; the delta-distance
+oracles the tests hold `metrics` against; and the Fraction forms of the
+oracle (Gauss-Jordan solves, vertex enumeration, ray scan, Bland walk,
+classification) and of the metrics (inverse columns, per-minor
+subdeterminant profile) that the integer ones are held against.  A test
+helper module, not a test module."""
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm, prod, sqrt
+from itertools import combinations
+from math import comb, isqrt, lcm, prod, sqrt
 from operator import mul
 
-from shadow_simplex import harness, linalg, metrics, model
+from shadow_simplex import harness, linalg, metrics, model, oracle
 from shadow_simplex.metrics import MetricsError
 from shadow_simplex.model import BasicSolution, LPModelError
 from shadow_simplex.randomness import RandomnessError
@@ -448,7 +452,7 @@ def sin_sq_angle_to_span(span_rows, z):
         return Fraction(1)
     G = [[dot(u, v) for v in basis] for u in basis]
     rhs = [dot(u, z) for u in basis]
-    alpha = linalg.solve_square(G, rhs)
+    alpha = solve_square(G, rhs)
     return 1 - sum((a * r for a, r in zip(alpha, rhs)), Fraction(0)) / nz
 
 
@@ -461,3 +465,198 @@ def delta_sq_angle_definition(rows):
     return min(
         sin_sq_angle_to_span(rows[:ell] + rows[ell + 1 :], rows[ell]) for ell in range(len(rows))
     )
+
+
+# The Fraction forms of the oracle and the metrics, as they solved before
+# they moved onto linalg's integer kernels: Gauss-Jordan in Fractions for
+# square systems, and per-subset Fraction solves and determinants.
+
+
+def _gauss_jordan(M, rhs_cols):
+    """Reduce [M | R] to [I | M^-1 R] and return the right block's rows."""
+    n = len(M)
+    a = [list(row) + list(r) for row, r in zip(M, rhs_cols, strict=True)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise linalg.LinAlgError("singular matrix")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def solve_square(M, rhs):
+    """Exact solution of the square system M x = rhs; raises LinAlgError if singular."""
+    return [row[0] for row in _gauss_jordan(M, [[v] for v in rhs])]
+
+
+def inverse_columns(M):
+    """Columns m_1..m_n of M^{-1}; the basis of the 1/max||m_k|| distance formula."""
+    n = len(M)
+    inv = _gauss_jordan(M, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    return [list(col) for col in zip(*inv)]
+
+
+def enumerate_vertices(lp):
+    """All basic feasible solutions by exhaustive n-subset solving."""
+    m, n = lp.m, lp.n
+    if comb(m, n) > oracle.ENUM_GUARD:
+        raise oracle.OracleError(f"C({m},{n}) exceeds the enumeration guard")
+    rows = lp.rows()
+    if len(linalg.independent_rows(rows)) < n:
+        raise oracle.OracleError("matrix is rank deficient")
+    seen = {}
+    for S in combinations(range(m), n):
+        try:
+            x = solve_square([rows[i] for i in S], [lp.b[i] for i in S])
+        except linalg.LinAlgError:
+            continue
+        if all(dot(rows[i], x) <= lp.b[i] for i in range(m)):
+            key = tuple(x)
+            if key not in seen:
+                seen[key] = BasicSolution(point=key, basis=tuple(S))
+    return oracle.VertexSet(vertices=tuple(seen.values()))
+
+
+def improving_extreme_ray(lp, objective=None):
+    """Exact scan over extreme-ray candidates of the recession cone."""
+    obj = as_fractions(objective if objective is not None else lp.c0)
+    rows = lp.rows()
+    m, n = lp.m, lp.n
+    if n == 1:
+        for d in ([Fraction(1)], [Fraction(-1)]):
+            if all(dot(r, d) <= 0 for r in rows) and dot(obj, d) > 0:
+                return d
+        return None
+    if comb(m, n - 1) > oracle.ENUM_GUARD:
+        raise oracle.OracleError("ray enumeration guard exceeded")
+    for S in combinations(range(m), n - 1):
+        sub = [rows[i] for i in S]
+        d = nullspace_vector(sub, n)
+        if d is None or len(linalg.independent_rows(sub)) < n - 1:
+            continue
+        for cand in (d, [-x for x in d]):
+            if all(dot(r, cand) <= 0 for r in rows) and dot(obj, cand) > 0:
+                return cand
+    return None
+
+
+def brute_force_optimum(lp):
+    """Exact argmax of c0^T x over enumerated vertices, with ray screening."""
+    vs = enumerate_vertices(lp)
+    if not len(vs):
+        return oracle.OracleOutcome(status="infeasible")
+    ray = improving_extreme_ray(lp)
+    if ray is not None:
+        return oracle.OracleOutcome(status="unbounded")
+    best = None
+    for v in vs.vertices:
+        val = dot(list(lp.c0), list(v.point))
+        if best is None or val > best[0]:
+            best = (val, v)
+    return oracle.OracleOutcome(
+        status="optimal", value=best[0], point=best[1].point, basis=best[1].basis
+    )
+
+
+def reference_simplex(lp, start):
+    """Deterministic lowest-index (Bland) simplex over exact rationals."""
+    model.validate_basic_solution(lp, start)
+    m, n = lp.m, lp.n
+    rows = lp.rows()
+    basis = sorted(start.basis)
+    x = as_fractions(start.point)
+    guard = 10 * comb(m, n) + 100 if comb(m, n) < oracle.ENUM_GUARD else oracle.ENUM_GUARD
+    pivots = 0
+    while True:
+        pivots += 1
+        if pivots > guard:
+            raise oracle.OracleError("reference simplex pivot guard exceeded")
+        Bt = [[rows[i][t] for i in basis] for t in range(n)]  # columns are basis rows
+        mu = solve_square(Bt, list(lp.c0))
+        neg = [k for k in range(n) if mu[k] < 0]
+        if not neg:
+            val = dot(list(lp.c0), x)
+            return oracle.OracleOutcome(
+                status="optimal", value=val, point=tuple(x), basis=tuple(basis)
+            )
+        # Bland: relax the lowest-indexed basis row with negative multiplier
+        k = min(neg, key=lambda q: basis[q])
+        rhs = [Fraction(0)] * n
+        rhs[k] = Fraction(-1)
+        d = solve_square([rows[i] for i in basis], rhs)
+        blocking = []
+        for i in range(m):
+            if i in basis:
+                continue
+            ad = dot(rows[i], d)
+            if ad > 0:
+                theta = (lp.b[i] - dot(rows[i], x)) / ad
+                blocking.append((theta, i))
+        if not blocking:
+            return oracle.OracleOutcome(status="unbounded", point=tuple(x))
+        theta_min = min(t for t, _ in blocking)
+        enter = min(i for t, i in blocking if t == theta_min)
+        x = [xi + theta_min * di for xi, di in zip(x, d)]
+        basis[k] = enter
+        basis.sort()
+
+
+def classify(lp):
+    """Classification + exact value for an arbitrary LP (handles rank < n),
+    with the solver's own objective-escape projection.
+
+    Rank-deficient inputs are lifted with the lp-model rank-raising rows
+    (feasibility- and value-preserving) before enumeration.
+    """
+    rows = lp.rows()
+    if len(linalg.independent_rows(rows)) < lp.n:
+        escape = model._objective_escape(lp.c0, model.integer_form(lp).R)
+        lifted = model.extend_to_full_rank(lp)
+        if escape is not None:
+            vs = enumerate_vertices(lifted)
+            return oracle.OracleOutcome(status="unbounded" if len(vs) else "infeasible")
+        lp = lifted
+    return brute_force_optimum(lp)
+
+
+def inv_delta_sq_of_rows(rows):
+    """Exact 1/delta^2 for n independent rows: max_k ||r_k||^2 ||col_k(R^-1)||^2."""
+    rows = [as_fractions(r) for r in rows]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise MetricsError("need n rows of dimension n")
+    try:
+        cols = inverse_columns(rows)
+    except linalg.LinAlgError:
+        raise MetricsError("rows are linearly dependent") from None
+    best = Fraction(0)
+    for k in range(n):
+        v = dot(rows[k], rows[k]) * dot(cols[k], cols[k])
+        if v > best:
+            best = v
+    return best
+
+
+def subdeterminant_profile(A):
+    """max |det| of k x k submatrices for every k, one `det_fraction` per
+    minor."""
+    m, n = len(A), len(A[0])
+    out = {}
+    for k in range(1, min(m, n) + 1):
+        best = 0
+        for rows_idx in combinations(range(m), k):
+            sub_rows = [A[i] for i in rows_idx]
+            for cols_idx in combinations(range(n), k):
+                sub = [[Fraction(row[j]) for j in cols_idx] for row in sub_rows]
+                d = abs(det_fraction(sub))
+                if d > best:
+                    best = d
+        out[k] = best
+    return out

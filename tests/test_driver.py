@@ -167,7 +167,7 @@ class TestIdentify:
             walk.shadow_walk(tab, basis.lift(pair(c)), ([0] * n, 1), held=fixed)
             free = sorted(set(tab.basis) - set(fixed))
             u = image_values(restriction_coords(basis, [tab.R[i] for i in free]))
-            mu = linalg.solve_square([list(col) for col in zip(*u)], c)
+            mu = reference.solve_square([list(col) for col in zip(*u)], c)
             assert min(mu) >= 0
             assert identify_basis_element(tab, basis, free, {}) == max(
                 range(len(free)), key=lambda k: (mu[k], -k)
@@ -526,7 +526,7 @@ class TestRepeated:
         boxed = boxes[-1]
         assert out.status == "optimal" and out.vertex.point == out.point
         rows = [[F(v) for v in boxed.R[i]] for i in out.vertex.basis]
-        mu = linalg.solve_square([list(col) for col in zip(*rows)], list(lp.c0))
+        mu = reference.solve_square([list(col) for col in zip(*rows)], list(lp.c0))
         assert min(mu) >= 0
 
 

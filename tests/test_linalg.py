@@ -16,6 +16,7 @@ from reference import (
 
 from shadow_simplex import linalg, model
 from shadow_simplex.linalg import LinAlgError
+from shadow_simplex.metrics import MetricsError, inv_delta_sq_of_rows
 from shadow_simplex.rational import (
     SMALL_INTEGRAL,
     dot,
@@ -115,56 +116,85 @@ class TestDot:
         assert dot([], []) is SMALL_INTEGRAL[256]
 
 
+def solve(M, rhs):
+    """x = adj(M) rhs / det(M) from `linalg.invert`, the way the oracle
+    solves for a vertex."""
+    adj, d = linalg.invert(M)
+    return [F(sum(a * v for a, v in zip(row, rhs)), d) for row in adj]
+
+
 class TestSolveSquare:
+    # square systems solve on invert's (adj, det), as the oracle solves them
     def test_identity(self):
-        sol = linalg.solve_square(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [F(1), F(2), F(3)])
-        assert sol == [1, 2, 3]
+        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert linalg.invert(eye) == (eye, 1)
+        assert solve(eye, [1, 2, 3]) == [1, 2, 3]
 
     def test_singular(self):
         with pytest.raises(LinAlgError):
-            linalg.solve_square(mat([[1, 1], [1, 1]]), [F(1), F(2)])
+            linalg.invert([[1, 1], [1, 1]])
 
     def test_hand_checked(self):
-        # [[2,1],[1,3]] x = (5,10): elimination by hand gives (1, 3)
-        sol = linalg.solve_square(mat([[2, 1], [1, 3]]), [F(5), F(10)])
-        assert sol == [1, 3]
+        # [[2,1],[1,3]] x = (5,10): elimination by hand gives (1, 3), over
+        # adj = [[3,-1],[-1,2]] and det 5
+        assert linalg.invert([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
+        assert solve([[2, 1], [1, 3]], [5, 10]) == [1, 3]
 
     def test_exact_zero_residual(self):
+        # and the Fraction Gauss-Jordan solve gives the same x
         rng = random.Random(3)
+        solved = 0
         for _ in range(50):
             n = rng.randint(1, 5)
-            M = mat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-            rhs = [F(rng.randint(-5, 5)) for _ in range(n)]
+            M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-5, 5) for _ in range(n)]
             try:
-                x = linalg.solve_square(M, rhs)
+                x = solve(M, rhs)
             except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    reference.solve_square(mat(M), [F(v) for v in rhs])
                 continue
             for i in range(n):
                 assert dot(M[i], x) == rhs[i]
+            assert x == reference.solve_square(mat(M), [F(v) for v in rhs])
+            solved += 1
+        assert solved >= 30
 
 
 class TestInverseColumns:
+    # the columns of M^-1 are invert's adj[:, k] / det, and 1/delta^2 is
+    # read off them (`metrics.inv_delta_sq_of_rows`)
     def test_identity(self):
-        cols = linalg.inverse_columns(mat([[1, 0], [0, 1]]))
-        assert cols == [[1, 0], [0, 1]]
+        assert linalg.invert([[1, 0], [0, 1]]) == ([[1, 0], [0, 1]], 1)
+        assert inv_delta_sq_of_rows([[1, 0], [0, 1]]) == 1
 
     def test_singular(self):
         with pytest.raises(LinAlgError):
-            linalg.inverse_columns(mat([[1, 1], [2, 2]]))
+            linalg.invert([[1, 1], [2, 2]])
+        with pytest.raises(MetricsError):
+            inv_delta_sq_of_rows(mat([[1, 1], [2, 2]]))
 
     def test_inverse_property(self):
         rng = random.Random(9)
+        inverted = 0
         for _ in range(30):
             n = rng.randint(1, 5)
-            M = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             try:
-                cols = linalg.inverse_columns(M)
+                adj, d = linalg.invert(M)
             except LinAlgError:
+                with pytest.raises(MetricsError):
+                    inv_delta_sq_of_rows(M)
                 continue
+            cols = [[F(x, d) for x in col] for col in zip(*adj)]
             for i in range(n):
                 for j in range(n):
                     got = sum(M[i][k] * cols[j][k] for k in range(n))
                     assert got == (1 if i == j else 0)
+            assert cols == reference.inverse_columns(mat(M))
+            assert inv_delta_sq_of_rows(M) == reference.inv_delta_sq_of_rows(mat(M))
+            inverted += 1
+        assert inverted >= 15
 
 
 class TestDeterminants:
@@ -173,7 +203,12 @@ class TestDeterminants:
         for _ in range(60):
             n = rng.randint(1, 5)
             M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            assert linalg.det_int(M) == det_fraction(mat(M))
+            det = det_fraction(mat(M))
+            if det == 0:
+                with pytest.raises(LinAlgError):
+                    linalg.invert(M)
+            else:
+                assert linalg.invert(M)[1] == det
 
     def test_invert_gives_adjugate_and_det(self):
         # one Bareiss pass: M adj M = det M I in integers, det as the
@@ -201,8 +236,8 @@ class TestDeterminants:
         # Bareiss leaves a row whose multiplier is 0 alone when the pivot
         # equals the previous one, and only rescales it otherwise: on sparse
         # 0/+-1 matrices, where most multipliers are 0 and most pivots are
-        # units, on dense ones and on singular ones, invert and det_int agree
-        # with Gauss-Jordan in Fractions
+        # units, on dense ones and on singular ones, invert agrees with
+        # Gauss-Jordan in Fractions
         rng = random.Random(19)
         seen = dict.fromkeys(("sparse", "dense", "singular"), 0)
         for k in range(300):
@@ -221,7 +256,6 @@ class TestDeterminants:
                 t = rng.randint(-2, 2)
                 M[i] = [t * x for x in M[j]] if i != j else [0] * n
             det = det_fraction(mat(M))
-            assert linalg.det_int(M) == det
             if det == 0:
                 assert kind != "dense" or n > 1
                 with pytest.raises(LinAlgError):
@@ -230,7 +264,7 @@ class TestDeterminants:
                 continue
             seen[kind] += 1
             adj, d = linalg.invert(M)
-            cols = linalg.inverse_columns(mat(M))
+            cols = reference.inverse_columns(mat(M))
             assert d == det and [[F(x, d) for x in row] for row in adj] == [list(r) for r in zip(*cols)]
         assert min(seen.values()) >= 40, seen
 
@@ -311,6 +345,13 @@ class TestComplements:
         assert done >= 20
 
 
+def null_vector(rows, n):
+    """`linalg.back_substitute`'s null-space vector of the echelon rows, as
+    Fractions, or None if the rows have full rank."""
+    got = linalg.back_substitute(*linalg.echelon(rows)[1:], n)
+    return got and [Fraction(v, got[1]) for v in got[0]]
+
+
 class TestNullspace:
     def test_nullspace_vector(self):
         rng = random.Random(13)
@@ -318,7 +359,7 @@ class TestNullspace:
             n = rng.randint(1, 5)
             k = rng.randint(0, n)
             rows = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
-            v = linalg.nullspace_vector(rows, n)
+            v = null_vector(rows, n)
             if v is None:
                 assert linalg.rank(rows) == n
             else:
@@ -356,14 +397,14 @@ class TestIntegerEchelon:
             rows = awkward_rows(rng, n)
             chosen = linalg.independent_rows(rows)
             assert chosen == echelon_fraction(rows)[0]
-            assert linalg.nullspace_vector(rows, n) == nullspace_fraction(rows, n)
+            assert null_vector(rows, n) == nullspace_fraction(rows, n)
             dependent += len(chosen) < len(rows)
         assert dependent > 100
 
     def test_zero_and_duplicate_rows_skipped(self):
         rows = mat([[0, 0, 0], [1, 2, 3], [2, 4, 6], [F(1, 2), 1, F(3, 2)], [0, 1, 0]])
         assert linalg.independent_rows(rows) == [1, 4]
-        assert linalg.nullspace_vector(rows, 3) == [F(-3), F(0), F(1)]
+        assert null_vector(rows, 3) == [F(-3), F(0), F(1)]
 
     def test_integer_rows_accepted(self):
         assert linalg.independent_rows([[2, 4], [1, 2], [0, 3]]) == [0, 2]
@@ -384,10 +425,9 @@ class TestIntegerEchelon:
             assert want is not None and any(want)
             nums, den = linalg.back_substitute(*linalg.echelon(rows)[1:], n)
             assert den > 0 and [Fraction(v, den) for v in nums] == want
-            assert linalg.nullspace_vector(rows, n) == want
             ks = [rng.choice([1, 2, -3]) for _ in rows]
             ints = [[k * x for x in primitive_int_row(r)[0]] for k, r in zip(ks, rows)]
-            assert linalg.nullspace_vector(ints, n) == want
+            assert null_vector(ints, n) == want
             assert linalg.independent_rows(ints) == linalg.independent_rows(rows)
 
     def test_complement_basis_int_takes_integer_rows(self):

@@ -5,6 +5,7 @@ from math import isclose, sqrt
 
 import numpy as np
 import pytest
+import reference
 from float_orthonormal import complete_orthonormal
 from reference import delta_of_rows, delta_sq_angle_definition, det_fraction
 
@@ -15,6 +16,7 @@ from shadow_simplex.metrics import (
     inv_delta_sq_of_rows,
     max_subdeterminant,
 )
+from shadow_simplex.rational import unit_scale
 
 F = Fraction
 
@@ -63,6 +65,28 @@ class TestDeltaOfRows:
                 f = F(rng.randint(1, 9), rng.randint(1, 9))
                 scaled.append([f * x for x in row])
             assert inv_delta_sq_of_rows(scaled) == base
+
+
+    def test_matches_the_inverse_columns_form(self):
+        # read off the primitive integer rows' (adj, det), 1/delta^2 is the
+        # Fraction Gauss-Jordan form's, on rational rows and on rows scaled
+        # to near-unit norm, whose denominators are powers of two
+        rng = random.Random(43)
+        done = 0
+        for k in range(600):
+            n = rng.randint(1, 5)
+            rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            if k % 2 and all(any(r) for r in rows):
+                rows = [[unit_scale(r) * x for x in r] for r in rows]
+            try:
+                want = reference.inv_delta_sq_of_rows(rows)
+            except MetricsError:
+                with pytest.raises(MetricsError):
+                    inv_delta_sq_of_rows(rows)
+                continue
+            assert inv_delta_sq_of_rows(rows) == want
+            done += 1
+        assert done >= 400, done
 
 
 class TestDeltaMatrix:
@@ -147,6 +171,13 @@ class TestSubdeterminants:
         with pytest.raises(MetricsError):
             metrics.subdeterminant_profile([[F(1, 2)]])
 
+    def test_rejects_non_integral_floats(self):
+        # truncating 0.5 to 0 would give the profile {1: 1, 2: 1}; the 2 x 2
+        # determinant is -0.75.  Floats of integer value are integers.
+        with pytest.raises(MetricsError):
+            metrics.subdeterminant_profile([[0.5, 1], [1, 0.5]])
+        assert metrics.subdeterminant_profile([[2.0, 1], [1, 1.0]]) == {1: 2, 2: 1}
+
     def test_profile_matches_direct_enumeration(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -160,6 +191,24 @@ class TestSubdeterminants:
                         sub = [[F(A[i][j]) for j in ci] for i in ri]
                         best = max(best, abs(det_fraction(sub)))
                 assert prof[k] == best
+
+
+    def test_profile_matches_the_per_minor_profile(self):
+        # the depth-first Laplace profile against one Fraction determinant
+        # per minor, on sparse 0/+-1 and dense matrices up to 7 x 5,
+        # rank-deficient ones included
+        rng = random.Random(41)
+        deficient = 0
+        for k in range(600):
+            m, n = rng.randint(1, 7), rng.randint(1, 5)
+            if k % 2:
+                A = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+            else:
+                A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            prof = metrics.subdeterminant_profile(A)
+            assert prof == reference.subdeterminant_profile(A), A
+            deficient += prof[min(m, n)] == 0
+        assert deficient >= 80, deficient
 
 
 class TestBounds:

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 
 import pytest
+import reference
+from test_fuzz import lps as fuzz_lps
+from test_integer_path import load_workloads
 
-from shadow_simplex import linalg, model, oracle
+from shadow_simplex import harness, linalg, model, oracle, rational
 from shadow_simplex.model import BasicSolution
 from shadow_simplex.oracle import (
     OracleError,
@@ -129,3 +134,84 @@ class TestClassify:
         lp = model.make_lp(A, [1] * 40, [1] * 10)
         with pytest.raises(OracleError):
             enumerate_vertices(lp)
+
+
+def pool(name, seed):
+    pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+    return load_workloads().build_pool(pkg, name, seed)
+
+
+def criterion2_lps():
+    """Every 10th of the 200 TU LPs of acceptance criterion 2
+    (tests/test_acceptance.py): its round robin makes them its 20 n = 2
+    tu-incidence LPs."""
+    for trial in range(0, 200, 10):
+        kind = ("tu-incidence", "interval-matrix")[trial % 2]
+        n = 2 + trial % 5
+        yield harness.generate_tu_instance(kind, m=2 + trial % (n + 1), n=n, seed=7000 + trial)
+
+
+def outcome(fn, *args):
+    """fn's answer, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (oracle.OracleError, model.LPModelError, linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+LPS = {
+    "fuzz": lambda: [lp for _, _, lp in fuzz_lps()],
+    "mixed-status-7": lambda: [inst.lp for inst in pool("mixed-status", 7)],
+    "criterion-2": criterion2_lps,
+}
+# (optimal, unbounded, infeasible) answers each group has at least
+STATUS_FLOORS = {"fuzz": (75, 100, 100), "mixed-status-7": (30, 110, 90), "criterion-2": (20, 0, 0)}
+
+
+class TestAgainstFractionForms:
+    """The oracle eliminates in integers on linalg's kernels; its Fraction
+    forms in tests/reference.py give the same answers, vertex order and
+    bases included."""
+
+    @pytest.mark.parametrize("group", LPS)
+    def test_vertex_sets_and_classify(self, group, monkeypatch):
+        # classify's brute force is the enumeration and the ray scan, so
+        # brute_force_optimum is held too; the Fraction classify reuses the
+        # Fraction vertex sets
+        monkeypatch.setattr(reference, "enumerate_vertices", cache(reference.enumerate_vertices))
+        statuses = []
+        for lp in LPS[group]():
+            where = model.serialize_lp(lp)
+            got = outcome(enumerate_vertices, lp)
+            assert got == outcome(reference.enumerate_vertices, lp), where
+            got = classify(lp)
+            assert got == reference.classify(lp), where
+            statuses.append(got.status)
+        counts = tuple(map(statuses.count, ("optimal", "unbounded", "infeasible")))
+        assert all(map(int.__ge__, counts, STATUS_FLOORS[group])), counts
+
+    def test_escape_on_rank_deficient_lps(self):
+        # classify decides the escape by rank, with no solver code; its
+        # Fraction form by the solver's own projection: the rank-deficient
+        # LPs of the mixed-status pools of seeds 1-4 and 7 and of the fuzz
+        # corpus agree
+        lps = [inst.lp for seed in (1, 2, 3, 4, 7) for inst in pool("mixed-status", seed)]
+        escapes = kept = 0
+        for lp in lps + LPS["fuzz"]():
+            if linalg.rank(lp.rows()) == lp.n:
+                continue
+            assert classify(lp) == reference.classify(lp), model.serialize_lp(lp)
+            if model._objective_escape(lp.c0, model.integer_form(lp).R) is None:
+                kept += 1
+            else:
+                escapes += 1
+        assert escapes >= 300 and kept >= 10, (escapes, kept)
+
+    def test_reference_simplex_on_tu_warm_pools(self):
+        pivots = 0
+        for seed in (1, 7):
+            for inst in pool("tu-warm", seed):
+                got = reference_simplex(inst.lp, inst.start)
+                assert got == reference.reference_simplex(inst.lp, inst.start), inst.id
+                pivots += got.basis != tuple(sorted(inst.start.basis))
+        assert pivots >= 200, pivots  # starts that are not optimal

@@ -182,7 +182,7 @@ class TestLeadStart:
             work = reference.complete_rank(lp, form, idx)[0]
             form, lead = model.complete_rank(form, idx)
             _, xn, xd, _, adj, d = _lead_start(lead, form)
-            want = linalg.solve_square([work.row(i) for i in lead], [work.b[i] for i in lead])
+            want = reference.solve_square([work.row(i) for i in lead], [work.b[i] for i in lead])
             assert xd > 0 and [F(v, xd) for v in xn] == want
             assert (adj, d) == linalg.invert([form.R[i] for i in lead])
             negative += d < 0
@@ -213,7 +213,7 @@ class TestLeadStart:
             assert d == det and xd > 0 and all(type(v) is int for v in xn)
             x = [F(v, xd) for v in xn]
             rows = [[F(v) for v in R[i]] for i in lead]
-            assert x == linalg.solve_square(rows, [F(beta[i], s) for i in lead])
+            assert x == reference.solve_square(rows, [F(beta[i], s) for i in lead])
             assert not any(e[:n])
             for k, i in enumerate(perm):
                 excess = sum(a * v for a, v in zip(R[i], x)) - F(beta[i], s)
