@@ -3,22 +3,25 @@
 Elimination pivots on the first nonzero entry in row order, so identical
 inputs always take identical elimination paths.  Three private kernels do
 it, all fraction-free: a Bareiss Gauss-Jordan pass for square integer
-matrices (`invert`), which gives the adjugate and the determinant; an
-echelon pass over the primitive integer forms of a row sequence
-(`echelon`), which takes every rank decision (`independent_rows`, `rank`,
-`unit_completion`) and takes rows of ints, the rows of an integer form, as
-they are, and whose rows `back_substitute` solves for a null-space vector,
-so the crawl to a vertex, which needs both, eliminates once; and a
-Gram-Schmidt pass over integer rows (the objective escape's projection
-`_project_out`, and the rows' own part of `FaceBasis`).
-`FaceBasis` carries the complement of a growing row sequence, so a facet
-chain updates its face basis with each fixed row (`complement_basis_int`)
-instead of rebuilding it; it alone forms each row's near-unit face image
-(`FaceBasis.image`) and factor tau (`FaceBasis.tau`), in integers, and
-lifts face coordinates back to Q^n (`FaceBasis.lift`).  `combine`
-multiplies a sparse integer vector into integer vectors, skipping its zero
-entries: the two products of a tableau pivot and the Phase-1 face's block
-inverse.  The oracle and the metrics solve on the same kernels.
+matrices, which gives the adjugate and the determinant (`invert`) or one
+system's solution over the determinant (`solve_adj`), and whose pivots are
+kept positive, so that on a totally unimodular matrix, where every pivot
+is 1, it only adds and subtracts rows and divides none; an echelon pass
+over the primitive integer forms of a row sequence (`echelon`), which
+takes every rank decision (`independent_rows`, `rank`, `unit_completion`)
+and takes rows of ints, the rows of an integer form, as they are, and
+whose rows `back_substitute` solves for a null-space vector, so the crawl
+to a vertex, which needs both, eliminates once; and a Gram-Schmidt pass
+over integer rows (the objective escape's projection `_project_out`, and
+the rows' own part of `FaceBasis`).  `FaceBasis` carries the complement of
+a growing row sequence, so a facet chain updates its face basis with each
+fixed row (`complement_basis_int`) instead of rebuilding it; it alone
+forms each row's near-unit face image (`FaceBasis.image`) and factor tau
+(`FaceBasis.tau`), in integers, and lifts face coordinates back to Q^n
+(`FaceBasis.lift`).  `combine` multiplies a sparse integer vector into
+integer vectors, skipping its zero entries: the two products of a tableau
+pivot and the Phase-1 face's block inverse.  The oracle and the metrics
+solve on the same kernels.
 """
 
 from __future__ import annotations
@@ -41,9 +44,15 @@ def _bareiss(a: list[list[int]], n: int) -> tuple[int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place, of
     the integer matrix a = [M | X] on the n columns of M, which ends on
     [d I | d M^-1 X].  Returns (d, sign), d = sign det M with sign that of
-    the row swaps; d is 0 when M is singular.  Every division is exact.  A
-    row whose multiplier is 0 is only scaled by p / prev, and left as it is
-    when p = prev, as on the unit pivots of a totally unimodular matrix."""
+    the row swaps and negations; d is 0 when M is singular, else d > 0.
+
+    Each pivot is made positive by negating its row (and flipping sign), so
+    p and prev, the pivots before and after, stay > 0 and every division is
+    exact.  A row whose multiplier is 0 is scaled by p / prev, and left as
+    it is when p = prev; with prev = 1 no row is divided, and with p = 1 a
+    multiplier of +-1 subtracts or adds row k.  On a totally unimodular
+    matrix every pivot is 1 and every multiplier 0 or +-1, so the pass
+    only adds and subtracts rows."""
     sign = prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -52,16 +61,28 @@ def _bareiss(a: list[list[int]], n: int) -> tuple[int, int]:
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        p = a[k][k]
         ak = a[k]
+        p = ak[k]
+        if p < 0:
+            ak = a[k] = list(map(neg, ak))
+            p, sign = -p, -sign
+        unit = p == prev == 1
         for i in range(n):
             if i == k:
                 continue
-            f = a[i][k]
-            if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ak)]
-            elif p != prev:
-                a[i] = [p * x // prev for x in a[i]]
+            ai = a[i]
+            f = ai[k]
+            if not f:
+                if p != prev:
+                    a[i] = [p * x // prev for x in ai]
+            elif unit and f == 1:
+                a[i] = list(map(sub, ai, ak))
+            elif unit and f == -1:
+                a[i] = list(map(add, ai, ak))
+            elif prev == 1:
+                a[i] = [p * x - f * y for x, y in zip(ai, ak)]
+            else:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ai, ak)]
         prev = p
     return prev, sign
 
@@ -75,7 +96,23 @@ def invert(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     d, sign = _bareiss(a, n)
     if d == 0:
         raise LinAlgError("singular matrix")
-    return [[sign * x for x in row[n:]] for row in a], sign * d
+    if sign > 0:
+        return [row[n:] for row in a], d
+    return [list(map(neg, row[n:])) for row in a], -d
+
+
+def solve_adj(M: Sequence[Sequence[int]], r: Sequence[int]) -> tuple[list[int], int] | None:
+    """(adj M r, det M) of an integer matrix M and integer vector r, so that
+    M^-1 r = adj M r / det M, from one fraction-free Gauss-Jordan pass on
+    [M | r]; None when M is singular."""
+    n = len(M)
+    a = [[*row, x] for row, x in zip(M, r)]
+    d, sign = _bareiss(a, n)
+    if d == 0:
+        return None
+    if sign > 0:
+        return [row[n] for row in a], d
+    return [-row[n] for row in a], -d
 
 
 def combine(terms, size: int) -> list[int]:
@@ -200,7 +237,8 @@ class FaceBasis:
         self.rows = 0  # rows added so far, dependent ones included
         self.ortho: list[list[int]] = []
         self.ortho_norms: list[int] = []
-        self.cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        e = (0,) * (n - 1) + (1,) + (0,) * (n - 1)  # e_j = e[n-1-j : 2n-1-j]
+        self.cols = [e[n - 1 - j : 2 * n - 1 - j] for j in range(n)]
         self.norms = [1] * n
         self.scales = [(1, 1)] * n
 

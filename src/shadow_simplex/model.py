@@ -188,15 +188,28 @@ class IntegerForm:
 def integer_form(lp: LinearProgram) -> IntegerForm:
     """The integer form of lp's rows, computed per call: nothing is kept on
     lp.  A solve calls it once, on the rows as given; every other form it
-    walks is derived from that one."""
-    R = []
-    factor = []
-    rhs = []  # f_i b_i as integer ratios
-    for a, b in zip(lp.A, lp.b):
-        ints, f = primitive_int_row(a)
-        R.append(ints)
-        factor.append(f)
-        rhs.append(b.as_integer_ratio() if f is ONE else (f * b).as_integer_ratio())
+    walks is derived from that one.
+
+    Every entry of A is read once, as its integer ratio, in one pass over
+    the LP.  When all of them are integral, the common case, each row is
+    its numerators with one gcd stripped, as `primitive_int_row` would give
+    it, with the shared factor `ONE` when the gcd is 1; any other LP has
+    each row made primitive by `primitive_int_row`."""
+    n = lp.n
+    nums, dens = zip(*[x.as_integer_ratio() for a in lp.A for x in a])
+    if dens.count(1) == len(dens):
+        R = [list(nums[i : i + n]) for i in range(0, len(nums), n)]
+        factor = [ONE] * len(R)
+        for i, row in enumerate(R):
+            g = gcd(*row)
+            if g > 1:
+                R[i], factor[i] = [x // g for x in row], Fraction(1, g)
+    else:
+        R, factor = map(list, zip(*map(primitive_int_row, lp.A)))
+    rhs = [
+        b.as_integer_ratio() if f is ONE else (f * b).as_integer_ratio()
+        for f, b in zip(factor, lp.b)
+    ]  # f_i b_i as integer ratios
     s = lcm(*(q for _, q in rhs))
     return IntegerForm(R, factor, [p * (s // q) for p, q in rhs], s)
 

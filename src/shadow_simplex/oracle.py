@@ -54,7 +54,8 @@ def _integer_rows(lp: LinearProgram) -> tuple[list[list[int]], list[int]]:
 
 def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     """All basic feasible solutions by exhaustive n-subset solving: x =
-    adj(R_S) r_S / det(R_S), checked against every row in integers."""
+    adj(R_S) r_S / det(R_S), from one elimination of [R_S | r_S] per
+    subset, checked against every row in integers."""
     m, n = lp.m, lp.n
     if comb(m, n) > ENUM_GUARD:
         raise OracleError(f"C({m},{n}) exceeds the enumeration guard")
@@ -63,11 +64,10 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
         raise OracleError("matrix is rank deficient")
     seen: dict[tuple, BasicSolution] = {}
     for S in combinations(range(m), n):
-        try:
-            adj, d = linalg.invert([R[i] for i in S])
-        except linalg.LinAlgError:
+        solved = linalg.solve_adj([R[i] for i in S], [r[i] for i in S])
+        if solved is None:
             continue
-        x = [sum(a * r[i] for a, i in zip(row, S)) for row in adj]
+        x, d = solved
         if d < 0:
             x, d = [-v for v in x], -d
         if all(sum(map(mul, Ri, x)) <= ri * d for Ri, ri in zip(R, r)):

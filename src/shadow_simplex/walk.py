@@ -11,7 +11,9 @@ The tableau keeps every decision exact and cheap:
   numerators x_num = M beta_B, every row's slack numerator and the prices
   t_c = c M and t_w = w M; each pivot updates all of them by one exact
   integer rank-one (Sherman-Morrison) step, so none is recomputed from
-  scratch;
+  scratch; on a totally unimodular form every basis has D = 1, and the step
+  only adds an integer multiple of one vector to each carried one, with no
+  division;
 * degeneracy is resolved by a symbolic lexicographic perturbation of b with
   exponents assigned non-basis-rows-first, which makes any starting basis
   lexicographically feasible and every leaving choice unique.
@@ -60,7 +62,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from . import linalg, model
 from .model import BasicSolution, IntegerForm, LinearProgram
@@ -440,9 +442,14 @@ class Tableau:
         enter, x_num <- (u_pos x_num + se M[:,pos]) / D and slack_i <-
         (u_pos slack_i + se rd_i) / D; D <- u_pos, and all of them change
         sign when u_pos < 0.  Each vector's numerators are formed in one
-        pass, with that sign folded in; when D > 1 they are checked for a
-        remainder and divided.  A vector the step would leave as it is (its
-        pivot term 0, and |u_pos| = D) is kept."""
+        pass, with that sign folded in: v - b u, at C speed when b = +-1,
+        whenever |u_pos| = 1.  When D > 1 they are floor-divided by D in one
+        more pass, and the remainders, each in [0, D), are all 0 exactly
+        when D times the sum of the quotients is the sum of the numerators;
+        otherwise the step raises.  A vector the step would leave as it is
+        (its pivot term 0, and |u_pos| = D) is kept.  On a totally
+        unimodular form |u_pos| = D = 1 at every pivot: no vector is scaled
+        or divided, and each only moves by -b u, se M[:,pos] or se rd."""
         M, D = self.M, self.D
         u = linalg.combine(zip(self.R[enter], M), self.n)
         up = u[pos]
@@ -455,16 +462,24 @@ class Tableau:
         def exact(nums: list[int]) -> list[int]:
             if D == 1:
                 return nums
-            if any(x % D for x in nums):
+            q = [x // D for x in nums]
+            if sum(q) * D != sum(nums):
                 raise WalkError("integer pivot update lost exactness")
-            return [x // D for x in nums]
+            return q
 
         def step(v: list[int]) -> list[int]:
             # sign(u_pos) (u_pos v - v[pos] u) / D, with entry pos kept
             b = -v[pos] if flip else v[pos]
             if not b and same:
                 return v
-            nums = [a * x - b * y for x, y in zip(v, u)]
+            if a != 1:
+                nums = [a * x - b * y for x, y in zip(v, u)]
+            elif b == 1:
+                nums = list(map(sub, v, u))
+            elif b == -1:
+                nums = list(map(add, v, u))
+            else:
+                nums = [x - b * y for x, y in zip(v, u)]
             nums[pos] = b * D
             return exact(nums)
 
@@ -473,8 +488,13 @@ class Tableau:
         self.M = [step(row) for row in M]
         self.t_c, self.t_w = step(self.t_c), step(self.t_w)
         if se or not same:
-            self.x_num = exact([a * x + row[pos] * se for x, row in zip(self.x_num, M)])
-            self.slack = exact([a * x + se * r for x, r in zip(self.slack, rd)])
+            if a == 1:
+                x_num = [x + row[pos] * se for x, row in zip(self.x_num, M)]
+                slack = [x + se * r for x, r in zip(self.slack, rd)]
+            else:
+                x_num = [a * x + row[pos] * se for x, row in zip(self.x_num, M)]
+                slack = [a * x + se * r for x, r in zip(self.slack, rd)]
+            self.x_num, self.slack = exact(x_num), exact(slack)
         self.D = a
         self.basis[pos] = enter
 

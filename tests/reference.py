@@ -1,16 +1,17 @@
 """Reference forms for the tests to hold the solver against: Fraction forms
 of its integer round loop (the round loop's with the same draws from the
 stream; its face basis, face images and factors, and facet choice too),
-dot product, Phase-1 artificial sum, generated LPs, crawl (on Fraction
-elimination), echelon and null-space vector, rank completion, boxed LP,
-Phase-1 face, objective-escape projection and determinant, the stand-in
-for delta and the rounded-up square root it was first formed with, and
-the structural check of a recorded shadow path; the delta-distance
-oracles the tests hold `metrics` against; and the Fraction forms of the
-oracle (Gauss-Jordan solves, vertex enumeration, ray scan, Bland walk,
-classification) and of the metrics (inverse columns, per-minor
-subdeterminant profile) that the integer ones are held against.  A test
-helper module, not a test module."""
+dot product, Phase-1 artificial sum, generated LPs, the integer form made
+row by row, crawl (on Fraction elimination), echelon and null-space
+vector, rank completion, boxed LP, Phase-1 face, objective-escape
+projection and determinant, the stand-in for delta and the rounded-up
+square root it was first formed with, and the structural check of a
+recorded shadow path; the delta-distance oracles the tests hold `metrics`
+against; and the Fraction forms of the oracle (Gauss-Jordan solves and
+their pivots, vertex enumeration, ray scan, Bland walk, classification)
+and of the metrics (inverse columns, per-minor subdeterminant profile)
+that the integer ones are held against.  A test helper module, not a test
+module."""
 
 import random
 from fractions import Fraction
@@ -213,6 +214,19 @@ def nullspace_fraction(rows, n):
     for p, b in sorted(zip(pivots, basis), reverse=True):
         x[p] = -sum((b[j] * x[j] for j in range(n) if j != p), Fraction(0))
     return x
+
+
+def integer_form(lp):
+    """`model.integer_form` made one row at a time: each row's
+    `primitive_int_row` and its factor, the rhs f_i b_i over their lcm s."""
+    R, factor, rhs = [], [], []
+    for a, b in zip(lp.A, lp.b):
+        ints, f = primitive_int_row(a)
+        R.append(ints)
+        factor.append(f)
+        rhs.append((f * b).as_integer_ratio())
+    s = lcm(*(q for _, q in rhs))
+    return model.IntegerForm(R, factor, [p * (s // q) for p, q in rhs], s)
 
 
 def move_to_vertex(lp, point):
@@ -489,6 +503,31 @@ def _gauss_jordan(M, rhs_cols):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def gauss_jordan_steps(M):
+    """The pivot of each step of `_gauss_jordan` on M, before it is scaled
+    to 1, and the number of rows it updates with a nonzero multiplier.  A
+    Bareiss pass that pivots by the same rule updates the same rows, and its
+    k-th pivot has the sign of the k-th one here once the earlier pivots
+    are made positive."""
+    n = len(M)
+    a = [[Fraction(x) for x in row] for row in M]
+    pivots, updates = [], 0
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise linalg.LinAlgError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        pivots.append(p)
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                updates += 1
+    return pivots, updates
 
 
 def solve_square(M, rhs):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from reference import (
     ratsqrt_ceil,
 )
 
-from shadow_simplex import linalg, model
+from shadow_simplex import harness, linalg, model
 from shadow_simplex.linalg import LinAlgError
 from shadow_simplex.metrics import MetricsError, inv_delta_sq_of_rows
 from shadow_simplex.rational import (
@@ -160,6 +161,27 @@ class TestSolveSquare:
             solved += 1
         assert solved >= 30
 
+    def test_one_pass_solve_matches_invert(self):
+        # solve_adj eliminates [M | r] once: its (adj M r, det M) is invert's
+        # adjugate times r and its det, and None where invert raises
+        rng = random.Random(12)
+        solved = singular = 0
+        for k in range(120):
+            n = rng.randint(1, 5)
+            span = 1 if k % 2 else 4  # 0/+-1 matrices make -1 pivots and singular ones
+            M = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+            r = [rng.randint(-5, 5) for _ in range(n)]
+            got = linalg.solve_adj(M, r)
+            try:
+                adj, d = linalg.invert(M)
+            except LinAlgError:
+                assert got is None
+                singular += 1
+                continue
+            assert got == ([sum(map(mul, row, r)) for row in adj], d)
+            solved += 1
+        assert solved >= 50 and singular >= 10, (solved, singular)
+
 
 class TestInverseColumns:
     # the columns of M^-1 are invert's adj[:, k] / det, and 1/delta^2 is
@@ -267,6 +289,48 @@ class TestDeterminants:
             cols = reference.inverse_columns(mat(M))
             assert d == det and [[F(x, d) for x in row] for row in adj] == [list(r) for r in zip(*cols)]
         assert min(seen.values()) >= 40, seen
+
+    def test_signed_tu_bases_take_the_unit_path(self, monkeypatch):
+        # bases of the three TU generators' rows, each row negated at random
+        # and the rows shuffled, so that -1 pivots follow +1 ones: invert
+        # agrees with Gauss-Jordan in Fractions, and every pivot made
+        # positive is 1, so each row with a nonzero multiplier is updated by
+        # subtracting or adding the pivot row, elementwise at C speed
+        unit = [0]
+
+        def counted(op):
+            def wrapper(x, y):
+                unit[0] += 1
+                return op(x, y)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "sub", counted(linalg.sub))
+        monkeypatch.setattr(linalg, "add", counted(linalg.add))
+        rng = random.Random(32)
+        seen = dict.fromkeys(("tu-incidence", "interval-matrix", "network-matrix"), 0)
+        negative_after_positive = updates = 0
+        for seed in range(240):
+            kind = list(seen)[seed % 3]
+            n = rng.randint(2, 6)
+            rows = model.integer_form(harness.generate_tu_instance(kind, 2 * n, n, seed)).R
+            M = [row if rng.random() < 0.5 else [-x for x in row] for row in rng.sample(rows, n)]
+            det = det_fraction(mat(M))
+            if det == 0:
+                continue
+            pivots, want = reference.gauss_jordan_steps(M)
+            assert set(pivots) <= {-1, 1} and det in (-1, 1)
+            unit[0] = 0
+            adj, d = linalg.invert(M)
+            cols = reference.inverse_columns(mat(M))
+            assert d == det and [[F(x, d) for x in row] for row in adj] == [list(r) for r in zip(*cols)]
+            assert unit[0] == 2 * n * want
+            seen[kind] += 1
+            updates += want
+            first = pivots.index(1) if 1 in pivots else n
+            negative_after_positive += -1 in pivots[first:]
+        assert min(seen.values()) >= 20 and negative_after_positive >= 30, seen
+        assert updates > 150, updates
 
 
 class TestCompleteOrthonormal:

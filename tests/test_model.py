@@ -17,7 +17,7 @@ from shadow_simplex.model import (
     parse_lp,
     serialize_lp,
 )
-from shadow_simplex.rational import dot, norm_sq
+from shadow_simplex.rational import ONE, dot, norm_sq
 
 F = Fraction
 
@@ -477,6 +477,60 @@ class TestBoxTightAssert:
                 break
         assert corner is not None
         assert model.assert_unbounded_if_box_tight(on(lp, corner), lp.c0) == ("box-cone", None)
+
+
+class TestIntegerForm:
+    """`integer_form` reads the LP in one pass and takes an all-integral
+    LP's rows as their numerators; it is the form made row by row with
+    `primitive_int_row`, factors included, the shared `ONE` of every
+    primitive integral row too."""
+
+    @staticmethod
+    def lp_of(rng, kind):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+
+        def entry():
+            if kind == "fractional":
+                return F(rng.randint(-9, 9), rng.randint(1, 6))
+            x = rng.randint(-4, 4)
+            return x if kind == "ints" else F(x)
+
+        while True:
+            A = [[entry() for _ in range(n)] for _ in range(m)]
+            if kind == "common-factor":
+                A = [[F(rng.randint(2, 4)) * x for x in row] for row in A]
+            elif kind == "mixed":
+                i, j = rng.randrange(m), rng.randrange(n)
+                A[i][j] = F(2 * rng.randint(-4, 4) + 1, 2)
+            if all(map(any, A)):
+                break
+        b = [F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(m)]
+        if kind == "ints":
+            b = [rng.randint(-9, 9) for _ in range(m)]
+            return model.LinearProgram(tuple(map(tuple, A)), tuple(b), (1,) * n)
+        return model.make_lp(A, b, [1] * n)
+
+    def test_matches_the_form_made_row_by_row(self):
+        rng = random.Random(21)
+        kinds = ("integral", "common-factor", "fractional", "mixed", "ints")
+        scaled = dict.fromkeys(kinds, 0)  # rows whose factor is not ONE
+        for k in range(400):
+            kind = kinds[k % len(kinds)]
+            lp = self.lp_of(rng, kind)
+            got, want = model.integer_form(lp), reference.integer_form(lp)
+            assert got == want
+            assert [f is ONE for f in got.factor] == [f is ONE for f in want.factor]
+            scaled[kind] += sum(f is not ONE for f in got.factor)
+        assert scaled["integral"] > 0 and scaled["ints"] > 0
+        assert min(scaled[k] for k in ("common-factor", "fractional", "mixed")) > 50, scaled
+
+    def test_primitive_integral_rows_share_one(self):
+        lp = model.LinearProgram(((1, -2), (F(2), F(4)), (F(1, 2), F(0))), (3, F(1, 3), 1), (1, 1))
+        form = model.integer_form(lp)
+        assert form == model.IntegerForm([[1, -2], [1, 2], [1, 0]], [ONE, F(1, 2), F(2)], [18, 1, 12], 6)
+        assert form.factor[0] is ONE
+        ints = model.LinearProgram(((1, -2), (2, 4)), (3, 1), (1, 1))
+        assert model.integer_form(ints) == model.IntegerForm([[1, -2], [1, 2]], [ONE, F(1, 2)], [6, 1], 2)
 
 
 class TestVertexUtilities:

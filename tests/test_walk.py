@@ -7,6 +7,7 @@ from boxing import box, lifted, orthants
 from chains import nested_objective
 from reference import pair, validate_shadow_path, values
 from test_golden import _interior_point
+from test_integer_path import load_workloads
 
 from shadow_simplex import driver, harness, linalg, model, oracle, randomness, rational, walk
 from shadow_simplex.model import BasicSolution, integer_form
@@ -286,10 +287,16 @@ class TestTableauInternals:
 
 
 def assert_carried(tab):
-    """The tableau's vertex and prices equal M beta_B, c M and w M, recomputed
-    from its basis inverse, and its slacks beta_i D - R_i x_num over every
-    row of its form."""
+    """The tableau's M is D inv(B) for its basis rows B, its vertex and
+    prices equal M beta_B, c M and w M, recomputed from it, and its slacks
+    beta_i D - R_i x_num over every row of its form."""
     M, n, beta = tab.M, tab.n, tab.beta
+    B = [tab.R[i] for i in tab.basis]
+    assert tab.D > 0 and all(
+        sum(a * row[k] for a, row in zip(Bi, M)) == (tab.D if i == k else 0)
+        for i, Bi in enumerate(B)
+        for k in range(n)
+    )
     assert tab.x_num == [sum(M[t][k] * beta[i] for k, i in enumerate(tab.basis)) for t in range(n)]
     assert tab.t_c == [sum(a * M[t][k] for t, a in enumerate(tab.c_num)) for k in range(n)]
     assert tab.t_w == [sum(a * M[t][k] for t, a in enumerate(tab.w_num)) for k in range(n)]
@@ -303,16 +310,17 @@ def assert_carried(tab):
 def checked_pivots(monkeypatch):
     """Check the carried state after every pivot of every tableau; yields
     the checked steps, each with whether its walk held rows, whether it was
-    a certificate walk (w = 0) and whether it appended the box."""
+    a certificate walk (w = 0), whether it appended the box, and its D
+    before and after the step."""
     seen = []
     pivot = Tableau.pivot
 
     def checked(tab):
-        m = tab.m
+        m, D = tab.m, tab.D
         step = pivot(tab)
         if step is not None:
             assert_carried(tab)
-            seen.append((step, bool(tab.held), not any(tab.w_num), tab.m != m))
+            seen.append((step, bool(tab.held), not any(tab.w_num), tab.m != m, (D, tab.D)))
         return step
 
     monkeypatch.setattr(Tableau, "pivot", checked)
@@ -341,12 +349,27 @@ class TestCarriedState:
                 driver.solve(each, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
         for lp, seed in orthants(range(50)):
             driver.solve(lp, driver.SolveConfig(rng=randomness.RngConfig(seed=seed, mode=mode)))
-        held = sum(h for _, h, _, _ in checked_pivots)
-        certificate = sum(c for _, _, c, _ in checked_pivots)
-        degenerate = sum(st.step_length == 0 for st, _, _, _ in checked_pivots)
-        boxing = sum(b for _, _, _, b in checked_pivots)
+        held = sum(h for _, h, _, _, _ in checked_pivots)
+        certificate = sum(c for _, _, c, _, _ in checked_pivots)
+        degenerate = sum(st.step_length == 0 for st, _, _, _, _ in checked_pivots)
+        boxing = sum(b for _, _, _, b, _ in checked_pivots)
         assert len(checked_pivots) > 150 and held > 5 and certificate > 15 and degenerate > 15
         assert boxing > 0
+        # the random LPs' bases are not unimodular: steps that divide by D > 1
+        divided = sum(before > 1 for *_, (before, _) in checked_pivots)
+        assert divided > 80, divided
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_carried_along_the_tu_warm_pool(self, checked_pivots, seed):
+        # the tu-warm benchmark pool: TU LPs from a vertex, whose bases all
+        # have |det| = 1, so every pivot takes the unit step, D = 1 before
+        # and after it
+        pkg = SimpleNamespace(harness=harness, model=model, rational=rational)
+        for inst in load_workloads().build_pool(pkg, "tu-warm", seed):
+            conf = driver.SolveConfig(rng=randomness.RngConfig(seed=inst.seed, mode=inst.mode))
+            assert driver.solve(inst.lp, conf, initial_bfs=inst.start).status == "optimal"
+        assert all(d == (1, 1) for *_, d in checked_pivots)
+        assert len(checked_pivots) > 500, len(checked_pivots)
 
     def test_carried_with_held_rows(self, checked_pivots):
         # from the unit cube's origin, holding z >= 0: the walk stays on z = 0
@@ -360,7 +383,7 @@ class TestCarriedState:
         c, w = pair([F(3, 5), F(4, 7), F(1)]), pair([F(-1, 2), F(-1, 3), F(-1, 4)])
         res = shadow_walk(tab, c, w, held=[5])
         assert res.finished and res.pivots == 2 and tab.vertex() == [1, 1, 0]
-        assert [h for _, h, _, _ in checked_pivots] == [True, True]
+        assert [h for _, h, _, _, _ in checked_pivots] == [True, True]
 
     def test_carried_through_the_box(self, checked_pivots):
         # x, y >= 0 and x - y <= 1 on c = (1, 1) from the origin, with w = 0
@@ -378,7 +401,7 @@ class TestCarriedState:
         boxed = model.bound_polytope(form, [0, 1])
         assert res.finished and tab.boxed and tab.form == boxed
         assert tab.box_basis == (0, 1)  # kept: the recession LP's basis at d = 0
-        assert [b for _, _, _, b in checked_pivots] == [True] + [False] * (res.pivots - 1)
+        assert [b for _, _, _, b, _ in checked_pivots] == [True] + [False] * (res.pivots - 1)
         assert [st.entering_row for st in res.path.steps] == [2, 4, 6]
         assert tab.vertex() == [3, 3]
         eager = Tableau(boxed, start)
@@ -407,8 +430,8 @@ class TestCarriedState:
         ))
         apex = BasicSolution(point=(F(0), F(0), F(1)), basis=(0, 1, 2))
         assert first_gain(Tableau(integer_form(lp), apex), [F(1), F(-1), F(-1)]) is True
-        assert [st.step_length for st, _, _, _ in checked_pivots] == [0, 2]
-        assert all(cert for _, _, cert, _ in checked_pivots)
+        assert [st.step_length for st, _, _, _, _ in checked_pivots] == [0, 2]
+        assert all(cert for _, _, cert, _, _ in checked_pivots)
 
 
 @pytest.fixture
@@ -536,12 +559,24 @@ class TestExactUpdate:
         assert tab.D == 3
         assert_carried(tab)
 
-    @pytest.mark.parametrize("vector", ["M", "x_num", "t_c", "t_w", "slack"])
+    @pytest.mark.parametrize("vector", ["M", "x_num", "t_c", "t_w", "slack", "t_c<0", "slack<0"])
     def test_a_remainder_raises(self, vector):
         tab, pos, enter, rd = self.aimed()
         q = 1 - pos  # an entry the step divides; as a row, one of the basis
         if vector == "M":
             tab.M[1][q] += 1  # R_enter has no weight on row 1, so u stays
+        elif vector == "t_c<0":
+            # its numerator -u_pos t_c[q] + u_q t_c[pos] becomes -3, over D = 5
+            tab.t_c[q] -= 1
+        elif vector == "slack<0":
+            # the numerators -u_pos slack_i - se rd_i of rows 1 and 3 become
+            # -3 and 33, over D = 5: truncated, their remainders -3 and 3
+            # would cancel in the sum; floored, they are 2 and 3
+            tab.slack[1] -= 1
+            tab.slack[3] += 1
+            se, up = tab.slack[enter], linalg.combine(zip(tab.R[enter], tab.M), tab.n)[pos]
+            nums = [-up * x - se * r for x, r in zip(tab.slack, rd)]
+            assert (nums[1], nums[3], tab.D) == (-3, 33, 5)
         else:
             getattr(tab, vector)[q] += 1
         with pytest.raises(WalkError, match="integer pivot update lost exactness"):
